@@ -15,13 +15,27 @@
 // report is byte-identical by construction — so checking against a golden
 // artifact produced without them is exactly the point: any drift they
 // introduce fails the gate.
+//
+//   hpf90d_studycheck --table2 --check table2_golden.csv
+//   hpf90d_studycheck --table2 --write table2_golden.csv
+//
+// --table2 gates the *measured* side instead: the trimmed paper Table 2
+// (every suite app x its sizes up to 2048, 256 for nbody, x nprocs
+// {1,2,4,8}) measured with runs(3) and the default SimOptions, exported
+// with RunReport::csv. Key columns must match exactly and every numeric
+// column within a relative 1e-9 — loose enough for another libm, tight
+// enough that a missed or reordered noise draw (a ~1e-3 shift) fails.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "api/api.hpp"
 #include "study/study.hpp"
 #include "suite/suite.hpp"
 
@@ -47,11 +61,70 @@ study::StudyResult run_canonical_study(const api::RunOptions& opts) {
   return study::run_study(session, plan, opts);
 }
 
+/// The trimmed measured Table 2, one record per (app, size, nprocs) in
+/// suite order. Any change here must ship with a regenerated artifact.
+api::RunReport run_table2(const api::RunOptions& opts) {
+  api::Session session;
+  api::RunReport table;
+  for (const auto& app : suite::validation_suite()) {
+    std::vector<long long> sizes;
+    for (long long size : app.problem_sizes) {
+      if (app.id == "nbody" ? size > 256 : size > 2048) continue;
+      sizes.push_back(size);
+    }
+    api::ExperimentPlan plan(app.name);
+    plan.source(app.source)
+        .nprocs(suite::paper_system_sizes())
+        .add_variant({app.name, app.directive_overrides,
+                      app.id == "laplace_bb" ? std::optional<int>(2) : std::nullopt})
+        .problems_from(sizes, app.bindings)
+        .runs(3);
+    api::RunReport report = session.run(plan, opts);
+    for (auto& rec : report.records) table.records.push_back(std::move(rec));
+  }
+  return table;
+}
+
+bool close_enough(double golden, double current) {
+  return std::abs(golden - current) <= 1e-9 * std::max(std::abs(golden), std::abs(current));
+}
+
+/// Compares `current` against the golden CSV: returns the number of
+/// mismatching rows (a row-count mismatch counts every unmatched row).
+std::size_t check_table2(const api::RunReport& golden, const api::RunReport& current) {
+  std::size_t bad = 0;
+  const std::size_t n = std::min(golden.records.size(), current.records.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const api::RunRecord& g = golden.records[i];
+    const api::RunRecord& c = current.records[i];
+    const bool keys = g.machine == c.machine && g.variant == c.variant &&
+                      g.problem == c.problem && g.nprocs == c.nprocs &&
+                      g.measured == c.measured;
+    const api::Comparison& gc = g.comparison;
+    const api::Comparison& cc = c.comparison;
+    const bool values = close_enough(gc.estimated, cc.estimated) &&
+                        close_enough(gc.measured_mean, cc.measured_mean) &&
+                        close_enough(gc.measured_min, cc.measured_min) &&
+                        close_enough(gc.measured_max, cc.measured_max) &&
+                        close_enough(gc.measured_stddev, cc.measured_stddev);
+    if (keys && values) continue;
+    ++bad;
+    std::fprintf(stderr,
+                 "row %zu: golden %s/%s/%s P=%d mean %.17g | current %s/%s/%s P=%d "
+                 "mean %.17g\n",
+                 i + 1, g.machine.c_str(), g.variant.c_str(), g.problem.c_str(), g.nprocs,
+                 gc.measured_mean, c.machine.c_str(), c.variant.c_str(),
+                 c.problem.c_str(), c.nprocs, cc.measured_mean);
+  }
+  return bad + std::max(golden.records.size(), current.records.size()) - n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
   bool write = false;
+  bool table2 = false;
   double threshold = 0.05;
   api::RunOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -66,10 +139,12 @@ int main(int argc, char** argv) {
       opts.speculate_branches = true;
     } else if (std::strcmp(argv[i], "--order") == 0) {
       opts.order_points = true;
+    } else if (std::strcmp(argv[i], "--table2") == 0) {
+      table2 = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s --check golden.csv [--threshold 0.05] [--speculate] "
-                   "[--order] | --write golden.csv\n",
+                   "usage: %s [--table2] --check golden.csv [--threshold 0.05] "
+                   "[--speculate] [--order] | [--table2] --write golden.csv\n",
                    argv[0]);
       return 2;
     }
@@ -77,6 +152,38 @@ int main(int argc, char** argv) {
   if (path == nullptr) {
     std::fprintf(stderr, "missing --check/--write <path>\n");
     return 2;
+  }
+
+  if (table2) {
+    const api::RunReport current = run_table2(opts);
+    if (write) {
+      std::ofstream out(path, std::ios::binary);
+      if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", path);
+        return 2;
+      }
+      out << current.csv();
+      std::printf("wrote golden Table 2 artifact: %s (%zu records)\n", path,
+                  current.records.size());
+      return 0;
+    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "cannot read golden artifact %s\n", path);
+      return 2;
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const api::RunReport golden = api::RunReport::from_csv(buf.str());
+    const std::size_t bad = check_table2(golden, current);
+    if (bad != 0) {
+      std::fprintf(stderr, "golden Table 2 gate FAILED: %zu of %zu rows differ\n", bad,
+                   std::max(golden.records.size(), current.records.size()));
+      return 1;
+    }
+    std::printf("golden Table 2 gate passed: %zu measured rows within 1e-9\n",
+                current.records.size());
+    return 0;
   }
 
   const study::StudyResult current = run_canonical_study(opts);
