@@ -235,8 +235,8 @@ BENCHMARK_CAPTURE(BM_DivergentSweep_lanes, lanes64_compaction_off, 64, false)
 
 void BM_MeasuredSweep_lanes(benchmark::State& state, int lanes) {
   // Measured points (runs > 0) dominate real Table-2 style sweeps; the
-  // lockstep measurement path (Simulator::measure_batch_into on top of
-  // Executor::rebind_run) shares per-run rebind work across the batch.
+  // lockstep measurement path (Simulator::measure_batch_into) runs one
+  // functional pass per lane and replays its timing tape for later runs.
   // An eighth of the predict-only point count keeps the wall time
   // comparable to the other captures.
   const long long points = std::max(16LL, sweep_points() / 8);

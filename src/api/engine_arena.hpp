@@ -1,12 +1,12 @@
 // engine_arena.hpp — per-worker reusable execution state for sweep runs.
 //
-// PR 2's worker pool still constructed a fresh InterpretationEngine (and,
-// for measured points, one Executor per simulated run) at every sweep
-// point: scratch clocks, per-AAU metric tables, scalar environments, and
-// simulator storage were allocated and thrown away thousands of times per
-// design study. An EngineArena is the fix: each Session::run worker owns
-// one, and every point it executes rebinds the same engine/executor pair,
-// so the steady-state hot path performs no per-point heap allocation while
+// Constructing a fresh InterpretationEngine (and, for measured points, an
+// Executor) at every sweep point would allocate and throw away scratch
+// clocks, per-AAU metric tables, scalar environments, simulator storage
+// and the executor's timing tape thousands of times per design study. An
+// EngineArena avoids that: each Session::run worker owns one, and every
+// point it executes rebinds the same engine/executor pair, so the
+// steady-state hot path performs no per-point heap allocation while
 // producing bit-identical records (rebinding is defined as equivalent to
 // fresh construction).
 //
@@ -46,8 +46,9 @@ class EngineArena {
                                      const core::PredictOptions& options,
                                      const front::Bindings& bindings);
 
-  /// Simulated measurement through the reusable executor (one rebind per
-  /// run instead of one Executor construction per run).
+  /// Simulated measurement through the reusable executor: one rebind and
+  /// one functional run per point, then a timing replay of that run's tape
+  /// for each further run (Simulator::measure_into).
   [[nodiscard]] sim::MeasuredResult measure(const compiler::CompiledProgram& prog,
                                             const compiler::DataLayout& layout,
                                             const machine::MachineModel& machine,

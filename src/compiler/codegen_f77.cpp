@@ -58,12 +58,12 @@ class Printer {
           ++depth;
         }
         if (node.inner) {
-          line(indent + depth, "acc = " + std::string(node.inner->op == "product" ? "1.0" : "0.0"));
+          line(indent + depth, "acc = " + std::string(node.inner->op == ReduceOp::Product ? "1.0" : "0.0"));
           line(indent + depth, "do " + node.inner->index.name + " = " +
                                    node.inner->index.lo->str() + ", " +
                                    node.inner->index.hi->str());
           line(indent + depth + 1,
-               "acc = " + std::string(node.inner->op == "product" ? "acc * " : "acc + ") +
+               "acc = " + std::string(node.inner->op == ReduceOp::Product ? "acc * " : "acc + ") +
                    node.inner->arg->str());
           line(indent + depth, "end do");
           line(indent + depth, node.lhs->str() + " = acc");
@@ -105,11 +105,11 @@ class Printer {
                          std::to_string(node.comm_dim + 1) + ")");
         break;
       case SpmdKind::Reduce: {
-        const std::string fn = node.reduce_op == "sum"       ? "gsum"
-                               : node.reduce_op == "product" ? "gprod"
-                               : node.reduce_op == "maxval"  ? "gmax"
-                               : node.reduce_op == "minval"  ? "gmin"
-                                                             : "gmaxloc";
+        const std::string fn = node.reduce_op == ReduceOp::Sum       ? "gsum"
+                               : node.reduce_op == ReduceOp::Product ? "gprod"
+                               : node.reduce_op == ReduceOp::MaxVal  ? "gmax"
+                               : node.reduce_op == ReduceOp::MinVal  ? "gmin"
+                                                                     : "gmaxloc";
         line(indent, "call local_reduce(acc, " + node.reduce_arg->str() + ")");
         line(indent, "call " + fn + "(acc, " + sym_name(node.reduce_result) + ")");
         break;

@@ -1,6 +1,7 @@
 #include "compiler/eval.hpp"
 
 #include <cmath>
+#include <iterator>
 
 #include "hpf/fold.hpp"
 #include "hpf/intrinsics.hpp"
@@ -72,18 +73,25 @@ std::optional<double> eval_rec(const Expr& e, const ScalarEnv& env, ArrayAccess*
                              "' cannot be read during interpretation");
         return std::nullopt;
       }
-      std::vector<long long> idx;
-      idx.reserve(e.subs.size());
-      for (const auto& sub : e.subs) {
+      // Fortran arrays have at most 7 dimensions: the index vector lives
+      // on the stack (this is the simulator's per-element hot path).
+      constexpr std::size_t kMaxRank = 7;
+      if (e.subs.size() > kMaxRank) {
+        fail(err, e.loc, "array reference '" + e.name + "' has more than 7 subscripts");
+        return std::nullopt;
+      }
+      long long idx[kMaxRank];
+      for (std::size_t d = 0; d < e.subs.size(); ++d) {
+        const auto& sub = e.subs[d];
         if (sub.kind != front::Subscript::Kind::Scalar) {
           fail(err, e.loc, "internal: section in scalar evaluation");
           return std::nullopt;
         }
         const std::optional<double> v = eval_rec(*sub.scalar, env, arrays, symbols, err);
         if (!v) return std::nullopt;
-        idx.push_back(static_cast<long long>(std::llround(*v)));
+        idx[d] = static_cast<long long>(std::llround(*v));
       }
-      return arrays->load(e.symbol, idx);
+      return arrays->load(e.symbol, std::span<const long long>(idx, e.subs.size()));
     }
     case ExprKind::Unary: {
       const std::optional<double> v = eval_rec(*e.args[0], env, arrays, symbols, err);
@@ -180,12 +188,19 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
     return static_cast<double>(total);
   }
 
-  std::vector<double> argv;
-  argv.reserve(e.args.size());
-  for (const auto& a : e.args) {
-    const std::optional<double> v = eval_rec(*a, env, arrays, symbols, err);
+  // Elemental intrinsics take a handful of arguments: keep them on the
+  // stack unless a long min/max argument list needs the heap.
+  double inline_argv[8];
+  std::vector<double> heap_argv;
+  double* argv = inline_argv;
+  if (e.args.size() > std::size(inline_argv)) {
+    heap_argv.resize(e.args.size());
+    argv = heap_argv.data();
+  }
+  for (std::size_t i = 0; i < e.args.size(); ++i) {
+    const std::optional<double> v = eval_rec(*e.args[i], env, arrays, symbols, err);
     if (!v) return std::nullopt;
-    argv.push_back(*v);
+    argv[i] = *v;
   }
 
   if (n == "exp") return std::exp(argv[0]);
@@ -208,12 +223,12 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
   }
   if (n == "min") {
     double v = argv[0];
-    for (std::size_t i = 1; i < argv.size(); ++i) v = std::min(v, argv[i]);
+    for (std::size_t i = 1; i < e.args.size(); ++i) v = std::min(v, argv[i]);
     return v;
   }
   if (n == "max") {
     double v = argv[0];
-    for (std::size_t i = 1; i < argv.size(); ++i) v = std::max(v, argv[i]);
+    for (std::size_t i = 1; i < e.args.size(); ++i) v = std::max(v, argv[i]);
     return v;
   }
   if (n == "merge") return argv[2] != 0.0 ? argv[0] : argv[1];

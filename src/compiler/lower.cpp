@@ -185,6 +185,12 @@ class Lowerer {
     }
   }
 
+  static ReduceOp reduce_op_for(const std::string& name, front::SourceLoc loc) {
+    const std::optional<ReduceOp> op = reduce_op_from_name(name);
+    if (!op) throw CompileError(loc, "unsupported reduction '" + name + "'");
+    return *op;
+  }
+
   /// Builds a Reduce node for `call` = sum/product/maxval/minval/maxloc of
   /// an array-valued expression.
   SpmdNodePtr make_reduce_node(const Expr& call, front::SourceLoc loc,
@@ -202,7 +208,7 @@ class Lowerer {
     auto node = std::make_unique<SpmdNode>();
     node->kind = SpmdKind::Reduce;
     node->loc = loc;
-    node->reduce_op = call.name;
+    node->reduce_op = reduce_op_for(call.name, loc);
     for (auto& idx : indices) {
       IterIndex it;
       it.name = idx.name;
@@ -376,7 +382,7 @@ class Lowerer {
     // index list for the argument: result indices in order, inner index at
     // position dim-1
     SpmdNode::InnerReduce inner;
-    inner.op = op;
+    inner.op = reduce_op_for(op, node.loc);
     inner.index.symbol = new_index_symbol(inner.index.name);
     inner.index.lo = front::make_int_lit(1, node.loc);
     inner.index.hi = tsym.dims[static_cast<std::size_t>(dim - 1)]->clone();

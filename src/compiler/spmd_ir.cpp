@@ -23,6 +23,25 @@ std::string_view spmd_kind_name(SpmdKind k) noexcept {
   return "?";
 }
 
+std::string_view reduce_op_name(ReduceOp op) noexcept {
+  switch (op) {
+    case ReduceOp::Sum: return "sum";
+    case ReduceOp::Product: return "product";
+    case ReduceOp::MaxVal: return "maxval";
+    case ReduceOp::MinVal: return "minval";
+    case ReduceOp::MaxLoc: return "maxloc";
+  }
+  return "?";
+}
+
+std::optional<ReduceOp> reduce_op_from_name(std::string_view name) noexcept {
+  for (ReduceOp op : {ReduceOp::Sum, ReduceOp::Product, ReduceOp::MaxVal,
+                      ReduceOp::MinVal, ReduceOp::MaxLoc}) {
+    if (reduce_op_name(op) == name) return op;
+  }
+  return std::nullopt;
+}
+
 IterIndex IterIndex::clone() const {
   IterIndex out;
   out.name = name;
@@ -51,7 +70,7 @@ std::string SpmdNode::str(int indent) const {
       os << ")";
       if (mask) os << " mask=" << mask->str();
       if (inner) {
-        os << " " << lhs->str() << " = " << inner->op << "(" << inner->index.name << '='
+        os << " " << lhs->str() << " = " << reduce_op_name(inner->op) << "(" << inner->index.name << '='
            << inner->index.lo->str() << ':' << inner->index.hi->str() << ") "
            << inner->arg->str();
       } else if (lhs && rhs) {
@@ -79,7 +98,7 @@ std::string SpmdNode::str(int indent) const {
       os << ": array#" << comm_array << " dim " << comm_dim << " (" << comm_note << ")";
       break;
     case SpmdKind::Reduce:
-      os << ": " << reduce_op << " -> sym#" << reduce_result << " of "
+      os << ": " << reduce_op_name(reduce_op) << " -> sym#" << reduce_result << " of "
          << (reduce_arg ? reduce_arg->str() : "?");
       break;
     case SpmdKind::DoLoop:

@@ -43,6 +43,15 @@ enum class SpmdKind {
 
 [[nodiscard]] std::string_view spmd_kind_name(SpmdKind k) noexcept;
 
+/// Reduction operator of a Reduce node or an inner dim-reduction, resolved
+/// from the intrinsic name at lowering.
+enum class ReduceOp { Sum, Product, MaxVal, MinVal, MaxLoc };
+
+/// The intrinsic's Fortran name ("sum", "maxloc", ...).
+[[nodiscard]] std::string_view reduce_op_name(ReduceOp op) noexcept;
+/// Inverse of reduce_op_name; nullopt for a name that is no reduction.
+[[nodiscard]] std::optional<ReduceOp> reduce_op_from_name(std::string_view name) noexcept;
+
 /// One dimension of a local iteration space (a forall index).
 struct IterIndex {
   std::string name;
@@ -81,7 +90,7 @@ struct SpmdNode {
   /// Inner sequential reduction for dim-reductions:
   /// lhs(space) = op over inner.index of inner_arg
   struct InnerReduce {
-    std::string op;  // "sum" | "product" | "maxval" | "minval"
+    ReduceOp op = ReduceOp::Sum;  // Sum | Product | MaxVal | MinVal
     IterIndex index;
     front::ExprPtr arg;
   };
@@ -104,7 +113,7 @@ struct SpmdNode {
   bool comm_src_invariant = false;
 
   // --- Reduce ---------------------------------------------------------------
-  std::string reduce_op;
+  ReduceOp reduce_op = ReduceOp::Sum;
   front::ExprPtr reduce_arg;       // element expression over `space`
   int reduce_result = -1;          // scalar symbol receiving the result
 

@@ -57,7 +57,8 @@ std::string label_of(const SpmdNode& node, const front::SymbolTable& symbols) {
     case SpmdKind::ScalarAssign:
       return node.lhs->str() + " = " + node.rhs->str();
     case SpmdKind::LocalLoop:
-      return node.inner ? node.lhs->str() + " = " + node.inner->op + "(...)"
+      return node.inner ? node.lhs->str() + " = " +
+                              std::string(compiler::reduce_op_name(node.inner->op)) + "(...)"
                         : node.lhs->str() + " = " + node.rhs->str();
     case SpmdKind::OverlapComm:
       return "overlap exchange " + sym_name(node.comm_array);
@@ -73,7 +74,7 @@ std::string label_of(const SpmdNode& node, const front::SymbolTable& symbols) {
     case SpmdKind::SliceBroadcast:
       return "slice broadcast " + sym_name(node.comm_array);
     case SpmdKind::Reduce:
-      return node.reduce_op + " reduction";
+      return std::string(compiler::reduce_op_name(node.reduce_op)) + " reduction";
     case SpmdKind::DoLoop:
       return "do " + node.do_var;
     case SpmdKind::WhileLoop:

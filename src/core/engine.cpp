@@ -580,7 +580,7 @@ void InterpretationEngine::price_reduce_comm_batch(const SpmdNode& n,
   };
   Memo memo[8];
   std::size_t memo_n = 0;
-  const long long bytes = n.reduce_op == "maxloc" ? 12 : 8;
+  const long long bytes = n.reduce_op == compiler::ReduceOp::MaxLoc ? 12 : 8;
   for (std::size_t i = 0; i < count; ++i) {
     InterpretationEngine& e = engines[lanes[i]];
     const compiler::ArrayMap* home =
@@ -623,7 +623,7 @@ void InterpretationEngine::price_reduce_comm(const SpmdNode& n) {
   const compiler::ArrayMap* home =
       n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
   if (home != nullptr && nprocs_ > 1) {
-    const long long bytes = n.reduce_op == "maxloc" ? 12 : 8;
+    const long long bytes = n.reduce_op == compiler::ReduceOp::MaxLoc ? 12 : 8;
     const double comm_cost = fn_->comm().reduce(nprocs_, bytes,
                                                 machine_->node().proc.t_fadd,
                                                 options_.collective);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "compiler/opcount.hpp"
@@ -15,6 +16,16 @@ using compiler::SpmdNode;
 using front::Expr;
 using front::ExprKind;
 using support::CompileError;
+
+namespace {
+
+/// Trips of the Fortran triplet lo:hi:step (step != 0).
+long long trip_count(long long lo, long long hi, long long step) {
+  return step > 0 ? (hi >= lo ? (hi - lo) / step + 1 : 0)
+                  : (lo >= hi ? (lo - hi) / -step + 1 : 0);
+}
+
+}  // namespace
 
 Executor::Executor(const compiler::CompiledProgram& prog,
                    const compiler::DataLayout& layout,
@@ -37,7 +48,6 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   }
   layout_ = &layout;
   machine_ = &machine;
-  bindings_ = &bindings;
   options_ = options;
   nprocs_ = layout.nprocs();
   env_.reset(prog.symbols.size());
@@ -46,9 +56,7 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   comm_model_ = machine::CommModel(machine.node().comm);
   network_.emplace(nprocs_, layout.grid().shape, machine.node().comm,
                    SimNetworkOptions{options.contention});
-  noise_ = NoiseModel(options.seed, options.noise);
   clock_.assign(static_cast<std::size_t>(nprocs_), 0.0);
-  metrics_.assign(static_cast<std::size_t>(prog.node_count), NodeMetric{});
   // Capacity-preserving reset: run_into recycles the previous result's
   // buffers through this arena, so clearing (not reassigning) keeps the
   // steady state allocation-free.
@@ -58,29 +66,14 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   result_.printed.clear();
   result_.scalars.clear();
   compiler::seed_environment(env_, prog_->symbols, bindings);
-  for (int p = 0; p < nprocs_; ++p) {
-    clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
-  }
+  reset_timing(options.seed);
 }
 
-void Executor::rebind_run(std::uint64_t seed) {
-  // Mirrors the run-variant tail of rebind(), in the same order. The pieces
-  // skipped (node-op tables, cost_/comm_model_/network_ construction,
-  // storage_.rebind) are pure functions of the configuration — network_
-  // only needs its occupancy cleared, storage only its written arrays
-  // (ensure() recreates the deterministic fill bit-identically).
+void Executor::reset_timing(std::uint64_t seed) {
   options_.seed = seed;
-  env_.reset(prog_->symbols.size());
-  storage_.reset_written();
   network_->reset();
   noise_ = NoiseModel(seed, options_.noise);
   metrics_.assign(static_cast<std::size_t>(prog_->node_count), NodeMetric{});
-  result_.total = result_.comp = result_.comm = result_.overhead = 0;
-  result_.proc_clock.clear();
-  result_.per_node.clear();
-  result_.printed.clear();
-  result_.scalars.clear();
-  compiler::seed_environment(env_, prog_->symbols, *bindings_);
   for (int p = 0; p < nprocs_; ++p) {
     clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
   }
@@ -93,6 +86,8 @@ SimResult Executor::run() {
 }
 
 void Executor::run_into(SimResult& out) {
+  tape_.clear();
+  replaying_ = false;
   exec_seq(prog_->root->children);
 
   result_.total = *std::max_element(clock_.begin(), clock_.end());
@@ -118,6 +113,33 @@ void Executor::run_into(SimResult& out) {
   // Hand the result over and adopt the caller's old buffers as the next
   // rebind's scratch (rebind clears them capacity-preservingly).
   std::swap(out, result_);
+}
+
+double Executor::replay(std::uint64_t seed) {
+  reset_timing(seed);
+  replaying_ = true;
+  tape_pos_ = 0;
+  exec_seq(prog_->root->children);
+  replaying_ = false;
+  if (tape_pos_ != tape_.size()) {
+    throw std::logic_error("timing replay did not consume the whole tape");
+  }
+  return *std::max_element(clock_.begin(), clock_.end());
+}
+
+std::span<const long long> Executor::tape_span(std::size_t count) {
+  if (tape_pos_ + count > tape_.size()) {
+    throw std::logic_error("timing replay ran past the end of the tape");
+  }
+  const std::span<const long long> out(tape_.data() + tape_pos_, count);
+  tape_pos_ += count;
+  return out;
+}
+
+std::size_t Executor::tape_slots(std::size_t count) {
+  const std::size_t at = tape_.size();
+  tape_.resize(at + count, 0);
+  return at;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,10 +193,11 @@ void Executor::exec(const SpmdNode& n) {
 }
 
 void Executor::exec_scalar_assign(const SpmdNode& n) {
-  const double v = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
-  double stored = v;
-  if (n.lhs->type == front::TypeBase::Integer) stored = std::trunc(v);
-  env_.define(n.lhs->symbol, stored);
+  if (!replaying_) {
+    const double v = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
+    env_.define(n.lhs->symbol,
+                n.lhs->type == front::TypeBase::Integer ? std::trunc(v) : v);
+  }
   const double t = cost_->scalar_cost(body_ops(n)) + machine_->node().proc.t_store;
   // replicated computation: every node executes the same statement
   for (int p = 0; p < nprocs_; ++p) {
@@ -183,49 +206,67 @@ void Executor::exec_scalar_assign(const SpmdNode& n) {
 }
 
 void Executor::exec_do(const SpmdNode& n) {
-  const long long lo = compiler::eval_int(*n.do_lo, env_, &storage_, prog_->symbols);
-  const long long hi = compiler::eval_int(*n.do_hi, env_, &storage_, prog_->symbols);
-  const long long step =
-      n.do_step ? compiler::eval_int(*n.do_step, env_, &storage_, prog_->symbols) : 1;
-  if (step == 0) throw CompileError(n.loc, "do loop step is zero");
+  long long lo = 0, step = 1, trips = 0;
+  if (replaying_) {
+    trips = tape_next();
+  } else {
+    lo = compiler::eval_int(*n.do_lo, env_, &storage_, prog_->symbols);
+    const long long hi = compiler::eval_int(*n.do_hi, env_, &storage_, prog_->symbols);
+    step = n.do_step ? compiler::eval_int(*n.do_step, env_, &storage_, prog_->symbols) : 1;
+    if (step == 0) throw CompileError(n.loc, "do loop step is zero");
+    trips = trip_count(lo, hi, step);
+    tape_.push_back(trips);
+  }
   charge_all_overhead(n.id, machine_->node().proc.loop_setup);
-  for (long long v = lo; step > 0 ? v <= hi : v >= hi; v += step) {
-    env_.define(n.do_symbol, static_cast<double>(v));
+  for (long long t = 0; t < trips; ++t) {
+    if (!replaying_) env_.define(n.do_symbol, static_cast<double>(lo + t * step));
     charge_all_overhead(n.id, machine_->node().proc.loop_overhead);
     exec_seq(n.children);
   }
 }
 
 void Executor::exec_while(const SpmdNode& n) {
+  // The trip count is known only once the loop exits, after the body's own
+  // entries: reserve its slot up front.
+  const std::size_t slot = replaying_ ? 0 : tape_slots(1);
+  const long long recorded = replaying_ ? tape_next() : 0;
+  const double cond_t =
+      machine_->node().proc.branch_overhead + cost_->scalar_cost(cond_ops(n));
   long long trips = 0;
   while (true) {
-    const double c = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols);
-    charge_all_overhead(n.id, machine_->node().proc.branch_overhead +
-                                  cost_->scalar_cost(cond_ops(n)));
-    if (c == 0.0) break;
+    const bool again =
+        replaying_ ? trips < recorded
+                   : compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
+    charge_all_overhead(n.id, cond_t);
+    if (!again) break;
     if (++trips > options_.max_while_trips) {
       throw CompileError(n.loc, "do while exceeded the simulation trip limit");
     }
     exec_seq(n.children);
   }
+  if (!replaying_) tape_[slot] = trips;
 }
 
 void Executor::exec_if(const SpmdNode& n) {
-  const double c = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols);
-  charge_all_overhead(n.id, machine_->node().proc.branch_overhead);
-  if (c != 0.0) {
-    exec_seq(n.children);
+  bool taken = false;
+  if (replaying_) {
+    taken = tape_next() != 0;
   } else {
-    exec_seq(n.else_children);
+    taken = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
+    tape_.push_back(taken ? 1 : 0);
   }
+  charge_all_overhead(n.id, machine_->node().proc.branch_overhead);
+  exec_seq(taken ? n.children : n.else_children);
 }
 
 void Executor::exec_hostio(const SpmdNode& n) {
   long long bytes = 16;  // service request framing
   for (const auto& arg : n.io_args) {
     if (arg->rank == 0) {
-      const double v = compiler::eval_scalar(*arg, env_, &storage_, prog_->symbols);
-      result_.printed[arg->str()] = v;
+      if (!replaying_) {
+        result_.printed[arg->str()] =
+            compiler::eval_scalar(*arg, env_, &storage_, prog_->symbols);
+      }
       bytes += 16;
     } else {
       bytes += storage_.total_elements(arg->symbol) *
@@ -240,43 +281,102 @@ void Executor::exec_hostio(const SpmdNode& n) {
 // iteration helpers
 // ---------------------------------------------------------------------------
 
-long long Executor::ResolvedSpace::points() const {
+long long Executor::resolve_space(const std::vector<compiler::IterIndex>& space) {
+  lo_.clear();
+  hi_.clear();
+  step_.clear();
   long long total = 1;
-  for (std::size_t d = 0; d < lo.size(); ++d) {
-    const long long count =
-        step[d] > 0 ? (hi[d] >= lo[d] ? (hi[d] - lo[d]) / step[d] + 1 : 0)
-                    : (lo[d] >= hi[d] ? (lo[d] - hi[d]) / (-step[d]) + 1 : 0);
-    total *= count;
+  for (const auto& ix : space) {
+    const long long lo = compiler::eval_int(*ix.lo, env_, &storage_, prog_->symbols);
+    const long long hi = compiler::eval_int(*ix.hi, env_, &storage_, prog_->symbols);
+    const long long step =
+        ix.stride ? compiler::eval_int(*ix.stride, env_, &storage_, prog_->symbols) : 1;
+    lo_.push_back(lo);
+    hi_.push_back(hi);
+    step_.push_back(step);
+    total *= trip_count(lo, hi, step);
   }
   return total;
 }
 
-Executor::ResolvedSpace Executor::resolve_space(
-    const std::vector<compiler::IterIndex>& space) {
-  ResolvedSpace out;
-  for (const auto& ix : space) {
-    out.lo.push_back(compiler::eval_int(*ix.lo, env_, &storage_, prog_->symbols));
-    out.hi.push_back(compiler::eval_int(*ix.hi, env_, &storage_, prog_->symbols));
-    out.step.push_back(
-        ix.stride ? compiler::eval_int(*ix.stride, env_, &storage_, prog_->symbols) : 1);
-  }
-  return out;
-}
-
-int Executor::owner_of_point(const SpmdNode& n, const compiler::ArrayMap* home,
-                             std::span<const long long> point) const {
-  if (home == nullptr) return -1;
+int Executor::owner_of_point(const SpmdNode& n, const compiler::ArrayMap& home,
+                             std::span<const long long> point) {
   std::vector<int>& coords = owner_coords_scratch_;
   coords.assign(static_cast<std::size_t>(layout_->grid().rank()), 0);
   for (std::size_t h = 0; h < n.home_driver.size(); ++h) {
     const int drv = n.home_driver[h];
     if (drv < 0) continue;
-    const auto& dd = home->dims[h];
+    const auto& dd = home.dims[h];
     if (dd.grid_dim < 0) continue;
     const long long g = point[static_cast<std::size_t>(drv)] + n.home_driver_offset[h];
     coords[static_cast<std::size_t>(dd.grid_dim)] = dd.owner_coord(g);
   }
   return layout_->grid().linear(coords);
+}
+
+bool Executor::count_owned_iterations(const SpmdNode& n, const compiler::ArrayMap& home,
+                                      std::span<long long> iters) {
+  // The owner of a point is linear(coords) with coords[g] a function of the
+  // one space dimension driving grid axis g (0 when no dimension does). When
+  // every axis has at most one driver and every space dimension drives at
+  // most one axis, the count factorizes: per-axis ownership histograms times
+  // the trip counts of the non-driving dimensions.
+  const compiler::ProcGrid& grid = layout_->grid();
+  const std::size_t grank = static_cast<std::size_t>(grid.rank());
+  const std::size_t rank = lo_.size();
+  grid_driver_.assign(grank, -1);
+  grid_home_dim_.assign(grank, -1);
+  for (std::size_t h = 0; h < n.home_driver.size(); ++h) {
+    const int drv = n.home_driver[h];
+    if (drv < 0) continue;
+    const auto& dd = home.dims[h];
+    if (dd.grid_dim < 0) continue;
+    const std::size_t g = static_cast<std::size_t>(dd.grid_dim);
+    if (g >= grank || grid_driver_[g] >= 0 || dd.nprocs != grid.shape[g]) return false;
+    for (int other : grid_driver_) {
+      if (other == drv) return false;
+    }
+    grid_driver_[g] = drv;
+    grid_home_dim_[g] = static_cast<int>(h);
+  }
+  long long free_points = 1;  // product of the non-driving dimensions' trips
+  for (std::size_t d = 0; d < rank; ++d) {
+    bool drives = false;
+    for (int drv : grid_driver_) drives = drives || drv == static_cast<int>(d);
+    if (drives) continue;
+    free_points *= trip_count(lo_[d], hi_[d], step_[d]);
+  }
+  // histogram of axis g at owner_hist_[base_g + coord], base_g = sum of the
+  // preceding axes' extents
+  std::size_t hist_size = 0;
+  for (int extent : grid.shape) hist_size += static_cast<std::size_t>(extent);
+  owner_hist_.assign(hist_size, 0);
+  std::size_t base = 0;
+  for (std::size_t g = 0; g < grank; ++g) {
+    if (grid_driver_[g] >= 0) {
+      const std::size_t d = static_cast<std::size_t>(grid_driver_[g]);
+      const std::size_t h = static_cast<std::size_t>(grid_home_dim_[g]);
+      const auto& dd = home.dims[h];
+      const long long off = n.home_driver_offset[h];
+      for (long long v = lo_[d]; step_[d] > 0 ? v <= hi_[d] : v >= hi_[d]; v += step_[d]) {
+        ++owner_hist_[base + static_cast<std::size_t>(dd.owner_coord(v + off))];
+      }
+    }
+    base += static_cast<std::size_t>(grid.shape[g]);
+  }
+  for (int p = 0; p < nprocs_; ++p) {
+    const std::span<const int> coords = layout_->proc_coords(p);
+    long long count = free_points;
+    base = 0;
+    for (std::size_t g = 0; g < grank; ++g) {
+      const int c = coords[g];
+      count *= grid_driver_[g] >= 0 ? owner_hist_[base + static_cast<std::size_t>(c)]
+                                    : (c == 0 ? 1 : 0);
+      base += static_cast<std::size_t>(grid.shape[g]);
+    }
+    iters[static_cast<std::size_t>(p)] = count;
+  }
+  return true;
 }
 
 namespace {
@@ -293,7 +393,7 @@ void scan_subscript(const Expr& x, int inner_symbol, bool& uses_inner, bool& has
 /// Collects the memory-access patterns of every array reference in `e`.
 /// `inner_symbol` is the innermost loop index; the stride is the distance
 /// (in elements, row-major) between consecutive accesses.
-void collect_accesses(const Expr& e, int inner_symbol, const Storage& storage,
+void collect_accesses(const Expr& e, int inner_symbol, Storage& storage,
                       const front::SymbolTable& symbols,
                       std::vector<AccessPattern>& out, bool store_ctx) {
   if (e.kind == ExprKind::ArrayRef) {
@@ -320,7 +420,6 @@ void collect_accesses(const Expr& e, int inner_symbol, const Storage& storage,
       if (d < extents.size()) dim_stride *= extents[d];
     }
     ap.stride_elements = irregular ? -1 : std::max<long long>(stride, 0);
-    if (ap.stride_elements == 0 && !irregular) ap.stride_elements = 0;  // loop invariant
     out.push_back(ap);
   }
   for (const auto& a : e.args) collect_accesses(*a, inner_symbol, storage, symbols, out, false);
@@ -331,7 +430,7 @@ void collect_accesses(const Expr& e, int inner_symbol, const Storage& storage,
 
 }  // namespace
 
-std::vector<AccessPattern> Executor::access_patterns(const SpmdNode& n) const {
+std::vector<AccessPattern> Executor::access_patterns(const SpmdNode& n) {
   std::vector<AccessPattern> out;
   const int inner = n.inner          ? n.inner->index.symbol
                     : !n.space.empty() ? n.space.back().symbol
@@ -350,11 +449,11 @@ std::vector<AccessPattern> Executor::access_patterns(const SpmdNode& n) const {
 }
 
 long long Executor::working_set_bytes(const Expr& lhs, const Expr* rhs,
-                                      const ResolvedSpace& space) const {
+                                      long long points) const {
   // footprint ~ iteration count x (distinct arrays touched) x element size
   long long arrays = 1;
   if (rhs != nullptr) compiler::count_array_refs(*rhs, arrays);
-  const long long iters = std::max<long long>(1, space.points());
+  const long long iters = std::max<long long>(1, points);
   return iters * arrays * front::type_size_bytes(lhs.type) / std::max(1, nprocs_);
 }
 
@@ -363,115 +462,146 @@ long long Executor::working_set_bytes(const Expr& lhs, const Expr* rhs,
 // ---------------------------------------------------------------------------
 
 void Executor::exec_local_loop(const SpmdNode& n) {
-  const ResolvedSpace space = resolve_space(n.space);
-  if (space.points() <= 0) return;
-  const compiler::ArrayMap* home =
-      n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
+  const compiler::ArrayMap* home = home_map(n);
+  LoopVisit v;
+  if (!replaying_) {
+    v = resolve_local_loop(n, home);
+  } else if ((v.points = tape_next()) > 0) {
+    if (n.inner) v.inner_trips = tape_next();
+    if (home != nullptr) {
+      v.iters = tape_span(static_cast<std::size_t>(nprocs_));
+      if (n.mask) v.trues = tape_span(static_cast<std::size_t>(nprocs_));
+    }
+  }
+  if (v.points <= 0) return;
+  charge_local_loop(n, home, v);
+}
 
-  // per-proc iteration and mask-true counts (slot 0 used when replicated)
-  const bool replicated = home == nullptr;
-  std::vector<long long> iters(static_cast<std::size_t>(nprocs_), 0);
-  std::vector<long long> trues(static_cast<std::size_t>(nprocs_), 0);
+Executor::LoopVisit Executor::resolve_local_loop(const SpmdNode& n,
+                                                 const compiler::ArrayMap* home) {
+  LoopVisit v;
+  v.points = resolve_space(n.space);
+  tape_.push_back(v.points);
+  if (v.points <= 0) return v;
 
   // inner-reduction resolved bounds (loop-invariant by construction)
   long long inner_lo = 0, inner_hi = -1;
   if (n.inner) {
     inner_lo = compiler::eval_int(*n.inner->index.lo, env_, &storage_, prog_->symbols);
     inner_hi = compiler::eval_int(*n.inner->index.hi, env_, &storage_, prog_->symbols);
+    v.inner_trips = std::max<long long>(0, inner_hi - inner_lo + 1);
+    tape_.push_back(v.inner_trips);
   }
 
+  // Per-processor iteration and mask-true counts, written in place on the
+  // tape. An unmasked loop's counts follow from the ownership histograms;
+  // a masked one (or an unseparable mapping) counts owners point by point.
+  const std::size_t np = static_cast<std::size_t>(nprocs_);
+  std::size_t iters_at = 0, trues_at = 0;
+  bool per_point_owner = false;
+  if (home != nullptr) {
+    iters_at = tape_slots(np);
+    if (n.mask) trues_at = tape_slots(np);
+    per_point_owner =
+        n.mask || !count_owned_iterations(n, *home, {tape_.data() + iters_at, np});
+  }
+  long long* const iters = tape_.data() + iters_at;
+  long long* const trues = tape_.data() + trues_at;
+
   // functional pass: evaluate all RHS first (forall semantics), then commit
-  struct PendingStore {
-    std::size_t offset;
-    double value;
-  };
-  std::vector<PendingStore> pending;
-  pending.reserve(static_cast<std::size_t>(std::min<long long>(space.points(), 1 << 20)));
+  pending_.clear();
   const int lhs_symbol = n.lhs->symbol;
   (void)storage_.raw(lhs_symbol);  // ensure allocated
 
-  const std::size_t rank = space.lo.size();
-  std::vector<long long> point = space.lo;
-  std::vector<long long> lhs_idx(n.lhs->subs.size());
-  bool done = space.points() == 0;
+  const std::size_t rank = lo_.size();
+  point_.assign(lo_.begin(), lo_.end());
+  lhs_idx_.resize(n.lhs->subs.size());
+  bool done = false;
   while (!done) {
     for (std::size_t d = 0; d < rank; ++d) {
-      env_.define(n.space[d].symbol, static_cast<double>(point[d]));
+      env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
     }
-    const int owner = replicated ? -1 : owner_of_point(n, home, point);
-    if (owner >= 0) {
-      ++iters[static_cast<std::size_t>(owner)];
-    }
-    bool mask_true = true;
-    if (n.mask) {
-      mask_true =
-          compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
-    }
+    const int owner = per_point_owner ? owner_of_point(n, *home, point_) : -1;
+    if (owner >= 0) ++iters[owner];
+    const bool mask_true =
+        !n.mask || compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
     if (mask_true) {
-      if (owner >= 0) ++trues[static_cast<std::size_t>(owner)];
+      if (owner >= 0 && n.mask) ++trues[owner];
       double value;
       if (n.inner) {
-        const bool is_prod = n.inner->op == "product";
-        double acc = is_prod ? 1.0 : n.inner->op == "maxval" ? -1e300
-                               : n.inner->op == "minval"     ? 1e300
-                                                             : 0.0;
+        const compiler::ReduceOp op = n.inner->op;
+        double acc = op == compiler::ReduceOp::Product  ? 1.0
+                     : op == compiler::ReduceOp::MaxVal ? -1e300
+                     : op == compiler::ReduceOp::MinVal ? 1e300
+                                                        : 0.0;
         for (long long j = inner_lo; j <= inner_hi; ++j) {
           env_.define(n.inner->index.symbol, static_cast<double>(j));
-          const double v =
+          const double x =
               compiler::eval_scalar(*n.inner->arg, env_, &storage_, prog_->symbols);
-          if (n.inner->op == "sum") acc += v;
-          else if (is_prod) acc *= v;
-          else if (n.inner->op == "maxval") acc = std::max(acc, v);
-          else acc = std::min(acc, v);
+          switch (op) {
+            case compiler::ReduceOp::Sum: acc += x; break;
+            case compiler::ReduceOp::Product: acc *= x; break;
+            case compiler::ReduceOp::MaxVal: acc = std::max(acc, x); break;
+            default: acc = std::min(acc, x); break;
+          }
         }
         value = acc;
       } else {
         value = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
       }
       if (n.lhs->type == front::TypeBase::Integer) value = std::trunc(value);
-      for (std::size_t d = 0; d < lhs_idx.size(); ++d) {
-        lhs_idx[d] = compiler::eval_int(*n.lhs->subs[d].scalar, env_, &storage_,
-                                        prog_->symbols);
+      for (std::size_t d = 0; d < lhs_idx_.size(); ++d) {
+        lhs_idx_[d] = compiler::eval_int(*n.lhs->subs[d].scalar, env_, &storage_,
+                                         prog_->symbols);
       }
-      pending.push_back(PendingStore{storage_.offset(lhs_symbol, lhs_idx), value});
+      pending_.push_back(PendingStore{storage_.offset(lhs_symbol, lhs_idx_), value});
     }
     // odometer
     done = true;
     for (std::size_t d = rank; d-- > 0;) {
-      point[d] += space.step[d];
-      const bool in_range =
-          space.step[d] > 0 ? point[d] <= space.hi[d] : point[d] >= space.hi[d];
+      point_[d] += step_[d];
+      const bool in_range = step_[d] > 0 ? point_[d] <= hi_[d] : point_[d] >= hi_[d];
       if (in_range) {
         done = false;
         break;
       }
-      point[d] = space.lo[d];
+      point_[d] = lo_[d];
     }
   }
   auto raw = storage_.raw(lhs_symbol);
-  for (const auto& st : pending) raw[st.offset] = st.value;
+  for (const auto& st : pending_) raw[st.offset] = st.value;
 
-  // --- timing -----------------------------------------------------------------
+  if (home != nullptr) {
+    v.iters = {tape_.data() + iters_at, np};
+    if (n.mask) v.trues = {tape_.data() + trues_at, np};
+  }
+  return v;
+}
+
+void Executor::charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,
+                                 const LoopVisit& v) {
   const compiler::OpCounts& ops = body_ops(n);
   const compiler::OpCounts& mask_ops = cond_ops(n);
   std::vector<AccessPattern> accesses = access_patterns(n);
   for (auto& a : accesses) a.array_bytes /= std::max(1, nprocs_);
-  const long long ws = working_set_bytes(*n.lhs, n.rhs ? n.rhs.get() : n.inner->arg.get(),
-                                         space);
+  const long long ws =
+      working_set_bytes(*n.lhs, n.rhs ? n.rhs.get() : n.inner->arg.get(), v.points);
   const auto& p = machine_->node().proc;
 
-  const long long total_pts = space.points();
+  const bool replicated = home == nullptr;
   for (int proc = 0; proc < nprocs_; ++proc) {
-    const long long it = replicated ? total_pts : iters[static_cast<std::size_t>(proc)];
+    const std::size_t pi = static_cast<std::size_t>(proc);
+    const long long it = replicated ? v.points : v.iters[pi];
     if (it == 0) continue;
-    const long long tr = replicated ? total_pts : trues[static_cast<std::size_t>(proc)];
+    const long long tr = replicated || !n.mask ? v.points : v.trues[pi];
     const double frac = n.mask ? static_cast<double>(tr) / static_cast<double>(it) : 1.0;
     const LoopBodyCost body =
         cost_->body_cost(ops, accesses, ws, frac, n.mask ? &mask_ops : nullptr);
     double per_iter = body.per_iteration;
     if (n.inner) {
-      const long long m = std::max<long long>(0, inner_hi - inner_lo + 1);
-      per_iter = body.setup + static_cast<double>(m) * (body.per_iteration + body.per_iter_overhead) +
+      per_iter = body.setup +
+                 static_cast<double>(v.inner_trips) *
+                     (body.per_iteration + body.per_iter_overhead) +
                  p.t_store;
     }
     const double comp_t = static_cast<double>(it) * per_iter * noise_.compute_factor();
@@ -486,64 +616,91 @@ void Executor::exec_local_loop(const SpmdNode& n) {
 // ---------------------------------------------------------------------------
 
 void Executor::exec_reduce(const SpmdNode& n) {
-  const ResolvedSpace space = resolve_space(n.space);
-  const compiler::ArrayMap* home =
-      n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
-  const bool replicated = home == nullptr;
-  std::vector<long long> iters(static_cast<std::size_t>(nprocs_), 0);
+  const compiler::ArrayMap* home = home_map(n);
+  LoopVisit v;
+  if (!replaying_) {
+    v = resolve_reduce(n, home);
+  } else {
+    v.points = tape_next();
+    if (home != nullptr) v.iters = tape_span(static_cast<std::size_t>(nprocs_));
+  }
+  charge_reduce(n, home, v);
+}
 
-  const bool is_prod = n.reduce_op == "product";
-  const bool is_max = n.reduce_op == "maxval" || n.reduce_op == "maxloc";
-  const bool is_min = n.reduce_op == "minval";
-  double acc = is_prod ? 1.0 : is_max ? -1e300 : is_min ? 1e300 : 0.0;
+Executor::LoopVisit Executor::resolve_reduce(const SpmdNode& n,
+                                             const compiler::ArrayMap* home) {
+  LoopVisit v;
+  v.points = resolve_space(n.space);
+  tape_.push_back(v.points);
+  const std::size_t np = static_cast<std::size_t>(nprocs_);
+  std::size_t iters_at = 0;
+  bool per_point_owner = false;
+  if (home != nullptr) {
+    iters_at = tape_slots(np);
+    per_point_owner = !count_owned_iterations(n, *home, {tape_.data() + iters_at, np});
+  }
+  long long* const iters = tape_.data() + iters_at;
+
+  const compiler::ReduceOp op = n.reduce_op;
+  const bool is_max = op == compiler::ReduceOp::MaxVal || op == compiler::ReduceOp::MaxLoc;
+  double acc = op == compiler::ReduceOp::Product ? 1.0
+               : is_max                          ? -1e300
+               : op == compiler::ReduceOp::MinVal ? 1e300
+                                                  : 0.0;
   long long arg_at = 0;
 
-  const std::size_t rank = space.lo.size();
-  std::vector<long long> point = space.lo;
-  bool done = space.points() <= 0;
+  const std::size_t rank = lo_.size();
+  point_.assign(lo_.begin(), lo_.end());
+  bool done = v.points <= 0;
   while (!done) {
     for (std::size_t d = 0; d < rank; ++d) {
-      env_.define(n.space[d].symbol, static_cast<double>(point[d]));
+      env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
     }
-    if (!replicated) {
-      const int owner = owner_of_point(n, home, point);
-      if (owner >= 0) ++iters[static_cast<std::size_t>(owner)];
-    }
-    const double v =
+    if (per_point_owner) ++iters[owner_of_point(n, *home, point_)];
+    const double x =
         compiler::eval_scalar(*n.reduce_arg, env_, &storage_, prog_->symbols);
-    if (n.reduce_op == "sum") acc += v;
-    else if (is_prod) acc *= v;
-    else if (is_max) {
-      if (v > acc) {
-        acc = v;
-        arg_at = point[0];
+    if (op == compiler::ReduceOp::Sum) {
+      acc += x;
+    } else if (op == compiler::ReduceOp::Product) {
+      acc *= x;
+    } else if (is_max) {
+      if (x > acc) {
+        acc = x;
+        arg_at = point_[0];
       }
-    } else if (is_min) acc = std::min(acc, v);
+    } else {
+      acc = std::min(acc, x);
+    }
 
     done = true;
     for (std::size_t d = rank; d-- > 0;) {
-      point[d] += space.step[d];
-      const bool in_range =
-          space.step[d] > 0 ? point[d] <= space.hi[d] : point[d] >= space.hi[d];
+      point_[d] += step_[d];
+      const bool in_range = step_[d] > 0 ? point_[d] <= hi_[d] : point_[d] >= hi_[d];
       if (in_range) {
         done = false;
         break;
       }
-      point[d] = space.lo[d];
+      point_[d] = lo_[d];
     }
   }
   env_.define(n.reduce_result,
-              n.reduce_op == "maxloc" ? static_cast<double>(arg_at) : acc);
+              op == compiler::ReduceOp::MaxLoc ? static_cast<double>(arg_at) : acc);
+  if (home != nullptr) v.iters = {tape_.data() + iters_at, np};
+  return v;
+}
 
-  // --- timing: local partial reduction ------------------------------------
+void Executor::charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home,
+                             const LoopVisit& v) {
+  // --- local partial reduction ----------------------------------------------
   const compiler::OpCounts& ops = body_ops(n);
   std::vector<AccessPattern> accesses = access_patterns(n);
   for (auto& a : accesses) a.array_bytes /= std::max(1, nprocs_);
-  const long long ws = working_set_bytes(*n.reduce_arg, n.reduce_arg.get(), space);
+  const long long ws = working_set_bytes(*n.reduce_arg, n.reduce_arg.get(), v.points);
   const LoopBodyCost body = cost_->body_cost(ops, accesses, ws);
-  const long long total_pts = std::max<long long>(space.points(), 0);
+  const bool replicated = home == nullptr;
+  const long long total_pts = std::max<long long>(v.points, 0);
   for (int proc = 0; proc < nprocs_; ++proc) {
-    const long long it = replicated ? total_pts : iters[static_cast<std::size_t>(proc)];
+    const long long it = replicated ? total_pts : v.iters[static_cast<std::size_t>(proc)];
     if (it == 0) continue;
     charge_comp(n.id, proc,
                 static_cast<double>(it) * body.per_iteration * noise_.compute_factor());
@@ -553,7 +710,7 @@ void Executor::exec_reduce(const SpmdNode& n) {
 
   // --- combine across the cube ------------------------------------------------
   if (!replicated && nprocs_ > 1) {
-    const int elem = n.reduce_op == "maxloc" ? 12 : 8;  // value (+ index)
+    const int elem = n.reduce_op == compiler::ReduceOp::MaxLoc ? 12 : 8;  // value (+ index)
     const double op_t = machine_->node().proc.t_fadd +
                         machine_->node().comm.coll_stage_setup;
     collective_stages(n.id, elem, op_t);
@@ -702,9 +859,14 @@ void Executor::exec_overlap(const SpmdNode& n) {
 }
 
 void Executor::exec_cshift(const SpmdNode& n) {
-  const long long shift =
-      compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
-  storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
+  long long shift = 0;
+  if (replaying_) {
+    shift = tape_next();
+  } else {
+    shift = compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
+    storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
+    tape_.push_back(shift);
+  }
   if (shift == 0) return;
 
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
@@ -775,8 +937,14 @@ void Executor::exec_cshift(const SpmdNode& n) {
 
 void Executor::exec_irregular(const SpmdNode& n) {
   if (nprocs_ <= 1) return;
-  const ResolvedSpace space = resolve_space(n.space);
-  const long long total = std::max<long long>(space.points(), 0);
+  long long points = 0;
+  if (replaying_) {
+    points = tape_next();
+  } else {
+    points = resolve_space(n.space);
+    tape_.push_back(points);
+  }
+  const long long total = std::max<long long>(points, 0);
   if (total == 0) return;
   const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
   const auto& comm = machine_->node().comm;

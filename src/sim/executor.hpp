@@ -56,8 +56,22 @@ struct SimResult {
 /// that `rebind()` points at a new configuration before each `run()`.
 /// Rebinding resets every piece of simulation state exactly as construction
 /// would (storage contents, clocks, network occupancy, noise stream) while
-/// reusing the large scratch allocations — per-worker executors replay
-/// thousands of measurement runs without per-run heap churn.
+/// reusing the large scratch allocations — per-worker executors serve
+/// thousands of measured points without per-run heap churn.
+///
+/// Every node visit has two halves. The *functional* half resolves values:
+/// it evaluates expressions against the real data, updates arrays and
+/// scalars, and settles everything value-dependent that timing needs — DO
+/// and WHILE trip counts, IF outcomes, iteration-space sizes, per-processor
+/// iteration and mask-true counts, inner-reduction trips, CSHIFT amounts.
+/// The *timing* half charges clocks, the network and the noise stream from
+/// those quantities alone. run() does both and records the quantities, in
+/// walk order, on a compact *timing tape*; replay() re-times the run under
+/// another noise seed from the tape without evaluating a single expression.
+/// Values only ever flow into timing, never back: no clock, network, noise
+/// or attribution state feeds a value, so one functional pass serves every
+/// repetition of a measurement and a replay is bit-identical to a fresh run
+/// with that seed.
 class Executor {
  public:
   /// Arena construction: no state bound yet; call rebind() before run().
@@ -69,23 +83,13 @@ class Executor {
 
   /// Re-targets the executor, producing bit-identical behaviour to a fresh
   /// Executor(prog, layout, machine, options, bindings). The referenced
-  /// arguments must outlive the next run() call.
+  /// arguments must outlive the next run() and every replay() after it.
   void rebind(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
               const machine::MachineModel& machine, const SimOptions& options,
               const front::Bindings& bindings);
 
-  /// Re-run reset for repeated measurement of the *same* configuration
-  /// under a new seed: resets exactly the state a run perturbs (written
-  /// arrays, scalar environment, clocks, network occupancy, noise stream,
-  /// metrics, pending result) and skips the configuration-derived work a
-  /// full rebind() redoes (node-op tables, cost/comm models, layout
-  /// retargeting, untouched operand arrays). Bit-identical to
-  /// rebind(same args, options with `seed`): a subsequent run() produces
-  /// the same result either way. Only valid after a rebind().
-  void rebind_run(std::uint64_t seed);
-
   /// One-shot per rebind/construction: call rebind() again before the next
-  /// run().
+  /// run(). Records the timing tape replay() consumes.
   [[nodiscard]] SimResult run();
 
   /// Like run(), but fills `out` in place, reusing its vectors and maps
@@ -94,6 +98,13 @@ class Executor {
   /// sweep performs no per-run result allocation in steady state. Contents
   /// are identical to run().
   void run_into(SimResult& out);
+
+  /// Re-times the last completed run() under noise seed `seed` from its
+  /// timing tape: the same node visits, charges, noise draws and network
+  /// sends, none of the values. Returns the program time — bit-identical
+  /// to SimResult::total of a fresh Executor whose options carry `seed`.
+  /// May be called any number of times per run().
+  [[nodiscard]] double replay(std::uint64_t seed);
 
  private:
   using SpmdNode = compiler::SpmdNode;
@@ -113,22 +124,62 @@ class Executor {
   void exec_irregular(const SpmdNode& n);
   void exec_slice_bcast(const SpmdNode& n);
 
-  // --- helpers ------------------------------------------------------------------
-  struct ResolvedSpace {
-    std::vector<long long> lo, hi, step;
-    [[nodiscard]] long long points() const;
+  /// What the timing half of a LocalLoop or Reduce visit consumes. The
+  /// per-processor spans point into the tape; `iters` is empty for a
+  /// replicated loop and `trues` for an unmasked or replicated one.
+  struct LoopVisit {
+    long long points = 0;       // iteration-space size
+    long long inner_trips = 0;  // inner dim-reduction trip count
+    std::span<const long long> iters;
+    std::span<const long long> trues;
   };
-  [[nodiscard]] ResolvedSpace resolve_space(const std::vector<compiler::IterIndex>& space);
 
-  /// Owner (grid-linear processor) of one iteration point, or -1 when the
-  /// loop is replicated.
-  [[nodiscard]] int owner_of_point(const SpmdNode& n, const compiler::ArrayMap* home,
-                                   std::span<const long long> point) const;
+  // Functional halves: evaluate, update storage and the environment, and
+  // record the visit on the tape.
+  [[nodiscard]] LoopVisit resolve_local_loop(const SpmdNode& n,
+                                             const compiler::ArrayMap* home);
+  [[nodiscard]] LoopVisit resolve_reduce(const SpmdNode& n, const compiler::ArrayMap* home);
+  // Timing halves, shared by run() and replay().
+  void charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,
+                         const LoopVisit& v);
+  void charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home, const LoopVisit& v);
 
-  [[nodiscard]] std::vector<AccessPattern> access_patterns(const SpmdNode& n) const;
+  // --- timing tape ----------------------------------------------------------------
+  // One entry per DO (trips), WHILE (trips), IF (outcome), CSHIFT (amount)
+  // and irregular-comm (points) visit; a LocalLoop visit records its points,
+  // then — when there are any — its inner trips and per-processor counts; a
+  // Reduce visit its points and per-processor counts. Scalar assigns and
+  // the other communication nodes are priced from configuration alone.
+  long long tape_next() { return tape_.at(tape_pos_++); }
+  std::span<const long long> tape_span(std::size_t count);
+  /// Appends `count` zeroed per-processor slots; returns their tape index.
+  std::size_t tape_slots(std::size_t count);
+
+  /// Resets clocks, network occupancy, attribution and the noise stream
+  /// for a run under `seed` (the startup skews are its first draws).
+  void reset_timing(std::uint64_t seed);
+
+  // --- helpers ------------------------------------------------------------------
+  /// Resolves `space` into lo_/hi_/step_ scratch; returns the point count.
+  long long resolve_space(const std::vector<compiler::IterIndex>& space);
+
+  [[nodiscard]] const compiler::ArrayMap* home_map(const SpmdNode& n) const {
+    return n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
+  }
+
+  /// Owner (grid-linear processor) of one iteration point.
+  [[nodiscard]] int owner_of_point(const SpmdNode& n, const compiler::ArrayMap& home,
+                                   std::span<const long long> point);
+  /// Per-processor iteration counts of the resolved space from per-dimension
+  /// ownership histograms, without visiting points. False (and `iters`
+  /// untouched) when the home mapping is not separable per grid axis.
+  bool count_owned_iterations(const SpmdNode& n, const compiler::ArrayMap& home,
+                              std::span<long long> iters);
+
+  [[nodiscard]] std::vector<AccessPattern> access_patterns(const SpmdNode& n);
   [[nodiscard]] long long working_set_bytes(const front::Expr& lhs,
                                             const front::Expr* rhs,
-                                            const ResolvedSpace& space) const;
+                                            long long points) const;
 
   void charge_comp(int node_id, int proc, double t);
   void charge_comm(int node_id, int proc, double t);
@@ -161,7 +212,6 @@ class Executor {
   std::vector<compiler::NodeOpCounts> fallback_node_ops_;
   const compiler::DataLayout* layout_ = nullptr;
   const machine::MachineModel* machine_ = nullptr;
-  const front::Bindings* bindings_ = nullptr;  // for rebind_run's reseed
   SimOptions options_;
   int nprocs_ = 0;
 
@@ -178,8 +228,22 @@ class Executor {
   std::vector<NodeMetric> metrics_;
   SimResult result_;
 
-  // Reused per-call scratch (mutable: owner_of_point is logically const):
-  mutable std::vector<int> owner_coords_scratch_;
+  std::vector<long long> tape_;
+  std::size_t tape_pos_ = 0;
+  bool replaying_ = false;
+
+  // Reused per-visit scratch of the functional half.
+  struct PendingStore {
+    std::size_t offset;
+    double value;
+  };
+  std::vector<long long> lo_, hi_, step_;  // resolved iteration space
+  std::vector<long long> point_, lhs_idx_;
+  std::vector<PendingStore> pending_;
+  std::vector<int> owner_coords_scratch_;
+  std::vector<int> grid_driver_;        // count_owned_iterations: space dim per grid axis
+  std::vector<int> grid_home_dim_;      // ... and the home dim it drives
+  std::vector<long long> owner_hist_;   // ... per-axis ownership histograms
   std::vector<int> coords_scratch_;
 };
 

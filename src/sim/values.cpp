@@ -20,30 +20,14 @@ void Storage::rebind(const front::SymbolTable& symbols,
   for (auto& store : arrays_) {
     // Invalidate without releasing: ensure() re-derives extents/strides and
     // overwrites every element, so the data vector's capacity is reused.
+    store.shaped = false;
     store.allocated = false;
-    store.written = false;
-    store.extents.clear();
-    store.strides.clear();
   }
 }
 
-void Storage::reset_written() {
-  for (auto& store : arrays_) {
-    if (!store.written) continue;
-    // Same invalidation rebind() applies, limited to mutated arrays:
-    // ensure() re-derives the geometry (unchanged — same layout) and
-    // rewrites the deterministic fill, so the next read is bit-identical
-    // to a fresh construction.
-    store.allocated = false;
-    store.written = false;
-    store.extents.clear();
-    store.strides.clear();
-  }
-}
-
-Storage::ArrayStore& Storage::ensure(int symbol) {
+Storage::ArrayStore& Storage::shape(int symbol) {
   auto& store = arrays_.at(static_cast<std::size_t>(symbol));
-  if (store.allocated) return store;
+  if (store.shaped) return store;
   store.extents = layout_->array_extents(symbol);
   store.strides.assign(store.extents.size(), 1);
   long long total = 1;
@@ -51,6 +35,16 @@ Storage::ArrayStore& Storage::ensure(int symbol) {
     store.strides[d] = total;
     total *= store.extents[d];
   }
+  store.shaped = true;
+  return store;
+}
+
+Storage::ArrayStore& Storage::ensure(int symbol) {
+  auto& store = arrays_.at(static_cast<std::size_t>(symbol));
+  if (store.allocated) return store;
+  shape(symbol);
+  long long total = 1;
+  for (long long e : store.extents) total *= e;
   // Deterministic near-unity fill for data the program never initializes
   // (benchmark kernels read "existing" operand arrays). Values stay in
   // [0.9, 1.1] so divisions, products, and exponentials remain tame.
@@ -64,7 +58,11 @@ Storage::ArrayStore& Storage::ensure(int symbol) {
 }
 
 std::size_t Storage::offset(int symbol, std::span<const long long> index) {
-  const ArrayStore& store = ensure(symbol);
+  return offset_in(ensure(symbol), symbol, index);
+}
+
+std::size_t Storage::offset_in(const ArrayStore& store, int symbol,
+                               std::span<const long long> index) const {
   std::size_t off = 0;
   for (std::size_t d = 0; d < store.extents.size(); ++d) {
     const long long i = index[d];
@@ -80,37 +78,25 @@ std::size_t Storage::offset(int symbol, std::span<const long long> index) {
 }
 
 double Storage::load(int symbol, std::span<const long long> index) {
-  ArrayStore& store = ensure(symbol);
-  (void)store;
-  return arrays_[static_cast<std::size_t>(symbol)].data[offset(symbol, index)];
+  const ArrayStore& store = ensure(symbol);
+  return store.data[offset_in(store, symbol, index)];
 }
 
 void Storage::store(int symbol, std::span<const long long> index, double value) {
   ArrayStore& s = ensure(symbol);
-  s.written = true;
-  s.data[offset(symbol, index)] = value;
+  s.data[offset_in(s, symbol, index)] = value;
 }
 
 long long Storage::extent(int symbol, int dim) {
-  ArrayStore& store = ensure(symbol);
-  return store.extents.at(static_cast<std::size_t>(dim));
+  return shape(symbol).extents.at(static_cast<std::size_t>(dim));
 }
 
-std::span<double> Storage::raw(int symbol) {
-  ArrayStore& store = ensure(symbol);
-  // Conservative: the span is a mutable write window, so assume it is used
-  // as one. Costs at most a redundant refill in reset_written().
-  store.written = true;
-  return store.data;
-}
+std::span<double> Storage::raw(int symbol) { return ensure(symbol).data; }
 
-const std::vector<long long>& Storage::extents(int symbol) const {
-  const auto& store = arrays_.at(static_cast<std::size_t>(symbol));
-  return store.extents;
-}
+const std::vector<long long>& Storage::extents(int symbol) { return shape(symbol).extents; }
 
-long long Storage::total_elements(int symbol) const {
-  const auto& store = arrays_.at(static_cast<std::size_t>(symbol));
+long long Storage::total_elements(int symbol) {
+  const ArrayStore& store = shape(symbol);
   long long total = 1;
   for (long long e : store.extents) total *= e;
   return total;
@@ -119,7 +105,6 @@ long long Storage::total_elements(int symbol) const {
 void Storage::cshift_into(int dst_symbol, int src_symbol, int dim, long long shift) {
   ArrayStore& src = ensure(src_symbol);
   ArrayStore& dst = ensure(dst_symbol);
-  dst.written = true;
   const std::size_t rank = src.extents.size();
   if (dst.extents != src.extents) {
     throw CompileError({}, "cshift shape mismatch");

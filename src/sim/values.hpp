@@ -46,31 +46,30 @@ class Storage final : public compiler::ArrayAccess {
   [[nodiscard]] std::size_t offset(int symbol, std::span<const long long> index);
 
   [[nodiscard]] std::span<double> raw(int symbol);
-  [[nodiscard]] const std::vector<long long>& extents(int symbol) const;
-  [[nodiscard]] long long total_elements(int symbol) const;
+  /// Geometry queries. They resolve the array's shape without filling its
+  /// data, so they answer the same before and after the first element
+  /// access — the executor's timing half relies on that.
+  [[nodiscard]] const std::vector<long long>& extents(int symbol);
+  [[nodiscard]] long long total_elements(int symbol);
 
   /// Fortran cshift semantics into another array of identical shape:
   /// dst(..., i, ...) = src(..., 1 + mod(i - 1 + shift, n), ...) along
   /// `dim` (0-based).
   void cshift_into(int dst_symbol, int src_symbol, int dim, long long shift);
 
-  /// Invalidates exactly the arrays a run wrote to (store / cshift_into /
-  /// raw), leaving read-only operand arrays — and their deterministic fill —
-  /// untouched. After this, every array reads back what a full rebind()
-  /// would produce, at the cost of refilling only the mutated ones: the
-  /// between-runs reset of a repeated measurement.
-  void reset_written();
-
  private:
   struct ArrayStore {
     std::vector<long long> extents;
     std::vector<long long> strides;  // row-major element strides
     std::vector<double> data;
-    bool allocated = false;
-    bool written = false;  // mutated since the last (re)fill
+    bool shaped = false;     // extents/strides derived
+    bool allocated = false;  // data filled
   };
 
+  ArrayStore& shape(int symbol);
   ArrayStore& ensure(int symbol);
+  std::size_t offset_in(const ArrayStore& store, int symbol,
+                        std::span<const long long> index) const;
 
   // Pointers (not references) so rebind() can re-target the storage; null
   // only between default construction and the first rebind.

@@ -169,7 +169,7 @@ TEST(Lower, FullReductionBecomesReduceNode) {
   auto p = comp_body("x = sum(a*b)");
   EXPECT_EQ(count_kind(*p.root, SpmdKind::Reduce), 1);
   const SpmdNode* r = find_kind(*p.root, SpmdKind::Reduce);
-  EXPECT_EQ(r->reduce_op, "sum");
+  EXPECT_EQ(r->reduce_op, compiler::ReduceOp::Sum);
   EXPECT_GE(r->home_symbol, 0);
 }
 
@@ -202,7 +202,7 @@ end program t
   const SpmdNode* loop = find_kind(*p.root, SpmdKind::LocalLoop);
   ASSERT_NE(loop, nullptr);
   ASSERT_TRUE(loop->inner.has_value());
-  EXPECT_EQ(loop->inner->op, "product");
+  EXPECT_EQ(loop->inner->op, compiler::ReduceOp::Product);
 }
 
 TEST(Lower, LaplaceHasFourOverlapsPerSweep) {

@@ -3,7 +3,11 @@
 // environment's "functional interpreter" role).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <string>
 
 #include "compiler/pipeline.hpp"
 #include "machine/ipsc860.hpp"
@@ -376,6 +380,346 @@ TEST(Executor, MeasureIntoMatchesMeasureBitForBit) {
   EXPECT_EQ(out.stats.samples, reference.stats.samples);
   EXPECT_EQ(out.detail.total, reference.detail.total);
   EXPECT_EQ(out.detail.printed, reference.detail.printed);
+}
+
+// An unmasked distributed loop counts each processor's iterations from
+// per-dimension ownership histograms instead of visiting points. With noise
+// off, a program of one such loop leaves processor p's clock at
+// setup + iters_p * per_iteration (0 when it owns nothing), so the clocks
+// must order and tie exactly as point-by-point ownership counts do.
+struct OwnershipCase {
+  const char* source;
+  int nprocs;
+  std::vector<int> grid_shape;
+  std::vector<std::array<long long, 3>> space;  // lo, hi, step per forall index
+};
+
+std::vector<long long> point_by_point_iterations(const compiler::CompiledProgram& prog,
+                                                 const compiler::DataLayout& layout,
+                                                 const OwnershipCase& c) {
+  const compiler::SpmdNode* loop = nullptr;
+  for (const auto& n : prog.root->children) {
+    if (n->kind == compiler::SpmdKind::LocalLoop) loop = n.get();
+  }
+  EXPECT_NE(loop, nullptr);
+  const compiler::ArrayMap* home = layout.map_for(loop->home_symbol);
+  EXPECT_NE(home, nullptr);
+  std::vector<long long> iters(static_cast<std::size_t>(c.nprocs), 0);
+  std::vector<long long> point;
+  std::function<void(std::size_t)> visit = [&](std::size_t d) {
+    if (d == c.space.size()) {
+      std::vector<int> coords(layout.grid().shape.size(), 0);
+      for (std::size_t h = 0; h < loop->home_driver.size(); ++h) {
+        const int drv = loop->home_driver[h];
+        const auto& dd = home->dims[h];
+        if (drv < 0 || dd.grid_dim < 0) continue;
+        coords[static_cast<std::size_t>(dd.grid_dim)] =
+            dd.owner_coord(point[static_cast<std::size_t>(drv)] + loop->home_driver_offset[h]);
+      }
+      ++iters[static_cast<std::size_t>(layout.grid().linear(coords))];
+      return;
+    }
+    const auto [lo, hi, step] = c.space[d];
+    for (long long v = lo; step > 0 ? v <= hi : v >= hi; v += step) {
+      point.push_back(v);
+      visit(d + 1);
+      point.pop_back();
+    }
+  };
+  visit(0);
+  return iters;
+}
+
+TEST(Executor, UnmaskedLoopChargesFollowOwnership) {
+  const std::vector<OwnershipCase> cases = {
+      {R"f90(
+program t
+  parameter (n = 10)
+  real a(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n-1) a(i+1) = real(i)
+end program t
+)f90",
+       4, {4}, {{1, 9, 1}}},
+      {R"f90(
+program t
+  parameter (n = 23)
+  real a(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ distribute d(cyclic)
+  forall (i = n:2:-3) a(i) = real(i)
+end program t
+)f90",
+       8, {8}, {{23, 2, -3}}},
+      {R"f90(
+program t
+  parameter (n = 9, m = 7)
+  real a(n,m)
+!hpf$ template d(n,m)
+!hpf$ align a(i,j) with d(i,j)
+!hpf$ distribute d(block,block)
+  forall (i = 1:n:2, j = 2:m) a(i,j) = real(i+j)
+end program t
+)f90",
+       4, {2, 2}, {{1, 9, 2}, {2, 7, 1}}},
+      {R"f90(
+program t
+  parameter (n = 12, m = 5)
+  real a(n,m)
+!hpf$ template d(n,m)
+!hpf$ align a(i,j) with d(i,j)
+!hpf$ distribute d(block,*)
+  forall (i = 2:n, j = 1:m) a(i,j) = real(i*j)
+end program t
+)f90",
+       8, {8}, {{2, 12, 1}, {1, 5, 1}}},
+  };
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::SimOptions so;
+  so.noise = false;
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const OwnershipCase& c = cases[k];
+    const compiler::CompiledProgram prog = comp(c.source);
+    compiler::LayoutOptions lo;
+    lo.nprocs = c.nprocs;
+    lo.grid_shape = c.grid_shape;
+    const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
+    const std::vector<long long> iters = point_by_point_iterations(prog, layout, c);
+    const sim::SimResult r = sim::Executor(prog, layout, machine, so, {}).run();
+    ASSERT_EQ(r.proc_clock.size(), iters.size()) << "case " << k;
+    for (std::size_t p = 0; p < iters.size(); ++p) {
+      EXPECT_EQ(r.proc_clock[p] == 0.0, iters[p] == 0) << "case " << k << " P" << p;
+      for (std::size_t q = 0; q < iters.size(); ++q) {
+        EXPECT_EQ(r.proc_clock[p] == r.proc_clock[q], iters[p] == iters[q])
+            << "case " << k << " P" << p << " vs P" << q;
+        EXPECT_EQ(r.proc_clock[p] < r.proc_clock[q], iters[p] < iters[q])
+            << "case " << k << " P" << p << " vs P" << q;
+      }
+    }
+  }
+}
+
+// --- timing replay ---------------------------------------------------------------
+//
+// Simulator::measure runs the program once and re-times runs 1.. from the
+// timing tape. The oracle: every sample equals, bit for bit, the total of a
+// fresh Executor run under that run's seed, and the detail equals run 0.
+
+/// The per-run seed Simulator::measure derives for run `r`.
+std::uint64_t run_seed(std::uint64_t seed, int r) {
+  return seed + static_cast<std::uint64_t>(r) * 0x9e3779b97f4a7c15ULL;
+}
+
+void expect_replay_matches_fresh_runs(const compiler::CompiledProgram& prog,
+                                      const front::Bindings& bindings,
+                                      const compiler::LayoutOptions& lo,
+                                      const sim::SimOptions& so,
+                                      const machine::MachineModel& machine,
+                                      const std::string& label) {
+  constexpr int kRuns = 4;
+  const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
+  const sim::MeasuredResult measured =
+      sim::Simulator(machine).measure(prog, bindings, layout, so, kRuns);
+  ASSERT_EQ(measured.stats.samples.size(), static_cast<std::size_t>(kRuns)) << label;
+  for (int r = 0; r < kRuns; ++r) {
+    sim::SimOptions run_opts = so;
+    run_opts.seed = run_seed(so.seed, r);
+    const sim::SimResult fresh =
+        sim::Executor(prog, layout, machine, run_opts, bindings).run();
+    EXPECT_EQ(measured.stats.samples[static_cast<std::size_t>(r)], fresh.total)
+        << label << " run " << r;
+    if (r != 0) continue;
+    const sim::SimResult& d = measured.detail;
+    EXPECT_EQ(d.total, fresh.total) << label;
+    EXPECT_EQ(d.proc_clock, fresh.proc_clock) << label;
+    EXPECT_EQ(d.comp, fresh.comp) << label;
+    EXPECT_EQ(d.comm, fresh.comm) << label;
+    EXPECT_EQ(d.overhead, fresh.overhead) << label;
+    EXPECT_EQ(d.printed, fresh.printed) << label;
+    EXPECT_EQ(d.scalars, fresh.scalars) << label;
+    ASSERT_EQ(d.per_node.size(), fresh.per_node.size()) << label;
+    for (std::size_t i = 0; i < d.per_node.size(); ++i) {
+      EXPECT_EQ(d.per_node[i].comp, fresh.per_node[i].comp) << label << " node " << i;
+      EXPECT_EQ(d.per_node[i].comm, fresh.per_node[i].comm) << label << " node " << i;
+      EXPECT_EQ(d.per_node[i].overhead, fresh.per_node[i].overhead) << label << " node " << i;
+      EXPECT_EQ(d.per_node[i].visits, fresh.per_node[i].visits) << label << " node " << i;
+    }
+  }
+}
+
+/// Every (collective, noise, contention) combination at each nprocs.
+void expect_replay_oracle(const compiler::CompiledProgram& prog,
+                          const front::Bindings& bindings, const std::string& name,
+                          std::optional<int> grid_rank = std::nullopt) {
+  const machine::MachineModel machine = machine::make_ipsc860();
+  for (int nprocs : suite::paper_system_sizes()) {
+    compiler::LayoutOptions lo;
+    lo.nprocs = nprocs;
+    if (grid_rank) lo.grid_shape = compiler::ProcGrid::factorized(nprocs, *grid_rank).shape;
+    for (auto collective :
+         {machine::CollectiveAlgo::RecursiveTree, machine::CollectiveAlgo::Linear}) {
+      for (bool noise : {true, false}) {
+        for (bool contention : {true, false}) {
+          sim::SimOptions so;
+          so.collective = collective;
+          so.noise = noise;
+          so.contention = contention;
+          const std::string label =
+              name + " P=" + std::to_string(nprocs) +
+              (collective == machine::CollectiveAlgo::Linear ? " linear" : " tree") +
+              (noise ? " noise" : "") + (contention ? " contention" : "");
+          expect_replay_matches_fresh_runs(prog, bindings, lo, so, machine, label);
+        }
+      }
+    }
+  }
+}
+
+TEST(TimingReplay, SuiteAppsMatchFreshRunsBitForBit) {
+  for (const auto& app : suite::validation_suite()) {
+    const compiler::CompiledProgram prog =
+        app.directive_overrides.empty()
+            ? comp(app.source)
+            : compiler::compile_with_directives(app.source, app.directive_overrides);
+    // the smallest Table 2 size
+    const long long size = app.problem_sizes.front();
+    expect_replay_oracle(prog, app.bindings(size), app.id,
+                         app.id == "laplace_bb" ? std::optional<int>(2) : std::nullopt);
+  }
+}
+
+TEST(TimingReplay, DataDependentIfInsideDo) {
+  auto prog = comp(R"f90(
+program t
+  parameter (n = 32)
+  real a(n), b(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ align b(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) a(i) = real(i) / real(n)
+  do k = 1, 12
+    s = sum(a)
+    if (s .gt. 20.0) then
+      forall (i = 1:n) a(i) = a(i) * 0.5
+      b = cshift(a, k, 1)
+    else
+      forall (i = 1:n) a(i) = a(i) * 1.7
+    end if
+  end do
+  print *, s
+end program t
+)f90");
+  expect_replay_oracle(prog, {}, "if-in-do");
+}
+
+TEST(TimingReplay, DataDependentDoWhile) {
+  auto prog = comp(R"f90(
+program t
+  parameter (n = 24)
+  real a(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) a(i) = 1.0 + real(i) / real(n)
+  acc = 1000.0
+  do while (acc .gt. 1.0)
+    forall (i = 1:n) a(i) = a(i) * 1.1
+    acc = acc / maxval(a)
+  end do
+  print *, acc
+end program t
+)f90");
+  expect_replay_oracle(prog, {}, "do-while");
+}
+
+TEST(TimingReplay, MaskedForall) {
+  auto prog = comp(R"f90(
+program t
+  parameter (n = 40)
+  real v(n), w(n)
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ align w(i) with d(i)
+!hpf$ distribute d(cyclic)
+  forall (i = 1:n) v(i) = real(mod(i * 7, 11))
+  forall (i = 1:n, v(i) .gt. 5.0) w(i) = v(i) * 2.0 + 1.0
+  forall (i = 1:n, v(i) .gt. 100.0) w(i) = v(i)
+end program t
+)f90");
+  expect_replay_oracle(prog, {}, "masked-forall");
+}
+
+TEST(TimingReplay, ReissuedInvariantOverlap) {
+  auto prog = comp(R"f90(
+program t
+  parameter (n = 64)
+  real a(n), b(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ align b(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) a(i) = real(i)
+  do k = 1, 6
+    forall (i = 2:n) b(i) = a(i-1) + b(i)
+  end do
+end program t
+)f90");
+  // the exchange of a(i-1) is re-issued with unchanged data every trip
+  std::function<bool(const compiler::SpmdNode&)> has_invariant_overlap =
+      [&](const compiler::SpmdNode& n) {
+        if (n.kind == compiler::SpmdKind::OverlapComm && n.comm_src_invariant) return true;
+        for (const auto& c : n.children) {
+          if (has_invariant_overlap(*c)) return true;
+        }
+        return false;
+      };
+  ASSERT_TRUE(has_invariant_overlap(*prog.root));
+  expect_replay_oracle(prog, {}, "invariant-overlap");
+}
+
+TEST(TimingReplay, WhileTripLimitStillThrows) {
+  auto prog = comp(R"f90(
+program t
+  parameter (n = 16)
+  real a(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ distribute d(block)
+  x = 1.0
+  do while (x .gt. 0.0)
+    forall (i = 1:n) a(i) = x
+    x = x + 1.0
+  end do
+end program t
+)f90");
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::Simulator simulator(machine);
+  compiler::LayoutOptions lo;
+  lo.nprocs = 4;
+  sim::SimOptions so;
+  so.max_while_trips = 100;
+  EXPECT_THROW((void)simulator.measure(prog, {}, lo, so, 4), support::CompileError);
+}
+
+TEST(TimingReplay, ReplayIsRepeatableAfterOneRun) {
+  const auto& app = suite::app("lfk2");
+  auto prog = comp(app.source);
+  compiler::LayoutOptions lo;
+  lo.nprocs = 4;
+  const compiler::DataLayout layout = compiler::make_layout(prog, app.bindings(128), lo);
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::SimOptions so;
+  sim::Executor executor(prog, layout, machine, so, app.bindings(128));
+  const double total = executor.run().total;
+  // replaying the run's own seed reproduces it; other seeds are order-free
+  EXPECT_EQ(executor.replay(so.seed), total);
+  const double other = executor.replay(run_seed(so.seed, 1));
+  EXPECT_EQ(executor.replay(so.seed), total);
+  EXPECT_EQ(executor.replay(run_seed(so.seed, 1)), other);
 }
 
 TEST(Executor, ScalarsReportedForValidation) {
