@@ -73,14 +73,15 @@ std::optional<double> eval_rec(const Expr& e, const ScalarEnv& env, ArrayAccess*
                              "' cannot be read during interpretation");
         return std::nullopt;
       }
-      // Fortran arrays have at most 7 dimensions: the index vector lives
-      // on the stack (this is the simulator's per-element hot path).
-      constexpr std::size_t kMaxRank = 7;
-      if (e.subs.size() > kMaxRank) {
-        fail(err, e.loc, "array reference '" + e.name + "' has more than 7 subscripts");
-        return std::nullopt;
+      // The simulator's per-element hot path: subscripts stay on the stack
+      // up to Fortran's rank limit of 7.
+      long long inline_idx[7] = {};
+      std::vector<long long> heap_idx;
+      long long* idx = inline_idx;
+      if (e.subs.size() > std::size(inline_idx)) {
+        heap_idx.resize(e.subs.size());
+        idx = heap_idx.data();
       }
-      long long idx[kMaxRank];
       for (std::size_t d = 0; d < e.subs.size(); ++d) {
         const auto& sub = e.subs[d];
         if (sub.kind != front::Subscript::Kind::Scalar) {
@@ -190,7 +191,7 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
 
   // Elemental intrinsics take a handful of arguments: keep them on the
   // stack unless a long min/max argument list needs the heap.
-  double inline_argv[8];
+  double inline_argv[8] = {};
   std::vector<double> heap_argv;
   double* argv = inline_argv;
   if (e.args.size() > std::size(inline_argv)) {

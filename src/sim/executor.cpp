@@ -466,9 +466,10 @@ void Executor::exec_local_loop(const SpmdNode& n) {
   LoopVisit v;
   if (!replaying_) {
     v = resolve_local_loop(n, home);
-  } else if ((v.points = tape_next()) > 0) {
-    if (n.inner) v.inner_trips = tape_next();
-    if (home != nullptr) {
+  } else {
+    v.points = tape_next();
+    if (v.points > 0 && n.inner) v.inner_trips = tape_next();
+    if (v.points > 0 && home != nullptr) {
       v.iters = tape_span(static_cast<std::size_t>(nprocs_));
       if (n.mask) v.trues = tape_span(static_cast<std::size_t>(nprocs_));
     }

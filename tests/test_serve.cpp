@@ -617,8 +617,15 @@ TEST(ExperimentServer, CancelQueuedJobThroughTheProtocol) {
   ServerFixture fixture("", base);
   serve::ServeClient client(fixture.options.socket_path, "tenant");
   client.connect();
+  // The busy job must still be running when the cancel arrives. Only a
+  // measured point's first run simulates values (later runs replay its
+  // timing), so the larger grid is what keeps the lane busy.
   api::ExperimentPlan busy = small_plan("busy");
-  busy.nprocs({1, 2, 4, 8}).runs(3);
+  busy.nprocs({1, 2, 4, 8}).runs(3).problems_from({64, 256}, [](long long n) {
+    front::Bindings b;
+    b.set_int("n", n);
+    return b;
+  });
   const std::uint64_t first = client.submit(busy);
   const std::uint64_t second = client.submit(small_plan("victim"));
   EXPECT_TRUE(client.cancel(second));
