@@ -70,9 +70,9 @@ std::string SpmdNode::str(int indent) const {
       os << ")";
       if (mask) os << " mask=" << mask->str();
       if (inner) {
-        os << " " << lhs->str() << " = " << reduce_op_name(inner->op) << "(" << inner->index.name << '='
-           << inner->index.lo->str() << ':' << inner->index.hi->str() << ") "
-           << inner->arg->str();
+        os << " " << lhs->str() << " = " << reduce_op_name(inner->op) << "("
+           << inner->index.name << '=' << inner->index.lo->str() << ':'
+           << inner->index.hi->str() << ") " << inner->arg->str();
       } else if (lhs && rhs) {
         os << " " << lhs->str() << " = " << rhs->str();
       }

@@ -18,8 +18,8 @@ void Storage::rebind(const front::SymbolTable& symbols,
   layout_ = &layout;
   arrays_.resize(symbols.size());
   for (auto& store : arrays_) {
-    // Invalidate without releasing: ensure() re-derives extents/strides and
-    // overwrites every element, so the data vector's capacity is reused.
+    // Invalidate without releasing: shape() re-derives extents/strides and
+    // ensure() overwrites every element, so the buffers' capacity is reused.
     store.shaped = false;
     store.allocated = false;
   }
