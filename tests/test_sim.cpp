@@ -401,9 +401,15 @@ std::vector<long long> point_by_point_iterations(const compiler::CompiledProgram
   for (const auto& n : prog.root->children) {
     if (n->kind == compiler::SpmdKind::LocalLoop) loop = n.get();
   }
-  EXPECT_NE(loop, nullptr);
+  if (loop == nullptr) {
+    ADD_FAILURE() << "program has no top-level LocalLoop";
+    return {};
+  }
   const compiler::ArrayMap* home = layout.map_for(loop->home_symbol);
-  EXPECT_NE(home, nullptr);
+  if (home == nullptr) {
+    ADD_FAILURE() << "loop is replicated";
+    return {};
+  }
   std::vector<long long> iters(static_cast<std::size_t>(c.nprocs), 0);
   std::vector<long long> point;
   std::function<void(std::size_t)> visit = [&](std::size_t d) {
