@@ -58,7 +58,7 @@ study::StudyPlan study_plan(long long points) {
   return plan;
 }
 
-api::RunOptions pooled4() {
+api::RunOptions workers4() {
   api::RunOptions opts;
   opts.workers = 4;
   return opts;
@@ -75,43 +75,43 @@ void BM_StudyLowering(benchmark::State& state) {
 }
 BENCHMARK(BM_StudyLowering)->Unit(benchmark::kMicrosecond);
 
-void BM_ColdStudy_pooled4(benchmark::State& state) {
+void BM_ColdStudy_workers4(benchmark::State& state) {
   const study::StudyPlan plan = study_plan(study_points());
   for (auto _ : state) {
     api::Session session;  // cold: registers machines, compiles, builds layouts
-    benchmark::DoNotOptimize(study::run_study(session, plan, pooled4()));
+    benchmark::DoNotOptimize(study::run_study(session, plan, workers4()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }
-BENCHMARK(BM_ColdStudy_pooled4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdStudy_workers4)->Unit(benchmark::kMillisecond);
 
 /// Shared warmed session for the steady-state benchmarks.
 api::Session& warm_session(const study::StudyPlan& plan) {
   static api::Session session;
   static bool warmed = false;
   if (!warmed) {
-    (void)study::run_study(session, plan, pooled4());
+    (void)study::run_study(session, plan, workers4());
     warmed = true;
   }
   return session;
 }
 
-void BM_WarmStudy_pooled4(benchmark::State& state) {
+void BM_WarmStudy_workers4(benchmark::State& state) {
   const study::StudyPlan plan = study_plan(study_points());
   api::Session& session = warm_session(plan);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(study::run_study(session, plan, pooled4()));
+    benchmark::DoNotOptimize(study::run_study(session, plan, workers4()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }
-BENCHMARK(BM_WarmStudy_pooled4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WarmStudy_workers4)->Unit(benchmark::kMillisecond);
 
 void BM_StudyAnalysisAndExports(benchmark::State& state) {
   const study::StudyPlan plan = study_plan(study_points());
   api::Session& session = warm_session(plan);
-  const study::StudyResult result = study::run_study(session, plan, pooled4());
+  const study::StudyResult result = study::run_study(session, plan, workers4());
   for (auto _ : state) {
     benchmark::DoNotOptimize(result.crossovers());
     benchmark::DoNotOptimize(result.scalability());

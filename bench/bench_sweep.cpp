@@ -8,21 +8,11 @@
 //   * cold vs warm caches   — first-contact compile/layout cost vs the
 //                             steady state a long-lived sweep service sees,
 //   * serial vs worker pool — RunOptions::workers,
-//   * engine arenas on/off  — RunOptions::reuse_engines; "off" is PR 2's
-//                             per-point engine construction, kept as the
-//                             baseline the arena path is measured against,
-//   * bounded layout store  — RunOptions::layout_cache_capacity under
+//   * lane width            — RunOptions::batch_size (1 = the scalar path),
+//   * divergence            — a binding-dependent loop bound that splits
+//                             lockstep windows and exercises re-compaction,
+//   * bounded layout store  — Session::set_layout_cache_capacity under
 //                             eviction pressure.
-//
-// Note on baselines: the `per_point` variants re-enact PR 2's control flow
-// (fresh engines per point, per-point critical-variable checks, two layout
-// lookups per measured point) but still benefit from this PR's engine-
-// internal work (exception-free value probing, cached op counts,
-// precomputed coords), so they UNDERSTATE the delta. The acceptance
-// comparison against the real pre-PR binary is recorded in the committed
-// BENCH_sweep.json context (pre_pr_baseline_us_per_point) and in the
-// README's sweep-performance table. BM_ArenaSpeedup reports the in-tree
-// arena-vs-per-point ratio as the `speedup` counter.
 //
 // Run:  bench_sweep --benchmark_out=BENCH_sweep.json --benchmark_out_format=json
 // (the harness injects those flags itself when none are given, so a bare
@@ -67,10 +57,9 @@ api::ExperimentPlan sweep_plan(long long points) {
   return plan;
 }
 
-api::RunOptions options(int workers, bool arenas) {
+api::RunOptions options(int workers) {
   api::RunOptions opts;
   opts.workers = workers;
-  opts.reuse_engines = arenas;
   return opts;
 }
 
@@ -81,7 +70,7 @@ api::Session& warm_session(const api::ExperimentPlan& plan) {
   static api::Session session;
   static bool warmed = false;
   if (!warmed) {
-    (void)session.run(plan, options(1, true));
+    (void)session.run(plan, options(1));
     warmed = true;
   }
   return session;
@@ -91,34 +80,32 @@ void BM_ColdSweep_serial(benchmark::State& state) {
   const api::ExperimentPlan plan = sweep_plan(sweep_points());
   for (auto _ : state) {
     api::Session session;  // cold: compiles + builds every layout
-    benchmark::DoNotOptimize(session.run(plan, options(1, true)));
+    benchmark::DoNotOptimize(session.run(plan, options(1)));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }
 BENCHMARK(BM_ColdSweep_serial)->Unit(benchmark::kMillisecond);
 
-void BM_WarmSweep(benchmark::State& state, int workers, bool arenas) {
+void BM_WarmSweep(benchmark::State& state, int workers) {
   const api::ExperimentPlan plan = sweep_plan(sweep_points());
   api::Session& session = warm_session(plan);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run(plan, options(workers, arenas)));
+    benchmark::DoNotOptimize(session.run(plan, options(workers)));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }
-BENCHMARK_CAPTURE(BM_WarmSweep, serial_arena, 1, true)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WarmSweep, serial_per_point, 1, false)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WarmSweep, pooled4_arena, 4, true)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WarmSweep, pooled4_per_point, 4, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WarmSweep, serial_arena, 1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WarmSweep, workers4_arena, 4)->Unit(benchmark::kMillisecond);
 
-void BM_WarmSweep_pooled4_arena_lru256(benchmark::State& state) {
+void BM_WarmSweep_workers4_arena_lru256(benchmark::State& state) {
   // Eviction pressure: 1000 distinct layouts through a 256-entry bound —
   // every point rebuilds its layout, the worst case for the LRU path.
   const api::ExperimentPlan plan = sweep_plan(sweep_points());
   api::Session session;
-  api::RunOptions opts = options(4, true);
-  opts.layout_cache_capacity = 256;
+  session.set_layout_cache_capacity(256);
+  const api::RunOptions opts = options(4);
   (void)session.run(plan, opts);  // warm the compile cache
   for (auto _ : state) {
     benchmark::DoNotOptimize(session.run(plan, opts));
@@ -126,7 +113,7 @@ void BM_WarmSweep_pooled4_arena_lru256(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }
-BENCHMARK(BM_WarmSweep_pooled4_arena_lru256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WarmSweep_workers4_arena_lru256)->Unit(benchmark::kMillisecond);
 
 // --- lockstep batching --------------------------------------------------------
 
@@ -137,7 +124,7 @@ BENCHMARK(BM_WarmSweep_pooled4_arena_lru256)->Unit(benchmark::kMillisecond);
 void BM_WarmSweep_lanes(benchmark::State& state, int lanes, int workers) {
   const api::ExperimentPlan plan = sweep_plan(sweep_points());
   api::Session& session = warm_session(plan);
-  api::RunOptions opts = options(workers, true);
+  api::RunOptions opts = options(workers);
   opts.batch_size = lanes;
   double lanes_per_visit = 0;
   for (auto _ : state) {
@@ -152,7 +139,7 @@ void BM_WarmSweep_lanes(benchmark::State& state, int lanes, int workers) {
 BENCHMARK_CAPTURE(BM_WarmSweep_lanes, lanes1_serial, 1, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WarmSweep_lanes, lanes8_serial, 8, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WarmSweep_lanes, lanes64_serial, 64, 1)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WarmSweep_lanes, lanes64_pooled4, 64, 4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WarmSweep_lanes, lanes64_workers4, 64, 4)->Unit(benchmark::kMillisecond);
 
 void BM_CompileToBytecode(benchmark::State& state) {
   // The cold cost of the flattening pass alone: compile() already pays it
@@ -166,16 +153,13 @@ void BM_CompileToBytecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileToBytecode)->Unit(benchmark::kMicrosecond);
 
-void BM_DivergentSweep_lanes(benchmark::State& state, int lanes,
-                             bool compact = true) {
+void BM_DivergentSweep_lanes(benchmark::State& state, int lanes) {
   // Worst case for lockstep: the outer DO trip count is a per-problem
-  // binding, so a 64-lane chunk splinters at the first size-dependent
-  // loop. With compact_lanes (the default) the evicted lanes re-batch by
-  // divergence key into lockstep refill windows (and stragglers cross
-  // chunks through the session pool); with it off they all fall to the
-  // scalar replay. The `replayed` counter is the fraction of points
-  // finally priced scalar, `refilled` the fraction of evictions recovered
-  // into refill windows, `pooled` the fraction recovered cross-chunk.
+  // binding, so a 64-lane window splinters at the first size-dependent
+  // loop. The evicted lanes re-batch by divergence key into lockstep
+  // refill windows; lone stragglers fall to the scalar replay. The
+  // `replayed` counter is the fraction of points finally priced scalar,
+  // `refilled` the fraction of evictions recovered into refill windows.
   static const char* const source = R"f90(
 program levels
   parameter (n = 256)
@@ -199,22 +183,19 @@ end program levels
   }
   static api::Session session;  // warm across captures, like warm_session
   static bool warmed = false;
-  api::RunOptions opts = options(1, true);
+  api::RunOptions opts = options(1);
   if (!warmed) {
     (void)session.run(plan, opts);
     warmed = true;
   }
   opts.batch_size = lanes;
-  opts.compact_lanes = compact;
-  double replayed_points = 0, evicted_lanes = 0, refilled_lanes = 0;
-  double pooled_lanes = 0, total_points = 0;
+  double replayed_points = 0, evicted_lanes = 0, refilled_lanes = 0, total_points = 0;
   for (auto _ : state) {
     const api::RunReport report = session.run(plan, opts);
     benchmark::DoNotOptimize(&report);
     replayed_points += static_cast<double>(report.batch.replayed_points);
     evicted_lanes += static_cast<double>(report.batch.evicted_lanes);
     refilled_lanes += static_cast<double>(report.batch.refilled_lanes);
-    pooled_lanes += static_cast<double>(report.batch.pooled_lanes);
     total_points += static_cast<double>(plan.point_count());
   }
   // proper counters summed over every iteration (not the last run's
@@ -223,15 +204,11 @@ end program levels
       total_points == 0 ? 0.0 : replayed_points / total_points);
   state.counters["refilled"] = benchmark::Counter(
       evicted_lanes == 0 ? 0.0 : refilled_lanes / evicted_lanes);
-  state.counters["pooled"] = benchmark::Counter(
-      evicted_lanes == 0 ? 0.0 : pooled_lanes / evicted_lanes);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }
 BENCHMARK_CAPTURE(BM_DivergentSweep_lanes, lanes1, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DivergentSweep_lanes, lanes64, 64)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DivergentSweep_lanes, lanes64_compaction_off, 64, false)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_MeasuredSweep_lanes(benchmark::State& state, int lanes) {
   // Measured points (runs > 0) dominate real Table-2 style sweeps; the
@@ -244,7 +221,7 @@ void BM_MeasuredSweep_lanes(benchmark::State& state, int lanes) {
   plan.runs(2);
   static api::Session session;  // warm across captures, like warm_session
   static bool warmed = false;
-  api::RunOptions opts = options(1, true);
+  api::RunOptions opts = options(1);
   if (!warmed) {
     (void)session.run(plan, opts);
     warmed = true;
@@ -258,22 +235,6 @@ void BM_MeasuredSweep_lanes(benchmark::State& state, int lanes) {
 }
 BENCHMARK_CAPTURE(BM_MeasuredSweep_lanes, lanes1, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MeasuredSweep_lanes, lanes64, 64)->Unit(benchmark::kMillisecond);
-
-void BM_ArenaSpeedup_pooled4(benchmark::State& state) {
-  // The acceptance ratio, measured back to back on the same warm session:
-  // per-point engines (PR 2's hot path) vs per-worker arenas.
-  const api::ExperimentPlan plan = sweep_plan(sweep_points());
-  api::Session& session = warm_session(plan);
-  double arena_s = 0, per_point_s = 0;
-  for (auto _ : state) {
-    per_point_s += session.run(plan, options(4, false)).wall_seconds;
-    arena_s += session.run(plan, options(4, true)).wall_seconds;
-  }
-  state.counters["speedup"] = per_point_s / arena_s;
-  state.SetItemsProcessed(state.iterations() * 2 *
-                          static_cast<int64_t>(plan.point_count()));
-}
-BENCHMARK(BM_ArenaSpeedup_pooled4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

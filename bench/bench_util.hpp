@@ -1,6 +1,6 @@
 // bench_util.hpp — shared helpers for the paper-reproduction benches. All
 // benches run through the experiment-session API (api::Session /
-// ExperimentPlan); the legacy driver::Framework shim is no longer used.
+// ExperimentPlan).
 #pragma once
 
 #include <cstdlib>

@@ -21,7 +21,7 @@ int main() {
     const api::RunReport report = bench::session().run(plan);
 
     // one machine, one variant, one system size: records follow problem order
-    std::vector<std::pair<long long, driver::Comparison>> series;
+    std::vector<std::pair<long long, api::Comparison>> series;
     for (std::size_t i = 0; i < report.records.size(); ++i) {
       series.emplace_back(app.problem_sizes[i], report.records[i].comparison);
     }

@@ -20,7 +20,7 @@ int main() {
         .runs(3);
     const api::RunReport report = bench::session().run(plan);
 
-    std::vector<std::pair<long long, driver::Comparison>> series;
+    std::vector<std::pair<long long, api::Comparison>> series;
     for (std::size_t i = 0; i < report.records.size(); ++i) {
       series.emplace_back(app.problem_sizes[i], report.records[i].comparison);
     }

@@ -68,13 +68,13 @@ int main() {
   serial_opts.workers = 1;
   (void)bench::session().run(combined, serial_opts);  // warm the caches
   const api::RunReport serial = bench::session().run(combined, serial_opts);
-  const api::RunReport pooled = bench::session().run(combined);  // hardware_concurrency
+  const api::RunReport pool = bench::session().run(combined);  // hardware_concurrency
   std::printf("\nParallel sweep engine: %zu measured points, %u hardware threads\n",
               serial.records.size(), std::thread::hardware_concurrency());
   std::printf("  serial tool time: %.3f s | worker pool: %.3f s | speedup %.2fx\n",
-              serial.wall_seconds, pooled.wall_seconds,
-              pooled.wall_seconds > 0 ? serial.wall_seconds / pooled.wall_seconds : 0.0);
+              serial.wall_seconds, pool.wall_seconds,
+              pool.wall_seconds > 0 ? serial.wall_seconds / pool.wall_seconds : 0.0);
   std::printf("  (reports are identical for any worker count: %s)\n",
-              serial.csv() == pooled.csv() ? "verified" : "MISMATCH");
+              serial.csv() == pool.csv() ? "verified" : "MISMATCH");
   return 0;
 }

@@ -18,37 +18,11 @@ const core::PredictionResult& EngineArena::predict(
   return prediction_;
 }
 
-double EngineArena::predict_total(const compiler::CompiledProgram& prog,
-                                  const compiler::DataLayout& layout,
-                                  const machine::MachineModel& machine,
-                                  const core::PredictOptions& options,
-                                  const front::Bindings& bindings) {
-  return predict(prog, layout, machine, options, bindings).total;
-}
-
-sim::MeasuredResult EngineArena::measure(const compiler::CompiledProgram& prog,
-                                         const compiler::DataLayout& layout,
-                                         const machine::MachineModel& machine,
-                                         const sim::SimOptions& options, int runs,
-                                         const front::Bindings& bindings) {
-  const sim::Simulator simulator(machine);
-  return simulator.measure(prog, bindings, layout, options, runs, executor_);
-}
-
-const sim::MeasuredResult& EngineArena::measure_into(
-    const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
-    const machine::MachineModel& machine, const sim::SimOptions& options, int runs,
-    const front::Bindings& bindings) {
-  const sim::Simulator simulator(machine);
-  simulator.measure_into(prog, bindings, layout, options, runs, executor_, measured_);
-  return measured_;
-}
-
 std::span<const core::PredictionResult> EngineArena::predict_batch(
     const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
     const core::PredictOptions& options, std::span<const core::BatchLane> lanes,
     bool& lockstep, core::BatchRunStats& stats,
-    std::vector<core::EvictedLane>* deferred) {
+    std::vector<core::EvictedLane>& deferred) {
   batch_predictions_.resize(lanes.size());
   lockstep = batch_engine_.interpret(prog, machine, options, lanes,
                                      batch_predictions_.data(), stats, deferred);

@@ -39,53 +39,27 @@ class EngineArena {
       const machine::MachineModel& machine, const core::PredictOptions& options,
       const front::Bindings& bindings);
 
-  /// Predicted total time only.
-  [[nodiscard]] double predict_total(const compiler::CompiledProgram& prog,
-                                     const compiler::DataLayout& layout,
-                                     const machine::MachineModel& machine,
-                                     const core::PredictOptions& options,
-                                     const front::Bindings& bindings);
-
-  /// Simulated measurement through the reusable executor: one rebind and
-  /// one functional run per point, then a timing replay of that run's tape
-  /// for each further run (Simulator::measure_into).
-  [[nodiscard]] sim::MeasuredResult measure(const compiler::CompiledProgram& prog,
-                                            const compiler::DataLayout& layout,
-                                            const machine::MachineModel& machine,
-                                            const sim::SimOptions& options, int runs,
-                                            const front::Bindings& bindings);
-
-  /// Like measure(), but into the arena's scratch MeasuredResult
-  /// (Simulator::measure_into): the sweep hot loop's measurement allocates
-  /// nothing per point in steady state. The returned reference is valid
-  /// until the next measure/measure_into call on this arena.
-  [[nodiscard]] const sim::MeasuredResult& measure_into(
-      const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
-      const machine::MachineModel& machine, const sim::SimOptions& options, int runs,
-      const front::Bindings& bindings);
-
   /// Lockstep batch prediction: fills the arena's batch scratch with one
   /// PredictionResult per lane (byte-identical to calling predict() lane by
   /// lane) and returns it, valid until the next predict_batch call. When
   /// the lockstep walk runs, `lockstep` is set and `stats` accumulates its
-  /// effectiveness counters; when BatchEngine declines (traced run, too few
-  /// lanes, program without complete cost bytecode) the arena falls back to
-  /// a per-lane scalar loop, clears `lockstep`, and leaves `stats` alone.
-  /// `deferred` (optional) selects BatchEngine's eviction-export mode: see
-  /// batch_engine.hpp — exported lanes' result slots are left unwritten and
-  /// the caller re-batches or replays them. Only consulted when the
-  /// lockstep walk ran (the scalar fallback prices every lane).
+  /// effectiveness counters; lanes evicted from the walk are appended to
+  /// `deferred` (see batch_engine.hpp), their result slots left unwritten
+  /// for the caller to re-batch or replay. When BatchEngine declines
+  /// (traced run, too few lanes, program without complete cost bytecode)
+  /// the arena falls back to a per-lane scalar loop that prices every lane,
+  /// clears `lockstep`, and leaves `stats` and `deferred` alone.
   [[nodiscard]] std::span<const core::PredictionResult> predict_batch(
       const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
       const core::PredictOptions& options, std::span<const core::BatchLane> lanes,
       bool& lockstep, core::BatchRunStats& stats,
-      std::vector<core::EvictedLane>* deferred = nullptr);
+      std::vector<core::EvictedLane>& deferred);
 
   /// Batched measurement companion to predict_batch: measures every lane
   /// through the reusable executor into the arena's scratch vector
-  /// (Simulator::measure_batch_into), bit-identical to per-lane
-  /// measure_into. The returned span is valid until the next
-  /// measure/measure_into/measure_batch_into call.
+  /// (Simulator::measure_batch_into): one functional run per lane, then a
+  /// timing replay of that run's tape for each further run. The returned
+  /// span is valid until the next measure_batch_into call.
   [[nodiscard]] std::span<const sim::MeasuredResult> measure_batch_into(
       const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
       const sim::SimOptions& options, int runs,
@@ -102,7 +76,6 @@ class EngineArena {
   core::BatchEngine batch_engine_;
   sim::Executor executor_;
   core::PredictionResult prediction_;  // reused across points
-  sim::MeasuredResult measured_;       // reused across points (measure_into)
   std::vector<core::PredictionResult> batch_predictions_;  // predict_batch scratch
   std::vector<sim::MeasuredResult> batch_measured_;        // measure_batch_into scratch
   std::vector<const front::Bindings*> lane_bindings_;      // measure_batch_into scratch

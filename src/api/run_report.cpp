@@ -374,10 +374,7 @@ std::string RunReport::json() const {
   out += "\"lane_visits\":" + jnum(batch.lane_visits) + ",";
   out += "\"evicted_lanes\":" + jnum(batch.evicted_lanes) + ",";
   out += "\"refilled_lanes\":" + jnum(batch.refilled_lanes) + ",";
-  out += "\"pooled_lanes\":" + jnum(batch.pooled_lanes) + ",";
-  out += "\"simd_stripes\":" + jnum(batch.simd_stripes) + ",";
-  out += "\"speculated_branches\":" + jnum(batch.speculated_branches) + ",";
-  out += "\"speculated_lanes\":" + jnum(batch.speculated_lanes) + "},";
+  out += "\"simd_stripes\":" + jnum(batch.simd_stripes) + "},";
   out += "\"records\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
@@ -453,13 +450,7 @@ RunReport RunReport::from_json(std::string_view text) {
   in.expect(',');
   report.batch.refilled_lanes = u64_field("refilled_lanes");
   in.expect(',');
-  report.batch.pooled_lanes = u64_field("pooled_lanes");
-  in.expect(',');
   report.batch.simd_stripes = u64_field("simd_stripes");
-  in.expect(',');
-  report.batch.speculated_branches = u64_field("speculated_branches");
-  in.expect(',');
-  report.batch.speculated_lanes = u64_field("speculated_lanes");
   in.expect('}');
   in.expect(',');
   in.key("records");

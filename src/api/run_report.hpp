@@ -18,7 +18,7 @@
 namespace hpf90d::api {
 
 /// Estimated-vs-measured comparison for one configuration (the Table 2
-/// point metric; previously driver::Comparison).
+/// point metric).
 struct Comparison {
   double estimated = 0;
   double measured_mean = 0;
@@ -181,12 +181,7 @@ struct BatchStats {
   std::uint64_t lane_visits = 0;    // sum of active lanes over those visits
   std::uint64_t evicted_lanes = 0;  // evictions (a point can evict repeatedly)
   std::uint64_t refilled_lanes = 0; // evicted lanes re-entering a lockstep batch
-  std::uint64_t pooled_lanes = 0;   // lanes handed to the session-wide divergence
-                                    // pool (chunk could not refill them) and
-                                    // re-batched across chunks after the barrier
   std::uint64_t simd_stripes = 0;   // 8-lane stripes the cost bytecode evaluated
-  std::uint64_t speculated_branches = 0;  // IFs priced both-sides (speculate_branches)
-  std::uint64_t speculated_lanes = 0;     // lanes kept in lockstep by those IFs
 
   /// Mean lanes priced per bytecode visit (1.0 would match scalar cost).
   [[nodiscard]] double mean_lanes_per_visit() const {

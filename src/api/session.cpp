@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <exception>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -187,40 +185,25 @@ CacheStats Session::cache_stats() const noexcept {
 
 core::PredictionResult Session::predict(const ProgramHandle& prog,
                                         const RunConfig& config) {
-  return predict(*prog, config);
-}
-
-sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig& config) {
-  return measure(*prog, config);
-}
-
-Comparison Session::compare(const ProgramHandle& prog, const RunConfig& config) {
-  return compare(*prog, config);
-}
-
-core::PredictionResult Session::predict(const compiler::CompiledProgram& prog,
-                                        const RunConfig& config) const {
-  core::require_critical_complete(prog, config.bindings);
+  core::require_critical_complete(*prog, config.bindings);
   const LayoutStore::LayoutPtr layout =
-      layout_for(prog, config.bindings, layout_options(config));
+      layout_for(*prog, config.bindings, layout_options(config));
   // core::predict's layout overload re-validates critical variables; call
   // the engine directly so the (potentially expensive) analysis runs once.
-  core::InterpretationEngine engine(prog, *layout, machine(config.machine),
+  core::InterpretationEngine engine(*prog, *layout, machine(config.machine),
                                     config.predict, config.bindings);
   return engine.interpret();
 }
 
-sim::MeasuredResult Session::measure(const compiler::CompiledProgram& prog,
-                                     const RunConfig& config) const {
-  core::require_critical_complete(prog, config.bindings);
+sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig& config) {
+  core::require_critical_complete(*prog, config.bindings);
   const LayoutStore::LayoutPtr layout =
-      layout_for(prog, config.bindings, layout_options(config));
+      layout_for(*prog, config.bindings, layout_options(config));
   const sim::Simulator simulator(machine(config.machine));
-  return simulator.measure(prog, config.bindings, *layout, config.sim, config.runs);
+  return simulator.measure(*prog, config.bindings, *layout, config.sim, config.runs);
 }
 
-Comparison Session::compare(const compiler::CompiledProgram& prog,
-                            const RunConfig& config) const {
+Comparison Session::compare(const ProgramHandle& prog, const RunConfig& config) {
   Comparison out;
   out.estimated = predict(prog, config).total;
   const sim::MeasuredResult measured = measure(prog, config);
@@ -244,11 +227,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   obs::Sink* const trace = options.trace != nullptr ? options.trace : obs_;
   const auto t0 = std::chrono::steady_clock::now();
   const CacheStats before = cache_stats();
-  // After the snapshot: evictions triggered by installing this run's
-  // capacity belong to this run's reported cache stats.
-  if (options.layout_cache_capacity) {
-    set_layout_cache_capacity(*options.layout_cache_capacity);
-  }
 
   RunReport report;
   report.title = plan.title();
@@ -314,18 +292,14 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     }
   }
 
-  // Flatten the cross product in sweep order; records are assembled by
-  // each point's `record` slot (its plan-order index), so the report
-  // ordering is independent of scheduling — and of the divergence-aware
-  // reorder below, which permutes `points` but never `record`.
+  // Flatten the cross product in sweep order; a point's index is its
+  // record slot, so the report ordering is independent of scheduling.
   struct Point {
     const std::string* machine = nullptr;        // registry name (for the record)
     const machine::MachineModel* mach = nullptr; // resolved once per machine
     std::size_t variant = 0;
     const ProblemCase* problem = nullptr;
     int nprocs = 0;
-    std::size_t record = 0;   // plan-order index into report.records
-    std::uint64_t sig = 0;    // control-flow signature (order_points only)
   };
   struct Chunk {
     std::size_t begin = 0;
@@ -356,65 +330,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       }
     }
   }
-  for (std::size_t i = 0; i < points.size(); ++i) points[i].record = i;
   report.records.resize(points.size());
-
-  if (options.order_points && points.size() > 1) {
-    // Signature: FNV-style fold of the critical-variable values a problem's
-    // bindings resolve to (the variables whose values steer control flow —
-    // exactly what makes lanes diverge). One fold per (variant, problem);
-    // nprocs and machine never enter the signature because they never
-    // steer the walk. Traced-but-unfoldable criticals hash a sentinel —
-    // grouping quality only, never correctness.
-    const auto mix64 = [](std::uint64_t h, std::uint64_t v) {
-      return (h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 12) + (h >> 4))) *
-             0x2545f4914f6cdd1dULL;
-    };
-    std::map<std::pair<std::size_t, const ProblemCase*>, std::uint64_t> sigs;
-    for (Point& pt : points) {
-      const auto key = std::make_pair(pt.variant, pt.problem);
-      auto it = sigs.find(key);
-      if (it == sigs.end()) {
-        const compiler::CompiledProgram& prog = *variant_progs[pt.variant];
-        const core::CriticalVariableReport cr =
-            core::analyze_critical(prog, pt.problem->bindings);
-        const compiler::SeededValues sv =
-            compiler::seed_values(prog.symbols, pt.problem->bindings);
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        for (const std::string& name : cr.critical) {
-          const int id = prog.symbols.find(name);
-          std::uint64_t bits = 0x9e3779b97f4a7c15ULL;  // unresolved sentinel
-          for (const auto& [s, value] : sv.defined) {
-            if (s == id) {
-              std::memcpy(&bits, &value, sizeof bits);
-              break;
-            }
-          }
-          h = mix64(h, bits);
-        }
-        it = sigs.emplace(key, h).first;
-      }
-      pt.sig = it->second;
-    }
-    // Sort each maximal (machine, variant) segment — the unit the chunk
-    // partition below never crosses — by (signature, plan order). The plan
-    // -order tiebreak keeps equal-bindings points adjacent (they share a
-    // signature and were contiguous), preserving the per-problem digest
-    // -prefix and seed memo hits of the unsorted walk.
-    for (std::size_t i = 0; i < points.size();) {
-      std::size_t j = i + 1;
-      while (j < points.size() && points[j].mach == points[i].mach &&
-             points[j].variant == points[i].variant) {
-        ++j;
-      }
-      std::sort(points.begin() + static_cast<std::ptrdiff_t>(i),
-                points.begin() + static_cast<std::ptrdiff_t>(j),
-                [](const Point& a, const Point& b) {
-                  return a.sig != b.sig ? a.sig < b.sig : a.record < b.record;
-                });
-      i = j;
-    }
-  }
 
   // Partition the sweep into chunks: maximal runs of consecutive points
   // sharing (compiled program, machine) — the lockstep lane contract —
@@ -423,8 +339,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   // and replay behaviour) depends only on the plan — identical for every
   // batch size, worker count, and SIMD width. Lockstep batching happens
   // *inside* a chunk in windows of at most batch_size lanes; batch_size <=
-  // 1 and the legacy engine path degenerate to single-point windows, i.e.
-  // exactly the scalar sweep.
+  // 1 degenerates to single-point windows, i.e. exactly the scalar sweep.
   chunks.reserve(points.size() / kChunkGranule + 1);
   for (std::size_t i = 0; i < points.size();) {
     std::size_t j = i + 1;
@@ -438,17 +353,13 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   }  // ChunkSchedule span closes here
 
   const std::size_t lane_width =
-      options.reuse_engines && options.batch_size > 1
-          ? static_cast<std::size_t>(options.batch_size)
-          : 1;
-  const bool compact = options.compact_lanes && lane_width > 1;
+      options.batch_size > 1 ? static_cast<std::size_t>(options.batch_size) : 1;
   // RunRecord reads only totals and phase sums, never the per-AAU /
   // per-processor tables, so the sweep predicts lean (identical phase
   // arithmetic, no table copies) — except under tracing, which needs the
   // full result.
   core::PredictOptions sweep_predict = plan.predict_opts();
   sweep_predict.detailed = sweep_predict.trace;
-  sweep_predict.speculate_branches = options.speculate_branches;
   // Re-compaction rounds are self-limiting — every lockstep window retires
   // at least its lead lane, so the deferred pool strictly shrinks — but a
   // cap stops pathological regroup chains early (the remainder replays
@@ -465,45 +376,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   std::atomic<std::uint64_t> evicted_lanes{0};
   std::atomic<std::uint64_t> refilled_lanes{0};
   std::atomic<std::uint64_t> simd_stripes{0};
-  std::atomic<std::uint64_t> speculated_branches{0};
-  std::atomic<std::uint64_t> speculated_lanes{0};
-
-  // Legacy per-point-engine path (RunOptions::reuse_engines = false): PR
-  // 2's behaviour, kept as the bench baseline.
-  const auto run_point = [&](std::size_t i) {
-    const Point& pt = points[i];
-    const auto& variant = plan.variants()[pt.variant];
-
-    RunRecord rec;
-    rec.machine = *pt.machine;
-    rec.variant = variant.name;
-    rec.problem = pt.problem->name;
-    rec.nprocs = pt.nprocs;
-    const compiler::CompiledProgram& prog = *variant_progs[pt.variant];
-    RunConfig cfg;
-    cfg.machine = *pt.machine;
-    cfg.nprocs = pt.nprocs;
-    if (variant.grid_rank) {
-      cfg.grid_shape =
-          compiler::ProcGrid::factorized(pt.nprocs, *variant.grid_rank).shape;
-    }
-    cfg.bindings = pt.problem->bindings;
-    cfg.runs = plan.measure_runs();
-    cfg.predict = sweep_predict;
-    cfg.sim = plan.sim_opts();
-    const core::PredictionResult pred = predict(prog, cfg);
-    rec.comparison.estimated = pred.total;
-    rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
-    if (plan.measure_runs() > 0) {
-      const sim::MeasuredResult measured = measure(prog, cfg);
-      rec.comparison.measured_mean = measured.stats.mean;
-      rec.comparison.measured_min = measured.stats.min;
-      rec.comparison.measured_max = measured.stats.max;
-      rec.comparison.measured_stddev = measured.stats.stddev;
-      rec.measured = true;
-    }
-    report.records[points[i].record] = std::move(rec);
-  };
 
   // One deferred entry per evicted lane awaiting re-batch: `key` groups
   // lanes that diverged identically (core::EvictedLane), `offset` indexes
@@ -512,21 +384,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     std::uint64_t key = 0;
     std::uint32_t offset = 0;
   };
-  // One lane in the SESSION-WIDE divergence pool: a rebatchable lane its
-  // own chunk could not refill (lone divergence key, or the compaction
-  // round cap). Instead of replaying scalar it is exported here — with its
-  // layout/seed keep-alives — so equal-path lanes evicted from DIFFERENT
-  // chunks of the same (program, machine) group can re-enter lockstep
-  // together after the chunk barrier. `point` indexes the sweep's `points`
-  // table (which also yields bindings, machine, and the record slot).
-  struct PoolLane {
-    std::uint64_t key = 0;
-    std::size_t point = 0;
-    LayoutStore::LayoutPtr layout;
-    std::shared_ptr<const compiler::SeededValues> seed;
-  };
-  std::vector<PoolLane> divergence_pool;
-  std::mutex pool_mutex;
   // Worker-owned state reused across chunks (no per-chunk allocation in
   // steady state).
   struct WorkerScratch {
@@ -538,7 +395,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     std::vector<DeferredPoint> deferred;          // this round's regroup pool
     std::vector<DeferredPoint> deferred_next;     // evictions feeding next round
     std::vector<std::size_t> scalar_replay;       // offsets replaying scalar
-    std::vector<PoolLane> pool_out;               // lanes exported to the session pool
     std::vector<std::shared_ptr<const compiler::SeededValues>> seeds;  // keep-alives
     std::string layout_key;
   };
@@ -549,14 +405,9 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   // lockstep batch, and finally scalar replays for whatever could not be
   // regrouped. Records are assembled by point index and every point's
   // arithmetic is bit-identical on every path, so the record payload is
-  // byte-identical for any batch size, worker count, or compaction setting.
+  // byte-identical for any batch size or worker count.
   const auto run_chunk = [&](const Chunk& c, WorkerScratch& ws) {
     const std::size_t n = c.end - c.begin;
-    if (!options.reuse_engines) {
-      for (std::size_t i = c.begin; i < c.end; ++i) run_point(i);
-      scalar_points.fetch_add(n, std::memory_order_relaxed);
-      return;
-    }
     const Point& p0 = points[c.begin];
     const auto& variant = plan.variants()[p0.variant];
     const compiler::CompiledProgram& prog = *variant_progs[p0.variant];
@@ -565,8 +416,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     arena.set_trace(trace);  // two stores per chunk; spans stay disabled when null
 
     // Layout lookups happen per point, in point order — exactly one lookup
-    // per point for every batch size and compaction setting, which keeps
-    // report.cache identical across them all.
+    // per point for every batch size, which keeps report.cache identical
+    // across them all.
     ws.lanes.clear();
     ws.layouts.clear();
     ws.seeds.clear();
@@ -601,12 +452,10 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     // Local tallies, flushed to the shared atomics once per chunk.
     std::size_t batched_n = 0, scalar_n = 0, replayed_n = 0;
     std::uint64_t ir_n = 0, lanes_n = 0, evicted_n = 0, refilled_n = 0, stripes_n = 0;
-    std::uint64_t spec_br_n = 0, spec_lanes_n = 0;
 
     const auto assemble = [&](std::size_t off, const core::PredictionResult& pred) {
-      const std::size_t i = c.begin + off;
-      const Point& pt = points[i];
-      RunRecord& rec = report.records[pt.record];
+      const Point& pt = points[c.begin + off];
+      RunRecord& rec = report.records[c.begin + off];
       rec.machine = *pt.machine;
       rec.variant = variant.name;
       rec.problem = pt.problem->name;
@@ -626,7 +475,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       core::BatchRunStats bs;
       const std::span<const core::PredictionResult> preds =
           arena.predict_batch(prog, mach, sweep_predict, lane_span, lockstep,
-                              bs, compact ? &ws.evictions : nullptr);
+                              bs, ws.evictions);
       if (!lockstep) {
         for (std::size_t k = 0; k < w; ++k) assemble(off_of(k), preds[k]);
         (refill ? replayed_n : scalar_n) += w;
@@ -636,17 +485,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       lanes_n += bs.lane_visits;
       stripes_n += bs.simd_stripes;
       evicted_n += bs.evicted_lanes;
-      spec_br_n += bs.speculated_branches;
-      spec_lanes_n += bs.speculated_lanes;
       if (refill) refilled_n += w;
-      if (!compact) {
-        // Internal-replay mode: every result slot is filled on return.
-        for (std::size_t k = 0; k < w; ++k) assemble(off_of(k), preds[k]);
-        batched_n += w - bs.replayed_lanes;
-        replayed_n += bs.replayed_lanes;
-        return;
-      }
-      // Exported evictions arrive sorted by lane; merge-walk the window.
+      // Evictions arrive sorted by lane; merge-walk the window.
       std::size_t e = 0;
       for (std::size_t k = 0; k < w; ++k) {
         if (e < ws.evictions.size() && ws.evictions[e].lane == static_cast<int>(k)) {
@@ -667,24 +507,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
 
     ws.deferred_next.clear();
     ws.scalar_replay.clear();
-    ws.pool_out.clear();
-
-    // Hands a rebatchable lane this chunk cannot refill to the session
-    // pool, carrying the keep-alives the post-barrier drain needs. The
-    // chunk's own counters do not record it — the drain accounts for it
-    // exactly once (batched or replayed) like any other point.
-    const auto export_to_pool = [&](const DeferredPoint& d) {
-      const core::BatchLane& lane = ws.lanes[d.offset];
-      std::shared_ptr<const compiler::SeededValues> seed;
-      for (const auto& sp : ws.seeds) {
-        if (sp.get() == lane.seed) {
-          seed = sp;
-          break;
-        }
-      }
-      ws.pool_out.push_back(
-          PoolLane{d.key, c.begin + d.offset, ws.layouts[d.offset], std::move(seed)});
-    };
 
     // Phase 1 — fresh windows in point order.
     for (std::size_t f = 0; f < n; f += lane_width) {
@@ -701,9 +523,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       ws.deferred.swap(ws.deferred_next);
       ws.deferred_next.clear();
       if (round >= kMaxCompactionRounds) {
-        // The chunk gives up regrouping; the session pool gets another shot
-        // after the barrier (the drain has its own round cap).
-        for (const DeferredPoint& d : ws.deferred) export_to_pool(d);
+        for (const DeferredPoint& d : ws.deferred) ws.scalar_replay.push_back(d.offset);
         break;
       }
       std::sort(ws.deferred.begin(), ws.deferred.end(),
@@ -716,11 +536,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
         for (std::size_t s = g; s < h; s += lane_width) {
           const std::size_t w = std::min(lane_width, h - s);
           if (w < 2) {
-            // A lone lane cannot run lockstep here — but another chunk of
-            // the same (program, machine) group may have evicted an
-            // equal-key partner, so it goes to the session pool instead of
-            // straight to the scalar engine.
-            export_to_pool(ws.deferred[s]);
+            // a lone lane cannot run lockstep; replay it scalar
+            ws.scalar_replay.push_back(ws.deferred[s].offset);
             continue;
           }
           ws.window.clear();
@@ -756,7 +573,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       const std::span<const sim::MeasuredResult> measured = arena.measure_batch_into(
           prog, mach, plan.sim_opts(), plan.measure_runs(), ws.lanes);
       for (std::size_t off = 0; off < n; ++off) {
-        RunRecord& rec = report.records[points[c.begin + off].record];
+        RunRecord& rec = report.records[c.begin + off];
         const sim::RunStats& st = measured[off].stats;
         rec.comparison.measured_mean = st.mean;
         rec.comparison.measured_min = st.min;
@@ -774,16 +591,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     evicted_lanes.fetch_add(evicted_n, std::memory_order_relaxed);
     refilled_lanes.fetch_add(refilled_n, std::memory_order_relaxed);
     simd_stripes.fetch_add(stripes_n, std::memory_order_relaxed);
-    speculated_branches.fetch_add(spec_br_n, std::memory_order_relaxed);
-    speculated_lanes.fetch_add(spec_lanes_n, std::memory_order_relaxed);
-
-    if (!ws.pool_out.empty()) {
-      const std::lock_guard<std::mutex> lock(pool_mutex);
-      divergence_pool.insert(divergence_pool.end(),
-                             std::make_move_iterator(ws.pool_out.begin()),
-                             std::make_move_iterator(ws.pool_out.end()));
-      ws.pool_out.clear();
-    }
   };
 
   int workers = options.workers;
@@ -821,152 +628,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     if (error) std::rethrow_exception(error);
   }
 
-  // Cross-chunk drain. The session pool holds rebatchable lanes whose own
-  // chunks could not refill them (lone divergence key, or the chunk's
-  // round cap). After the chunk barrier the pool is sorted into a
-  // canonical order — (variant, machine, divergence key, plan order) — and
-  // drained serially: equal-key lanes evicted from DIFFERENT chunks of the
-  // same (program, machine) group re-enter lockstep together, re-evictions
-  // feed further rounds, and whatever stays lone replays scalar. The drain
-  // is serial and its order a pure function of the plan, so the batch
-  // telemetry stays identical for every worker count; the record payload
-  // was never at risk (every path is bit-identical per point).
-  report.batch.pooled_lanes = divergence_pool.size();
-  if (!divergence_pool.empty()) {
-    std::sort(divergence_pool.begin(), divergence_pool.end(),
-              [&](const PoolLane& a, const PoolLane& b) {
-                const Point& pa = points[a.point];
-                const Point& pb = points[b.point];
-                if (pa.variant != pb.variant) return pa.variant < pb.variant;
-                if (pa.machine != pb.machine) return *pa.machine < *pb.machine;
-                if (a.key != b.key) return a.key < b.key;
-                return a.point < b.point;
-              });
-    struct DrainLane {
-      std::uint64_t key = 0;
-      std::size_t idx = 0;  // into divergence_pool (stable keep-alive storage)
-    };
-    EngineArena arena;
-    arena.set_trace(trace);
-    std::vector<core::BatchLane> window;
-    std::vector<core::EvictedLane> evictions;
-    std::vector<DrainLane> cur, nxt;
-    std::size_t batched_n = 0, replayed_n = 0;
-    std::uint64_t ir_n = 0, lanes_n = 0, evicted_n = 0, refilled_n = 0, stripes_n = 0;
-    std::uint64_t spec_br_n = 0, spec_lanes_n = 0;
-
-    for (std::size_t gb = 0; gb < divergence_pool.size();) {
-      std::size_t ge = gb + 1;
-      const Point& p0 = points[divergence_pool[gb].point];
-      while (ge < divergence_pool.size() &&
-             points[divergence_pool[ge].point].variant == p0.variant &&
-             points[divergence_pool[ge].point].mach == p0.mach) {
-        ++ge;
-      }
-      const compiler::CompiledProgram& prog = *variant_progs[p0.variant];
-      const machine::MachineModel& mach = *p0.mach;
-      const auto& variant = plan.variants()[p0.variant];
-
-      const auto assemble = [&](std::size_t idx, const core::PredictionResult& pred) {
-        const Point& pt = points[divergence_pool[idx].point];
-        RunRecord& rec = report.records[pt.record];
-        rec.machine = *pt.machine;
-        rec.variant = variant.name;
-        rec.problem = pt.problem->name;
-        rec.nprocs = pt.nprocs;
-        rec.comparison.estimated = pred.total;
-        rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
-      };
-      const auto replay = [&](std::size_t idx) {
-        const PoolLane& pl = divergence_pool[idx];
-        assemble(idx, arena.predict(prog, *pl.layout, mach, sweep_predict,
-                                    points[pl.point].problem->bindings));
-        ++replayed_n;
-      };
-
-      cur.clear();
-      for (std::size_t x = gb; x < ge; ++x) {
-        cur.push_back(DrainLane{divergence_pool[x].key, x});
-      }
-      for (int round = 0; !cur.empty(); ++round) {
-        if (round >= kMaxCompactionRounds) {
-          for (const DrainLane& d : cur) replay(d.idx);
-          break;
-        }
-        // already key-sorted on entry (pool order); re-evicted rounds need
-        // the sort because fresh keys interleave
-        std::sort(cur.begin(), cur.end(), [](const DrainLane& a, const DrainLane& b) {
-          return a.key != b.key ? a.key < b.key : a.idx < b.idx;
-        });
-        nxt.clear();
-        for (std::size_t g = 0; g < cur.size();) {
-          std::size_t h = g + 1;
-          while (h < cur.size() && cur[h].key == cur[g].key) ++h;
-          for (std::size_t s = g; s < h; s += lane_width) {
-            const std::size_t w = std::min(lane_width, h - s);
-            if (w < 2) {
-              replay(cur[s].idx);
-              continue;
-            }
-            window.clear();
-            for (std::size_t k = 0; k < w; ++k) {
-              const PoolLane& pl = divergence_pool[cur[s + k].idx];
-              window.push_back(core::BatchLane{pl.layout.get(),
-                                               &points[pl.point].problem->bindings,
-                                               pl.seed.get()});
-            }
-            evictions.clear();
-            bool lockstep = false;
-            core::BatchRunStats bs;
-            const std::span<const core::PredictionResult> preds = arena.predict_batch(
-                prog, mach, sweep_predict, std::span<const core::BatchLane>(window),
-                lockstep, bs, &evictions);
-            if (!lockstep) {
-              for (std::size_t k = 0; k < w; ++k) assemble(cur[s + k].idx, preds[k]);
-              replayed_n += w;
-              continue;
-            }
-            ir_n += bs.ir_visits;
-            lanes_n += bs.lane_visits;
-            stripes_n += bs.simd_stripes;
-            evicted_n += bs.evicted_lanes;
-            spec_br_n += bs.speculated_branches;
-            spec_lanes_n += bs.speculated_lanes;
-            refilled_n += w;
-            std::size_t e = 0;
-            for (std::size_t k = 0; k < w; ++k) {
-              if (e < evictions.size() && evictions[e].lane == static_cast<int>(k)) {
-                const core::EvictedLane& ev = evictions[e++];
-                if (ev.rebatchable) {
-                  nxt.push_back(DrainLane{ev.key, cur[s + k].idx});
-                } else {
-                  replay(cur[s + k].idx);
-                }
-                continue;
-              }
-              assemble(cur[s + k].idx, preds[k]);
-              ++batched_n;
-            }
-          }
-          g = h;
-        }
-        cur.swap(nxt);
-      }
-      gb = ge;
-    }
-
-    batched_points.fetch_add(batched_n, std::memory_order_relaxed);
-    replayed_points.fetch_add(replayed_n, std::memory_order_relaxed);
-    ir_visits.fetch_add(ir_n, std::memory_order_relaxed);
-    lane_visits.fetch_add(lanes_n, std::memory_order_relaxed);
-    evicted_lanes.fetch_add(evicted_n, std::memory_order_relaxed);
-    refilled_lanes.fetch_add(refilled_n, std::memory_order_relaxed);
-    simd_stripes.fetch_add(stripes_n, std::memory_order_relaxed);
-    speculated_branches.fetch_add(spec_br_n, std::memory_order_relaxed);
-    speculated_lanes.fetch_add(spec_lanes_n, std::memory_order_relaxed);
-    divergence_pool.clear();
-  }
-
   report.batch.batched_points = batched_points.load();
   report.batch.scalar_points = scalar_points.load();
   report.batch.replayed_points = replayed_points.load();
@@ -975,8 +636,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   report.batch.evicted_lanes = evicted_lanes.load();
   report.batch.refilled_lanes = refilled_lanes.load();
   report.batch.simd_stripes = simd_stripes.load();
-  report.batch.speculated_branches = speculated_branches.load();
-  report.batch.speculated_lanes = speculated_lanes.load();
   report.cache = cache_stats() - before;
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

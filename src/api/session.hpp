@@ -24,15 +24,18 @@
 // keys proceed in parallel while every unique key still misses exactly
 // once — which is what keeps RunReport cache statistics deterministic
 // under parallel execution. The layout store can additionally be bounded
-// (layout_cache_capacity / RunOptions::layout_cache_capacity): entries are
-// retired in LRU order and eviction counts surface in the cache stats.
-// clear_caches() must not race with in-flight calls.
+// (set_layout_cache_capacity): entries are retired in LRU order and
+// eviction counts surface in the cache stats. clear_caches() must not race
+// with in-flight calls.
 //
-// Session::run executes sweeps on a worker pool whose workers each own an
-// EngineArena — a reusable InterpretationEngine/Executor pair — so the
-// steady-state hot path allocates nothing per point (see engine_arena.hpp).
-//
-// driver::Framework remains as a thin compatibility shim over Session.
+// Session::run has one scheduler. The sweep is cut into chunks of points
+// sharing (program, machine); a worker pool claims chunks, and each worker
+// owns an EngineArena — a reusable InterpretationEngine/Executor pair — so
+// the steady-state hot path allocates nothing per point (see
+// engine_arena.hpp). Inside a chunk, points are priced in lockstep windows
+// of up to RunOptions::batch_size lanes (core::BatchEngine); lanes that
+// diverge are regrouped with equal-path lanes of the same chunk into fresh
+// windows, and whatever stays alone replays on the scalar engine.
 #pragma once
 
 #include <array>
@@ -66,9 +69,7 @@ namespace hpf90d::api {
 
 class ExperimentPlan;
 
-/// One experiment configuration addressed at a *named* machine. The shape
-/// is driver::ExperimentConfig plus the machine name (the driver aliases
-/// this type for backward compatibility).
+/// One experiment configuration addressed at a *named* machine.
 struct RunConfig {
   std::string machine = "ipsc860";
   int nprocs = 1;
@@ -87,25 +88,11 @@ struct RunOptions {
   /// serial path (no threads spawned). The RunReport's records, ordering,
   /// and estimates are identical for every setting; only wall_seconds
   /// changes. Cache statistics are also identical while the layout store
-  /// is unbounded (the default) — under a finite layout_cache_capacity,
+  /// is unbounded (the default) — under a finite set_layout_cache_capacity,
   /// concurrent inserts can evict a key one schedule would have kept, so
   /// miss/evict counts are only reproducible for serial runs or capacities
   /// covering the working set (see layout_store.hpp).
   int workers = 0;
-
-  /// Per-worker engine arenas: each worker reuses one
-  /// InterpretationEngine/Executor across its points (the allocation-free
-  /// steady state). false reverts to PR 2's per-point construction — the
-  /// bench baseline; records are identical either way, but the legacy path
-  /// performs two layout lookups per measured point (predict + measure)
-  /// where the arena path performs one, so cache *stats* differ between
-  /// modes (each mode is still deterministic across worker counts).
-  bool reuse_engines = true;
-
-  /// Applied to the session's layout store before the sweep when set:
-  /// the LRU capacity in entries, 0 = unbounded. nullopt leaves the
-  /// session's current setting untouched.
-  std::optional<std::size_t> layout_cache_capacity;
 
   /// Maximum sweep points interpreted per lockstep batch: consecutive
   /// points sharing a compiled program and machine are grouped into chunks
@@ -114,41 +101,9 @@ struct RunOptions {
   /// partition is deterministic and independent of `workers`, and the
   /// report's records/ordering/estimates/cache stats are byte-identical to
   /// the scalar path for every value. <= 1 disables batching (every point
-  /// takes the scalar arena path); requires reuse_engines. Effectiveness
-  /// counters land in RunReport::batch.
+  /// takes the scalar arena path). Effectiveness counters land in
+  /// RunReport::batch.
   int batch_size = 64;
-
-  /// Lane re-compaction: lanes that diverge out of a lockstep batch are
-  /// regrouped by divergence key (see core::EvictedLane) and re-batched
-  /// with equal-key lanes from the whole chunk, so a divergent sweep keeps
-  /// lane occupancy high instead of replaying most points scalar. false
-  /// falls back to BatchEngine's internal end-of-batch scalar replay. The
-  /// report payload is byte-identical either way (only RunReport::batch
-  /// telemetry and wall time change); only meaningful when batching runs.
-  bool compact_lanes = true;
-
-  /// Speculative both-sides IF (batch path only): when an IF splits a
-  /// lockstep window and both arms are cheap (loop-free, few nodes), walk
-  /// both arms — each with the lane subset that takes it — instead of
-  /// evicting the minority. Every lane still prices exactly what its
-  /// scalar interpretation would, so the report payload is byte-identical
-  /// on or off; only RunReport::batch telemetry (speculated_branches /
-  /// speculated_lanes, fewer evictions) and wall time change.
-  bool speculate_branches = false;
-
-  /// Divergence-aware plan ordering: before the sweep is partitioned into
-  /// chunks, reorder the points of each (machine, variant) segment so that
-  /// points with equal predicted control-flow signatures — a hash of the
-  /// program's critical-variable values under each problem's bindings —
-  /// become lane neighbours. Sweeps whose divergence axis is interleaved
-  /// with a benign axis (e.g. problems × nprocs with a binding-dependent
-  /// loop bound) then enter lockstep already grouped instead of paying an
-  /// eviction + refill round per window. Records are assembled back into
-  /// plan order, so the report payload is byte-identical to the unsorted
-  /// run for every batch size and worker count; only RunReport::batch
-  /// telemetry (fewer evictions/refills) and wall time change. The
-  /// reorder is deterministic (a pure function of the plan).
-  bool order_points = false;
 
   /// Tracing sink for this run (overrides the session-level sink when
   /// set): compile, chunk-schedule, lockstep-window, scalar-replay and
@@ -201,17 +156,6 @@ class Session {
                                             const RunConfig& config);
   /// Predict + measure + compare.
   [[nodiscard]] Comparison compare(const ProgramHandle& prog, const RunConfig& config);
-
-  // Overloads for externally owned programs (the driver::Framework shim
-  // hands these in). The layout cache is content-addressed, so external
-  // programs hit the same entries as session-owned ones: a structurally
-  // identical program reuses a cached layout instead of rebuilding it.
-  [[nodiscard]] core::PredictionResult predict(const compiler::CompiledProgram& prog,
-                                               const RunConfig& config) const;
-  [[nodiscard]] sim::MeasuredResult measure(const compiler::CompiledProgram& prog,
-                                            const RunConfig& config) const;
-  [[nodiscard]] Comparison compare(const compiler::CompiledProgram& prog,
-                                   const RunConfig& config) const;
 
   // --- batched execution ------------------------------------------------------
   /// Executes the plan's whole cross product through the caches on a worker

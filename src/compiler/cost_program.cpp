@@ -219,22 +219,6 @@ class Builder {
   }
 
  private:
-  /// Speculation weight of one IF arm: the SPMD node count when the arm is
-  /// loop-free, -1 when it contains a DoLoop/WhileLoop anywhere (an
-  /// unbounded amount of work that must not be priced twice).
-  static std::int32_t arm_weight(const std::vector<SpmdNodePtr>& nodes) {
-    std::int32_t total = 0;
-    for (const auto& c : nodes) {
-      if (c->kind == SpmdKind::DoLoop || c->kind == SpmdKind::WhileLoop) return -1;
-      const std::int32_t tw = arm_weight(c->children);
-      if (tw < 0) return -1;
-      const std::int32_t ew = arm_weight(c->else_children);
-      if (ew < 0) return -1;
-      total += 1 + tw + ew;
-    }
-    return total;
-  }
-
   std::int32_t add(const front::ExprPtr& e) {
     if (!e) return -1;
     const ExprCode code = flattener_.compile(*e);
@@ -273,13 +257,9 @@ class Builder {
         case SpmdKind::WhileLoop:
           nc.cond = add(n.mask);
           break;
-        case SpmdKind::IfBlock: {
+        case SpmdKind::IfBlock:
           nc.cond = add(n.mask);
-          const std::int32_t tw = arm_weight(n.children);
-          const std::int32_t ew = arm_weight(n.else_children);
-          nc.spec_nodes = (tw < 0 || ew < 0) ? -1 : tw + ew;
           break;
-        }
         case SpmdKind::LocalLoop:
           add_space(n, nc);
           if (n.inner) {

@@ -83,12 +83,6 @@ struct NodeCost {
   std::int32_t inner_lo = -1, inner_hi = -1;  // InnerReduce bounds
   std::int32_t space_first = -1; // first (lo,hi,step) triple in space_codes
   std::int32_t space_dims = 0;
-  /// IfBlock speculation weight: total SPMD node count across both arms
-  /// when every arm node is loop-free, -1 when an arm contains a DoLoop or
-  /// WhileLoop (unbounded work — never worth pricing both sides). Lets the
-  /// batch engine decide per branch, at zero walk-time cost, whether to
-  /// walk both arms with per-lane subsets instead of evicting the minority.
-  std::int32_t spec_nodes = -1;
 };
 
 /// The flattened cost program for one CompiledProgram, built by the

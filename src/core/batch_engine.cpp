@@ -22,12 +22,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
          0x2545f4914f6cdd1dULL;
 }
 
-/// Largest both-arm node count batch_if will speculate on. Walking both
-/// arms doubles the visit cost of the branch body for every lane, so the
-/// trade only wins when the arms are a handful of cheap nodes; anything
-/// bigger falls back to evicting the minority.
-constexpr std::int32_t kSpeculateMaxArmNodes = 16;
-
 }  // namespace
 
 template <class Pred, class Outcome>
@@ -54,7 +48,7 @@ bool BatchEngine::interpret(const compiler::CompiledProgram& prog,
                             const machine::MachineModel& machine,
                             const PredictOptions& options,
                             std::span<const BatchLane> lanes, PredictionResult* results,
-                            BatchRunStats& stats, std::vector<EvictedLane>* deferred) {
+                            BatchRunStats& stats, std::vector<EvictedLane>& deferred) {
   if (options.trace || lanes.size() < 2) return false;
   const compiler::CostProgram* cp = prog.cost_program.get();
   // An incomplete bytecode would need per-lane tree evaluation — i.e. a
@@ -68,8 +62,6 @@ bool BatchEngine::interpret(const compiler::CompiledProgram& prog,
   cost_ = cp;
   lanes_ = lanes;
   stats_ = {};
-  speculate_ = options.speculate_branches;
-  if_depth_ = 0;
 
   const std::size_t L = lanes.size();
   if (engines_.size() < L) engines_.resize(L);
@@ -126,22 +118,9 @@ bool BatchEngine::interpret(const compiler::CompiledProgram& prog,
   stats_.evicted_lanes = evicted_.size();
   std::sort(evicted_.begin(), evicted_.end(),
             [](const EvictedLane& a, const EvictedLane& b) { return a.lane < b.lane; });
-  if (deferred != nullptr) {
-    // Eviction-export mode: the caller's re-compaction scheduler regroups
-    // equal-key lanes into fresh lockstep batches; their results[] slots
-    // stay untouched here.
-    deferred->insert(deferred->end(), evicted_.begin(), evicted_.end());
-  } else {
-    // Divergent lanes replay from scratch on the scalar path (lane order,
-    // so any exception surfaces deterministically).
-    stats_.replayed_lanes = evicted_.size();
-    for (const EvictedLane& ev : evicted_) {
-      const auto u = static_cast<std::size_t>(ev.lane);
-      auto& e = engines_[u];
-      e.rebind(prog, *lanes[u].layout, machine, options, *lanes[u].bindings);
-      e.interpret_into(results[ev.lane]);
-    }
-  }
+  // The caller's re-compaction scheduler regroups equal-key lanes into
+  // fresh lockstep batches; their results[] slots stay untouched here.
+  deferred.insert(deferred.end(), evicted_.begin(), evicted_.end());
   stats = stats_;
   return true;
 }
@@ -293,55 +272,6 @@ void BatchEngine::batch_if(const SpmdNode& n) {
     const auto u = static_cast<std::size_t>(l);
     return ok_[u] == 0 || vals_[u] != 0.0;
   };
-  if (speculate_ && nc.spec_nodes >= 0 && nc.spec_nodes <= kSpeculateMaxArmNodes) {
-    const std::size_t depth = if_depth_;
-    if (if_pool_.size() <= depth) if_pool_.resize(depth + 1);
-    if_pool_[depth].then_lanes.clear();
-    if_pool_[depth].else_lanes.clear();
-    for (const int l : active_) {
-      (then_of(l) ? if_pool_[depth].then_lanes : if_pool_[depth].else_lanes)
-          .push_back(l);
-    }
-    if (!if_pool_[depth].then_lanes.empty() && !if_pool_[depth].else_lanes.empty()) {
-      // Both sides populated and the arms are cheap: walk BOTH arms, each
-      // with the lane subset that takes it, instead of evicting the
-      // minority. Each lane still prices exactly the nodes its scalar
-      // interpretation would — the split changes scheduling, never results.
-      ++stats_.speculated_branches;
-      stats_.speculated_lanes += active_.size();
-      const double t = engines_[static_cast<std::size_t>(active_[0])].branch_cost(n);
-      for (const int l : active_) {
-        engines_[static_cast<std::size_t>(l)].charge_all(n.id, t, 'O');
-      }
-      const std::uint64_t saved = path_hash_;
-      ++if_depth_;
-      // Per-arm hashes use the same outcome encoding evict_unless would
-      // (then = 1, else = 0), so a lane evicted inside an arm carries the
-      // key it would have in a unanimous window and regroups with those.
-      // Nested speculation can grow if_pool_, so re-index after each walk.
-      path_hash_ = mix(saved, 1);
-      active_.swap(if_pool_[depth].then_lanes);
-      walk_seq(n.children);
-      active_.swap(if_pool_[depth].then_lanes);  // then-arm survivors
-      path_hash_ = mix(saved, 0);
-      active_.swap(if_pool_[depth].else_lanes);
-      walk_seq(n.else_children);
-      active_.swap(if_pool_[depth].else_lanes);  // else-arm survivors
-      --if_depth_;
-      // Merge the survivors (each subset kept its ascending lane order) so
-      // lane order — and with it every later active_[0] representative
-      // choice — matches a window that never split.
-      IfScratch& sc = if_pool_[depth];
-      sc.merged.clear();
-      std::merge(sc.then_lanes.begin(), sc.then_lanes.end(), sc.else_lanes.begin(),
-                 sc.else_lanes.end(), std::back_inserter(sc.merged));
-      active_.swap(sc.merged);
-      // Join marker: survivors of both arms share one downstream hash,
-      // distinct from either arm's (2 is not a then/else outcome).
-      path_hash_ = mix(saved, 2);
-      return;
-    }
-  }
   const bool taken = then_of(active_[0]);
   evict_unless([&](int l) { return then_of(l) == taken; },
                [&](int l) { return then_of(l) ? 1 : 0; }, true);

@@ -13,8 +13,10 @@
 // equal DO trip counts (bounds may differ), the same IF decision, the same
 // WHILE test outcome on every trip. Lanes that diverge — different trip
 // counts from per-lane critical variables, a failing bound that would make
-// the scalar walk throw — are *evicted* and replayed from scratch with the
-// plain scalar interpreter, so divergence costs only the divergent lanes.
+// the scalar walk throw — are *evicted* and handed back to the caller, which
+// re-batches lanes that diverged the same way and replays the rest from
+// scratch with the plain scalar interpreter, so divergence costs only the
+// divergent lanes.
 #pragma once
 
 #include <span>
@@ -45,21 +47,18 @@ struct BatchLane {
 struct BatchRunStats {
   std::uint64_t ir_visits = 0;      // SPMD nodes visited by the batch walk
   std::uint64_t lane_visits = 0;    // sum of active lanes over those visits
-  std::uint64_t replayed_lanes = 0; // lanes evicted to scalar replay
   std::uint64_t evicted_lanes = 0;  // lanes that left lockstep mid-walk
   std::uint64_t simd_stripes = 0;   // 8-lane stripes the bytecode evaluated
-  std::uint64_t speculated_branches = 0;  // IFs where both arms were walked
-  std::uint64_t speculated_lanes = 0;     // lanes kept in lockstep by those IFs
 };
 
-/// One lane exported by interpret()'s eviction-export mode: the lane left
-/// lockstep at a divergence point identified by `key` — a running hash of
-/// every control decision on the walk path up to the divergence, combined
-/// with the lane's own divergent outcome. Two lanes with equal keys took
-/// identical control paths and then diverged the same way, so a re-batch
-/// of equal-key lanes stays in lockstep at least through the point where
-/// they left (and usually to the end). The key is only a grouping hint:
-/// a collision costs a second eviction, never a wrong result.
+/// One lane evicted by interpret(): the lane left lockstep at a divergence
+/// point identified by `key` — a running hash of every control decision on
+/// the walk path up to the divergence, combined with the lane's own
+/// divergent outcome. Two lanes with equal keys took identical control
+/// paths and then diverged the same way, so a re-batch of equal-key lanes
+/// stays in lockstep at least through the point where they left (and
+/// usually to the end). The key is only a grouping hint: a collision costs
+/// a second eviction, never a wrong result.
 /// `rebatchable` is false for evictions the scalar walk turns into a
 /// throw (failing bounds, unresolved conditions) — those must replay
 /// scalar so the diagnostic surfaces.
@@ -73,25 +72,22 @@ struct EvictedLane {
 /// per batch. Not thread-safe; distinct workers use distinct engines.
 class BatchEngine {
  public:
-  /// Interprets every lane in lockstep, filling results[l] for lane l with
-  /// exactly what a scalar InterpretationEngine bound to that lane would
-  /// produce. Returns false — touching neither results nor stats — when
-  /// batch mode cannot run (tracing on, fewer than two lanes, or a program
-  /// without a complete cost bytecode); the caller then prices each lane
-  /// with the scalar engine. Exceptions the scalar walk would throw (trip
-  /// limits, unresolved critical variables) propagate from here too.
+  /// Interprets every lane in lockstep, filling results[l] for each lane l
+  /// that stays in lockstep with exactly what a scalar InterpretationEngine
+  /// bound to that lane would produce. Returns false — touching neither
+  /// results, stats nor `deferred` — when batch mode cannot run (tracing
+  /// on, fewer than two lanes, or a program without a complete cost
+  /// bytecode); the caller then prices each lane with the scalar engine.
+  /// Exceptions the scalar walk would throw (trip limits, unresolved
+  /// critical variables) propagate from here too.
   ///
-  /// `deferred` selects the eviction-export mode (the session's lane
-  /// re-compaction scheduler): when non-null, evicted lanes are appended to
-  /// it — keyed for regrouping — instead of being replayed internally,
-  /// their results[] slots are left untouched, and stats.replayed_lanes
-  /// stays 0 (the caller owns the replay decision). When null, evicted
-  /// lanes replay from scratch on the scalar path before returning, as
-  /// before.
+  /// Evicted lanes are appended to `deferred` in lane order, keyed for
+  /// regrouping; their results[] slots are left untouched. The caller (the
+  /// session's re-compaction scheduler) re-batches or replays them.
   bool interpret(const compiler::CompiledProgram& prog,
                  const machine::MachineModel& machine, const PredictOptions& options,
                  std::span<const BatchLane> lanes, PredictionResult* results,
-                 BatchRunStats& stats, std::vector<EvictedLane>* deferred = nullptr);
+                 BatchRunStats& stats, std::vector<EvictedLane>& deferred);
 
   /// Attaches a tracing sink (nullptr detaches): each lockstep walk is
   /// recorded as one obs::Phase::LockstepWindow span (arg = lane count).
@@ -151,16 +147,6 @@ class BatchEngine {
   std::vector<int> active_;          // lanes still in lockstep
   std::vector<EvictedLane> evicted_; // lanes that left lockstep, keyed
   std::uint64_t path_hash_ = 0;      // running control-path hash (divergence keys)
-  bool speculate_ = false;           // PredictOptions::speculate_branches
-
-  /// Per-nesting-depth scratch for speculative IFs (see batch_if): the lane
-  /// subsets of the two arms plus the merge buffer. Indexed by if_depth_ so
-  /// nested speculations never share or reallocate a level's buffers.
-  struct IfScratch {
-    std::vector<int> then_lanes, else_lanes, merged;
-  };
-  std::vector<IfScratch> if_pool_;
-  std::size_t if_depth_ = 0;
 
   // per-node scratch (sized lanes / dims*lanes, reused across nodes)
   std::vector<long long> b_lo_, b_hi_, b_step_, pts_;

@@ -40,14 +40,6 @@ struct PredictOptions {
   /// per-processor tables — which RunReport never reads — are skipped, so
   /// finalize costs O(nodes) instead of two vector copies per point.
   bool detailed = true;
-  /// Batch-path only: when an IF splits the lanes of a lockstep window and
-  /// both arms are cheap (loop-free, few nodes), walk BOTH arms — each with
-  /// the lane subset that takes it — instead of evicting the minority.
-  /// Every lane still prices exactly the nodes its scalar interpretation
-  /// would, so results are bit-identical either way; the knob trades a
-  /// second arm walk for keeping divergent lanes in lockstep. Ignored by
-  /// the scalar interpreter.
-  bool speculate_branches = false;
 };
 
 /// One interpreted event for the trace output (ParaGraph-compatible

@@ -37,8 +37,9 @@ AccuracyRow AccuracyRow::from_sweep(std::string name,
   return row;
 }
 
-std::string render_series(const std::string& title,
-                          const std::vector<std::pair<long long, Comparison>>& series) {
+std::string render_series(
+    const std::string& title,
+    const std::vector<std::pair<long long, api::Comparison>>& series) {
   std::ostringstream os;
   os << "# " << title << '\n';
   os << "# size  estimated(s)  measured(s)  err(%)\n";

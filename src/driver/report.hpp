@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "driver/framework.hpp"
+#include "api/run_report.hpp"
 
 namespace hpf90d::driver {
 
@@ -14,7 +14,7 @@ namespace hpf90d::driver {
 struct SweepPoint {
   long long problem_size = 0;
   int nprocs = 0;
-  Comparison comparison;
+  api::Comparison comparison;
 };
 
 /// Table 2 row: accuracy envelope of one application over its sweep.
@@ -35,6 +35,6 @@ struct AccuracyRow {
 /// figure benches (gnuplot-ready columns).
 [[nodiscard]] std::string render_series(
     const std::string& title,
-    const std::vector<std::pair<long long, Comparison>>& series);
+    const std::vector<std::pair<long long, api::Comparison>>& series);
 
 }  // namespace hpf90d::driver

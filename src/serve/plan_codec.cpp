@@ -398,11 +398,12 @@ JobOutcome decode_outcome(std::string_view text) {
 
 std::string encode_stats(const ServerStats& s) {
   const api::CacheStats& c = s.cache;
-  // version 5: widens the batch line with cross-chunk pool + speculation
-  // counters. v4 added the spilldir and queue lines (disk usage, live
-  // queue occupancy, slow-job count); v3 widened the batch line with
-  // re-compaction + SIMD telemetry; v2 added the batch line itself.
-  std::string out = "hpf90d-stats 5\n";
+  // version 6: drops v5's cross-chunk pool + speculation counters from the
+  // batch line (the features are gone). v4 added the spilldir and queue
+  // lines (disk usage, live queue occupancy, slow-job count); v3 widened
+  // the batch line with re-compaction + SIMD telemetry; v2 added the batch
+  // line itself.
+  std::string out = "hpf90d-stats 6\n";
   out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
                          c.compile_misses, c.layout_hits, c.layout_misses,
                          c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
@@ -417,17 +418,14 @@ std::string encode_stats(const ServerStats& s) {
                          static_cast<unsigned long long>(s.spill_dir_files));
   out += support::strfmt("queue %zu %zu %zu\n", s.queue_depth, s.jobs_running,
                          s.slow_jobs);
-  out += support::strfmt("batch %zu %zu %zu %zu %llu %llu %llu %llu %llu %llu %llu %llu\n",
+  out += support::strfmt("batch %zu %zu %zu %zu %llu %llu %llu %llu %llu\n",
                          s.jobs_coalesced, s.points_batched, s.points_scalar,
                          s.points_replayed,
                          static_cast<unsigned long long>(s.batch_ir_visits),
                          static_cast<unsigned long long>(s.batch_lane_visits),
                          static_cast<unsigned long long>(s.lanes_evicted),
                          static_cast<unsigned long long>(s.lanes_refilled),
-                         static_cast<unsigned long long>(s.simd_stripes),
-                         static_cast<unsigned long long>(s.lanes_pooled),
-                         static_cast<unsigned long long>(s.branches_speculated),
-                         static_cast<unsigned long long>(s.lanes_speculated));
+                         static_cast<unsigned long long>(s.simd_stripes));
   return out;
 }
 
@@ -438,9 +436,9 @@ ServerStats decode_stats(std::string_view text) {
     if (header.size() != 2 || header[0] != "hpf90d-stats") {
       in.fail("not an hpf90d-stats payload");
     }
-    // Version-strict: a v4 daemon's payload is a hard error, not a partial
+    // Version-strict: a v5 daemon's payload is a hard error, not a partial
     // decode — mixed-version deployments must fail loudly.
-    if (header[1] != "5") in.fail("unsupported stats version " + header[1]);
+    if (header[1] != "6") in.fail("unsupported stats version " + header[1]);
   }
   ServerStats s;
   const auto cache = fields_of(in.next_line());
@@ -478,7 +476,7 @@ ServerStats decode_stats(std::string_view text) {
   s.jobs_running = static_cast<std::size_t>(to_ll(in, queue[2]));
   s.slow_jobs = static_cast<std::size_t>(to_ll(in, queue[3]));
   const auto batch = fields_of(in.next_line());
-  if (batch.size() != 13 || batch[0] != "batch") in.fail("expected batch line");
+  if (batch.size() != 10 || batch[0] != "batch") in.fail("expected batch line");
   s.jobs_coalesced = static_cast<std::size_t>(to_ll(in, batch[1]));
   s.points_batched = static_cast<std::size_t>(to_ll(in, batch[2]));
   s.points_scalar = static_cast<std::size_t>(to_ll(in, batch[3]));
@@ -488,9 +486,6 @@ ServerStats decode_stats(std::string_view text) {
   s.lanes_evicted = static_cast<std::uint64_t>(to_ll(in, batch[7]));
   s.lanes_refilled = static_cast<std::uint64_t>(to_ll(in, batch[8]));
   s.simd_stripes = static_cast<std::uint64_t>(to_ll(in, batch[9]));
-  s.lanes_pooled = static_cast<std::uint64_t>(to_ll(in, batch[10]));
-  s.branches_speculated = static_cast<std::uint64_t>(to_ll(in, batch[11]));
-  s.lanes_speculated = static_cast<std::uint64_t>(to_ll(in, batch[12]));
   return s;
 }
 

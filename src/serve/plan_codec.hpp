@@ -84,12 +84,6 @@ struct ServerStats {
   std::uint64_t lanes_evicted = 0;
   std::uint64_t lanes_refilled = 0;
   std::uint64_t simd_stripes = 0;
-  /// Cross-chunk lockstep telemetry (stats codec v5): lanes re-batched by
-  /// the session-wide divergence pool, IFs priced both-sides instead of
-  /// evicting, and lanes those speculative IFs kept in lockstep.
-  std::uint64_t lanes_pooled = 0;
-  std::uint64_t branches_speculated = 0;
-  std::uint64_t lanes_speculated = 0;
   /// Live queue occupancy and slow-job telemetry (stats codec v4): jobs
   /// waiting, jobs executing right now, and jobs whose sweep exceeded
   /// ServerOptions::slow_job_threshold_ms since the daemon started.

@@ -350,7 +350,6 @@ std::string ExperimentServer::execute(const Job& job, JobState& terminal) {
   outcome.is_study = job.is_study;
   api::RunOptions run_options;
   run_options.workers = options_.job_workers;
-  run_options.batch_size = options_.batch_size;
   const auto note_batch = [this](const api::BatchStats& b) {
     points_batched_.fetch_add(b.batched_points, std::memory_order_relaxed);
     points_scalar_.fetch_add(b.scalar_points, std::memory_order_relaxed);
@@ -360,9 +359,6 @@ std::string ExperimentServer::execute(const Job& job, JobState& terminal) {
     lanes_evicted_.fetch_add(b.evicted_lanes, std::memory_order_relaxed);
     lanes_refilled_.fetch_add(b.refilled_lanes, std::memory_order_relaxed);
     simd_stripes_.fetch_add(b.simd_stripes, std::memory_order_relaxed);
-    lanes_pooled_.fetch_add(b.pooled_lanes, std::memory_order_relaxed);
-    branches_speculated_.fetch_add(b.speculated_branches, std::memory_order_relaxed);
-    lanes_speculated_.fetch_add(b.speculated_lanes, std::memory_order_relaxed);
   };
   try {
     if (job.is_study) {
@@ -430,15 +426,14 @@ void ExperimentServer::stream_stats(int fd, const std::string& request) {
   // disk usage, cache capacity): only work the daemon did since the last
   // push should wake a changed-mode subscriber.
   const auto signature = [](const ServerStats& s) {
-    return std::array<std::uint64_t, 12>{
-        s.queue_depth,    s.jobs_running,     s.jobs_submitted,
-        s.jobs_done,      s.jobs_failed,      s.jobs_cancelled,
-        s.points_batched, s.points_scalar,    s.points_replayed,
-        s.lanes_evicted + s.lanes_refilled,
-        s.lanes_pooled,   s.branches_speculated};
+    return std::array<std::uint64_t, 10>{
+        s.queue_depth,    s.jobs_running,  s.jobs_submitted,
+        s.jobs_done,      s.jobs_failed,   s.jobs_cancelled,
+        s.points_batched, s.points_scalar, s.points_replayed,
+        s.lanes_evicted + s.lanes_refilled};
   };
   bool pushed_any = false;
-  std::array<std::uint64_t, 12> last{};
+  std::array<std::uint64_t, 10> last{};
   for (std::uint64_t i = 0; i < count; ++i) {
     if (i > 0) {
       // sleep in 50ms slices so shutdown is never blocked on a stream
@@ -486,10 +481,6 @@ std::string ExperimentServer::metrics_text() {
       .set(static_cast<double>(s.lanes_evicted));
   metrics_.gauge("hpf90d_lanes_refilled", "Evicted lanes re-batched by compaction")
       .set(static_cast<double>(s.lanes_refilled));
-  metrics_.gauge("hpf90d_lanes_pooled", "Lanes re-batched by the cross-chunk pool")
-      .set(static_cast<double>(s.lanes_pooled));
-  metrics_.gauge("hpf90d_branches_speculated", "IF branches priced both-sides")
-      .set(static_cast<double>(s.branches_speculated));
   const std::size_t probes = s.cache.layout_misses;
   metrics_.gauge("hpf90d_spill_hit_ratio",
                  "Layout-store misses answered by the artifact spill")
@@ -537,9 +528,6 @@ ServerStats ExperimentServer::stats() const {
   s.lanes_evicted = lanes_evicted_.load();
   s.lanes_refilled = lanes_refilled_.load();
   s.simd_stripes = simd_stripes_.load();
-  s.lanes_pooled = lanes_pooled_.load();
-  s.branches_speculated = branches_speculated_.load();
-  s.lanes_speculated = lanes_speculated_.load();
   s.queue_depth = queue_.queued();
   s.jobs_running = queue_.running();
   s.slow_jobs = slow_jobs_.load();

@@ -54,10 +54,6 @@ struct ServerOptions {
   /// RunOptions::workers for each job's sweep (0 = hardware concurrency).
   /// The default 1 keeps per-job determinism obvious; large sweeps want 0.
   int job_workers = 1;
-  /// RunOptions::batch_size for each job's sweep: same-program sweep points
-  /// are priced in lockstep through the cost bytecode (see session.hpp).
-  /// Reports are byte-identical for every value; <= 1 disables batching.
-  int batch_size = 64;
   /// JobQueue per-tenant caps.
   std::size_t tenant_inflight = 1;
   std::size_t tenant_queued = 64;
@@ -185,9 +181,6 @@ class ExperimentServer {
   std::atomic<std::uint64_t> lanes_evicted_{0};
   std::atomic<std::uint64_t> lanes_refilled_{0};
   std::atomic<std::uint64_t> simd_stripes_{0};
-  std::atomic<std::uint64_t> lanes_pooled_{0};
-  std::atomic<std::uint64_t> branches_speculated_{0};
-  std::atomic<std::uint64_t> lanes_speculated_{0};
 
   // observability: span ring, metrics registry, slow-job log
   obs::Tracer tracer_;

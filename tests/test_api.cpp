@@ -1,12 +1,12 @@
 // Experiment-session API tests: machine registry lookup (including the
 // unknown-name error path), compilation/layout cache behaviour across an
 // ExperimentPlan sweep, content-addressed layout sharing with externally
-// owned programs, worker-pool determinism, RunReport CSV export/diff, and
-// the driver::Framework compatibility shim.
+// owned programs, worker-pool determinism, and RunReport CSV export/diff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "driver/framework.hpp"
 #include "machine/ipsc860.hpp"
 #include "machine/whatif.hpp"
 #include "suite/suite.hpp"
@@ -225,10 +224,10 @@ TEST(Session, LayoutCacheIsContentAddressed) {
   // entry — no session-owned handle involved at all.
   api::Session session;
   const auto& app = suite::app("laplace_bx");
-  const compiler::CompiledProgram ext1 =
-      compiler::compile_with_directives(app.source, app.directive_overrides);
-  const compiler::CompiledProgram ext2 =
-      compiler::compile_with_directives(app.source, app.directive_overrides);
+  const auto ext1 = std::make_shared<const compiler::CompiledProgram>(
+      compiler::compile_with_directives(app.source, app.directive_overrides));
+  const auto ext2 = std::make_shared<const compiler::CompiledProgram>(
+      compiler::compile_with_directives(app.source, app.directive_overrides));
 
   api::RunConfig cfg;
   cfg.nprocs = 4;
@@ -272,20 +271,23 @@ TEST(Session, LayoutEntriesSurviveProgramEviction) {
   EXPECT_EQ(session.cached_layouts(), 1u);
 
   // a freshly compiled external program still hits the surviving entry
-  const compiler::CompiledProgram ext = compiler::compile(app.source);
+  const auto ext =
+      std::make_shared<const compiler::CompiledProgram>(compiler::compile(app.source));
   (void)session.predict(ext, cfg);
   EXPECT_EQ(session.cache_stats().layout_misses, 1u);
   EXPECT_GE(session.cache_stats().layout_hits, 1u);
 }
 
-TEST(Session, FrameworkSweepHitsTheLayoutCache) {
-  // The driver::Framework path hands in externally owned programs; with
-  // content-addressed keys a repeated sweep must be layout-cache-served.
-  driver::Framework framework;
+TEST(Session, ExternalProgramSweepHitsTheLayoutCache) {
+  // A program compiled outside the session's cache is priced against the
+  // same content-addressed layouts: a repeated sweep is layout-cache-served.
+  api::Session session;
   const auto& app = suite::app("pi");
-  const auto prog = framework.compile(app.source);
+  const auto prog =
+      std::make_shared<const compiler::CompiledProgram>(compiler::compile(app.source));
 
-  driver::ExperimentConfig cfg;
+  api::RunConfig cfg;
+  cfg.machine = "ipsc860";
   cfg.nprocs = 4;
   cfg.bindings = app.bindings(256);
   cfg.runs = 1;
@@ -294,11 +296,11 @@ TEST(Session, FrameworkSweepHitsTheLayoutCache) {
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (int np : {1, 2, 4}) {
       cfg.nprocs = np;
-      (void)framework.compare(prog, cfg);
+      (void)session.compare(prog, cfg);
     }
-    if (sweep == 0) hits_after_first = framework.session().cache_stats().layout_hits;
+    if (sweep == 0) hits_after_first = session.cache_stats().layout_hits;
   }
-  const api::CacheStats stats = framework.session().cache_stats();
+  const api::CacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.layout_misses, 3u);  // one per processor count
   EXPECT_GT(stats.layout_hits, hits_after_first);  // second sweep fully served
   EXPECT_GT(stats.layout_hits, 0u);
@@ -350,36 +352,6 @@ TEST(Session, RunReportIsIdenticalForAnyWorkerCount) {
   EXPECT_EQ(a.cache.layout_misses, b.cache.layout_misses);
 }
 
-TEST(Session, ArenaAndLegacyPathsProduceIdenticalReports) {
-  // RunOptions::reuse_engines toggles between the per-worker EngineArena
-  // hot path and PR 2's per-point engine construction. The records must be
-  // byte-identical across the four (path, workers) combinations; only the
-  // cache call pattern differs (the arena path shares one layout lookup
-  // between prediction and measurement).
-  const api::ExperimentPlan plan = determinism_plan();
-
-  std::vector<api::RunReport> reports;
-  for (const bool arenas : {true, false}) {
-    for (const int workers : {1, 4}) {
-      api::Session session;
-      api::RunOptions opts;
-      opts.workers = workers;
-      opts.reuse_engines = arenas;
-      reports.push_back(session.run(plan, opts));
-    }
-  }
-  for (std::size_t i = 1; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[0].csv(), reports[i].csv());
-    // the per-phase decomposition is part of the determinism contract too
-    ASSERT_EQ(reports[0].records.size(), reports[i].records.size());
-    for (std::size_t r = 0; r < reports[0].records.size(); ++r) {
-      EXPECT_EQ(reports[0].records[r].phases.comp, reports[i].records[r].phases.comp);
-      EXPECT_EQ(reports[0].records[r].phases.comm, reports[i].records[r].phases.comm);
-      EXPECT_EQ(reports[0].records[r].phases.wait, reports[i].records[r].phases.wait);
-    }
-  }
-}
-
 TEST(Session, CacheStatsAreDeterministicAcrossWorkerCountsWithArenas) {
   const api::ExperimentPlan plan = determinism_plan();
   std::optional<api::CacheStats> first;
@@ -415,23 +387,21 @@ TEST(Session, LayoutCacheCapacityBoundsResidencyAndCountsEvictions) {
   // and the overflow surfaces as evictions in the run's cache stats.
   api::RunOptions opts;
   opts.workers = 1;
-  opts.layout_cache_capacity = 4;
+  session.set_layout_cache_capacity(4);
   const api::RunReport report = session.run(plan, opts);
   EXPECT_EQ(session.layout_cache_capacity(), 4u);
   EXPECT_EQ(report.cache.layout_misses, 12u);
   EXPECT_EQ(report.cache.layout_evictions, 8u);
   EXPECT_LE(session.cached_layouts(), 4u);
-  // the run's cache stats record the *effective* capacity (satisfying the
-  // RunOptions doc: applied before the sweep), and the ascii footer shows it
+  // the run's cache stats record the effective capacity, and the ascii
+  // footer shows it
   EXPECT_EQ(report.cache.layout_capacity, 4u);
   EXPECT_NE(report.ascii().find("(cap 4)"), std::string::npos);
 
   // capacity 0 lifts the bound: a re-run re-misses the evicted entries but
   // evicts nothing, and the records are identical to the bounded run
-  api::RunOptions unbounded;
-  unbounded.workers = 1;
-  unbounded.layout_cache_capacity = 0;
-  const api::RunReport again = session.run(plan, unbounded);
+  session.set_layout_cache_capacity(0);
+  const api::RunReport again = session.run(plan, opts);
   EXPECT_EQ(again.cache.layout_evictions, 0u);
   EXPECT_EQ(session.cached_layouts(), 12u);
   EXPECT_EQ(report.csv(), again.csv());
@@ -726,31 +696,6 @@ TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {
   const api::ReportDiff deficit = api::RunReport::diff(dup, before);
   EXPECT_EQ(deficit.records.size(), 2u);
   EXPECT_EQ(deficit.only_before, 1u);
-}
-
-// --- driver::Framework compatibility shim -------------------------------------
-
-TEST(FrameworkShim, MatchesSessionResults) {
-  driver::Framework framework;
-  api::Session session;
-  const auto& app = suite::app("pi");
-
-  auto legacy_prog = framework.compile(app.source);
-  const auto prog = session.compile(app.source);
-
-  driver::ExperimentConfig cfg;  // = api::RunConfig
-  cfg.nprocs = 4;
-  cfg.bindings = app.bindings(256);
-  cfg.runs = 2;
-
-  const driver::Comparison a = framework.compare(legacy_prog, cfg);
-  const api::Comparison b = session.compare(prog, cfg);
-  EXPECT_EQ(a.estimated, b.estimated);
-  EXPECT_EQ(a.measured_mean, b.measured_mean);
-  EXPECT_EQ(a.measured_stddev, b.measured_stddev);
-
-  // the machine field is pinned to the cube by the shim
-  EXPECT_EQ(framework.machine().max_nodes, 8);
 }
 
 }  // namespace

@@ -18,8 +18,8 @@
 namespace hpf90d {
 namespace {
 
-// The settings the oracle sweeps: batch sizes 1 (scalar), 4, 64, and "the
-// whole sweep in one chunk cap", crossed with serial and pooled workers.
+// The settings the oracle sweeps: batch sizes 1 (scalar), 8, 64, and "the
+// whole sweep in one chunk cap", crossed with one and four workers.
 const std::vector<int> kWorkerCounts = {1, 4};
 
 std::vector<int> batch_sizes(std::size_t point_count) {
@@ -35,16 +35,11 @@ struct Exports {
   api::BatchStats batch;
 };
 
-Exports run_once(const api::ExperimentPlan& plan, int batch_size, int workers,
-                 bool compact_lanes = true, bool speculate = false,
-                 bool order = false) {
+Exports run_once(const api::ExperimentPlan& plan, int batch_size, int workers) {
   api::Session session;
   api::RunOptions opts;
   opts.workers = workers;
   opts.batch_size = batch_size;
-  opts.compact_lanes = compact_lanes;
-  opts.speculate_branches = speculate;
-  opts.order_points = order;
   api::RunReport report = session.run(plan, opts);
   report.wall_seconds = 0.0;
   return Exports{report.ascii(), report.csv(), report.batch};
@@ -61,27 +56,23 @@ void expect_oracle(const api::ExperimentPlan& plan, std::size_t point_count,
   bool saw_recovered = false;
   for (const int batch : batch_sizes(point_count)) {
     for (const int workers : kWorkerCounts) {
-      for (const bool compact : {true, false}) {
-        const Exports e = run_once(plan, batch, workers, compact);
-        EXPECT_EQ(e.ascii, baseline.ascii)
-            << "ascii diverged at batch_size=" << batch << " workers=" << workers
-            << " compact=" << compact;
-        EXPECT_EQ(e.csv, baseline.csv)
-            << "csv diverged at batch_size=" << batch << " workers=" << workers
-            << " compact=" << compact;
-        // every point is accounted for exactly once: priced lockstep, priced
-        // by the scalar engine, or evicted mid-batch and finally priced scalar
-        EXPECT_EQ(
-            e.batch.batched_points + e.batch.scalar_points + e.batch.replayed_points,
-            point_count);
-        if (e.batch.batched_points > 0) saw_batched = true;
-        if (e.batch.evicted_lanes > 0) saw_evicted = true;
-        // a divergent lane is recovered either way: re-batched into a
-        // lockstep refill window (compaction) or replayed by the scalar
-        // engine (compaction off / unmatched keys / failure evictions)
-        if (e.batch.replayed_points > 0 || e.batch.refilled_lanes > 0)
-          saw_recovered = true;
-      }
+      const Exports e = run_once(plan, batch, workers);
+      EXPECT_EQ(e.ascii, baseline.ascii)
+          << "ascii diverged at batch_size=" << batch << " workers=" << workers;
+      EXPECT_EQ(e.csv, baseline.csv)
+          << "csv diverged at batch_size=" << batch << " workers=" << workers;
+      // every point is accounted for exactly once: priced lockstep, priced
+      // by the scalar engine, or evicted mid-batch and finally priced scalar
+      EXPECT_EQ(
+          e.batch.batched_points + e.batch.scalar_points + e.batch.replayed_points,
+          point_count);
+      if (e.batch.batched_points > 0) saw_batched = true;
+      if (e.batch.evicted_lanes > 0) saw_evicted = true;
+      // a divergent lane is recovered either way: re-batched into a
+      // lockstep refill window, or replayed by the scalar engine (lone
+      // keys, failure evictions)
+      if (e.batch.replayed_points > 0 || e.batch.refilled_lanes > 0)
+        saw_recovered = true;
     }
   }
   EXPECT_TRUE(saw_batched) << "no setting ever took the lockstep path";
@@ -128,9 +119,8 @@ TEST(BatchOracle, DirectiveVariantsSplitChunksDeterministically) {
 TEST(BatchOracle, BindingDependentDoTripsForceReplay) {
   // The outer DO trip count is a per-problem binding: lanes from different
   // problems disagree at the first size-dependent scalar loop and are
-  // evicted — then either re-batched by key (compaction) or replayed by
-  // the scalar engine — and must reproduce the scalar report byte for
-  // byte either way.
+  // evicted — then either re-batched by key or replayed by the scalar
+  // engine — and must reproduce the scalar report byte for byte either way.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -200,7 +190,7 @@ TEST(BatchOracle, ForcedDivergenceRefillsLanesWithoutScalarReplay) {
   // binding-dependent DO evicts 12 of the 16 lanes at once. Every nlev
   // group still holds 4 lanes, so keyed re-compaction re-batches all of
   // them into lockstep refill windows and nothing falls back to the scalar
-  // engine; with compaction off every evicted lane is replayed scalar.
+  // engine.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -225,25 +215,19 @@ end program levels
   const std::size_t points = 4u * 4u;
 
   const Exports compacted =
-      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1,
-               /*compact_lanes=*/true);
+      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1);
   EXPECT_GT(compacted.batch.evicted_lanes, 0u);
   EXPECT_GT(compacted.batch.refilled_lanes, 0u);
   EXPECT_EQ(compacted.batch.replayed_points, 0u)
       << "keyed refill should leave no lane to the scalar replay";
   EXPECT_EQ(compacted.batch.batched_points + compacted.batch.scalar_points, points);
-
-  const Exports replayed =
-      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1,
-               /*compact_lanes=*/false);
-  EXPECT_EQ(replayed.batch.refilled_lanes, 0u);
-  EXPECT_GT(replayed.batch.replayed_points, 0u);
   // every lockstep visit — fresh window or keyed refill — keeps at least a
   // full nlev group (4 lanes) active; scalar replay would price 1 at a time
   EXPECT_GT(compacted.batch.mean_lanes_per_visit(), 3.0);
-  // and the exports agree byte for byte regardless
-  EXPECT_EQ(compacted.ascii, replayed.ascii);
-  EXPECT_EQ(compacted.csv, replayed.csv);
+  // and the exports agree with the scalar path byte for byte
+  const Exports scalar = run_once(plan, /*batch_size=*/1, /*workers=*/1);
+  EXPECT_EQ(compacted.ascii, scalar.ascii);
+  EXPECT_EQ(compacted.csv, scalar.csv);
 }
 
 TEST(BatchOracle, MultiRoundRecompactionStaysDeterministic) {
@@ -251,7 +235,7 @@ TEST(BatchOracle, MultiRoundRecompactionStaysDeterministic) {
   // count, then the refill windows themselves diverge at the second DO and
   // need a second compaction round. Every (na, nb) subgroup still spans the
   // 3 system sizes, so both rounds re-batch cleanly, and the exports must
-  // stay byte-identical across batch size, workers, and compaction.
+  // stay byte-identical across batch size and workers.
   static const char* const source = R"f90(
 program levels2
   parameter (n = 512)
@@ -285,24 +269,22 @@ end program levels2
   // with the whole sweep in one batch, both divergence rounds resolve via
   // refill windows: nothing is left for the scalar replay
   const Exports e = run_once(plan, /*batch_size=*/static_cast<int>(points),
-                             /*workers=*/1, /*compact_lanes=*/true);
+                             /*workers=*/1);
   EXPECT_GT(e.batch.refilled_lanes, 0u);
   EXPECT_EQ(e.batch.replayed_points, 0u);
 }
 
-// --- cross-chunk session divergence pool --------------------------------------
+// --- chunk boundaries ---------------------------------------------------------
 
-TEST(BatchOracle, CrossChunkPoolPairsLoneLanesFromDifferentChunks) {
+TEST(BatchOracle, LoneLanesInDifferentChunksReplayScalar) {
   // 258 single-nprocs points of one (machine, variant) group: the 256-point
   // chunk granule splits them into two chunks. Exactly one point per chunk
   // carries nlev = 9 (the rest nlev = 2), so each chunk evicts one LONE
-  // rebatchable lane its own re-compaction cannot pair. Pre-pool both
-  // would replay scalar; with the session-wide divergence pool the two
-  // equal-key lanes meet after the chunk barrier and re-enter lockstep
-  // TOGETHER — zero scalar replays — and the exports stay byte-identical
-  // to the scalar path, deterministically for every worker count.
+  // rebatchable lane its own re-compaction cannot pair. Chunks never share
+  // lanes, so both replay scalar — and the exports stay byte-identical to
+  // the scalar path, with telemetry identical for every worker count.
   static const char* const source = R"f90(
-program pooled
+program split
   parameter (n = 512)
   real v(n)
 !hpf$ template d(n)
@@ -312,10 +294,10 @@ program pooled
   do it = 1, nlev
     forall (i = 1:n) v(i) = v(i)*0.5 + 1.0
   end do
-end program pooled
+end program split
 )f90";
   constexpr std::size_t kPoints = 258;  // chunk granule 256 -> two chunks
-  api::ExperimentPlan plan("batch oracle: cross-chunk pool");
+  api::ExperimentPlan plan("batch oracle: chunk boundary");
   plan.source(source).machines({"ipsc860"}).nprocs({1});
   for (std::size_t i = 0; i < kPoints; ++i) {
     front::Bindings b;
@@ -327,52 +309,38 @@ end program pooled
   plan.runs(1);
 
   const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  EXPECT_EQ(baseline.batch.pooled_lanes, 0u);
 
   const Exports serial = run_once(plan, /*batch_size=*/64, /*workers=*/1);
   EXPECT_EQ(serial.ascii, baseline.ascii);
   EXPECT_EQ(serial.csv, baseline.csv);
-  EXPECT_EQ(serial.batch.pooled_lanes, 2u)
-      << "each chunk should export exactly its lone divergent lane";
-  EXPECT_EQ(serial.batch.replayed_points, 0u)
-      << "the pooled pair should re-enter lockstep, not replay scalar";
-  EXPECT_EQ(serial.batch.batched_points, kPoints);
-  EXPECT_GT(serial.batch.refilled_lanes, 0u);
+  EXPECT_EQ(serial.batch.replayed_points, 2u)
+      << "each chunk should replay exactly its lone divergent lane";
+  EXPECT_EQ(serial.batch.batched_points, kPoints - 2);
+  EXPECT_EQ(serial.batch.evicted_lanes, 2u);
+  EXPECT_EQ(serial.batch.refilled_lanes, 0u);
 
-  // The drain is serial and canonically ordered, so telemetry — not just
-  // the payload — is identical under concurrent chunk execution.
-  const Exports pooled = run_once(plan, /*batch_size=*/64, /*workers=*/4);
-  EXPECT_EQ(pooled.ascii, baseline.ascii);
-  EXPECT_EQ(pooled.csv, baseline.csv);
-  EXPECT_EQ(pooled.batch.pooled_lanes, serial.batch.pooled_lanes);
-  EXPECT_EQ(pooled.batch.replayed_points, serial.batch.replayed_points);
-  EXPECT_EQ(pooled.batch.batched_points, serial.batch.batched_points);
-  EXPECT_EQ(pooled.batch.refilled_lanes, serial.batch.refilled_lanes);
-  EXPECT_EQ(pooled.batch.evicted_lanes, serial.batch.evicted_lanes);
-
-  // Compaction off: no pool, both lone lanes replay scalar — still
-  // byte-identical.
-  const Exports nopool = run_once(plan, /*batch_size=*/64, /*workers=*/1,
-                                  /*compact_lanes=*/false);
-  EXPECT_EQ(nopool.batch.pooled_lanes, 0u);
-  EXPECT_GT(nopool.batch.replayed_points, 0u);
-  EXPECT_EQ(nopool.ascii, baseline.ascii);
-  EXPECT_EQ(nopool.csv, baseline.csv);
+  // Each chunk's schedule depends only on its own points, so telemetry —
+  // not just the payload — is identical under concurrent chunk execution.
+  const Exports parallel = run_once(plan, /*batch_size=*/64, /*workers=*/4);
+  EXPECT_EQ(parallel.ascii, baseline.ascii);
+  EXPECT_EQ(parallel.csv, baseline.csv);
+  EXPECT_EQ(parallel.batch.replayed_points, serial.batch.replayed_points);
+  EXPECT_EQ(parallel.batch.batched_points, serial.batch.batched_points);
+  EXPECT_EQ(parallel.batch.refilled_lanes, serial.batch.refilled_lanes);
+  EXPECT_EQ(parallel.batch.evicted_lanes, serial.batch.evicted_lanes);
+  EXPECT_EQ(parallel.batch.ir_visits, serial.batch.ir_visits);
+  EXPECT_EQ(parallel.batch.lane_visits, serial.batch.lane_visits);
 }
 
-// --- divergence-aware plan ordering -------------------------------------------
+// --- more divergent inputs ----------------------------------------------------
 
-TEST(BatchOracle, OrderPointsGroupsInterleavedDivergenceAxis) {
+TEST(BatchOracle, InterleavedDivergenceAxis) {
   // The plan interleaves a divergence axis (nlev, a critical loop bound)
   // with a benign axis (w, a value-only coefficient): plan order alternates
-  // nlev = 2, 7, 2, 7, ... so every unsorted lockstep window mixes both
-  // trip counts and must evict. order_points sorts each segment by the
-  // critical-variable signature, making nlev groups lane neighbours: at
-  // batch_size 4 the ordered run stays fully lockstep with ZERO evictions
-  // while the unsorted run evicts every window — and the report payload is
-  // byte-identical between them, for every batch size and worker count.
+  // nlev = 2, 7, 2, 7, ... so every lockstep window mixes both trip counts
+  // and must evict.
   static const char* const source = R"f90(
-program ordered
+program interleaved
   parameter (n = 512)
   real v(n)
   real w
@@ -383,9 +351,9 @@ program ordered
   do it = 1, nlev
     forall (i = 1:n) v(i) = v(i)*0.5 + 1.0
   end do
-end program ordered
+end program interleaved
 )f90";
-  api::ExperimentPlan plan("batch oracle: ordered sweep");
+  api::ExperimentPlan plan("batch oracle: interleaved sweep");
   plan.source(source).machines({"ipsc860"}).nprocs({1, 2});
   for (const double w : {1.0, 2.0}) {
     for (const long long nlev : {2, 7}) {
@@ -397,47 +365,14 @@ end program ordered
     }
   }
   plan.runs(2);
-  const std::size_t points = 2u * 2u * 2u;
-
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-
-  // Byte-identity across ordering x batch size x workers.
-  for (const int batch : batch_sizes(points)) {
-    for (const int workers : kWorkerCounts) {
-      for (const bool order : {false, true}) {
-        const Exports e = run_once(plan, batch, workers, /*compact_lanes=*/true,
-                                   /*speculate=*/false, order);
-        EXPECT_EQ(e.ascii, baseline.ascii)
-            << "ascii diverged at batch_size=" << batch << " workers=" << workers
-            << " order=" << order;
-        EXPECT_EQ(e.csv, baseline.csv)
-            << "csv diverged at batch_size=" << batch << " workers=" << workers
-            << " order=" << order;
-      }
-    }
-  }
-
-  // Telemetry: at a window size matching the group size, ordering turns an
-  // every-window eviction pattern into pure lockstep.
-  const Exports unsorted = run_once(plan, /*batch_size=*/4, /*workers=*/1,
-                                    /*compact_lanes=*/true, /*speculate=*/false,
-                                    /*order=*/false);
-  const Exports ordered = run_once(plan, /*batch_size=*/4, /*workers=*/1,
-                                   /*compact_lanes=*/true, /*speculate=*/false,
-                                   /*order=*/true);
-  EXPECT_GT(unsorted.batch.evicted_lanes, 0u)
-      << "the interleaved plan should diverge without ordering";
-  EXPECT_EQ(ordered.batch.evicted_lanes, 0u)
-      << "signature ordering should make every window uniform";
-  EXPECT_EQ(ordered.batch.batched_points, points);
+  expect_oracle(plan, 2u * 2u * 2u, /*expect_divergence=*/true);
 }
 
-TEST(BatchOracle, OrderPointsKeepsMeasurementAndScaledPlansIdentical) {
-  // Ordering must compose with measurement (records carry measured stats
-  // assembled after the reorder) and with weak-scaling plans (problem and
-  // nprocs coupled). The payload stays byte-identical with ordering on.
+TEST(BatchOracle, MeasuredScaledPlan) {
+  // Weak-scaling plans couple problem and nprocs; with measurement on the
+  // records carry measured stats assembled per chunk.
   const suite::BenchmarkApp& app = suite::app("pi");
-  api::ExperimentPlan plan("batch oracle: ordered scaled");
+  api::ExperimentPlan plan("batch oracle: measured scaled");
   plan.source(app.source).machines({"ipsc860", "cluster"});
   std::vector<api::ScaledCase> cases;
   for (const auto& [size, np] : std::vector<std::pair<long long, int>>{
@@ -450,27 +385,15 @@ TEST(BatchOracle, OrderPointsKeepsMeasurementAndScaledPlansIdentical) {
   }
   plan.scaled_cases(std::move(cases));
   plan.runs(3);
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  for (const int workers : kWorkerCounts) {
-    const Exports e = run_once(plan, /*batch_size=*/64, workers,
-                               /*compact_lanes=*/true, /*speculate=*/false,
-                               /*order=*/true);
-    EXPECT_EQ(e.ascii, baseline.ascii) << "workers=" << workers;
-    EXPECT_EQ(e.csv, baseline.csv) << "workers=" << workers;
-  }
+  expect_oracle(plan, 2u * 4u);
 }
 
-// --- speculative both-sides IF -----------------------------------------------
-
-TEST(BatchOracle, SpeculativeIfPricesBothArmsWithoutEviction) {
-  // `w` steers a cheap loop-free-armed IF both ways across lanes; the arms
-  // write DIFFERENT masked arrays, so mispricing either subset would show
-  // up in the estimates. With speculate_branches on, the batch engine walks
-  // both arms with per-lane subsets instead of evicting the minority: the
-  // exports must stay byte-identical to the scalar path and to the
-  // non-speculated batch run, and the IF must stop evicting entirely.
+TEST(BatchOracle, CheapDataDependentIfArms) {
+  // `w` steers a loop-free-armed IF both ways across lanes; the arms write
+  // DIFFERENT masked arrays, so mispricing either subset would show up in
+  // the estimates.
   static const char* const source = R"f90(
-program specif
+program cheapif
   parameter (n = 512)
   real a(n), b(n)
   real w
@@ -485,9 +408,9 @@ program specif
   else
     forall (i = 1:n, b(i) .gt. 16.0) b(i) = b(i)*0.25
   end if
-end program specif
+end program cheapif
 )f90";
-  api::ExperimentPlan plan("batch oracle: speculative if");
+  api::ExperimentPlan plan("batch oracle: cheap if");
   plan.source(source).machines({"ipsc860", "cluster"}).nprocs({1, 4});
   for (const double w : {0.5, 1.5, 2.5, 7.0}) {
     front::Bindings b;
@@ -495,49 +418,14 @@ end program specif
     plan.add_problem("w=" + std::to_string(w), b);
   }
   plan.runs(2);
-  const std::size_t points = 2u * 2u * 4u;
-
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  EXPECT_EQ(baseline.batch.scalar_points, points);
-  EXPECT_EQ(baseline.batch.speculated_branches, 0u);
-
-  // Without speculation the IF splits every window and evicts the minority.
-  const Exports evicting = run_once(plan, /*batch_size=*/static_cast<int>(points),
-                                    /*workers=*/1, /*compact_lanes=*/true,
-                                    /*speculate=*/false);
-  EXPECT_GT(evicting.batch.evicted_lanes, 0u);
-  EXPECT_EQ(evicting.batch.speculated_branches, 0u);
-  EXPECT_EQ(evicting.ascii, baseline.ascii);
-  EXPECT_EQ(evicting.csv, baseline.csv);
-
-  // With speculation the IF is the only divergence site, so no lane ever
-  // leaves lockstep — and the payload is unchanged byte for byte.
-  bool saw_speculated = false;
-  for (const int batch : batch_sizes(points)) {
-    for (const int workers : kWorkerCounts) {
-      const Exports e = run_once(plan, batch, workers, /*compact_lanes=*/true,
-                                 /*speculate=*/true);
-      EXPECT_EQ(e.ascii, baseline.ascii)
-          << "ascii diverged at batch_size=" << batch << " workers=" << workers;
-      EXPECT_EQ(e.csv, baseline.csv)
-          << "csv diverged at batch_size=" << batch << " workers=" << workers;
-      if (batch > 1) {
-        EXPECT_EQ(e.batch.evicted_lanes, 0u)
-            << "speculation should keep every lane in lockstep";
-        if (e.batch.speculated_branches > 0) saw_speculated = true;
-        EXPECT_EQ(e.batch.speculated_lanes >= e.batch.speculated_branches, true);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_speculated) << "no setting ever speculated the IF";
+  expect_oracle(plan, 2u * 2u * 4u, /*expect_divergence=*/true);
 }
 
-TEST(BatchOracle, SpeculationSkipsLoopArmsAndComposesWithRefill) {
-  // The first IF's else-arm contains a binding-dependent DO, so it is not
-  // speculatable (arm cost unbounded): those lanes must still evict and
-  // refill by divergence key. The second IF is cheap and speculates. The
-  // two mechanisms compose in one program and the exports stay
-  // byte-identical to the scalar path throughout.
+TEST(BatchOracle, IfArmsWithLoopsRefill) {
+  // The first IF's else-arm contains a DO; the second IF is loop-free.
+  // Every u group holds both w values, so the windows the first IF
+  // produces — the survivors AND the keyed refill of its evictees — still
+  // disagree at the second IF.
   static const char* const source = R"f90(
 program mixed
   parameter (n = 256)
@@ -561,10 +449,7 @@ program mixed
   end if
 end program mixed
 )f90";
-  // u splits the loop-armed IF; w splits the cheap IF. Every u group holds
-  // both w values, so the windows the first IF produces — the survivors AND
-  // the keyed refill of its evictees — still disagree at the second IF.
-  api::ExperimentPlan plan("batch oracle: mixed speculation");
+  api::ExperimentPlan plan("batch oracle: if arms with loops");
   plan.source(source).machines({"ipsc860"}).nprocs({1, 2, 4});
   for (const double u : {1.0, 9.0}) {
     for (const double w : {0.5, 3.0}) {
@@ -577,28 +462,13 @@ end program mixed
   }
   plan.runs(2);
   const std::size_t points = 2u * 2u * 3u;
+  expect_oracle(plan, points, /*expect_divergence=*/true);
 
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  for (const int batch : batch_sizes(points)) {
-    for (const int workers : kWorkerCounts) {
-      for (const bool speculate : {false, true}) {
-        const Exports e = run_once(plan, batch, workers, /*compact_lanes=*/true,
-                                   speculate);
-        EXPECT_EQ(e.ascii, baseline.ascii)
-            << "ascii diverged at batch_size=" << batch << " workers=" << workers
-            << " speculate=" << speculate;
-        EXPECT_EQ(e.csv, baseline.csv)
-            << "csv diverged at batch_size=" << batch << " workers=" << workers
-            << " speculate=" << speculate;
-      }
-    }
-  }
-  // Whole-sweep batch, speculation on: the loop-armed IF still evicts (and
-  // refills), while the cheap IF speculates instead of evicting again.
-  const Exports e = run_once(plan, static_cast<int>(points), /*workers=*/1,
-                             /*compact_lanes=*/true, /*speculate=*/true);
+  // Whole-sweep batch: the IFs split the window, and keyed refill
+  // re-batches the evicted lanes.
+  const Exports e = run_once(plan, static_cast<int>(points), /*workers=*/1);
   EXPECT_GT(e.batch.evicted_lanes, 0u);
-  EXPECT_GT(e.batch.speculated_branches, 0u);
+  EXPECT_GT(e.batch.refilled_lanes, 0u);
 }
 
 // --- telemetry stays out of the exports ---------------------------------------

@@ -7,22 +7,29 @@
 
 #include "core/aag.hpp"
 #include "core/output.hpp"
-#include "driver/framework.hpp"
+#include "api/session.hpp"
 #include "driver/report.hpp"
 #include "suite/suite.hpp"
 
 namespace hpf90d {
 namespace {
 
-driver::Framework& framework() {
-  static driver::Framework fw;
-  return fw;
+api::Session& session() {
+  static api::Session s;
+  return s;
 }
 
-compiler::CompiledProgram compile_app(const suite::BenchmarkApp& app) {
+api::Session::ProgramHandle compile_app(const suite::BenchmarkApp& app) {
   return app.directive_overrides.empty()
-             ? framework().compile(app.source)
-             : framework().compile_with_directives(app.source, app.directive_overrides);
+             ? session().compile(app.source)
+             : session().compile_with_directives(app.source, app.directive_overrides);
+}
+
+/// The validation experiments all run on the paper's testbed.
+api::RunConfig ipsc860() {
+  api::RunConfig cfg;
+  cfg.machine = "ipsc860";
+  return cfg;
 }
 
 // Paper §5.1: "in the worst case, the interpreted performance is within 20%
@@ -35,11 +42,11 @@ TEST_P(AccuracyEnvelope, PredictionWithinPaperEnvelope) {
   auto prog = compile_app(app);
   const long long size = app.problem_sizes[app.problem_sizes.size() / 2];
   for (int nprocs : {1, 2, 4, 8}) {
-    driver::ExperimentConfig cfg;
+    api::RunConfig cfg = ipsc860();
     cfg.nprocs = nprocs;
     cfg.bindings = app.bindings(size);
     cfg.runs = 2;
-    const driver::Comparison cmp = framework().compare(prog, cfg);
+    const api::Comparison cmp = session().compare(prog, cfg);
     EXPECT_GT(cmp.estimated, 0.0);
     EXPECT_GT(cmp.measured_mean, 0.0);
     EXPECT_LT(cmp.abs_error_pct(), 30.0)
@@ -59,20 +66,20 @@ TEST(Accuracy, RegularAppsAreTight) {
   for (const char* id : {"pi", "pbs1", "pbs4", "finance"}) {
     const auto& app = suite::app(id);
     auto prog = compile_app(app);
-    driver::ExperimentConfig cfg;
+    api::RunConfig cfg = ipsc860();
     cfg.nprocs = 4;
     cfg.bindings = app.bindings(app.problem_sizes.back());
     cfg.runs = 2;
-    const driver::Comparison cmp = framework().compare(prog, cfg);
+    const api::Comparison cmp = session().compare(prog, cfg);
     EXPECT_LT(cmp.abs_error_pct(), 10.0) << id;
   }
   const auto& lfk3 = suite::app("lfk3");
   auto prog = compile_app(lfk3);
-  driver::ExperimentConfig cfg;
+  api::RunConfig cfg = ipsc860();
   cfg.nprocs = 4;
   cfg.bindings = lfk3.bindings(lfk3.problem_sizes.back());
   cfg.runs = 2;
-  EXPECT_LT(framework().compare(prog, cfg).abs_error_pct(), 13.0);
+  EXPECT_LT(session().compare(prog, cfg).abs_error_pct(), 13.0);
 }
 
 TEST(Accuracy, SweepAggregationMatchesTable2Shape) {
@@ -84,11 +91,11 @@ TEST(Accuracy, SweepAggregationMatchesTable2Shape) {
     double worst = 0;
     for (long long size : {app.problem_sizes.front(), app.problem_sizes.back()}) {
       for (int nprocs : {1, 4}) {
-        driver::ExperimentConfig cfg;
+        api::RunConfig cfg = ipsc860();
         cfg.nprocs = nprocs;
         cfg.bindings = app.bindings(size);
         cfg.runs = 2;
-        worst = std::max(worst, framework().compare(prog, cfg).abs_error_pct());
+        worst = std::max(worst, session().compare(prog, cfg).abs_error_pct());
       }
     }
     return worst;
@@ -129,12 +136,12 @@ TEST(DirectiveSelection, BlockStarWinsLaplaceAtScale) {
   for (int k = 0; k < 3; ++k) {
     const auto& app = suite::app(ids[k]);
     auto prog = compile_app(app);
-    driver::ExperimentConfig cfg;
+    api::RunConfig cfg = ipsc860();
     cfg.nprocs = 4;
     if (std::string(ids[k]) == "laplace_bb") cfg.grid_shape = std::vector<int>{2, 2};
     cfg.bindings = app.bindings(n);
     cfg.runs = 2;
-    const auto cmp = framework().compare(prog, cfg);
+    const auto cmp = session().compare(prog, cfg);
     est[k] = cmp.estimated;
     meas[k] = cmp.measured_mean;
   }
@@ -153,11 +160,11 @@ TEST(DirectiveSelection, BlockStarWinsLaplaceAtScale) {
 TEST(PerformanceDebugging, FinancialPhasesSeparate) {
   const auto& app = suite::app("finance");
   auto prog = compile_app(app);
-  core::SynchronizedAAG saag(prog);
-  driver::ExperimentConfig cfg;
+  core::SynchronizedAAG saag(*prog);
+  api::RunConfig cfg = ipsc860();
   cfg.nprocs = 4;
   cfg.bindings = app.bindings(256);
-  const auto pred = framework().predict(prog, cfg);
+  const auto pred = session().predict(prog, cfg);
   core::OutputModule out(saag, pred);
 
   // phase 1 = the lattice do-loop (contains the shift comm); phase 2 = the
@@ -182,15 +189,15 @@ TEST(PerformanceDebugging, FinancialPhasesSeparate) {
 TEST(CostEffectiveness, InterpretationIsFasterThanSimulation) {
   const auto& app = suite::app("laplace_bx");
   auto prog = compile_app(app);
-  driver::ExperimentConfig cfg;
+  api::RunConfig cfg = ipsc860();
   cfg.nprocs = 8;
   cfg.bindings = app.bindings(256);
   cfg.runs = 1;
 
   const auto t0 = std::chrono::steady_clock::now();
-  (void)framework().predict(prog, cfg);
+  (void)session().predict(prog, cfg);
   const auto t1 = std::chrono::steady_clock::now();
-  (void)framework().measure(prog, cfg);
+  (void)session().measure(prog, cfg);
   const auto t2 = std::chrono::steady_clock::now();
   // source-driven interpretation avoids element-level execution entirely
   EXPECT_LT((t1 - t0).count() * 5, (t2 - t1).count());
@@ -202,10 +209,10 @@ TEST(Framework, VaryingProblemSizeFromInterface) {
   auto prog = compile_app(app);
   double prev = 0;
   for (long long n : {256LL, 1024LL, 4096LL}) {
-    driver::ExperimentConfig cfg;
+    api::RunConfig cfg = ipsc860();
     cfg.nprocs = 4;
     cfg.bindings = app.bindings(n);
-    const double t = framework().predict(prog, cfg).total;
+    const double t = session().predict(prog, cfg).total;
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -226,7 +233,7 @@ TEST(Framework, Table1InventoryComplete) {
 }
 
 TEST(Framework, WithinVarianceFlagComputed) {
-  driver::Comparison cmp;
+  api::Comparison cmp;
   cmp.estimated = 1.0;
   cmp.measured_mean = 1.0;
   cmp.measured_min = 0.99;

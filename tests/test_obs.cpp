@@ -296,10 +296,7 @@ api::RunReport sample_report() {
   report.batch.lane_visits = 1600;
   report.batch.evicted_lanes = 3;
   report.batch.refilled_lanes = 2;
-  report.batch.pooled_lanes = 1;
   report.batch.simd_stripes = 200;
-  report.batch.speculated_branches = 4;
-  report.batch.speculated_lanes = 48;
   api::RunRecord r;
   r.machine = "ipsc860";
   r.variant = "(block,*)";
@@ -332,9 +329,10 @@ TEST(RunReportJson, RoundTripsEveryField) {
   EXPECT_EQ(back.batch.ir_visits, 400u);
   EXPECT_EQ(back.batch.lane_visits, 1600u);
   EXPECT_EQ(back.batch.simd_stripes, 200u);
-  EXPECT_EQ(back.batch.pooled_lanes, 1u);
-  EXPECT_EQ(back.batch.speculated_branches, 4u);
-  EXPECT_EQ(back.batch.speculated_lanes, 48u);
+  EXPECT_EQ(back.batch.scalar_points, 1u);
+  EXPECT_EQ(back.batch.replayed_points, 2u);
+  EXPECT_EQ(back.batch.evicted_lanes, 3u);
+  EXPECT_EQ(back.batch.refilled_lanes, 2u);
   ASSERT_EQ(back.records.size(), 2u);
   EXPECT_EQ(back.records[0].machine, "ipsc860");
   EXPECT_EQ(back.records[0].variant, "(block,*)");
@@ -447,8 +445,8 @@ TEST(ServeObs, MetricsEndpointServesPrometheusText) {
   // per-tenant terminal-state counters render as labeled children
   EXPECT_NE(text.find("hpf90d_tenant_jobs{state=\"done\",tenant=\"tenant-a\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("hpf90d_lanes_pooled"), std::string::npos);
-  EXPECT_NE(text.find("hpf90d_branches_speculated"), std::string::npos);
+  EXPECT_NE(text.find("hpf90d_lanes_evicted"), std::string::npos);
+  EXPECT_NE(text.find("hpf90d_lanes_refilled"), std::string::npos);
   // idle daemon state renders identically on a second scrape
   EXPECT_EQ(client.metrics(), text);
 

@@ -290,9 +290,6 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   stats.lanes_evicted = 21;
   stats.lanes_refilled = 19;
   stats.simd_stripes = 8750;
-  stats.lanes_pooled = 5;
-  stats.branches_speculated = 13;
-  stats.lanes_speculated = 104;
   stats.queue_depth = 6;
   stats.jobs_running = 2;
   stats.slow_jobs = 1;
@@ -312,9 +309,6 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   EXPECT_EQ(s2.lanes_evicted, 21u);
   EXPECT_EQ(s2.lanes_refilled, 19u);
   EXPECT_EQ(s2.simd_stripes, 8750u);
-  EXPECT_EQ(s2.lanes_pooled, 5u);
-  EXPECT_EQ(s2.branches_speculated, 13u);
-  EXPECT_EQ(s2.lanes_speculated, 104u);
   EXPECT_EQ(s2.mean_lanes_per_visit(), 56.0);
   EXPECT_EQ(s2.queue_depth, 6u);
   EXPECT_EQ(s2.jobs_running, 2u);
@@ -328,17 +322,17 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
 
 TEST(PlanCodec, StatsCodecIsStrictAboutVersionAndBatchLine) {
   const std::string good = serve::encode_stats(serve::ServerStats{});
-  EXPECT_EQ(good.rfind("hpf90d-stats 5\n", 0), 0u);
+  EXPECT_EQ(good.rfind("hpf90d-stats 6\n", 0), 0u);
   EXPECT_NE(good.find("\nbatch "), std::string::npos);
   EXPECT_NE(good.find("\nqueue "), std::string::npos);
   EXPECT_NE(good.find("\nspilldir "), std::string::npos);
 
   // older headers (v1: no batch line, v2/v3: narrower batch lines, v4: no
-  // pool/speculation counters) are different wire formats — a version
-  // mismatch is a hard error, never a best-effort parse
-  for (const char* old : {"stats 1", "stats 2", "stats 3", "stats 4"}) {
+  // queue/spilldir lines, v5: a wider batch line) are different wire
+  // formats — a version mismatch is a hard error, never a best-effort parse
+  for (const char* old : {"stats 1", "stats 2", "stats 3", "stats 4", "stats 5"}) {
     std::string stale = good;
-    stale.replace(stale.find("stats 5"), 7, old);
+    stale.replace(stale.find("stats 6"), 7, old);
     EXPECT_THROW((void)serve::decode_stats(stale), serve::CodecError);
   }
 
@@ -346,11 +340,35 @@ TEST(PlanCodec, StatsCodecIsStrictAboutVersionAndBatchLine) {
   const std::size_t pos = good.find("\nbatch ");
   const std::size_t eol = good.find('\n', pos + 1);
   std::string missing = good;
-  missing.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8 9");
+  missing.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8");
   EXPECT_THROW((void)serve::decode_stats(missing), serve::CodecError);
   std::string extra = good;
-  extra.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8 9 10 11 12 13");
+  extra.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8 9 10");
   EXPECT_THROW((void)serve::decode_stats(extra), serve::CodecError);
+}
+
+TEST(PlanCodec, StatsCodecRejectsV5Payload) {
+  // A complete payload as a v5 daemon wrote it: its batch line carried 12
+  // counters (pool and speculation telemetry included). Neither the header
+  // nor the batch line is accepted.
+  const std::string v5 =
+      "hpf90d-stats 5\n"
+      "cache 0 0 0 0 0 0 0\n"
+      "session 0 0 0\n"
+      "jobs 0 0 0 0\n"
+      "spill 0 0 0\n"
+      "spilldir 0 0\n"
+      "queue 0 0 0\n"
+      "batch 0 0 0 0 0 0 0 0 0 0 0 0\n";
+  EXPECT_THROW((void)serve::decode_stats(v5), serve::CodecError);
+  std::string relabeled = v5;
+  relabeled.replace(relabeled.find("stats 5"), 7, "stats 6");
+  EXPECT_THROW((void)serve::decode_stats(relabeled), serve::CodecError);
+  // the same payload with the current header and batch width decodes
+  std::string current = relabeled;
+  current.replace(current.find("batch "), std::string::npos,
+                  "batch 0 0 0 0 0 0 0 0 0\n");
+  EXPECT_NO_THROW((void)serve::decode_stats(current));
 }
 
 TEST(PlanCodec, StatsV4LinesRejectMalformedFields) {

@@ -86,7 +86,7 @@ TEST(Table, AlignmentAndRules) {
 }
 
 TEST(Report, SeriesRendering) {
-  driver::Comparison cmp;
+  api::Comparison cmp;
   cmp.estimated = 0.5;
   cmp.measured_mean = 0.4;
   const std::string s = driver::render_series("ttl", {{64, cmp}});

@@ -7,14 +7,8 @@
 // disagree. Small platform-dependent float drift below the threshold
 // passes — the artifact pins the study's *conclusions*, not its bytes.
 //
-//   hpf90d_studycheck --check golden.csv [--threshold 0.05] [--speculate] [--order]
+//   hpf90d_studycheck --check golden.csv [--threshold 0.05]
 //   hpf90d_studycheck --write golden.csv     (regenerate the artifact)
-//
-// --speculate / --order run the study with RunOptions::speculate_branches
-// / RunOptions::order_points on. Both are pure execution strategies — the
-// report is byte-identical by construction — so checking against a golden
-// artifact produced without them is exactly the point: any drift they
-// introduce fails the gate.
 //
 //   hpf90d_studycheck --table2 --check table2_golden.csv
 //   hpf90d_studycheck --table2 --write table2_golden.csv
@@ -45,7 +39,7 @@ using namespace hpf90d;
 
 /// The canonical study. Any change here must ship with a regenerated
 /// golden artifact (run with --write).
-study::StudyResult run_canonical_study(const api::RunOptions& opts) {
+study::StudyResult run_canonical_study() {
   const auto& app = suite::app("laplace_bb");
   api::Session session;
   study::StudyPlan plan("golden: laplace latency/bandwidth what-if");
@@ -58,12 +52,12 @@ study::StudyResult run_canonical_study(const api::RunOptions& opts) {
       .problems_from({32, 64}, app.bindings)
       .nprocs({2, 4, 8})
       .runs(0);
-  return study::run_study(session, plan, opts);
+  return study::run_study(session, plan);
 }
 
 /// The trimmed measured Table 2, one record per (app, size, nprocs) in
 /// suite order. Any change here must ship with a regenerated artifact.
-api::RunReport run_table2(const api::RunOptions& opts) {
+api::RunReport run_table2() {
   api::Session session;
   api::RunReport table;
   for (const auto& app : suite::validation_suite()) {
@@ -79,7 +73,7 @@ api::RunReport run_table2(const api::RunOptions& opts) {
                       app.id == "laplace_bb" ? std::optional<int>(2) : std::nullopt})
         .problems_from(sizes, app.bindings)
         .runs(3);
-    api::RunReport report = session.run(plan, opts);
+    api::RunReport report = session.run(plan);
     for (auto& rec : report.records) table.records.push_back(std::move(rec));
   }
   return table;
@@ -126,7 +120,6 @@ int main(int argc, char** argv) {
   bool write = false;
   bool table2 = false;
   double threshold = 0.05;
-  api::RunOptions opts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--write") == 0 && i + 1 < argc) {
       write = true;
@@ -135,16 +128,12 @@ int main(int argc, char** argv) {
       path = argv[++i];
     } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
       threshold = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--speculate") == 0) {
-      opts.speculate_branches = true;
-    } else if (std::strcmp(argv[i], "--order") == 0) {
-      opts.order_points = true;
     } else if (std::strcmp(argv[i], "--table2") == 0) {
       table2 = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--table2] --check golden.csv [--threshold 0.05] "
-                   "[--speculate] [--order] | [--table2] --write golden.csv\n",
+                   "| [--table2] --write golden.csv\n",
                    argv[0]);
       return 2;
     }
@@ -155,7 +144,7 @@ int main(int argc, char** argv) {
   }
 
   if (table2) {
-    const api::RunReport current = run_table2(opts);
+    const api::RunReport current = run_table2();
     if (write) {
       std::ofstream out(path, std::ios::binary);
       if (!out) {
@@ -186,7 +175,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const study::StudyResult current = run_canonical_study(opts);
+  const study::StudyResult current = run_canonical_study();
 
   if (write) {
     std::ofstream out(path, std::ios::binary);
