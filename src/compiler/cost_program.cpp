@@ -9,14 +9,8 @@ namespace hpf90d::compiler {
 
 using front::Expr;
 using front::ExprKind;
-using front::TypeBase;
 
 namespace {
-
-bool both_int(const Expr& e) {
-  return e.args.size() == 2 && e.args[0]->type == TypeBase::Integer &&
-         e.args[1]->type == TypeBase::Integer;
-}
 
 /// Flattens one expression tree into a temporary instruction buffer.
 /// Returns the result register, or -1 when the expression cannot be proved
@@ -122,7 +116,7 @@ class Flattener {
           case front::BinOp::Add: op = CostOp::Add; break;
           case front::BinOp::Sub: op = CostOp::Sub; break;
           case front::BinOp::Mul: op = CostOp::Mul; break;
-          case front::BinOp::Div: op = both_int(e) ? CostOp::IDiv : CostOp::Div; break;
+          case front::BinOp::Div: op = integer_operands(e) ? CostOp::IDiv : CostOp::Div; break;
           case front::BinOp::Pow: op = CostOp::Pow; break;
           case front::BinOp::Lt: op = CostOp::Lt; break;
           case front::BinOp::Le: op = CostOp::Le; break;
@@ -142,8 +136,8 @@ class Flattener {
   }
 
   int emit_call(const Expr& e) {
-    const std::string& n = e.name;
-    if (n == "size") {
+    if (!e.intrinsic) return emit_fail();  // unresolved: the tree evaluator fails too
+    if (*e.intrinsic == front::IntrinsicId::Size) {
       // size() is static under the engine's array-free evaluation: the tree
       // evaluator folds declared extents against PARAMETER constants, with
       // only the dim argument read from the runtime environment. Fold the
@@ -169,35 +163,39 @@ class Flattener {
     }
     if (argv.empty()) return -1;
 
-    if (n == "exp") return push(CostOp::Exp, alloc(), argv[0]);
-    if (n == "log") return push(CostOp::Log, alloc(), argv[0]);
-    if (n == "sqrt") return push(CostOp::Sqrt, alloc(), argv[0]);
-    if (n == "abs") return push(CostOp::Abs, alloc(), argv[0]);
-    if (n == "sin") return push(CostOp::Sin, alloc(), argv[0]);
-    if (n == "cos") return push(CostOp::Cos, alloc(), argv[0]);
-    if (n == "atan") return push(CostOp::Atan, alloc(), argv[0]);
-    if (n == "real" || n == "float" || n == "dble") return argv[0];
-    if (n == "int") return push(CostOp::Trunc, alloc(), argv[0]);
-    if (n == "nint") return push(CostOp::Nint, alloc(), argv[0]);
-    if (n == "sign") {
-      if (argv.size() != 2) return -1;
-      return push(CostOp::Sign2, alloc(), argv[0], argv[1]);
+    const auto unary = [&](CostOp op) { return push(op, alloc(), argv[0]); };
+    using enum front::IntrinsicId;
+    switch (*e.intrinsic) {
+      case Atan: return unary(CostOp::Atan);
+      case Cos: return unary(CostOp::Cos);
+      case Exp: return unary(CostOp::Exp);
+      case Log: return unary(CostOp::Log);
+      case Mod:
+        return push(integer_operands(e) ? CostOp::IMod : CostOp::FMod, alloc(), argv[0], argv[1]);
+      case Sin: return unary(CostOp::Sin);
+      case Sqrt: return unary(CostOp::Sqrt);
+      case Abs: return unary(CostOp::Abs);
+      case Min:
+      case Max: {
+        const CostOp op = *e.intrinsic == Min ? CostOp::Min2 : CostOp::Max2;
+        int v = argv[0];
+        for (std::size_t i = 1; i < argv.size(); ++i) v = push(op, alloc(), v, argv[i]);
+        return v;
+      }
+      case Sign: return push(CostOp::Sign2, alloc(), argv[0], argv[1]);
+      case Merge: return push(CostOp::Merge, alloc(), argv[0], argv[1], argv[2]);
+      case Real:
+      case Float:
+      case Dble: return argv[0];
+      case Int: return unary(CostOp::Trunc);
+      case Nint: return unary(CostOp::Nint);
+      case Sum: case Product: case Maxval: case Minval: case Maxloc:
+      case Cshift: case Tshift: case Size:
+        // lowered before pricing (size() is handled above): the tree
+        // evaluator fails on these too
+        return emit_fail();
     }
-    if (n == "mod") {
-      if (argv.size() != 2) return -1;
-      return push(both_int(e) ? CostOp::IMod : CostOp::FMod, alloc(), argv[0], argv[1]);
-    }
-    if (n == "min" || n == "max") {
-      const CostOp op = n == "min" ? CostOp::Min2 : CostOp::Max2;
-      int v = argv[0];
-      for (std::size_t i = 1; i < argv.size(); ++i) v = push(op, alloc(), v, argv[i]);
-      return v;
-    }
-    if (n == "merge") {
-      if (argv.size() != 3) return -1;
-      return push(CostOp::Merge, alloc(), argv[0], argv[1], argv[2]);
-    }
-    return emit_fail();  // unpriceable intrinsic: the tree evaluator fails too
+    return -1;
   }
 
   const CompiledProgram& prog_;
@@ -324,10 +322,11 @@ std::optional<double> eval_code(const CostProgram& cp, const ExprCode& c,
       case CostOp::Mul: r[in.dst] = r[in.a] * r[in.b]; break;
       case CostOp::Div: r[in.dst] = r[in.a] / r[in.b]; break;
       case CostOp::Pow: r[in.dst] = std::pow(r[in.a], r[in.b]); break;
-      case CostOp::IDiv: {
-        const long long bi = static_cast<long long>(r[in.b]);
-        if (bi == 0) return std::nullopt;
-        r[in.dst] = static_cast<double>(static_cast<long long>(r[in.a]) / bi);
+      case CostOp::IDiv:
+      case CostOp::IMod: {
+        const auto v = front::int_divide(r[in.a], r[in.b], in.op == CostOp::IMod);
+        if (!v) return std::nullopt;
+        r[in.dst] = *v;
         break;
       }
       case CostOp::Lt: r[in.dst] = r[in.a] < r[in.b] ? 1.0 : 0.0; break;
@@ -343,10 +342,6 @@ std::optional<double> eval_code(const CostProgram& cp, const ExprCode& c,
         r[in.dst] = (r[in.a] != 0.0 || r[in.b] != 0.0) ? 1.0 : 0.0;
         break;
       case CostOp::FMod: r[in.dst] = std::fmod(r[in.a], r[in.b]); break;
-      case CostOp::IMod:
-        r[in.dst] = static_cast<double>(static_cast<long long>(r[in.a]) %
-                                        static_cast<long long>(r[in.b]));
-        break;
       case CostOp::Min2: r[in.dst] = std::min(r[in.a], r[in.b]); break;
       case CostOp::Max2: r[in.dst] = std::max(r[in.a], r[in.b]); break;
       case CostOp::Sign2:
@@ -366,16 +361,6 @@ std::optional<double> eval_code(const CostProgram& cp, const ExprCode& c,
   }
   return r[c.result];
 }
-
-namespace {
-/// Integer cast for the batch evaluator. Lanes evicted from lockstep keep
-/// evaluating densely (their results are discarded), so operands can be
-/// arbitrary garbage — clamp the out-of-range cast that would be UB. For
-/// any value the tree evaluator handles without UB this is the plain cast.
-inline long long batch_ll(double v) {
-  return v >= -9.2e18 && v <= 9.2e18 ? static_cast<long long>(v) : 0;
-}
-}  // namespace
 
 // Fixed-width stripe loop: the trip count is the compile-time kBatchStripe
 // and every operand column is contiguous and disjoint from dst (registers
@@ -461,14 +446,13 @@ std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
         for (std::size_t l = 0; l < S; ++l) dst[l] = std::pow(a[l], b[l]);
         break;
       case CostOp::IDiv:
+      case CostOp::IMod:
+        // lanes evicted from lockstep keep evaluating densely on garbage
+        // operands; the checked divide fails those lanes instead of trapping
         for (std::size_t l = 0; l < S; ++l) {
-          const long long bi = batch_ll(b[l]);
-          if (bi == 0) {
-            ok[l] = 0;
-            dst[l] = 0.0;
-          } else {
-            dst[l] = static_cast<double>(batch_ll(a[l]) / bi);
-          }
+          const auto v = front::int_divide(a[l], b[l], in.op == CostOp::IMod);
+          ok[l] = v ? ok[l] : static_cast<unsigned char>(0);
+          dst[l] = v.value_or(0.0);
         }
         break;
       case CostOp::Lt: HPF90D_STRIPE(dst[l] = a[l] < b[l] ? 1.0 : 0.0);
@@ -483,17 +467,6 @@ std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
         HPF90D_STRIPE(dst[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0);
       case CostOp::FMod:
         for (std::size_t l = 0; l < S; ++l) dst[l] = std::fmod(a[l], b[l]);
-        break;
-      case CostOp::IMod:
-        for (std::size_t l = 0; l < S; ++l) {
-          const long long bi = batch_ll(b[l]);
-          if (bi == 0) {
-            ok[l] = 0;
-            dst[l] = 0.0;
-          } else {
-            dst[l] = static_cast<double>(batch_ll(a[l]) % bi);
-          }
-        }
         break;
       case CostOp::Min2: HPF90D_STRIPE(dst[l] = std::min(a[l], b[l]));
       case CostOp::Max2: HPF90D_STRIPE(dst[l] = std::max(a[l], b[l]));

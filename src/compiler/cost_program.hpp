@@ -15,7 +15,7 @@
 // order, same integer-division selection by static operand types, same
 // failure points — so bytecode evaluation is bit-identical to the tree
 // evaluator, including *when* it fails (an undefined critical variable, an
-// array element probe, an integer division by zero). Expressions the
+// array element probe, a trapping integer division). Expressions the
 // flattener cannot prove equivalent (e.g. size() with a non-static dim
 // argument) are left uncompiled (ExprCode::ok == false) and the engines
 // fall back to the tree walker for just those expressions.
@@ -44,10 +44,10 @@ enum class CostOp : std::uint8_t {
   Neg,       // dst = -r[a]
   Not,       // dst = r[a] == 0 ? 1 : 0
   Add, Sub, Mul, Div, Pow,          // dst = r[a] op r[b]
-  IDiv,      // dst = (ll)r[a] / (ll)r[b]; fails on zero divisor
+  IDiv,      // dst = (ll)r[a] / (ll)r[b]; fails where front::int_divide does
   Lt, Le, Gt, Ge, Eq, Ne,           // dst = r[a] op r[b] ? 1 : 0
   And, Or,   // non-short-circuit, as the tree evaluator
-  FMod, IMod, Min2, Max2, Sign2,    // two-operand intrinsics
+  FMod, IMod, Min2, Max2, Sign2,    // two-operand intrinsics (IMod as IDiv)
   Exp, Log, Sqrt, Abs, Sin, Cos, Atan, Trunc, Nint,  // one-operand intrinsics
   Merge,     // dst = r[c] != 0 ? r[a] : r[b]
 };

@@ -11,15 +11,9 @@ namespace hpf90d::compiler {
 
 using front::Expr;
 using front::ExprKind;
-using front::TypeBase;
 using support::CompileError;
 
 namespace {
-
-bool both_int(const Expr& e) {
-  return e.args.size() == 2 && e.args[0]->type == TypeBase::Integer &&
-         e.args[1]->type == TypeBase::Integer;
-}
 
 /// Failure context for the throwing entry points. The evaluator itself is
 /// exception-free: interpretation probes unavailable data values on every
@@ -32,6 +26,9 @@ struct EvalError {
   front::SourceLoc loc;
   std::string message;
 };
+
+constexpr const char* kIntDivideError =
+    "integer division by zero or overflow";
 
 void fail(EvalError* err, const front::SourceLoc& loc, std::string message) {
   if (err != nullptr && err->message.empty()) {
@@ -116,13 +113,10 @@ std::optional<double> eval_rec(const Expr& e, const ScalarEnv& env, ArrayAccess*
         case front::BinOp::Sub: return a - b;
         case front::BinOp::Mul: return a * b;
         case front::BinOp::Div:
-          if (both_int(e)) {
-            const long long bi = static_cast<long long>(b);
-            if (bi == 0) {
-              fail(err, e.loc, "integer division by zero");
-              return std::nullopt;
-            }
-            return static_cast<double>(static_cast<long long>(a) / bi);
+          if (integer_operands(e)) {
+            const std::optional<double> q = front::int_divide(a, b, /*remainder=*/false);
+            if (!q) fail(err, e.loc, kIntDivideError);
+            return q;
           }
           return a / b;
         case front::BinOp::Pow: return std::pow(a, b);
@@ -146,8 +140,7 @@ std::optional<double> eval_rec(const Expr& e, const ScalarEnv& env, ArrayAccess*
 std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
                                 ArrayAccess* arrays, const front::SymbolTable& symbols,
                                 EvalError* err) {
-  const std::string& n = e.name;
-  if (n == "size") {
+  if (e.intrinsic == front::IntrinsicId::Size) {
     if (arrays == nullptr) {
       // extents are static: fall back to folding the declared extent
       try {
@@ -189,6 +182,12 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
     return static_cast<double>(total);
   }
 
+  // reductions and shifts are lowered to dedicated SPMD nodes beforehand
+  if (e.intrinsic_kind() != front::IntrinsicKind::Elemental) {
+    fail(err, e.loc, "intrinsic '" + e.name + "' cannot be evaluated here");
+    return std::nullopt;
+  }
+
   // Elemental intrinsics take a handful of arguments: keep them on the
   // stack unless a long min/max argument list needs the heap.
   double inline_argv[8] = {};
@@ -204,37 +203,10 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
     argv[i] = *v;
   }
 
-  if (n == "exp") return std::exp(argv[0]);
-  if (n == "log") return std::log(argv[0]);
-  if (n == "sqrt") return std::sqrt(argv[0]);
-  if (n == "abs") return std::fabs(argv[0]);
-  if (n == "sin") return std::sin(argv[0]);
-  if (n == "cos") return std::cos(argv[0]);
-  if (n == "atan") return std::atan(argv[0]);
-  if (n == "real" || n == "float" || n == "dble") return argv[0];
-  if (n == "int") return std::trunc(argv[0]);
-  if (n == "nint") return std::nearbyint(argv[0]);
-  if (n == "sign") return argv[1] >= 0 ? std::fabs(argv[0]) : -std::fabs(argv[0]);
-  if (n == "mod") {
-    if (both_int(e)) {
-      return static_cast<double>(static_cast<long long>(argv[0]) %
-                                 static_cast<long long>(argv[1]));
-    }
-    return std::fmod(argv[0], argv[1]);
-  }
-  if (n == "min") {
-    double v = argv[0];
-    for (std::size_t i = 1; i < e.args.size(); ++i) v = std::min(v, argv[i]);
-    return v;
-  }
-  if (n == "max") {
-    double v = argv[0];
-    for (std::size_t i = 1; i < e.args.size(); ++i) v = std::max(v, argv[i]);
-    return v;
-  }
-  if (n == "merge") return argv[2] != 0.0 ? argv[0] : argv[1];
-  fail(err, e.loc, "intrinsic '" + n + "' cannot be evaluated here");
-  return std::nullopt;
+  const std::optional<double> v = front::apply_intrinsic(
+      *e.intrinsic, std::span<const double>(argv, e.args.size()), integer_operands(e));
+  if (!v) fail(err, e.loc, kIntDivideError);  // integer mod
+  return v;
 }
 
 }  // namespace

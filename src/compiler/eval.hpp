@@ -59,6 +59,13 @@ class ScalarEnv {
   std::vector<char> defined_;
 };
 
+/// True when `e` has exactly two INTEGER operands: Fortran `/` and `mod`
+/// then truncate (front::int_divide), as every evaluator must agree.
+[[nodiscard]] inline bool integer_operands(const front::Expr& e) {
+  return e.args.size() == 2 && e.args[0]->type == front::TypeBase::Integer &&
+         e.args[1]->type == front::TypeBase::Integer;
+}
+
 /// Evaluates a scalar (rank-0) expression. Throws support::CompileError on
 /// an undefined scalar, an array access without accessor, or a construct
 /// that cannot be evaluated (shift/reduction calls — those are lowered to

@@ -6,7 +6,6 @@
 #include "compiler/cost_program.hpp"
 #include "compiler/normalize.hpp"
 #include "hpf/fold.hpp"
-#include "hpf/intrinsics.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::compiler {
@@ -166,10 +165,9 @@ class Lowerer {
   /// scalar temporary, emitting the Reduce nodes that compute them.
   void extract_reductions(ExprPtr& e, std::vector<SpmdNodePtr>& into,
                           front::SourceLoc loc) {
-    const auto info = front::find_intrinsic(e->name);
-    if (e->kind == ExprKind::Call && info &&
-        (info->kind == front::IntrinsicKind::Reduction ||
-         info->kind == front::IntrinsicKind::Location) &&
+    const auto kind = e->intrinsic_kind();
+    if ((kind == front::IntrinsicKind::Reduction ||
+         kind == front::IntrinsicKind::Location) &&
         e->rank == 0 && e->args.size() == 1) {
       into.push_back(make_reduce_node(*e, loc, into));
       const int result = into.back()->reduce_result;
@@ -185,10 +183,21 @@ class Lowerer {
     }
   }
 
-  static ReduceOp reduce_op_for(const std::string& name, front::SourceLoc loc) {
-    const std::optional<ReduceOp> op = reduce_op_from_name(name);
-    if (!op) throw CompileError(loc, "unsupported reduction '" + name + "'");
-    return *op;
+  static ReduceOp reduce_op_for(const Expr& call, front::SourceLoc loc) {
+    using enum front::IntrinsicId;
+    switch (*call.intrinsic) {
+      case Sum: return ReduceOp::Sum;
+      case Product: return ReduceOp::Product;
+      case Maxval: return ReduceOp::MaxVal;
+      case Minval: return ReduceOp::MinVal;
+      case Maxloc: return ReduceOp::MaxLoc;
+      case Atan: case Cos: case Exp: case Log: case Mod: case Sin: case Sqrt:
+      case Abs: case Min: case Max: case Sign: case Merge:
+      case Real: case Float: case Dble: case Int: case Nint:
+      case Cshift: case Tshift: case Size:
+        break;
+    }
+    throw CompileError(loc, "unsupported reduction '" + call.name + "'");
   }
 
   /// Builds a Reduce node for `call` = sum/product/maxval/minval/maxloc of
@@ -208,7 +217,7 @@ class Lowerer {
     auto node = std::make_unique<SpmdNode>();
     node->kind = SpmdKind::Reduce;
     node->loc = loc;
-    node->reduce_op = reduce_op_for(call.name, loc);
+    node->reduce_op = reduce_op_for(call, loc);
     for (auto& idx : indices) {
       IterIndex it;
       it.name = idx.name;
@@ -235,8 +244,7 @@ class Lowerer {
     }
 
     node->reduce_arg = std::move(arg);
-    node->reduce_result = new_temp_scalar(
-        call.name == "maxloc" ? front::TypeBase::Integer : call.type, loc);
+    node->reduce_result = new_temp_scalar(call.type, loc);  // maxloc: Integer
     return node;
   }
 
@@ -244,11 +252,8 @@ class Lowerer {
     if ((e.kind == ExprKind::Var || e.kind == ExprKind::ArrayRef) && e.rank > 0) {
       return &e;
     }
-    if (e.kind == ExprKind::Call) {
-      const auto info = front::find_intrinsic(e.name);
-      if (info && info->kind == front::IntrinsicKind::Shift) {
-        return find_shape_term(*e.args[0]);
-      }
+    if (e.intrinsic_kind() == front::IntrinsicKind::Shift) {
+      return find_shape_term(*e.args[0]);
     }
     for (const auto& a : e.args) {
       if (const Expr* t = find_shape_term(*a)) return t;
@@ -337,9 +342,8 @@ class Lowerer {
     for (const auto& ix : space) node->space.push_back(ix.clone());
 
     // top-level dim-reduction RHS: p(i) = product(a, dim)
-    const auto rinfo = front::find_intrinsic(rhs->name);
-    if (rhs->kind == ExprKind::Call && rinfo &&
-        rinfo->kind == front::IntrinsicKind::Reduction && rhs->args.size() == 2) {
+    if (rhs->intrinsic_kind() == front::IntrinsicKind::Reduction &&
+        rhs->args.size() == 2) {
       lower_dim_reduction(*node, std::move(rhs), space, into);
     } else {
       extract_shifts(rhs, space, into, assign.loc);
@@ -366,7 +370,7 @@ class Lowerer {
   void lower_dim_reduction(SpmdNode& node, ExprPtr call,
                            const std::vector<IterIndex>& space,
                            std::vector<SpmdNodePtr>& into) {
-    const std::string op = call->name;
+    const ReduceOp op = reduce_op_for(*call, node.loc);
     ExprPtr arg = std::move(call->args[0]);
     const long long dim = require_const_int(*call->args[1]);
     const Expr* shape_term = find_shape_term(*arg);
@@ -382,7 +386,7 @@ class Lowerer {
     // index list for the argument: result indices in order, inner index at
     // position dim-1
     SpmdNode::InnerReduce inner;
-    inner.op = reduce_op_for(op, node.loc);
+    inner.op = op;
     inner.index.symbol = new_index_symbol(inner.index.name);
     inner.index.lo = front::make_int_lit(1, node.loc);
     inner.index.hi = tsym.dims[static_cast<std::size_t>(dim - 1)]->clone();
@@ -428,9 +432,7 @@ class Lowerer {
   /// references to shift temporaries filled by CShiftComm nodes.
   void extract_shifts(ExprPtr& e, const std::vector<IterIndex>& space,
                       std::vector<SpmdNodePtr>& into, front::SourceLoc loc) {
-    const auto info = front::find_intrinsic(e->name);
-    if (e->kind == ExprKind::Call && info &&
-        info->kind == front::IntrinsicKind::Shift) {
+    if (e->intrinsic_kind() == front::IntrinsicKind::Shift) {
       const Expr* src = e->args[0].get();
       if (src->kind != ExprKind::Var && src->kind != ExprKind::ArrayRef) {
         throw CompileError(e->loc, "shift argument must be an array name");

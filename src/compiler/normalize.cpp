@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "hpf/intrinsics.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::compiler {
@@ -134,10 +133,9 @@ void rewrite_terms(Expr& e, const std::vector<front::ForallIndex>& indices,
       e.rank = 0;
       return;
     case ExprKind::Call: {
-      const auto info = front::find_intrinsic(e.name);
-      if (info && (info->kind == front::IntrinsicKind::Shift ||
-                   info->kind == front::IntrinsicKind::Reduction ||
-                   info->kind == front::IntrinsicKind::Location)) {
+      const auto kind = e.intrinsic_kind();
+      if (kind == front::IntrinsicKind::Shift || kind == front::IntrinsicKind::Reduction ||
+          kind == front::IntrinsicKind::Location) {
         // atomic terms: the lowerer extracts shifts into temporaries and
         // reductions into Reduce nodes / inner loops
         return;

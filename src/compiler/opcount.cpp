@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "compiler/spmd_ir.hpp"
-#include "hpf/intrinsics.hpp"
 
 namespace hpf90d::compiler {
 
@@ -19,7 +18,7 @@ void OpCounts::add(const OpCounts& other) {
   iops += other.iops;
   loads += other.loads;
   stores += other.stores;
-  for (const auto& [name, n] : other.intrinsics) intrinsics[name] += n;
+  for (std::size_t i = 0; i < intrinsics.size(); ++i) intrinsics[i] += other.intrinsics[i];
   depth = std::max(depth, other.depth);
 }
 
@@ -95,35 +94,31 @@ void count_rec(const Expr& e, OpCounts& out, int& depth) {
       return;
     }
     case ExprKind::Call: {
-      const auto info = front::find_intrinsic(e.name);
       int dmax = 0;
       for (const auto& a : e.args) {
         int d = 0;
         count_rec(*a, out, d);
         dmax = std::max(dmax, d);
       }
-      if (info && info->kind == front::IntrinsicKind::Elemental) {
-        // cheap conversions fold into the pipeline; transcendental calls
-        // are charged by name so the SAU can price them individually
-        if (e.name == "real" || e.name == "float" || e.name == "dble" ||
-            e.name == "int" || e.name == "nint") {
-          ++out.iops;
-          depth = dmax + 1;
-        } else if (e.name == "abs" || e.name == "min" || e.name == "max" ||
-                   e.name == "sign" || e.name == "merge") {
-          ++out.fadd;
-          depth = dmax + 1;
-        } else {
-          ++out.intrinsics[e.name];
-          depth = dmax + 8;  // library call: long latency on the chain
-        }
-      } else {
-        // reductions / shifts are lowered to dedicated SPMD nodes before
-        // cost interpretation; if one is still embedded treat it as a
-        // single element access
-        out.loads += 1;
-        depth = dmax + 1;
+      // cheap conversions fold into the pipeline; library calls are charged
+      // per id so the SAU can price them individually; reductions / shifts
+      // are lowered to dedicated SPMD nodes before cost interpretation, so
+      // one still embedded (or an unresolved call) counts as a single
+      // element access
+      const front::CostClass cost = e.intrinsic
+                                        ? front::intrinsic_info(*e.intrinsic).cost
+                                        : front::CostClass::Lowered;
+      switch (cost) {
+        case front::CostClass::Convert: ++out.iops; break;
+        case front::CostClass::Cheap: ++out.fadd; break;
+        case front::CostClass::Library:
+          ++out.intrinsics[static_cast<std::size_t>(*e.intrinsic)];
+          break;
+        case front::CostClass::Lowered:
+        case front::CostClass::Inquiry: ++out.loads; break;
       }
+      // a library call has long latency on the chain
+      depth = dmax + (cost == front::CostClass::Library ? 8 : 1);
       return;
     }
   }

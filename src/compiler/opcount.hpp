@@ -7,8 +7,7 @@
 // i860 issue/dependence model (sim/exec_cost.hpp).
 #pragma once
 
-#include <map>
-#include <string>
+#include <array>
 
 #include "hpf/ast.hpp"
 
@@ -25,14 +24,24 @@ struct OpCounts {
   // memory traffic (array element accesses; scalars live in registers)
   int loads = 0;
   int stores = 0;
-  // elemental intrinsic invocations by name (exp, sqrt, ...)
-  std::map<std::string, int> intrinsics;
+  // library intrinsic invocations (exp, sqrt, ...), indexed by IntrinsicId
+  std::array<int, front::kIntrinsicCount> intrinsics{};
   // critical-path depth of the expression DAG (operations on the longest
   // dependence chain) — drives the simulator's pipeline model
   int depth = 0;
 
   void add(const OpCounts& other);
   [[nodiscard]] int total_flops() const noexcept { return fadd + fmul + fdiv + fpow; }
+  /// Time of the library calls under per-id prices (machine/sau.hpp), summed
+  /// in registry order.
+  [[nodiscard]] double library_time(
+      const std::array<double, front::kIntrinsicCount>& price) const noexcept {
+    double t = 0.0;
+    for (std::size_t i = 0; i < front::kLibraryIntrinsics; ++i) {
+      if (intrinsics[i] != 0) t += intrinsics[i] * price[i];
+    }
+    return t;
+  }
 };
 
 /// Counts the work of evaluating `e` once (one element of a data-parallel

@@ -34,14 +34,6 @@ std::string_view reduce_op_name(ReduceOp op) noexcept {
   return "?";
 }
 
-std::optional<ReduceOp> reduce_op_from_name(std::string_view name) noexcept {
-  for (ReduceOp op : {ReduceOp::Sum, ReduceOp::Product, ReduceOp::MaxVal,
-                      ReduceOp::MinVal, ReduceOp::MaxLoc}) {
-    if (reduce_op_name(op) == name) return op;
-  }
-  return std::nullopt;
-}
-
 IterIndex IterIndex::clone() const {
   IterIndex out;
   out.name = name;

@@ -44,13 +44,11 @@ enum class SpmdKind {
 [[nodiscard]] std::string_view spmd_kind_name(SpmdKind k) noexcept;
 
 /// Reduction operator of a Reduce node or an inner dim-reduction, resolved
-/// from the intrinsic name at lowering.
+/// from the call's intrinsic id at lowering.
 enum class ReduceOp { Sum, Product, MaxVal, MinVal, MaxLoc };
 
 /// The intrinsic's Fortran name ("sum", "maxloc", ...).
 [[nodiscard]] std::string_view reduce_op_name(ReduceOp op) noexcept;
-/// Inverse of reduce_op_name; nullopt for a name that is no reduction.
-[[nodiscard]] std::optional<ReduceOp> reduce_op_from_name(std::string_view name) noexcept;
 
 /// One dimension of a local iteration space (a forall index).
 struct IterIndex {

@@ -9,8 +9,7 @@ double InterpretationFunctions::flat_ops(const compiler::OpCounts& ops) const {
   const double core = ops.fadd * p.t_fadd + ops.fmul * p.t_fmul + ops.fdiv * p.t_fdiv +
                       ops.fpow * p.t_fpow + ops.iops * p.t_iop + ops.loads * p.t_load +
                       ops.stores * p.t_store;
-  double lib = 0.0;
-  for (const auto& [name, n] : ops.intrinsics) lib += n * p.intrinsic(name);
+  const double lib = ops.library_time(p.intrinsic_cost);
   // Calibration from the off-line benchmarking runs (paper §4.4): compiled
   // code dual-issues core and FP instructions part of the time, so the
   // effective per-operation cost sits below the serial-issue sum; library

@@ -62,6 +62,7 @@ ExprPtr Expr::clone() const {
   out->bool_value = bool_value;
   out->name = name;
   out->symbol = symbol;
+  out->intrinsic = intrinsic;
   out->bin_op = bin_op;
   out->un_op = un_op;
   out->type = type;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "hpf/intrinsics.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::front {
@@ -75,6 +76,7 @@ struct Expr {
   // Var / ArrayRef / Call
   std::string name;   // canonical lower case
   int symbol = -1;    // index into the program symbol table (set by sema)
+  std::optional<IntrinsicId> intrinsic;  // Call: resolved by sema
 
   BinOp bin_op = BinOp::Add;
   UnOp un_op = UnOp::Neg;
@@ -85,6 +87,12 @@ struct Expr {
   // Filled in by sema:
   TypeBase type = TypeBase::Real;
   int rank = 0;  // 0 = scalar expression
+
+  /// Registry kind of a resolved intrinsic call; nullopt for any other node.
+  [[nodiscard]] std::optional<IntrinsicKind> intrinsic_kind() const {
+    if (!intrinsic) return std::nullopt;
+    return intrinsic_info(*intrinsic).kind;
+  }
 
   [[nodiscard]] ExprPtr clone() const;
   [[nodiscard]] std::string str() const;  // round-trippable Fortran-ish text

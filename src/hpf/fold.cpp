@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "hpf/intrinsics.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::front {
@@ -41,57 +42,45 @@ struct FoldValue {
 
 std::optional<FoldValue> fold_rec(const Expr& e, const Bindings& env);
 
+/// Integer-ness of a folded intrinsic result: fold's own rule, kept apart
+/// from sema typing because PARAMETER expressions fold before sema runs.
+bool folds_to_int(IntrinsicId id, bool int_args) {
+  using enum IntrinsicId;
+  switch (id) {
+    case Atan: case Cos: case Exp: case Log: case Sin: case Sqrt:
+    case Real: case Float: case Dble:
+      return false;
+    case Int: case Nint:
+      return true;
+    case Mod: case Abs: case Min: case Max: case Sign: case Merge:
+      return int_args;
+    case Sum: case Product: case Maxval: case Minval: case Maxloc:
+    case Cshift: case Tshift: case Size:
+      return false;  // never folds
+  }
+  return false;
+}
+
 std::optional<FoldValue> fold_call(const Expr& e, const Bindings& env) {
-  // Only elemental intrinsics of scalar arguments fold.
-  std::vector<FoldValue> argv;
+  // Only elemental intrinsics of scalar arguments fold. PARAMETER
+  // expressions are folded before sema, so the name may be unresolved.
+  const auto id = e.intrinsic ? e.intrinsic : find_intrinsic(e.name);
+  if (!id) return std::nullopt;
+  std::vector<double> argv;
   argv.reserve(e.args.size());
+  bool int_args = true;
   for (const auto& a : e.args) {
     auto v = fold_rec(*a, env);
     if (!v) return std::nullopt;
-    argv.push_back(*v);
+    argv.push_back(v->value);
+    int_args = int_args && v->is_int;
   }
-  const std::string& n = e.name;
-  auto real1 = [&](double (*fn)(double)) -> std::optional<FoldValue> {
-    if (argv.size() != 1) return std::nullopt;
-    return FoldValue{fn(argv[0].value), false};
-  };
-  if (n == "exp") return real1([](double x) { return std::exp(x); });
-  if (n == "log") return real1([](double x) { return std::log(x); });
-  if (n == "sqrt") return real1([](double x) { return std::sqrt(x); });
-  if (n == "sin") return real1([](double x) { return std::sin(x); });
-  if (n == "cos") return real1([](double x) { return std::cos(x); });
-  if (n == "atan") return real1([](double x) { return std::atan(x); });
-  if (n == "abs" && argv.size() == 1) {
-    return FoldValue{std::fabs(argv[0].value), argv[0].is_int};
-  }
-  if ((n == "real" || n == "float" || n == "dble") && argv.size() == 1) {
-    return FoldValue{argv[0].value, false};
-  }
-  if (n == "int" && argv.size() == 1) {
-    return FoldValue{std::trunc(argv[0].value), true};
-  }
-  if (n == "nint" && argv.size() == 1) {
-    return FoldValue{std::nearbyint(argv[0].value), true};
-  }
-  if (n == "mod" && argv.size() == 2) {
-    if (argv[0].is_int && argv[1].is_int) {
-      const long long a = static_cast<long long>(argv[0].value);
-      const long long b = static_cast<long long>(argv[1].value);
-      if (b == 0) return std::nullopt;
-      return FoldValue{static_cast<double>(a % b), true};
-    }
-    return FoldValue{std::fmod(argv[0].value, argv[1].value), false};
-  }
-  if ((n == "min" || n == "max") && argv.size() >= 2) {
-    FoldValue acc = argv[0];
-    for (std::size_t i = 1; i < argv.size(); ++i) {
-      acc.value = n == "min" ? std::min(acc.value, argv[i].value)
-                             : std::max(acc.value, argv[i].value);
-      acc.is_int = acc.is_int && argv[i].is_int;
-    }
-    return acc;
-  }
-  return std::nullopt;
+  const IntrinsicInfo& info = intrinsic_info(*id);
+  const auto argc = static_cast<int>(argv.size());
+  if (argc < info.min_args || argc > info.max_args) return std::nullopt;
+  const auto v = apply_intrinsic(*id, argv, int_args);
+  if (!v) return std::nullopt;
+  return FoldValue{*v, folds_to_int(*id, int_args)};
 }
 
 std::optional<FoldValue> fold_rec(const Expr& e, const Bindings& env) {
@@ -133,10 +122,9 @@ std::optional<FoldValue> fold_rec(const Expr& e, const Bindings& env) {
         case BinOp::Mul: return FoldValue{a->value * b->value, ii};
         case BinOp::Div:
           if (ii) {
-            const long long bi = static_cast<long long>(b->value);
-            if (bi == 0) return std::nullopt;
-            const long long ai = static_cast<long long>(a->value);
-            return FoldValue{static_cast<double>(ai / bi), true};  // truncating
+            const auto q = int_divide(a->value, b->value, /*remainder=*/false);
+            if (!q) return std::nullopt;
+            return FoldValue{*q, true};  // truncating
           }
           return FoldValue{a->value / b->value, false};
         case BinOp::Pow:

@@ -1,55 +1,49 @@
 #include "hpf/intrinsics.hpp"
 
-#include <array>
+#include <algorithm>
+#include <cmath>
 
 namespace hpf90d::front {
 
-namespace {
-constexpr std::array<IntrinsicInfo, 25> kIntrinsics = {{
-    // elemental math
-    {"exp", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"log", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"sqrt", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"abs", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"sin", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"cos", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"atan", IntrinsicKind::Elemental, 1, 1, ResultTyping::SameAsArg},
-    {"mod", IntrinsicKind::Elemental, 2, 2, ResultTyping::SameAsArg},
-    {"min", IntrinsicKind::Elemental, 2, 8, ResultTyping::SameAsArg},
-    {"max", IntrinsicKind::Elemental, 2, 8, ResultTyping::SameAsArg},
-    {"sign", IntrinsicKind::Elemental, 2, 2, ResultTyping::SameAsArg},
-    {"merge", IntrinsicKind::Elemental, 3, 3, ResultTyping::SameAsArg},
-    // type conversion (elemental)
-    {"real", IntrinsicKind::Elemental, 1, 1, ResultTyping::ForceReal},
-    {"float", IntrinsicKind::Elemental, 1, 1, ResultTyping::ForceReal},
-    {"dble", IntrinsicKind::Elemental, 1, 1, ResultTyping::ForceDouble},
-    {"int", IntrinsicKind::Elemental, 1, 1, ResultTyping::ForceInteger},
-    {"nint", IntrinsicKind::Elemental, 1, 1, ResultTyping::ForceInteger},
-    // reductions
-    {"sum", IntrinsicKind::Reduction, 1, 2, ResultTyping::SameAsArg},
-    {"product", IntrinsicKind::Reduction, 1, 2, ResultTyping::SameAsArg},
-    {"maxval", IntrinsicKind::Reduction, 1, 2, ResultTyping::SameAsArg},
-    {"minval", IntrinsicKind::Reduction, 1, 2, ResultTyping::SameAsArg},
-    {"maxloc", IntrinsicKind::Location, 1, 1, ResultTyping::ForceInteger},
-    // shifts (tshift is the NPAC shift-to-temporary variant of cshift)
-    {"cshift", IntrinsicKind::Shift, 2, 3, ResultTyping::SameAsArg},
-    {"tshift", IntrinsicKind::Shift, 2, 3, ResultTyping::SameAsArg},
-    // inquiry
-    {"size", IntrinsicKind::Inquiry, 1, 2, ResultTyping::ForceInteger},
-}};
-}  // namespace
-
-std::optional<IntrinsicInfo> find_intrinsic(std::string_view name) {
-  for (const auto& info : kIntrinsics) {
-    if (info.name == name) return info;
+std::optional<IntrinsicId> find_intrinsic(std::string_view name) {
+  for (std::size_t i = 0; i < kIntrinsicCount; ++i) {
+    if (kIntrinsics[i].name == name) return static_cast<IntrinsicId>(i);
   }
   return std::nullopt;
 }
 
-bool is_reduction_intrinsic(std::string_view name) {
-  const auto info = find_intrinsic(name);
-  return info && (info->kind == IntrinsicKind::Reduction ||
-                  info->kind == IntrinsicKind::Location);
+std::optional<double> apply_intrinsic(IntrinsicId id, std::span<const double> args,
+                                      bool int_args) {
+  using enum IntrinsicId;
+  switch (id) {
+    case Atan: return std::atan(args[0]);
+    case Cos: return std::cos(args[0]);
+    case Exp: return std::exp(args[0]);
+    case Log: return std::log(args[0]);
+    case Mod:
+      if (int_args) return int_divide(args[0], args[1], /*remainder=*/true);
+      return std::fmod(args[0], args[1]);
+    case Sin: return std::sin(args[0]);
+    case Sqrt: return std::sqrt(args[0]);
+    case Abs: return std::fabs(args[0]);
+    case Min:
+    case Max: {
+      double v = args[0];
+      for (const double a : args.subspan(1)) v = id == Min ? std::min(v, a) : std::max(v, a);
+      return v;
+    }
+    case Sign: return args[1] >= 0 ? std::fabs(args[0]) : -std::fabs(args[0]);
+    case Merge: return args[2] != 0.0 ? args[0] : args[1];
+    case Real:
+    case Float:
+    case Dble: return args[0];
+    case Int: return std::trunc(args[0]);
+    case Nint: return std::nearbyint(args[0]);
+    case Sum: case Product: case Maxval: case Minval: case Maxloc:
+    case Cshift: case Tshift: case Size:
+      return std::nullopt;
+  }
+  return std::nullopt;
 }
 
 }  // namespace hpf90d::front

@@ -417,8 +417,25 @@ class Parser {
   }
 
   // -- expressions --------------------------------------------------------
+  /// One level of expression nesting for the lifetime of the guard.
+  struct Nesting {
+    explicit Nesting(Parser& p) : parser(p) {
+      if (parser.depth_ == kMaxExprDepth) {
+        throw CompileError(parser.peek().loc, "expression nested more than " +
+                                                  std::to_string(kMaxExprDepth) +
+                                                  " levels deep");
+      }
+      ++parser.depth_;
+    }
+    ~Nesting() { --parser.depth_; }
+    Parser& parser;
+  };
+
   // precedence (low→high): .or. | .and. | .not. | relational | +- | */ | unary | ** | primary
-  ExprPtr parse_expr() { return parse_or(); }
+  ExprPtr parse_expr() {
+    const Nesting level(*this);
+    return parse_or();
+  }
 
   ExprPtr parse_or() {
     ExprPtr lhs = parse_and();
@@ -440,6 +457,7 @@ class Parser {
 
   ExprPtr parse_not() {
     if (at(TokenKind::Not)) {
+      const Nesting level(*this);
       const SourceLoc loc = peek().loc;
       advance();
       auto e = make_unary(UnOp::Not, parse_not());
@@ -491,6 +509,7 @@ class Parser {
 
   ExprPtr parse_unary() {
     if (at(TokenKind::Minus)) {
+      const Nesting level(*this);
       const SourceLoc loc = peek().loc;
       advance();
       auto e = make_unary(UnOp::Neg, parse_unary());
@@ -498,6 +517,7 @@ class Parser {
       return e;
     }
     if (at(TokenKind::Plus)) {
+      const Nesting level(*this);
       advance();
       return parse_unary();
     }
@@ -507,6 +527,7 @@ class Parser {
   ExprPtr parse_power() {
     ExprPtr base = parse_primary();
     if (at(TokenKind::Power)) {
+      const Nesting level(*this);
       advance();
       // right-associative; exponent may itself be unary (e.g. x**-2)
       return make_binary(BinOp::Pow, std::move(base), parse_unary());
@@ -627,6 +648,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // current expression nesting (see kMaxExprDepth)
 };
 
 }  // namespace

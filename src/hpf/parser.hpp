@@ -25,6 +25,13 @@
 
 namespace hpf90d::front {
 
+/// Deepest expression nesting the parser accepts: each parenthesis, unary
+/// sign, `.not.` and `**` exponent opens one level. Every later pass walks
+/// expression trees recursively too, so a hostile source such as 20,000
+/// nested parentheses is rejected here, with a diagnostic located at the
+/// token that crosses the limit, instead of overflowing the stack.
+inline constexpr int kMaxExprDepth = 256;
+
 /// Parses a complete source file (lexes it first). Throws
 /// support::CompileError on syntax errors.
 [[nodiscard]] Program parse_program(std::string_view source);

@@ -366,19 +366,20 @@ class Analyzer {
       analyze_array_ref(e);
       return;
     }
-    const auto info = find_intrinsic(e.name);
-    if (!info) {
+    e.intrinsic = find_intrinsic(e.name);
+    if (!e.intrinsic) {
       throw CompileError(e.loc, "unknown function or undeclared array '" + e.name + "'");
     }
+    const IntrinsicInfo& info = intrinsic_info(*e.intrinsic);
     const int argc = static_cast<int>(e.args.size());
-    if (argc < info->min_args || argc > info->max_args) {
+    if (argc < info.min_args || argc > info.max_args) {
       throw CompileError(e.loc, "intrinsic '" + e.name + "' takes " +
-                                    std::to_string(info->min_args) + ".." +
-                                    std::to_string(info->max_args) + " arguments");
+                                    std::to_string(info.min_args) + ".." +
+                                    std::to_string(info.max_args) + " arguments");
     }
     for (auto& a : e.args) analyze_expr(*a);
 
-    switch (info->kind) {
+    switch (info.kind) {
       case IntrinsicKind::Elemental: {
         int rank = 0;
         TypeBase t = e.args[0]->type;
@@ -411,8 +412,7 @@ class Analyzer {
         if (e.args[0]->rank != 1) {
           throw CompileError(e.loc, "'" + e.name + "' supports rank-1 arrays only");
         }
-        e.rank = 0;
-        e.type = TypeBase::Integer;
+        e.rank = 0;  // the row's typing makes it INTEGER
         break;
       }
       case IntrinsicKind::Shift: {
@@ -426,18 +426,15 @@ class Analyzer {
         e.type = e.args[0]->type;
         break;
       }
-      case IntrinsicKind::Inquiry: {
+      case IntrinsicKind::Inquiry:
         e.rank = 0;
-        e.type = TypeBase::Integer;
         break;
-      }
     }
-    switch (info->typing) {
+    switch (info.typing) {
       case ResultTyping::SameAsArg: break;
       case ResultTyping::ForceReal: e.type = TypeBase::Real; break;
       case ResultTyping::ForceDouble: e.type = TypeBase::Double; break;
       case ResultTyping::ForceInteger: e.type = TypeBase::Integer; break;
-      case ResultTyping::ForceLogical: e.type = TypeBase::Logical; break;
     }
   }
 

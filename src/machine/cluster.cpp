@@ -19,12 +19,10 @@ ProcessingComponent sparc_processing() {
   p.loop_overhead = 3.0 * cycle;
   p.loop_setup = 16.0 * cycle;
   p.branch_overhead = 4.0 * cycle;
-  p.call_overhead = 30.0 * cycle;
-  p.intrinsic_cost = {
-      {"exp", 90.0 * cycle},  {"log", 100.0 * cycle}, {"sqrt", 45.0 * cycle},
-      {"sin", 110.0 * cycle}, {"cos", 110.0 * cycle}, {"atan", 130.0 * cycle},
-      {"mod", 10.0 * cycle},
-  };
+  using enum front::IntrinsicId;
+  p.price_intrinsics({{Exp, 90.0 * cycle}, {Log, 100.0 * cycle}, {Sqrt, 45.0 * cycle},
+                      {Sin, 110.0 * cycle}, {Cos, 110.0 * cycle}, {Atan, 130.0 * cycle},
+                      {Mod, 10.0 * cycle}});
   return p;
 }
 

@@ -24,12 +24,10 @@ ProcessingComponent risc_processing() {
   p.loop_overhead = 2.5 * cycle;
   p.loop_setup = 14.0 * cycle;
   p.branch_overhead = 3.0 * cycle;
-  p.call_overhead = 28.0 * cycle;
-  p.intrinsic_cost = {
-      {"exp", 80.0 * cycle},  {"log", 90.0 * cycle},  {"sqrt", 40.0 * cycle},
-      {"sin", 100.0 * cycle}, {"cos", 100.0 * cycle}, {"atan", 120.0 * cycle},
-      {"mod", 8.0 * cycle},
-  };
+  using enum front::IntrinsicId;
+  p.price_intrinsics({{Exp, 80.0 * cycle}, {Log, 90.0 * cycle}, {Sqrt, 40.0 * cycle},
+                      {Sin, 100.0 * cycle}, {Cos, 100.0 * cycle}, {Atan, 120.0 * cycle},
+                      {Mod, 8.0 * cycle}});
   return p;
 }
 

@@ -20,12 +20,10 @@ ProcessingComponent i860_processing() {
   p.loop_overhead = 4.0 * cycle;   // decrement/compare/branch + induction
   p.loop_setup = 22.0 * cycle;     // prologue from instruction counts
   p.branch_overhead = 5.0 * cycle;
-  p.call_overhead = 40.0 * cycle;
-  p.intrinsic_cost = {
-      {"exp", 120.0 * cycle},  {"log", 130.0 * cycle}, {"sqrt", 60.0 * cycle},
-      {"sin", 140.0 * cycle},  {"cos", 140.0 * cycle}, {"atan", 160.0 * cycle},
-      {"mod", 14.0 * cycle},
-  };
+  using enum front::IntrinsicId;
+  p.price_intrinsics({{Exp, 120.0 * cycle}, {Log, 130.0 * cycle}, {Sqrt, 60.0 * cycle},
+                      {Sin, 140.0 * cycle}, {Cos, 140.0 * cycle}, {Atan, 160.0 * cycle},
+                      {Mod, 14.0 * cycle}});
   return p;
 }
 

@@ -21,12 +21,10 @@ ProcessingComponent i860xp_processing() {
   p.loop_overhead = 3.5 * cycle;
   p.loop_setup = 20.0 * cycle;
   p.branch_overhead = 4.0 * cycle;
-  p.call_overhead = 36.0 * cycle;
-  p.intrinsic_cost = {
-      {"exp", 110.0 * cycle},  {"log", 120.0 * cycle}, {"sqrt", 55.0 * cycle},
-      {"sin", 130.0 * cycle},  {"cos", 130.0 * cycle}, {"atan", 150.0 * cycle},
-      {"mod", 12.0 * cycle},
-  };
+  using enum front::IntrinsicId;
+  p.price_intrinsics({{Exp, 110.0 * cycle}, {Log, 120.0 * cycle}, {Sqrt, 55.0 * cycle},
+                      {Sin, 130.0 * cycle}, {Cos, 130.0 * cycle}, {Atan, 150.0 * cycle},
+                      {Mod, 12.0 * cycle}});
   return p;
 }
 

@@ -8,8 +8,12 @@
 // visible to it.
 #pragma once
 
-#include <map>
+#include <array>
+#include <initializer_list>
 #include <string>
+#include <utility>
+
+#include "hpf/intrinsics.hpp"
 
 namespace hpf90d::machine {
 
@@ -27,12 +31,12 @@ struct ProcessingComponent {
   double loop_overhead = 0;    // per-iteration branch + induction update
   double loop_setup = 0;       // loop prologue
   double branch_overhead = 0;  // per conditional evaluation
-  double call_overhead = 0;    // runtime-library call
-  std::map<std::string, double> intrinsic_cost;  // exp, log, sqrt, ...
+  // per-call price of each library intrinsic (exp, log, sqrt, ...),
+  // indexed by front::IntrinsicId
+  std::array<double, front::kIntrinsicCount> intrinsic_cost{};
 
-  [[nodiscard]] double intrinsic(const std::string& name) const {
-    const auto it = intrinsic_cost.find(name);
-    return it == intrinsic_cost.end() ? call_overhead : it->second;
+  void price_intrinsics(std::initializer_list<std::pair<front::IntrinsicId, double>> prices) {
+    for (const auto& [id, t] : prices) intrinsic_cost[static_cast<std::size_t>(id)] = t;
   }
 };
 

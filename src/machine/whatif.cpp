@@ -29,8 +29,7 @@ void scale_proc(ProcessingComponent& pc, const WhatIfParams& p) {
   pc.loop_overhead /= p.cpu_scale;
   pc.loop_setup /= p.cpu_scale;
   pc.branch_overhead /= p.cpu_scale;
-  pc.call_overhead /= p.cpu_scale;
-  for (auto& [name, cost] : pc.intrinsic_cost) cost /= p.cpu_scale;
+  for (double& cost : pc.intrinsic_cost) cost /= p.cpu_scale;
 }
 
 }  // namespace

@@ -16,14 +16,8 @@ double core_op_time(const compiler::OpCounts& ops, const machine::ProcessingComp
          ops.stores * p.t_store;
 }
 
-double intrinsic_time(const compiler::OpCounts& ops, const machine::ProcessingComponent& p) {
-  double t = 0.0;
-  for (const auto& [name, n] : ops.intrinsics) t += n * p.intrinsic(name);
-  return t;
-}
-
 double flat_op_time(const compiler::OpCounts& ops, const machine::ProcessingComponent& p) {
-  return core_op_time(ops, p) + intrinsic_time(ops, p);
+  return core_op_time(ops, p) + ops.library_time(p.intrinsic_cost);
 }
 
 }  // namespace
@@ -44,7 +38,7 @@ LoopBodyCost NodeCostModel::body_cost(const compiler::OpCounts& ops,
   const double chain_ratio =
       std::clamp(static_cast<double>(ops.depth) / static_cast<double>(nops), 0.0, 1.0);
   const double pairing = 0.78 + 0.22 * chain_ratio;  // 0.78 = best overlap
-  double compute = core_op_time(ops, p) * pairing + intrinsic_time(ops, p);
+  double compute = core_op_time(ops, p) * pairing + ops.library_time(p.intrinsic_cost);
 
   // --- cache model -----------------------------------------------------------
   // Streams are grouped per (array, stride class): several references into
@@ -118,8 +112,8 @@ LoopBodyCost NodeCostModel::body_cost(const compiler::OpCounts& ops,
   // --- mask / conditional ------------------------------------------------------
   double mask_cost = 0.0;
   if (mask_ops != nullptr) {
-    mask_cost = core_op_time(*mask_ops, p) * pairing + intrinsic_time(*mask_ops, p) +
-                p.branch_overhead;
+    mask_cost = core_op_time(*mask_ops, p) * pairing +
+                mask_ops->library_time(p.intrinsic_cost) + p.branch_overhead;
     // mispredict-like penalty maximal at 50% taken
     mask_cost += 4.0 * p.t_iop * (1.0 - std::fabs(2.0 * mask_fraction - 1.0));
   }

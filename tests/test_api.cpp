@@ -17,6 +17,7 @@
 #include "machine/ipsc860.hpp"
 #include "machine/whatif.hpp"
 #include "suite/suite.hpp"
+#include "support/diagnostics.hpp"
 
 namespace hpf90d {
 namespace {
@@ -182,6 +183,33 @@ TEST(Session, CompilationIsMemoized) {
   const auto e = session.compile_with_directives(lap.source, lap.directive_overrides);
   EXPECT_EQ(d.get(), e.get());
   EXPECT_EQ(session.cached_programs(), 3u);
+}
+
+// Integer `/` and `mod` that would trap in hardware (a zero divisor, or
+// LLONG_MIN / -1) fail the evaluation instead of the process: prediction
+// completes, and measurement raises a located compile error.
+TEST(Session, TrappingIntegerDivisionFailsTheEvaluationNotTheProcess) {
+  const char* const bodies[] = {
+      "k = 0\nm = 7 / k",
+      "k = 0\nm = mod(7, k)",
+      "k = -1\nm = (-(2**62) - 2**62) / k",
+      "k = -1\nm = mod(-(2**62) - 2**62, k)",
+  };
+  for (const char* body : bodies) {
+    api::Session session;
+    const auto prog =
+        session.compile("program t\n" + std::string(body) + "\nend program t\n");
+    api::RunConfig cfg;
+    cfg.nprocs = 1;
+    cfg.runs = 1;
+    EXPECT_GT(session.predict(prog, cfg).total, 0.0) << body;
+    try {
+      (void)session.measure(prog, cfg);
+      ADD_FAILURE() << "measured without error: " << body;
+    } catch (const support::CompileError& e) {
+      EXPECT_EQ(e.loc().line, 3) << body;
+    }
+  }
 }
 
 TEST(Session, LayoutsAreMemoizedPerConfiguration) {

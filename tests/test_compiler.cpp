@@ -245,6 +245,46 @@ TEST(Lower, EverySuiteProgramCompiles) {
   }
 }
 
+/// Counts the Call nodes under `e` and those among them without an
+/// intrinsic id.
+void count_calls(const front::Expr& e, int& calls, int& unresolved) {
+  if (e.kind == front::ExprKind::Call) {
+    ++calls;
+    if (!e.intrinsic) ++unresolved;
+  }
+  for (const auto& a : e.args) count_calls(*a, calls, unresolved);
+  for (const auto& s : e.subs) {
+    for (const auto* x : {&s.scalar, &s.lo, &s.hi, &s.stride}) {
+      if (*x) count_calls(**x, calls, unresolved);
+    }
+  }
+}
+
+void count_calls(const SpmdNode& n, int& calls, int& unresolved) {
+  std::vector<const front::ExprPtr*> exprs = {&n.mask,   &n.lhs,   &n.rhs,
+                                              &n.comm_amount, &n.reduce_arg,
+                                              &n.do_lo, &n.do_hi, &n.do_step};
+  for (const auto& ix : n.space) exprs.insert(exprs.end(), {&ix.lo, &ix.hi, &ix.stride});
+  if (n.inner) exprs.insert(exprs.end(), {&n.inner->index.lo, &n.inner->index.hi, &n.inner->arg});
+  for (const auto& a : n.io_args) exprs.push_back(&a);
+  for (const auto* e : exprs) {
+    if (*e) count_calls(**e, calls, unresolved);
+  }
+  for (const auto& c : n.children) count_calls(*c, calls, unresolved);
+  for (const auto& c : n.else_children) count_calls(*c, calls, unresolved);
+}
+
+TEST(Lower, EveryCallInTheSpmdIrCarriesAnIntrinsicId) {
+  int calls = 0;
+  for (const auto& app : suite::validation_suite()) {
+    const auto p = compiler::compile_with_directives(app.source, app.directive_overrides);
+    int unresolved = 0;
+    count_calls(*p.root, calls, unresolved);
+    EXPECT_EQ(unresolved, 0) << app.id;
+  }
+  EXPECT_GT(calls, 0);  // the suite does call intrinsics
+}
+
 TEST(Lower, NodeIdsAreDenseAndUnique) {
   auto p = comp(suite::app("finance").source);
   std::vector<int> seen(static_cast<std::size_t>(p.node_count), 0);
@@ -277,7 +317,7 @@ TEST(OpCount, CountsMatchExpressionStructure) {
   EXPECT_EQ(ops.fadd, 1);
   EXPECT_EQ(ops.fdiv, 1);
   EXPECT_EQ(ops.loads, 3);
-  EXPECT_EQ(ops.intrinsics.at("exp"), 1);
+  EXPECT_EQ(ops.intrinsics[static_cast<std::size_t>(front::IntrinsicId::Exp)], 1);
   EXPECT_GT(ops.depth, 2);
 }
 

@@ -2,6 +2,7 @@
 // iPSC/860 parameters, and communication cost-model properties.
 #include <gtest/gtest.h>
 
+#include "api/machine_registry.hpp"
 #include "machine/comm_model.hpp"
 #include "machine/fattree.hpp"
 #include "machine/ipsc860.hpp"
@@ -104,9 +105,18 @@ TEST(SAG, NodeParametersArePlausibleIpsc860) {
   EXPECT_EQ(node.mem.dcache_bytes, 8 * 1024);
   EXPECT_EQ(node.mem.icache_bytes, 4 * 1024);
   EXPECT_EQ(node.mem.main_memory_bytes, 8LL * 1024 * 1024);
-  EXPECT_GT(node.proc.intrinsic("exp"), node.proc.t_fmul);
-  // unknown intrinsics fall back to the call overhead
-  EXPECT_DOUBLE_EQ(node.proc.intrinsic("nosuch"), node.proc.call_overhead);
+  EXPECT_GT(node.proc.intrinsic_cost[static_cast<std::size_t>(front::IntrinsicId::Exp)],
+            node.proc.t_fmul);
+}
+
+TEST(SAU, EveryBuiltInMachinePricesEveryLibraryIntrinsic) {
+  const api::MachineRegistry registry;
+  for (const std::string& name : registry.names()) {
+    const SAU& node = registry.get(name).node();
+    for (std::size_t i = 0; i < front::kLibraryIntrinsics; ++i) {
+      EXPECT_GT(node.proc.intrinsic_cost[i], 0.0) << name << ": " << front::kIntrinsics[i].name;
+    }
+  }
 }
 
 TEST(SAG, ParagonDecomposition) {

@@ -2,6 +2,9 @@
 // declarations, sections, and syntax errors.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "compiler/pipeline.hpp"
 #include "hpf/parser.hpp"
 #include "support/diagnostics.hpp"
 
@@ -202,6 +205,45 @@ TEST(Parser, SyntaxErrorsThrow) {
   EXPECT_THROW((void)parse("do i = 1\n  x = 1\nend do"), support::CompileError);
   EXPECT_THROW((void)parse("x = "), support::CompileError);
   EXPECT_THROW((void)parse("x = (a + b"), support::CompileError);
+}
+
+/// `prefix` repeated `n` times, then `core`, then `suffix` repeated `n` times.
+std::string nest(std::string_view prefix, int n, std::string_view core,
+                 std::string_view suffix = "") {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += prefix;
+  out += core;
+  for (int i = 0; i < n; ++i) out += suffix;
+  return out;
+}
+
+/// The location of the CompileError parsing `body` raises (line 0 if none).
+support::SourceLoc parse_error_at(const std::string& body) {
+  try {
+    (void)parse(body);
+  } catch (const support::CompileError& e) {
+    return e.loc();
+  }
+  return {};
+}
+
+TEST(Parser, ExpressionNestingIsBounded) {
+  // hostile depths are rejected at the token that crosses the limit
+  // (line 2 of the program; the first '(' or '-' sits in column 5)
+  const auto paren = parse_error_at("x = " + nest("(", 20000, "1", ")"));
+  EXPECT_EQ(paren.line, 2u);
+  EXPECT_EQ(paren.column, 5u + kMaxExprDepth);
+  const auto minus = parse_error_at("x = " + nest("-", 20000, "1"));
+  EXPECT_EQ(minus.line, 2u);
+  EXPECT_EQ(minus.column, 4u + kMaxExprDepth);
+  EXPECT_EQ(parse_error_at("l = " + nest(".not. ", 20000, ".true.")).line, 2u);
+  EXPECT_EQ(parse_error_at("x = " + nest("2**", 20000, "1")).line, 2u);
+
+  // just under the limit (the whole right-hand side is one level) compiles
+  EXPECT_NO_THROW((void)hpf90d::compiler::compile(
+      "program t\nx = " + nest("(", kMaxExprDepth - 1, "1", ")") + "\nend program t\n"));
+  EXPECT_NO_THROW((void)hpf90d::compiler::compile(
+      "program t\nx = " + nest("-", kMaxExprDepth - 1, "1") + "\nend program t\n"));
 }
 
 TEST(Parser, StmtRoundTripText) {

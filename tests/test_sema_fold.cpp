@@ -1,8 +1,18 @@
 // Semantic analysis + constant folding + scalar evaluation tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "compiler/cost_program.hpp"
 #include "compiler/eval.hpp"
+#include "compiler/pipeline.hpp"
 #include "hpf/fold.hpp"
+#include "hpf/intrinsics.hpp"
 #include "hpf/parser.hpp"
 #include "hpf/sema.hpp"
 #include "support/diagnostics.hpp"
@@ -156,6 +166,18 @@ TEST(Fold, IntrinsicFolding) {
   EXPECT_EQ(front::fold_int(*front::parse_expression_text("mod(10, 3)"), env), 1);
   EXPECT_EQ(front::fold_int(*front::parse_expression_text("max(2, 7, 5)"), env), 7);
   EXPECT_EQ(front::fold_int(*front::parse_expression_text("int(3.9)"), env), 3);
+  EXPECT_EQ(front::fold_int(*front::parse_expression_text("sign(64, -1)"), env), -64);
+  EXPECT_EQ(front::fold_int(*front::parse_expression_text("merge(3, 4, 1 > 0)"), env), 3);
+  // integer `/` and `mod` that would trap leave the value unfolded
+  EXPECT_FALSE(front::try_fold(*front::parse_expression_text("mod(7, 0)"), env));
+  EXPECT_FALSE(
+      front::try_fold(*front::parse_expression_text("(-(2**62) - 2**62) / (-1)"), env));
+  // PARAMETERs and extents fold through sign/merge too
+  const auto prog = compiler::compile(
+      "program t\nparameter (n = sign(64, -1))\nreal f(abs(sign(64,-1)))\n"
+      "k = n\nend program t\n");
+  EXPECT_EQ(prog.symbols.at(prog.symbols.find("n")).const_value, -64.0);
+  EXPECT_EQ(front::fold_int(*prog.symbols.at(prog.symbols.find("f")).dims[0], env), 64);
 }
 
 TEST(Fold, BindingsMergePrecedence) {
@@ -207,6 +229,77 @@ TEST(Eval, IntegerSemanticsInEval) {
   env.define(a.symbols.find("j"), 2);
   EXPECT_DOUBLE_EQ(
       compiler::eval_scalar(*a.prog.stmts[2]->rhs, env, nullptr, a.symbols), 3.0);
+}
+
+// --- the intrinsic registry ---------------------------------------------------
+
+/// Every argument tuple of length `argc` over `grid`, as "a, b, ...".
+std::vector<std::string> argument_lists(const std::vector<std::string>& grid, int argc) {
+  std::vector<std::string> out = {""};
+  for (int k = 0; k < argc; ++k) {
+    std::vector<std::string> next;
+    for (const auto& prefix : out) {
+      for (const auto& g : grid) next.push_back(prefix.empty() ? g : prefix + ", " + g);
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+std::optional<std::uint64_t> bits(std::optional<double> v) {
+  if (!v) return std::nullopt;
+  return std::bit_cast<std::uint64_t>(*v);
+}
+
+// Table-driven over the whole registry, so a new elemental row is covered
+// without touching this test: on a grid of literal arguments (zero,
+// negative, integer- and real-typed), fold, the tree evaluator and both
+// bytecode evaluators agree bit for bit — including on which inputs fail.
+TEST(Intrinsics, EveryElementalRowAgreesAcrossEvaluators) {
+  const std::vector<std::string> grid = {"0", "-7", "1", "3", "0.0", "-2.5", "0.5", "3.0"};
+  int checked = 0;
+  for (std::size_t row = 0; row < front::kIntrinsicCount; ++row) {
+    const front::IntrinsicInfo& info = front::kIntrinsics[row];
+    if (info.kind != front::IntrinsicKind::Elemental) continue;
+    std::string src = "program t\n";
+    for (int argc = info.min_args; argc <= std::min(info.min_args + 1, info.max_args); ++argc) {
+      for (const auto& args : argument_lists(grid, argc)) {
+        src += "x = " + std::string(info.name) + "(" + args + ")\n";
+      }
+    }
+    const auto prog = compiler::compile(src + "end program t\n");
+    const compiler::CostProgram& cp = *prog.cost_program;
+    compiler::ScalarEnv env(prog.symbols.size());
+    std::vector<double> regs(cp.max_regs);
+    compiler::BatchEnv batch_env;
+    batch_env.reset(prog.symbols.size(), 1);
+    const std::size_t stride = batch_env.stride();
+    std::vector<double> batch_file(cp.max_regs * stride + compiler::kBatchStripe);
+    const auto raw = reinterpret_cast<std::uintptr_t>(batch_file.data());
+    double* batch_regs = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
+    std::vector<double> out(stride);
+    std::vector<unsigned char> ok(stride);
+
+    for (const auto& node : prog.root->children) {
+      if (node->kind != compiler::SpmdKind::ScalarAssign) continue;
+      const front::Expr& e = *node->rhs;
+      ASSERT_EQ(e.intrinsic, static_cast<front::IntrinsicId>(row)) << e.str();
+      const compiler::ExprCode& code =
+          cp.exprs[static_cast<std::size_t>(cp.nodes[static_cast<std::size_t>(node->id)].rhs)];
+      ASSERT_TRUE(code.ok) << e.str();
+
+      const auto folded = bits(front::try_fold(e, front::Bindings{}));
+      const auto tree = bits(compiler::try_eval_scalar(e, env, nullptr, prog.symbols));
+      const auto scalar_code = bits(compiler::eval_code(cp, code, env, regs.data()));
+      (void)compiler::eval_code_batch(cp, code, batch_env, batch_regs, out.data(), ok.data());
+      const auto batch = ok[0] ? bits(out[0]) : std::nullopt;
+      EXPECT_EQ(folded, tree) << e.str();
+      EXPECT_EQ(tree, scalar_code) << e.str();
+      EXPECT_EQ(tree, batch) << e.str();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 }  // namespace
