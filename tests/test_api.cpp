@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -724,6 +725,134 @@ TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {
   const api::ReportDiff deficit = api::RunReport::diff(dup, before);
   EXPECT_EQ(deficit.records.size(), 2u);
   EXPECT_EQ(deficit.only_before, 1u);
+}
+
+
+// --- predictor diagnostics ----------------------------------------------------
+
+// The interpretation walk's located diagnostics: each program fails for one
+// value of `k` and predicts for the others. The message and location must
+// be the same whether the point is predicted alone (Session::predict) or as
+// one failing lane of a lockstep window (Session::run, batch_size 64).
+struct PredictDiagnostic {
+  const char* what;
+  const char* source;
+  long long bad_k;
+  std::vector<long long> good_k;
+  std::uint32_t line;
+  std::uint32_t column;
+  const char* message;
+};
+
+const std::vector<PredictDiagnostic>& predict_diagnostics() {
+  static const char* const kHeader =
+      "  real v(8)\n"
+      "!hpf$ template d(8)\n"
+      "!hpf$ align v(i) with d(i)\n"
+      "!hpf$ distribute d(block)\n";
+  static const std::string do_step = std::string("program t\n") + kHeader +
+                                     "  do i = 1, 4, k\n"
+                                     "    forall (j = 1:8) v(j) = 1.0\n"
+                                     "  end do\n"
+                                     "end program t\n";
+  static const std::string do_bound = std::string("program t\n") + kHeader +
+                                      "  do i = 1, mod(7, k)\n"
+                                      "    forall (j = 1:8) v(j) = 1.0\n"
+                                      "  end do\n"
+                                      "end program t\n";
+  static const std::string forall_bound = std::string("program t\n") + kHeader +
+                                          "  forall (j = 1:mod(7, k)) v(j) = 1.0\n"
+                                          "end program t\n";
+  // `a` is never distributed, so only the walk reads its extent m — the
+  // upper bound of the inner dim-reduction — and m stays undefined when
+  // its assignment fails
+  static const std::string inner_bound =
+      "program t\n"
+      "  parameter (n = 8)\n"
+      "  real a(n, m), v(n)\n"
+      "!hpf$ template d(n)\n"
+      "!hpf$ align v(i) with d(i)\n"
+      "!hpf$ distribute d(block)\n"
+      "  m = mod(7, k)\n"
+      "  forall (i = 1:n) v(i) = sum(a(i, :), 2)\n"
+      "end program t\n";
+  // x is defined only when k /= 0, so the k = 0 lane's WHILE test cannot
+  // be evaluated
+  static const std::string while_cond = std::string("program t\n") + kHeader +
+                                        "  if (k /= 0) then\n"
+                                        "    x = 2.0\n"
+                                        "  end if\n"
+                                        "  do while (x > 3.0)\n"
+                                        "    forall (j = 1:8) v(j) = 1.0\n"
+                                        "  end do\n"
+                                        "end program t\n";
+  static const std::string while_trips = std::string("program t\n") + kHeader +
+                                         "  do while (k > 0)\n"
+                                         "    v(1) = 1.0\n"
+                                         "  end do\n"
+                                         "end program t\n";
+  static const std::vector<PredictDiagnostic> cases = {
+      {"do step", do_step.c_str(), 0, {1, 2, 3}, 6, 3, "6:3: do loop step is zero"},
+      {"do bound", do_bound.c_str(), 0, {1, 2, 3}, 6, 3,
+       "6:3: unresolved critical variable in do bounds: 6:13: integer division by "
+       "zero or overflow"},
+      {"forall bound", forall_bound.c_str(), 0, {1, 2, 3}, 6, 15,
+       "6:15: unresolved critical variable in forall bounds: 6:17: integer division "
+       "by zero or overflow"},
+      {"inner reduce bound", inner_bound.c_str(), 0, {1, 2, 3}, 3, 13,
+       "3:13: value of 'm' is not available (unresolved critical variable?)"},
+      {"while condition", while_cond.c_str(), 0, {1, 2, 3}, 9, 3,
+       "9:3: do while condition depends on data values; supply an explicit binding "
+       "for its critical variables"},
+      {"while trip limit", while_trips.c_str(), 1, {0, 0, 0}, 6, 3,
+       "6:3: do while exceeded the interpretation trip limit"},
+  };
+  return cases;
+}
+
+void expect_diagnostic(const PredictDiagnostic& c, const std::function<void()>& run,
+                       const char* path) {
+  try {
+    run();
+    ADD_FAILURE() << c.what << " (" << path << "): no error";
+  } catch (const support::CompileError& e) {
+    EXPECT_EQ(std::string(e.what()), c.message) << c.what << " (" << path << ")";
+    EXPECT_EQ(e.loc().line, c.line) << c.what << " (" << path << ")";
+    EXPECT_EQ(e.loc().column, c.column) << c.what << " (" << path << ")";
+  }
+}
+
+TEST(PredictDiagnostics, OnePointPredict) {
+  for (const PredictDiagnostic& c : predict_diagnostics()) {
+    api::Session session;
+    const auto prog = session.compile(c.source);
+    api::RunConfig cfg;
+    cfg.nprocs = 2;
+    for (const long long k : c.good_k) {
+      cfg.bindings.set_int("k", k);
+      EXPECT_GE(session.predict(prog, cfg).total, 0.0) << c.what << " k=" << k;
+    }
+    cfg.bindings.set_int("k", c.bad_k);
+    expect_diagnostic(c, [&] { (void)session.predict(prog, cfg); }, "predict");
+  }
+}
+
+TEST(PredictDiagnostics, OneFailingLaneOfALockstepRun) {
+  for (const PredictDiagnostic& c : predict_diagnostics()) {
+    api::ExperimentPlan plan(c.what);
+    plan.source(c.source).machines({"ipsc860"}).nprocs({2}).runs(0);
+    const std::vector<long long> ks = {c.good_k[0], c.good_k[1], c.bad_k, c.good_k[2]};
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      front::Bindings b;
+      b.set_int("k", ks[i]);
+      plan.add_problem(std::string(1, static_cast<char>('a' + i)), b);
+    }
+    api::Session session;
+    api::RunOptions opts;
+    opts.workers = 1;
+    opts.batch_size = 64;
+    expect_diagnostic(c, [&] { (void)session.run(plan, opts); }, "run");
+  }
 }
 
 }  // namespace

@@ -19,12 +19,23 @@
 // with RunReport::csv. Key columns must match exactly and every numeric
 // column within a relative 1e-9 — loose enough for another libm, tight
 // enough that a missed or reordered noise draw (a ~1e-3 shift) fails.
+//
+//   hpf90d_studycheck --predict --check predict_golden.csv
+//   hpf90d_studycheck --predict --write predict_golden.csv
+//
+// --predict pins the detailed prediction the report CSVs leave out: every
+// suite app at its smallest size and its largest size <= 256, on ipsc860
+// and paragon, nprocs {1,2,4,8}, through Session::predict with tracing on.
+// Per point it records the total and the four phases, every AAU's visits
+// and phase times, every processor's clock, and per (processor, category)
+// the trace event count and summed duration. Compared like --table2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -113,12 +124,152 @@ std::size_t check_table2(const api::RunReport& golden, const api::RunReport& cur
   return bad + std::max(golden.records.size(), current.records.size()) - n;
 }
 
+/// One --predict row: a key (point + kind + index + sub) and up to five
+/// numbers.
+struct PredictRow {
+  std::string key;
+  std::vector<double> values;
+};
+
+std::string fmt_g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// The detailed predictions of the --predict gate, in a fixed order. Any
+/// change here must ship with a regenerated artifact.
+std::vector<PredictRow> run_predict_rows() {
+  api::Session session;
+  std::vector<PredictRow> rows;
+  for (const auto& app : suite::validation_suite()) {
+    const auto prog = session.compile_with_directives(app.source, app.directive_overrides);
+    std::vector<long long> sizes{app.problem_sizes.front()};
+    for (auto it = app.problem_sizes.rbegin(); it != app.problem_sizes.rend(); ++it) {
+      if (*it <= 256 && *it != sizes.front()) {
+        sizes.push_back(*it);
+        break;
+      }
+    }
+    for (const long long size : sizes) {
+      for (const char* machine : {"ipsc860", "paragon"}) {
+        for (const int np : suite::paper_system_sizes()) {
+          api::RunConfig config;
+          config.machine = machine;
+          config.nprocs = np;
+          if (app.id == "laplace_bb") {
+            config.grid_shape = compiler::ProcGrid::factorized(np, 2).shape;
+          }
+          config.bindings = app.bindings(size);
+          config.predict.trace = true;
+          config.predict.detailed = true;
+          const core::PredictionResult r = session.predict(prog, config);
+          const std::string point = app.id + "," + std::to_string(size) + "," + machine +
+                                    "," + std::to_string(np) + ",";
+          rows.push_back({point + "total,0,", {r.total, r.comp, r.comm, r.overhead, r.wait}});
+          for (std::size_t a = 0; a < r.per_aau.size(); ++a) {
+            const core::AAUMetric& m = r.per_aau[a];
+            rows.push_back({point + "aau," + std::to_string(a) + ",",
+                            {static_cast<double>(m.visits), m.comp, m.comm, m.overhead,
+                             m.wait}});
+          }
+          for (std::size_t p = 0; p < r.proc_clock.size(); ++p) {
+            rows.push_back({point + "clock," + std::to_string(p) + ",", {r.proc_clock[p]}});
+          }
+          // per (proc, category): event count and summed duration, in
+          // (proc, category) order
+          std::map<std::pair<int, char>, std::pair<double, double>> events;
+          for (const core::TraceEvent& ev : r.trace) {
+            auto& [count, sum] = events[{ev.proc, ev.category}];
+            count += 1;
+            sum += ev.t_end - ev.t_begin;
+          }
+          for (const auto& [k, v] : events) {
+            rows.push_back({point + "trace," + std::to_string(k.first) + "," + k.second,
+                            {v.first, v.second}});
+          }
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+constexpr const char* kPredictHeader = "app,size,machine,nprocs,kind,index,sub,v1,v2,v3,v4,v5";
+constexpr std::size_t kPredictKeyFields = 7;
+
+std::string predict_csv(const std::vector<PredictRow>& rows) {
+  std::string out = std::string(kPredictHeader) + "\n";
+  for (const PredictRow& r : rows) {
+    out += r.key;
+    for (std::size_t i = 0; i < 5; ++i) {
+      out += ',';
+      if (i < r.values.size()) out += fmt_g17(r.values[i]);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// Parses a --predict artifact back into rows; std::nullopt on a malformed
+/// file.
+std::optional<std::vector<PredictRow>> parse_predict_csv(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  if (!std::getline(in, line) || line != kPredictHeader) return std::nullopt;
+  std::vector<PredictRow> rows;
+  while (std::getline(in, line)) {
+    std::vector<std::string> fields;
+    std::size_t start = 0;
+    for (;;) {
+      const std::size_t comma = line.find(',', start);
+      fields.push_back(line.substr(start, comma - start));
+      if (comma == std::string::npos) break;
+      start = comma + 1;
+    }
+    if (fields.size() != kPredictKeyFields + 5) return std::nullopt;
+    PredictRow row;
+    for (std::size_t i = 0; i < kPredictKeyFields; ++i) {
+      row.key += (i == 0 ? "" : ",") + fields[i];
+    }
+    for (std::size_t i = kPredictKeyFields; i < fields.size(); ++i) {
+      if (!fields[i].empty()) row.values.push_back(std::strtod(fields[i].c_str(), nullptr));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Keys exact, numbers within a relative 1e-9; returns the mismatch count
+/// (a row-count mismatch counts every unmatched row).
+std::size_t check_predict(const std::vector<PredictRow>& golden,
+                          const std::vector<PredictRow>& current) {
+  std::size_t bad = 0;
+  const std::size_t n = std::min(golden.size(), current.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const PredictRow& g = golden[i];
+    const PredictRow& c = current[i];
+    bool same = g.key == c.key && g.values.size() == c.values.size();
+    for (std::size_t v = 0; same && v < g.values.size(); ++v) {
+      same = close_enough(g.values[v], c.values[v]);
+    }
+    if (same) continue;
+    if (++bad <= 20) {
+      std::fprintf(stderr, "row %zu: golden %s%s | current %s%s\n", i + 2, g.key.c_str(),
+                   g.values.empty() ? "" : fmt_g17(g.values[0]).c_str(), c.key.c_str(),
+                   c.values.empty() ? "" : fmt_g17(c.values[0]).c_str());
+    }
+  }
+  return bad + std::max(golden.size(), current.size()) - n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
   bool write = false;
   bool table2 = false;
+  bool predict = false;
   double threshold = 0.05;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--write") == 0 && i + 1 < argc) {
@@ -130,10 +281,12 @@ int main(int argc, char** argv) {
       threshold = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--table2") == 0) {
       table2 = true;
+    } else if (std::strcmp(argv[i], "--predict") == 0) {
+      predict = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--table2] --check golden.csv [--threshold 0.05] "
-                   "| [--table2] --write golden.csv\n",
+                   "usage: %s [--table2|--predict] --check golden.csv [--threshold 0.05] "
+                   "| [--table2|--predict] --write golden.csv\n",
                    argv[0]);
       return 2;
     }
@@ -141,6 +294,40 @@ int main(int argc, char** argv) {
   if (path == nullptr) {
     std::fprintf(stderr, "missing --check/--write <path>\n");
     return 2;
+  }
+
+  if (predict) {
+    const std::vector<PredictRow> current = run_predict_rows();
+    if (write) {
+      std::ofstream out(path, std::ios::binary);
+      if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", path);
+        return 2;
+      }
+      out << predict_csv(current);
+      std::printf("wrote golden prediction artifact: %s (%zu rows)\n", path, current.size());
+      return 0;
+    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "cannot read golden artifact %s\n", path);
+      return 2;
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const auto golden = parse_predict_csv(buf.str());
+    if (!golden) {
+      std::fprintf(stderr, "malformed golden prediction artifact %s\n", path);
+      return 2;
+    }
+    const std::size_t bad = check_predict(*golden, current);
+    if (bad != 0) {
+      std::fprintf(stderr, "golden prediction gate FAILED: %zu of %zu rows differ\n", bad,
+                   std::max(golden->size(), current.size()));
+      return 1;
+    }
+    std::printf("golden prediction gate passed: %zu rows within 1e-9\n", current.size());
+    return 0;
   }
 
   if (table2) {
