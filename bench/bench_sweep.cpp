@@ -8,7 +8,7 @@
 //   * cold vs warm caches   — first-contact compile/layout cost vs the
 //                             steady state a long-lived sweep service sees,
 //   * serial vs worker pool — RunOptions::workers,
-//   * lane width            — RunOptions::batch_size (1 = the scalar path),
+//   * lane width            — RunOptions::batch_size (1 = one-lane windows),
 //   * divergence            — a binding-dependent loop bound that splits
 //                             lockstep windows and exercises re-compaction,
 //   * bounded layout store  — Session::set_layout_cache_capacity under
@@ -117,10 +117,10 @@ BENCHMARK(BM_WarmSweep_workers4_arena_lru256)->Unit(benchmark::kMillisecond);
 
 // --- lockstep batching --------------------------------------------------------
 
-/// Warm sweep at a fixed lane width: batch_size=1 is the scalar arena path
-/// (the pre-batching baseline), 8 and 64 price points in lockstep through
-/// the cost bytecode. The `lanes_per_visit` counter reports how many lanes
-/// each SPMD node visit actually amortized.
+/// Warm sweep at a fixed lane width: batch_size=1 walks every point in its
+/// own one-lane window, 8 and 64 price points in lockstep through the cost
+/// bytecode. The `lanes_per_visit` counter reports how many lanes each
+/// SPMD node visit actually amortized.
 void BM_WarmSweep_lanes(benchmark::State& state, int lanes, int workers) {
   const api::ExperimentPlan plan = sweep_plan(sweep_points());
   api::Session& session = warm_session(plan);
@@ -157,8 +157,8 @@ void BM_DivergentSweep_lanes(benchmark::State& state, int lanes) {
   // Worst case for lockstep: the outer DO trip count is a per-problem
   // binding, so a 64-lane window splinters at the first size-dependent
   // loop. The evicted lanes re-batch by divergence key into lockstep
-  // refill windows; lone stragglers fall to the scalar replay. The
-  // `replayed` counter is the fraction of points finally priced scalar,
+  // refill windows; lone stragglers rerun as one-lane windows. The
+  // `replayed` counter is the fraction of points finally priced alone,
   // `refilled` the fraction of evictions recovered into refill windows.
   static const char* const source = R"f90(
 program levels

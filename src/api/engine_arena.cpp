@@ -9,29 +9,13 @@ void EngineArena::set_trace(obs::Sink* sink) noexcept {
   batch_engine_.set_trace(sink);
 }
 
-const core::PredictionResult& EngineArena::predict(
-    const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
-    const machine::MachineModel& machine, const core::PredictOptions& options,
-    const front::Bindings& bindings) {
-  engine_.rebind(prog, layout, machine, options, bindings);
-  engine_.interpret_into(prediction_);
-  return prediction_;
-}
-
 std::span<const core::PredictionResult> EngineArena::predict_batch(
     const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
     const core::PredictOptions& options, std::span<const core::BatchLane> lanes,
-    bool& lockstep, core::BatchRunStats& stats,
-    std::vector<core::EvictedLane>& deferred) {
+    core::BatchRunStats& stats, std::vector<core::EvictedLane>& deferred) {
   batch_predictions_.resize(lanes.size());
-  lockstep = batch_engine_.interpret(prog, machine, options, lanes,
-                                     batch_predictions_.data(), stats, deferred);
-  if (!lockstep) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      engine_.rebind(prog, *lanes[i].layout, machine, options, *lanes[i].bindings);
-      engine_.interpret_into(batch_predictions_[i]);
-    }
-  }
+  batch_engine_.interpret(prog, machine, options, lanes, batch_predictions_.data(), stats,
+                          deferred);
   return batch_predictions_;
 }
 

@@ -1,11 +1,11 @@
 // engine_arena.hpp — per-worker reusable execution state for sweep runs.
 //
-// Constructing a fresh InterpretationEngine (and, for measured points, an
-// Executor) at every sweep point would allocate and throw away scratch
-// clocks, per-AAU metric tables, scalar environments, simulator storage
-// and the executor's timing tape thousands of times per design study. An
+// Constructing a fresh BatchEngine (and, for measured points, an Executor)
+// for every window would allocate and throw away per-lane clocks, per-AAU
+// metric tables, the SoA environment, simulator storage and the
+// executor's timing tape thousands of times per design study. An
 // EngineArena avoids that: each Session::run worker owns one, and every
-// point it executes rebinds the same engine/executor pair, so the
+// window it executes rebinds the same engine/executor pair, so the
 // steady-state hot path performs no per-point heap allocation while
 // producing bit-identical records (rebinding is defined as equivalent to
 // fresh construction).
@@ -16,7 +16,6 @@
 #include <span>
 
 #include "core/batch_engine.hpp"
-#include "core/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace hpf90d::obs {
@@ -27,33 +26,16 @@ namespace hpf90d::api {
 
 class EngineArena {
  public:
-  /// Full prediction (total plus the per-phase decomposition) for one
-  /// configuration against a prebuilt layout. Identical arithmetic to
-  /// core::predict; callers are expected to have validated critical
-  /// variables for (prog, bindings) already (Session::run does so once per
-  /// (variant, problem) pair instead of once per point). The returned
-  /// reference is the arena's scratch result, valid until the next
-  /// predict call.
-  [[nodiscard]] const core::PredictionResult& predict(
-      const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
-      const machine::MachineModel& machine, const core::PredictOptions& options,
-      const front::Bindings& bindings);
-
-  /// Lockstep batch prediction: fills the arena's batch scratch with one
-  /// PredictionResult per lane (byte-identical to calling predict() lane by
-  /// lane) and returns it, valid until the next predict_batch call. When
-  /// the lockstep walk runs, `lockstep` is set and `stats` accumulates its
-  /// effectiveness counters; lanes evicted from the walk are appended to
-  /// `deferred` (see batch_engine.hpp), their result slots left unwritten
-  /// for the caller to re-batch or replay. When BatchEngine declines
-  /// (traced run, too few lanes, program without complete cost bytecode)
-  /// the arena falls back to a per-lane scalar loop that prices every lane,
-  /// clears `lockstep`, and leaves `stats` and `deferred` alone.
+  /// Lockstep prediction of one window: fills the arena's batch scratch
+  /// with one PredictionResult per lane and returns it, valid until the
+  /// next predict_batch call. `stats` receives the walk's effectiveness
+  /// counters; lanes evicted from the walk are appended to `deferred` (see
+  /// batch_engine.hpp), their result slots left unwritten for the caller
+  /// to re-batch or rerun alone.
   [[nodiscard]] std::span<const core::PredictionResult> predict_batch(
       const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
       const core::PredictOptions& options, std::span<const core::BatchLane> lanes,
-      bool& lockstep, core::BatchRunStats& stats,
-      std::vector<core::EvictedLane>& deferred);
+      core::BatchRunStats& stats, std::vector<core::EvictedLane>& deferred);
 
   /// Batched measurement companion to predict_batch: measures every lane
   /// through the reusable executor into the arena's scratch vector
@@ -72,10 +54,8 @@ class EngineArena {
 
  private:
   obs::Sink* obs_sink_ = nullptr;  // measure-batch span destination
-  core::InterpretationEngine engine_;
   core::BatchEngine batch_engine_;
   sim::Executor executor_;
-  core::PredictionResult prediction_;  // reused across points
   std::vector<core::PredictionResult> batch_predictions_;  // predict_batch scratch
   std::vector<sim::MeasuredResult> batch_measured_;        // measure_batch_into scratch
   std::vector<const front::Bindings*> lane_bindings_;      // measure_batch_into scratch

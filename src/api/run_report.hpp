@@ -173,11 +173,15 @@ struct ReportDiff {
 /// batch_size/worker combination, so these are deliberately excluded from
 /// ascii()/csv()/from_csv() (they would break the oracle equality the
 /// batched path guarantees).
+/// Every point is counted once, by the window it finished in: a window of
+/// two or more lanes (fresh or re-compacted) makes it batched; a one-lane
+/// window makes it scalar when the point is fresh, replayed when it was
+/// evicted first.
 struct BatchStats {
-  std::size_t batched_points = 0;   // points priced by a lockstep walk
-  std::size_t scalar_points = 0;    // points priced by the scalar engine
-  std::size_t replayed_points = 0;  // points evicted and finally priced scalar
-  std::uint64_t ir_visits = 0;      // SPMD nodes visited by batch walks
+  std::size_t batched_points = 0;   // points finished in a window of >= 2 lanes
+  std::size_t scalar_points = 0;    // points priced alone in a fresh 1-lane window
+  std::size_t replayed_points = 0;  // evicted points finished later, alone
+  std::uint64_t ir_visits = 0;      // SPMD nodes visited by lockstep walks
   std::uint64_t lane_visits = 0;    // sum of active lanes over those visits
   std::uint64_t evicted_lanes = 0;  // evictions (a point can evict repeatedly)
   std::uint64_t refilled_lanes = 0; // evicted lanes re-entering a lockstep batch

@@ -188,11 +188,10 @@ core::PredictionResult Session::predict(const ProgramHandle& prog,
   core::require_critical_complete(*prog, config.bindings);
   const LayoutStore::LayoutPtr layout =
       layout_for(*prog, config.bindings, layout_options(config));
-  // core::predict's layout overload re-validates critical variables; call
-  // the engine directly so the (potentially expensive) analysis runs once.
-  core::InterpretationEngine engine(*prog, *layout, machine(config.machine),
-                                    config.predict, config.bindings);
-  return engine.interpret();
+  // core::predict's layout overload re-validates critical variables; walk
+  // the point directly so the (potentially expensive) analysis runs once.
+  return core::interpret_one(*prog, config.bindings, *layout, machine(config.machine),
+                             config.predict);
 }
 
 sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig& config) {
@@ -339,7 +338,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   // and replay behaviour) depends only on the plan — identical for every
   // batch size, worker count, and SIMD width. Lockstep batching happens
   // *inside* a chunk in windows of at most batch_size lanes; batch_size <=
-  // 1 degenerates to single-point windows, i.e. exactly the scalar sweep.
+  // 1 degenerates to one-lane windows.
   chunks.reserve(points.size() / kChunkGranule + 1);
   for (std::size_t i = 0; i < points.size();) {
     std::size_t j = i + 1;
@@ -362,8 +361,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   sweep_predict.detailed = sweep_predict.trace;
   // Re-compaction rounds are self-limiting — every lockstep window retires
   // at least its lead lane, so the deferred pool strictly shrinks — but a
-  // cap stops pathological regroup chains early (the remainder replays
-  // scalar, the pre-compaction behaviour).
+  // cap stops pathological regroup chains early (the remainder reruns in
+  // one-lane windows).
   constexpr int kMaxCompactionRounds = 8;
 
   // Batch telemetry accumulates through order-independent integer sums, so
@@ -394,7 +393,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     std::vector<core::EvictedLane> evictions;     // per-window export
     std::vector<DeferredPoint> deferred;          // this round's regroup pool
     std::vector<DeferredPoint> deferred_next;     // evictions feeding next round
-    std::vector<std::size_t> scalar_replay;       // offsets replaying scalar
+    std::vector<std::size_t> alone;               // offsets rerun as one-lane windows
     std::vector<std::shared_ptr<const compiler::SeededValues>> seeds;  // keep-alives
     std::string layout_key;
   };
@@ -402,9 +401,9 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   // One worker claim = one chunk. The chunk runs as a stream of lockstep
   // windows: fresh points in point order first, then re-compaction rounds
   // that regroup evicted lanes by divergence key and give them a fresh
-  // lockstep batch, and finally scalar replays for whatever could not be
-  // regrouped. Records are assembled by point index and every point's
-  // arithmetic is bit-identical on every path, so the record payload is
+  // lockstep batch, and finally one-lane windows for whatever could not be
+  // regrouped. Records are assembled by point index and a lane's
+  // arithmetic does not depend on its window, so the record payload is
   // byte-identical for any batch size or worker count.
   const auto run_chunk = [&](const Chunk& c, WorkerScratch& ws) {
     const std::size_t n = c.end - c.begin;
@@ -464,28 +463,23 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
     };
 
-    // One lockstep (or scalar-fallback) window. `off_of` maps window lane
-    // -> chunk offset; `refill` marks re-compaction windows (their lanes
-    // already evicted once).
+    // One lockstep window. `off_of` maps window lane -> chunk offset;
+    // `refill` marks windows of lanes already evicted once. A point that
+    // finishes here counts as batched when the window has two or more
+    // lanes, else as replayed (refill) or scalar (fresh).
     const auto run_window = [&](std::span<const core::BatchLane> lane_span,
                                 const auto& off_of, bool refill) {
       const std::size_t w = lane_span.size();
       ws.evictions.clear();
-      bool lockstep = false;
       core::BatchRunStats bs;
       const std::span<const core::PredictionResult> preds =
-          arena.predict_batch(prog, mach, sweep_predict, lane_span, lockstep,
-                              bs, ws.evictions);
-      if (!lockstep) {
-        for (std::size_t k = 0; k < w; ++k) assemble(off_of(k), preds[k]);
-        (refill ? replayed_n : scalar_n) += w;
-        return;
-      }
+          arena.predict_batch(prog, mach, sweep_predict, lane_span, bs, ws.evictions);
       ir_n += bs.ir_visits;
       lanes_n += bs.lane_visits;
       stripes_n += bs.simd_stripes;
       evicted_n += bs.evicted_lanes;
-      if (refill) refilled_n += w;
+      if (refill && w >= 2) refilled_n += w;
+      std::size_t& finished_n = w >= 2 ? batched_n : refill ? replayed_n : scalar_n;
       // Evictions arrive sorted by lane; merge-walk the window.
       std::size_t e = 0;
       for (std::size_t k = 0; k < w; ++k) {
@@ -496,17 +490,17 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
             ws.deferred_next.push_back(
                 DeferredPoint{ev.key, static_cast<std::uint32_t>(off)});
           } else {
-            ws.scalar_replay.push_back(off);
+            ws.alone.push_back(off);
           }
           continue;
         }
         assemble(off_of(k), preds[k]);
-        ++batched_n;
+        ++finished_n;
       }
     };
 
     ws.deferred_next.clear();
-    ws.scalar_replay.clear();
+    ws.alone.clear();
 
     // Phase 1 — fresh windows in point order.
     for (std::size_t f = 0; f < n; f += lane_width) {
@@ -518,12 +512,12 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     // Phase 2 — re-compaction rounds: regroup evicted lanes by divergence
     // key (ties broken by offset, so the schedule is deterministic and
     // independent of anything but the chunk contents) and run each group
-    // as its own lockstep window.
+    // as its own lockstep window (a lone lane as a one-lane window).
     for (int round = 0; !ws.deferred_next.empty(); ++round) {
       ws.deferred.swap(ws.deferred_next);
       ws.deferred_next.clear();
       if (round >= kMaxCompactionRounds) {
-        for (const DeferredPoint& d : ws.deferred) ws.scalar_replay.push_back(d.offset);
+        for (const DeferredPoint& d : ws.deferred) ws.alone.push_back(d.offset);
         break;
       }
       std::sort(ws.deferred.begin(), ws.deferred.end(),
@@ -535,11 +529,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
         while (h < ws.deferred.size() && ws.deferred[h].key == ws.deferred[g].key) ++h;
         for (std::size_t s = g; s < h; s += lane_width) {
           const std::size_t w = std::min(lane_width, h - s);
-          if (w < 2) {
-            // a lone lane cannot run lockstep; replay it scalar
-            ws.scalar_replay.push_back(ws.deferred[s].offset);
-            continue;
-          }
           ws.window.clear();
           for (std::size_t k = 0; k < w; ++k) {
             ws.window.push_back(ws.lanes[ws.deferred[s + k].offset]);
@@ -554,16 +543,14 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       }
     }
 
-    // Phase 3 — scalar replays, in point order (deterministic diagnostics).
-    std::sort(ws.scalar_replay.begin(), ws.scalar_replay.end());
-    if (!ws.scalar_replay.empty()) {
-      const obs::Span replay_span(trace, obs::Phase::ScalarReplay,
-                                  ws.scalar_replay.size());
-      for (const std::size_t off : ws.scalar_replay) {
-        assemble(off, arena.predict(prog, *ws.lanes[off].layout, mach,
-                                    sweep_predict, *ws.lanes[off].bindings));
-        ++replayed_n;
-      }
+    // Phase 3 — one-lane windows, in point order, for lanes evicted by a
+    // failure (each throws its diagnostic here) and for any left over after
+    // the last compaction round.
+    std::sort(ws.alone.begin(), ws.alone.end());
+    for (std::size_t i = 0; i < ws.alone.size(); ++i) {
+      const std::size_t off = ws.alone[i];
+      run_window(std::span<const core::BatchLane>(ws.lanes.data() + off, 1),
+                 [&](std::size_t) { return off; }, true);
     }
 
     // Measurement: one batched pass over the whole chunk in point order —
@@ -650,9 +637,9 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
         .add(points.size());
     reg.counter("hpf90d_run_batched_points_total", "Points priced in lockstep batches")
         .add(report.batch.batched_points);
-    reg.counter("hpf90d_run_scalar_points_total", "Points priced on the scalar path")
+    reg.counter("hpf90d_run_scalar_points_total", "Points priced alone in a fresh one-lane window")
         .add(report.batch.scalar_points);
-    reg.counter("hpf90d_run_replayed_points_total", "Points replayed after eviction")
+    reg.counter("hpf90d_run_replayed_points_total", "Evicted points finished alone")
         .add(report.batch.replayed_points);
     reg.counter("hpf90d_run_evicted_lanes_total", "Lanes evicted from lockstep windows")
         .add(report.batch.evicted_lanes);

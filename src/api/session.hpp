@@ -30,12 +30,12 @@
 //
 // Session::run has one scheduler. The sweep is cut into chunks of points
 // sharing (program, machine); a worker pool claims chunks, and each worker
-// owns an EngineArena — a reusable InterpretationEngine/Executor pair — so
-// the steady-state hot path allocates nothing per point (see
+// owns an EngineArena — a reusable BatchEngine/Executor pair — so the
+// steady-state hot path allocates nothing per point (see
 // engine_arena.hpp). Inside a chunk, points are priced in lockstep windows
 // of up to RunOptions::batch_size lanes (core::BatchEngine); lanes that
 // diverge are regrouped with equal-path lanes of the same chunk into fresh
-// windows, and whatever stays alone replays on the scalar engine.
+// windows, and whatever stays alone reruns as a one-lane window.
 #pragma once
 
 #include <array>
@@ -99,15 +99,14 @@ struct RunOptions {
   /// of at most this many lanes and priced together through
   /// core::BatchEngine's flat cost bytecode (see batch_engine.hpp). The
   /// partition is deterministic and independent of `workers`, and the
-  /// report's records/ordering/estimates/cache stats are byte-identical to
-  /// the scalar path for every value. <= 1 disables batching (every point
-  /// takes the scalar arena path). Effectiveness counters land in
-  /// RunReport::batch.
+  /// report's records/ordering/estimates/cache stats are byte-identical for
+  /// every value. <= 1 prices every point in its own one-lane window.
+  /// Effectiveness counters land in RunReport::batch.
   int batch_size = 64;
 
   /// Tracing sink for this run (overrides the session-level sink when
-  /// set): compile, chunk-schedule, lockstep-window, scalar-replay and
-  /// measure spans are recorded into it. nullptr (the default) falls back
+  /// set): compile, chunk-schedule, lockstep-window and measure spans are
+  /// recorded into it. nullptr (the default) falls back
   /// to Session::set_trace_sink's sink, and with neither attached the
   /// spans cost one predicted branch each — the report stays
   /// byte-identical to an untraced run either way (tracing never alters

@@ -219,14 +219,7 @@ class Builder {
  private:
   std::int32_t add(const front::ExprPtr& e) {
     if (!e) return -1;
-    const ExprCode code = flattener_.compile(*e);
-    if (code.ok) {
-      ++out_.compiled_exprs;
-    } else {
-      ++out_.fallback_exprs;
-      out_.complete = false;
-    }
-    out_.exprs.push_back(code);
+    out_.exprs.push_back(flattener_.compile(*e));
     return static_cast<std::int32_t>(out_.exprs.size() - 1);
   }
 
@@ -295,72 +288,8 @@ std::shared_ptr<const CostProgram> compile_cost_program(const CompiledProgram& p
 }
 
 // ---------------------------------------------------------------------------
-// evaluators
+// evaluator
 // ---------------------------------------------------------------------------
-
-std::optional<double> eval_code(const CostProgram& cp, const ExprCode& c,
-                                const ScalarEnv& env, double* r) {
-  const CostInstr* ip = cp.code.data() + c.first;
-  const CostInstr* const end = ip + c.count;
-  const double* pool = cp.pool.data();
-  for (; ip != end; ++ip) {
-    const CostInstr in = *ip;
-    switch (in.op) {
-      case CostOp::Const: r[in.dst] = pool[in.a]; break;
-      case CostOp::Load:
-        if (!env.is_defined(in.a)) return std::nullopt;
-        r[in.dst] = env.value(in.a);
-        break;
-      case CostOp::LoadDflt:
-        r[in.dst] = env.is_defined(in.a) ? env.value(in.a) : pool[in.b];
-        break;
-      case CostOp::Fail: return std::nullopt;
-      case CostOp::Neg: r[in.dst] = -r[in.a]; break;
-      case CostOp::Not: r[in.dst] = r[in.a] == 0.0 ? 1.0 : 0.0; break;
-      case CostOp::Add: r[in.dst] = r[in.a] + r[in.b]; break;
-      case CostOp::Sub: r[in.dst] = r[in.a] - r[in.b]; break;
-      case CostOp::Mul: r[in.dst] = r[in.a] * r[in.b]; break;
-      case CostOp::Div: r[in.dst] = r[in.a] / r[in.b]; break;
-      case CostOp::Pow: r[in.dst] = std::pow(r[in.a], r[in.b]); break;
-      case CostOp::IDiv:
-      case CostOp::IMod: {
-        const auto v = front::int_divide(r[in.a], r[in.b], in.op == CostOp::IMod);
-        if (!v) return std::nullopt;
-        r[in.dst] = *v;
-        break;
-      }
-      case CostOp::Lt: r[in.dst] = r[in.a] < r[in.b] ? 1.0 : 0.0; break;
-      case CostOp::Le: r[in.dst] = r[in.a] <= r[in.b] ? 1.0 : 0.0; break;
-      case CostOp::Gt: r[in.dst] = r[in.a] > r[in.b] ? 1.0 : 0.0; break;
-      case CostOp::Ge: r[in.dst] = r[in.a] >= r[in.b] ? 1.0 : 0.0; break;
-      case CostOp::Eq: r[in.dst] = r[in.a] == r[in.b] ? 1.0 : 0.0; break;
-      case CostOp::Ne: r[in.dst] = r[in.a] != r[in.b] ? 1.0 : 0.0; break;
-      case CostOp::And:
-        r[in.dst] = (r[in.a] != 0.0 && r[in.b] != 0.0) ? 1.0 : 0.0;
-        break;
-      case CostOp::Or:
-        r[in.dst] = (r[in.a] != 0.0 || r[in.b] != 0.0) ? 1.0 : 0.0;
-        break;
-      case CostOp::FMod: r[in.dst] = std::fmod(r[in.a], r[in.b]); break;
-      case CostOp::Min2: r[in.dst] = std::min(r[in.a], r[in.b]); break;
-      case CostOp::Max2: r[in.dst] = std::max(r[in.a], r[in.b]); break;
-      case CostOp::Sign2:
-        r[in.dst] = r[in.b] >= 0 ? std::fabs(r[in.a]) : -std::fabs(r[in.a]);
-        break;
-      case CostOp::Exp: r[in.dst] = std::exp(r[in.a]); break;
-      case CostOp::Log: r[in.dst] = std::log(r[in.a]); break;
-      case CostOp::Sqrt: r[in.dst] = std::sqrt(r[in.a]); break;
-      case CostOp::Abs: r[in.dst] = std::fabs(r[in.a]); break;
-      case CostOp::Sin: r[in.dst] = std::sin(r[in.a]); break;
-      case CostOp::Cos: r[in.dst] = std::cos(r[in.a]); break;
-      case CostOp::Atan: r[in.dst] = std::atan(r[in.a]); break;
-      case CostOp::Trunc: r[in.dst] = std::trunc(r[in.a]); break;
-      case CostOp::Nint: r[in.dst] = std::nearbyint(r[in.a]); break;
-      case CostOp::Merge: r[in.dst] = r[in.c] != 0.0 ? r[in.a] : r[in.b]; break;
-    }
-  }
-  return r[c.result];
-}
 
 // Fixed-width stripe loop: the trip count is the compile-time kBatchStripe
 // and every operand column is contiguous and disjoint from dst (registers

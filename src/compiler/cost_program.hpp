@@ -17,18 +17,17 @@
 // evaluator, including *when* it fails (an undefined critical variable, an
 // array element probe, a trapping integer division). Expressions the
 // flattener cannot prove equivalent (e.g. size() with a non-static dim
-// argument) are left uncompiled (ExprCode::ok == false) and the engines
-// fall back to the tree walker for just those expressions.
+// argument) are left uncompiled (ExprCode::ok == false) and the walker
+// falls back to the tree evaluator for just those expressions.
 //
-// Two evaluators share the bytecode:
-//   * eval_code       — one environment (the scalar engine's hot path);
-//   * eval_code_batch — a structure-of-arrays BatchEnv, values[slot][lane],
-//     one instruction loop over all lanes of a sweep batch (core::BatchEngine).
+// One evaluator runs the bytecode: eval_code_batch, over a
+// structure-of-arrays BatchEnv (values[slot][lane]) — one instruction loop
+// for all lanes of a lockstep window (core::BatchEngine), one lane when a
+// single point is predicted.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "compiler/eval.hpp"
@@ -87,8 +86,7 @@ struct NodeCost {
 
 /// The flattened cost program for one CompiledProgram, built by the
 /// pipeline right after node numbering and shared (immutable) by every
-/// engine. Hand-built programs that bypass the pipeline have none; the
-/// engines then use the tree evaluator throughout.
+/// engine.
 struct CostProgram {
   std::vector<CostInstr> code;   // all expressions, concatenated
   std::vector<double> pool;      // deduplicated constants
@@ -96,9 +94,6 @@ struct CostProgram {
   std::vector<NodeCost> nodes;   // indexed by SpmdNode::id
   std::vector<std::int32_t> space_codes;  // (lo,hi,step) triples
   std::uint16_t max_regs = 0;    // register-file size covering every expr
-  bool complete = true;          // every priced expression compiled
-  std::size_t compiled_exprs = 0;
-  std::size_t fallback_exprs = 0;  // left to the tree evaluator
 };
 
 /// Flattens every priced expression of `prog` (requires numbered nodes).
@@ -149,13 +144,6 @@ class BatchEnv {
   std::vector<unsigned char> defined_;
 };
 
-/// Executes one compiled expression against a scalar environment. `regs`
-/// must hold at least CostProgram::max_regs doubles. Returns nullopt on the
-/// same inputs the tree evaluator fails on, with no exception and no
-/// message formatting.
-[[nodiscard]] std::optional<double> eval_code(const CostProgram& cp, const ExprCode& c,
-                                              const ScalarEnv& env, double* regs);
-
 /// Executes one compiled expression over every lane of `env` in lockstep.
 /// Dispatch is instruction-major (one switch per instruction, amortized
 /// over the whole batch) and every lane loop runs as whole 8-lane stripes
@@ -167,10 +155,10 @@ class BatchEnv {
 /// cache-line aligned too); `out` and `ok` hold env.stride() entries
 /// (ok[l] == 0 marks a lane whose evaluation failed; its out value is
 /// unspecified, as are all entries past env.lanes()). Lane l's result is
-/// bit-identical to eval_code against lane l's scalar environment: stripes
-/// only regroup independent per-lane arithmetic, and no fast-math
-/// reassociation is in play. Returns the number of stripes executed
-/// (telemetry).
+/// bit-identical to the tree evaluator against lane l's scalar environment,
+/// failures included: stripes only regroup independent per-lane
+/// arithmetic, and no fast-math reassociation is in play. Returns the
+/// number of stripes executed (telemetry).
 std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
                             const BatchEnv& env, double* regs, double* out,
                             unsigned char* ok);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "support/diagnostics.hpp"
@@ -44,58 +46,35 @@ void BatchEngine::evict_unless(Pred keep, Outcome outcome, bool rebatchable) {
   if (w > 0) path_hash_ = key_of(active_[0]);
 }
 
-bool BatchEngine::interpret(const compiler::CompiledProgram& prog,
+void BatchEngine::interpret(const compiler::CompiledProgram& prog,
                             const machine::MachineModel& machine,
                             const PredictOptions& options,
                             std::span<const BatchLane> lanes, PredictionResult* results,
                             BatchRunStats& stats, std::vector<EvictedLane>& deferred) {
-  if (options.trace || lanes.size() < 2) return false;
-  const compiler::CostProgram* cp = prog.cost_program.get();
-  // An incomplete bytecode would need per-lane tree evaluation — i.e. a
-  // per-lane ScalarEnv — mid-batch; those programs stay on the scalar path.
-  if (cp == nullptr || !cp->complete || prog.root == nullptr) return false;
-  if (prog.node_ops.size() != static_cast<std::size_t>(prog.node_count)) return false;
-
   const obs::Span window_span(obs_sink_, obs::Phase::LockstepWindow, lanes.size());
 
   prog_ = &prog;
-  cost_ = cp;
+  cost_ = prog.cost_program.get();
   lanes_ = lanes;
+  lone_ = lanes.size() == 1;
   stats_ = {};
 
   const std::size_t L = lanes.size();
   if (engines_.size() < L) engines_.resize(L);
   for (std::size_t l = 0; l < L; ++l) {
-    engines_[l].rebind_lane(prog, *lanes[l].layout, machine, options, *lanes[l].bindings);
+    engines_[l].rebind(prog, *lanes[l].layout, machine, options, *lanes[l].bindings);
   }
 
-  // Seed the SoA environment: one seed_environment fold per distinct
-  // bindings object (sweep order keeps equal bindings adjacent), scattered
-  // into each lane's column.
-  const std::size_t symbols = prog.symbols.size();
-  env_.reset(symbols, L);
-  const front::Bindings* seeded = nullptr;
+  // Seed the SoA environment: scatter each lane's precomputed parameter
+  // fold into its column.
+  env_.reset(prog.symbols.size(), L);
   for (std::size_t l = 0; l < L; ++l) {
-    if (const compiler::SeededValues* sv = lanes[l].seed) {
-      // Precomputed fold: scatter only the defined symbols.
-      for (const auto& [s, v] : sv->defined) env_.define(s, l, v);
-      continue;
-    }
-    if (lanes[l].bindings != seeded) {
-      seed_env_.reset(symbols);
-      compiler::seed_environment(seed_env_, prog.symbols, *lanes[l].bindings);
-      seeded = lanes[l].bindings;
-    }
-    for (std::size_t s = 0; s < symbols; ++s) {
-      if (seed_env_.is_defined(static_cast<int>(s))) {
-        env_.define(static_cast<int>(s), l, seed_env_.value(static_cast<int>(s)));
-      }
-    }
+    for (const auto& [sym, v] : lanes[l].seed->defined) env_.define(sym, l, v);
   }
 
   // Register columns are stride-padded; align the file to a cache line so
   // every column starts on an aligned 8-double boundary.
-  regs_.resize(static_cast<std::size_t>(cp->max_regs) * env_.stride() + 8);
+  regs_.resize(static_cast<std::size_t>(cost_->max_regs) * env_.stride() + 8);
   const auto raw = reinterpret_cast<std::uintptr_t>(regs_.data());
   regs_aligned_ = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
   vals_.resize(env_.stride());
@@ -122,7 +101,6 @@ bool BatchEngine::interpret(const compiler::CompiledProgram& prog,
   // fresh lockstep batches; their results[] slots stay untouched here.
   deferred.insert(deferred.end(), evicted_.begin(), evicted_.end());
   stats = stats_;
-  return true;
 }
 
 void BatchEngine::walk_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
@@ -139,33 +117,82 @@ void BatchEngine::walk(const SpmdNode& n) {
     case SpmdKind::ScalarAssign: batch_scalar_assign(n); break;
     case SpmdKind::LocalLoop: batch_local_loop(n); break;
     case SpmdKind::OverlapComm:
-      for (const int l : active_) engines_[static_cast<std::size_t>(l)].walk_overlap(n);
+      for (const int l : active_) engines_[static_cast<std::size_t>(l)].price_overlap(n);
       break;
     case SpmdKind::CShiftComm: batch_cshift(n); break;
     case SpmdKind::GatherComm:
     case SpmdKind::ScatterComm: batch_irregular(n); break;
     case SpmdKind::SliceBroadcast:
-      for (const int l : active_) engines_[static_cast<std::size_t>(l)].walk_slice_bcast(n);
+      for (const int l : active_) engines_[static_cast<std::size_t>(l)].price_slice_bcast(n);
       break;
     case SpmdKind::Reduce: batch_reduce(n); break;
     case SpmdKind::DoLoop: batch_do(n); break;
     case SpmdKind::WhileLoop: batch_while(n); break;
     case SpmdKind::IfBlock: batch_if(n); break;
     case SpmdKind::HostIO:
-      for (const int l : active_) engines_[static_cast<std::size_t>(l)].walk_hostio(n);
+      for (const int l : active_) engines_[static_cast<std::size_t>(l)].price_hostio(n);
       break;
   }
 }
 
-void BatchEngine::eval(std::int32_t expr_id) {
-  stats_.simd_stripes += compiler::eval_code_batch(
-      *cost_, cost_->exprs[static_cast<std::size_t>(expr_id)], env_, regs_aligned_,
-      vals_.data(), ok_.data());
+void BatchEngine::eval(std::int32_t expr_id, const front::Expr& e) {
+  const compiler::ExprCode& c = cost_->exprs[static_cast<std::size_t>(expr_id)];
+  if (!c.ok) {
+    eval_tree(e);
+    return;
+  }
+  stats_.simd_stripes +=
+      compiler::eval_code_batch(*cost_, c, env_, regs_aligned_, vals_.data(), ok_.data());
+}
+
+void BatchEngine::eval_tree(const front::Expr& e) {
+  for (const int l : active_) {
+    gather_lane(l);
+    const std::optional<double> v =
+        compiler::try_eval_scalar(e, lane_env_, nullptr, prog_->symbols);
+    ok_[static_cast<std::size_t>(l)] = v ? 1 : 0;
+    vals_[static_cast<std::size_t>(l)] = v ? *v : 0.0;
+  }
+}
+
+void BatchEngine::gather_lane(int l) {
+  const std::size_t symbols = prog_->symbols.size();
+  lane_env_.reset(symbols);
+  for (std::size_t s = 0; s < symbols; ++s) {
+    const int slot = static_cast<int>(s);
+    if (env_.defined(slot)[l]) lane_env_.define(slot, env_.values(slot)[l]);
+  }
+}
+
+void BatchEngine::take_bound(const front::Expr& e, long long* out, unsigned char* fail,
+                             const support::SourceLoc& loc, const char* context) {
+  for (const int l : active_) {
+    const auto u = static_cast<std::size_t>(l);
+    if (ok_[u]) {
+      out[u] = std::llround(vals_[u]);
+    } else if (lone_) {
+      out[u] = lone_bound(e, loc, context);
+    } else {
+      fail[u] = 1;
+    }
+  }
+}
+
+long long BatchEngine::lone_bound(const front::Expr& e, const support::SourceLoc& loc,
+                                  const char* context) {
+  gather_lane(0);
+  try {
+    return compiler::eval_int(e, lane_env_, nullptr, prog_->symbols);
+  } catch (const CompileError& err) {
+    if (context == nullptr) throw;
+    throw CompileError(loc, std::string("unresolved critical variable in ") + context +
+                                " bounds: " + err.what());
+  }
 }
 
 void BatchEngine::batch_scalar_assign(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  eval(nc.rhs);
+  eval(nc.rhs, *n.rhs);
   const bool int_lhs = n.lhs->type == front::TypeBase::Integer;
   const int sym = n.lhs->symbol;
   for (const int l : active_) {
@@ -182,29 +209,18 @@ void BatchEngine::batch_scalar_assign(const SpmdNode& n) {
 void BatchEngine::batch_do(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
   for (const int l : active_) b_fail_[static_cast<std::size_t>(l)] = 0;
-  eval(nc.do_lo);
-  for (const int l : active_) {
-    const auto u = static_cast<std::size_t>(l);
-    if (!ok_[u]) b_fail_[u] = 1;
-    else b_lo_[u] = std::llround(vals_[u]);
-  }
-  eval(nc.do_hi);
-  for (const int l : active_) {
-    const auto u = static_cast<std::size_t>(l);
-    if (!ok_[u]) b_fail_[u] = 1;
-    else b_hi_[u] = std::llround(vals_[u]);
-  }
+  eval(nc.do_lo, *n.do_lo);
+  take_bound(*n.do_lo, b_lo_.data(), b_fail_.data(), n.loc, "do");
+  eval(nc.do_hi, *n.do_hi);
+  take_bound(*n.do_hi, b_hi_.data(), b_fail_.data(), n.loc, "do");
   if (n.do_step) {
-    eval(nc.do_step);
-    for (const int l : active_) {
-      const auto u = static_cast<std::size_t>(l);
-      if (!ok_[u]) b_fail_[u] = 1;
-      else b_step_[u] = std::llround(vals_[u]);
-    }
+    eval(nc.do_step, *n.do_step);
+    take_bound(*n.do_step, b_step_.data(), b_fail_.data(), n.loc, "do");
   } else {
     for (const int l : active_) b_step_[static_cast<std::size_t>(l)] = 1;
   }
-  // a failing bound or zero step throws on the scalar path: evict
+  if (lone_ && b_step_[0] == 0) throw CompileError(n.loc, "do loop step is zero");
+  // a failing bound or zero step: evict, so the lane reruns alone and throws
   const auto bound_ok = [&](int l) {
     const auto u = static_cast<std::size_t>(l);
     return b_fail_[u] == 0 && b_step_[u] != 0;
@@ -243,8 +259,13 @@ void BatchEngine::batch_while(const SpmdNode& n) {
   long long trips = 0;
   while (true) {
     if (active_.empty()) return;
-    eval(nc.cond);
-    // a data-dependent condition throws on the scalar path: evict
+    eval(nc.cond, *n.mask);
+    if (lone_ && !ok_[0]) {
+      throw CompileError(n.loc,
+                         "do while condition depends on data values; supply an "
+                         "explicit binding for its critical variables");
+    }
+    // a data-dependent condition: evict, so the lane reruns alone and throws
     evict_unless([&](int l) { return ok_[static_cast<std::size_t>(l)] != 0; },
                  [&](int l) { return ok_[static_cast<std::size_t>(l)] != 0 ? 0 : 1; },
                  false);
@@ -266,7 +287,7 @@ void BatchEngine::batch_while(const SpmdNode& n) {
 
 void BatchEngine::batch_if(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  eval(nc.cond);
+  eval(nc.cond, *n.mask);
   // unresolved conditions assume the then-branch (no eviction on failure)
   const auto then_of = [&](int l) {
     const auto u = static_cast<std::size_t>(l);
@@ -288,26 +309,16 @@ void BatchEngine::resolve_space_batch(const SpmdNode& n, const compiler::NodeCos
   sp_step_.resize(dims * L);
   sp_fail_.assign(L, 0);
   for (std::size_t d = 0; d < dims; ++d) {
+    const compiler::IterIndex& ix = n.space[d];
     const std::int32_t* sc = cost_->space_codes.data() + nc.space_first + 3 * d;
-    eval(sc[0]);
-    for (const int l : active_) {
-      const auto u = static_cast<std::size_t>(l);
-      if (!ok_[u]) sp_fail_[u] = 1;
-      else sp_lo_[d * L + u] = std::llround(vals_[u]);
-    }
-    eval(sc[1]);
-    for (const int l : active_) {
-      const auto u = static_cast<std::size_t>(l);
-      if (!ok_[u]) sp_fail_[u] = 1;
-      else sp_hi_[d * L + u] = std::llround(vals_[u]);
-    }
-    if (sc[2] >= 0) {
-      eval(sc[2]);
-      for (const int l : active_) {
-        const auto u = static_cast<std::size_t>(l);
-        if (!ok_[u]) sp_fail_[u] = 1;
-        else sp_step_[d * L + u] = std::llround(vals_[u]);
-      }
+    eval(sc[0], *ix.lo);
+    take_bound(*ix.lo, sp_lo_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
+    eval(sc[1], *ix.hi);
+    take_bound(*ix.hi, sp_hi_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
+    if (ix.stride) {
+      eval(sc[2], *ix.stride);
+      take_bound(*ix.stride, sp_step_.data() + d * L, sp_fail_.data(), ix.lo->loc,
+                 "forall");
     } else {
       for (const int l : active_) sp_step_[d * L + static_cast<std::size_t>(l)] = 1;
     }
@@ -364,7 +375,7 @@ void BatchEngine::resolve_lane_spaces(const std::vector<int>& which, std::size_t
 void BatchEngine::batch_local_loop(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
   resolve_space_batch(n, nc);
-  // a failing bound throws on the scalar path: evict
+  // a failing bound: evict, so the lane reruns alone and throws
   evict_unless([&](int l) { return sp_fail_[static_cast<std::size_t>(l)] == 0; },
                [&](int l) { return sp_fail_[static_cast<std::size_t>(l)]; }, false);
   if (active_.empty()) return;
@@ -375,20 +386,14 @@ void BatchEngine::batch_local_loop(const SpmdNode& n) {
     pts_[static_cast<std::size_t>(active_[i])] = res_pts_[i];
   }
   if (n.inner) {
-    // inner reduce bounds: the scalar walk evaluates them only after the
-    // points()>0 check, so a failing bound evicts only lanes that price
-    eval(nc.inner_hi);
-    for (const int l : active_) {
-      const auto u = static_cast<std::size_t>(l);
-      b_fail_[u] = ok_[u] ? 0 : 1;
-      if (ok_[u]) b_hi_[u] = std::llround(vals_[u]);
-    }
-    eval(nc.inner_lo);
-    for (const int l : active_) {
-      const auto u = static_cast<std::size_t>(l);
-      if (!ok_[u]) b_fail_[u] = 1;
-      else b_lo_[u] = std::llround(vals_[u]);
-    }
+    // inner reduce bounds, hi before lo, matter only to lanes that price:
+    // a failing bound evicts (or, alone, throws) only where points() > 0
+    if (lone_ && pts_[0] <= 0) return;
+    for (const int l : active_) b_fail_[static_cast<std::size_t>(l)] = 0;
+    eval(nc.inner_hi, *n.inner->index.hi);
+    take_bound(*n.inner->index.hi, b_hi_.data(), b_fail_.data(), n.loc, nullptr);
+    eval(nc.inner_lo, *n.inner->index.lo);
+    take_bound(*n.inner->index.lo, b_lo_.data(), b_fail_.data(), n.loc, nullptr);
     const auto inner_ok = [&](int l) {
       const auto u = static_cast<std::size_t>(l);
       return pts_[u] <= 0 || b_fail_[u] == 0;
@@ -457,10 +462,10 @@ void BatchEngine::batch_reduce(const SpmdNode& n) {
 
 void BatchEngine::batch_cshift(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  eval(nc.comm_amount);
+  eval(nc.comm_amount, *n.comm_amount);
   for (const int l : active_) {
     const auto u = static_cast<std::size_t>(l);
-    // an unevaluable shift amount defaults to 1 (no eviction), as scalar
+    // an unevaluable shift amount defaults to 1 (no eviction)
     const long long shift = ok_[u] ? std::llround(vals_[u]) : 1;
     engines_[u].price_cshift(n, shift);
   }
@@ -468,8 +473,9 @@ void BatchEngine::batch_cshift(const SpmdNode& n) {
 
 void BatchEngine::batch_irregular(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  // the scalar walk returns before resolving the space on one processor:
-  // a 1-proc lane must neither price nor evict on a failing bound
+  // a one-processor lane prices nothing here, so its bounds are never
+  // needed: it must neither evict nor, alone, throw on a failing bound
+  if (lone_ && engines_[0].nprocs_ <= 1) return;
   resolve_space_batch(n, nc);
   const auto irr_ok = [&](int l) {
     const auto u = static_cast<std::size_t>(l);
@@ -483,6 +489,22 @@ void BatchEngine::batch_irregular(const SpmdNode& n) {
     fill_space(l, dims, sp_scratch_);
     engines_[u].price_irregular(n, sp_scratch_);
   }
+}
+
+PredictionResult interpret_one(const compiler::CompiledProgram& prog,
+                               const front::Bindings& bindings,
+                               const compiler::DataLayout& layout,
+                               const machine::MachineModel& machine,
+                               const PredictOptions& options) {
+  const compiler::SeededValues seed = compiler::seed_values(prog.symbols, bindings);
+  const BatchLane lane{&layout, &bindings, &seed};
+  BatchEngine engine;
+  PredictionResult out;
+  BatchRunStats stats;
+  std::vector<EvictedLane> deferred;  // a one-lane window never evicts
+  engine.interpret(prog, machine, options, std::span<const BatchLane>(&lane, 1), &out, stats,
+                   deferred);
+  return out;
 }
 
 }  // namespace hpf90d::core

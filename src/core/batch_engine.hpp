@@ -1,25 +1,27 @@
-// batch_engine.hpp — lockstep interpretation of sweep-point batches.
+// batch_engine.hpp — the interpretation walk, over one or more points.
 //
 // Sweep points that share a CompiledProgram and machine differ only in
-// their scalar bindings and layout, so the SPMD tree can be visited once
-// per *batch* instead of once per point: every priced expression runs
-// through the flattened cost bytecode over a structure-of-arrays BatchEnv
-// (values[slot][lane], lane = sweep point), and per-lane pricing goes
-// through the same InterpretationEngine methods the scalar walk uses —
-// results are bit-identical to interpreting each lane alone, by
-// construction.
+// their scalar bindings and layout, so the SPMD tree is visited once per
+// *window* of points instead of once per point: every priced expression
+// runs through the flattened cost bytecode over a structure-of-arrays
+// BatchEnv (values[slot][lane], lane = sweep point), and each lane's
+// InterpretationEngine prices what the walk resolved for it. Lanes never
+// see each other's values, so a lane's result does not depend on which
+// window it ran in. Predicting one point is the one-lane walk
+// (interpret_one); a single lane cannot diverge.
 //
 // Lockstep requires the replicated control flow to agree across lanes:
 // equal DO trip counts (bounds may differ), the same IF decision, the same
 // WHILE test outcome on every trip. Lanes that diverge — different trip
-// counts from per-lane critical variables, a failing bound that would make
-// the scalar walk throw — are *evicted* and handed back to the caller, which
-// re-batches lanes that diverged the same way and replays the rest from
-// scratch with the plain scalar interpreter, so divergence costs only the
-// divergent lanes.
+// counts from per-lane critical variables, or a failing bound — are
+// *evicted* and handed back to the caller, which re-batches lanes that
+// diverged the same way and runs the rest as one-lane windows. A one-lane
+// window never evicts: a failing bound throws its located diagnostic.
 #pragma once
 
 #include <span>
+
+#include "compiler/cost_program.hpp"
 
 #include "core/engine.hpp"
 
@@ -34,12 +36,10 @@ namespace hpf90d::core {
 struct BatchLane {
   const compiler::DataLayout* layout = nullptr;
   const front::Bindings* bindings = nullptr;
-  /// Optional precomputed seed_environment fold for `bindings` (see
-  /// compiler::seed_values). When set, the lane's environment column is
-  /// scattered from this list instead of re-folding the parameters — the
-  /// values are identical by construction, it is purely a warm-path
-  /// memoization owned by the caller (must cover the same program/bindings
-  /// and outlive the interpret() call).
+  /// The seed_environment fold of `bindings` for the program (see
+  /// compiler::seed_values): the lane's environment column starts as this
+  /// list. Owned by the caller, which memoizes it per bindings object; it
+  /// must outlive the interpret() call.
   const compiler::SeededValues* seed = nullptr;
 };
 
@@ -59,35 +59,31 @@ struct BatchRunStats {
 /// stays in lockstep at least through the point where they left (and
 /// usually to the end). The key is only a grouping hint: a collision costs
 /// a second eviction, never a wrong result.
-/// `rebatchable` is false for evictions the scalar walk turns into a
-/// throw (failing bounds, unresolved conditions) — those must replay
-/// scalar so the diagnostic surfaces.
+/// `rebatchable` is false for failure evictions (failing bounds,
+/// unresolved conditions): those lanes rerun alone, so the one-lane walk
+/// throws their diagnostic.
 struct EvictedLane {
   int lane = 0;
   std::uint64_t key = 0;
   bool rebatchable = false;
 };
 
-/// Reusable arena (like InterpretationEngine): one per worker, interpret()
-/// per batch. Not thread-safe; distinct workers use distinct engines.
+/// Reusable arena: one per worker, interpret() per window. Not
+/// thread-safe; distinct workers use distinct engines.
 class BatchEngine {
  public:
   /// Interprets every lane in lockstep, filling results[l] for each lane l
-  /// that stays in lockstep with exactly what a scalar InterpretationEngine
-  /// bound to that lane would produce. Returns false — touching neither
-  /// results, stats nor `deferred` — when batch mode cannot run (tracing
-  /// on, fewer than two lanes, or a program without a complete cost
-  /// bytecode); the caller then prices each lane with the scalar engine.
-  /// Exceptions the scalar walk would throw (trip limits, unresolved
-  /// critical variables) propagate from here too.
-  ///
-  /// Evicted lanes are appended to `deferred` in lane order, keyed for
-  /// regrouping; their results[] slots are left untouched. The caller (the
-  /// session's re-compaction scheduler) re-batches or replays them.
-  bool interpret(const compiler::CompiledProgram& prog,
-                 const machine::MachineModel& machine, const PredictOptions& options,
-                 std::span<const BatchLane> lanes, PredictionResult* results,
-                 BatchRunStats& stats, std::vector<EvictedLane>& deferred);
+  /// that stays in lockstep. Evicted lanes are appended to `deferred` in
+  /// lane order, keyed for regrouping; their results[] slots are left
+  /// untouched for the caller (the session's re-compaction scheduler) to
+  /// re-batch or rerun alone. A one-lane window evicts nothing: where a
+  /// wider window would evict the lane for a failing bound or condition,
+  /// it throws the located support::CompileError instead. The WHILE trip
+  /// limit throws for any window.
+  void interpret(const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
+                 const PredictOptions& options, std::span<const BatchLane> lanes,
+                 PredictionResult* results, BatchRunStats& stats,
+                 std::vector<EvictedLane>& deferred);
 
   /// Attaches a tracing sink (nullptr detaches): each lockstep walk is
   /// recorded as one obs::Phase::LockstepWindow span (arg = lane count).
@@ -109,9 +105,26 @@ class BatchEngine {
   void batch_cshift(const SpmdNode& n);
   void batch_irregular(const SpmdNode& n);
 
-  /// Evaluates compiled expression `expr_id` over all lanes into
-  /// vals_/ok_ (dense: evicted lanes compute too, their results are noise).
-  void eval(std::int32_t expr_id);
+  /// Evaluates expression `e` (CostProgram::exprs[expr_id]) over all lanes
+  /// into vals_/ok_. Compiled code runs dense (evicted lanes compute too,
+  /// their results are noise); an uncompiled expression goes through the
+  /// tree evaluator for each active lane.
+  void eval(std::int32_t expr_id, const front::Expr& e);
+  /// Tree-evaluator fallback of eval() for ExprCode::ok == false.
+  void eval_tree(const front::Expr& e);
+  /// Loads lane `l`'s BatchEnv column into lane_env_.
+  void gather_lane(int l);
+  /// Rounds each active lane's just-evaluated bound `e` into out[lane]; a
+  /// lane whose evaluation failed is flagged in fail[lane] — or, in a
+  /// one-lane window, resolved by lone_bound.
+  void take_bound(const front::Expr& e, long long* out, unsigned char* fail,
+                  const support::SourceLoc& loc, const char* context);
+  /// The one-lane window's failing bound: re-evaluates `e` with the tree
+  /// evaluator and returns its value when that succeeds; otherwise throws
+  /// the tree's diagnostic, prefixed at `loc` by "unresolved critical
+  /// variable in <context> bounds: " when `context` is non-null.
+  [[gnu::cold]] long long lone_bound(const front::Expr& e, const support::SourceLoc& loc,
+                                     const char* context);
   /// Evaluates a node's iteration space for all lanes into sp_*_.
   void resolve_space_batch(const SpmdNode& n, const compiler::NodeCost& nc);
   /// Loads lane `l`'s resolved space from sp_*_ into `sp`.
@@ -127,7 +140,7 @@ class BatchEngine {
   /// path_hash_, so the hash encodes the full control-decision history —
   /// including trip counts, which change how many times later sites
   /// execute. `rebatchable` tags whether the evicted lanes may rejoin a
-  /// lockstep batch or must replay scalar (failure evictions).
+  /// lockstep batch or must rerun alone (failure evictions).
   template <class Pred, class Outcome>
   void evict_unless(Pred keep, Outcome outcome, bool rebatchable);
 
@@ -138,7 +151,8 @@ class BatchEngine {
 
   std::vector<InterpretationEngine> engines_;  // per-lane clocks/metrics/pricing
   compiler::BatchEnv env_;                     // the single source of scalar values
-  compiler::ScalarEnv seed_env_{0};            // per-bindings seed, scattered to lanes
+  compiler::ScalarEnv lane_env_{0};            // one lane's column, for the tree evaluator
+  bool lone_ = false;                          // a one-lane window: failures throw
 
   std::vector<double> regs_;        // max_regs * kBatchStripe file (+ alignment slack)
   double* regs_aligned_ = nullptr;  // regs_ rounded up to a 64-byte boundary
@@ -164,5 +178,13 @@ class BatchEngine {
 
   BatchRunStats stats_{};
 };
+
+/// Interprets one point as a one-lane BatchEngine walk: core::predict
+/// without its critical-variable check, for callers that ran it already.
+[[nodiscard]] PredictionResult interpret_one(const compiler::CompiledProgram& prog,
+                                             const front::Bindings& bindings,
+                                             const compiler::DataLayout& layout,
+                                             const machine::MachineModel& machine,
+                                             const PredictOptions& options);
 
 }  // namespace hpf90d::core

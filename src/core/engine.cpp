@@ -1,47 +1,26 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdlib>
 #include <span>
 
-#include "compiler/opcount.hpp"
 #include "compiler/pipeline.hpp"
+#include "core/batch_engine.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::core {
 
-using compiler::SpmdKind;
 using compiler::SpmdNode;
-using front::Expr;
-using front::ExprKind;
 using support::CompileError;
 
-InterpretationEngine::InterpretationEngine(const compiler::CompiledProgram& prog,
-                                           const compiler::DataLayout& layout,
-                                           const machine::MachineModel& machine,
-                                           const PredictOptions& options,
-                                           const front::Bindings& bindings) {
-  rebind(prog, layout, machine, options, bindings);
-}
-
-void InterpretationEngine::rebind_common(const compiler::CompiledProgram& prog,
-                                         const compiler::DataLayout& layout,
-                                         const machine::MachineModel& machine,
-                                         const PredictOptions& options,
-                                         const front::Bindings& bindings) {
-  if (prog.node_ops.size() == static_cast<std::size_t>(prog.node_count)) {
-    node_ops_ = &prog.node_ops;
-  } else {
-    // Hand-built program that bypassed the pipeline: price it here.
-    fallback_node_ops_ = compiler::collect_node_ops(prog);
-    node_ops_ = &fallback_node_ops_;
-  }
-  cost_ = prog.cost_program.get();
-  regs_.resize(cost_ ? cost_->max_regs : 0);
+void InterpretationEngine::rebind(const compiler::CompiledProgram& prog,
+                                  const compiler::DataLayout& layout,
+                                  const machine::MachineModel& machine,
+                                  const PredictOptions& options,
+                                  const front::Bindings& bindings) {
   prog_ = &prog;
   layout_ = &layout;
   options_ = options;
-  bindings_ = &bindings;
   const auto mp = bindings.get("mask__prob");
   mask_prob_ = mp ? *mp : options.mask_probability;
   nprocs_ = layout.nprocs();
@@ -55,35 +34,6 @@ void InterpretationEngine::rebind_common(const compiler::CompiledProgram& prog,
   clock_.assign(static_cast<std::size_t>(nprocs_), 0.0);
   metrics_.assign(static_cast<std::size_t>(prog.node_count), AAUMetric{});
   trace_.clear();
-}
-
-void InterpretationEngine::rebind(const compiler::CompiledProgram& prog,
-                                  const compiler::DataLayout& layout,
-                                  const machine::MachineModel& machine,
-                                  const PredictOptions& options,
-                                  const front::Bindings& bindings) {
-  rebind_common(prog, layout, machine, options, bindings);
-  env_.reset(prog.symbols.size());
-  compiler::seed_environment(env_, prog_->symbols, bindings);
-}
-
-void InterpretationEngine::rebind_lane(const compiler::CompiledProgram& prog,
-                                       const compiler::DataLayout& layout,
-                                       const machine::MachineModel& machine,
-                                       const PredictOptions& options,
-                                       const front::Bindings& bindings) {
-  rebind_common(prog, layout, machine, options, bindings);
-}
-
-PredictionResult InterpretationEngine::interpret() {
-  PredictionResult out;
-  interpret_into(out);
-  return out;
-}
-
-void InterpretationEngine::interpret_into(PredictionResult& out) {
-  walk_seq(prog_->root->children);
-  finalize_into(out);
 }
 
 void InterpretationEngine::finalize_into(PredictionResult& out) {
@@ -168,126 +118,7 @@ void InterpretationEngine::charge_all(int aau, double t, char category) {
   *acc = s;
 }
 
-// ---------------------------------------------------------------------------
-// bytecode fast path
-// ---------------------------------------------------------------------------
-
-namespace {
-const compiler::NodeCost kNoCost{};
-}
-
-const compiler::NodeCost& InterpretationEngine::ncost(const SpmdNode& n) const {
-  return cost_ ? cost_->nodes[static_cast<std::size_t>(n.id)] : kNoCost;
-}
-
-std::optional<double> InterpretationEngine::eval_opt(std::int32_t expr_id,
-                                                     const front::Expr& e) {
-  if (expr_id >= 0) {
-    const compiler::ExprCode& c = cost_->exprs[static_cast<std::size_t>(expr_id)];
-    if (c.ok) return compiler::eval_code(*cost_, c, env_, regs_.data());
-  }
-  return compiler::try_eval_scalar(e, env_, nullptr, prog_->symbols);
-}
-
-long long InterpretationEngine::eval_int_fast(std::int32_t expr_id, const front::Expr& e) {
-  if (expr_id >= 0) {
-    const compiler::ExprCode& c = cost_->exprs[static_cast<std::size_t>(expr_id)];
-    if (c.ok) {
-      if (const auto v = compiler::eval_code(*cost_, c, env_, regs_.data())) {
-        return static_cast<long long>(std::llround(*v));
-      }
-      // failure: re-run the tree evaluator for its curated diagnostic
-    }
-  }
-  return compiler::eval_int(e, env_, nullptr, prog_->symbols);
-}
-
-// ---------------------------------------------------------------------------
-
-void InterpretationEngine::walk_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
-  for (const auto& n : nodes) walk(*n);
-}
-
-void InterpretationEngine::walk(const SpmdNode& n) {
-  metric(n.id).visits++;
-  switch (n.kind) {
-    case SpmdKind::Seq: walk_seq(n.children); break;
-    case SpmdKind::ScalarAssign: walk_scalar_assign(n); break;
-    case SpmdKind::LocalLoop: walk_local_loop(n); break;
-    case SpmdKind::OverlapComm: walk_overlap(n); break;
-    case SpmdKind::CShiftComm: walk_cshift(n); break;
-    case SpmdKind::GatherComm:
-    case SpmdKind::ScatterComm: walk_irregular(n); break;
-    case SpmdKind::SliceBroadcast: walk_slice_bcast(n); break;
-    case SpmdKind::Reduce: walk_reduce(n); break;
-    case SpmdKind::DoLoop: walk_do(n); break;
-    case SpmdKind::WhileLoop: walk_while(n); break;
-    case SpmdKind::IfBlock: walk_if(n); break;
-    case SpmdKind::HostIO: walk_hostio(n); break;
-  }
-}
-
-void InterpretationEngine::walk_scalar_assign(const SpmdNode& n) {
-  // trace the definition path: scalar control values are evaluated, data
-  // values (reduction results, array elements) stay unknown
-  const std::optional<double> v = eval_opt(ncost(n).rhs, *n.rhs);
-  if (v) {
-    env_.define(n.lhs->symbol,
-                n.lhs->type == front::TypeBase::Integer ? std::trunc(*v) : *v);
-  }
-  charge_all(n.id, seq_cost(n), 'C');
-}
-
-void InterpretationEngine::walk_do(const SpmdNode& n) {
-  const compiler::NodeCost& nc = ncost(n);
-  long long lo, hi, step;
-  try {
-    lo = eval_int_fast(nc.do_lo, *n.do_lo);
-    hi = eval_int_fast(nc.do_hi, *n.do_hi);
-    step = n.do_step ? eval_int_fast(nc.do_step, *n.do_step) : 1;
-  } catch (const CompileError& e) {
-    throw CompileError(n.loc, std::string("unresolved critical variable in do bounds: ") +
-                                  e.what());
-  }
-  if (step == 0) throw CompileError(n.loc, "do loop step is zero");
-  charge_all(n.id, fn_->iter_setup(), 'O');
-  for (long long v = lo; step > 0 ? v <= hi : v >= hi; v += step) {
-    env_.define(n.do_symbol, static_cast<double>(v));
-    charge_all(n.id, fn_->iter_overhead(), 'O');
-    walk_seq(n.children);
-  }
-}
-
-void InterpretationEngine::walk_while(const SpmdNode& n) {
-  const compiler::NodeCost& nc = ncost(n);
-  long long trips = 0;
-  while (true) {
-    const std::optional<double> c = eval_opt(nc.cond, *n.mask);
-    if (!c) {
-      throw CompileError(n.loc,
-                         "do while condition depends on data values; supply an "
-                         "explicit binding for its critical variables");
-    }
-    charge_all(n.id, branch_cost(n), 'O');
-    if (*c == 0.0) break;
-    if (++trips > 1000000) {
-      throw CompileError(n.loc, "do while exceeded the interpretation trip limit");
-    }
-    walk_seq(n.children);
-  }
-}
-
-void InterpretationEngine::walk_if(const SpmdNode& n) {
-  const std::optional<double> c = eval_opt(ncost(n).cond, *n.mask);
-  charge_all(n.id, branch_cost(n), 'O');
-  if (!c || *c != 0.0) {
-    walk_seq(n.children);  // unresolved conditions assume the then-branch
-  } else {
-    walk_seq(n.else_children);
-  }
-}
-
-void InterpretationEngine::walk_hostio(const SpmdNode& n) {
+void InterpretationEngine::price_hostio(const SpmdNode& n) {
   long long bytes = 16;
   for (const auto& arg : n.io_args) {
     bytes += arg->rank == 0 ? 16 : 64;  // arrays: abstraction charges a block
@@ -310,44 +141,20 @@ long long InterpretationEngine::ResolvedSpace::points() const {
   return total;
 }
 
-InterpretationEngine::ResolvedSpace InterpretationEngine::resolve_space(const SpmdNode& n) {
-  const compiler::NodeCost& nc = ncost(n);
-  ResolvedSpace out;
-  for (std::size_t d = 0; d < n.space.size(); ++d) {
-    const auto& ix = n.space[d];
-    const std::int32_t* sc =
-        nc.space_first >= 0
-            ? cost_->space_codes.data() + nc.space_first + 3 * static_cast<std::int32_t>(d)
-            : nullptr;
-    try {
-      out.lo.push_back(eval_int_fast(sc ? sc[0] : -1, *ix.lo));
-      out.hi.push_back(eval_int_fast(sc ? sc[1] : -1, *ix.hi));
-      out.step.push_back(ix.stride ? eval_int_fast(sc ? sc[2] : -1, *ix.stride) : 1);
-    } catch (const CompileError& e) {
-      throw CompileError(ix.lo->loc,
-                         std::string("unresolved critical variable in forall bounds: ") +
-                             e.what());
-    }
-  }
-  return out;
-}
-
 const std::vector<long long>& InterpretationEngine::local_iterations(
-    const SpmdNode& n, const ResolvedSpace& space, long long replicated_pts) {
+    const SpmdNode& n, const ResolvedSpace& space, long long space_points) {
   std::vector<long long>& iters = iters_scratch_;
   iters.resize(static_cast<std::size_t>(nprocs_));  // every slot written below
   if (nprocs_ == 1) {
     // a lone processor always owns the whole space, home array or not —
-    // the general loop below reduces to space.points() (= replicated_pts
-    // when the caller precomputed it)
-    iters[0] = replicated_pts >= 0 ? replicated_pts : space.points();
+    // the general loop below reduces to space.points()
+    iters[0] = space_points;
     return iters;
   }
   const compiler::ArrayMap* home =
       n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
   if (home == nullptr) {
-    std::fill(iters.begin(), iters.end(),
-              replicated_pts >= 0 ? replicated_pts : space.points());
+    std::fill(iters.begin(), iters.end(), space_points);
     return iters;
   }
   // which home dim each space index drives is a property of the node, not
@@ -426,17 +233,10 @@ long long InterpretationEngine::slab_elements(const compiler::ArrayMap& map, int
   return perp * width;
 }
 
-double InterpretationEngine::mask_probability() const { return mask_prob_; }
-
-long long InterpretationEngine::working_set_estimate(const SpmdNode& n,
-                                                     const ResolvedSpace& space) const {
-  return working_set_estimate(n, space.points());
-}
-
 long long InterpretationEngine::working_set_estimate(const SpmdNode& n,
                                                      long long space_points) const {
   // the array-ref factor is precomputed per node (NodeOpCounts::ws_arrays)
-  const long long arrays = node_ops_->at(static_cast<std::size_t>(n.id)).ws_arrays;
+  const long long arrays = prog_->node_ops.at(static_cast<std::size_t>(n.id)).ws_arrays;
   const int elem = n.lhs ? front::type_size_bytes(n.lhs->type) : 4;
   return std::max<long long>(1, space_points) * arrays * elem /
          std::max(1, nprocs_);
@@ -445,21 +245,6 @@ long long InterpretationEngine::working_set_estimate(const SpmdNode& n,
 // ---------------------------------------------------------------------------
 // computation AAUs
 // ---------------------------------------------------------------------------
-
-IterCost InterpretationEngine::local_loop_cost(const SpmdNode& n, const ResolvedSpace& space,
-                                               long long inner_m) const {
-  const compiler::OpCounts& ops = body_ops(n);
-  const int elem = front::type_size_bytes(n.lhs->type);
-  const long long ws = working_set_estimate(n, space);
-  return n.mask ? fn_->condt_cost(ops, cond_ops(n), mask_probability(), elem, ws, inner_m)
-                : fn_->iter_cost(ops, elem, ws, inner_m);
-}
-
-IterCost InterpretationEngine::reduce_cost(const SpmdNode& n,
-                                           const ResolvedSpace& space) const {
-  return fn_->iter_cost(body_ops(n), front::type_size_bytes(n.reduce_arg->type),
-                        working_set_estimate(n, space));
-}
 
 void InterpretationEngine::price_iters_on(const SpmdNode& n, const IterCost& cost,
                                           const std::vector<long long>& iters) {
@@ -505,11 +290,6 @@ void InterpretationEngine::price_iters_on(const SpmdNode& n, const IterCost& cos
   }
   m.comp = mc;
   m.overhead = mo;
-}
-
-void InterpretationEngine::price_iters(const SpmdNode& n, const ResolvedSpace& space,
-                                       const IterCost& cost) {
-  price_iters_on(n, cost, local_iterations(n, space));
 }
 
 void InterpretationEngine::price_iters_batch(const SpmdNode& n,
@@ -606,38 +386,6 @@ void InterpretationEngine::price_reduce_comm_batch(const SpmdNode& n,
   }
 }
 
-void InterpretationEngine::walk_local_loop(const SpmdNode& n) {
-  const ResolvedSpace space = resolve_space(n);
-  if (space.points() <= 0) return;
-  long long inner_m = 0;
-  if (n.inner) {
-    const compiler::NodeCost& nc = ncost(n);
-    inner_m = std::max<long long>(0, eval_int_fast(nc.inner_hi, *n.inner->index.hi) -
-                                         eval_int_fast(nc.inner_lo, *n.inner->index.lo) + 1);
-  }
-  price_iters(n, space, local_loop_cost(n, space, inner_m));
-}
-
-void InterpretationEngine::price_reduce_comm(const SpmdNode& n) {
-  // the reduction result is a data value: it stays unknown to the engine
-  const compiler::ArrayMap* home =
-      n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
-  if (home != nullptr && nprocs_ > 1) {
-    const long long bytes = n.reduce_op == compiler::ReduceOp::MaxLoc ? 12 : 8;
-    const double comm_cost = fn_->comm().reduce(nprocs_, bytes,
-                                                machine_->node().proc.t_fadd,
-                                                options_.collective);
-    cost_scratch_.assign(static_cast<std::size_t>(nprocs_), comm_cost);
-    sync_then_charge_comm(n, cost_scratch_);
-  }
-}
-
-void InterpretationEngine::walk_reduce(const SpmdNode& n) {
-  const ResolvedSpace space = resolve_space(n);
-  price_iters(n, space, reduce_cost(n, space));
-  price_reduce_comm(n);
-}
-
 // ---------------------------------------------------------------------------
 // communication AAUs
 // ---------------------------------------------------------------------------
@@ -657,7 +405,7 @@ void InterpretationEngine::sync_then_charge_comm(const SpmdNode& n,
   }
 }
 
-void InterpretationEngine::walk_overlap(const SpmdNode& n) {
+void InterpretationEngine::price_overlap(const SpmdNode& n) {
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
   if (map == nullptr) return;
   const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
@@ -696,14 +444,6 @@ void InterpretationEngine::walk_overlap(const SpmdNode& n) {
   sync_then_charge_comm(n, cost);
 }
 
-void InterpretationEngine::walk_cshift(const SpmdNode& n) {
-  long long shift = 1;
-  if (const auto v = eval_opt(ncost(n).comm_amount, *n.comm_amount)) {
-    shift = static_cast<long long>(std::llround(*v));
-  }
-  price_cshift(n, shift);
-}
-
 void InterpretationEngine::price_cshift(const SpmdNode& n, long long shift) {
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
   const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
@@ -740,12 +480,6 @@ void InterpretationEngine::price_cshift(const SpmdNode& n, long long shift) {
   sync_then_charge_comm(n, cost);
 }
 
-void InterpretationEngine::walk_irregular(const SpmdNode& n) {
-  if (nprocs_ <= 1) return;
-  const ResolvedSpace space = resolve_space(n);
-  price_irregular(n, space);
-}
-
 void InterpretationEngine::price_irregular(const SpmdNode& n, const ResolvedSpace& space) {
   const long long total = std::max<long long>(space.points(), 0);
   if (total == 0) return;
@@ -762,7 +496,7 @@ void InterpretationEngine::price_irregular(const SpmdNode& n, const ResolvedSpac
   sync_then_charge_comm(n, cost_scratch_);
 }
 
-void InterpretationEngine::walk_slice_bcast(const SpmdNode& n) {
+void InterpretationEngine::price_slice_bcast(const SpmdNode& n) {
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
   if (map == nullptr || nprocs_ <= 1) return;
   const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
@@ -805,8 +539,7 @@ PredictionResult predict(const compiler::CompiledProgram& prog,
                          const machine::MachineModel& machine,
                          const PredictOptions& options) {
   require_critical_complete(prog, bindings);
-  InterpretationEngine engine(prog, layout, machine, options, bindings);
-  return engine.interpret();
+  return interpret_one(prog, bindings, layout, machine, options);
 }
 
 }  // namespace hpf90d::core

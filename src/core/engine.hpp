@@ -7,6 +7,12 @@
 // evaluating it (the critical-variable machinery); data values are never
 // touched — iteration counts come from the data-mapping formulas, mask
 // effects from probabilities, and communication volumes from the layout.
+//
+// The parse is implemented once, by core::BatchEngine (batch_engine.hpp),
+// which walks any number of points in lockstep; predicting one point is
+// its one-lane walk. This header holds what a lane carries through that
+// walk — the InterpretationEngine's clocks, metrics and pricing — plus the
+// result types and the predict() entry points.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "compiler/cost_program.hpp"
 #include "compiler/eval.hpp"
 #include "compiler/mapping.hpp"
 #include "compiler/spmd_ir.hpp"
@@ -60,123 +65,62 @@ struct PredictionResult {
   std::vector<TraceEvent> trace;
 };
 
-/// The engine is reusable: a default-constructed engine is an *arena* that
-/// `rebind()` points at a new (program, layout, machine, options, bindings)
-/// tuple before each `interpret()`/`interpret_into()` call. Rebinding reuses
-/// the clock/metric/environment scratch buffers, so a per-worker engine
-/// interprets thousands of sweep points without per-point heap churn while
-/// producing bit-identical results to a freshly constructed engine.
+/// One lane's interpretation state: per-processor clocks, per-AAU metrics
+/// and the trace, plus the interpretation-function pricing that charges
+/// them. It evaluates no expressions and walks no tree: core::BatchEngine
+/// is the one SPMD walker, and every priced expression reaches these
+/// methods as a value it already evaluated for the lane. A default-
+/// constructed engine is an arena that the walker rebinds per window,
+/// reusing the clock/metric buffers across sweep points.
 class InterpretationEngine {
- public:
-  /// Arena construction: no state bound yet; call rebind() before use.
-  InterpretationEngine() = default;
+ private:
+  using SpmdNode = compiler::SpmdNode;
 
-  InterpretationEngine(const compiler::CompiledProgram& prog,
-                       const compiler::DataLayout& layout,
-                       const machine::MachineModel& machine,
-                       const PredictOptions& options, const front::Bindings& bindings);
+  friend class BatchEngine;
 
-  /// Re-targets the engine, resetting all interpretation state exactly as
-  /// construction would while reusing scratch allocations. Every referenced
-  /// argument (including `bindings`) must outlive the next interpret call.
+  /// Points the engine at a (program, layout, machine, options, bindings)
+  /// tuple and resets its clocks, metrics and trace exactly as a fresh
+  /// engine would be, reusing scratch allocations. Every referenced
+  /// argument must outlive the walk.
   void rebind(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
               const machine::MachineModel& machine, const PredictOptions& options,
               const front::Bindings& bindings);
 
-  /// Runs the interpretation algorithm over the whole SAAG. One-shot per
-  /// rebind/construction: call rebind() again before the next run.
-  [[nodiscard]] PredictionResult interpret();
-
-  /// Same, assigning into `out` so its vectors' capacity is reused across
-  /// sweep points (the arena hot path).
-  void interpret_into(PredictionResult& out);
-
- private:
-  using SpmdNode = compiler::SpmdNode;
-
-  /// The batch engine drives lockstep interpretation through this engine's
-  /// per-lane pricing methods (price_* / charge_all / walk_<comm>), which
-  /// never read env_: expression values always arrive pre-evaluated from
-  /// the shared SoA BatchEnv, so the batch and scalar paths share one
-  /// pricing implementation and stay bit-identical by construction.
-  friend class BatchEngine;
-
-  /// rebind() minus the scalar environment reset/seed: in batch mode the
-  /// BatchEngine's BatchEnv is the only environment, so per-lane engines
-  /// skip the seed_environment fold entirely.
-  void rebind_lane(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
-                   const machine::MachineModel& machine, const PredictOptions& options,
-                   const front::Bindings& bindings);
-
-  /// Shared tail of rebind()/rebind_lane().
-  void rebind_common(const compiler::CompiledProgram& prog,
-                     const compiler::DataLayout& layout,
-                     const machine::MachineModel& machine, const PredictOptions& options,
-                     const front::Bindings& bindings);
-
-  /// Aggregation tail of interpret_into: turns the accumulated clocks and
-  /// metrics into a PredictionResult without walking anything (the batch
-  /// engine finalizes lanes it walked itself).
+  /// Turns the accumulated clocks and metrics into a PredictionResult.
   void finalize_into(PredictionResult& out);
-
-  void walk_seq(const std::vector<compiler::SpmdNodePtr>& nodes);
-  void walk(const SpmdNode& n);
-  void walk_scalar_assign(const SpmdNode& n);
-  void walk_do(const SpmdNode& n);
-  void walk_while(const SpmdNode& n);
-  void walk_if(const SpmdNode& n);
-  void walk_local_loop(const SpmdNode& n);
-  void walk_reduce(const SpmdNode& n);
-  void walk_overlap(const SpmdNode& n);
-  void walk_cshift(const SpmdNode& n);
-  void walk_irregular(const SpmdNode& n);
-  void walk_slice_bcast(const SpmdNode& n);
-  void walk_hostio(const SpmdNode& n);
 
   struct ResolvedSpace {
     std::vector<long long> lo, hi, step;
     [[nodiscard]] long long points() const;
     [[nodiscard]] long long dim_count(std::size_t d) const;
   };
-  [[nodiscard]] ResolvedSpace resolve_space(const SpmdNode& n);
 
-  // --- bytecode fast path ----------------------------------------------------
-  // Priced expressions evaluate through the program's flattened CostProgram
-  // when one exists (expr_id >= 0 and the expression compiled); otherwise
-  // through the tree walker. Results are bit-identical either way,
-  // including the failure set.
-  [[nodiscard]] const compiler::NodeCost& ncost(const SpmdNode& n) const;
-  [[nodiscard]] std::optional<double> eval_opt(std::int32_t expr_id, const front::Expr& e);
-  /// eval_int through the bytecode; a bytecode failure re-runs the tree
-  /// evaluator so the thrown CompileError carries the curated diagnostic.
-  [[nodiscard]] long long eval_int_fast(std::int32_t expr_id, const front::Expr& e);
-
-  // --- per-lane pricing (shared scalar/batch; never reads env_) -------------
+  // --- per-lane pricing -------------------------------------------------------
   void note_visit(const SpmdNode& n) { metric(n.id).visits++; }
   void charge_all(int aau, double t, char category);
   [[nodiscard]] double seq_cost(const SpmdNode& n) const { return fn_->seq(body_ops(n)); }
   [[nodiscard]] double branch_cost(const SpmdNode& n) const { return fn_->condt(cond_ops(n)); }
-  [[nodiscard]] IterCost local_loop_cost(const SpmdNode& n, const ResolvedSpace& space,
-                                         long long inner_m) const;
-  [[nodiscard]] IterCost reduce_cost(const SpmdNode& n, const ResolvedSpace& space) const;
-  void price_iters(const SpmdNode& n, const ResolvedSpace& space, const IterCost& cost);
-  void price_reduce_comm(const SpmdNode& n);
+  void price_overlap(const SpmdNode& n);
   void price_cshift(const SpmdNode& n, long long shift);
   void price_irregular(const SpmdNode& n, const ResolvedSpace& space);
+  void price_slice_bcast(const SpmdNode& n);
+  void price_hostio(const SpmdNode& n);
 
-  /// Charging tail of price_iters against precomputed per-proc counts.
+  /// Charges a node's computation against precomputed per-proc iteration
+  /// counts.
   void price_iters_on(const SpmdNode& n, const IterCost& cost,
                       const std::vector<long long>& iters);
 
-  // --- batched pricing (BatchEngine: all lanes of a node in one pass) -------
-  // Each engines[lanes[i]] is charged exactly what the scalar call sequence
+  // --- batched pricing (all lanes of a node in one pass) ----------------------
+  // Each engines[lanes[i]] is charged exactly what pricing that lane alone
   // would charge it (lanes are independent — distinct clocks and metrics —
-  // so looping lanes inside one call is bit-identical to one call per
-  // lane), but the node's dispatch, space plumbing, and cost fetches happen
-  // once per node instead of once per lane.
-  /// price_iters for lanes[0..count): spaces[i] points at lane i's resolved
-  /// space (uniform lanes may all point at one shared space) and pts[i]
-  /// carries its precomputed points() so replicated nodes never recount.
+  // so looping lanes inside one call changes no lane's charge sequence),
+  // but the node's dispatch, space plumbing, and cost fetches happen once
+  // per node instead of once per lane.
+  /// Computation charges for lanes[0..count): spaces[i] points at lane i's
+  /// resolved space (uniform lanes may all point at one shared space) and
+  /// pts[i] carries its precomputed points() so replicated nodes never
+  /// recount.
   static void price_iters_batch(const SpmdNode& n, InterpretationEngine* engines,
                                 const int* lanes, std::size_t count,
                                 const ResolvedSpace* const* spaces,
@@ -187,28 +131,26 @@ class InterpretationEngine {
                                           InterpretationEngine* engines,
                                           const int* lanes, std::size_t count,
                                           const double* cost_per_lane);
-  /// price_reduce_comm for every lane in one pass (skips lanes it does not
-  /// apply to, exactly like the scalar predicate).
+  /// A Reduce node's combine communication for every lane it applies to
+  /// (a home array and more than one processor).
   static void price_reduce_comm_batch(const SpmdNode& n, InterpretationEngine* engines,
                                       const int* lanes, std::size_t count);
 
   /// Analytic per-processor iteration counts under owner-computes; the
   /// result lives in iters_scratch_ (valid until the next call).
-  /// `replicated_pts` >= 0 supplies a precomputed space.points() used when
-  /// the node has no home array (every processor runs the whole space).
+  /// `space_points` is the precomputed space.points(), every processor's
+  /// count when the node has no home array.
   const std::vector<long long>& local_iterations(const SpmdNode& n,
                                                  const ResolvedSpace& space,
-                                                 long long replicated_pts = -1);
+                                                 long long space_points);
 
   /// Boundary-slab elements of `map` at `proc` for an exchange of `width`
   /// along array dim `dim`.
   [[nodiscard]] long long slab_elements(const compiler::ArrayMap& map, int proc, int dim,
                                         long long width) const;
 
-  [[nodiscard]] double mask_probability() const;
-  [[nodiscard]] long long working_set_estimate(const SpmdNode& n,
-                                               const ResolvedSpace& space) const;
-  /// Same estimate from a precomputed space.points() (batch hot path).
+  [[nodiscard]] double mask_probability() const { return mask_prob_; }
+  /// Per-processor working set of a node whose space has `space_points`.
   [[nodiscard]] long long working_set_estimate(const SpmdNode& n,
                                                long long space_points) const;
 
@@ -218,14 +160,12 @@ class InterpretationEngine {
 
   /// Per-node operation counts: computed once at compile time and carried
   /// by CompiledProgram::node_ops, so every arena and rebind shares one
-  /// table (no per-engine cache to invalidate). at(): a hand-built program
-  /// with unnumbered nodes (id -1) fails with std::out_of_range, exactly
-  /// like the pre-hoist per-engine cache did.
+  /// table.
   [[nodiscard]] const compiler::OpCounts& body_ops(const SpmdNode& n) const {
-    return node_ops_->at(static_cast<std::size_t>(n.id)).body;
+    return prog_->node_ops.at(static_cast<std::size_t>(n.id)).body;
   }
   [[nodiscard]] const compiler::OpCounts& cond_ops(const SpmdNode& n) const {
-    return node_ops_->at(static_cast<std::size_t>(n.id)).cond;
+    return prog_->node_ops.at(static_cast<std::size_t>(n.id)).cond;
   }
 
   // Pointers (not references) so rebind() can re-target the engine; null
@@ -234,13 +174,11 @@ class InterpretationEngine {
   const compiler::DataLayout* layout_ = nullptr;
   const machine::MachineModel* machine_ = nullptr;
   PredictOptions options_;
-  const front::Bindings* bindings_ = nullptr;
   int nprocs_ = 0;
-  /// mask_probability() resolved once per rebind — the "mask__prob" binding
-  /// lookup is a hash probe that otherwise runs per priced masked node.
+  /// The "mask__prob" binding (or the option default) resolved once per
+  /// rebind — a hash probe that otherwise runs per priced masked node.
   double mask_prob_ = 1.0;
 
-  compiler::ScalarEnv env_{0};
   // InterpretationFunctions holds SAU references, so retargeting is an
   // emplace rather than an assignment.
   std::optional<InterpretationFunctions> fn_;
@@ -248,18 +186,6 @@ class InterpretationEngine {
   std::vector<double> clock_;
   std::vector<AAUMetric> metrics_;
   std::vector<TraceEvent> trace_;
-
-  // Compile-time op counts for the bound program; points at
-  // prog_->node_ops, or at fallback_node_ops_ for hand-built programs that
-  // bypassed the pipeline (recomputed per rebind, never on the sweep path).
-  const std::vector<compiler::NodeOpCounts>* node_ops_ = nullptr;
-  std::vector<compiler::NodeOpCounts> fallback_node_ops_;
-
-  // Flattened cost bytecode of the bound program (null for hand-built
-  // programs — every priced expression then walks its tree) and the
-  // engine's register file for it.
-  const compiler::CostProgram* cost_ = nullptr;
-  std::vector<double> regs_;
 
   // Worker-owned scratch (reused across points, overwritten per node):
   std::vector<long long> iters_scratch_;  // local_iterations result
@@ -274,7 +200,7 @@ void require_critical_complete(const compiler::CompiledProgram& prog,
                                const front::Bindings& bindings);
 
 /// Convenience wrapper: layout construction + critical-variable check +
-/// interpretation in one call. Throws support::CompileError when a critical
+/// interpretation (a one-lane core::BatchEngine walk) in one call. Throws support::CompileError when a critical
 /// variable is unresolved (listing it, as the interactive tool would).
 [[nodiscard]] PredictionResult predict(const compiler::CompiledProgram& prog,
                                        const front::Bindings& bindings,

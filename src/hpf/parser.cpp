@@ -1,5 +1,6 @@
 #include "hpf/parser.hpp"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 
@@ -431,6 +432,27 @@ class Parser {
     Parser& parser;
   };
 
+  /// Sets height_ for a node built over operands at most `operands` high,
+  /// rejecting the node at `loc` when it would exceed kMaxExprHeight.
+  void grow(int operands, const SourceLoc& loc) {
+    if (operands >= kMaxExprHeight) {
+      throw CompileError(loc, "expression tree higher than " +
+                                  std::to_string(kMaxExprHeight) + " levels");
+    }
+    height_ = operands + 1;
+  }
+
+  /// One left-associative binary step: `lhs` (height_ on entry) op the
+  /// operand `parse_rhs` returns, rejected at the operator token `loc`
+  /// when the tree grows too high.
+  template <class ParseRhs>
+  ExprPtr chain(BinOp op, ExprPtr lhs, const SourceLoc& loc, ParseRhs parse_rhs) {
+    const int lhs_height = height_;
+    ExprPtr rhs = parse_rhs();
+    grow(std::max(lhs_height, height_), loc);
+    return make_binary(op, std::move(lhs), std::move(rhs));
+  }
+
   // precedence (low→high): .or. | .and. | .not. | relational | +- | */ | unary | ** | primary
   ExprPtr parse_expr() {
     const Nesting level(*this);
@@ -440,8 +462,8 @@ class Parser {
   ExprPtr parse_or() {
     ExprPtr lhs = parse_and();
     while (at(TokenKind::Or)) {
-      advance();
-      lhs = make_binary(BinOp::Or, std::move(lhs), parse_and());
+      const SourceLoc loc = advance().loc;
+      lhs = chain(BinOp::Or, std::move(lhs), loc, [&] { return parse_and(); });
     }
     return lhs;
   }
@@ -449,8 +471,8 @@ class Parser {
   ExprPtr parse_and() {
     ExprPtr lhs = parse_not();
     while (at(TokenKind::And)) {
-      advance();
-      lhs = make_binary(BinOp::And, std::move(lhs), parse_not());
+      const SourceLoc loc = advance().loc;
+      lhs = chain(BinOp::And, std::move(lhs), loc, [&] { return parse_not(); });
     }
     return lhs;
   }
@@ -461,6 +483,7 @@ class Parser {
       const SourceLoc loc = peek().loc;
       advance();
       auto e = make_unary(UnOp::Not, parse_not());
+      grow(height_, loc);
       e->loc = loc;
       return e;
     }
@@ -481,8 +504,8 @@ class Parser {
       default: break;
     }
     if (op) {
-      advance();
-      lhs = make_binary(*op, std::move(lhs), parse_additive());
+      const SourceLoc loc = advance().loc;
+      lhs = chain(*op, std::move(lhs), loc, [&] { return parse_additive(); });
     }
     return lhs;
   }
@@ -491,8 +514,8 @@ class Parser {
     ExprPtr lhs = parse_multiplicative();
     while (at(TokenKind::Plus) || at(TokenKind::Minus)) {
       const BinOp op = at(TokenKind::Plus) ? BinOp::Add : BinOp::Sub;
-      advance();
-      lhs = make_binary(op, std::move(lhs), parse_multiplicative());
+      const SourceLoc loc = advance().loc;
+      lhs = chain(op, std::move(lhs), loc, [&] { return parse_multiplicative(); });
     }
     return lhs;
   }
@@ -501,8 +524,8 @@ class Parser {
     ExprPtr lhs = parse_unary();
     while (at(TokenKind::Star) || at(TokenKind::Slash)) {
       const BinOp op = at(TokenKind::Star) ? BinOp::Mul : BinOp::Div;
-      advance();
-      lhs = make_binary(op, std::move(lhs), parse_unary());
+      const SourceLoc loc = advance().loc;
+      lhs = chain(op, std::move(lhs), loc, [&] { return parse_unary(); });
     }
     return lhs;
   }
@@ -513,6 +536,7 @@ class Parser {
       const SourceLoc loc = peek().loc;
       advance();
       auto e = make_unary(UnOp::Neg, parse_unary());
+      grow(height_, loc);
       e->loc = loc;
       return e;
     }
@@ -528,9 +552,9 @@ class Parser {
     ExprPtr base = parse_primary();
     if (at(TokenKind::Power)) {
       const Nesting level(*this);
-      advance();
+      const SourceLoc loc = advance().loc;
       // right-associative; exponent may itself be unary (e.g. x**-2)
-      return make_binary(BinOp::Pow, std::move(base), parse_unary());
+      return chain(BinOp::Pow, std::move(base), loc, [&] { return parse_unary(); });
     }
     return base;
   }
@@ -541,11 +565,13 @@ class Parser {
       case TokenKind::IntLiteral: {
         auto e = make_int_lit(tok.int_value, tok.loc);
         advance();
+        height_ = 1;
         return e;
       }
       case TokenKind::RealLiteral: {
         auto e = make_real_lit(tok.real_value, tok.loc);
         advance();
+        height_ = 1;
         return e;
       }
       case TokenKind::TrueLiteral:
@@ -556,6 +582,7 @@ class Parser {
         e->bool_value = tok.kind == TokenKind::TrueLiteral;
         e->type = TypeBase::Logical;
         advance();
+        height_ = 1;
         return e;
       }
       case TokenKind::LParen: {
@@ -568,7 +595,10 @@ class Parser {
         std::string name = tok.text;
         const SourceLoc loc = tok.loc;
         advance();
-        if (!at(TokenKind::LParen)) return make_var(std::move(name), loc);
+        if (!at(TokenKind::LParen)) {
+          height_ = 1;
+          return make_var(std::move(name), loc);
+        }
         return parse_ref_or_call(std::move(name), loc);
       }
       default:
@@ -584,8 +614,9 @@ class Parser {
     expect(TokenKind::LParen);
     std::vector<Subscript> subs;
     bool has_section = false;
+    int tallest = 0;
     while (true) {
-      Subscript sub = parse_subscript();
+      Subscript sub = parse_subscript(tallest);
       has_section = has_section || sub.kind != Subscript::Kind::Scalar;
       subs.push_back(std::move(sub));
       if (at(TokenKind::Comma)) {
@@ -607,10 +638,13 @@ class Parser {
       e->args.reserve(subs.size());
       for (auto& s : subs) e->args.push_back(std::move(s.scalar));
     }
+    grow(tallest, loc);
     return e;
   }
 
-  Subscript parse_subscript() {
+  /// Parses one subscript, raising `tallest` to the height of each
+  /// expression in it.
+  Subscript parse_subscript(int& tallest) {
     Subscript sub;
     // leading ':' — no lower bound
     if (at(TokenKind::Colon)) {
@@ -621,13 +655,16 @@ class Parser {
       }
       sub.kind = Subscript::Kind::Triplet;
       sub.hi = parse_expr();
+      tallest = std::max(tallest, height_);
       if (at(TokenKind::Colon)) {
         advance();
         sub.stride = parse_expr();
+        tallest = std::max(tallest, height_);
       }
       return sub;
     }
     ExprPtr first = parse_expr();
+    tallest = std::max(tallest, height_);
     if (!at(TokenKind::Colon)) {
       sub.kind = Subscript::Kind::Scalar;
       sub.scalar = std::move(first);
@@ -638,17 +675,20 @@ class Parser {
     sub.lo = std::move(first);
     if (!at(TokenKind::Comma) && !at(TokenKind::RParen) && !at(TokenKind::Colon)) {
       sub.hi = parse_expr();
+      tallest = std::max(tallest, height_);
     }
     if (at(TokenKind::Colon)) {
       advance();
       sub.stride = parse_expr();
+      tallest = std::max(tallest, height_);
     }
     return sub;
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
-  int depth_ = 0;  // current expression nesting (see kMaxExprDepth)
+  int depth_ = 0;   // current expression nesting (see kMaxExprDepth)
+  int height_ = 0;  // height of the expression parse_* last returned
 };
 
 }  // namespace

@@ -32,6 +32,13 @@ namespace hpf90d::front {
 /// token that crosses the limit, instead of overflowing the stack.
 inline constexpr int kMaxExprDepth = 256;
 
+/// Highest expression tree the parser builds. A flat chain such as
+/// `1.0 + 1.0 + ... + 1.0` nests nothing, yet the parser's loop builds a
+/// left-deep tree one level per operator, and the passes after it recurse
+/// on that height; a chain or a call that would cross the limit is
+/// rejected with a diagnostic at the operator (or call) that crosses it.
+inline constexpr int kMaxExprHeight = 2048;
+
 /// Parses a complete source file (lexes it first). Throws
 /// support::CompileError on syntax errors.
 [[nodiscard]] Program parse_program(std::string_view source);

@@ -16,7 +16,6 @@ const char* phase_name(Phase phase) noexcept {
     case Phase::SpillStore: return "spill_store";
     case Phase::ChunkSchedule: return "chunk_schedule";
     case Phase::LockstepWindow: return "lockstep_window";
-    case Phase::ScalarReplay: return "scalar_replay";
     case Phase::MeasureBatch: return "measure_batch";
     case Phase::QueueWait: return "queue_wait";
     case Phase::JobExecute: return "job_execute";

@@ -2,7 +2,7 @@
 //
 // The paper's tool explains where an HPF program spends its time; this
 // module explains where *we* spend ours. Every interesting unit of work —
-// a compilation, a layout build, a lockstep window, a scalar replay, a
+// a compilation, a layout build, a lockstep window, a measurement, a
 // daemon job — can open an RAII Span against a nullable Sink. With no sink
 // attached (the default everywhere) a Span is two pointer-sized stores and
 // one well-predicted branch: no clock is read, no allocation happens, and
@@ -36,7 +36,6 @@ enum class Phase : std::uint8_t {
   SpillStore,      // write-through of a freshly built layout
   ChunkSchedule,   // Session::run flattening + chunk partition
   LockstepWindow,  // one BatchEngine lockstep walk (arg = lanes)
-  ScalarReplay,    // scalar replays of evicted lanes (arg = points)
   MeasureBatch,    // batched simulated measurement (arg = lanes)
   QueueWait,       // daemon job waiting in the tenant queue (arg = job id)
   JobExecute,      // daemon job running through Session::run (arg = job id)

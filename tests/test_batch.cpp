@@ -1,24 +1,28 @@
 // Oracle tests for the lockstep batch interpreter: for every batch size —
-// including the degenerate scalar setting and a whole-sweep batch — and
+// including one-lane windows (batch_size 1) and a whole-sweep batch — and
 // every worker count, Session::run must produce a RunReport whose ASCII and
-// CSV exports are byte-identical to the scalar path's, on all registered
+// CSV exports are byte-identical to the one-lane run's, on all registered
 // machines, with measurement enabled, and in the presence of divergent
 // lanes (binding-dependent DO trip counts, masked loops, per-lane critical
 // variables steering branches). The batch telemetry itself must stay out
 // of the exports. CI also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
+#include "compiler/cost_program.hpp"
+#include "compiler/pipeline.hpp"
+#include "obs/obs.hpp"
 #include "study/study.hpp"
 #include "suite/suite.hpp"
 
 namespace hpf90d {
 namespace {
 
-// The settings the oracle sweeps: batch sizes 1 (scalar), 8, 64, and "the
+// The settings the oracle sweeps: batch sizes 1 (one lane), 8, 64, and "the
 // whole sweep in one chunk cap", crossed with one and four workers.
 const std::vector<int> kWorkerCounts = {1, 4};
 
@@ -61,16 +65,17 @@ void expect_oracle(const api::ExperimentPlan& plan, std::size_t point_count,
           << "ascii diverged at batch_size=" << batch << " workers=" << workers;
       EXPECT_EQ(e.csv, baseline.csv)
           << "csv diverged at batch_size=" << batch << " workers=" << workers;
-      // every point is accounted for exactly once: priced lockstep, priced
-      // by the scalar engine, or evicted mid-batch and finally priced scalar
+      // every point is accounted for exactly once: finished in a window of
+      // two or more lanes, alone in a fresh one-lane window, or alone after
+      // an eviction
       EXPECT_EQ(
           e.batch.batched_points + e.batch.scalar_points + e.batch.replayed_points,
           point_count);
       if (e.batch.batched_points > 0) saw_batched = true;
       if (e.batch.evicted_lanes > 0) saw_evicted = true;
       // a divergent lane is recovered either way: re-batched into a
-      // lockstep refill window, or replayed by the scalar engine (lone
-      // keys, failure evictions)
+      // lockstep refill window, or rerun alone (lone keys, failure
+      // evictions)
       if (e.batch.replayed_points > 0 || e.batch.refilled_lanes > 0)
         saw_recovered = true;
     }
@@ -119,8 +124,8 @@ TEST(BatchOracle, DirectiveVariantsSplitChunksDeterministically) {
 TEST(BatchOracle, BindingDependentDoTripsForceReplay) {
   // The outer DO trip count is a per-problem binding: lanes from different
   // problems disagree at the first size-dependent scalar loop and are
-  // evicted — then either re-batched by key or replayed by the scalar
-  // engine — and must reproduce the scalar report byte for byte either way.
+  // evicted — then either re-batched by key or rerun alone — and must
+  // reproduce the one-lane report byte for byte either way.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -189,8 +194,7 @@ TEST(BatchOracle, ForcedDivergenceRefillsLanesWithoutScalarReplay) {
   // 4 nlev groups x 4 system sizes, the whole sweep in one batch: the
   // binding-dependent DO evicts 12 of the 16 lanes at once. Every nlev
   // group still holds 4 lanes, so keyed re-compaction re-batches all of
-  // them into lockstep refill windows and nothing falls back to the scalar
-  // engine.
+  // them into lockstep refill windows and nothing is left to run alone.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -219,12 +223,12 @@ end program levels
   EXPECT_GT(compacted.batch.evicted_lanes, 0u);
   EXPECT_GT(compacted.batch.refilled_lanes, 0u);
   EXPECT_EQ(compacted.batch.replayed_points, 0u)
-      << "keyed refill should leave no lane to the scalar replay";
+      << "keyed refill should leave no lane to run alone";
   EXPECT_EQ(compacted.batch.batched_points + compacted.batch.scalar_points, points);
   // every lockstep visit — fresh window or keyed refill — keeps at least a
-  // full nlev group (4 lanes) active; scalar replay would price 1 at a time
+  // full nlev group (4 lanes) active; a one-lane window prices 1 at a time
   EXPECT_GT(compacted.batch.mean_lanes_per_visit(), 3.0);
-  // and the exports agree with the scalar path byte for byte
+  // and the exports agree with the one-lane run byte for byte
   const Exports scalar = run_once(plan, /*batch_size=*/1, /*workers=*/1);
   EXPECT_EQ(compacted.ascii, scalar.ascii);
   EXPECT_EQ(compacted.csv, scalar.csv);
@@ -267,7 +271,7 @@ end program levels2
   expect_oracle(plan, points, /*expect_divergence=*/true);
 
   // with the whole sweep in one batch, both divergence rounds resolve via
-  // refill windows: nothing is left for the scalar replay
+  // refill windows: nothing is left to run alone
   const Exports e = run_once(plan, /*batch_size=*/static_cast<int>(points),
                              /*workers=*/1);
   EXPECT_GT(e.batch.refilled_lanes, 0u);
@@ -281,8 +285,8 @@ TEST(BatchOracle, LoneLanesInDifferentChunksReplayScalar) {
   // chunk granule splits them into two chunks. Exactly one point per chunk
   // carries nlev = 9 (the rest nlev = 2), so each chunk evicts one LONE
   // rebatchable lane its own re-compaction cannot pair. Chunks never share
-  // lanes, so both replay scalar — and the exports stay byte-identical to
-  // the scalar path, with telemetry identical for every worker count.
+  // lanes, so both rerun alone — and the exports stay byte-identical to
+  // the one-lane run, with telemetry identical for every worker count.
   static const char* const source = R"f90(
 program split
   parameter (n = 512)
@@ -471,6 +475,87 @@ end program mixed
   EXPECT_GT(e.batch.refilled_lanes, 0u);
 }
 
+// --- every plan runs lockstep ---------------------------------------------------
+
+TEST(BatchOracle, UncompiledExpressionRunsLockstep) {
+  // size() with a run-time dim argument stays out of the cost bytecode
+  // (ExprCode::ok == false); each lane evaluates it with the tree
+  // evaluator on its own environment column, and the shift amount it
+  // feeds prices differently per problem.
+  static const char* const source = R"f90(
+program sizes
+  parameter (n = 64)
+  real v(n, 2*n), w(n, 2*n)
+!hpf$ template d(n, 2*n)
+!hpf$ align v(i, j) with d(i, j)
+!hpf$ align w(i, j) with d(i, j)
+!hpf$ distribute d(block, *)
+  m = size(v, k) / 32
+  do it = 1, 3
+    w = cshift(v, m, 1)
+    v = w
+  end do
+end program sizes
+)f90";
+  const compiler::CompiledProgram prog = compiler::compile(source);
+  const auto& exprs = prog.cost_program->exprs;
+  ASSERT_TRUE(std::any_of(exprs.begin(), exprs.end(),
+                          [](const compiler::ExprCode& c) { return !c.ok; }));
+
+  api::ExperimentPlan plan("batch oracle: uncompiled expression");
+  plan.source(source).machines({"ipsc860"}).nprocs({1, 2, 4}).runs(0);
+  for (const long long k : {1, 2}) {
+    front::Bindings b;
+    b.set_int("k", k);
+    plan.add_problem("k=" + std::to_string(k), b);
+  }
+  const Exports alone = run_once(plan, /*batch_size=*/1, /*workers=*/1);
+  const Exports batched = run_once(plan, /*batch_size=*/64, /*workers=*/1);
+  EXPECT_EQ(batched.batch.batched_points, 6u);
+  EXPECT_EQ(batched.ascii, alone.ascii);
+  EXPECT_EQ(batched.csv, alone.csv);
+  // the two problems really price differently on more than one processor
+  const api::RunReport report = api::RunReport::from_csv(alone.csv);
+  ASSERT_EQ(report.records.size(), 6u);
+  EXPECT_NE(report.records[1].comparison.estimated, report.records[4].comparison.estimated);
+}
+
+TEST(BatchOracle, TracedPlanRunsLockstep) {
+  const suite::BenchmarkApp& app = suite::app("pi");
+  core::PredictOptions traced;
+  traced.trace = true;
+  api::ExperimentPlan plan("batch oracle: traced");
+  plan.source(app.source)
+      .machines({"ipsc860", "paragon"})
+      .nprocs({1, 2, 4, 8})
+      .problems_from({16, 64}, app.bindings)
+      .predict_options(traced)
+      .runs(0);
+  const Exports alone = run_once(plan, /*batch_size=*/1, /*workers=*/1);
+  const Exports batched = run_once(plan, /*batch_size=*/64, /*workers=*/1);
+  EXPECT_GT(batched.batch.batched_points, 0u);
+  EXPECT_EQ(batched.ascii, alone.ascii);
+  EXPECT_EQ(batched.csv, alone.csv);
+}
+
+TEST(BatchOracle, OnePointPlanRecordsOneLockstepWindow) {
+  const suite::BenchmarkApp& app = suite::app("pi");
+  api::ExperimentPlan plan("batch oracle: one point");
+  plan.source(app.source).nprocs({4}).problems_from({64}, app.bindings).runs(0);
+  obs::Tracer tracer(64);
+  api::Session session;
+  api::RunOptions opts;
+  opts.trace = &tracer;
+  const api::RunReport report = session.run(plan, opts);
+  EXPECT_EQ(report.batch.scalar_points, 1u);
+  std::vector<obs::SpanRecord> windows;
+  for (const obs::SpanRecord& span : tracer.snapshot()) {
+    if (span.phase == obs::Phase::LockstepWindow) windows.push_back(span);
+  }
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].arg, 1u);
+}
+
 // --- telemetry stays out of the exports ---------------------------------------
 
 TEST(BatchOracle, TelemetryExcludedFromExportsAndCsvRoundTrips) {
@@ -482,7 +567,7 @@ TEST(BatchOracle, TelemetryExcludedFromExportsAndCsvRoundTrips) {
   EXPECT_GT(batched.batch.batched_points, 0u);
   EXPECT_GT(batched.batch.ir_visits, 0u);
   EXPECT_GT(batched.batch.mean_lanes_per_visit(), 1.0);
-  // the counters are real but invisible: exports match the scalar run
+  // the counters are real but invisible: exports match the one-lane run
   const Exports scalar = run_once(plan, /*batch_size=*/1, /*workers=*/1);
   EXPECT_EQ(batched.ascii, scalar.ascii);
   EXPECT_EQ(batched.csv, scalar.csv);

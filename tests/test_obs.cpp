@@ -122,11 +122,11 @@ TEST(ObsTracer, RingOverwritesOldestAtFixedCapacity) {
 TEST(ObsTracer, ChromeTraceJsonListsSpansWithPhaseNames) {
   obs::Tracer tracer(8);
   tracer.record({obs::Phase::LockstepWindow, 5, 2000, 3000, 64});
-  tracer.record({obs::Phase::ScalarReplay, 5, 6000, 1000, 2});
+  tracer.record({obs::Phase::MeasureBatch, 5, 6000, 1000, 2});
   const std::string json = tracer.chrome_trace_json();
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\"name\":\"lockstep_window\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"scalar_replay\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"measure_batch\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   // microsecond timebase: 2000ns -> ts 2.000, 3000ns -> dur 3.000
   EXPECT_NE(json.find("\"ts\":2.000,"), std::string::npos);

@@ -5,7 +5,10 @@
 #include <string>
 
 #include "compiler/pipeline.hpp"
+#include "core/engine.hpp"
 #include "hpf/parser.hpp"
+#include "machine/ipsc860.hpp"
+#include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::front {
@@ -244,6 +247,47 @@ TEST(Parser, ExpressionNestingIsBounded) {
       "program t\nx = " + nest("(", kMaxExprDepth - 1, "1", ")") + "\nend program t\n"));
   EXPECT_NO_THROW((void)hpf90d::compiler::compile(
       "program t\nx = " + nest("-", kMaxExprDepth - 1, "1") + "\nend program t\n"));
+}
+
+/// `x = 1.0 + 1.0 + ... + 1.0` with `terms` terms: a flat chain the parser
+/// builds into a left-deep tree `terms` levels high.
+std::string flat_sum(int terms) {
+  std::string out = "x = 1.0";
+  for (int i = 1; i < terms; ++i) out += " + 1.0";
+  return out;
+}
+
+TEST(Parser, FlatChainHeightIsBounded) {
+  // rejected at the operator that makes the tree one level too high: the
+  // k-th '+' sits in column 9 + 6 (k - 1) of line 2
+  try {
+    (void)parse(flat_sum(20000));
+    ADD_FAILURE() << "a 20,000-term chain parsed";
+  } catch (const support::CompileError& e) {
+    EXPECT_EQ(e.loc().line, 2u);
+    EXPECT_EQ(e.loc().column, 9u + 6u * (kMaxExprHeight - 1));
+    EXPECT_NE(std::string(e.what()).find("expression tree higher than " +
+                                         std::to_string(kMaxExprHeight) + " levels"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_error_at(flat_sum(kMaxExprHeight + 1)).column,
+            9u + 6u * (kMaxExprHeight - 1));
+
+  // a chain exactly at the limit compiles, and the passes after the parser
+  // (sema, lowering, op counts, bytecode, interpretation) walk it safely
+  const auto at_limit = hpf90d::compiler::compile("program t\n" + flat_sum(kMaxExprHeight) +
+                                                  "\nend program t\n");
+  const machine::MachineModel cube = machine::make_ipsc860();
+  hpf90d::compiler::LayoutOptions layout;
+  layout.nprocs = 1;
+  EXPECT_GT(core::predict(at_limit, {}, layout, cube).total, 0.0);
+
+  EXPECT_NO_THROW((void)hpf90d::compiler::compile("program t\n" + flat_sum(1000) +
+                                                  "\nend program t\n"));
+  for (const auto& app : suite::validation_suite()) {
+    EXPECT_NO_THROW((void)hpf90d::compiler::compile(app.source)) << app.id;
+  }
 }
 
 TEST(Parser, StmtRoundTripText) {
