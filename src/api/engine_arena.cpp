@@ -1,5 +1,7 @@
 #include "api/engine_arena.hpp"
 
+#include <algorithm>
+
 #include "obs/obs.hpp"
 
 namespace hpf90d::api {
@@ -21,17 +23,32 @@ std::span<const core::PredictionResult> EngineArena::predict_batch(
 
 std::span<const sim::MeasuredResult> EngineArena::measure_batch_into(
     const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
-    const sim::SimOptions& options, int runs, std::span<const core::BatchLane> lanes) {
+    const sim::SimOptions& options, int runs, std::span<const core::BatchLane> lanes,
+    std::span<const compiler::LayoutDigest> tape_keys, ValueTapeStore* tapes) {
   const obs::Span span(obs_sink_, obs::Phase::MeasureBatch, lanes.size());
-  lane_bindings_.clear();
-  lane_layouts_.clear();
-  for (const core::BatchLane& lane : lanes) {
-    lane_bindings_.push_back(lane.bindings);
-    lane_layouts_.push_back(lane.layout);
-  }
   const sim::Simulator simulator(machine);
-  simulator.measure_batch_into(prog, lane_bindings_, lane_layouts_, options, runs,
-                               executor_, batch_measured_);
+  batch_measured_.resize(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const core::BatchLane& lane = lanes[i];
+    ValueTapeStore::Ptr tape;
+    if (tapes != nullptr) {
+      // The hit path first: it builds no std::function.
+      tape = tapes->try_get(tape_keys[i]);
+      if (!tape) {
+        tape = tapes->get_or_build(tape_keys[i], {}, [&] {
+          obs::Span pass(obs_sink_, obs::Phase::SimValuePass);
+          sim::ValueTape recorded;
+          simulator.record(prog, *lane.bindings, *lane.layout, options, executor_, recorded);
+          pass.set_arg(recorded.bytes());
+          return recorded;
+        });
+      }
+    }
+    const obs::Span retime(obs_sink_, obs::Phase::SimRetime,
+                           static_cast<std::uint64_t>(std::max(1, runs)));
+    simulator.measure_into(prog, *lane.bindings, *lane.layout, options, runs, executor_,
+                           batch_measured_[i], tape.get());
+  }
   return batch_measured_;
 }
 

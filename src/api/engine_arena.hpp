@@ -3,7 +3,7 @@
 // Constructing a fresh BatchEngine (and, for measured points, an Executor)
 // for every window would allocate and throw away per-lane clocks, per-AAU
 // metric tables, the SoA environment, simulator storage and the
-// executor's timing tape thousands of times per design study. An
+// executor's value tape thousands of times per design study. An
 // EngineArena avoids that: each Session::run worker owns one, and every
 // window it executes rebinds the same engine/executor pair, so the
 // steady-state hot path performs no per-point heap allocation while
@@ -15,6 +15,7 @@
 
 #include <span>
 
+#include "api/layout_store.hpp"
 #include "core/batch_engine.hpp"
 #include "sim/simulator.hpp"
 
@@ -38,14 +39,17 @@ class EngineArena {
       core::BatchRunStats& stats, std::vector<core::EvictedLane>& deferred);
 
   /// Batched measurement companion to predict_batch: measures every lane
-  /// through the reusable executor into the arena's scratch vector
-  /// (Simulator::measure_batch_into): one functional run per lane, then a
-  /// timing replay of that run's tape for each further run. The returned
-  /// span is valid until the next measure_batch_into call.
+  /// through the reusable executor into the arena's scratch vector. With a
+  /// store, lane i's value tape is looked up under `tape_keys[i]`: a miss
+  /// runs the functional pass once and publishes the tape (a throwing pass
+  /// publishes nothing), a hit skips it, and every run re-times the tape
+  /// under the lane's layout and this machine. Without one, each lane runs
+  /// its own functional pass. The returned span is valid until the next
+  /// measure_batch_into call.
   [[nodiscard]] std::span<const sim::MeasuredResult> measure_batch_into(
       const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
-      const sim::SimOptions& options, int runs,
-      std::span<const core::BatchLane> lanes);
+      const sim::SimOptions& options, int runs, std::span<const core::BatchLane> lanes,
+      std::span<const compiler::LayoutDigest> tape_keys, ValueTapeStore* tapes);
 
   /// Attaches a tracing sink (nullptr detaches, the default): batched
   /// measurements record obs::Phase::MeasureBatch spans and the lockstep
@@ -58,8 +62,6 @@ class EngineArena {
   sim::Executor executor_;
   std::vector<core::PredictionResult> batch_predictions_;  // predict_batch scratch
   std::vector<sim::MeasuredResult> batch_measured_;        // measure_batch_into scratch
-  std::vector<const front::Bindings*> lane_bindings_;      // measure_batch_into scratch
-  std::vector<const compiler::DataLayout*> lane_layouts_;  // measure_batch_into scratch
 };
 
 }  // namespace hpf90d::api

@@ -4,28 +4,31 @@
 #include <optional>
 
 #include "obs/obs.hpp"
+#include "sim/executor.hpp"
 
 namespace hpf90d::api {
 
-LayoutStore::LayoutPtr LayoutStore::get_or_build(const std::string& key,
-                                                 const Builder& build) {
+template <class Value>
+typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(const std::string& key,
+                                                              const Builder& build) {
   const compiler::LayoutDigest digest = compiler::layout_digest_of(key);
   return get_or_build(digest, [&]() -> const std::string& { return key; }, build);
 }
 
-LayoutStore::LayoutPtr LayoutStore::get_or_build(const compiler::LayoutDigest& digest,
-                                                 const KeyFn& key, const Builder& build) {
+template <class Value>
+typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(
+    const compiler::LayoutDigest& digest, const KeyFn& key, const Builder& build) {
   // The promise is constructed only on a miss: the hit path — the steady
   // state of a warm sweep, millions of calls — allocates nothing (a
   // promise's shared state is a heap allocation per call otherwise).
-  std::optional<std::promise<LayoutPtr>> promise;
-  std::shared_future<LayoutPtr> future;
+  std::optional<std::promise<Ptr>> promise;
+  std::shared_future<Ptr> future;
   std::uint64_t owner = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (ReadySlot* slot = ready_find_locked(digest)) {
       lru_.splice(lru_.begin(), lru_, slot->lru_it);
-      LayoutPtr shared = slot->ptr;
+      Ptr shared = slot->ptr;
       ++hits_;
       return shared;
     }
@@ -37,8 +40,11 @@ LayoutStore::LayoutPtr LayoutStore::get_or_build(const compiler::LayoutDigest& d
       owner = ++next_owner_;
       promise.emplace();
       lru_.push_front(digest);
-      map_.emplace(digest,
-                   Entry{promise->get_future().share(), nullptr, lru_.begin(), owner});
+      // A costed placeholder is charged once its value exists.
+      const std::size_t cost = cost_fn_ == nullptr ? 1 : 0;
+      resident_ += cost;
+      map_.emplace(digest, Entry{promise->get_future().share(), nullptr, lru_.begin(),
+                                 owner, cost});
       // The new entry sits at the hot end, so eviction can only claim other
       // keys (possibly ones whose build is still in flight — their waiters
       // hold the shared state, so the build completes normally).
@@ -46,7 +52,7 @@ LayoutStore::LayoutPtr LayoutStore::get_or_build(const compiler::LayoutDigest& d
     }
   }
   if (future.valid()) {
-    LayoutPtr shared = future.get();  // rethrows a failed build
+    Ptr shared = future.get();  // rethrows a failed build
     // counted only on success: a waiter on a failing build leaves no
     // spurious hit, so misses = build attempts and hits = served layouts
     ++hits_;
@@ -54,46 +60,54 @@ LayoutStore::LayoutPtr LayoutStore::get_or_build(const compiler::LayoutDigest& d
   }
 
   try {
-    LayoutPtr layout;
+    Ptr value;
     bool fresh_build = false;
     // The spill tier answers in-memory misses before the builder runs: a
-    // restarted process re-inherits every layout it (or any sibling) ever
+    // restarted process re-inherits every value it (or any sibling) ever
     // built. Loaded entries are not written back; only fresh builds are.
     // Spill files are addressed by the fingerprint *string*, which is why
     // the KeyFn exists — and why it is only invoked here, on the miss path.
     if (spill_.load) {
       const obs::Span span(obs_sink_, obs::Phase::SpillLoad);
-      layout = spill_.load(key());
+      value = spill_.load(key());
     }
-    if (layout) {
+    if (value) {
       ++spill_hits_;
     } else {
-      const obs::Span span(obs_sink_, obs::Phase::LayoutBuild);
-      layout = std::make_shared<const compiler::DataLayout>(build());
+      value = std::make_shared<const Value>(build());
       fresh_build = true;
     }
-    promise->set_value(layout);
+    promise->set_value(value);
     {
       // Publish the resolved pointer for the locked fast path. Guarded by
       // owner: eviction may have dropped our placeholder and a later miss
       // re-inserted a different entry under this digest.
       const std::lock_guard<std::mutex> lock(mutex_);
       if (const auto it = map_.find(digest); it != map_.end() && it->second.owner == owner) {
-        it->second.ready = layout;
-        ready_insert_locked(digest, layout, it->second.lru_it);
+        const std::size_t cost = cost_fn_ == nullptr ? 1 : cost_fn_(*value);
+        if (capacity_ != 0 && cost > capacity_) {
+          evict_locked(it);  // larger than the whole budget: served, not kept
+        } else {
+          resident_ += cost - it->second.cost;
+          it->second.cost = cost;
+          it->second.ready = value;
+          ready_insert_locked(digest, value, it->second.lru_it);
+          evict_excess_locked();
+        }
       }
     }
     if (fresh_build && spill_.store) {
       const obs::Span span(obs_sink_, obs::Phase::SpillStore);
-      spill_.store(key(), *layout);
+      spill_.store(key(), *value);
     }
-    return layout;
+    return value;
   } catch (...) {
     {
       // Erase only our own placeholder: eviction may already have dropped
       // it and a concurrent miss re-inserted a healthy one for this key.
       const std::lock_guard<std::mutex> lock(mutex_);
       if (const auto it = map_.find(digest); it != map_.end() && it->second.owner == owner) {
+        resident_ -= it->second.cost;
         lru_.erase(it->second.lru_it);
         map_.erase(it);
       }
@@ -103,13 +117,15 @@ LayoutStore::LayoutPtr LayoutStore::get_or_build(const compiler::LayoutDigest& d
   }
 }
 
-LayoutStore::LayoutPtr LayoutStore::try_get(const compiler::LayoutDigest& digest) {
-  std::shared_future<LayoutPtr> future;
+template <class Value>
+typename OnceStore<Value>::Ptr OnceStore<Value>::try_get(
+    const compiler::LayoutDigest& digest) {
+  std::shared_future<Ptr> future;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (ReadySlot* slot = ready_find_locked(digest)) {
       lru_.splice(lru_.begin(), lru_, slot->lru_it);
-      LayoutPtr shared = slot->ptr;
+      Ptr shared = slot->ptr;
       ++hits_;
       return shared;
     }
@@ -118,12 +134,14 @@ LayoutStore::LayoutPtr LayoutStore::try_get(const compiler::LayoutDigest& digest
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     future = it->second.future;
   }
-  LayoutPtr shared = future.get();  // rethrows a failed in-flight build
+  Ptr shared = future.get();  // rethrows a failed in-flight build
   ++hits_;
   return shared;
 }
 
-LayoutStore::ReadySlot* LayoutStore::ready_find_locked(const compiler::LayoutDigest& digest) {
+template <class Value>
+typename OnceStore<Value>::ReadySlot* OnceStore<Value>::ready_find_locked(
+    const compiler::LayoutDigest& digest) {
   if (ready_idx_.empty()) return nullptr;
   const std::size_t mask = ready_idx_.size() - 1;
   for (std::size_t i = DigestHash{}(digest) & mask;; i = (i + 1) & mask) {
@@ -133,9 +151,10 @@ LayoutStore::ReadySlot* LayoutStore::ready_find_locked(const compiler::LayoutDig
   }
 }
 
-void LayoutStore::ready_insert_locked(const compiler::LayoutDigest& digest,
-                                      const LayoutPtr& ptr,
-                                      std::list<compiler::LayoutDigest>::iterator lru_it) {
+template <class Value>
+void OnceStore<Value>::ready_insert_locked(const compiler::LayoutDigest& digest,
+                                           const Ptr& ptr,
+                                           std::list<compiler::LayoutDigest>::iterator lru_it) {
   if ((ready_n_ + 1) * 2 > ready_idx_.size()) {
     std::vector<ReadySlot> old = std::move(ready_idx_);
     ready_idx_.assign(old.empty() ? 64 : old.size() * 2, ReadySlot{});
@@ -157,7 +176,8 @@ void LayoutStore::ready_insert_locked(const compiler::LayoutDigest& digest,
   ++ready_n_;
 }
 
-void LayoutStore::ready_rebuild_locked() {
+template <class Value>
+void OnceStore<Value>::ready_rebuild_locked() {
   std::fill(ready_idx_.begin(), ready_idx_.end(), ReadySlot{});
   ready_n_ = 0;
   for (auto& [digest, entry] : map_) {
@@ -165,13 +185,21 @@ void LayoutStore::ready_rebuild_locked() {
   }
 }
 
-void LayoutStore::evict_excess_locked() {
+template <class Value>
+void OnceStore<Value>::evict_locked(
+    typename std::unordered_map<compiler::LayoutDigest, Entry, DigestHash>::iterator it) {
+  resident_ -= it->second.cost;
+  lru_.erase(it->second.lru_it);
+  map_.erase(it);
+  ++evictions_;
+}
+
+template <class Value>
+void OnceStore<Value>::evict_excess_locked() {
   if (capacity_ == 0) return;
   bool evicted = false;
-  while (map_.size() > capacity_ && !lru_.empty()) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
+  while (resident_ > capacity_ && !lru_.empty()) {
+    evict_locked(map_.find(lru_.back()));
     evicted = true;
   }
   // Evicted entries leave dangling ready slots (and stale lru_ iterators);
@@ -179,28 +207,46 @@ void LayoutStore::evict_excess_locked() {
   if (evicted) ready_rebuild_locked();
 }
 
-void LayoutStore::set_capacity(std::size_t capacity) {
+template <class Value>
+void OnceStore<Value>::set_capacity(std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity;
   evict_excess_locked();
 }
 
-std::size_t LayoutStore::capacity() const {
+template <class Value>
+std::size_t OnceStore<Value>::capacity() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return capacity_;
 }
 
-std::size_t LayoutStore::size() const {
+template <class Value>
+std::size_t OnceStore<Value>::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return map_.size();
 }
 
-void LayoutStore::clear() {
+template <class Value>
+void OnceStore<Value>::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   map_.clear();
   lru_.clear();
   ready_idx_.clear();
   ready_n_ = 0;
+  resident_ = 0;
 }
+
+template <class Value>
+typename OnceStore<Value>::Counters OnceStore<Value>::counters() const {
+  std::size_t resident = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    resident = resident_;
+  }
+  return {hits_.load(), misses_.load(), evictions_.load(), spill_hits_.load(), resident};
+}
+
+template class OnceStore<compiler::DataLayout>;
+template class OnceStore<sim::ValueTape>;
 
 }  // namespace hpf90d::api

@@ -71,6 +71,14 @@ std::string RunReport::ascii() const {
   if (cache.layout_capacity > 0) {
     out += support::strfmt(" (cap %zu)", cache.layout_capacity);
   }
+  if (cache.value_tape_hits + cache.value_tape_misses > 0) {
+    out += support::strfmt(" | value tapes %zu hit / %zu miss", cache.value_tape_hits,
+                           cache.value_tape_misses);
+    if (cache.value_tape_evictions > 0) {
+      out += support::strfmt(" / %zu evicted", cache.value_tape_evictions);
+    }
+    out += support::strfmt(" (%zu B resident)", cache.value_tape_bytes);
+  }
   out += '\n';
   return out;
 }

@@ -59,12 +59,28 @@ struct CacheStats {
   /// — so exported stats are self-describing. A state, not a counter:
   /// operator- carries the minuend's value instead of subtracting.
   std::size_t layout_capacity = 0;
+  /// The simulator's value-tape store: a miss is one functional pass of a
+  /// (program, bindings), a hit re-times a tape another processor count or
+  /// machine recorded, an eviction is a tape dropped for the byte budget.
+  std::size_t value_tape_hits = 0;
+  std::size_t value_tape_misses = 0;
+  std::size_t value_tape_evictions = 0;
+  /// Bytes of value tape resident when the stats were captured. A state,
+  /// like layout_capacity: operator- carries the minuend's value.
+  std::size_t value_tape_bytes = 0;
 
   [[nodiscard]] CacheStats operator-(const CacheStats& rhs) const {
-    return {compile_hits - rhs.compile_hits, compile_misses - rhs.compile_misses,
-            layout_hits - rhs.layout_hits, layout_misses - rhs.layout_misses,
+    return {compile_hits - rhs.compile_hits,
+            compile_misses - rhs.compile_misses,
+            layout_hits - rhs.layout_hits,
+            layout_misses - rhs.layout_misses,
             layout_evictions - rhs.layout_evictions,
-            layout_spill_hits - rhs.layout_spill_hits, layout_capacity};
+            layout_spill_hits - rhs.layout_spill_hits,
+            layout_capacity,
+            value_tape_hits - rhs.value_tape_hits,
+            value_tape_misses - rhs.value_tape_misses,
+            value_tape_evictions - rhs.value_tape_evictions,
+            value_tape_bytes};
   }
 };
 

@@ -46,6 +46,17 @@ std::size_t shard_of(std::string_view key, std::size_t shard_count) {
   return static_cast<std::size_t>(fnv1a64(key)) % shard_count;
 }
 
+/// The value-tape key: seed_for's (compile_id folded into the bindings +
+/// structure prefix digest) plus the WHILE trip limit, which decides
+/// whether the functional pass throws. Noise, contention and the collective
+/// only move clocks.
+compiler::LayoutDigest value_tape_key(const compiler::CompiledProgram& prog,
+                                      const compiler::LayoutDigestState& prefix,
+                                      const sim::SimOptions& sim) {
+  return {prefix.a ^ (prog.compile_id * 0x9e3779b97f4a7c15ULL),
+          prefix.b ^ (static_cast<std::uint64_t>(sim.max_while_trips) * 0xc2b2ae3d27d4eb4fULL)};
+}
+
 }  // namespace
 
 Session::ProgramHandle Session::compile(std::string_view source,
@@ -119,9 +130,9 @@ Session::ProgramHandle Session::compile_cached(std::string_view source,
   }
 }
 
-LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog,
-                                           const front::Bindings& bindings,
-                                           const compiler::LayoutOptions& lo) const {
+LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
+                                     const front::Bindings& bindings,
+                                     const compiler::LayoutOptions& lo) const {
   // Content-addressed key: two structurally identical programs (identical
   // directives, symbols, aliases) share one entry regardless of who owns
   // them, and the entry outlives both (DataLayout is self-contained).
@@ -129,10 +140,10 @@ LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog
   return layout_for(prog, bindings, lo, key);
 }
 
-LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog,
-                                           const front::Bindings& bindings,
-                                           const compiler::LayoutOptions& lo,
-                                           std::string& key_scratch) const {
+LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
+                                     const front::Bindings& bindings,
+                                     const compiler::LayoutOptions& lo,
+                                     std::string& key_scratch) const {
   // The digest streams the fingerprint bytes without building them; the
   // string key is only materialized (into the worker's scratch buffer) when
   // the store misses and needs a spill address.
@@ -140,21 +151,24 @@ LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog
                     compiler::layout_fingerprint_digest(prog, bindings, lo));
 }
 
-LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog,
-                                           const front::Bindings& bindings,
-                                           const compiler::LayoutOptions& lo,
-                                           std::string& key_scratch,
-                                           const compiler::LayoutDigest& digest) const {
+LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
+                                     const front::Bindings& bindings,
+                                     const compiler::LayoutOptions& lo,
+                                     std::string& key_scratch,
+                                     const compiler::LayoutDigest& digest) const {
   // Warm path first: a resident digest resolves without constructing the
   // key/builder std::functions below (whose captures spill to the heap).
-  if (LayoutStore::LayoutPtr hit = layout_store_.try_get(digest)) return hit;
+  if (LayoutStore::Ptr hit = layout_store_.try_get(digest)) return hit;
   return layout_store_.get_or_build(
       digest,
       [&]() -> const std::string& {
         compiler::layout_fingerprint_into(key_scratch, prog, bindings, lo);
         return key_scratch;
       },
-      [&] { return compiler::make_layout(prog, bindings, lo); });
+      [&] {
+        const obs::Span span(obs_, obs::Phase::LayoutBuild);
+        return compiler::make_layout(prog, bindings, lo);
+      });
 }
 
 std::shared_ptr<const compiler::SeededValues> Session::seed_for(
@@ -178,16 +192,19 @@ std::shared_ptr<const compiler::SeededValues> Session::seed_for(
 
 CacheStats Session::cache_stats() const noexcept {
   const LayoutStore::Counters layouts = layout_store_.counters();
-  return {stats_.compile_hits.load(), stats_.compile_misses.load(), layouts.hits,
-          layouts.misses, layouts.evictions, layouts.spill_hits,
-          layout_store_.capacity()};
+  const ValueTapeStore::Counters tapes = value_tapes_.counters();
+  return {stats_.compile_hits.load(), stats_.compile_misses.load(),
+          layouts.hits,               layouts.misses,
+          layouts.evictions,          layouts.spill_hits,
+          layout_store_.capacity(),   tapes.hits,
+          tapes.misses,               tapes.evictions,
+          tapes.resident};
 }
 
 core::PredictionResult Session::predict(const ProgramHandle& prog,
                                         const RunConfig& config) {
   core::require_critical_complete(*prog, config.bindings);
-  const LayoutStore::LayoutPtr layout =
-      layout_for(*prog, config.bindings, layout_options(config));
+  const LayoutStore::Ptr layout = layout_for(*prog, config.bindings, layout_options(config));
   // core::predict's layout overload re-validates critical variables; walk
   // the point directly so the (potentially expensive) analysis runs once.
   return core::interpret_one(*prog, config.bindings, *layout, machine(config.machine),
@@ -196,10 +213,14 @@ core::PredictionResult Session::predict(const ProgramHandle& prog,
 
 sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig& config) {
   core::require_critical_complete(*prog, config.bindings);
-  const LayoutStore::LayoutPtr layout =
-      layout_for(*prog, config.bindings, layout_options(config));
-  const sim::Simulator simulator(machine(config.machine));
-  return simulator.measure(*prog, config.bindings, *layout, config.sim, config.runs);
+  const LayoutStore::Ptr layout = layout_for(*prog, config.bindings, layout_options(config));
+  const core::BatchLane lane{layout.get(), &config.bindings, nullptr};
+  const compiler::LayoutDigest key = value_tape_key(
+      *prog, compiler::layout_fingerprint_prefix(*prog, config.bindings), config.sim);
+  EngineArena arena;
+  arena.set_trace(obs_);
+  return arena.measure_batch_into(*prog, machine(config.machine), config.sim, config.runs,
+                                  {&lane, 1}, {&key, 1}, value_tapes_for(*prog))[0];
 }
 
 Comparison Session::compare(const ProgramHandle& prog, const RunConfig& config) {
@@ -388,13 +409,14 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   struct WorkerScratch {
     EngineArena arena;
     std::vector<core::BatchLane> lanes;           // chunk lanes, offset order
-    std::vector<LayoutStore::LayoutPtr> layouts;  // keep-alives, offset order
+    std::vector<LayoutStore::Ptr> layouts;        // keep-alives, offset order
     std::vector<core::BatchLane> window;          // regrouped re-batch windows
     std::vector<core::EvictedLane> evictions;     // per-window export
     std::vector<DeferredPoint> deferred;          // this round's regroup pool
     std::vector<DeferredPoint> deferred_next;     // evictions feeding next round
     std::vector<std::size_t> alone;               // offsets rerun as one-lane windows
     std::vector<std::shared_ptr<const compiler::SeededValues>> seeds;  // keep-alives
+    std::vector<compiler::LayoutDigest> tape_keys;  // value-tape keys, offset order
     std::string layout_key;
   };
 
@@ -420,6 +442,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     ws.lanes.clear();
     ws.layouts.clear();
     ws.seeds.clear();
+    ws.tape_keys.clear();
     // The digest's (program, bindings) prefix is memoized per problem: a
     // chunk walks problems × nprocs with equal bindings adjacent, so warm
     // points finish a captured prefix state instead of re-hashing the
@@ -446,6 +469,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
                                       compiler::layout_fingerprint_finish(prefix, lo)));
       ws.lanes.push_back(
           core::BatchLane{ws.layouts.back().get(), &pt.problem->bindings, seed});
+      ws.tape_keys.push_back(value_tape_key(prog, prefix, plan.sim_opts()));
     }
 
     // Local tallies, flushed to the shared atomics once per chunk.
@@ -555,10 +579,13 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
 
     // Measurement: one batched pass over the whole chunk in point order —
     // per-point bit-identical to measure_into, independent of how
-    // prediction grouped the lanes.
+    // prediction grouped the lanes. The first point of each (program,
+    // problem) in the session runs the functional pass; the rest re-time
+    // its value tape.
     if (plan.measure_runs() > 0) {
-      const std::span<const sim::MeasuredResult> measured = arena.measure_batch_into(
-          prog, mach, plan.sim_opts(), plan.measure_runs(), ws.lanes);
+      const std::span<const sim::MeasuredResult> measured =
+          arena.measure_batch_into(prog, mach, plan.sim_opts(), plan.measure_runs(),
+                                   ws.lanes, ws.tape_keys, value_tapes_for(prog));
       for (std::size_t off = 0; off < n; ++off) {
         RunRecord& rec = report.records[c.begin + off];
         const sim::RunStats& st = measured[off].stats;
@@ -660,7 +687,7 @@ void Session::set_artifact_spill(std::shared_ptr<ArtifactSpill> spill) {
     // The store probes/writes through the interface; a corrupt or missing
     // artifact degrades to a plain miss.
     LayoutStore::Spill hooks;
-    hooks.load = [spill = spill_](const std::string& key) -> LayoutStore::LayoutPtr {
+    hooks.load = [spill = spill_](const std::string& key) -> LayoutStore::Ptr {
       try {
         if (auto layout = spill->load_layout(key)) {
           return std::make_shared<const compiler::DataLayout>(*std::move(layout));
@@ -710,6 +737,7 @@ std::size_t Session::cached_layouts() const { return layout_store_.size(); }
 void Session::clear_caches() {
   clear_program_cache();
   layout_store_.clear();
+  value_tapes_.clear();
   {
     const std::lock_guard<std::mutex> lock(critical_mutex_);
     critical_memo_.clear();

@@ -12,6 +12,9 @@
 //     of (directives, symbol extents, bindings, nprocs, grid shape) — so
 //     session-owned and externally owned programs share entries, and
 //     entries survive program eviction,
+//   * it keeps one simulator value tape per (program, bindings), so a
+//     measured sweep runs each problem's functional pass once and re-times
+//     it for every processor count and machine,
 //   * it executes whole ExperimentPlans batched on a worker pool (sweep
 //     points are independent), returning a RunReport whose records,
 //     ordering, estimates, and cache statistics are identical for any
@@ -156,6 +159,10 @@ class Session {
   /// Predict + measure + compare.
   [[nodiscard]] Comparison compare(const ProgramHandle& prog, const RunConfig& config);
 
+  /// Byte budget of the value-tape store behind measure() and run(). A
+  /// tape larger than the whole budget is used once and not kept.
+  static constexpr std::size_t kValueTapeBudget = std::size_t{16} << 20;
+
   // --- batched execution ------------------------------------------------------
   /// Executes the plan's whole cross product through the caches on a worker
   /// pool; the report's cache stats cover exactly this run.
@@ -229,21 +236,21 @@ class Session {
   /// misses exactly once, distinct keys build in parallel). The returned
   /// shared_ptr keeps the layout alive across clear_caches() and LRU
   /// eviction.
-  [[nodiscard]] LayoutStore::LayoutPtr layout_for(
+  [[nodiscard]] LayoutStore::Ptr layout_for(
       const compiler::CompiledProgram& prog, const front::Bindings& bindings,
       const compiler::LayoutOptions& lo) const;
 
   /// Hot-path variant: the fingerprint is rebuilt into `key_scratch`
   /// (worker-owned, reused across points), so a warm lookup performs no
   /// allocation at all.
-  [[nodiscard]] LayoutStore::LayoutPtr layout_for(
+  [[nodiscard]] LayoutStore::Ptr layout_for(
       const compiler::CompiledProgram& prog, const front::Bindings& bindings,
       const compiler::LayoutOptions& lo, std::string& key_scratch) const;
 
   /// Hottest-path variant: the caller already finished the content digest
   /// (memoized fingerprint prefix per problem — see
   /// compiler::layout_fingerprint_prefix), so a warm lookup hashes nothing.
-  [[nodiscard]] LayoutStore::LayoutPtr layout_for(
+  [[nodiscard]] LayoutStore::Ptr layout_for(
       const compiler::CompiledProgram& prog, const front::Bindings& bindings,
       const compiler::LayoutOptions& lo, std::string& key_scratch,
       const compiler::LayoutDigest& digest) const;
@@ -254,6 +261,13 @@ class Session {
   [[nodiscard]] std::shared_ptr<const compiler::SeededValues> seed_for(
       const compiler::CompiledProgram& prog, const compiler::LayoutDigestState& prefix,
       const front::Bindings& bindings) const;
+
+  /// The value-tape store for `prog`; null for hand-built programs
+  /// (compile_id 0), whose structure the key cannot tell apart.
+  [[nodiscard]] ValueTapeStore* value_tapes_for(
+      const compiler::CompiledProgram& prog) const noexcept {
+    return prog.compile_id != 0 ? &value_tapes_ : nullptr;
+  }
 
   [[nodiscard]] static compiler::LayoutOptions layout_options(const RunConfig& c) {
     compiler::LayoutOptions lo;
@@ -279,6 +293,14 @@ class Session {
   /// Content-addressed layout store: once-build futures + optional LRU
   /// bound (see layout_store.hpp for why it is not sharded).
   mutable LayoutStore layout_store_;
+
+  /// The simulator's value tapes, one per (compile_id, bindings, WHILE
+  /// trip limit): the first measured point of a (program, problem) runs the
+  /// functional pass, every other processor count and machine re-times its
+  /// tape. Same once-build machinery as the layout store, so hit/miss
+  /// counts are deterministic for any worker count.
+  mutable ValueTapeStore value_tapes_{kValueTapeBudget,
+                                      [](const sim::ValueTape& t) { return t.bytes(); }};
 
   /// Critical-variable check memo for Session::run: analyze_critical
   /// depends only on the compilation and on WHICH names are bound (never

@@ -6,6 +6,7 @@
 #include "hpf/fold.hpp"
 #include "hpf/intrinsics.hpp"
 #include "support/diagnostics.hpp"
+#include "support/text.hpp"
 
 namespace hpf90d::compiler {
 
@@ -137,6 +138,23 @@ std::optional<double> eval_rec(const Expr& e, const ScalarEnv& env, ArrayAccess*
   return 0.0;
 }
 
+/// The 0-based dimension `size(a, k)` asks for: k evaluated and checked
+/// against a's rank (a located failure outside 1..rank).
+std::optional<long long> size_dim(const Expr& e, const front::Symbol& array,
+                                  const ScalarEnv& env, ArrayAccess* arrays,
+                                  const front::SymbolTable& symbols, EvalError* err) {
+  const std::optional<double> dv = eval_rec(*e.args[1], env, arrays, symbols, err);
+  if (!dv) return std::nullopt;
+  const double k = std::trunc(*dv);
+  if (!(k >= 1.0 && k <= static_cast<double>(array.rank()))) {
+    fail(err, e.loc,
+         support::strfmt("size dimension %.17g out of range 1..%d for '%s'", k,
+                         array.rank(), array.name.c_str()));
+    return std::nullopt;
+  }
+  return static_cast<long long>(k) - 1;
+}
+
 std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
                                 ArrayAccess* arrays, const front::SymbolTable& symbols,
                                 EvalError* err) {
@@ -152,12 +170,10 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
           }
         }
         if (e.args.size() == 2) {
-          const std::optional<double> dv =
-              eval_rec(*e.args[1], env, arrays, symbols, err);
-          if (!dv) return std::nullopt;
-          const long long d = static_cast<long long>(*dv);
+          const std::optional<long long> d = size_dim(e, sym, env, arrays, symbols, err);
+          if (!d) return std::nullopt;
           return static_cast<double>(
-              front::fold_int(*sym.dims.at(static_cast<std::size_t>(d - 1)), env2));
+              front::fold_int(*sym.dims[static_cast<std::size_t>(*d)], env2));
         }
         long long total = 1;
         for (const auto& dim : sym.dims) total *= front::fold_int(*dim, env2);
@@ -171,10 +187,10 @@ std::optional<double> eval_call(const Expr& e, const ScalarEnv& env,
     }
     const int sym = e.args[0]->symbol;
     if (e.args.size() == 2) {
-      const std::optional<double> dv = eval_rec(*e.args[1], env, arrays, symbols, err);
-      if (!dv) return std::nullopt;
-      return static_cast<double>(
-          arrays->extent(sym, static_cast<int>(static_cast<long long>(*dv) - 1)));
+      const std::optional<long long> d =
+          size_dim(e, symbols.at(sym), env, arrays, symbols, err);
+      if (!d) return std::nullopt;
+      return static_cast<double>(arrays->extent(sym, static_cast<int>(*d)));
     }
     long long total = 1;
     const front::Symbol& s = symbols.at(sym);

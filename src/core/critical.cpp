@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "hpf/intrinsics.hpp"
+
 namespace hpf90d::core {
 
 using compiler::SpmdKind;
@@ -13,7 +15,9 @@ namespace {
 
 void collect_vars(const Expr& e, std::set<int>& out) {
   if (e.kind == ExprKind::Var && e.symbol >= 0) out.insert(e.symbol);
-  for (const auto& a : e.args) collect_vars(*a, out);
+  // An inquiry reads its array argument's shape, never its data.
+  const bool inquiry = e.intrinsic_kind() == front::IntrinsicKind::Inquiry;
+  for (std::size_t i = inquiry ? 1 : 0; i < e.args.size(); ++i) collect_vars(*e.args[i], out);
   for (const auto& s : e.subs) {
     if (s.scalar) collect_vars(*s.scalar, out);
   }

@@ -19,6 +19,8 @@ const char* phase_name(Phase phase) noexcept {
     case Phase::MeasureBatch: return "measure_batch";
     case Phase::QueueWait: return "queue_wait";
     case Phase::JobExecute: return "job_execute";
+    case Phase::SimValuePass: return "sim_value_pass";
+    case Phase::SimRetime: return "sim_retime";
   }
   return "unknown";
 }

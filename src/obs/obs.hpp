@@ -39,10 +39,12 @@ enum class Phase : std::uint8_t {
   MeasureBatch,    // batched simulated measurement (arg = lanes)
   QueueWait,       // daemon job waiting in the tenant queue (arg = job id)
   JobExecute,      // daemon job running through Session::run (arg = job id)
+  SimValuePass,    // simulator functional pass on a value-tape miss (arg = tape bytes)
+  SimRetime,       // timing walks of one measured point (arg = runs)
 };
 
 /// Number of Phase values (for per-phase tables).
-constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::JobExecute) + 1;
+constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::SimRetime) + 1;
 
 /// Stable lower-case name ("compile", "lockstep_window", ...), used by the
 /// trace export and the daemon's per-phase metrics.

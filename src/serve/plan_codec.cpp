@@ -340,8 +340,29 @@ study::StudyPlan decode_study(std::string_view text) {
   return plan;
 }
 
+namespace {
+
+/// The value-tape store's counters: one "tapes" line after "cache" in the
+/// outcome (v2) and stats (v7) payloads.
+void emit_tapes(std::string& out, const api::CacheStats& c) {
+  out += support::strfmt("tapes %zu %zu %zu %zu\n", c.value_tape_hits,
+                         c.value_tape_misses, c.value_tape_evictions, c.value_tape_bytes);
+}
+
+void read_tapes(Reader& in, api::CacheStats& c) {
+  const auto f = fields_of(in.next_line());
+  if (f.size() != 5 || f[0] != "tapes") in.fail("expected tapes line");
+  c.value_tape_hits = static_cast<std::size_t>(to_ll(in, f[1]));
+  c.value_tape_misses = static_cast<std::size_t>(to_ll(in, f[2]));
+  c.value_tape_evictions = static_cast<std::size_t>(to_ll(in, f[3]));
+  c.value_tape_bytes = static_cast<std::size_t>(to_ll(in, f[4]));
+}
+
+}  // namespace
+
 std::string encode_outcome(const JobOutcome& outcome) {
-  std::string out = "hpf90d-result 1\n";
+  // version 2 added the tapes line
+  std::string out = "hpf90d-result 2\n";
   out += "state " + outcome.state + '\n';
   out += std::string("kind ") + (outcome.is_study ? "study" : "plan") + '\n';
   emit_str(out, "title", outcome.title);
@@ -351,6 +372,7 @@ std::string encode_outcome(const JobOutcome& outcome) {
   out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
                          c.compile_misses, c.layout_hits, c.layout_misses,
                          c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
+  emit_tapes(out, c);
   emit_str(out, "body", outcome.body_csv);
   return out;
 }
@@ -359,7 +381,7 @@ JobOutcome decode_outcome(std::string_view text) {
   Reader in(text);
   {
     const auto header = fields_of(in.next_line());
-    if (header.size() != 2 || header[0] != "hpf90d-result" || header[1] != "1") {
+    if (header.size() != 2 || header[0] != "hpf90d-result" || header[1] != "2") {
       in.fail("not an hpf90d-result payload");
     }
   }
@@ -392,21 +414,23 @@ JobOutcome decode_outcome(std::string_view text) {
     out.cache.layout_spill_hits = static_cast<std::size_t>(to_ll(in, f[6]));
     out.cache.layout_capacity = static_cast<std::size_t>(to_ll(in, f[7]));
   }
+  read_tapes(in, out.cache);
   out.body_csv = expect_str(in, "body");
   return out;
 }
 
 std::string encode_stats(const ServerStats& s) {
   const api::CacheStats& c = s.cache;
-  // version 6: drops v5's cross-chunk pool + speculation counters from the
-  // batch line (the features are gone). v4 added the spilldir and queue
-  // lines (disk usage, live queue occupancy, slow-job count); v3 widened
-  // the batch line with re-compaction + SIMD telemetry; v2 added the batch
-  // line itself.
-  std::string out = "hpf90d-stats 6\n";
+  // version 7 adds the tapes line (value-tape store counters). v6 dropped
+  // v5's cross-chunk pool + speculation counters from the batch line (the
+  // features are gone). v4 added the spilldir and queue lines (disk usage,
+  // live queue occupancy, slow-job count); v3 widened the batch line with
+  // re-compaction + SIMD telemetry; v2 added the batch line itself.
+  std::string out = "hpf90d-stats 7\n";
   out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
                          c.compile_misses, c.layout_hits, c.layout_misses,
                          c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
+  emit_tapes(out, c);
   out += support::strfmt("session %zu %zu %zu\n", s.cached_programs, s.cached_layouts,
                          s.warmed_programs);
   out += support::strfmt("jobs %zu %zu %zu %zu\n", s.jobs_submitted, s.jobs_done,
@@ -436,9 +460,9 @@ ServerStats decode_stats(std::string_view text) {
     if (header.size() != 2 || header[0] != "hpf90d-stats") {
       in.fail("not an hpf90d-stats payload");
     }
-    // Version-strict: a v5 daemon's payload is a hard error, not a partial
+    // Version-strict: a v6 daemon's payload is a hard error, not a partial
     // decode — mixed-version deployments must fail loudly.
-    if (header[1] != "6") in.fail("unsupported stats version " + header[1]);
+    if (header[1] != "7") in.fail("unsupported stats version " + header[1]);
   }
   ServerStats s;
   const auto cache = fields_of(in.next_line());
@@ -450,6 +474,7 @@ ServerStats decode_stats(std::string_view text) {
   s.cache.layout_evictions = static_cast<std::size_t>(to_ll(in, cache[5]));
   s.cache.layout_spill_hits = static_cast<std::size_t>(to_ll(in, cache[6]));
   s.cache.layout_capacity = static_cast<std::size_t>(to_ll(in, cache[7]));
+  read_tapes(in, s.cache);
   const auto session = fields_of(in.next_line());
   if (session.size() != 4 || session[0] != "session") in.fail("expected session line");
   s.cached_programs = static_cast<std::size_t>(to_ll(in, session[1]));

@@ -487,6 +487,14 @@ std::string ExperimentServer::metrics_text() {
       .set(probes == 0 ? 0.0
                        : static_cast<double>(s.cache.layout_spill_hits) /
                              static_cast<double>(probes));
+  metrics_.gauge("hpf90d_value_tape_hits", "Measured points that re-timed a shared value tape")
+      .set(static_cast<double>(s.cache.value_tape_hits));
+  metrics_.gauge("hpf90d_value_tape_misses", "Simulator functional passes run")
+      .set(static_cast<double>(s.cache.value_tape_misses));
+  metrics_.gauge("hpf90d_value_tape_evictions", "Value tapes dropped for the byte budget")
+      .set(static_cast<double>(s.cache.value_tape_evictions));
+  metrics_.gauge("hpf90d_value_tape_bytes", "Value-tape bytes resident in the session")
+      .set(static_cast<double>(s.cache.value_tape_bytes));
   metrics_.gauge("hpf90d_spill_dir_bytes", "Artifact spill directory size")
       .set(static_cast<double>(s.spill_dir_bytes));
   metrics_.gauge("hpf90d_spill_dir_files", "Artifact spill directory file count")

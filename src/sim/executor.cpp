@@ -25,7 +25,22 @@ long long trip_count(long long lo, long long hi, long long step) {
                   : (lo >= hi ? (lo - hi) / -step + 1 : 0);
 }
 
+constexpr const char* kWhileLimitError = "do while exceeded the simulation trip limit";
+
+/// Tape words holding one mask bit per point.
+std::size_t mask_words(long long points) {
+  return static_cast<std::size_t>((points + 63) / 64);
+}
+
 }  // namespace
+
+std::size_t ValueTape::bytes() const noexcept {
+  std::size_t total = words.size() * sizeof(long long);
+  for (const auto* m : {&printed, &scalars}) {
+    for (const auto& [name, value] : *m) total += name.size() + sizeof(value);
+  }
+  return total;
+}
 
 Executor::Executor(const compiler::CompiledProgram& prog,
                    const compiler::DataLayout& layout,
@@ -57,26 +72,8 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   network_.emplace(nprocs_, layout.grid().shape, machine.node().comm,
                    SimNetworkOptions{options.contention});
   clock_.assign(static_cast<std::size_t>(nprocs_), 0.0);
-  // Capacity-preserving reset: run_into recycles the previous result's
-  // buffers through this arena, so clearing (not reassigning) keeps the
-  // steady state allocation-free.
-  result_.total = result_.comp = result_.comm = result_.overhead = 0;
-  result_.proc_clock.clear();
-  result_.per_node.clear();
-  result_.printed.clear();
-  result_.scalars.clear();
   compiler::seed_environment(env_, prog_->symbols, bindings);
-  reset_timing(options.seed);
-}
-
-void Executor::reset_timing(std::uint64_t seed) {
-  options_.seed = seed;
-  network_->reset();
-  noise_ = NoiseModel(seed, options_.noise);
-  metrics_.assign(static_cast<std::size_t>(prog_->node_count), NodeMetric{});
-  for (int p = 0; p < nprocs_; ++p) {
-    clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
-  }
+  counted_ = nullptr;
 }
 
 SimResult Executor::run() {
@@ -86,60 +83,74 @@ SimResult Executor::run() {
 }
 
 void Executor::run_into(SimResult& out) {
-  tape_.clear();
-  replaying_ = false;
-  exec_seq(prog_->root->children);
-
-  result_.total = *std::max_element(clock_.begin(), clock_.end());
-  result_.proc_clock = clock_;
-  result_.per_node = metrics_;
-  for (auto& m : result_.per_node) {
-    m.comp /= nprocs_;
-    m.comm /= nprocs_;
-    m.overhead /= nprocs_;
-  }
-  for (const auto& m : result_.per_node) {
-    result_.comp += m.comp;
-    result_.comm += m.comm;
-    result_.overhead += m.overhead;
-  }
-  for (const auto& sym : prog_->symbols.symbols()) {
-    if (sym.kind == front::SymbolKind::Scalar ||
-        sym.kind == front::SymbolKind::Param) {
-      const int id = prog_->symbols.find(sym.name);
-      if (env_.is_defined(id)) result_.scalars[sym.name] = env_.value(id);
-    }
-  }
-  // Hand the result over and adopt the caller's old buffers as the next
-  // rebind's scratch (rebind clears them capacity-preservingly).
-  std::swap(out, result_);
+  record(tape_);
+  retime_into(tape_, options_.seed, out);
 }
 
-double Executor::replay(std::uint64_t seed) {
-  reset_timing(seed);
-  replaying_ = true;
-  tape_pos_ = 0;
-  exec_seq(prog_->root->children);
-  replaying_ = false;
-  if (tape_pos_ != tape_.size()) {
-    throw std::logic_error("timing replay did not consume the whole tape");
+void Executor::record(ValueTape& tape) {
+  tape.words.clear();
+  tape.printed.clear();
+  tape.scalars.clear();
+  if (counted_ == &tape) counted_ = nullptr;  // re-recorded in place
+  rec_ = &tape;
+  record_seq(prog_->root->children);
+  for (const auto& sym : prog_->symbols.symbols()) {
+    if (sym.kind == front::SymbolKind::Scalar || sym.kind == front::SymbolKind::Param) {
+      const int id = prog_->symbols.find(sym.name);
+      if (env_.is_defined(id)) tape.scalars[sym.name] = env_.value(id);
+    }
   }
+}
+
+double Executor::retime(const ValueTape& tape, std::uint64_t seed) {
+  options_.seed = seed;
+  network_->reset();
+  noise_ = NoiseModel(seed, options_.noise);
+  metrics_.assign(static_cast<std::size_t>(prog_->node_count), NodeMetric{});
+  for (int p = 0; p < nprocs_; ++p) {
+    clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
+  }
+  deriving_ = counted_ != &tape;
+  if (deriving_) {
+    counted_ = nullptr;
+    counts_.clear();
+  }
+  counts_pos_ = 0;
+  walk_ = &tape;
+  walk_pos_ = 0;
+  time_seq(prog_->root->children);
+  walk_ = nullptr;
+  if (walk_pos_ != tape.words.size()) {
+    throw std::logic_error("timing walk did not consume the whole value tape");
+  }
+  counted_ = &tape;
   return *std::max_element(clock_.begin(), clock_.end());
 }
 
-std::span<const long long> Executor::tape_span(std::size_t count) {
-  if (tape_pos_ + count > tape_.size()) {
-    throw std::logic_error("timing replay ran past the end of the tape");
+void Executor::retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out) {
+  out.total = retime(tape, seed);
+  out.proc_clock = clock_;
+  out.per_node = metrics_;
+  out.comp = out.comm = out.overhead = 0;
+  for (auto& m : out.per_node) {
+    m.comp /= nprocs_;
+    m.comm /= nprocs_;
+    m.overhead /= nprocs_;
+    out.comp += m.comp;
+    out.comm += m.comm;
+    out.overhead += m.overhead;
   }
-  const std::span<const long long> out(tape_.data() + tape_pos_, count);
-  tape_pos_ += count;
-  return out;
+  out.printed = tape.printed;
+  out.scalars = tape.scalars;
 }
 
-std::size_t Executor::tape_slots(std::size_t count) {
-  const std::size_t at = tape_.size();
-  tape_.resize(at + count, 0);
-  return at;
+std::span<const long long> Executor::tape_at(std::size_t count) {
+  if (walk_pos_ + count > walk_->words.size()) {
+    throw std::logic_error("timing walk ran past the end of the value tape");
+  }
+  const std::span<const long long> out(walk_->words.data() + walk_pos_, count);
+  walk_pos_ += count;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -166,38 +177,110 @@ void Executor::charge_all_overhead(int node_id, double t) {
 }
 
 // ---------------------------------------------------------------------------
-// control flow
+// functional pass
 // ---------------------------------------------------------------------------
 
-void Executor::exec_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
-  for (const auto& n : nodes) exec(*n);
+void Executor::record_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
+  for (const auto& n : nodes) record_node(*n);
 }
 
-void Executor::exec(const SpmdNode& n) {
+void Executor::record_node(const SpmdNode& n) {
+  std::vector<long long>& words = rec_->words;
+  switch (n.kind) {
+    case SpmdKind::Seq: record_seq(n.children); break;
+    case SpmdKind::ScalarAssign: {
+      const double v = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
+      env_.define(n.lhs->symbol, n.lhs->type == front::TypeBase::Integer ? std::trunc(v) : v);
+      break;
+    }
+    case SpmdKind::LocalLoop: record_local_loop(n); break;
+    case SpmdKind::Reduce: record_reduce(n); break;
+    case SpmdKind::CShiftComm: {
+      const long long shift =
+          compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
+      storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
+      words.push_back(shift);
+      break;
+    }
+    case SpmdKind::GatherComm:
+    case SpmdKind::ScatterComm: words.push_back(resolve_space(n.space)); break;
+    case SpmdKind::DoLoop: record_do(n); break;
+    case SpmdKind::WhileLoop: record_while(n); break;
+    case SpmdKind::IfBlock: {
+      const bool taken = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
+      words.push_back(taken ? 1 : 0);
+      record_seq(taken ? n.children : n.else_children);
+      break;
+    }
+    case SpmdKind::HostIO: record_hostio(n); break;
+    case SpmdKind::OverlapComm:
+    case SpmdKind::SliceBroadcast: break;  // priced from configuration alone
+  }
+}
+
+void Executor::record_do(const SpmdNode& n) {
+  const long long lo = compiler::eval_int(*n.do_lo, env_, &storage_, prog_->symbols);
+  const long long hi = compiler::eval_int(*n.do_hi, env_, &storage_, prog_->symbols);
+  const long long step =
+      n.do_step ? compiler::eval_int(*n.do_step, env_, &storage_, prog_->symbols) : 1;
+  if (step == 0) throw CompileError(n.loc, "do loop step is zero");
+  const long long trips = trip_count(lo, hi, step);
+  rec_->words.push_back(trips);
+  for (long long t = 0; t < trips; ++t) {
+    env_.define(n.do_symbol, static_cast<double>(lo + t * step));
+    record_seq(n.children);
+  }
+}
+
+void Executor::record_while(const SpmdNode& n) {
+  // The trip count is known only once the loop exits, after the body's own
+  // entries: reserve its slot up front.
+  const std::size_t slot = rec_->words.size();
+  rec_->words.push_back(0);
+  long long trips = 0;
+  while (compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0) {
+    if (++trips > options_.max_while_trips) throw CompileError(n.loc, kWhileLimitError);
+    record_seq(n.children);
+  }
+  rec_->words[slot] = trips;
+}
+
+void Executor::record_hostio(const SpmdNode& n) {
+  for (const auto& arg : n.io_args) {
+    if (arg->rank == 0) {
+      rec_->printed[arg->str()] = compiler::eval_scalar(*arg, env_, &storage_, prog_->symbols);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// timing walk
+// ---------------------------------------------------------------------------
+
+void Executor::time_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
+  for (const auto& n : nodes) time_node(*n);
+}
+
+void Executor::time_node(const SpmdNode& n) {
   metric(n.id).visits++;
   switch (n.kind) {
-    case SpmdKind::Seq: exec_seq(n.children); break;
-    case SpmdKind::ScalarAssign: exec_scalar_assign(n); break;
-    case SpmdKind::LocalLoop: exec_local_loop(n); break;
-    case SpmdKind::OverlapComm: exec_overlap(n); break;
-    case SpmdKind::CShiftComm: exec_cshift(n); break;
+    case SpmdKind::Seq: time_seq(n.children); break;
+    case SpmdKind::ScalarAssign: time_scalar_assign(n); break;
+    case SpmdKind::LocalLoop: time_local_loop(n); break;
+    case SpmdKind::OverlapComm: time_overlap(n); break;
+    case SpmdKind::CShiftComm: time_cshift(n); break;
     case SpmdKind::GatherComm:
-    case SpmdKind::ScatterComm: exec_irregular(n); break;
-    case SpmdKind::SliceBroadcast: exec_slice_bcast(n); break;
-    case SpmdKind::Reduce: exec_reduce(n); break;
-    case SpmdKind::DoLoop: exec_do(n); break;
-    case SpmdKind::WhileLoop: exec_while(n); break;
-    case SpmdKind::IfBlock: exec_if(n); break;
-    case SpmdKind::HostIO: exec_hostio(n); break;
+    case SpmdKind::ScatterComm: time_irregular(n); break;
+    case SpmdKind::SliceBroadcast: time_slice_bcast(n); break;
+    case SpmdKind::Reduce: time_reduce(n); break;
+    case SpmdKind::DoLoop: time_do(n); break;
+    case SpmdKind::WhileLoop: time_while(n); break;
+    case SpmdKind::IfBlock: time_if(n); break;
+    case SpmdKind::HostIO: time_hostio(n); break;
   }
 }
 
-void Executor::exec_scalar_assign(const SpmdNode& n) {
-  if (!replaying_) {
-    const double v = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
-    env_.define(n.lhs->symbol,
-                n.lhs->type == front::TypeBase::Integer ? std::trunc(v) : v);
-  }
+void Executor::time_scalar_assign(const SpmdNode& n) {
   const double t = cost_->scalar_cost(body_ops(n)) + machine_->node().proc.t_store;
   // replicated computation: every node executes the same statement
   for (int p = 0; p < nprocs_; ++p) {
@@ -205,72 +288,42 @@ void Executor::exec_scalar_assign(const SpmdNode& n) {
   }
 }
 
-void Executor::exec_do(const SpmdNode& n) {
-  long long lo = 0, step = 1, trips = 0;
-  if (replaying_) {
-    trips = tape_next();
-  } else {
-    lo = compiler::eval_int(*n.do_lo, env_, &storage_, prog_->symbols);
-    const long long hi = compiler::eval_int(*n.do_hi, env_, &storage_, prog_->symbols);
-    step = n.do_step ? compiler::eval_int(*n.do_step, env_, &storage_, prog_->symbols) : 1;
-    if (step == 0) throw CompileError(n.loc, "do loop step is zero");
-    trips = trip_count(lo, hi, step);
-    tape_.push_back(trips);
-  }
+void Executor::time_do(const SpmdNode& n) {
+  const long long trips = tape_next();
   charge_all_overhead(n.id, machine_->node().proc.loop_setup);
   for (long long t = 0; t < trips; ++t) {
-    if (!replaying_) env_.define(n.do_symbol, static_cast<double>(lo + t * step));
     charge_all_overhead(n.id, machine_->node().proc.loop_overhead);
-    exec_seq(n.children);
+    time_seq(n.children);
   }
 }
 
-void Executor::exec_while(const SpmdNode& n) {
-  // The trip count is known only once the loop exits, after the body's own
-  // entries: reserve its slot up front.
-  const std::size_t slot = replaying_ ? 0 : tape_slots(1);
-  const long long recorded = replaying_ ? tape_next() : 0;
+void Executor::time_while(const SpmdNode& n) {
+  const long long trips = tape_next();
+  // A tape recorded under a larger limit still fails this one, at the same
+  // loop a fresh functional pass would.
+  if (trips > options_.max_while_trips) throw CompileError(n.loc, kWhileLimitError);
   const double cond_t =
       machine_->node().proc.branch_overhead + cost_->scalar_cost(cond_ops(n));
-  long long trips = 0;
-  while (true) {
-    const bool again =
-        replaying_ ? trips < recorded
-                   : compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
+  for (long long t = 0;; ++t) {
     charge_all_overhead(n.id, cond_t);
-    if (!again) break;
-    if (++trips > options_.max_while_trips) {
-      throw CompileError(n.loc, "do while exceeded the simulation trip limit");
-    }
-    exec_seq(n.children);
+    if (t == trips) break;
+    time_seq(n.children);
   }
-  if (!replaying_) tape_[slot] = trips;
 }
 
-void Executor::exec_if(const SpmdNode& n) {
-  bool taken = false;
-  if (replaying_) {
-    taken = tape_next() != 0;
-  } else {
-    taken = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
-    tape_.push_back(taken ? 1 : 0);
-  }
+void Executor::time_if(const SpmdNode& n) {
+  const bool taken = tape_next() != 0;
   charge_all_overhead(n.id, machine_->node().proc.branch_overhead);
-  exec_seq(taken ? n.children : n.else_children);
+  time_seq(taken ? n.children : n.else_children);
 }
 
-void Executor::exec_hostio(const SpmdNode& n) {
+void Executor::time_hostio(const SpmdNode& n) {
   long long bytes = 16;  // service request framing
   for (const auto& arg : n.io_args) {
     if (arg->rank == 0) {
-      if (!replaying_) {
-        result_.printed[arg->str()] =
-            compiler::eval_scalar(*arg, env_, &storage_, prog_->symbols);
-      }
       bytes += 16;
     } else {
-      bytes += storage_.total_elements(arg->symbol) *
-               front::type_size_bytes(arg->type);
+      bytes += storage_.total_elements(arg->symbol) * front::type_size_bytes(arg->type);
     }
   }
   const auto& io = machine_->node().io;
@@ -297,6 +350,21 @@ long long Executor::resolve_space(const std::vector<compiler::IterIndex>& space)
     total *= trip_count(lo, hi, step);
   }
   return total;
+}
+
+bool Executor::next_point() {
+  for (std::size_t d = lo_.size(); d-- > 0;) {
+    point_[d] += step_[d];
+    if (step_[d] > 0 ? point_[d] <= hi_[d] : point_[d] >= hi_[d]) return true;
+    point_[d] = lo_[d];
+  }
+  return false;
+}
+
+void Executor::record_space() {
+  for (std::size_t d = 0; d < lo_.size(); ++d) {
+    rec_->words.insert(rec_->words.end(), {lo_[d], hi_[d], step_[d]});
+  }
 }
 
 int Executor::owner_of_point(const SpmdNode& n, const compiler::ArrayMap& home,
@@ -461,73 +529,44 @@ long long Executor::working_set_bytes(const Expr& lhs, const Expr* rhs,
 // local computation
 // ---------------------------------------------------------------------------
 
-void Executor::exec_local_loop(const SpmdNode& n) {
-  const compiler::ArrayMap* home = home_map(n);
-  LoopVisit v;
-  if (!replaying_) {
-    v = resolve_local_loop(n, home);
-  } else {
-    v.points = tape_next();
-    if (v.points > 0 && n.inner) v.inner_trips = tape_next();
-    if (v.points > 0 && home != nullptr) {
-      v.iters = tape_span(static_cast<std::size_t>(nprocs_));
-      if (n.mask) v.trues = tape_span(static_cast<std::size_t>(nprocs_));
-    }
-  }
-  if (v.points <= 0) return;
-  charge_local_loop(n, home, v);
-}
-
-Executor::LoopVisit Executor::resolve_local_loop(const SpmdNode& n,
-                                                 const compiler::ArrayMap* home) {
-  LoopVisit v;
-  v.points = resolve_space(n.space);
-  tape_.push_back(v.points);
-  if (v.points <= 0) return v;
+void Executor::record_local_loop(const SpmdNode& n) {
+  std::vector<long long>& words = rec_->words;
+  const long long points = resolve_space(n.space);
+  words.push_back(points);
+  if (points <= 0) return;
 
   // inner-reduction resolved bounds (loop-invariant by construction)
   long long inner_lo = 0, inner_hi = -1;
   if (n.inner) {
     inner_lo = compiler::eval_int(*n.inner->index.lo, env_, &storage_, prog_->symbols);
     inner_hi = compiler::eval_int(*n.inner->index.hi, env_, &storage_, prog_->symbols);
-    v.inner_trips = std::max<long long>(0, inner_hi - inner_lo + 1);
-    tape_.push_back(v.inner_trips);
+    words.push_back(std::max<long long>(0, inner_hi - inner_lo + 1));
   }
+  // A distributed loop's space, and its mask bits, let any layout count
+  // its owners' iterations and trues without evaluating anything.
+  const bool mask_bits = n.home_symbol >= 0 && n.mask;
+  if (n.home_symbol >= 0) record_space();
+  const std::size_t mask_at = words.size();
+  if (mask_bits) words.resize(mask_at + mask_words(points), 0);
 
-  // Per-processor iteration and mask-true counts, written in place on the
-  // tape. An unmasked loop's counts follow from the ownership histograms;
-  // a masked one (or an unseparable mapping) counts owners point by point.
-  const std::size_t np = static_cast<std::size_t>(nprocs_);
-  std::size_t iters_at = 0, trues_at = 0;
-  bool per_point_owner = false;
-  if (home != nullptr) {
-    iters_at = tape_slots(np);
-    if (n.mask) trues_at = tape_slots(np);
-    per_point_owner =
-        n.mask || !count_owned_iterations(n, *home, {tape_.data() + iters_at, np});
-  }
-  long long* const iters = tape_.data() + iters_at;
-  long long* const trues = tape_.data() + trues_at;
-
-  // functional pass: evaluate all RHS first (forall semantics), then commit
+  // evaluate all RHS first (forall semantics), then commit
   pending_.clear();
   const int lhs_symbol = n.lhs->symbol;
   (void)storage_.raw(lhs_symbol);  // ensure allocated
 
-  const std::size_t rank = lo_.size();
   point_.assign(lo_.begin(), lo_.end());
   lhs_idx_.resize(n.lhs->subs.size());
-  bool done = false;
-  while (!done) {
-    for (std::size_t d = 0; d < rank; ++d) {
+  std::size_t k = 0;  // the point's odometer ordinal
+  do {
+    for (std::size_t d = 0; d < point_.size(); ++d) {
       env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
     }
-    const int owner = per_point_owner ? owner_of_point(n, *home, point_) : -1;
-    if (owner >= 0) ++iters[owner];
     const bool mask_true =
         !n.mask || compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
     if (mask_true) {
-      if (owner >= 0 && n.mask) ++trues[owner];
+      if (mask_bits) {
+        words[mask_at + k / 64] |= static_cast<long long>(std::uint64_t{1} << (k % 64));
+      }
       double value;
       if (n.inner) {
         const compiler::ReduceOp op = n.inner->op;
@@ -557,26 +596,62 @@ Executor::LoopVisit Executor::resolve_local_loop(const SpmdNode& n,
       }
       pending_.push_back(PendingStore{storage_.offset(lhs_symbol, lhs_idx_), value});
     }
-    // odometer
-    done = true;
-    for (std::size_t d = rank; d-- > 0;) {
-      point_[d] += step_[d];
-      const bool in_range = step_[d] > 0 ? point_[d] <= hi_[d] : point_[d] >= hi_[d];
-      if (in_range) {
-        done = false;
-        break;
-      }
-      point_[d] = lo_[d];
-    }
-  }
+    ++k;
+  } while (next_point());
   auto raw = storage_.raw(lhs_symbol);
   for (const auto& st : pending_) raw[st.offset] = st.value;
+}
 
-  if (home != nullptr) {
-    v.iters = {tape_.data() + iters_at, np};
-    if (n.mask) v.trues = {tape_.data() + trues_at, np};
+void Executor::time_local_loop(const SpmdNode& n) {
+  LoopVisit v;
+  v.points = tape_next();
+  if (v.points <= 0) return;
+  if (n.inner) v.inner_trips = tape_next();
+  const compiler::ArrayMap* home = home_map(n);
+  if (n.home_symbol >= 0) owned_counts(n, home, n.mask != nullptr, v);
+  charge_local_loop(n, home, v);
+}
+
+void Executor::owned_counts(const SpmdNode& n, const compiler::ArrayMap* home, bool masked,
+                            LoopVisit& v) {
+  const std::span<const long long> space = tape_at(3 * n.space.size());
+  const std::span<const long long> bits =
+      masked ? tape_at(mask_words(v.points)) : std::span<const long long>{};
+  if (home == nullptr) return;  // replicated under this layout
+
+  const std::size_t np = static_cast<std::size_t>(nprocs_);
+  const std::size_t width = masked ? 2 * np : np;
+  if (deriving_) {
+    // An unmasked loop's counts follow from the ownership histograms; a
+    // masked one (or an unseparable mapping) walks the recorded space.
+    counts_.resize(counts_pos_ + width, 0);
+    const std::span<long long> iters(counts_.data() + counts_pos_, np);
+    lo_.clear();
+    hi_.clear();
+    step_.clear();
+    for (std::size_t d = 0; d < n.space.size(); ++d) {
+      lo_.push_back(space[3 * d]);
+      hi_.push_back(space[3 * d + 1]);
+      step_.push_back(space[3 * d + 2]);
+    }
+    if (masked || !count_owned_iterations(n, *home, iters)) {
+      long long* const trues = counts_.data() + counts_pos_ + np;
+      point_.assign(lo_.begin(), lo_.end());
+      std::size_t k = 0;
+      do {
+        const auto owner = static_cast<std::size_t>(owner_of_point(n, *home, point_));
+        ++iters[owner];
+        if (masked && (static_cast<std::uint64_t>(bits[k / 64]) >> (k % 64) & 1) != 0) {
+          ++trues[owner];
+        }
+        ++k;
+      } while (next_point());
+    }
   }
-  return v;
+  const long long* const at = counts_.data() + counts_pos_;
+  counts_pos_ += width;
+  v.iters = {at, np};
+  if (masked) v.trues = {at + np, np};
 }
 
 void Executor::charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,
@@ -616,31 +691,10 @@ void Executor::charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* ho
 // reductions
 // ---------------------------------------------------------------------------
 
-void Executor::exec_reduce(const SpmdNode& n) {
-  const compiler::ArrayMap* home = home_map(n);
-  LoopVisit v;
-  if (!replaying_) {
-    v = resolve_reduce(n, home);
-  } else {
-    v.points = tape_next();
-    if (home != nullptr) v.iters = tape_span(static_cast<std::size_t>(nprocs_));
-  }
-  charge_reduce(n, home, v);
-}
-
-Executor::LoopVisit Executor::resolve_reduce(const SpmdNode& n,
-                                             const compiler::ArrayMap* home) {
-  LoopVisit v;
-  v.points = resolve_space(n.space);
-  tape_.push_back(v.points);
-  const std::size_t np = static_cast<std::size_t>(nprocs_);
-  std::size_t iters_at = 0;
-  bool per_point_owner = false;
-  if (home != nullptr) {
-    iters_at = tape_slots(np);
-    per_point_owner = !count_owned_iterations(n, *home, {tape_.data() + iters_at, np});
-  }
-  long long* const iters = tape_.data() + iters_at;
+void Executor::record_reduce(const SpmdNode& n) {
+  const long long points = resolve_space(n.space);
+  rec_->words.push_back(points);
+  if (points > 0 && n.home_symbol >= 0) record_space();
 
   const compiler::ReduceOp op = n.reduce_op;
   const bool is_max = op == compiler::ReduceOp::MaxVal || op == compiler::ReduceOp::MaxLoc;
@@ -649,45 +703,38 @@ Executor::LoopVisit Executor::resolve_reduce(const SpmdNode& n,
                : op == compiler::ReduceOp::MinVal ? 1e300
                                                   : 0.0;
   long long arg_at = 0;
-
-  const std::size_t rank = lo_.size();
-  point_.assign(lo_.begin(), lo_.end());
-  bool done = v.points <= 0;
-  while (!done) {
-    for (std::size_t d = 0; d < rank; ++d) {
-      env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
-    }
-    if (per_point_owner) ++iters[owner_of_point(n, *home, point_)];
-    const double x =
-        compiler::eval_scalar(*n.reduce_arg, env_, &storage_, prog_->symbols);
-    if (op == compiler::ReduceOp::Sum) {
-      acc += x;
-    } else if (op == compiler::ReduceOp::Product) {
-      acc *= x;
-    } else if (is_max) {
-      if (x > acc) {
-        acc = x;
-        arg_at = point_[0];
+  if (points > 0) {
+    point_.assign(lo_.begin(), lo_.end());
+    do {
+      for (std::size_t d = 0; d < point_.size(); ++d) {
+        env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
       }
-    } else {
-      acc = std::min(acc, x);
-    }
-
-    done = true;
-    for (std::size_t d = rank; d-- > 0;) {
-      point_[d] += step_[d];
-      const bool in_range = step_[d] > 0 ? point_[d] <= hi_[d] : point_[d] >= hi_[d];
-      if (in_range) {
-        done = false;
-        break;
+      const double x =
+          compiler::eval_scalar(*n.reduce_arg, env_, &storage_, prog_->symbols);
+      if (op == compiler::ReduceOp::Sum) {
+        acc += x;
+      } else if (op == compiler::ReduceOp::Product) {
+        acc *= x;
+      } else if (is_max) {
+        if (x > acc) {
+          acc = x;
+          arg_at = point_[0];
+        }
+      } else {
+        acc = std::min(acc, x);
       }
-      point_[d] = lo_[d];
-    }
+    } while (next_point());
   }
   env_.define(n.reduce_result,
               op == compiler::ReduceOp::MaxLoc ? static_cast<double>(arg_at) : acc);
-  if (home != nullptr) v.iters = {tape_.data() + iters_at, np};
-  return v;
+}
+
+void Executor::time_reduce(const SpmdNode& n) {
+  LoopVisit v;
+  v.points = tape_next();
+  const compiler::ArrayMap* home = home_map(n);
+  if (v.points > 0 && n.home_symbol >= 0) owned_counts(n, home, false, v);
+  charge_reduce(n, home, v);
 }
 
 void Executor::charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home,
@@ -699,9 +746,8 @@ void Executor::charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home,
   const long long ws = working_set_bytes(*n.reduce_arg, n.reduce_arg.get(), v.points);
   const LoopBodyCost body = cost_->body_cost(ops, accesses, ws);
   const bool replicated = home == nullptr;
-  const long long total_pts = std::max<long long>(v.points, 0);
-  for (int proc = 0; proc < nprocs_; ++proc) {
-    const long long it = replicated ? total_pts : v.iters[static_cast<std::size_t>(proc)];
+  for (int proc = 0; proc < nprocs_ && v.points > 0; ++proc) {
+    const long long it = replicated ? v.points : v.iters[static_cast<std::size_t>(proc)];
     if (it == 0) continue;
     charge_comp(n.id, proc,
                 static_cast<double>(it) * body.per_iteration * noise_.compute_factor());
@@ -761,7 +807,7 @@ void Executor::collective_stages(int node_id, long long bytes, double per_stage_
 // communication nodes
 // ---------------------------------------------------------------------------
 
-void Executor::exec_overlap(const SpmdNode& n) {
+void Executor::time_overlap(const SpmdNode& n) {
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
   if (map == nullptr) return;
   const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
@@ -859,15 +905,8 @@ void Executor::exec_overlap(const SpmdNode& n) {
   }
 }
 
-void Executor::exec_cshift(const SpmdNode& n) {
-  long long shift = 0;
-  if (replaying_) {
-    shift = tape_next();
-  } else {
-    shift = compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
-    storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
-    tape_.push_back(shift);
-  }
+void Executor::time_cshift(const SpmdNode& n) {
+  const long long shift = tape_next();
   if (shift == 0) return;
 
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
@@ -936,17 +975,9 @@ void Executor::exec_cshift(const SpmdNode& n) {
   }
 }
 
-void Executor::exec_irregular(const SpmdNode& n) {
-  if (nprocs_ <= 1) return;
-  long long points = 0;
-  if (replaying_) {
-    points = tape_next();
-  } else {
-    points = resolve_space(n.space);
-    tape_.push_back(points);
-  }
-  const long long total = std::max<long long>(points, 0);
-  if (total == 0) return;
+void Executor::time_irregular(const SpmdNode& n) {
+  const long long total = std::max<long long>(tape_next(), 0);
+  if (nprocs_ <= 1 || total == 0) return;
   const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
   const auto& comm = machine_->node().comm;
 
@@ -975,7 +1006,7 @@ void Executor::exec_irregular(const SpmdNode& n) {
   }
 }
 
-void Executor::exec_slice_bcast(const SpmdNode& n) {
+void Executor::time_slice_bcast(const SpmdNode& n) {
   const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
   if (map == nullptr || nprocs_ <= 1) return;
   const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);

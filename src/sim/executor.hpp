@@ -8,6 +8,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,26 +53,47 @@ struct SimResult {
   std::map<std::string, double> scalars;
 };
 
+/// What a program's values decide about its timing, recorded once per
+/// (program, bindings) by the functional pass and independent of the
+/// layout, the machine and the options other than the WHILE trip limit.
+/// `words` holds, in walk order: one entry per DO (trips), WHILE (trips),
+/// IF (outcome), CSHIFT (amount) and irregular-comm (points) visit; per
+/// LocalLoop visit its point count and, when there are points, its inner
+/// trips, then — for a loop with a home array — the resolved iteration
+/// space (lo, hi, step per dimension) and, when masked, one mask bit per
+/// point in odometer order; per Reduce visit its point count and, when
+/// there are points and a home array, its space. `printed` and `scalars`
+/// are the SimResult maps of the same name.
+struct ValueTape {
+  std::vector<long long> words;
+  std::map<std::string, double> printed;
+  std::map<std::string, double> scalars;
+
+  /// Resident size, the unit of the session's value-tape budget: the
+  /// words plus every map entry's name and value.
+  [[nodiscard]] std::size_t bytes() const noexcept;
+};
+
 /// The executor is reusable: a default-constructed executor is an *arena*
-/// that `rebind()` points at a new configuration before each `run()`.
-/// Rebinding resets every piece of simulation state exactly as construction
-/// would (storage contents, clocks, network occupancy, noise stream) while
+/// that `rebind()` points at a new configuration before each run. Rebinding
+/// resets every piece of simulation state exactly as construction would
+/// (storage contents, clocks, network occupancy, noise stream) while
 /// reusing the large scratch allocations — per-worker executors serve
 /// thousands of measured points without per-run heap churn.
 ///
-/// Every node visit has two halves. The *functional* half resolves values:
-/// it evaluates expressions against the real data, updates arrays and
-/// scalars, and settles everything value-dependent that timing needs — DO
-/// and WHILE trip counts, IF outcomes, iteration-space sizes, per-processor
-/// iteration and mask-true counts, inner-reduction trips, CSHIFT amounts.
-/// The *timing* half charges clocks, the network and the noise stream from
-/// those quantities alone. run() does both and records the quantities, in
-/// walk order, on a compact *timing tape*; replay() re-times the run under
-/// another noise seed from the tape without evaluating a single expression.
-/// Values only ever flow into timing, never back: no clock, network, noise
-/// or attribution state feeds a value, so one functional pass serves every
-/// repetition of a measurement and a replay is bit-identical to a fresh run
-/// with that seed.
+/// A measurement has two halves, and they meet only at a ValueTape.
+/// The *functional pass* (record) evaluates the program against real data
+/// and records everything value-dependent that timing needs. It reads the
+/// bindings and the array extents, never the processor count, the grid, the
+/// machine, the clocks or the noise stream, so one pass serves every
+/// (layout, machine, seed) of the same (program, bindings). The *timing
+/// walk* (retime) charges clocks, the network and the noise stream from a
+/// tape alone, without evaluating a single expression; it derives each
+/// distributed loop's per-processor iteration and mask-true counts from the
+/// recorded space under the bound layout, once per (tape, layout), and
+/// reuses them for every further seed. run() is record() then retime() of
+/// the executor's own tape; re-timing a tape recorded under any other
+/// layout or machine is bit-identical to a fresh run under this one.
 class Executor {
  public:
   /// Arena construction: no state bound yet; call rebind() before run().
@@ -83,50 +105,68 @@ class Executor {
 
   /// Re-targets the executor, producing bit-identical behaviour to a fresh
   /// Executor(prog, layout, machine, options, bindings). The referenced
-  /// arguments must outlive the next run() and every replay() after it.
+  /// arguments must outlive every record/retime until the next rebind.
   void rebind(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
               const machine::MachineModel& machine, const SimOptions& options,
               const front::Bindings& bindings);
 
-  /// One-shot per rebind/construction: call rebind() again before the next
-  /// run(). Records the timing tape replay() consumes.
-  [[nodiscard]] SimResult run();
+  /// The functional pass: runs the program's values into `tape` (previous
+  /// contents discarded). One-shot per rebind: it consumes the bound
+  /// storage and environment. Throws the program's own diagnostic (and
+  /// leaves `tape` unspecified) when a value cannot be computed.
+  void record(ValueTape& tape);
 
-  /// Like run(), but fills `out` in place, reusing its vectors and maps
-  /// (previous contents are discarded). The measurement hot loop calls
-  /// this with one scratch SimResult per worker, so a measurement-heavy
-  /// sweep performs no per-run result allocation in steady state. Contents
-  /// are identical to run().
+  /// The timing walk: re-times `tape` under the bound layout, machine and
+  /// options with noise seed `seed` and fills `out` in place, reusing its
+  /// vectors (previous contents discarded). Any number of calls per
+  /// rebind; the per-processor counts are derived on the first call for a
+  /// tape and reused while later calls pass the same, unchanged tape
+  /// object.
+  void retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out);
+  /// Same walk, returning only the program time.
+  [[nodiscard]] double retime(const ValueTape& tape, std::uint64_t seed);
+
+  /// record() into the executor's own tape, then retime it under the bound
+  /// options' seed. One-shot per rebind.
+  [[nodiscard]] SimResult run();
   void run_into(SimResult& out);
 
-  /// Re-times the last completed run() under noise seed `seed` from its
-  /// timing tape: the same node visits, charges, noise draws and network
-  /// sends, none of the values. Returns the program time — bit-identical
-  /// to SimResult::total of a fresh Executor whose options carry `seed`.
-  /// May be called any number of times per run().
-  [[nodiscard]] double replay(std::uint64_t seed);
+  /// Re-times the executor's own tape (the last run()'s) under `seed`:
+  /// bit-identical to SimResult::total of a fresh run with that seed.
+  [[nodiscard]] double replay(std::uint64_t seed) { return retime(tape_, seed); }
 
  private:
   using SpmdNode = compiler::SpmdNode;
 
-  // --- control flow ---------------------------------------------------------
-  void exec_seq(const std::vector<compiler::SpmdNodePtr>& nodes);
-  void exec(const SpmdNode& n);
-  void exec_scalar_assign(const SpmdNode& n);
-  void exec_do(const SpmdNode& n);
-  void exec_while(const SpmdNode& n);
-  void exec_if(const SpmdNode& n);
-  void exec_hostio(const SpmdNode& n);
-  void exec_local_loop(const SpmdNode& n);
-  void exec_reduce(const SpmdNode& n);
-  void exec_overlap(const SpmdNode& n);
-  void exec_cshift(const SpmdNode& n);
-  void exec_irregular(const SpmdNode& n);
-  void exec_slice_bcast(const SpmdNode& n);
+  // --- functional pass --------------------------------------------------------
+  void record_seq(const std::vector<compiler::SpmdNodePtr>& nodes);
+  void record_node(const SpmdNode& n);
+  void record_do(const SpmdNode& n);
+  void record_hostio(const SpmdNode& n);
+  void record_while(const SpmdNode& n);
+  void record_local_loop(const SpmdNode& n);
+  void record_reduce(const SpmdNode& n);
+  /// Records the resolved space lo_/hi_/step_ (rank * 3 words).
+  void record_space();
 
-  /// What the timing half of a LocalLoop or Reduce visit consumes. The
-  /// per-processor spans point into the tape; `iters` is empty for a
-  /// replicated loop and `trues` for an unmasked or replicated one.
+  // --- timing walk -----------------------------------------------------------------
+  void time_seq(const std::vector<compiler::SpmdNodePtr>& nodes);
+  void time_node(const SpmdNode& n);
+  void time_scalar_assign(const SpmdNode& n);
+  void time_do(const SpmdNode& n);
+  void time_while(const SpmdNode& n);
+  void time_if(const SpmdNode& n);
+  void time_hostio(const SpmdNode& n);
+  void time_local_loop(const SpmdNode& n);
+  void time_reduce(const SpmdNode& n);
+  void time_overlap(const SpmdNode& n);
+  void time_cshift(const SpmdNode& n);
+  void time_irregular(const SpmdNode& n);
+  void time_slice_bcast(const SpmdNode& n);
+
+  /// What the timing half of a LocalLoop or Reduce visit consumes.
+  /// `iters` is empty for a replicated loop and `trues` for an unmasked or
+  /// replicated one.
   struct LoopVisit {
     long long points = 0;       // iteration-space size
     long long inner_trips = 0;  // inner dim-reduction trip count
@@ -134,34 +174,25 @@ class Executor {
     std::span<const long long> trues;
   };
 
-  // Functional halves: evaluate, update storage and the environment, and
-  // record the visit on the tape.
-  [[nodiscard]] LoopVisit resolve_local_loop(const SpmdNode& n,
-                                             const compiler::ArrayMap* home);
-  [[nodiscard]] LoopVisit resolve_reduce(const SpmdNode& n, const compiler::ArrayMap* home);
-  // Timing halves, shared by run() and replay().
+  /// Reads a distributed loop's recorded space (and mask bits) off the tape
+  /// and yields its per-processor counts under the bound layout: derived on
+  /// the first walk of a tape, read back on later ones.
+  void owned_counts(const SpmdNode& n, const compiler::ArrayMap* home, bool masked,
+                    LoopVisit& v);
   void charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,
                          const LoopVisit& v);
   void charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home, const LoopVisit& v);
 
-  // --- timing tape ----------------------------------------------------------------
-  // One entry per DO (trips), WHILE (trips), IF (outcome), CSHIFT (amount)
-  // and irregular-comm (points) visit; a LocalLoop visit records its points,
-  // then — when there are any — its inner trips and per-processor counts; a
-  // Reduce visit its points and per-processor counts. Scalar assigns and
-  // the other communication nodes are priced from configuration alone.
-  long long tape_next() { return tape_.at(tape_pos_++); }
-  std::span<const long long> tape_span(std::size_t count);
-  /// Appends `count` zeroed per-processor slots; returns their tape index.
-  std::size_t tape_slots(std::size_t count);
-
-  /// Resets clocks, network occupancy, attribution and the noise stream
-  /// for a run under `seed` (the startup skews are its first draws).
-  void reset_timing(std::uint64_t seed);
+  long long tape_next() { return tape_at(1)[0]; }
+  /// The next `count` words of the tape being re-timed.
+  std::span<const long long> tape_at(std::size_t count);
 
   // --- helpers ------------------------------------------------------------------
   /// Resolves `space` into lo_/hi_/step_ scratch; returns the point count.
   long long resolve_space(const std::vector<compiler::IterIndex>& space);
+  /// Advances point_ through lo_/hi_/step_ in row-major order; false once
+  /// the space is exhausted.
+  bool next_point();
 
   [[nodiscard]] const compiler::ArrayMap* home_map(const SpmdNode& n) const {
     return n.home_symbol >= 0 ? layout_->map_for(n.home_symbol) : nullptr;
@@ -226,13 +257,20 @@ class Executor {
 
   std::vector<double> clock_;
   std::vector<NodeMetric> metrics_;
-  SimResult result_;
 
-  std::vector<long long> tape_;
-  std::size_t tape_pos_ = 0;
-  bool replaying_ = false;
+  ValueTape tape_;                   // run()'s own tape
+  ValueTape* rec_ = nullptr;         // tape record() is filling
+  const ValueTape* walk_ = nullptr;  // tape being re-timed
+  std::size_t walk_pos_ = 0;
 
-  // Reused per-visit scratch of the functional half.
+  // Per-processor counts of every distributed loop visit of `counted_`
+  // under the bound layout, in walk order: iters, then trues when masked.
+  std::vector<long long> counts_;
+  std::size_t counts_pos_ = 0;
+  const ValueTape* counted_ = nullptr;  // null: not derived yet
+  bool deriving_ = false;
+
+  // Reused per-visit scratch.
   struct PendingStore {
     std::size_t offset;
     double value;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace hpf90d::sim {
 
@@ -36,38 +35,30 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
                              const front::Bindings& bindings,
                              const compiler::DataLayout& layout,
                              const SimOptions& options, int runs, Executor& arena,
-                             MeasuredResult& out) const {
-  // `res` cycles buffers with the arena via run_into, and with out.detail
-  // via the r == 0 swap, so the steady state allocates nothing per run.
-  SimResult res;
-  measure_into(prog, bindings, layout, options, runs, arena, out, res);
-}
-
-void Simulator::measure_into(const compiler::CompiledProgram& prog,
-                             const front::Bindings& bindings,
-                             const compiler::DataLayout& layout,
-                             const SimOptions& options, int runs, Executor& arena,
-                             MeasuredResult& out, SimResult& scratch) const {
+                             MeasuredResult& out, const ValueTape* tape) const {
   out.stats.samples.clear();
   out.stats.mean = 0.0;
   out.stats.stddev = 0.0;
   out.stats.min = 1e300;
   out.stats.max = 0.0;
-  // Run 0 is the one functional pass: it fills out.detail and records the
-  // timing tape. Runs 1.. re-time that tape under their own seeds.
   for (int r = 0; r < std::max(1, runs); ++r) {
     const std::uint64_t seed =
         options.seed + static_cast<std::uint64_t>(r) * 0x9e3779b97f4a7c15ULL;
     double total = 0.0;
     if (r == 0) {
+      // Run 0 fills the detail: the functional pass when no tape is shared,
+      // then the timing walk. Runs 1.. re-time the same tape.
       SimOptions run_opts = options;
       run_opts.seed = seed;
       arena.rebind(prog, layout, machine_, run_opts, bindings);
-      arena.run_into(scratch);
-      total = scratch.total;
-      std::swap(out.detail, scratch);
+      if (tape == nullptr) {
+        arena.run_into(out.detail);
+      } else {
+        arena.retime_into(*tape, seed, out.detail);
+      }
+      total = out.detail.total;
     } else {
-      total = arena.replay(seed);
+      total = tape == nullptr ? arena.replay(seed) : arena.retime(*tape, seed);
     }
     out.stats.samples.push_back(total);
     out.stats.mean += total;
@@ -83,19 +74,12 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
   out.stats.stddev = std::sqrt(var / n);
 }
 
-void Simulator::measure_batch_into(const compiler::CompiledProgram& prog,
-                                   std::span<const front::Bindings* const> bindings,
-                                   std::span<const compiler::DataLayout* const> layouts,
-                                   const SimOptions& options, int runs, Executor& arena,
-                                   std::vector<MeasuredResult>& out) const {
-  out.resize(bindings.size());
-  // One SimResult scratch for the whole batch: it cycles buffers with the
-  // arena lane after lane, so a 64-lane measured chunk allocates (at most)
-  // one result's worth of vectors instead of 64.
-  SimResult scratch;
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
-    measure_into(prog, *bindings[i], *layouts[i], options, runs, arena, out[i], scratch);
-  }
+void Simulator::record(const compiler::CompiledProgram& prog,
+                       const front::Bindings& bindings,
+                       const compiler::DataLayout& layout, const SimOptions& options,
+                       Executor& arena, ValueTape& tape) const {
+  arena.rebind(prog, layout, machine_, options, bindings);
+  arena.record(tape);
 }
 
 }  // namespace hpf90d::sim

@@ -5,13 +5,17 @@
 // Simulator::measure repeats the simulation with different noise seeds and
 // reports the same statistics (mean / min / max / stddev) so the accuracy
 // benches can test the paper's claim that interpreted times typically fall
-// within the measured variance. Noise perturbs only timing, never values,
-// so the program's values are simulated once: run 0 is the functional pass
-// and records a timing tape, and every later run replays only the timing
-// from it (Executor::replay).
+// within the measured variance.
+//
+// A program's values depend only on (program, bindings): never on the
+// processor count, the grid, the machine, the noise seed, contention or
+// the collective algorithm (SimOptions::max_while_trips decides only
+// whether the pass throws). So the functional pass runs once per (program,
+// bindings) and records a ValueTape; every run of every (layout, machine)
+// point is a timing walk of that tape (see executor.hpp). measure_into
+// takes a tape recorded elsewhere, which is how the session shares one
+// functional pass across a whole sweep.
 #pragma once
-
-#include <span>
 
 #include "compiler/mapping.hpp"
 #include "compiler/pipeline.hpp"
@@ -55,7 +59,7 @@ class Simulator {
 
   /// Same, through a caller-owned executor arena: each point rebinds
   /// `arena` instead of constructing a fresh Executor, so a per-worker
-  /// arena (and its timing tape) serves a whole sweep without per-run
+  /// arena (and its value tape) serves a whole sweep without per-run
   /// allocation. The statistics are bit-identical to the constructing
   /// overloads.
   [[nodiscard]] MeasuredResult measure(const compiler::CompiledProgram& prog,
@@ -65,41 +69,29 @@ class Simulator {
                                        Executor& arena) const;
 
   /// The fully reusing form behind all the overloads above: fills `out` in
-  /// place (previous contents discarded, buffers recycled) — run 0 through
-  /// Executor::run_into, the rest through Executor::replay — so a caller
+  /// place (previous contents discarded, buffers recycled), so a caller
   /// holding one MeasuredResult and one Executor per worker measures a
-  /// whole sweep without per-point result allocation. Contents are
+  /// whole sweep without per-point result allocation. With `tape` null,
+  /// run 0 is the functional pass (Executor::run_into); with a tape of the
+  /// same (program, bindings), recorded under any layout and machine, no
+  /// value is computed at all. Either way every run is a timing walk of one
+  /// tape under this point's layout, machine and seed, and the contents are
   /// bit-identical to measure().
   void measure_into(const compiler::CompiledProgram& prog,
                     const front::Bindings& bindings,
                     const compiler::DataLayout& layout, const SimOptions& options,
-                    int runs, Executor& arena, MeasuredResult& out) const;
+                    int runs, Executor& arena, MeasuredResult& out,
+                    const ValueTape* tape = nullptr) const;
 
-  /// Batched form for the lockstep sweep path: measures every lane of a
-  /// same-program batch through one executor arena, filling out[i] with
-  /// exactly what measure_into of (bindings[i], layouts[i]) produces.
-  /// Unlike prediction, simulation materializes real array data, so this is
-  /// a buffer-reusing lane loop rather than an SoA walk: each lane runs one
-  /// functional pass plus timing replays through the shared arena, and one
-  /// SimResult scratch cycles through the whole batch. `out` is resized to
-  /// the lane count.
-  void measure_batch_into(const compiler::CompiledProgram& prog,
-                          std::span<const front::Bindings* const> bindings,
-                          std::span<const compiler::DataLayout* const> layouts,
-                          const SimOptions& options, int runs, Executor& arena,
-                          std::vector<MeasuredResult>& out) const;
+  /// The functional pass alone, through `arena`: records the value tape of
+  /// (prog, bindings) into `tape`, for measure_into of any layout and
+  /// machine to re-time. Throws the program's diagnostic when a value
+  /// cannot be computed.
+  void record(const compiler::CompiledProgram& prog, const front::Bindings& bindings,
+              const compiler::DataLayout& layout, const SimOptions& options,
+              Executor& arena, ValueTape& tape) const;
 
  private:
-  /// Shared-scratch core behind measure_into / measure_batch_into:
-  /// `scratch` cycles buffers with the arena (and with out.detail via the
-  /// first-run swap), so batch callers thread one SimResult through every
-  /// lane. Run 0 rebinds the arena and runs it; runs >= 1 replay its tape.
-  void measure_into(const compiler::CompiledProgram& prog,
-                    const front::Bindings& bindings,
-                    const compiler::DataLayout& layout, const SimOptions& options,
-                    int runs, Executor& arena, MeasuredResult& out,
-                    SimResult& scratch) const;
-
   const machine::MachineModel& machine_;
 };
 

@@ -17,6 +17,7 @@
 #include "api/api.hpp"
 #include "machine/ipsc860.hpp"
 #include "machine/whatif.hpp"
+#include "sim/simulator.hpp"
 #include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
@@ -434,6 +435,187 @@ TEST(Session, LayoutCacheCapacityBoundsResidencyAndCountsEvictions) {
   EXPECT_EQ(again.cache.layout_evictions, 0u);
   EXPECT_EQ(session.cached_layouts(), 12u);
   EXPECT_EQ(report.csv(), again.csv());
+}
+
+// --- the value-tape store ---------------------------------------------------------
+//
+// Measured points share one functional pass per (program, problem): the
+// first point of a problem records its value tape, every other processor
+// count and machine re-times it.
+
+/// One measured plan per app: 2 sizes x nprocs {1, 2, 4, 8}, runs(3).
+std::vector<api::ExperimentPlan> shared_tape_plans(
+    const std::vector<std::string>& machines = {"ipsc860"}) {
+  std::vector<api::ExperimentPlan> plans;
+  for (const char* id : {"pi", "lfk2"}) {
+    const auto& app = suite::app(id);
+    api::ExperimentPlan plan(app.name);
+    plan.source(app.source)
+        .machines(machines)
+        .nprocs({1, 2, 4, 8})
+        .problems_from({app.problem_sizes[0], app.problem_sizes[1]}, app.bindings)
+        .runs(3);
+    plans.push_back(std::move(plan));
+  }
+  return plans;
+}
+
+/// Each plan's CSV, run on `session`, and the summed tape counters.
+std::vector<std::string> run_shared_tape_plans(api::Session& session, int workers,
+                                               const std::vector<api::ExperimentPlan>& plans,
+                                               api::CacheStats& cache) {
+  api::RunOptions opts;
+  opts.workers = workers;
+  std::vector<std::string> csvs;
+  for (const api::ExperimentPlan& plan : plans) {
+    const api::RunReport report = session.run(plan, opts);
+    csvs.push_back(report.csv());
+    cache.value_tape_hits += report.cache.value_tape_hits;
+    cache.value_tape_misses += report.cache.value_tape_misses;
+    cache.value_tape_evictions += report.cache.value_tape_evictions;
+  }
+  return csvs;
+}
+
+/// The same plans point by point, each on a fresh session: no tape is
+/// ever shared.
+std::vector<std::string> run_unshared(const std::vector<api::ExperimentPlan>& plans) {
+  std::vector<std::string> csvs;
+  for (const api::ExperimentPlan& plan : plans) {
+    api::RunReport joined;
+    for (const std::string& machine : plan.machine_names()) {
+      for (const api::ProblemCase& problem : plan.problems()) {
+        for (const int nprocs : plan.nprocs_list()) {
+          api::ExperimentPlan point(plan.title());
+          point.source(plan.program_source())
+              .machines({machine})
+              .nprocs({nprocs})
+              .add_problem(problem.name, problem.bindings)
+              .runs(plan.measure_runs());
+          api::Session fresh;
+          api::RunOptions opts;
+          opts.workers = 1;
+          const api::RunReport report = fresh.run(point, opts);
+          EXPECT_EQ(report.cache.value_tape_hits, 0u);
+          joined.records.push_back(report.records.at(0));
+        }
+      }
+    }
+    csvs.push_back(joined.csv());
+  }
+  return csvs;
+}
+
+TEST(ValueTapes, OneFunctionalPassPerProblemForAnyWorkerCount) {
+  const std::vector<api::ExperimentPlan> plans = shared_tape_plans();
+  const std::vector<std::string> unshared = run_unshared(plans);
+  for (const int workers : {1, 4}) {
+    api::Session session;
+    api::CacheStats cache;
+    const std::vector<std::string> csvs =
+        run_shared_tape_plans(session, workers, plans, cache);
+    EXPECT_EQ(csvs, unshared) << "workers=" << workers;
+    // 2 apps x 2 sizes passes, re-timed at the other 3 processor counts
+    EXPECT_EQ(cache.value_tape_misses, 4u) << "workers=" << workers;
+    EXPECT_EQ(cache.value_tape_hits, 12u) << "workers=" << workers;
+    EXPECT_EQ(cache.value_tape_evictions, 0u) << "workers=" << workers;
+    EXPECT_GT(session.cache_stats().value_tape_bytes, 0u);
+  }
+}
+
+TEST(ValueTapes, MachinesShareTapesAcrossConcurrentChunks) {
+  // two machines make two chunks per plan, measured by different workers
+  // that look up the same tapes at once
+  const std::vector<api::ExperimentPlan> plans = shared_tape_plans({"ipsc860", "paragon"});
+  const std::vector<std::string> unshared = run_unshared(plans);
+  for (const int workers : {1, 4}) {
+    api::Session session;
+    api::CacheStats cache;
+    EXPECT_EQ(run_shared_tape_plans(session, workers, plans, cache), unshared)
+        << "workers=" << workers;
+    EXPECT_EQ(cache.value_tape_misses, 4u) << "workers=" << workers;
+    EXPECT_EQ(cache.value_tape_hits, 28u) << "workers=" << workers;
+  }
+}
+
+TEST(ValueTapes, SessionMeasureSharesTheStoreWithRun) {
+  const auto& app = suite::app("pi");
+  api::Session session;
+  const auto prog = session.compile(app.source);
+  api::RunConfig cfg;
+  cfg.bindings = app.bindings(app.problem_sizes[0]);
+  cfg.nprocs = 2;
+  const sim::MeasuredResult first = session.measure(prog, cfg);
+  EXPECT_EQ(session.cache_stats().value_tape_misses, 1u);
+  cfg.nprocs = 8;
+  cfg.machine = "paragon";
+  const sim::MeasuredResult shared = session.measure(prog, cfg);
+  EXPECT_EQ(session.cache_stats().value_tape_hits, 1u);
+  // bit-identical to a session that measures this point first
+  api::Session fresh;
+  const sim::MeasuredResult alone = fresh.measure(fresh.compile(app.source), cfg);
+  EXPECT_EQ(shared.stats.samples, alone.stats.samples);
+  EXPECT_EQ(shared.detail.proc_clock, alone.detail.proc_clock);
+  EXPECT_EQ(shared.detail.scalars, alone.detail.scalars);
+  EXPECT_EQ(shared.detail.printed, first.detail.printed);
+  // the ascii footer reports the store once it has been used
+  api::ExperimentPlan plan("footer");
+  plan.source(app.source).nprocs({1, 2}).problems_from({16}, app.bindings).runs(1);
+  EXPECT_NE(session.run(plan).ascii().find("value tapes 1 hit / 1 miss"), std::string::npos);
+  // clear_caches drops the tapes
+  session.clear_caches();
+  EXPECT_EQ(session.cache_stats().value_tape_bytes, 0u);
+}
+
+// size(a, k) with k outside 1..rank(a) is a located diagnostic on every
+// path, never an out_of_range from a container.
+constexpr const char* kSizeDim =
+    "program t\n"
+    "  parameter (n = 8)\n"
+    "  real v(n, 2*n)\n"
+    "!hpf$ template d(n, 2*n)\n"
+    "!hpf$ align v(i, j) with d(i, j)\n"
+    "!hpf$ distribute d(block, *)\n"
+    "  forall (i = 1:size(v, k) / 4) v(i, 1) = 1.0\n"
+    "end program t\n";
+
+void expect_size_error(const std::function<void()>& run, long long k, int line, int column,
+                       const std::string& message, const char* path) {
+  try {
+    run();
+    ADD_FAILURE() << path << " k=" << k << ": no error";
+  } catch (const support::CompileError& e) {
+    EXPECT_EQ(std::string(e.what()), message) << path << " k=" << k;
+    EXPECT_EQ(e.loc().line, line) << path << " k=" << k;
+    EXPECT_EQ(e.loc().column, column) << path << " k=" << k;
+  }
+}
+
+TEST(SizeDimension, OutOfRangeIsALocatedDiagnostic) {
+  for (const long long k : {0LL, 3LL}) {
+    const std::string size_error =
+        "7:17: size dimension " + std::to_string(k) + " out of range 1..2 for 'v'";
+    // the predictor needs the forall bound and reports which one failed
+    const std::string bound_error = "7:15: unresolved critical variable in forall bounds: " +
+                                    size_error;
+    api::Session session;
+    const auto prog = session.compile(kSizeDim);
+    api::RunConfig cfg;
+    cfg.nprocs = 2;
+    cfg.bindings.set_int("k", 2);
+    EXPECT_GT(session.predict(prog, cfg).total, 0.0);
+    cfg.bindings.set_int("k", k);
+    expect_size_error([&] { (void)session.predict(prog, cfg); }, k, 7, 15, bound_error,
+                      "predict");
+    expect_size_error([&] { (void)session.measure(prog, cfg); }, k, 7, 17, size_error,
+                      "measure");
+    for (const int runs : {0, 3}) {
+      api::ExperimentPlan plan("size dimension");
+      plan.source(kSizeDim).nprocs({1, 2}).add_problem("k", cfg.bindings).runs(runs);
+      expect_size_error([&] { (void)session.run(plan); }, k, 7, 15, bound_error,
+                        runs == 0 ? "run runs(0)" : "run runs(3)");
+    }
+  }
 }
 
 TEST(RunReport, DiffCoversMeasuredMeansWithSignificance) {

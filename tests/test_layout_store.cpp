@@ -1,10 +1,13 @@
 // LayoutStore semantics: exact LRU eviction order, the capacity-0
 // unbounded default, per-entry once-build behaviour (single-flight for one
 // key, parallel builds for distinct keys — the property that replaced PR
-// 2's build-under-shard-lock serialization), and failed-build retry.
+// 2's build-under-shard-lock serialization), and failed-build retry. The
+// value-tape store is the same store with a byte budget: eviction by
+// resident bytes, oversized entries served but not kept.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <latch>
 #include <stdexcept>
 #include <string>
@@ -13,6 +16,7 @@
 
 #include "api/layout_store.hpp"
 #include "compiler/pipeline.hpp"
+#include "sim/executor.hpp"
 #include "suite/suite.hpp"
 
 namespace hpf90d {
@@ -77,7 +81,7 @@ TEST(LayoutStore, ShrinkingCapacityEvictsColdestImmediately) {
 
 TEST(LayoutStore, EvictedEntriesStayAliveForHolders) {
   api::LayoutStore store(1);
-  const api::LayoutStore::LayoutPtr held = store.get_or_build("a", tiny_layout);
+  const api::LayoutStore::Ptr held = store.get_or_build("a", tiny_layout);
   (void)store.get_or_build("b", tiny_layout);  // evicts "a"
   EXPECT_EQ(store.counters().evictions, 1u);
   EXPECT_EQ(held->nprocs(), 1);  // the shared_ptr keeps the layout valid
@@ -145,6 +149,73 @@ TEST(LayoutStore, ClearDropsEverything) {
   EXPECT_EQ(store.size(), 0u);
   (void)store.get_or_build("a", tiny_layout);
   EXPECT_EQ(store.counters().misses, 3u);
+}
+
+// --- the byte-budgeted value-tape store ------------------------------------------
+
+std::size_t tape_cost(const sim::ValueTape& t) { return t.bytes(); }
+
+/// A value tape of `words` words (8 bytes each, no printed/scalar maps).
+std::function<sim::ValueTape()> tape_of(std::size_t words) {
+  return [words] {
+    sim::ValueTape t;
+    t.words.assign(words, 7);
+    return t;
+  };
+}
+
+TEST(ValueTapeStore, EvictsByResidentBytesInLruOrder) {
+  api::ValueTapeStore store(100, tape_cost);  // 100-byte budget
+  (void)store.get_or_build("a", tape_of(5));  // 40 B
+  (void)store.get_or_build("b", tape_of(5));  // 80 B
+  EXPECT_EQ(store.counters().resident, 80u);
+  (void)store.get_or_build("a", tape_of(5));  // hit: "a" is now the hottest
+  (void)store.get_or_build("c", tape_of(5));  // 120 B > 100: "b" goes
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.counters().evictions, 1u);
+  EXPECT_EQ(store.counters().resident, 80u);
+  const api::ValueTapeStore::Counters before = store.counters();
+  (void)store.get_or_build("a", tape_of(5));
+  EXPECT_EQ(store.counters().hits, before.hits + 1);
+  (void)store.get_or_build("b", tape_of(5));  // evicted: re-miss
+  EXPECT_EQ(store.counters().misses, before.misses + 1);
+
+  // one big entry pushes out as many cold ones as it needs
+  (void)store.get_or_build("big", tape_of(10));  // 80 B
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.counters().resident, 80u);
+}
+
+TEST(ValueTapeStore, EntryLargerThanTheBudgetIsServedButNotKept) {
+  api::ValueTapeStore store(100, tape_cost);
+  (void)store.get_or_build("a", tape_of(5));
+  const api::ValueTapeStore::Ptr huge = store.get_or_build("huge", tape_of(20));  // 160 B
+  ASSERT_NE(huge, nullptr);
+  EXPECT_EQ(huge->words.size(), 20u);
+  // it displaced nothing and is not resident
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.counters().resident, 40u);
+  EXPECT_EQ(store.counters().evictions, 1u);
+  EXPECT_EQ(store.try_get(compiler::layout_digest_of("huge")), nullptr);
+  (void)store.get_or_build("huge", tape_of(20));
+  EXPECT_EQ(store.counters().misses, 3u);
+  EXPECT_NE(store.try_get(compiler::layout_digest_of("a")), nullptr);
+}
+
+TEST(ValueTapeStore, FailedBuildChargesNothing) {
+  api::ValueTapeStore store(100, tape_cost);
+  EXPECT_THROW((void)store.get_or_build("bad",
+                                        []() -> sim::ValueTape {
+                                          throw std::runtime_error("boom");
+                                        }),
+               std::runtime_error);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.counters().resident, 0u);
+  EXPECT_EQ(store.counters().evictions, 0u);
+  (void)store.get_or_build("bad", tape_of(5));
+  EXPECT_EQ(store.counters().resident, 40u);
+  store.clear();
+  EXPECT_EQ(store.counters().resident, 0u);
 }
 
 }  // namespace

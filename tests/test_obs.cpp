@@ -101,6 +101,12 @@ TEST(ObsSpan, RecordsPhaseArgAndDuration) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
+TEST(ObsSpan, SimulatorPhasesHaveStableNames) {
+  EXPECT_STREQ(obs::phase_name(obs::Phase::SimValuePass), "sim_value_pass");
+  EXPECT_STREQ(obs::phase_name(obs::Phase::SimRetime), "sim_retime");
+  EXPECT_EQ(obs::kPhaseCount, static_cast<std::size_t>(obs::Phase::SimRetime) + 1);
+}
+
 TEST(ObsTracer, RingOverwritesOldestAtFixedCapacity) {
   obs::Tracer tracer(8);
   for (std::uint64_t i = 0; i < 20; ++i) {
@@ -413,6 +419,82 @@ TEST(ObsSession, TracedRunReportIsByteIdenticalToUntraced) {
   EXPECT_TRUE(saw_compile);
 }
 
+/// The spans of `phase`, in recording order.
+std::vector<obs::SpanRecord> spans_of(const obs::Tracer& tracer, obs::Phase phase) {
+  std::vector<obs::SpanRecord> out;
+  for (const auto& span : tracer.snapshot()) {
+    if (span.phase == phase) out.push_back(span);
+  }
+  return out;
+}
+
+bool nested_in(const obs::SpanRecord& inner, const obs::SpanRecord& outer) {
+  return inner.thread == outer.thread && inner.start_ns >= outer.start_ns &&
+         inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns;
+}
+
+// A measured point records its functional pass (on a value-tape miss) and
+// its re-timing inside the MeasureBatch span, whether it comes from
+// Session::run or Session::measure; a later point of the same (program,
+// problem) records no pass.
+TEST(ObsSession, MeasuredPointNestsValuePassAndRetime) {
+  api::ExperimentPlan plan("one measured point");
+  plan.source(kLaplace)
+      .nprocs({2})
+      .add_variant("(block,*)", {"distribute d(block,*)"}, 1)
+      .runs(3);
+  obs::Tracer tracer;
+  api::Session session;
+  session.set_trace_sink(&tracer);
+  api::RunOptions options;
+  options.workers = 1;
+  const api::RunReport first = session.run(plan, options);
+
+  const auto batches = spans_of(tracer, obs::Phase::MeasureBatch);
+  const auto passes = spans_of(tracer, obs::Phase::SimValuePass);
+  const auto retimes = spans_of(tracer, obs::Phase::SimRetime);
+  ASSERT_EQ(batches.size(), 1u);
+  ASSERT_EQ(passes.size(), 1u);
+  ASSERT_EQ(retimes.size(), 1u);
+  EXPECT_TRUE(nested_in(passes[0], batches[0]));
+  EXPECT_TRUE(nested_in(retimes[0], batches[0]));
+  EXPECT_LE(passes[0].start_ns + passes[0].dur_ns, retimes[0].start_ns);
+  EXPECT_EQ(retimes[0].arg, 3u);
+  EXPECT_GT(passes[0].arg, 0u);
+  EXPECT_EQ(first.cache.value_tape_misses, 1u);
+  EXPECT_EQ(first.cache.value_tape_hits, 0u);
+  EXPECT_EQ(first.cache.value_tape_bytes, passes[0].arg);
+
+  // another processor count of the same problem re-times the shared tape
+  tracer.clear();
+  plan.nprocs({4});
+  const api::RunReport second = session.run(plan, options);
+  EXPECT_EQ(spans_of(tracer, obs::Phase::MeasureBatch).size(), 1u);
+  EXPECT_TRUE(spans_of(tracer, obs::Phase::SimValuePass).empty());
+  EXPECT_EQ(spans_of(tracer, obs::Phase::SimRetime).size(), 1u);
+  EXPECT_EQ(second.cache.value_tape_misses, 0u);
+  EXPECT_EQ(second.cache.value_tape_hits, 1u);
+
+  // Session::measure records the same nesting
+  api::Session measuring;
+  measuring.set_trace_sink(&tracer);
+  tracer.clear();
+  api::RunConfig cfg;
+  cfg.nprocs = 2;
+  cfg.runs = 2;
+  (void)measuring.measure(measuring.compile(kLaplace), cfg);
+  const auto m_batches = spans_of(tracer, obs::Phase::MeasureBatch);
+  const auto m_passes = spans_of(tracer, obs::Phase::SimValuePass);
+  const auto m_retimes = spans_of(tracer, obs::Phase::SimRetime);
+  ASSERT_EQ(m_batches.size(), 1u);
+  ASSERT_EQ(m_passes.size(), 1u);
+  ASSERT_EQ(m_retimes.size(), 1u);
+  EXPECT_TRUE(nested_in(m_passes[0], m_batches[0]));
+  EXPECT_TRUE(nested_in(m_retimes[0], m_batches[0]));
+  EXPECT_EQ(m_retimes[0].arg, 2u);
+  measuring.set_trace_sink(nullptr);
+}
+
 TEST(ObsSession, RunScopedSinkOverridesSessionSink) {
   obs::Tracer session_ring(64);
   obs::Tracer run_ring(64);
@@ -447,6 +529,12 @@ TEST(ServeObs, MetricsEndpointServesPrometheusText) {
             std::string::npos);
   EXPECT_NE(text.find("hpf90d_lanes_evicted"), std::string::npos);
   EXPECT_NE(text.find("hpf90d_lanes_refilled"), std::string::npos);
+  // the plan measures one problem at three processor counts: one
+  // functional pass, re-timed twice
+  EXPECT_NE(text.find("hpf90d_value_tape_misses 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("hpf90d_value_tape_hits 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("hpf90d_value_tape_evictions 0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("hpf90d_value_tape_bytes "), std::string::npos) << text;
   // idle daemon state renders identically on a second scrape
   EXPECT_EQ(client.metrics(), text);
 

@@ -267,6 +267,10 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   outcome.wall_seconds = 0.125;
   outcome.cache.compile_hits = 3;
   outcome.cache.layout_spill_hits = 7;
+  outcome.cache.value_tape_hits = 12;
+  outcome.cache.value_tape_misses = 4;
+  outcome.cache.value_tape_evictions = 1;
+  outcome.cache.value_tape_bytes = 150000;
   outcome.body_csv = "a,b\n1,2\n";
   const serve::JobOutcome back = serve::decode_outcome(serve::encode_outcome(outcome));
   EXPECT_EQ(back.state, "done");
@@ -274,10 +278,23 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   EXPECT_EQ(back.wall_seconds, 0.125);
   EXPECT_EQ(back.cache.compile_hits, 3u);
   EXPECT_EQ(back.cache.layout_spill_hits, 7u);
+  EXPECT_EQ(back.cache.value_tape_hits, 12u);
+  EXPECT_EQ(back.cache.value_tape_misses, 4u);
+  EXPECT_EQ(back.cache.value_tape_evictions, 1u);
+  EXPECT_EQ(back.cache.value_tape_bytes, 150000u);
   EXPECT_EQ(back.body_csv, outcome.body_csv);
+  EXPECT_EQ(serve::encode_outcome(back), serve::encode_outcome(outcome));
+  // a v1 payload (no tapes line) is a different wire format
+  std::string v1 = serve::encode_outcome(outcome);
+  v1.replace(v1.find("result 2"), 8, "result 1");
+  EXPECT_THROW((void)serve::decode_outcome(v1), serve::CodecError);
 
   serve::ServerStats stats;
   stats.cache.layout_misses = 11;
+  stats.cache.value_tape_hits = 228;
+  stats.cache.value_tape_misses = 76;
+  stats.cache.value_tape_evictions = 5;
+  stats.cache.value_tape_bytes = 153600;
   stats.warmed_programs = 2;
   stats.jobs_done = 5;
   stats.spill_layouts_stored = 9;
@@ -297,6 +314,10 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   stats.spill_dir_files = 42;
   const serve::ServerStats s2 = serve::decode_stats(serve::encode_stats(stats));
   EXPECT_EQ(s2.cache.layout_misses, 11u);
+  EXPECT_EQ(s2.cache.value_tape_hits, 228u);
+  EXPECT_EQ(s2.cache.value_tape_misses, 76u);
+  EXPECT_EQ(s2.cache.value_tape_evictions, 5u);
+  EXPECT_EQ(s2.cache.value_tape_bytes, 153600u);
   EXPECT_EQ(s2.warmed_programs, 2u);
   EXPECT_EQ(s2.jobs_done, 5u);
   EXPECT_EQ(s2.spill_layouts_stored, 9u);
@@ -322,17 +343,20 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
 
 TEST(PlanCodec, StatsCodecIsStrictAboutVersionAndBatchLine) {
   const std::string good = serve::encode_stats(serve::ServerStats{});
-  EXPECT_EQ(good.rfind("hpf90d-stats 6\n", 0), 0u);
+  EXPECT_EQ(good.rfind("hpf90d-stats 7\n", 0), 0u);
+  EXPECT_NE(good.find("\ntapes "), std::string::npos);
   EXPECT_NE(good.find("\nbatch "), std::string::npos);
   EXPECT_NE(good.find("\nqueue "), std::string::npos);
   EXPECT_NE(good.find("\nspilldir "), std::string::npos);
 
   // older headers (v1: no batch line, v2/v3: narrower batch lines, v4: no
-  // queue/spilldir lines, v5: a wider batch line) are different wire
-  // formats — a version mismatch is a hard error, never a best-effort parse
-  for (const char* old : {"stats 1", "stats 2", "stats 3", "stats 4", "stats 5"}) {
+  // queue/spilldir lines, v5: a wider batch line, v6: no tapes line) are
+  // different wire formats — a version mismatch is a hard error, never a
+  // best-effort parse
+  for (const char* old :
+       {"stats 1", "stats 2", "stats 3", "stats 4", "stats 5", "stats 6"}) {
     std::string stale = good;
-    stale.replace(stale.find("stats 6"), 7, old);
+    stale.replace(stale.find("stats 7"), 7, old);
     EXPECT_THROW((void)serve::decode_stats(stale), serve::CodecError);
   }
 
@@ -362,7 +386,8 @@ TEST(PlanCodec, StatsCodecRejectsV5Payload) {
       "batch 0 0 0 0 0 0 0 0 0 0 0 0\n";
   EXPECT_THROW((void)serve::decode_stats(v5), serve::CodecError);
   std::string relabeled = v5;
-  relabeled.replace(relabeled.find("stats 5"), 7, "stats 6");
+  relabeled.replace(relabeled.find("stats 5"), 7, "stats 7");
+  relabeled.insert(relabeled.find("session "), "tapes 0 0 0 0\n");
   EXPECT_THROW((void)serve::decode_stats(relabeled), serve::CodecError);
   // the same payload with the current header and batch width decodes
   std::string current = relabeled;

@@ -3,6 +3,7 @@
 // environment's "functional interpreter" role).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
@@ -10,7 +11,10 @@
 #include <string>
 
 #include "compiler/pipeline.hpp"
+#include "api/api.hpp"
 #include "machine/ipsc860.hpp"
+#include "machine/paragon.hpp"
+#include "machine/whatif.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/values.hpp"
@@ -508,6 +512,45 @@ end program t
   }
 }
 
+// A masked loop re-tallies each processor's mask-true iterations from the
+// value tape's mask bits. With noise off and ten iterations on every
+// processor, two processors' clocks tie exactly when their true counts do.
+TEST(Executor, MaskedLoopChargesFollowOwnedTrues) {
+  const compiler::CompiledProgram prog = comp(R"f90(
+program t
+  parameter (n = 40)
+  real v(n), w(n)
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ align w(i) with d(i)
+!hpf$ distribute d(cyclic)
+  forall (i = 1:n) v(i) = real(mod(i * 7, 11))
+  forall (i = 1:n, v(i) .gt. 5.0) w(i) = v(i) * 2.0 + 1.0
+end program t
+)f90");
+  // cyclic over 4 processors: p owns the i with (i - 1) mod 4 == p
+  std::vector<long long> trues(4, 0);
+  for (long long i = 1; i <= 40; ++i) {
+    if ((i * 7) % 11 > 5) ++trues[static_cast<std::size_t>((i - 1) % 4)];
+  }
+  ASSERT_NE(*std::min_element(trues.begin(), trues.end()),
+            *std::max_element(trues.begin(), trues.end()));
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::SimOptions so;
+  so.noise = false;
+  compiler::LayoutOptions lo;
+  lo.nprocs = 4;
+  const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
+  const sim::SimResult r = sim::Executor(prog, layout, machine, so, {}).run();
+  ASSERT_EQ(r.proc_clock.size(), trues.size());
+  for (std::size_t p = 0; p < trues.size(); ++p) {
+    for (std::size_t q = 0; q < trues.size(); ++q) {
+      EXPECT_EQ(r.proc_clock[p] == r.proc_clock[q], trues[p] == trues[q])
+          << "P" << p << " vs P" << q;
+    }
+  }
+}
+
 // --- timing replay ---------------------------------------------------------------
 //
 // Simulator::measure runs the program once and re-times runs 1.. from the
@@ -584,21 +627,7 @@ void expect_replay_oracle(const compiler::CompiledProgram& prog,
   }
 }
 
-TEST(TimingReplay, SuiteAppsMatchFreshRunsBitForBit) {
-  for (const auto& app : suite::validation_suite()) {
-    const compiler::CompiledProgram prog =
-        app.directive_overrides.empty()
-            ? comp(app.source)
-            : compiler::compile_with_directives(app.source, app.directive_overrides);
-    // the smallest Table 2 size
-    const long long size = app.problem_sizes.front();
-    expect_replay_oracle(prog, app.bindings(size), app.id,
-                         app.id == "laplace_bb" ? std::optional<int>(2) : std::nullopt);
-  }
-}
-
-TEST(TimingReplay, DataDependentIfInsideDo) {
-  auto prog = comp(R"f90(
+constexpr const char* kIfInDo = R"f90(
 program t
   parameter (n = 32)
   real a(n), b(n)
@@ -618,12 +647,9 @@ program t
   end do
   print *, s
 end program t
-)f90");
-  expect_replay_oracle(prog, {}, "if-in-do");
-}
+)f90";
 
-TEST(TimingReplay, DataDependentDoWhile) {
-  auto prog = comp(R"f90(
+constexpr const char* kDoWhile = R"f90(
 program t
   parameter (n = 24)
   real a(n)
@@ -638,12 +664,9 @@ program t
   end do
   print *, acc
 end program t
-)f90");
-  expect_replay_oracle(prog, {}, "do-while");
-}
+)f90";
 
-TEST(TimingReplay, MaskedForall) {
-  auto prog = comp(R"f90(
+constexpr const char* kMaskedForall = R"f90(
 program t
   parameter (n = 40)
   real v(n), w(n)
@@ -655,12 +678,9 @@ program t
   forall (i = 1:n, v(i) .gt. 5.0) w(i) = v(i) * 2.0 + 1.0
   forall (i = 1:n, v(i) .gt. 100.0) w(i) = v(i)
 end program t
-)f90");
-  expect_replay_oracle(prog, {}, "masked-forall");
-}
+)f90";
 
-TEST(TimingReplay, ReissuedInvariantOverlap) {
-  auto prog = comp(R"f90(
+constexpr const char* kInvariantOverlap = R"f90(
 program t
   parameter (n = 64)
   real a(n), b(n)
@@ -673,7 +693,38 @@ program t
     forall (i = 2:n) b(i) = a(i-1) + b(i)
   end do
 end program t
-)f90");
+)f90";
+
+TEST(TimingReplay, SuiteAppsMatchFreshRunsBitForBit) {
+  for (const auto& app : suite::validation_suite()) {
+    const compiler::CompiledProgram prog =
+        app.directive_overrides.empty()
+            ? comp(app.source)
+            : compiler::compile_with_directives(app.source, app.directive_overrides);
+    // the smallest Table 2 size
+    const long long size = app.problem_sizes.front();
+    expect_replay_oracle(prog, app.bindings(size), app.id,
+                         app.id == "laplace_bb" ? std::optional<int>(2) : std::nullopt);
+  }
+}
+
+TEST(TimingReplay, DataDependentIfInsideDo) {
+  auto prog = comp(kIfInDo);
+  expect_replay_oracle(prog, {}, "if-in-do");
+}
+
+TEST(TimingReplay, DataDependentDoWhile) {
+  auto prog = comp(kDoWhile);
+  expect_replay_oracle(prog, {}, "do-while");
+}
+
+TEST(TimingReplay, MaskedForall) {
+  auto prog = comp(kMaskedForall);
+  expect_replay_oracle(prog, {}, "masked-forall");
+}
+
+TEST(TimingReplay, ReissuedInvariantOverlap) {
+  auto prog = comp(kInvariantOverlap);
   // the exchange of a(i-1) is re-issued with unchanged data every trip
   std::function<bool(const compiler::SpmdNode&)> has_invariant_overlap =
       [&](const compiler::SpmdNode& n) {
@@ -709,6 +760,194 @@ end program t
   sim::SimOptions so;
   so.max_while_trips = 100;
   EXPECT_THROW((void)simulator.measure(prog, {}, lo, so, 4), support::CompileError);
+}
+
+// --- cross-configuration re-timing ----------------------------------------------
+//
+// A value tape depends only on (program, bindings). The oracle: a tape
+// recorded under (nprocs 2, ipsc860) and re-timed under any other layout
+// and machine equals, bit for bit, a fresh Executor run there — total,
+// processor clocks, per-node times and visits, phase sums, printed values
+// and scalars — and so does a second seed re-timed from the derived counts.
+
+void expect_same_result(const sim::SimResult& got, const sim::SimResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.total, want.total) << label;
+  EXPECT_EQ(got.proc_clock, want.proc_clock) << label;
+  EXPECT_EQ(got.comp, want.comp) << label;
+  EXPECT_EQ(got.comm, want.comm) << label;
+  EXPECT_EQ(got.overhead, want.overhead) << label;
+  EXPECT_EQ(got.printed, want.printed) << label;
+  EXPECT_EQ(got.scalars, want.scalars) << label;
+  ASSERT_EQ(got.per_node.size(), want.per_node.size()) << label;
+  for (std::size_t i = 0; i < got.per_node.size(); ++i) {
+    EXPECT_EQ(got.per_node[i].comp, want.per_node[i].comp) << label << " node " << i;
+    EXPECT_EQ(got.per_node[i].comm, want.per_node[i].comm) << label << " node " << i;
+    EXPECT_EQ(got.per_node[i].overhead, want.per_node[i].overhead) << label << " node " << i;
+    EXPECT_EQ(got.per_node[i].visits, want.per_node[i].visits) << label << " node " << i;
+  }
+}
+
+void expect_cross_config_oracle(const compiler::CompiledProgram& prog,
+                                const front::Bindings& bindings, const std::string& name) {
+  const machine::MachineModel ipsc = machine::make_ipsc860();
+  const machine::MachineModel paragon = machine::make_paragon();
+  machine::WhatIfParams knobs;
+  knobs.latency_scale = 0.25;
+  knobs.bandwidth_scale = 4.0;
+  const machine::MachineModel whatif = machine::make_whatif(8, knobs);
+  const std::vector<std::pair<const char*, const machine::MachineModel*>> machines = {
+      {"ipsc860", &ipsc}, {"paragon", &paragon}, {"whatif", &whatif}};
+
+  compiler::LayoutOptions recorded_lo;
+  recorded_lo.nprocs = 2;
+  const compiler::DataLayout recorded_layout = compiler::make_layout(prog, bindings, recorded_lo);
+  sim::Executor recorder;
+  sim::ValueTape tape;
+  sim::Simulator(ipsc).record(prog, bindings, recorded_layout, {}, recorder, tape);
+
+  std::vector<compiler::LayoutOptions> layouts;
+  for (int nprocs : suite::paper_system_sizes()) {
+    compiler::LayoutOptions lo;
+    lo.nprocs = nprocs;
+    layouts.push_back(lo);
+  }
+  compiler::LayoutOptions grid;  // a forced 2-D grid
+  grid.nprocs = 4;
+  grid.grid_shape = std::vector<int>{2, 2};
+  layouts.push_back(grid);
+
+  sim::Executor arena;
+  sim::SimResult retimed;
+  for (const compiler::LayoutOptions& lo : layouts) {
+    const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
+    for (const auto& [machine_name, machine] : machines) {
+      for (bool noise : {true, false}) {
+        for (bool contention : {true, false}) {
+          sim::SimOptions so;
+          so.noise = noise;
+          so.contention = contention;
+          const std::string label =
+              name + " P=" + std::to_string(lo.nprocs) + (lo.grid_shape ? " 2x2" : "") +
+              " " + machine_name + (noise ? " noise" : "") + (contention ? " contention" : "");
+          sim::Executor fresh(prog, layout, *machine, so, bindings);
+          const sim::SimResult want = fresh.run();
+          arena.rebind(prog, layout, *machine, so, bindings);
+          arena.retime_into(tape, so.seed, retimed);
+          expect_same_result(retimed, want, label);
+          // a second seed re-times from the counts the first walk derived
+          EXPECT_EQ(arena.retime(tape, run_seed(so.seed, 1)),
+                    fresh.replay(run_seed(so.seed, 1)))
+              << label;
+        }
+      }
+      // the tape this layout records is the same tape
+      sim::ValueTape own;
+      sim::Simulator(*machine).record(prog, bindings, layout, {}, arena, own);
+      EXPECT_EQ(own.words, tape.words) << name << " P=" << lo.nprocs;
+      EXPECT_EQ(own.printed, tape.printed) << name << " P=" << lo.nprocs;
+      EXPECT_EQ(own.scalars, tape.scalars) << name << " P=" << lo.nprocs;
+    }
+  }
+}
+
+TEST(CrossConfigRetime, SuiteAppsMatchFreshRunsBitForBit) {
+  for (const auto& app : suite::validation_suite()) {
+    const compiler::CompiledProgram prog =
+        app.directive_overrides.empty()
+            ? comp(app.source)
+            : compiler::compile_with_directives(app.source, app.directive_overrides);
+    expect_cross_config_oracle(prog, app.bindings(app.problem_sizes.front()), app.id);
+  }
+}
+
+TEST(CrossConfigRetime, DataDependentControlFlow) {
+  expect_cross_config_oracle(comp(kIfInDo), {}, "if-in-do");
+  expect_cross_config_oracle(comp(kDoWhile), {}, "do-while");
+}
+
+TEST(CrossConfigRetime, MaskedForall) {
+  expect_cross_config_oracle(comp(kMaskedForall), {}, "masked-forall");
+}
+
+TEST(CrossConfigRetime, ReissuedInvariantOverlap) {
+  expect_cross_config_oracle(comp(kInvariantOverlap), {}, "invariant-overlap");
+}
+
+TEST(CrossConfigRetime, UnseparableHomeMappingWalksTheOwners) {
+  // a(i, i): one forall index drives both grid axes of a (block, block)
+  // home, so per-axis histograms cannot count it and the timing walk
+  // visits the recorded space point by point; the masked loop does too
+  auto prog = comp(R"f90(
+program t
+  parameter (n = 12)
+  real a(n, n)
+!hpf$ template d(n, n)
+!hpf$ align a(i, j) with d(i, j)
+!hpf$ distribute d(block, block)
+  forall (i = 1:n, j = 1:n) a(i, j) = real(i * j)
+  do k = 1, 3
+    forall (i = 1:n) a(i, i) = a(i, i) + real(k)
+    forall (i = 1:n, j = 1:n, a(i, j) .gt. 40.0) a(i, j) = a(i, j) * 0.5
+  end do
+  s = sum(a)
+  print *, s
+end program t
+)f90");
+  bool diagonal = false;
+  std::function<void(const compiler::SpmdNode&)> scan = [&](const compiler::SpmdNode& n) {
+    if (n.kind == compiler::SpmdKind::LocalLoop && n.home_driver.size() == 2 &&
+        n.home_driver[0] == 0 && n.home_driver[1] == 0) {
+      diagonal = true;
+    }
+    for (const auto& c : n.children) scan(*c);
+  };
+  scan(*prog.root);
+  ASSERT_TRUE(diagonal);
+  expect_cross_config_oracle(prog, {}, "diagonal");
+}
+
+TEST(CrossConfigRetime, TapeRecordedUnderALargerTripLimitStillThrows) {
+  auto prog = comp(kDoWhile);
+  const machine::MachineModel machine = machine::make_ipsc860();
+  compiler::LayoutOptions lo;
+  lo.nprocs = 2;
+  const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
+  sim::Executor executor;
+  sim::ValueTape tape;
+  sim::SimOptions generous;
+  generous.max_while_trips = 1000;
+  sim::Simulator(machine).record(prog, {}, layout, generous, executor, tape);
+  sim::SimOptions tight;
+  tight.max_while_trips = 3;  // the loop runs more trips than this
+  executor.rebind(prog, layout, machine, tight, {});
+  try {
+    (void)executor.retime(tape, tight.seed);
+    ADD_FAILURE() << "re-timed past the trip limit";
+  } catch (const support::CompileError& e) {
+    EXPECT_NE(std::string(e.what()).find("do while exceeded the simulation trip limit"),
+              std::string::npos)
+        << e.what();
+  }
+  // and through the session: a tape stored under the generous limit is not
+  // served to a lookup under the tight one
+  api::Session session;
+  const auto handle = session.compile(kDoWhile);
+  api::RunConfig cfg;
+  cfg.nprocs = 2;
+  cfg.runs = 2;
+  cfg.sim.max_while_trips = 1000;
+  EXPECT_NO_THROW((void)session.measure(handle, cfg));
+  cfg.nprocs = 4;
+  cfg.sim.max_while_trips = 3;
+  try {
+    (void)session.measure(handle, cfg);
+    ADD_FAILURE() << "measured past the trip limit";
+  } catch (const support::CompileError& e) {
+    EXPECT_NE(std::string(e.what()).find("do while exceeded the simulation trip limit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TimingReplay, ReplayIsRepeatableAfterOneRun) {
