@@ -38,7 +38,8 @@ std::span<const sim::MeasuredResult> EngineArena::measure_batch_into(
         tape = tapes->get_or_build(tape_keys[i], {}, [&] {
           obs::Span pass(obs_sink_, obs::Phase::SimValuePass);
           sim::ValueTape recorded;
-          simulator.record(prog, *lane.bindings, *lane.layout, options, executor_, recorded);
+          executor_.rebind(prog, *lane.layout, machine, options, *lane.bindings);
+          executor_.record(recorded);
           pass.set_arg(recorded.bytes());
           return recorded;
         });

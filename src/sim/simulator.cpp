@@ -74,12 +74,4 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
   out.stats.stddev = std::sqrt(var / n);
 }
 
-void Simulator::record(const compiler::CompiledProgram& prog,
-                       const front::Bindings& bindings,
-                       const compiler::DataLayout& layout, const SimOptions& options,
-                       Executor& arena, ValueTape& tape) const {
-  arena.rebind(prog, layout, machine_, options, bindings);
-  arena.record(tape);
-}
-
 }  // namespace hpf90d::sim

@@ -83,14 +83,6 @@ class Simulator {
                     int runs, Executor& arena, MeasuredResult& out,
                     const ValueTape* tape = nullptr) const;
 
-  /// The functional pass alone, through `arena`: records the value tape of
-  /// (prog, bindings) into `tape`, for measure_into of any layout and
-  /// machine to re-time. Throws the program's diagnostic when a value
-  /// cannot be computed.
-  void record(const compiler::CompiledProgram& prog, const front::Bindings& bindings,
-              const compiler::DataLayout& layout, const SimOptions& options,
-              Executor& arena, ValueTape& tape) const;
-
  private:
   const machine::MachineModel& machine_;
 };

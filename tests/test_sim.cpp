@@ -802,9 +802,8 @@ void expect_cross_config_oracle(const compiler::CompiledProgram& prog,
   compiler::LayoutOptions recorded_lo;
   recorded_lo.nprocs = 2;
   const compiler::DataLayout recorded_layout = compiler::make_layout(prog, bindings, recorded_lo);
-  sim::Executor recorder;
   sim::ValueTape tape;
-  sim::Simulator(ipsc).record(prog, bindings, recorded_layout, {}, recorder, tape);
+  sim::Executor(prog, recorded_layout, ipsc, {}, bindings).record(tape);
 
   std::vector<compiler::LayoutOptions> layouts;
   for (int nprocs : suite::paper_system_sizes()) {
@@ -843,7 +842,7 @@ void expect_cross_config_oracle(const compiler::CompiledProgram& prog,
       }
       // the tape this layout records is the same tape
       sim::ValueTape own;
-      sim::Simulator(*machine).record(prog, bindings, layout, {}, arena, own);
+      sim::Executor(prog, layout, *machine, {}, bindings).record(own);
       EXPECT_EQ(own.words, tape.words) << name << " P=" << lo.nprocs;
       EXPECT_EQ(own.printed, tape.printed) << name << " P=" << lo.nprocs;
       EXPECT_EQ(own.scalars, tape.scalars) << name << " P=" << lo.nprocs;
@@ -913,14 +912,13 @@ TEST(CrossConfigRetime, TapeRecordedUnderALargerTripLimitStillThrows) {
   compiler::LayoutOptions lo;
   lo.nprocs = 2;
   const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
-  sim::Executor executor;
-  sim::ValueTape tape;
   sim::SimOptions generous;
   generous.max_while_trips = 1000;
-  sim::Simulator(machine).record(prog, {}, layout, generous, executor, tape);
+  sim::ValueTape tape;
+  sim::Executor(prog, layout, machine, generous, {}).record(tape);
   sim::SimOptions tight;
   tight.max_while_trips = 3;  // the loop runs more trips than this
-  executor.rebind(prog, layout, machine, tight, {});
+  sim::Executor executor(prog, layout, machine, tight, {});
   try {
     (void)executor.retime(tape, tight.seed);
     ADD_FAILURE() << "re-timed past the trip limit";
