@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "support/codec.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -13,17 +14,11 @@ namespace hpf90d::api {
 
 namespace {
 
+using support::csv_field;
+
 constexpr const char* kCsvHeader =
     "machine,variant,problem,nprocs,measured,estimated,measured_mean,"
     "measured_min,measured_max,measured_stddev";
-
-/// CSV fields never contain commas by construction (names come from
-/// registry keys and plan labels); escape defensively anyway.
-std::string csv_field(const std::string& s) {
-  std::string out = s;
-  std::replace(out.begin(), out.end(), ',', ';');
-  return out;
-}
 
 }  // namespace
 
@@ -192,223 +187,52 @@ ReportDiff RunReport::diff(const RunReport& before, const RunReport& after) {
   return out;
 }
 
-namespace {
-
-// --- JSON helpers (same conventions as study_result.cpp: %.17g numbers,
-// minimal escaping, a tiny recursive-descent reader that fails loudly).
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += support::strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jnum(double v) { return support::strfmt("%.17g", v); }
-std::string jnum(std::uint64_t v) {
-  return support::strfmt("%llu", static_cast<unsigned long long>(v));
-}
-
-/// Strict reader for the output of RunReport::json(): fixed key order, so
-/// any schema drift (renamed, missing, or reordered keys) throws instead
-/// of silently zero-filling.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void key(const char* name) {
-    const std::string got = string();
-    if (got != name) fail("expected key \"" + std::string(name) + "\", got \"" + got + '"');
-    expect(':');
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v += static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape digit");
-            }
-            if (v > 0x7f) fail("non-ASCII \\u escape unsupported");
-            c = static_cast<char>(v);
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' ||
-          c == 'E' || c == 'i' || c == 'n' || c == 'f' || c == 'a') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected number");
-    try {
-      return std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return 0;  // unreachable
-  }
-
-  std::uint64_t unsigned_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    if (pos_ == start) fail("expected unsigned integer");
-    try {
-      return std::stoull(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed unsigned integer");
-    }
-    return 0;  // unreachable
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected boolean");
-    return false;  // unreachable
-  }
-
-  void end() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing bytes after document");
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("RunReport::from_json: " + why + " at offset " +
-                                std::to_string(pos_));
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string RunReport::json() const {
-  std::string out = "{\"title\":\"" + json_escape(title) + "\",";
-  out += "\"wall_seconds\":" + jnum(wall_seconds) + ",";
+  std::string out = "{\"title\":\"" + support::json_escape(title) + "\",";
+  out += "\"wall_seconds\":" + support::format_g17(wall_seconds) + ",";
   out += "\"cache\":{";
-  out += "\"compile_hits\":" + jnum(static_cast<std::uint64_t>(cache.compile_hits)) + ",";
-  out += "\"compile_misses\":" + jnum(static_cast<std::uint64_t>(cache.compile_misses)) + ",";
-  out += "\"layout_hits\":" + jnum(static_cast<std::uint64_t>(cache.layout_hits)) + ",";
-  out += "\"layout_misses\":" + jnum(static_cast<std::uint64_t>(cache.layout_misses)) + ",";
-  out += "\"layout_evictions\":" + jnum(static_cast<std::uint64_t>(cache.layout_evictions)) + ",";
-  out += "\"layout_spill_hits\":" + jnum(static_cast<std::uint64_t>(cache.layout_spill_hits)) + ",";
-  out += "\"layout_capacity\":" + jnum(static_cast<std::uint64_t>(cache.layout_capacity)) + "},";
+  out += "\"compile_hits\":" + std::to_string(cache.compile_hits) + ",";
+  out += "\"compile_misses\":" + std::to_string(cache.compile_misses) + ",";
+  out += "\"layout_hits\":" + std::to_string(cache.layout_hits) + ",";
+  out += "\"layout_misses\":" + std::to_string(cache.layout_misses) + ",";
+  out += "\"layout_evictions\":" + std::to_string(cache.layout_evictions) + ",";
+  out += "\"layout_spill_hits\":" + std::to_string(cache.layout_spill_hits) + ",";
+  out += "\"layout_capacity\":" + std::to_string(cache.layout_capacity) + "},";
   out += "\"batch\":{";
-  out += "\"batched_points\":" + jnum(static_cast<std::uint64_t>(batch.batched_points)) + ",";
-  out += "\"scalar_points\":" + jnum(static_cast<std::uint64_t>(batch.scalar_points)) + ",";
-  out += "\"replayed_points\":" + jnum(static_cast<std::uint64_t>(batch.replayed_points)) + ",";
-  out += "\"ir_visits\":" + jnum(batch.ir_visits) + ",";
-  out += "\"lane_visits\":" + jnum(batch.lane_visits) + ",";
-  out += "\"evicted_lanes\":" + jnum(batch.evicted_lanes) + ",";
-  out += "\"refilled_lanes\":" + jnum(batch.refilled_lanes) + ",";
-  out += "\"simd_stripes\":" + jnum(batch.simd_stripes) + "},";
+  out += "\"batched_points\":" + std::to_string(batch.batched_points) + ",";
+  out += "\"scalar_points\":" + std::to_string(batch.scalar_points) + ",";
+  out += "\"replayed_points\":" + std::to_string(batch.replayed_points) + ",";
+  out += "\"ir_visits\":" + std::to_string(batch.ir_visits) + ",";
+  out += "\"lane_visits\":" + std::to_string(batch.lane_visits) + ",";
+  out += "\"evicted_lanes\":" + std::to_string(batch.evicted_lanes) + ",";
+  out += "\"refilled_lanes\":" + std::to_string(batch.refilled_lanes) + ",";
+  out += "\"simd_stripes\":" + std::to_string(batch.simd_stripes) + "},";
   out += "\"records\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
     if (i > 0) out += ',';
-    out += "\n{\"machine\":\"" + json_escape(r.machine) + "\",";
-    out += "\"variant\":\"" + json_escape(r.variant) + "\",";
-    out += "\"problem\":\"" + json_escape(r.problem) + "\",";
+    out += "\n{\"machine\":\"" + support::json_escape(r.machine) + "\",";
+    out += "\"variant\":\"" + support::json_escape(r.variant) + "\",";
+    out += "\"problem\":\"" + support::json_escape(r.problem) + "\",";
     out += "\"nprocs\":" + std::to_string(r.nprocs) + ",";
     out += std::string("\"measured\":") + (r.measured ? "true" : "false") + ",";
-    out += "\"estimated\":" + jnum(r.comparison.estimated) + ",";
-    out += "\"measured_mean\":" + jnum(r.comparison.measured_mean) + ",";
-    out += "\"measured_min\":" + jnum(r.comparison.measured_min) + ",";
-    out += "\"measured_max\":" + jnum(r.comparison.measured_max) + ",";
-    out += "\"measured_stddev\":" + jnum(r.comparison.measured_stddev) + ",";
+    out += "\"estimated\":" + support::format_g17(r.comparison.estimated) + ",";
+    out += "\"measured_mean\":" + support::format_g17(r.comparison.measured_mean) + ",";
+    out += "\"measured_min\":" + support::format_g17(r.comparison.measured_min) + ",";
+    out += "\"measured_max\":" + support::format_g17(r.comparison.measured_max) + ",";
+    out += "\"measured_stddev\":" + support::format_g17(r.comparison.measured_stddev) + ",";
     out += "\"phases\":{";
-    out += "\"comp\":" + jnum(r.phases.comp) + ",";
-    out += "\"comm\":" + jnum(r.phases.comm) + ",";
-    out += "\"overhead\":" + jnum(r.phases.overhead) + ",";
-    out += "\"wait\":" + jnum(r.phases.wait) + "}}";
+    out += "\"comp\":" + support::format_g17(r.phases.comp) + ",";
+    out += "\"comm\":" + support::format_g17(r.phases.comm) + ",";
+    out += "\"overhead\":" + support::format_g17(r.phases.overhead) + ",";
+    out += "\"wait\":" + support::format_g17(r.phases.wait) + "}}";
   }
   out += "]}\n";
   return out;
 }
 
 RunReport RunReport::from_json(std::string_view text) {
-  JsonReader in(text);
+  support::JsonReader in(text, "RunReport::from_json");
   RunReport report;
   in.expect('{');
   in.key("title");
@@ -477,7 +301,7 @@ RunReport RunReport::from_json(std::string_view text) {
       r.problem = in.string();
       in.expect(',');
       in.key("nprocs");
-      r.nprocs = static_cast<int>(in.number());
+      r.nprocs = in.int_number();
       in.expect(',');
       in.key("measured");
       r.measured = in.boolean();
@@ -517,40 +341,34 @@ RunReport RunReport::from_json(std::string_view text) {
 }
 
 RunReport RunReport::from_csv(std::string_view text) {
+  support::LineReader in(text, "RunReport::from_csv",
+                         support::raise<std::invalid_argument>);
   RunReport report;
   bool saw_header = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = support::trim(text.substr(pos, eol - pos));
-    pos = eol + 1;
+  while (!in.at_end()) {
+    const std::string_view line = support::trim(in.next_line());
     if (line.empty()) continue;
     if (!saw_header) {
-      if (line != kCsvHeader) {
-        throw std::invalid_argument("RunReport::from_csv: unrecognized header: " +
-                                    std::string(line));
-      }
+      if (line != kCsvHeader) in.fail("unrecognized header: " + std::string(line));
       saw_header = true;
       continue;
     }
     const auto cells = support::split(line, ',');
     if (cells.size() != 10) {
-      throw std::invalid_argument("RunReport::from_csv: expected 10 fields, got " +
-                                  std::to_string(cells.size()) + " in: " +
-                                  std::string(line));
+      in.fail("expected 10 fields, got " + std::to_string(cells.size()) + " in: " +
+              std::string(line));
     }
     RunRecord r;
     r.machine = cells[0];
     r.variant = cells[1];
     r.problem = cells[2];
-    r.nprocs = std::stoi(cells[3]);
-    r.measured = std::stoi(cells[4]) != 0;
-    r.comparison.estimated = std::stod(cells[5]);
-    r.comparison.measured_mean = std::stod(cells[6]);
-    r.comparison.measured_min = std::stod(cells[7]);
-    r.comparison.measured_max = std::stod(cells[8]);
-    r.comparison.measured_stddev = std::stod(cells[9]);
+    r.nprocs = static_cast<int>(in.int_field(cells[3], INT_MIN, INT_MAX));
+    r.measured = in.int_field(cells[4], INT_MIN, INT_MAX) != 0;
+    r.comparison.estimated = in.double_field(cells[5]);
+    r.comparison.measured_mean = in.double_field(cells[6]);
+    r.comparison.measured_min = in.double_field(cells[7]);
+    r.comparison.measured_max = in.double_field(cells[8]);
+    r.comparison.measured_stddev = in.double_field(cells[9]);
     report.records.push_back(std::move(r));
   }
   if (!saw_header) throw std::invalid_argument("RunReport::from_csv: empty input");

@@ -55,8 +55,8 @@ struct CacheStats {
   std::size_t layout_spill_hits = 0;
   /// The layout store's *effective* LRU capacity when the stats were
   /// captured (0 = unbounded). For a RunReport this is the capacity the
-  /// run actually used — RunOptions::layout_cache_capacity already applied
-  /// — so exported stats are self-describing. A state, not a counter:
+  /// run actually used (Session::set_layout_cache_capacity), so exported
+  /// stats are self-describing. A state, not a counter:
   /// operator- carries the minuend's value instead of subtracting.
   std::size_t layout_capacity = 0;
   /// The simulator's value-tape store: a miss is one functional pass of a

@@ -16,23 +16,11 @@ namespace hpf90d::api {
 
 namespace {
 
-/// FNV-1a 64-bit: cheap, stable fingerprint used to pick a cache shard and
-/// to compact the program key. The program key also embeds the source
-/// length, so a collision needs same-length inputs.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string program_key(std::string_view source,
                         const std::vector<std::string>& overrides,
                         const compiler::CompilerOptions& options) {
   std::string key = support::strfmt("%016llx:%zu:%d:%.17g",
-                                    static_cast<unsigned long long>(fnv1a64(source)),
+                                    static_cast<unsigned long long>(support::fnv1a64(source)),
                                     source.size(), options.message_vectorization ? 1 : 0,
                                     options.default_mask_probability);
   for (const auto& o : overrides) {
@@ -43,7 +31,7 @@ std::string program_key(std::string_view source,
 }
 
 std::size_t shard_of(std::string_view key, std::size_t shard_count) {
-  return static_cast<std::size_t>(fnv1a64(key)) % shard_count;
+  return static_cast<std::size_t>(support::fnv1a64(key)) % shard_count;
 }
 
 /// The value-tape key: seed_for's (compile_id folded into the bindings +

@@ -1,8 +1,9 @@
 #include "compiler/serialize.hpp"
 
-#include <cstdlib>
+#include <climits>
 #include <stdexcept>
 
+#include "support/codec.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::compiler {
@@ -12,55 +13,23 @@ namespace {
 constexpr std::string_view kLayoutHeader = "hpf90d-layout 1";
 constexpr std::string_view kRecipeHeader = "hpf90d-recipe 1";
 
-/// Cursor over the line-oriented serialized form. Fields within a line are
-/// tab-separated; identifiers and %.17g numbers never contain tabs, and
-/// source text travels length-prefixed, so no escaping is needed.
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_(text) {}
+// The serialized form is line-oriented: fields within a line are
+// tab-separated; identifiers and %.17g numbers never contain tabs, and
+// source text travels length-prefixed, so no escaping is needed.
 
-  [[nodiscard]] std::string_view next_line() {
-    if (pos_ > text_.size()) {
-      throw std::invalid_argument("layout/recipe deserialize: unexpected end of input");
-    }
-    std::size_t eol = text_.find('\n', pos_);
-    if (eol == std::string_view::npos) eol = text_.size();
-    const std::string_view line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
-    return line;
-  }
-
-  /// Raw byte access for length-prefixed payloads (recipe source text).
-  [[nodiscard]] std::string_view take_bytes(std::size_t n) {
-    if (pos_ + n > text_.size()) {
-      throw std::invalid_argument("layout/recipe deserialize: truncated payload");
-    }
-    const std::string_view bytes = text_.substr(pos_, n);
-    pos_ += n;
-    // consume the newline the writer appends after the payload
-    if (pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-    return bytes;
-  }
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::string> fields_of(std::string_view line, std::size_t expect,
-                                   std::string_view what) {
-  const auto cells = support::split(line, '\t');
-  if (cells.size() != expect) {
-    throw std::invalid_argument("layout/recipe deserialize: bad " + std::string(what) +
-                                " line: " + std::string(line));
-  }
+std::vector<std::string> fields_of(const support::LineReader& in, std::string_view line,
+                                   std::size_t expect, std::string_view what) {
+  auto cells = support::split(line, '\t');
+  if (cells.size() != expect) in.fail("bad " + std::string(what) + " line: " + std::string(line));
   return cells;
 }
 
-long long to_ll(const std::string& s) { return std::strtoll(s.c_str(), nullptr, 10); }
-double to_d(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
+/// A "<tag>\t<count>" section header.
+std::size_t section_count(support::LineReader& in, const char* tag) {
+  const auto head = fields_of(in, in.next_line(), 2, tag);
+  if (head[0] != tag) in.fail(std::string("bad ") + tag + " line");
+  return static_cast<std::size_t>(in.uint_field(head[1]));
+}
 
 }  // namespace
 
@@ -111,115 +80,90 @@ std::string serialize_layout(const DataLayout& layout) {
 }
 
 DataLayout deserialize_layout(std::string_view text) {
-  LineReader in(text);
+  support::LineReader in(text, "deserialize_layout", support::raise<std::invalid_argument>);
   if (in.next_line() != kLayoutHeader) {
-    throw std::invalid_argument(
-        "deserialize_layout: missing or mismatched header (expected \"" +
-        std::string(kLayoutHeader) + "\")");
+    in.fail("missing or mismatched header (expected \"" + std::string(kLayoutHeader) +
+            "\")");
   }
   DataLayout layout;
 
   {
     const auto grid = support::split(in.next_line(), '\t');
-    if (grid.size() < 2 || grid[0] != "grid") {
-      throw std::invalid_argument("deserialize_layout: bad grid line");
+    if (grid.size() < 2 || grid[0] != "grid") in.fail("bad grid line");
+    if (grid.size() - 2 != in.uint_field(grid[1])) in.fail("grid rank mismatch");
+    long long total = 1;
+    for (std::size_t d = 2; d < grid.size(); ++d) {
+      const long long extent = in.int_field(grid[d], 1, INT_MAX);
+      total *= extent;
+      if (total > INT_MAX) in.fail("processor grid larger than INT_MAX");
+      layout.grid_.shape.push_back(static_cast<int>(extent));
     }
-    const std::size_t rank = static_cast<std::size_t>(to_ll(grid[1]));
-    if (grid.size() != rank + 2) {
-      throw std::invalid_argument("deserialize_layout: grid rank mismatch");
-    }
-    for (std::size_t d = 0; d < rank; ++d) {
-      layout.grid_.shape.push_back(static_cast<int>(to_ll(grid[d + 2])));
-    }
+    if (layout.grid_.shape.empty()) in.fail("empty processor grid");
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "env");
-    if (head[0] != "env") throw std::invalid_argument("deserialize_layout: bad env line");
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = fields_of(in.next_line(), 2, "env entry");
-      layout.env_.set(cells[0], to_d(cells[1]));
-    }
+  for (std::size_t i = 0, n = section_count(in, "env"); i < n; ++i) {
+    const auto cells = fields_of(in, in.next_line(), 2, "env entry");
+    layout.env_.set(cells[0], in.double_field(cells[1]));
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "templates");
-    if (head[0] != "templates") {
-      throw std::invalid_argument("deserialize_layout: bad templates line");
-    }
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    for (std::size_t i = 0; i < n; ++i) {
-      layout.template_names_.emplace_back(in.next_line());
-    }
+  for (std::size_t i = 0, n = section_count(in, "templates"); i < n; ++i) {
+    layout.template_names_.emplace_back(in.next_line());
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "extents");
-    if (head[0] != "extents") {
-      throw std::invalid_argument("deserialize_layout: bad extents line");
+  for (std::size_t i = 0, n = section_count(in, "extents"); i < n; ++i) {
+    const auto cells = support::split(in.next_line(), '\t');
+    if (cells.size() < 3) in.fail("bad extent entry");
+    DataLayout::SymbolExtents se;
+    se.name = cells[0];
+    const bool resolved = in.int_field(cells[1]) != 0;
+    if (cells.size() - 3 != in.uint_field(cells[2])) in.fail("extent rank mismatch");
+    if (resolved) {
+      std::vector<long long> dims;
+      for (std::size_t d = 3; d < cells.size(); ++d) dims.push_back(in.int_field(cells[d]));
+      se.dims = std::move(dims);
     }
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    layout.extents_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = support::split(in.next_line(), '\t');
-      if (cells.size() < 3) {
-        throw std::invalid_argument("deserialize_layout: bad extent entry");
-      }
-      DataLayout::SymbolExtents se;
-      se.name = cells[0];
-      const bool resolved = to_ll(cells[1]) != 0;
-      const std::size_t rank = static_cast<std::size_t>(to_ll(cells[2]));
-      if (cells.size() != rank + 3) {
-        throw std::invalid_argument("deserialize_layout: extent rank mismatch");
-      }
-      if (resolved) {
-        std::vector<long long> dims;
-        dims.reserve(rank);
-        for (std::size_t d = 0; d < rank; ++d) dims.push_back(to_ll(cells[d + 3]));
-        se.dims = std::move(dims);
-      }
-      layout.extents_.push_back(std::move(se));
-    }
+    layout.extents_.push_back(std::move(se));
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "maps");
-    if (head[0] != "maps") throw std::invalid_argument("deserialize_layout: bad maps line");
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    layout.maps_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = fields_of(in.next_line(), 5, "map");
-      if (cells[0] != "map") throw std::invalid_argument("deserialize_layout: bad map entry");
-      ArrayMap m;
-      m.symbol = static_cast<int>(to_ll(cells[1]));
-      m.name = cells[2];
-      m.template_id = static_cast<int>(to_ll(cells[3]));
-      const std::size_t ndims = static_cast<std::size_t>(to_ll(cells[4]));
-      m.dims.reserve(ndims);
-      for (std::size_t d = 0; d < ndims; ++d) {
-        const auto dim = fields_of(in.next_line(), 8, "dim");
-        if (dim[0] != "dim") throw std::invalid_argument("deserialize_layout: bad dim entry");
-        DimDist dd;
-        dd.kind = static_cast<front::DistKind>(to_ll(dim[1]));
-        dd.grid_dim = static_cast<int>(to_ll(dim[2]));
-        dd.nprocs = static_cast<int>(to_ll(dim[3]));
-        dd.extent = to_ll(dim[4]);
-        dd.align_offset = to_ll(dim[5]);
-        dd.tmpl_extent = to_ll(dim[6]);
-        dd.block = to_ll(dim[7]);
-        m.dims.push_back(dd);
-      }
-      layout.maps_.push_back(std::move(m));
+  // Everything below indexes the grid, the template table or the symbol
+  // table, or divides by a block size: reject any value make_layout cannot
+  // produce, so a corrupt artifact is a load failure, not a crash later.
+  const int grid_rank = layout.grid_.rank();
+  const auto ntemplates = static_cast<long long>(layout.template_names_.size());
+  const auto nsymbols = static_cast<long long>(layout.extents_.size());
+  for (std::size_t i = 0, n = section_count(in, "maps"); i < n; ++i) {
+    const auto cells = fields_of(in, in.next_line(), 5, "map");
+    if (cells[0] != "map") in.fail("bad map entry");
+    ArrayMap m;
+    m.symbol = static_cast<int>(in.int_field(cells[1], 0, nsymbols - 1));
+    m.name = cells[2];
+    m.template_id = static_cast<int>(in.int_field(cells[3], 0, ntemplates - 1));
+    const auto& rank = layout.extents_[static_cast<std::size_t>(m.symbol)].dims;
+    const std::size_t ndims = in.uint_field(cells[4]);
+    if (!rank || rank->size() != ndims) in.fail("map rank differs from '" + m.name + "'");
+    for (std::size_t d = 0; d < ndims; ++d) {
+      const auto dim = fields_of(in, in.next_line(), 8, "dim");
+      if (dim[0] != "dim") in.fail("bad dim entry");
+      DimDist dd;
+      dd.kind = static_cast<front::DistKind>(
+          in.int_field(dim[1], 0, static_cast<long long>(front::DistKind::Collapsed)));
+      const bool distributed = dd.kind != front::DistKind::Collapsed;
+      dd.grid_dim = static_cast<int>(
+          distributed ? in.int_field(dim[2], 0, grid_rank - 1) : in.int_field(dim[2], -1, -1));
+      const int grid_extent =
+          distributed ? layout.grid_.shape[static_cast<std::size_t>(dd.grid_dim)] : 1;
+      dd.nprocs = static_cast<int>(in.int_field(dim[3], grid_extent, grid_extent));
+      dd.extent = in.int_field(dim[4]);
+      dd.align_offset = in.int_field(dim[5]);
+      dd.tmpl_extent = in.int_field(dim[6]);
+      dd.block = dd.kind == front::DistKind::Block ? in.int_field(dim[7], 1, LLONG_MAX)
+                                                    : in.int_field(dim[7]);
+      m.dims.push_back(dd);
     }
+    layout.maps_.push_back(std::move(m));
   }
 
-  if (in.next_line() != "end") {
-    throw std::invalid_argument("deserialize_layout: missing end marker");
-  }
-  if (layout.grid_.shape.empty()) {
-    throw std::invalid_argument("deserialize_layout: empty processor grid");
-  }
+  if (in.next_line() != "end") in.fail("missing end marker");
   layout.rebuild_derived_tables();
   return layout;
 }
@@ -244,43 +188,24 @@ std::string serialize_recipe(std::string_view source,
 }
 
 ParsedRecipe deserialize_recipe(std::string_view text) {
-  LineReader in(text);
+  support::LineReader in(text, "deserialize_recipe", support::raise<std::invalid_argument>);
   if (in.next_line() != kRecipeHeader) {
-    throw std::invalid_argument(
-        "deserialize_recipe: missing or mismatched header (expected \"" +
-        std::string(kRecipeHeader) + "\")");
+    in.fail("missing or mismatched header (expected \"" + std::string(kRecipeHeader) +
+            "\")");
   }
   ParsedRecipe recipe;
   {
-    const auto cells = fields_of(in.next_line(), 3, "options");
-    if (cells[0] != "options") {
-      throw std::invalid_argument("deserialize_recipe: bad options line");
-    }
-    recipe.options.message_vectorization = to_ll(cells[1]) != 0;
-    recipe.options.default_mask_probability = to_d(cells[2]);
+    const auto cells = fields_of(in, in.next_line(), 3, "options");
+    if (cells[0] != "options") in.fail("bad options line");
+    recipe.options.message_vectorization = in.int_field(cells[1]) != 0;
+    recipe.options.default_mask_probability = in.double_field(cells[2]);
   }
-  {
-    const auto head = fields_of(in.next_line(), 2, "overrides");
-    if (head[0] != "overrides") {
-      throw std::invalid_argument("deserialize_recipe: bad overrides line");
-    }
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = fields_of(in.next_line(), 2, "override");
-      if (cells[0] != "override") {
-        throw std::invalid_argument("deserialize_recipe: bad override entry");
-      }
-      recipe.overrides.emplace_back(
-          in.take_bytes(static_cast<std::size_t>(to_ll(cells[1]))));
-    }
+  for (std::size_t i = 0, n = section_count(in, "overrides"); i < n; ++i) {
+    const auto cells = fields_of(in, in.next_line(), 2, "override");
+    if (cells[0] != "override") in.fail("bad override entry");
+    recipe.overrides.emplace_back(in.take_bytes(in.uint_field(cells[1])));
   }
-  {
-    const auto head = fields_of(in.next_line(), 2, "source");
-    if (head[0] != "source") {
-      throw std::invalid_argument("deserialize_recipe: bad source line");
-    }
-    recipe.source = in.take_bytes(static_cast<std::size_t>(to_ll(head[1])));
-  }
+  recipe.source = in.take_bytes(section_count(in, "source"));
   return recipe;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/codec.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::obs {
@@ -16,7 +17,7 @@ std::string pnum(double v) {
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
     return support::strfmt("%lld", static_cast<long long>(v));
   }
-  return support::strfmt("%.17g", v);
+  return support::format_g17(v);
 }
 
 /// Prometheus label-value escaping: backslash, double quote, newline.

@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "compiler/serialize.hpp"
+#include "support/codec.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::serve {
@@ -19,17 +20,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string artifact_name(std::string_view key) {
-  return support::strfmt("%016llx.art", static_cast<unsigned long long>(fnv1a64(key)));
+  return support::strfmt("%016llx.art",
+                         static_cast<unsigned long long>(support::fnv1a64(key)));
 }
 
 std::optional<std::string> slurp(const fs::path& path) {
@@ -50,16 +43,13 @@ std::optional<std::string> unwrap(const std::string& text, const std::string* ke
   std::size_t pos = kTag.size();
   const std::size_t eol = text.find('\n', pos);
   if (eol == std::string::npos) return std::nullopt;
-  std::size_t keylen = 0;
-  try {
-    keylen = static_cast<std::size_t>(std::stoull(text.substr(pos, eol - pos)));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const auto keylen = support::parse_uint(std::string_view(text).substr(pos, eol - pos));
+  if (!keylen) return std::nullopt;
   pos = eol + 1;
-  if (text.size() - pos < keylen + 1 || text[pos + keylen] != '\n') return std::nullopt;
-  if (key != nullptr && text.compare(pos, keylen, *key) != 0) return std::nullopt;
-  return text.substr(pos + keylen + 1);
+  // the key plus its newline must fit; compared without adding to keylen
+  if (text.size() - pos <= *keylen || text[pos + *keylen] != '\n') return std::nullopt;
+  if (key != nullptr && text.compare(pos, *keylen, *key) != 0) return std::nullopt;
+  return text.substr(pos + *keylen + 1);
 }
 
 std::string wrap(const std::string& key, std::string_view body) {

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "serve/wire.hpp"
+#include "support/codec.hpp"
 
 namespace hpf90d::serve {
 
@@ -101,11 +102,9 @@ std::uint64_t expect_submitted(const Frame& reply) {
   if (reply.type != MsgType::Submitted) {
     throw WireError("unexpected reply to submit");
   }
-  try {
-    return std::stoull(reply.payload);
-  } catch (const std::exception&) {
-    throw WireError("malformed job id: " + reply.payload);
-  }
+  const auto id = support::parse_uint(reply.payload);
+  if (!id) throw WireError("malformed job id: " + reply.payload);
+  return *id;
 }
 
 }  // namespace

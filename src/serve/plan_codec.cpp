@@ -1,9 +1,9 @@
 #include "serve/plan_codec.hpp"
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "support/codec.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::serve {
@@ -23,11 +23,9 @@ void emit_str(std::string& out, const char* tag, std::string_view value) {
   out += '\n';
 }
 
-std::string fnum(double v) { return support::strfmt("%.17g", v); }
-
 void emit_bindings(std::string& out, const front::Bindings& bindings) {
   for (const auto& [name, value] : bindings.values()) {
-    out += "bind " + fnum(value) + " " + std::to_string(name.size()) + '\n';
+    out += "bind " + support::format_g17(value) + " " + std::to_string(name.size()) + '\n';
     out += name;
     out += '\n';
   }
@@ -35,40 +33,11 @@ void emit_bindings(std::string& out, const front::Bindings& bindings) {
 
 // --- reader -------------------------------------------------------------------
 
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
+using support::LineReader;
 
-  /// Next newline-terminated line (the final line may omit the newline).
-  [[nodiscard]] std::string_view next_line() {
-    if (at_end()) fail("unexpected end of input");
-    std::size_t eol = text_.find('\n', pos_);
-    if (eol == std::string_view::npos) eol = text_.size();
-    const std::string_view line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1 > text_.size() ? text_.size() : eol + 1;
-    return line;
-  }
-
-  /// Exactly `n` raw bytes followed by a newline (the str payload form).
-  [[nodiscard]] std::string take_bytes(std::size_t n) {
-    if (text_.size() - pos_ < n) fail("truncated payload");
-    std::string out(text_.substr(pos_, n));
-    pos_ += n;
-    if (pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-    else if (pos_ != text_.size()) fail("missing payload terminator");
-    return out;
-  }
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw CodecError("plan codec: " + why + " at offset " + std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+LineReader reader_of(std::string_view text) {
+  return LineReader(text, "plan codec", support::raise<CodecError>);
+}
 
 std::vector<std::string> fields_of(std::string_view line) {
   std::vector<std::string> out;
@@ -78,63 +47,30 @@ std::vector<std::string> fields_of(std::string_view line) {
   return out;
 }
 
-long long to_ll(Reader& in, const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  in.fail("malformed integer \"" + cell + "\"");
-}
-
-unsigned long long to_ull(Reader& in, const std::string& cell) {
-  try {
-    // stoull accepts (and wraps) "-1"; an unsigned field must not.
-    if (!cell.empty() && cell[0] != '-') {
-      std::size_t used = 0;
-      const unsigned long long v = std::stoull(cell, &used);
-      if (used == cell.size()) return v;
-    }
-  } catch (const std::exception&) {
-  }
-  in.fail("malformed unsigned integer \"" + cell + "\"");
-}
-
-double to_d(Reader& in, const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  in.fail("malformed number \"" + cell + "\"");
-}
-
 /// Parses a "<tag> <len>" line already read and returns the payload.
-std::string read_str_payload(Reader& in, const std::vector<std::string>& f,
+std::string read_str_payload(LineReader& in, const std::vector<std::string>& f,
                              const char* tag) {
   if (f.size() != 2 || f[0] != tag) in.fail(std::string("expected ") + tag + " line");
-  return in.take_bytes(static_cast<std::size_t>(to_ll(in, f[1])));
+  return std::string(in.take_bytes(static_cast<std::size_t>(in.int_field(f[1]))));
 }
 
-std::string expect_str(Reader& in, const char* tag) {
+std::string expect_str(LineReader& in, const char* tag) {
   return read_str_payload(in, fields_of(in.next_line()), tag);
 }
 
-front::Bindings read_bindings(Reader& in, std::size_t count) {
+front::Bindings read_bindings(LineReader& in, std::size_t count) {
   front::Bindings b;
   for (std::size_t i = 0; i < count; ++i) {
     const auto f = fields_of(in.next_line());
     if (f.size() != 3 || f[0] != "bind") in.fail("expected bind line");
-    const double value = to_d(in, f[1]);
-    b.set(in.take_bytes(static_cast<std::size_t>(to_ll(in, f[2]))), value);
+    const double value = in.double_field(f[1]);
+    b.set(std::string(in.take_bytes(static_cast<std::size_t>(in.int_field(f[2])))), value);
   }
   return b;
 }
 
-machine::CollectiveAlgo to_collective(Reader& in, const std::string& cell) {
-  const long long v = to_ll(in, cell);
+machine::CollectiveAlgo to_collective(LineReader& in, const std::string& cell) {
+  const long long v = in.int_field(cell);
   switch (v) {
     case 0: return machine::CollectiveAlgo::RecursiveTree;
     case 1: return machine::CollectiveAlgo::Linear;
@@ -148,14 +84,14 @@ void encode_plan_body(std::string& out, const api::ExperimentPlan& plan) {
   emit_str(out, "source", plan.program_source());
   for (const auto& m : plan.machine_names()) emit_str(out, "machine", m);
   out += "nprocs";
-  for (const int np : plan.nprocs_list()) out += " " + std::to_string(np);
+  for (const int np : plan.nprocs_list()) out += support::strfmt(" %d", np);
   out += '\n';
   out += "runs " + std::to_string(plan.measure_runs()) + '\n';
   const auto& co = plan.compiler_opts();
   out += support::strfmt("copts %d %s\n", co.message_vectorization ? 1 : 0,
-                         fnum(co.default_mask_probability).c_str());
+                         support::format_g17(co.default_mask_probability).c_str());
   const auto& po = plan.predict_opts();
-  out += support::strfmt("popts %s %d %d %zu\n", fnum(po.mask_probability).c_str(),
+  out += support::strfmt("popts %s %d %d %zu\n", support::format_g17(po.mask_probability).c_str(),
                          static_cast<int>(po.collective), po.trace ? 1 : 0,
                          po.max_trace_events);
   const auto& so = plan.sim_opts();
@@ -192,7 +128,7 @@ void encode_plan_body(std::string& out, const api::ExperimentPlan& plan) {
   out += "end\n";
 }
 
-api::ExperimentPlan decode_plan_body(Reader& in) {
+api::ExperimentPlan decode_plan_body(LineReader& in) {
   {
     const auto header = fields_of(in.next_line());
     if (header.size() != 2 || header[0] != "hpf90d-plan") {
@@ -214,56 +150,56 @@ api::ExperimentPlan decode_plan_body(Reader& in) {
     } else if (f[0] == "nprocs") {
       std::vector<int> counts;
       for (std::size_t i = 1; i < f.size(); ++i) {
-        counts.push_back(static_cast<int>(to_ll(in, f[i])));
+        counts.push_back(static_cast<int>(in.int_field(f[i])));
       }
       plan.nprocs(std::move(counts));
     } else if (f[0] == "runs") {
       if (f.size() != 2) in.fail("malformed runs line");
-      plan.runs(static_cast<int>(to_ll(in, f[1])));
+      plan.runs(static_cast<int>(in.int_field(f[1])));
     } else if (f[0] == "copts") {
       if (f.size() != 3) in.fail("malformed copts line");
       compiler::CompilerOptions co;
-      co.message_vectorization = to_ll(in, f[1]) != 0;
-      co.default_mask_probability = to_d(in, f[2]);
+      co.message_vectorization = in.int_field(f[1]) != 0;
+      co.default_mask_probability = in.double_field(f[2]);
       plan.compiler_options(co);
     } else if (f[0] == "popts") {
       if (f.size() != 5) in.fail("malformed popts line");
       core::PredictOptions po;
-      po.mask_probability = to_d(in, f[1]);
+      po.mask_probability = in.double_field(f[1]);
       po.collective = to_collective(in, f[2]);
-      po.trace = to_ll(in, f[3]) != 0;
-      po.max_trace_events = static_cast<std::size_t>(to_ll(in, f[4]));
+      po.trace = in.int_field(f[3]) != 0;
+      po.max_trace_events = static_cast<std::size_t>(in.int_field(f[4]));
       plan.predict_options(po);
     } else if (f[0] == "sopts") {
       if (f.size() != 6) in.fail("malformed sopts line");
       sim::SimOptions so;
-      so.seed = to_ull(in, f[1]);
-      so.noise = to_ll(in, f[2]) != 0;
-      so.contention = to_ll(in, f[3]) != 0;
+      so.seed = in.uint_field(f[1]);
+      so.noise = in.int_field(f[2]) != 0;
+      so.contention = in.int_field(f[3]) != 0;
       so.collective = to_collective(in, f[4]);
-      so.max_while_trips = to_ll(in, f[5]);
+      so.max_while_trips = in.int_field(f[5]);
       plan.sim_options(so);
     } else if (f[0] == "variant") {
       if (f.size() != 4) in.fail("malformed variant line");
       api::DirectiveVariant v;
-      if (f[1] != "-") v.grid_rank = static_cast<int>(to_ll(in, f[1]));
-      const auto noverrides = static_cast<std::size_t>(to_ll(in, f[2]));
-      v.name = in.take_bytes(static_cast<std::size_t>(to_ll(in, f[3])));
+      if (f[1] != "-") v.grid_rank = static_cast<int>(in.int_field(f[1]));
+      const auto noverrides = static_cast<std::size_t>(in.int_field(f[2]));
+      v.name = in.take_bytes(static_cast<std::size_t>(in.int_field(f[3])));
       for (std::size_t i = 0; i < noverrides; ++i) {
         v.overrides.push_back(expect_str(in, "override"));
       }
       plan.add_variant(std::move(v));
     } else if (f[0] == "problem") {
       if (f.size() != 3) in.fail("malformed problem line");
-      const auto nbind = static_cast<std::size_t>(to_ll(in, f[1]));
-      std::string name = in.take_bytes(static_cast<std::size_t>(to_ll(in, f[2])));
+      const auto nbind = static_cast<std::size_t>(in.int_field(f[1]));
+      std::string name(in.take_bytes(static_cast<std::size_t>(in.int_field(f[2]))));
       plan.add_problem(std::move(name), read_bindings(in, nbind));
     } else if (f[0] == "scaled") {
       if (f.size() != 4) in.fail("malformed scaled line");
       api::ScaledCase sc;
-      sc.nprocs = static_cast<int>(to_ll(in, f[1]));
-      const auto nbind = static_cast<std::size_t>(to_ll(in, f[2]));
-      sc.problem.name = in.take_bytes(static_cast<std::size_t>(to_ll(in, f[3])));
+      sc.nprocs = static_cast<int>(in.int_field(f[1]));
+      const auto nbind = static_cast<std::size_t>(in.int_field(f[2]));
+      sc.problem.name = in.take_bytes(static_cast<std::size_t>(in.int_field(f[3])));
       sc.problem.bindings = read_bindings(in, nbind);
       scaled.push_back(std::move(sc));
     } else if (f[0] == "end") {
@@ -286,7 +222,7 @@ std::string encode_plan(const api::ExperimentPlan& plan) {
 }
 
 api::ExperimentPlan decode_plan(std::string_view text) {
-  Reader in(text);
+  LineReader in = reader_of(text);
   api::ExperimentPlan plan = decode_plan_body(in);
   return plan;
 }
@@ -297,7 +233,7 @@ std::string encode_study(const study::StudyPlan& plan) {
   emit_str(out, "base", plan.base());
   for (const auto& axis : plan.family().axes()) {
     out += "axis " + std::to_string(static_cast<int>(axis.knob));
-    for (const double v : axis.values) out += " " + fnum(v);
+    for (const double v : axis.values) out += support::strfmt(" %.17g", v);
     out += '\n';
   }
   for (const auto& r : plan.reference_machines()) emit_str(out, "reference", r);
@@ -307,7 +243,7 @@ std::string encode_study(const study::StudyPlan& plan) {
 }
 
 study::StudyPlan decode_study(std::string_view text) {
-  Reader in(text);
+  LineReader in = reader_of(text);
   {
     const auto header = fields_of(in.next_line());
     if (header.size() != 2 || header[0] != "hpf90d-study") {
@@ -322,10 +258,10 @@ study::StudyPlan decode_study(std::string_view text) {
     if (f.empty()) in.fail("empty directive line");
     if (f[0] == "axis") {
       if (f.size() < 2) in.fail("malformed axis line");
-      const long long knob = to_ll(in, f[1]);
+      const long long knob = in.int_field(f[1]);
       if (knob < 0 || knob > 2) in.fail("unknown knob " + f[1]);
       std::vector<double> values;
-      for (std::size_t i = 2; i < f.size(); ++i) values.push_back(to_d(in, f[i]));
+      for (std::size_t i = 2; i < f.size(); ++i) values.push_back(in.double_field(f[i]));
       plan.knob_axis(static_cast<study::Knob>(knob), std::move(values));
     } else if (f[0] == "reference") {
       plan.add_reference_machine(read_str_payload(in, f, "reference"));
@@ -349,13 +285,13 @@ void emit_tapes(std::string& out, const api::CacheStats& c) {
                          c.value_tape_misses, c.value_tape_evictions, c.value_tape_bytes);
 }
 
-void read_tapes(Reader& in, api::CacheStats& c) {
+void read_tapes(LineReader& in, api::CacheStats& c) {
   const auto f = fields_of(in.next_line());
   if (f.size() != 5 || f[0] != "tapes") in.fail("expected tapes line");
-  c.value_tape_hits = static_cast<std::size_t>(to_ll(in, f[1]));
-  c.value_tape_misses = static_cast<std::size_t>(to_ll(in, f[2]));
-  c.value_tape_evictions = static_cast<std::size_t>(to_ll(in, f[3]));
-  c.value_tape_bytes = static_cast<std::size_t>(to_ll(in, f[4]));
+  c.value_tape_hits = static_cast<std::size_t>(in.int_field(f[1]));
+  c.value_tape_misses = static_cast<std::size_t>(in.int_field(f[2]));
+  c.value_tape_evictions = static_cast<std::size_t>(in.int_field(f[3]));
+  c.value_tape_bytes = static_cast<std::size_t>(in.int_field(f[4]));
 }
 
 }  // namespace
@@ -367,7 +303,7 @@ std::string encode_outcome(const JobOutcome& outcome) {
   out += std::string("kind ") + (outcome.is_study ? "study" : "plan") + '\n';
   emit_str(out, "title", outcome.title);
   emit_str(out, "error", outcome.error);
-  out += "wall " + fnum(outcome.wall_seconds) + '\n';
+  out += "wall " + support::format_g17(outcome.wall_seconds) + '\n';
   const api::CacheStats& c = outcome.cache;
   out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
                          c.compile_misses, c.layout_hits, c.layout_misses,
@@ -378,7 +314,7 @@ std::string encode_outcome(const JobOutcome& outcome) {
 }
 
 JobOutcome decode_outcome(std::string_view text) {
-  Reader in(text);
+  LineReader in = reader_of(text);
   {
     const auto header = fields_of(in.next_line());
     if (header.size() != 2 || header[0] != "hpf90d-result" || header[1] != "2") {
@@ -401,18 +337,18 @@ JobOutcome decode_outcome(std::string_view text) {
   {
     const auto f = fields_of(in.next_line());
     if (f.size() != 2 || f[0] != "wall") in.fail("expected wall line");
-    out.wall_seconds = to_d(in, f[1]);
+    out.wall_seconds = in.double_field(f[1]);
   }
   {
     const auto f = fields_of(in.next_line());
     if (f.size() != 8 || f[0] != "cache") in.fail("expected cache line");
-    out.cache.compile_hits = static_cast<std::size_t>(to_ll(in, f[1]));
-    out.cache.compile_misses = static_cast<std::size_t>(to_ll(in, f[2]));
-    out.cache.layout_hits = static_cast<std::size_t>(to_ll(in, f[3]));
-    out.cache.layout_misses = static_cast<std::size_t>(to_ll(in, f[4]));
-    out.cache.layout_evictions = static_cast<std::size_t>(to_ll(in, f[5]));
-    out.cache.layout_spill_hits = static_cast<std::size_t>(to_ll(in, f[6]));
-    out.cache.layout_capacity = static_cast<std::size_t>(to_ll(in, f[7]));
+    out.cache.compile_hits = static_cast<std::size_t>(in.int_field(f[1]));
+    out.cache.compile_misses = static_cast<std::size_t>(in.int_field(f[2]));
+    out.cache.layout_hits = static_cast<std::size_t>(in.int_field(f[3]));
+    out.cache.layout_misses = static_cast<std::size_t>(in.int_field(f[4]));
+    out.cache.layout_evictions = static_cast<std::size_t>(in.int_field(f[5]));
+    out.cache.layout_spill_hits = static_cast<std::size_t>(in.int_field(f[6]));
+    out.cache.layout_capacity = static_cast<std::size_t>(in.int_field(f[7]));
   }
   read_tapes(in, out.cache);
   out.body_csv = expect_str(in, "body");
@@ -454,7 +390,7 @@ std::string encode_stats(const ServerStats& s) {
 }
 
 ServerStats decode_stats(std::string_view text) {
-  Reader in(text);
+  LineReader in = reader_of(text);
   {
     const auto header = fields_of(in.next_line());
     if (header.size() != 2 || header[0] != "hpf90d-stats") {
@@ -467,50 +403,50 @@ ServerStats decode_stats(std::string_view text) {
   ServerStats s;
   const auto cache = fields_of(in.next_line());
   if (cache.size() != 8 || cache[0] != "cache") in.fail("expected cache line");
-  s.cache.compile_hits = static_cast<std::size_t>(to_ll(in, cache[1]));
-  s.cache.compile_misses = static_cast<std::size_t>(to_ll(in, cache[2]));
-  s.cache.layout_hits = static_cast<std::size_t>(to_ll(in, cache[3]));
-  s.cache.layout_misses = static_cast<std::size_t>(to_ll(in, cache[4]));
-  s.cache.layout_evictions = static_cast<std::size_t>(to_ll(in, cache[5]));
-  s.cache.layout_spill_hits = static_cast<std::size_t>(to_ll(in, cache[6]));
-  s.cache.layout_capacity = static_cast<std::size_t>(to_ll(in, cache[7]));
+  s.cache.compile_hits = static_cast<std::size_t>(in.int_field(cache[1]));
+  s.cache.compile_misses = static_cast<std::size_t>(in.int_field(cache[2]));
+  s.cache.layout_hits = static_cast<std::size_t>(in.int_field(cache[3]));
+  s.cache.layout_misses = static_cast<std::size_t>(in.int_field(cache[4]));
+  s.cache.layout_evictions = static_cast<std::size_t>(in.int_field(cache[5]));
+  s.cache.layout_spill_hits = static_cast<std::size_t>(in.int_field(cache[6]));
+  s.cache.layout_capacity = static_cast<std::size_t>(in.int_field(cache[7]));
   read_tapes(in, s.cache);
   const auto session = fields_of(in.next_line());
   if (session.size() != 4 || session[0] != "session") in.fail("expected session line");
-  s.cached_programs = static_cast<std::size_t>(to_ll(in, session[1]));
-  s.cached_layouts = static_cast<std::size_t>(to_ll(in, session[2]));
-  s.warmed_programs = static_cast<std::size_t>(to_ll(in, session[3]));
+  s.cached_programs = static_cast<std::size_t>(in.int_field(session[1]));
+  s.cached_layouts = static_cast<std::size_t>(in.int_field(session[2]));
+  s.warmed_programs = static_cast<std::size_t>(in.int_field(session[3]));
   const auto jobs = fields_of(in.next_line());
   if (jobs.size() != 5 || jobs[0] != "jobs") in.fail("expected jobs line");
-  s.jobs_submitted = static_cast<std::size_t>(to_ll(in, jobs[1]));
-  s.jobs_done = static_cast<std::size_t>(to_ll(in, jobs[2]));
-  s.jobs_failed = static_cast<std::size_t>(to_ll(in, jobs[3]));
-  s.jobs_cancelled = static_cast<std::size_t>(to_ll(in, jobs[4]));
+  s.jobs_submitted = static_cast<std::size_t>(in.int_field(jobs[1]));
+  s.jobs_done = static_cast<std::size_t>(in.int_field(jobs[2]));
+  s.jobs_failed = static_cast<std::size_t>(in.int_field(jobs[3]));
+  s.jobs_cancelled = static_cast<std::size_t>(in.int_field(jobs[4]));
   const auto spill = fields_of(in.next_line());
   if (spill.size() != 4 || spill[0] != "spill") in.fail("expected spill line");
-  s.spill_layouts_stored = static_cast<std::size_t>(to_ll(in, spill[1]));
-  s.spill_layouts_loaded = static_cast<std::size_t>(to_ll(in, spill[2]));
-  s.spill_programs_stored = static_cast<std::size_t>(to_ll(in, spill[3]));
+  s.spill_layouts_stored = static_cast<std::size_t>(in.int_field(spill[1]));
+  s.spill_layouts_loaded = static_cast<std::size_t>(in.int_field(spill[2]));
+  s.spill_programs_stored = static_cast<std::size_t>(in.int_field(spill[3]));
   const auto spilldir = fields_of(in.next_line());
   if (spilldir.size() != 3 || spilldir[0] != "spilldir") in.fail("expected spilldir line");
-  s.spill_dir_bytes = static_cast<std::uint64_t>(to_ull(in, spilldir[1]));
-  s.spill_dir_files = static_cast<std::uint64_t>(to_ull(in, spilldir[2]));
+  s.spill_dir_bytes = static_cast<std::uint64_t>(in.uint_field(spilldir[1]));
+  s.spill_dir_files = static_cast<std::uint64_t>(in.uint_field(spilldir[2]));
   const auto queue = fields_of(in.next_line());
   if (queue.size() != 4 || queue[0] != "queue") in.fail("expected queue line");
-  s.queue_depth = static_cast<std::size_t>(to_ll(in, queue[1]));
-  s.jobs_running = static_cast<std::size_t>(to_ll(in, queue[2]));
-  s.slow_jobs = static_cast<std::size_t>(to_ll(in, queue[3]));
+  s.queue_depth = static_cast<std::size_t>(in.int_field(queue[1]));
+  s.jobs_running = static_cast<std::size_t>(in.int_field(queue[2]));
+  s.slow_jobs = static_cast<std::size_t>(in.int_field(queue[3]));
   const auto batch = fields_of(in.next_line());
   if (batch.size() != 10 || batch[0] != "batch") in.fail("expected batch line");
-  s.jobs_coalesced = static_cast<std::size_t>(to_ll(in, batch[1]));
-  s.points_batched = static_cast<std::size_t>(to_ll(in, batch[2]));
-  s.points_scalar = static_cast<std::size_t>(to_ll(in, batch[3]));
-  s.points_replayed = static_cast<std::size_t>(to_ll(in, batch[4]));
-  s.batch_ir_visits = static_cast<std::uint64_t>(to_ll(in, batch[5]));
-  s.batch_lane_visits = static_cast<std::uint64_t>(to_ll(in, batch[6]));
-  s.lanes_evicted = static_cast<std::uint64_t>(to_ll(in, batch[7]));
-  s.lanes_refilled = static_cast<std::uint64_t>(to_ll(in, batch[8]));
-  s.simd_stripes = static_cast<std::uint64_t>(to_ll(in, batch[9]));
+  s.jobs_coalesced = static_cast<std::size_t>(in.int_field(batch[1]));
+  s.points_batched = static_cast<std::size_t>(in.int_field(batch[2]));
+  s.points_scalar = static_cast<std::size_t>(in.int_field(batch[3]));
+  s.points_replayed = static_cast<std::size_t>(in.int_field(batch[4]));
+  s.batch_ir_visits = static_cast<std::uint64_t>(in.int_field(batch[5]));
+  s.batch_lane_visits = static_cast<std::uint64_t>(in.int_field(batch[6]));
+  s.lanes_evicted = static_cast<std::uint64_t>(in.int_field(batch[7]));
+  s.lanes_refilled = static_cast<std::uint64_t>(in.int_field(batch[8]));
+  s.simd_stripes = static_cast<std::uint64_t>(in.int_field(batch[9]));
   return s;
 }
 

@@ -14,6 +14,8 @@
 
 #include "serve/wire.hpp"
 #include "study/study_plan.hpp"
+#include "support/codec.hpp"
+#include "support/text.hpp"
 
 namespace hpf90d::serve {
 
@@ -21,13 +23,7 @@ namespace {
 
 /// Parses a decimal job id; 0 (never issued) on malformed input.
 std::uint64_t parse_job_id(const std::string& payload) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t id = std::stoull(payload, &used);
-    if (used == payload.size()) return id;
-  } catch (const std::exception&) {
-  }
-  return 0;
+  return support::parse_uint(payload).value_or(0);
 }
 
 }  // namespace
@@ -396,28 +392,20 @@ void ExperimentServer::stream_stats(int fd, const std::string& request) {
   // change: the daemon still samples `count` times at the interval, but a
   // snapshot is only written when its activity counters (queue occupancy,
   // job terminals, batch telemetry) moved since the last pushed one.
-  std::uint64_t count = 0;
-  std::uint64_t interval_ms = 0;
-  bool on_change = false;
-  {
-    std::size_t used = 0;
-    try {
-      count = std::stoull(request, &used);
-      std::size_t used2 = 0;
-      const std::string rest = request.substr(used);
-      interval_ms = std::stoull(rest, &used2);
-      std::string flag = rest.substr(used2);
-      flag.erase(0, flag.find_first_not_of(' '));
-      if (flag == "changed") {
-        on_change = true;
-      } else if (!flag.empty()) {
-        throw std::invalid_argument("unknown stats stream flag");
-      }
-    } catch (const std::exception&) {
-      write_frame(fd, Frame{MsgType::Error, "malformed stats stream request"});
-      return;
-    }
+  std::vector<std::string> words;
+  for (auto& w : support::split(request, ' ')) {
+    if (!w.empty()) words.push_back(std::move(w));
   }
+  const bool on_change = words.size() == 3 && words[2] == "changed";
+  const bool shaped = words.size() == (on_change ? 3u : 2u);
+  const auto requested_count = shaped ? support::parse_uint(words[0]) : std::nullopt;
+  const auto requested_interval = shaped ? support::parse_uint(words[1]) : std::nullopt;
+  if (!requested_count || !requested_interval) {
+    write_frame(fd, Frame{MsgType::Error, "malformed stats stream request"});
+    return;
+  }
+  const std::uint64_t count = *requested_count;
+  const std::uint64_t interval_ms = *requested_interval;
   if (count < 1 || count > 1000 || interval_ms > 10000) {
     write_frame(fd, Frame{MsgType::Error, "stats stream bounds: count 1..1000, interval <= 10000ms"});
     return;

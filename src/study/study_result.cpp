@@ -1,7 +1,5 @@
 #include "study/study_result.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -9,6 +7,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "support/codec.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -16,15 +15,11 @@ namespace hpf90d::study {
 
 namespace {
 
+using support::csv_field;
+
 constexpr const char* kCsvHeader =
     "machine,variant,problem,nprocs,measured,estimated,measured_mean,"
     "measured_min,measured_max,measured_stddev,comp,comm,overhead,wait";
-
-std::string csv_field(const std::string& s) {
-  std::string out = s;
-  std::replace(out.begin(), out.end(), ',', ';');
-  return out;
-}
 
 /// First-appearance orders of the sweep axes plus a point lookup — the
 /// shared scaffolding of every analysis pass.
@@ -100,170 +95,6 @@ void scan_pair(const SweepIndex& ix, std::string_view axis, std::string_view a_n
     prev_b = tb;
   }
 }
-
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        // RFC 8259 forbids raw control characters inside strings.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += support::strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string jnum(double v) { return support::strfmt("%.17g", v); }
-
-/// Strict CSV numeric parsing: the whole cell must be a number, and range
-/// errors surface as the documented std::invalid_argument (bare std::stod
-/// would throw std::out_of_range and accept trailing junk).
-double csv_double(const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("StudyResult::from_csv: malformed number \"" + cell +
-                              "\"");
-}
-
-int csv_int(const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("StudyResult::from_csv: malformed integer \"" + cell +
-                              "\"");
-}
-
-// --- a minimal JSON reader for the schema json() emits -----------------------
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'u': {
-            // json_escape only emits \u00xx for control bytes; accept the
-            // full ASCII range and reject anything wider.
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("malformed \\u escape");
-            }
-            if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-            c = static_cast<char>(code);
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == 'i' ||
-            text_[pos_] == 'n' || text_[pos_] == 'f' || text_[pos_] == 'a')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    try {
-      return std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return 0;  // unreachable
-  }
-
-  [[nodiscard]] bool boolean() {
-    skip_ws();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected boolean");
-    return false;  // unreachable
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  void end() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("StudyResult::from_json: " + why + " at offset " +
-                                std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -541,69 +372,58 @@ std::string StudyResult::csv() const {
 }
 
 StudyResult StudyResult::from_csv(std::string_view text) {
+  support::LineReader in(text, "StudyResult::from_csv",
+                         support::raise<std::invalid_argument>);
   StudyResult result;
   bool saw_header = false;
   bool saw_study_line = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = support::trim(text.substr(pos, eol - pos));
-    pos = eol + 1;
+  while (!in.at_end()) {
+    const std::string_view line = support::trim(in.next_line());
     if (line.empty()) continue;
     if (line.front() == '#') {
       const auto cells = support::split(support::trim(line.substr(1)), ',');
       if (cells.empty()) continue;
       if (cells[0] == "study") {
-        if (cells.size() != 3) {
-          throw std::invalid_argument("StudyResult::from_csv: malformed study line");
-        }
+        if (cells.size() != 3) in.fail("malformed study line");
         result.title = cells[1];
         result.base_machine = cells[2];
         saw_study_line = true;
       } else if (cells[0] == "machine_point") {
-        if (cells.size() != 5) {
-          throw std::invalid_argument(
-              "StudyResult::from_csv: malformed machine_point line");
-        }
+        if (cells.size() != 5) in.fail("malformed machine_point line");
         MachinePoint pt;
         pt.name = cells[1];
-        pt.params.latency_scale = csv_double(cells[2]);
-        pt.params.bandwidth_scale = csv_double(cells[3]);
-        pt.params.cpu_scale = csv_double(cells[4]);
+        pt.params.latency_scale = in.double_field(cells[2]);
+        pt.params.bandwidth_scale = in.double_field(cells[3]);
+        pt.params.cpu_scale = in.double_field(cells[4]);
         result.machine_points.push_back(std::move(pt));
       }
       continue;
     }
     if (!saw_header) {
-      if (line != kCsvHeader) {
-        throw std::invalid_argument("StudyResult::from_csv: unrecognized header: " +
-                                    std::string(line));
-      }
+      if (line != kCsvHeader) in.fail("unrecognized header: " + std::string(line));
       saw_header = true;
       continue;
     }
     const auto cells = support::split(line, ',');
     if (cells.size() != 14) {
-      throw std::invalid_argument("StudyResult::from_csv: expected 14 fields, got " +
-                                  std::to_string(cells.size()) + " in: " +
-                                  std::string(line));
+      in.fail("expected 14 fields, got " + std::to_string(cells.size()) + " in: " +
+              std::string(line));
     }
     api::RunRecord r;
     r.machine = cells[0];
     r.variant = cells[1];
     r.problem = cells[2];
-    r.nprocs = csv_int(cells[3]);
-    r.measured = csv_int(cells[4]) != 0;
-    r.comparison.estimated = csv_double(cells[5]);
-    r.comparison.measured_mean = csv_double(cells[6]);
-    r.comparison.measured_min = csv_double(cells[7]);
-    r.comparison.measured_max = csv_double(cells[8]);
-    r.comparison.measured_stddev = csv_double(cells[9]);
-    r.phases.comp = csv_double(cells[10]);
-    r.phases.comm = csv_double(cells[11]);
-    r.phases.overhead = csv_double(cells[12]);
-    r.phases.wait = csv_double(cells[13]);
+    r.nprocs = static_cast<int>(in.int_field(cells[3], INT_MIN, INT_MAX));
+    r.measured = in.int_field(cells[4], INT_MIN, INT_MAX) != 0;
+    r.comparison.estimated = in.double_field(cells[5]);
+    r.comparison.measured_mean = in.double_field(cells[6]);
+    r.comparison.measured_min = in.double_field(cells[7]);
+    r.comparison.measured_max = in.double_field(cells[8]);
+    r.comparison.measured_stddev = in.double_field(cells[9]);
+    r.phases.comp = in.double_field(cells[10]);
+    r.phases.comm = in.double_field(cells[11]);
+    r.phases.overhead = in.double_field(cells[12]);
+    r.phases.wait = in.double_field(cells[13]);
     result.report.records.push_back(std::move(r));
   }
   if (!saw_study_line || !saw_header) {
@@ -616,18 +436,18 @@ StudyResult StudyResult::from_csv(std::string_view text) {
 std::string StudyResult::json() const {
   std::string out = "{\n";
   out += "  \"title\": \"";
-  json_escape(out, title);
+  out += support::json_escape(title);
   out += "\",\n  \"base_machine\": \"";
-  json_escape(out, base_machine);
+  out += support::json_escape(base_machine);
   out += "\",\n  \"machine_points\": [";
   for (std::size_t i = 0; i < machine_points.size(); ++i) {
     const MachinePoint& pt = machine_points[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": \"";
-    json_escape(out, pt.name);
-    out += "\", \"latency_scale\": " + jnum(pt.params.latency_scale) +
-           ", \"bandwidth_scale\": " + jnum(pt.params.bandwidth_scale) +
-           ", \"cpu_scale\": " + jnum(pt.params.cpu_scale) + "}";
+    out += support::json_escape(pt.name);
+    out += "\", \"latency_scale\": " + support::format_g17(pt.params.latency_scale) +
+           ", \"bandwidth_scale\": " + support::format_g17(pt.params.bandwidth_scale) +
+           ", \"cpu_scale\": " + support::format_g17(pt.params.cpu_scale) + "}";
   }
   out += machine_points.empty() ? "],\n" : "\n  ],\n";
   out += "  \"records\": [";
@@ -635,21 +455,22 @@ std::string StudyResult::json() const {
     const api::RunRecord& r = report.records[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"machine\": \"";
-    json_escape(out, r.machine);
+    out += support::json_escape(r.machine);
     out += "\", \"variant\": \"";
-    json_escape(out, r.variant);
+    out += support::json_escape(r.variant);
     out += "\", \"problem\": \"";
-    json_escape(out, r.problem);
+    out += support::json_escape(r.problem);
     out += "\", \"nprocs\": " + std::to_string(r.nprocs) +
            ", \"measured\": " + (r.measured ? "true" : "false") +
-           ", \"estimated\": " + jnum(r.comparison.estimated) +
-           ", \"measured_mean\": " + jnum(r.comparison.measured_mean) +
-           ", \"measured_min\": " + jnum(r.comparison.measured_min) +
-           ", \"measured_max\": " + jnum(r.comparison.measured_max) +
-           ", \"measured_stddev\": " + jnum(r.comparison.measured_stddev) +
-           ", \"comp\": " + jnum(r.phases.comp) + ", \"comm\": " + jnum(r.phases.comm) +
-           ", \"overhead\": " + jnum(r.phases.overhead) +
-           ", \"wait\": " + jnum(r.phases.wait) + "}";
+           ", \"estimated\": " + support::format_g17(r.comparison.estimated) +
+           ", \"measured_mean\": " + support::format_g17(r.comparison.measured_mean) +
+           ", \"measured_min\": " + support::format_g17(r.comparison.measured_min) +
+           ", \"measured_max\": " + support::format_g17(r.comparison.measured_max) +
+           ", \"measured_stddev\": " + support::format_g17(r.comparison.measured_stddev) +
+           ", \"comp\": " + support::format_g17(r.phases.comp) +
+           ", \"comm\": " + support::format_g17(r.phases.comm) +
+           ", \"overhead\": " + support::format_g17(r.phases.overhead) +
+           ", \"wait\": " + support::format_g17(r.phases.wait) + "}";
   }
   out += report.records.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
@@ -658,7 +479,7 @@ std::string StudyResult::json() const {
 
 StudyResult StudyResult::from_json(std::string_view text) {
   StudyResult result;
-  JsonReader in(text);
+  support::JsonReader in(text, "StudyResult::from_json");
   in.expect('{');
   bool first_key = true;
   while (!in.consume('}')) {
@@ -705,7 +526,7 @@ StudyResult StudyResult::from_json(std::string_view text) {
           if (field == "machine") r.machine = in.string();
           else if (field == "variant") r.variant = in.string();
           else if (field == "problem") r.problem = in.string();
-          else if (field == "nprocs") r.nprocs = static_cast<int>(in.number());
+          else if (field == "nprocs") r.nprocs = in.int_number();
           else if (field == "measured") r.measured = in.boolean();
           else if (field == "estimated") r.comparison.estimated = in.number();
           else if (field == "measured_mean") r.comparison.measured_mean = in.number();

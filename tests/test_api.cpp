@@ -850,6 +850,17 @@ TEST(RunReport, CsvRejectsMalformedInput) {
   EXPECT_THROW((void)api::RunReport::from_csv(good + "short,row\n"),
                std::invalid_argument);
   EXPECT_NO_THROW((void)api::RunReport::from_csv(good));
+  // every numeric cell is read whole: trailing junk and out-of-range values
+  // are the documented invalid_argument, never a silent prefix or
+  // std::out_of_range
+  for (const char* row : {"m,v,p,8abc,1,1.5,0,0,0,0\n", "m,v,p,8,1,1.5xyz,0,0,0,0\n",
+                          "m,v,p,8,1,1e999,0,0,0,0\n", "m,v,p,99999999999,1,1.5,0,0,0,0\n"}) {
+    EXPECT_THROW((void)api::RunReport::from_csv(good + row), std::invalid_argument) << row;
+  }
+  const api::RunReport ok = api::RunReport::from_csv(good + "m,v,p,8,1,1.5,0,0,0,0\n");
+  ASSERT_EQ(ok.records.size(), 1u);
+  EXPECT_EQ(ok.records[0].nprocs, 8);
+  EXPECT_EQ(ok.records[0].comparison.estimated, 1.5);
 }
 
 TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {

@@ -381,6 +381,15 @@ TEST(RunReportJson, MalformedInputThrows) {
   std::string renamed = good;
   renamed.replace(renamed.find("\"wall_seconds\""), 14, "\"wall_secondz\"");
   EXPECT_THROW((void)api::RunReport::from_json(renamed), std::invalid_argument);
+  // nprocs is a strict integer in int range: no double conversion of 1e300
+  // (undefined behaviour), no fraction
+  const std::size_t at = good.find("\"nprocs\":") + 9;
+  const std::size_t len = good.find(',', at) - at;
+  for (const char* bad : {"1e300", "99999999999", "2.5"}) {
+    std::string text = good;
+    text.replace(at, len, bad);
+    EXPECT_THROW((void)api::RunReport::from_json(text), std::invalid_argument) << bad;
+  }
 }
 
 // --- tracing must not perturb results -----------------------------------------

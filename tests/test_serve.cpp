@@ -13,6 +13,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,8 @@
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "study/study_plan.hpp"
+#include "suite/suite.hpp"
+#include "support/text.hpp"
 
 namespace hpf90d {
 namespace {
@@ -551,6 +555,49 @@ TEST(ArtifactStore, LayoutRoundTripsThroughDisk) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(compiler::serialize_layout(*loaded), compiler::serialize_layout(layout));
   EXPECT_FALSE(store.load_layout("some-other-key").has_value());
+  fs::remove_all(root);
+}
+
+TEST(ArtifactStore, CorruptSpilledLayoutIsRebuiltNotLoaded) {
+  // A spilled BLOCK layout whose block size reads 0 used to load and then
+  // divide by zero in the first measured run that used it.
+  const std::string root = scratch_path("store");
+  const auto& app = suite::app("pi");
+  api::ExperimentPlan plan("corrupt spill");
+  plan.source(app.source).nprocs({4}).problems_from({256}, app.bindings).runs(2);
+  std::string fresh_csv;
+  {
+    api::Session session;
+    session.set_artifact_spill(std::make_shared<serve::ArtifactStore>(root));
+    fresh_csv = session.run(plan).csv();
+  }
+  std::size_t corrupted = 0;
+  for (const auto& entry : fs::directory_iterator(fs::path(root) / "layouts")) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    in.close();
+    // "dim\t0\t..." is a BLOCK dimension; its last field is the block size
+    std::string out;
+    for (std::string line : support::split(text, '\n')) {
+      if (line.rfind("dim\t0\t", 0) == 0) {
+        line.resize(line.rfind('\t') + 1);
+        line += '0';
+        ++corrupted;
+      }
+      out += line;
+      out += '\n';
+    }
+    out.pop_back();  // split() saw the final newline as one more empty line
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc) << out;
+  }
+  ASSERT_GT(corrupted, 0u);
+
+  api::Session session;
+  session.set_artifact_spill(std::make_shared<serve::ArtifactStore>(root));
+  const api::RunReport rebuilt = session.run(plan);
+  EXPECT_EQ(rebuilt.cache.layout_spill_hits, 0u);
+  EXPECT_GT(rebuilt.cache.layout_misses, 0u);
+  EXPECT_EQ(rebuilt.csv(), fresh_csv);
   fs::remove_all(root);
 }
 

@@ -397,6 +397,17 @@ TEST(StudyResult, ParsersRejectMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)study::StudyResult::from_json("{\"title\": \"x\"} trailing"),
                std::invalid_argument);
+  // nprocs is a strict integer in int range (1e300 used to convert to int
+  // with undefined behaviour)
+  for (const char* bad : {"1e300", "99999999999", "2.5"}) {
+    const std::string text =
+        std::string("{\"records\": [{\"machine\": \"m\", \"nprocs\": ") + bad + "}]}";
+    EXPECT_THROW((void)study::StudyResult::from_json(text), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(study::StudyResult::from_json("{\"records\": [{\"nprocs\": 8}]}")
+                .report.records.at(0)
+                .nprocs,
+            8);
 }
 
 // --- weak-scaling axis --------------------------------------------------------

@@ -3,12 +3,18 @@
 // abstraction (§7 extension).
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "core/engine.hpp"
 #include "compiler/pipeline.hpp"
 #include "driver/report.hpp"
 #include "machine/cluster.hpp"
 #include "machine/ipsc860.hpp"
 #include "suite/suite.hpp"
+#include "support/codec.hpp"
 #include "support/diagnostics.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
@@ -64,6 +70,166 @@ TEST(Text, Formatters) {
   EXPECT_EQ(support::format_bytes(512), "512 B");
   EXPECT_EQ(support::format_bytes(2048), "2.00 KB");
   EXPECT_EQ(support::strfmt("%d-%s", 4, "x"), "4-x");
+}
+
+// --- codec: the shared field parsers and readers -------------------------------
+
+TEST(Codec, IntegerFieldsAreReadWhole) {
+  EXPECT_EQ(support::parse_int("42"), 42);
+  EXPECT_EQ(support::parse_int("-7"), -7);
+  EXPECT_EQ(support::parse_int("+7"), 7);  // as std::stoll
+  EXPECT_EQ(support::parse_int("9223372036854775807"), LLONG_MAX);
+  for (const char* bad : {"", "-", "8abc", "4x", "1.5", "1e3", "abc", " ", "9223372036854775808",
+                          "-9223372036854775809"}) {
+    EXPECT_FALSE(support::parse_int(bad).has_value()) << '"' << bad << '"';
+  }
+  // an embedded NUL is a trailing byte, not the end of the field
+  EXPECT_FALSE(support::parse_int(std::string_view("12\0" "3", 4)).has_value());
+  // bounds are inclusive
+  EXPECT_EQ(support::parse_int("2147483647", INT_MIN, INT_MAX), INT_MAX);
+  EXPECT_FALSE(support::parse_int("2147483648", INT_MIN, INT_MAX).has_value());
+  EXPECT_FALSE(support::parse_int("99999999999", INT_MIN, INT_MAX).has_value());
+  EXPECT_FALSE(support::parse_int("0", 1, 10).has_value());
+  // long fields take the heap path and are still read whole
+  EXPECT_EQ(support::parse_int(std::string(80, '0') + "5"), 5);
+  EXPECT_FALSE(support::parse_int(std::string(80, '0') + "5x").has_value());
+}
+
+TEST(Codec, UnsignedFieldsRejectAMinusSign) {
+  EXPECT_EQ(support::parse_uint("18446744073709551615"), ULLONG_MAX);
+  EXPECT_EQ(support::parse_uint("0"), 0u);
+  for (const char* bad : {"-1", " -1", "-0", "18446744073709551616", "1-", "7z", ""}) {
+    EXPECT_FALSE(support::parse_uint(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(Codec, DoubleFieldsRoundTripTheG17Writer) {
+  for (const double v : {0.0, -0.0, 1.5, 0.1, 1e-300, 6.02214076e23, -2.5e-7,
+                         std::numeric_limits<double>::max()}) {
+    const std::string text = support::format_g17(v);
+    ASSERT_TRUE(support::parse_double(text).has_value()) << text;
+    EXPECT_EQ(*support::parse_double(text), v) << text;
+  }
+  // the %.17g writers emit inf and nan; they must read back
+  EXPECT_EQ(support::parse_double(support::format_g17(HUGE_VAL)), HUGE_VAL);
+  EXPECT_TRUE(std::isnan(*support::parse_double(support::format_g17(std::nan("")))));
+  for (const char* bad : {"", "1.5xyz", "12abc", "1e999", "-1e999", "x1", "1.5 ", "."}) {
+    EXPECT_FALSE(support::parse_double(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(Codec, JsonEscapeAndCsvField) {
+  EXPECT_EQ(support::json_escape("a\"b\\c\nd\te\x01"), "a\\\"b\\\\c\\nd\\te\\u0001");
+  EXPECT_EQ(support::csv_field("a,b,c"), "a;b;c");
+}
+
+TEST(Codec, LineReaderLinesAndPayloads) {
+  support::LineReader in("head 1\n5\nhello\nlast", "test",
+                         support::raise<std::invalid_argument>);
+  EXPECT_EQ(in.next_line(), "head 1");
+  EXPECT_EQ(in.take_bytes(static_cast<std::size_t>(in.int_field(in.next_line()))), "hello");
+  EXPECT_EQ(in.next_line(), "last");  // the final line may omit its newline
+  EXPECT_TRUE(in.at_end());
+  EXPECT_THROW((void)in.next_line(), std::invalid_argument);
+}
+
+TEST(Codec, LineReaderBoundsNeverWrap) {
+  const auto reader = [](std::string_view text) {
+    return support::LineReader(text, "test", support::raise<std::invalid_argument>);
+  };
+  // a payload length past the end, up to SIZE_MAX, is a truncation
+  for (const std::size_t n : {std::size_t{6}, std::size_t{1} << 40,
+                              std::numeric_limits<std::size_t>::max()}) {
+    auto in = reader("abcde");
+    EXPECT_THROW((void)in.take_bytes(n), std::invalid_argument) << n;
+  }
+  auto exact = reader("abcde");
+  EXPECT_EQ(exact.take_bytes(5), "abcde");  // the end of the text terminates
+  EXPECT_TRUE(exact.at_end());
+  auto unterminated = reader("abcdeX");
+  EXPECT_THROW((void)unterminated.take_bytes(5), std::invalid_argument);
+  // failures carry the caller's context, the reason and the offset, in the
+  // caller's error type
+  auto in = reader("x\n");
+  (void)in.next_line();
+  try {
+    (void)in.int_field("4x");
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "test: malformed integer \"4x\" at offset 2");
+  }
+  EXPECT_THROW((void)in.int_field("5", 1, 4), std::invalid_argument);
+  EXPECT_THROW((void)in.uint_field("-1"), std::invalid_argument);
+  EXPECT_THROW((void)in.double_field("1e999"), std::invalid_argument);
+  support::LineReader codec("", "codec", support::raise<std::runtime_error>);
+  EXPECT_THROW((void)codec.next_line(), std::runtime_error);
+}
+
+TEST(Codec, JsonReaderReadsTheWritersSubset) {
+  support::JsonReader in(
+      R"({"s": "a\"b\\c\nA", "d": -1.5e-3, "u": 18446744073709551615, "i": -7,)"
+      R"( "b": [true, false]} )",
+      "Doc");
+  in.expect('{');
+  in.key("s");
+  EXPECT_EQ(in.string(), "a\"b\\c\nA");
+  in.expect(',');
+  in.key("d");
+  EXPECT_EQ(in.number(), -1.5e-3);
+  in.expect(',');
+  in.key("u");
+  EXPECT_EQ(in.unsigned_number(), std::numeric_limits<std::uint64_t>::max());
+  in.expect(',');
+  EXPECT_EQ(in.string(), "i");  // the order-free form: string() then ':'
+  in.expect(':');
+  EXPECT_EQ(in.int_number(), -7);
+  in.expect(',');
+  in.key("b");
+  in.expect('[');
+  EXPECT_TRUE(in.boolean());
+  EXPECT_TRUE(in.consume(','));
+  EXPECT_FALSE(in.boolean());
+  EXPECT_FALSE(in.consume(','));
+  in.expect(']');
+  in.expect('}');
+  in.end();
+}
+
+TEST(Codec, JsonReaderFailsLoudlyWithItsContext) {
+  const auto fails = [](const std::string& text, void (*read)(support::JsonReader&)) {
+    support::JsonReader in(text, "Doc");
+    try {
+      read(in);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(fails(R"({"x":1})", [](support::JsonReader& in) {
+              in.expect('{');
+              in.key("y");
+            }),
+            "Doc: expected key \"y\", got \"x\" at offset 4");
+  EXPECT_EQ(fails("1e300", [](support::JsonReader& in) { (void)in.int_number(); }),
+            "Doc: malformed integer at offset 5");
+  EXPECT_EQ(fails("2.5", [](support::JsonReader& in) { (void)in.int_number(); }),
+            "Doc: malformed integer at offset 3");
+  EXPECT_EQ(fails("1.5e", [](support::JsonReader& in) { (void)in.number(); }),
+            "Doc: malformed number at offset 4");
+  EXPECT_EQ(fails("-3", [](support::JsonReader& in) { (void)in.unsigned_number(); }),
+            "Doc: malformed unsigned integer at offset 2");
+  EXPECT_EQ(fails(R"("\u00e9")", [](support::JsonReader& in) { (void)in.string(); }),
+            "Doc: non-ASCII \\u escape unsupported at offset 7");
+  EXPECT_EQ(fails(R"("\u00)", [](support::JsonReader& in) { (void)in.string(); }),
+            "Doc: truncated \\u escape at offset 3");
+  EXPECT_EQ(fails(R"("abc)", [](support::JsonReader& in) { (void)in.string(); }),
+            "Doc: unterminated string at offset 4");
+  EXPECT_EQ(fails("{} x", [](support::JsonReader& in) {
+              in.expect('{');
+              in.expect('}');
+              in.end();
+            }),
+            "Doc: trailing bytes after document at offset 3");
 }
 
 TEST(Table, AlignmentAndRules) {

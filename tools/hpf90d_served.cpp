@@ -17,6 +17,7 @@
 // JSON at shutdown — open it in chrome://tracing or Perfetto.
 // --slow-job-ms N logs jobs whose sweep takes >= N ms (client-visible via
 // STATS; see the README's Observability section).
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -25,8 +26,11 @@
 #include <thread>
 
 #include "serve/server.hpp"
+#include "support/codec.hpp"
 
 namespace {
+
+namespace support = hpf90d::support;
 
 volatile std::sig_atomic_t g_signalled = 0;
 
@@ -68,51 +72,53 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--socket") == 0) {
+    // Each setter reads the flag's value; a missing or malformed one is a
+    // usage error.
+    const auto text_flag = [&](std::string& out) {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.socket_path = v;
-    } else if (std::strcmp(argv[i], "--artifacts") == 0) {
+      if (v != nullptr) out = v;
+      return v != nullptr;
+    };
+    const auto int_flag = [&](int& out) {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.artifact_dir = v;
-    } else if (std::strcmp(argv[i], "--executors") == 0) {
+      const auto n = v != nullptr ? support::parse_int(v, INT_MIN, INT_MAX) : std::nullopt;
+      if (n) out = static_cast<int>(*n);
+      return n.has_value();
+    };
+    const auto size_flag = [&](std::size_t& out) {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.executors = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--job-workers") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.job_workers = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--max-nodes") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.max_nodes = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--tenant-inflight") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.tenant_inflight = static_cast<std::size_t>(std::atoll(v));
-    } else if (std::strcmp(argv[i], "--tenant-queue") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.tenant_queued = static_cast<std::size_t>(std::atoll(v));
-    } else if (std::strcmp(argv[i], "--slow-job-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.slow_job_ms = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--no-trace") == 0) {
+      const auto n = v != nullptr ? support::parse_uint(v) : std::nullopt;
+      if (n) out = static_cast<std::size_t>(*n);
+      return n.has_value();
+    };
+    const char* flag = argv[i];
+    bool ok = true;
+    if (std::strcmp(flag, "--socket") == 0) {
+      ok = text_flag(options.socket_path);
+    } else if (std::strcmp(flag, "--artifacts") == 0) {
+      ok = text_flag(options.artifact_dir);
+    } else if (std::strcmp(flag, "--executors") == 0) {
+      ok = int_flag(options.executors);
+    } else if (std::strcmp(flag, "--job-workers") == 0) {
+      ok = int_flag(options.job_workers);
+    } else if (std::strcmp(flag, "--max-nodes") == 0) {
+      ok = int_flag(options.max_nodes);
+    } else if (std::strcmp(flag, "--tenant-inflight") == 0) {
+      ok = size_flag(options.tenant_inflight);
+    } else if (std::strcmp(flag, "--tenant-queue") == 0) {
+      ok = size_flag(options.tenant_queued);
+    } else if (std::strcmp(flag, "--slow-job-ms") == 0) {
+      ok = int_flag(options.slow_job_ms);
+    } else if (std::strcmp(flag, "--no-trace") == 0) {
       options.trace = false;
-    } else if (std::strcmp(argv[i], "--trace-capacity") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.trace_capacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      trace_path = v;
+    } else if (std::strcmp(flag, "--trace-capacity") == 0) {
+      ok = size_flag(options.trace_capacity);
+    } else if (std::strcmp(flag, "--trace") == 0) {
+      ok = text_flag(trace_path);
     } else {
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
   if (options.socket_path.empty()) return usage(argv[0]);
   if (!trace_path.empty()) options.trace = true;  // a requested dump implies tracing

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -43,6 +42,8 @@
 #include "api/api.hpp"
 #include "study/study.hpp"
 #include "suite/suite.hpp"
+#include "support/codec.hpp"
+#include "support/text.hpp"
 
 namespace {
 
@@ -131,12 +132,6 @@ struct PredictRow {
   std::vector<double> values;
 };
 
-std::string fmt_g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 /// The detailed predictions of the --predict gate, in a fixed order. Any
 /// change here must ship with a regenerated artifact.
 std::vector<PredictRow> run_predict_rows() {
@@ -204,7 +199,7 @@ std::string predict_csv(const std::vector<PredictRow>& rows) {
     out += r.key;
     for (std::size_t i = 0; i < 5; ++i) {
       out += ',';
-      if (i < r.values.size()) out += fmt_g17(r.values[i]);
+      if (i < r.values.size()) out += support::format_g17(r.values[i]);
     }
     out += '\n';
   }
@@ -214,26 +209,22 @@ std::string predict_csv(const std::vector<PredictRow>& rows) {
 /// Parses a --predict artifact back into rows; std::nullopt on a malformed
 /// file.
 std::optional<std::vector<PredictRow>> parse_predict_csv(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kPredictHeader) return std::nullopt;
+  std::vector<std::string> lines = support::split(text, '\n');
+  if (!lines.empty() && lines.back().empty()) lines.pop_back();  // final newline
+  if (lines.empty() || lines.front() != kPredictHeader) return std::nullopt;
   std::vector<PredictRow> rows;
-  while (std::getline(in, line)) {
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t comma = line.find(',', start);
-      fields.push_back(line.substr(start, comma - start));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
+  for (std::size_t l = 1; l < lines.size(); ++l) {
+    const std::vector<std::string> fields = support::split(lines[l], ',');
     if (fields.size() != kPredictKeyFields + 5) return std::nullopt;
     PredictRow row;
     for (std::size_t i = 0; i < kPredictKeyFields; ++i) {
       row.key += (i == 0 ? "" : ",") + fields[i];
     }
     for (std::size_t i = kPredictKeyFields; i < fields.size(); ++i) {
-      if (!fields[i].empty()) row.values.push_back(std::strtod(fields[i].c_str(), nullptr));
+      if (fields[i].empty()) continue;
+      const auto v = support::parse_double(fields[i]);
+      if (!v) return std::nullopt;
+      row.values.push_back(*v);
     }
     rows.push_back(std::move(row));
   }
@@ -256,8 +247,8 @@ std::size_t check_predict(const std::vector<PredictRow>& golden,
     if (same) continue;
     if (++bad <= 20) {
       std::fprintf(stderr, "row %zu: golden %s%s | current %s%s\n", i + 2, g.key.c_str(),
-                   g.values.empty() ? "" : fmt_g17(g.values[0]).c_str(), c.key.c_str(),
-                   c.values.empty() ? "" : fmt_g17(c.values[0]).c_str());
+                   g.values.empty() ? "" : support::format_g17(g.values[0]).c_str(), c.key.c_str(),
+                   c.values.empty() ? "" : support::format_g17(c.values[0]).c_str());
     }
   }
   return bad + std::max(golden.size(), current.size()) - n;
@@ -271,6 +262,13 @@ int main(int argc, char** argv) {
   bool table2 = false;
   bool predict = false;
   double threshold = 0.05;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--table2|--predict] --check golden.csv [--threshold 0.05] "
+                 "| [--table2|--predict] --write golden.csv\n",
+                 argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--write") == 0 && i + 1 < argc) {
       write = true;
@@ -278,17 +276,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
       path = argv[++i];
     } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
+      const auto v = support::parse_double(argv[++i]);
+      if (!v) return usage();
+      threshold = *v;
     } else if (std::strcmp(argv[i], "--table2") == 0) {
       table2 = true;
     } else if (std::strcmp(argv[i], "--predict") == 0) {
       predict = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--table2|--predict] --check golden.csv [--threshold 0.05] "
-                   "| [--table2|--predict] --write golden.csv\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   if (path == nullptr) {
