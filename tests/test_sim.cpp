@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -19,7 +20,9 @@
 #include "sim/simulator.hpp"
 #include "sim/values.hpp"
 #include "suite/suite.hpp"
+#include "support/codec.hpp"
 #include "support/diagnostics.hpp"
+#include "support/text.hpp"
 
 namespace hpf90d {
 namespace {
@@ -972,6 +975,247 @@ TEST(Executor, ScalarsReportedForValidation) {
   // after the level loop ii has halved log2(128)=7 times: 128 -> 1
   ASSERT_TRUE(r.detail.scalars.contains("ii"));
   EXPECT_DOUBLE_EQ(r.detail.scalars.at("ii"), 1.0);
+}
+
+// --- functional pass pins -------------------------------------------------------
+//
+// The functional pass's whole output — every tape word, printed value and
+// final scalar — pinned by an FNV-1a digest per suite app at its two
+// smallest Table 2 sizes. The constants were taken from the tree-walking
+// evaluator the bytecode replaced; a change to any of them is a change to
+// what the simulator measures.
+
+std::uint64_t tape_digest(const sim::ValueTape& tape) {
+  std::string text;
+  for (const long long w : tape.words) text += std::to_string(w) + ',';
+  text += '|';
+  for (const auto& [name, value] : tape.printed) {
+    text += name + '=' + support::format_g17(value) + ';';
+  }
+  text += '|';
+  for (const auto& [name, value] : tape.scalars) {
+    text += name + '=' + support::format_g17(value) + ';';
+  }
+  return support::fnv1a64(text);
+}
+
+sim::ValueTape record_tape(const compiler::CompiledProgram& prog,
+                           const front::Bindings& bindings) {
+  const compiler::DataLayout layout =
+      compiler::make_layout(prog, bindings, compiler::LayoutOptions{1, {}});
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::Executor executor(prog, layout, machine, sim::SimOptions{}, bindings);
+  sim::ValueTape tape;
+  executor.record(tape);
+  return tape;
+}
+
+constexpr const char* kReductions = R"f90(
+program t
+  parameter (n = 12)
+  real a(n, n), v(n), w(n), q(n)
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ align w(i) with d(i)
+!hpf$ align q(i) with d(i)
+!hpf$ distribute d(cyclic)
+  forall (i = 1:n, j = 1:n) a(i, j) = real(mod(i * j, 7)) - 2.5
+  v = sum(a, 2)
+  q = product(a, 2)
+  w = 0.0
+  forall (i = 1:n, v(i) .gt. 0.0) w(i) = maxval(a(i, :), 2)
+  forall (i = 1:n, v(i) .le. 0.0) w(i) = minval(a(i, :), 2)
+  forall (i = 1:n) w(i) = sum(a(:, i), 1)
+  x = maxval(v)
+  y = minval(w)
+  m = maxloc(v)
+  p = product(q)
+  print *, x, y, m, p
+end program t
+)f90";
+
+TEST(FunctionalPass, ProgramTapeDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"if in do", 12686879210436330025ULL},
+      {"do while", 9180697761612394038ULL},
+      {"masked forall", 17021995721414245206ULL},
+      {"invariant overlap", 11389580724613032935ULL},
+      {"reductions", 9802340394498722136ULL},
+  };
+  const std::vector<std::pair<std::string, const char*>> programs = {
+      {"if in do", kIfInDo},
+      {"do while", kDoWhile},
+      {"masked forall", kMaskedForall},
+      {"invariant overlap", kInvariantOverlap},
+      {"reductions", kReductions},
+  };
+  for (const auto& [key, src] : programs) {
+    const std::uint64_t digest = tape_digest(record_tape(comp(src), {}));
+    const auto it = expected.find(key);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "{\"" << key << "\", " << digest << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(digest, it->second) << key;
+  }
+}
+
+TEST(FunctionalPass, SuiteTapeDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"lfk1 128", 13869189835969572967ULL},
+      {"lfk1 256", 9730408517827684403ULL},
+      {"lfk2 128", 8529537527876145725ULL},
+      {"lfk2 256", 10019292231056416408ULL},
+      {"lfk3 128", 9659320653631592919ULL},
+      {"lfk3 256", 779095842747363332ULL},
+      {"lfk9 128", 2016058909857008306ULL},
+      {"lfk9 256", 5608568603115478566ULL},
+      {"lfk14 128", 451900368105982460ULL},
+      {"lfk14 256", 10449704645784463996ULL},
+      {"lfk22 128", 9501220839007065442ULL},
+      {"lfk22 256", 13889774751652337134ULL},
+      {"pbs1 128", 11648824507293340071ULL},
+      {"pbs1 256", 15708772606794948835ULL},
+      {"pbs2 16", 12458185579026336381ULL},
+      {"pbs2 64", 2927819750583930970ULL},
+      {"pbs3 16", 11195498355349631654ULL},
+      {"pbs3 64", 5037176361825554160ULL},
+      {"pbs4 128", 15100783919988879383ULL},
+      {"pbs4 256", 6463323747341453832ULL},
+      {"pi 128", 18346846155952212855ULL},
+      {"pi 256", 10687812922495977723ULL},
+      {"nbody 16", 5485486548101769364ULL},
+      {"nbody 64", 908299374465405390ULL},
+      {"finance 32", 27511558137389173ULL},
+      {"finance 64", 10605204536240818770ULL},
+      {"laplace_bb 16", 2488080557474141799ULL},
+      {"laplace_bb 32", 12748393315996929953ULL},
+      {"laplace_bx 16", 2488080557474141799ULL},
+      {"laplace_bx 32", 12748393315996929953ULL},
+      {"laplace_xb 16", 18229575127658272721ULL},
+      {"laplace_xb 32", 6326939881398736371ULL},
+  };
+  for (const auto& app : suite::validation_suite()) {
+    const compiler::CompiledProgram prog =
+        app.directive_overrides.empty()
+            ? comp(app.source)
+            : compiler::compile_with_directives(app.source, app.directive_overrides);
+    for (std::size_t i = 0; i < 2 && i < app.problem_sizes.size(); ++i) {
+      const long long size = app.problem_sizes[i];
+      const std::string key = app.id + " " + std::to_string(size);
+      const std::uint64_t digest = tape_digest(record_tape(prog, app.bindings(size)));
+      const auto it = expected.find(key);
+      if (it == expected.end()) {
+        ADD_FAILURE() << "{\"" << key << "\", " << digest << "ULL},";
+        continue;
+      }
+      EXPECT_EQ(digest, it->second) << key;
+    }
+  }
+}
+
+/// The diagnostic (message, location) the functional pass throws for `src`.
+std::pair<std::string, support::SourceLoc> pass_failure(std::string_view src) {
+  try {
+    (void)record_tape(comp(src), {});
+  } catch (const support::CompileError& e) {
+    return {e.what(), e.loc()};
+  }
+  ADD_FAILURE() << "the functional pass did not fail";
+  return {};
+}
+
+TEST(FunctionalPass, OutOfBoundsSubscriptIsReportedWithItsValue) {
+  const auto [message, loc] = pass_failure(R"f90(
+program t
+  parameter (n = 64)
+  real u(n), v(n)
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) v(i) = u(i - 1)
+end program t
+)f90");
+  EXPECT_NE(message.find("subscript out of bounds for 'u' dim 1: 0 not in 1..64"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message, "<unknown>: subscript out of bounds for 'u' dim 1: 0 not in 1..64");
+  EXPECT_FALSE(loc.valid());
+}
+
+TEST(FunctionalPass, IntegerDivisionByZeroIsLocated) {
+  const auto [message, loc] = pass_failure(R"f90(
+program t
+  parameter (n = 8)
+  integer iv(n)
+!hpf$ template d(n)
+!hpf$ align iv(i) with d(i)
+!hpf$ distribute d(block)
+  k = 0
+  forall (i = 1:n) iv(i) = i / k
+end program t
+)f90");
+  EXPECT_NE(message.find("integer division by zero or overflow"), std::string::npos)
+      << message;
+  EXPECT_EQ(loc.line, 9u);
+  EXPECT_EQ(loc.column, 28u);
+}
+
+TEST(FunctionalPass, MaskGuardsOutOfBoundsReadsAndZeroDivisors) {
+  const compiler::CompiledProgram prog = comp(R"f90(
+program t
+  parameter (n = 64)
+  real u(n), v(n)
+  integer iw(n)
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ align v(i) with d(i)
+!hpf$ align iw(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) iw(i) = mod(i, 4)
+  forall (i = 1:n) v(i) = 0.0
+  forall (i = 1:n, i .gt. 1 .and. iw(i) .ne. 0) v(i) = u(i - 1) + real(i / iw(i))
+  s = sum(v)
+  print *, s
+end program t
+)f90");
+  const sim::ValueTape tape = record_tape(prog, {});
+  ASSERT_TRUE(tape.printed.contains("s"));
+  EXPECT_EQ(support::format_g17(tape.printed.at("s")), "969.30340418667799");
+}
+
+TEST(FunctionalPass, UnloweredIntrinsicFailsAtItsCall) {
+  const auto [message, loc] = pass_failure(R"f90(
+program t
+  parameter (n = 8)
+  real a(n, n), w(n)
+!hpf$ template d(n)
+!hpf$ align w(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) w(i) = 1.0 + minval(a(i, :), 2)
+end program t
+)f90");
+  EXPECT_EQ(message, "8:33: intrinsic 'minval' cannot be evaluated here");
+}
+
+TEST(FunctionalPass, FirstFailingPointInOdometerOrderWins) {
+  // u(20*j - 10*i) leaves 1..64 first at (i, j) = (1, 4) (value 70) in
+  // odometer order, last index fastest; (2, 1) (value 0) fails earlier in
+  // any column-major order
+  const auto [message, loc] = pass_failure(R"f90(
+program t
+  parameter (n = 64)
+  real u(n), a(4, 4)
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:4, j = 1:4) a(i, j) = u(20 * j - 10 * i)
+end program t
+)f90");
+  EXPECT_NE(message.find("subscript out of bounds for 'u' dim 1: 70 not in 1..64"),
+            std::string::npos)
+      << message;
 }
 
 }  // namespace
