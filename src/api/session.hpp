@@ -255,7 +255,7 @@ class Session {
       const compiler::LayoutOptions& lo, std::string& key_scratch,
       const compiler::LayoutDigest& digest) const;
 
-  /// Memoized seed_environment fold for one (program, problem) — see
+  /// Memoized seed_values fold for one (program, problem) — see
   /// seed_memo_ below. `prefix` must be layout_fingerprint_prefix(prog,
   /// bindings) (run() computes it per problem for the layout digest anyway).
   [[nodiscard]] std::shared_ptr<const compiler::SeededValues> seed_for(
@@ -310,7 +310,7 @@ class Session {
   mutable std::mutex critical_mutex_;
   mutable std::map<std::string, std::string, std::less<>> critical_memo_;
 
-  /// seed_environment fold memo for the sweep hot path: the fold is pure
+  /// seed_values fold memo for the sweep hot path: the fold is pure
   /// in (program symbols, binding values), both of which the layout
   /// fingerprint *prefix* digest already covers — so run() keys the memo on
   /// (compile_id, prefix digest) it computes per problem anyway and lanes

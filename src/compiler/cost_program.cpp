@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
+#include <stdexcept>
+
+#include "support/text.hpp"
 
 namespace hpf90d::compiler {
 
@@ -12,67 +14,112 @@ using front::ExprKind;
 
 namespace {
 
-/// Flattens one expression tree into a temporary instruction buffer.
-/// Returns the result register, or -1 when the expression cannot be proved
-/// equivalent under the bytecode model (the caller then leaves the tree
-/// evaluator in charge of it).
+constexpr const char* kIntDivideError = "integer division by zero or overflow";
+const support::SourceLoc kNoLoc;
+const std::string kNoText;
+
+/// True when `e` has exactly two INTEGER operands: Fortran `/` and `mod`
+/// then truncate (front::int_divide), as folding does too.
+bool integer_operands(const Expr& e) {
+  return e.args.size() == 2 && e.args[0]->type == front::TypeBase::Integer &&
+         e.args[1]->type == front::TypeBase::Integer;
+}
+
+std::string unavailable(const std::string& name) {
+  return "value of '" + name + "' is not available (unresolved critical variable?)";
+}
+
+/// The layout cannot resolve the array's extents (as array_extents throws).
+support::CompileError unresolved_extents(const std::string& array) {
+  return {{}, "extents of '" + array + "' are not resolvable in this configuration"};
+}
+
+/// Flattens one expression tree onto the end of the program's code. Every
+/// expression compiles: what cannot be evaluated becomes a Fail carrying
+/// the diagnostic of the point where evaluation stops.
 class Flattener {
  public:
-  Flattener(const CompiledProgram& prog, CostProgram& out)
-      : prog_(prog), out_(out), probe_env_(prog.symbols.size()) {}
+  Flattener(const CompiledProgram& prog, CostProgram& out) : prog_(prog), out_(out) {}
 
-  /// Compiles `e`; on success appends the buffered instructions to the
-  /// shared code vector and returns a ready ExprCode.
-  [[nodiscard]] ExprCode compile(const Expr& e) {
-    buf_.clear();
-    next_reg_ = 0;
+  /// Compiles `e` — or, with `offset`, the element offset of the array
+  /// reference `e` — and appends it to the shared code vector.
+  [[nodiscard]] ExprCode compile(const Expr& e, bool offset = false) {
+    ExprCode code;
+    code.first = static_cast<std::uint32_t>(out_.code.size());
+    restart(code.first);
     int r = -1;
     try {
-      r = emit(e);
-    } catch (...) {
-      // e.g. SymbolTable::at on a malformed hand-annotated node — exactly
-      // the inputs the tree evaluator owns
-      r = -1;
+      r = offset ? emit_element(e, CostOp::ArrayOffset) : emit(e);
+    } catch (const std::length_error&) {
+      restart(code.first);
+      r = emit_fail(e.loc, "expression exceeds the cost program's register file");
     }
-    ExprCode code;
-    if (r < 0) return code;  // ok == false
-    code.first = static_cast<std::uint32_t>(out_.code.size());
-    code.count = static_cast<std::uint32_t>(buf_.size());
+    code.count = static_cast<std::uint32_t>(out_.code.size() - code.first);
     code.result = static_cast<std::uint16_t>(r);
     code.regs = static_cast<std::uint16_t>(next_reg_);
-    code.ok = true;
-    out_.code.insert(out_.code.end(), buf_.begin(), buf_.end());
+    code.arrays_first = static_cast<std::uint32_t>(out_.expr_arrays.size());
+    code.arrays_count = static_cast<std::uint32_t>(used_.size());
+    out_.expr_arrays.insert(out_.expr_arrays.end(), used_.begin(), used_.end());
     out_.max_regs = std::max<std::uint16_t>(out_.max_regs, code.regs);
     return code;
   }
 
  private:
-  [[nodiscard]] int alloc() {
-    if (next_reg_ >= 0xffff) throw std::length_error("cost program register file");
-    return next_reg_++;
+  /// Drops whatever the expression starting at `first` emitted so far.
+  void restart(std::size_t first) {
+    out_.code.resize(first);
+    out_.sources.resize(first);
+    first_ = first;
+    used_.clear();
+    next_reg_ = 0;
   }
 
+  /// The expression's instruction count so far.
+  [[nodiscard]] std::size_t emitted() const { return out_.code.size() - first_; }
+
+  [[nodiscard]] int alloc(int count = 1) {
+    if (next_reg_ + count > 0xffff) throw std::length_error("cost program register file");
+    const int r = next_reg_;
+    next_reg_ += count;
+    return r;
+  }
+
+  /// The pool entry holding `v`, bit for bit (a program has a few dozen).
   [[nodiscard]] std::uint16_t pool_id(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    if (const auto it = pool_ids_.find(bits); it != pool_ids_.end()) return it->second;
+    for (std::size_t i = 0; i < out_.pool.size(); ++i) {
+      if (std::memcmp(&out_.pool[i], &v, sizeof v) == 0) return static_cast<std::uint16_t>(i);
+    }
     if (out_.pool.size() >= 0xffff) throw std::length_error("cost program pool");
-    const auto id = static_cast<std::uint16_t>(out_.pool.size());
     out_.pool.push_back(v);
-    pool_ids_.emplace(bits, id);
-    return id;
+    return static_cast<std::uint16_t>(out_.pool.size() - 1);
   }
 
-  int push(CostOp op, int dst, int a = 0, int b = 0, int c = 0) {
-    buf_.push_back(CostInstr{op, static_cast<std::uint16_t>(dst),
-                             static_cast<std::uint16_t>(a),
-                             static_cast<std::uint16_t>(b),
-                             static_cast<std::uint16_t>(c)});
+  /// Appends an instruction; `loc`/`text` are its failure's diagnostic.
+  /// The defaults are objects, not temporaries, so emit's recursive frame
+  /// stays small enough for kMaxExprHeight levels under sanitizers too.
+  int push(CostOp op, int dst, int a = 0, int b = 0, int c = 0,
+           const support::SourceLoc& loc = kNoLoc, const std::string& text = kNoText) {
+    out_.code.push_back(CostInstr{op, static_cast<std::uint16_t>(dst),
+                                  static_cast<std::uint16_t>(a),
+                                  static_cast<std::uint16_t>(b),
+                                  static_cast<std::uint16_t>(c)});
+    out_.sources.push_back(CostSource{loc, text, -1});
     return dst;
   }
 
   int emit_const(double v) { return push(CostOp::Const, alloc(), pool_id(v)); }
-  int emit_fail() { return push(CostOp::Fail, alloc()); }
+  int emit_fail(const support::SourceLoc& loc, const std::string& message) {
+    return push(CostOp::Fail, alloc(), 0, 0, 0, loc, message);
+  }
+
+  int malformed(const Expr& e) {
+    return emit_fail(e.loc, "internal: malformed expression '" + e.str() + "'");
+  }
+  int unknown_variable(const Expr& e) { return emit_fail(e.loc, unavailable(e.name)); }
+
+  [[nodiscard]] bool known_symbol(int id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < prog_.symbols.size();
+  }
 
   int emit(const Expr& e) {
     switch (e.kind) {
@@ -80,38 +127,32 @@ class Flattener {
       case ExprKind::RealLit: return emit_const(e.real_value);
       case ExprKind::LogicalLit: return emit_const(e.bool_value ? 1.0 : 0.0);
       case ExprKind::Var: {
-        // static resolution of what eval_rec resolves per evaluation:
-        // unannotated clones by name, PARAMETER constants as fallback
+        // unannotated clones (declared extents) resolve by name
         int id = e.symbol;
         if (id < 0) id = prog_.symbols.find(e.name);
-        if (id < 0) return emit_fail();
+        if (!known_symbol(id)) return unknown_variable(e);
         const front::Symbol& sym = prog_.symbols.at(id);
         if (sym.kind == front::SymbolKind::Param && sym.const_value) {
           return push(CostOp::LoadDflt, alloc(), id, pool_id(*sym.const_value));
         }
-        return push(CostOp::Load, alloc(), id);
+        return push(CostOp::Load, alloc(), id, 0, 0, e.loc, e.name);
       }
-      case ExprKind::ArrayRef:
-        // the engines evaluate with no array access: always a failed probe
-        return emit_fail();
+      case ExprKind::ArrayRef: return emit_element(e, CostOp::ArrayLoad);
       case ExprKind::Unary: {
-        if (e.args.size() != 1) return -1;
+        if (e.args.size() != 1) break;
         const int a = emit(*e.args[0]);
-        if (a < 0) return a;
         switch (e.un_op) {
           case front::UnOp::Neg: return push(CostOp::Neg, alloc(), a);
           case front::UnOp::Plus: return a;
           case front::UnOp::Not: return push(CostOp::Not, alloc(), a);
         }
-        return -1;
+        break;
       }
       case ExprKind::Binary: {
-        if (e.args.size() != 2) return -1;
+        if (e.args.size() != 2) break;
         const int a = emit(*e.args[0]);
-        if (a < 0) return a;
         const int b = emit(*e.args[1]);
-        if (b < 0) return b;
-        CostOp op;
+        CostOp op = CostOp::Add;
         switch (e.bin_op) {
           case front::BinOp::Add: op = CostOp::Add; break;
           case front::BinOp::Sub: op = CostOp::Sub; break;
@@ -126,52 +167,73 @@ class Flattener {
           case front::BinOp::Ne: op = CostOp::Ne; break;
           case front::BinOp::And: op = CostOp::And; break;
           case front::BinOp::Or: op = CostOp::Or; break;
-          default: return -1;
         }
-        return push(op, alloc(), a, b);
+        return push(op, alloc(), a, b, 0, e.loc);
       }
       case ExprKind::Call: return emit_call(e);
     }
-    return -1;
+    return malformed(e);
+  }
+
+  /// An element access: the subscripts into `rank` consecutive registers,
+  /// then one bounds-checked ArrayLoad/ArrayOffset over them.
+  int emit_element(const Expr& e, CostOp op) {
+    const std::size_t start = out_.code.size();
+    if (e.kind != ExprKind::ArrayRef || !known_symbol(e.symbol) ||
+        prog_.symbols.at(e.symbol).rank() != static_cast<int>(e.subs.size())) {
+      return malformed(e);
+    }
+    const int rank = static_cast<int>(e.subs.size());
+    const int base = alloc(rank);
+    for (int d = 0; d < rank; ++d) {
+      const front::Subscript& sub = e.subs[static_cast<std::size_t>(d)];
+      if (sub.kind != front::Subscript::Kind::Scalar) {
+        return emit_fail(e.loc, "internal: section in scalar evaluation");
+      }
+      const std::size_t before = out_.code.size();
+      const int r = emit(*sub.scalar);
+      if (out_.code.size() > before && out_.code.back().dst == r) {
+        out_.code.back().dst = static_cast<std::uint16_t>(base + d);  // produce in place
+      } else {
+        push(CostOp::Move, base + d, r);
+      }
+    }
+    const int id = array_id(e.symbol, rank);
+    if (std::find(used_.begin(), used_.end(), id) == used_.end()) {
+      used_.push_back(static_cast<std::uint16_t>(id));
+    }
+    const int dst = push(op, alloc(), base, id, 0, e.loc, e.name);
+    // the outermost reference starting here is the one reached first
+    out_.sources[start].probe = static_cast<std::int32_t>(emitted() - 1);
+    return dst;
   }
 
   int emit_call(const Expr& e) {
-    if (!e.intrinsic) return emit_fail();  // unresolved: the tree evaluator fails too
-    if (*e.intrinsic == front::IntrinsicId::Size) {
-      // size() is static under the engine's array-free evaluation: the tree
-      // evaluator folds declared extents against PARAMETER constants, with
-      // only the dim argument read from the runtime environment. Fold the
-      // whole call here against an empty environment; if that fails while
-      // the dim argument is static, the call fails at runtime too.
-      if (e.args.empty()) return -1;
-      if (const auto v = try_eval_scalar(e, probe_env_, nullptr, prog_.symbols)) {
-        return emit_const(*v);
-      }
-      if (e.args.size() >= 2 &&
-          !try_eval_scalar(*e.args[1], probe_env_, nullptr, prog_.symbols)) {
-        return -1;  // dim argument may resolve at runtime: tree evaluator
-      }
-      return emit_fail();
+    const auto unevaluable = [&] {
+      return emit_fail(e.loc, "intrinsic '" + e.name + "' cannot be evaluated here");
+    };
+    if (!e.intrinsic) return unevaluable();
+    if (*e.intrinsic == front::IntrinsicId::Size) return emit_size(e);
+    if (e.intrinsic_kind() != front::IntrinsicKind::Elemental) {
+      // reductions and shifts are lowered to dedicated SPMD nodes
+      return unevaluable();
     }
-
+    if (e.args.empty()) return malformed(e);
     std::vector<int> argv;
     argv.reserve(e.args.size());
-    for (const auto& a : e.args) {
-      const int r = emit(*a);
-      if (r < 0) return r;
-      argv.push_back(r);
-    }
-    if (argv.empty()) return -1;
+    for (const auto& a : e.args) argv.push_back(emit(*a));
 
     const auto unary = [&](CostOp op) { return push(op, alloc(), argv[0]); };
+    const auto binary = [&](CostOp op) {
+      return argv.size() < 2 ? malformed(e) : push(op, alloc(), argv[0], argv[1], 0, e.loc);
+    };
     using enum front::IntrinsicId;
     switch (*e.intrinsic) {
       case Atan: return unary(CostOp::Atan);
       case Cos: return unary(CostOp::Cos);
       case Exp: return unary(CostOp::Exp);
       case Log: return unary(CostOp::Log);
-      case Mod:
-        return push(integer_operands(e) ? CostOp::IMod : CostOp::FMod, alloc(), argv[0], argv[1]);
+      case Mod: return binary(integer_operands(e) ? CostOp::IMod : CostOp::FMod);
       case Sin: return unary(CostOp::Sin);
       case Sqrt: return unary(CostOp::Sqrt);
       case Abs: return unary(CostOp::Abs);
@@ -182,8 +244,10 @@ class Flattener {
         for (std::size_t i = 1; i < argv.size(); ++i) v = push(op, alloc(), v, argv[i]);
         return v;
       }
-      case Sign: return push(CostOp::Sign2, alloc(), argv[0], argv[1]);
-      case Merge: return push(CostOp::Merge, alloc(), argv[0], argv[1], argv[2]);
+      case Sign: return binary(CostOp::Sign2);
+      case Merge:
+        if (argv.size() < 3) break;
+        return push(CostOp::Merge, alloc(), argv[0], argv[1], argv[2]);
       case Real:
       case Float:
       case Dble: return argv[0];
@@ -191,19 +255,54 @@ class Flattener {
       case Nint: return unary(CostOp::Nint);
       case Sum: case Product: case Maxval: case Minval: case Maxloc:
       case Cshift: case Tshift: case Size:
-        // lowered before pricing (size() is handled above): the tree
-        // evaluator fails on these too
-        return emit_fail();
+        break;  // not elemental: handled above
     }
-    return -1;
+    return unevaluable();
+  }
+
+  /// size(a) is the product of a's extent slots; size(a, k) selects one
+  /// at run time.
+  int emit_size(const Expr& e) {
+    if (e.args.empty() || !known_symbol(e.args[0]->symbol)) return malformed(e);
+    const front::Symbol& array = prog_.symbols.at(e.args[0]->symbol);
+    const int rank = array.rank();
+    const int id = array_id(e.args[0]->symbol, rank);
+    int& slot = out_.arrays[static_cast<std::size_t>(id)].extent_slot;
+    if (slot < 0) {
+      if (out_.slots + static_cast<std::size_t>(rank) > 0xffff) {
+        throw std::length_error("cost program extent slots");
+      }
+      slot = static_cast<int>(out_.slots);
+      out_.slots += static_cast<std::size_t>(rank);
+    }
+    if (e.args.size() >= 2) {
+      const int k = emit(*e.args[1]);
+      return push(CostOp::Size, alloc(), k, id, 0, e.loc, array.name);
+    }
+    if (rank == 0) return emit_const(1.0);
+    // extents multiply exactly in doubles, as in the long long they came from
+    int v = push(CostOp::Load, alloc(), slot, 0, 0, {}, array.name);
+    for (int d = 1; d < rank; ++d) {
+      const int x = push(CostOp::Load, alloc(), slot + d, 0, 0, {}, array.name);
+      v = push(CostOp::Mul, alloc(), v, x);
+    }
+    return v;
+  }
+
+  int array_id(int symbol, int rank) {
+    for (std::size_t i = 0; i < out_.arrays.size(); ++i) {
+      if (out_.arrays[i].symbol == symbol) return static_cast<int>(i);
+    }
+    if (out_.arrays.size() >= 0xffff) throw std::length_error("cost program arrays");
+    out_.arrays.push_back(CostArray{symbol, rank, -1});
+    return static_cast<int>(out_.arrays.size() - 1);
   }
 
   const CompiledProgram& prog_;
   CostProgram& out_;
-  ScalarEnv probe_env_;  // empty: static-foldability probe for size()
-  std::vector<CostInstr> buf_;
+  std::size_t first_ = 0;            // the expression's first instruction
+  std::vector<std::uint16_t> used_;  // array ids the expression touches
   int next_reg_ = 0;
-  std::map<std::uint64_t, std::uint16_t> pool_ids_;
 };
 
 class Builder {
@@ -213,13 +312,14 @@ class Builder {
 
   void run() {
     out_.nodes.assign(static_cast<std::size_t>(prog_.node_count), NodeCost{});
+    out_.slots = prog_.symbols.size();  // extents follow as size() needs them
     if (prog_.root) visit(*prog_.root);
   }
 
  private:
-  std::int32_t add(const front::ExprPtr& e) {
+  std::int32_t add(const front::ExprPtr& e, bool offset = false) {
     if (!e) return -1;
-    out_.exprs.push_back(flattener_.compile(*e));
+    out_.exprs.push_back(flattener_.compile(*e, offset));
     return static_cast<std::int32_t>(out_.exprs.size() - 1);
   }
 
@@ -246,25 +346,35 @@ class Builder {
           nc.do_step = add(n.do_step);
           break;
         case SpmdKind::WhileLoop:
-          nc.cond = add(n.mask);
-          break;
         case SpmdKind::IfBlock:
           nc.cond = add(n.mask);
           break;
         case SpmdKind::LocalLoop:
           add_space(n, nc);
+          nc.cond = add(n.mask);
+          nc.rhs = add(n.rhs);
+          nc.lhs = add(n.lhs, /*offset=*/true);
           if (n.inner) {
             nc.inner_lo = add(n.inner->index.lo);
             nc.inner_hi = add(n.inner->index.hi);
+            nc.arg = add(n.inner->arg);
           }
           break;
         case SpmdKind::Reduce:
+          add_space(n, nc);
+          nc.arg = add(n.reduce_arg);
+          break;
         case SpmdKind::GatherComm:
         case SpmdKind::ScatterComm:
           add_space(n, nc);
           break;
         case SpmdKind::CShiftComm:
           nc.comm_amount = add(n.comm_amount);
+          break;
+        case SpmdKind::HostIO:
+          nc.io_first = static_cast<std::int32_t>(out_.exprs.size());
+          nc.io_count = static_cast<std::int32_t>(n.io_args.size());
+          for (const auto& a : n.io_args) (void)add(a);
           break;
         default:
           break;
@@ -285,6 +395,27 @@ std::shared_ptr<const CostProgram> compile_cost_program(const CompiledProgram& p
   auto cp = std::make_shared<CostProgram>();
   Builder(prog, *cp).run();
   return cp;
+}
+
+SeededValues seed_values(const front::SymbolTable& symbols, const front::Bindings& bindings) {
+  front::Bindings fold_env;
+  for (const auto& [name, value] : bindings.values()) fold_env.set(name, value);
+  // params may reference earlier params and overridden names
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto& sym : symbols.symbols()) {
+      if (sym.kind != front::SymbolKind::Param || !sym.param_value) continue;
+      if (fold_env.contains(sym.name)) continue;
+      if (const auto v = front::try_fold(*sym.param_value, fold_env)) {
+        fold_env.set(sym.name, *v);
+      }
+    }
+  }
+  SeededValues out;
+  for (const auto& sym : symbols.symbols()) {
+    const int id = symbols.find(sym.name);
+    if (const auto v = fold_env.get(sym.name)) out.defined.emplace_back(id, *v);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -310,10 +441,10 @@ std::shared_ptr<const CostProgram> compile_cost_program(const CompiledProgram& p
 #endif
 
 // Each instruction dispatches once (instruction-major, so the switch cost
-// amortizes over the whole batch) and its lane loop runs as whole 8-lane
+// amortizes over the lanes) and its lane loop runs as whole 8-lane
 // stripes: the inner trip count is the compile-time kBatchStripe, so the
 // vectorizer emits exactly one full-width body per stripe — no runtime
-// trip-count checks, no scalar prologue or epilogue (columns are padded to
+// trip-count checks, no scalar prologue or epilogue (widths are padded to
 // the stripe width).
 #define HPF90D_STRIPE(expr)                                \
   for (std::size_t s = 0; s < S; s += kBatchStripe) {      \
@@ -324,13 +455,28 @@ std::shared_ptr<const CostProgram> compile_cost_program(const CompiledProgram& p
   }                                                        \
   break
 
-std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
-                            const BatchEnv& env, double* regs, double* out,
-                            unsigned char* ok) {
-  const std::size_t S = env.stride();
-  std::fill(ok, ok + S, static_cast<unsigned char>(1));
-  const CostInstr* ip = cp.code.data() + c.first;
-  const CostInstr* const end = ip + c.count;
+// A lane loop left scalar: libm calls (no vector math library), gathers.
+#define HPF90D_LANES(expr)                                 \
+  for (std::size_t l = 0; l < S; ++l) {                    \
+    expr;                                                  \
+  }                                                        \
+  break
+
+namespace {
+
+/// The subscript bounds test of an element access: Fortran rounds a
+/// subscript half away from zero (the llround the diagnostic quotes), and
+/// round(x) lies in 1..extent exactly when x + 0.5 lies in [1, extent + 1).
+[[nodiscard]] inline bool subscript_in(double x, double extent) {
+  const double y = x + 0.5;
+  return y >= 1.0 && y < extent + 1.0;
+}
+
+/// Runs instructions [ip, end) over lanes [0, S), clearing ok[l] for every
+/// lane an instruction fails.
+void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
+         const BatchEnv& env, std::span<const ArrayView> arrays, double* regs,
+         unsigned char* ok, const std::size_t S) {
   const double* pool = cp.pool.data();
   for (; ip != end; ++ip) {
     const CostInstr in = *ip;
@@ -345,14 +491,8 @@ std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
       case CostOp::Load: {
         const double* v = env.values(in.a);
         const unsigned char* d = env.defined(in.a);
-        for (std::size_t s = 0; s < S; s += kBatchStripe) {
-          HPF90D_SIMD_LOOP
-          for (std::size_t l = s; l < s + kBatchStripe; ++l) {
-            ok[l] = d[l] != 0 ? ok[l] : static_cast<unsigned char>(0);
-            dst[l] = d[l] != 0 ? v[l] : 0.0;
-          }
-        }
-        break;
+        HPF90D_STRIPE(ok[l] = d[l] != 0 ? ok[l] : static_cast<unsigned char>(0);
+                      dst[l] = d[l] != 0 ? v[l] : 0.0);
       }
       case CostOp::LoadDflt: {
         const double* v = env.values(in.a);
@@ -370,14 +510,11 @@ std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
       case CostOp::Sub: HPF90D_STRIPE(dst[l] = a[l] - b[l]);
       case CostOp::Mul: HPF90D_STRIPE(dst[l] = a[l] * b[l]);
       case CostOp::Div: HPF90D_STRIPE(dst[l] = a[l] / b[l]);
-      case CostOp::Pow:
-        // libm calls stay scalar inside the stripe (no vector math lib)
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::pow(a[l], b[l]);
-        break;
+      case CostOp::Pow: HPF90D_LANES(dst[l] = std::pow(a[l], b[l]));
       case CostOp::IDiv:
       case CostOp::IMod:
-        // lanes evicted from lockstep keep evaluating densely on garbage
-        // operands; the checked divide fails those lanes instead of trapping
+        // lanes that need no value (masked off, evicted, padding) compute
+        // on garbage operands: the checked divide fails them, never traps
         for (std::size_t l = 0; l < S; ++l) {
           const auto v = front::int_divide(a[l], b[l], in.op == CostOp::IMod);
           ok[l] = v ? ok[l] : static_cast<unsigned char>(0);
@@ -394,45 +531,161 @@ std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
         HPF90D_STRIPE(dst[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0);
       case CostOp::Or:
         HPF90D_STRIPE(dst[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0);
-      case CostOp::FMod:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::fmod(a[l], b[l]);
-        break;
+      case CostOp::FMod: HPF90D_LANES(dst[l] = std::fmod(a[l], b[l]));
       case CostOp::Min2: HPF90D_STRIPE(dst[l] = std::min(a[l], b[l]));
       case CostOp::Max2: HPF90D_STRIPE(dst[l] = std::max(a[l], b[l]));
       case CostOp::Sign2:
         HPF90D_STRIPE(dst[l] = b[l] >= 0 ? std::fabs(a[l]) : -std::fabs(a[l]));
-      case CostOp::Exp:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::exp(a[l]);
-        break;
-      case CostOp::Log:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::log(a[l]);
-        break;
+      case CostOp::Exp: HPF90D_LANES(dst[l] = std::exp(a[l]));
+      case CostOp::Log: HPF90D_LANES(dst[l] = std::log(a[l]));
       case CostOp::Sqrt: HPF90D_STRIPE(dst[l] = std::sqrt(a[l]));
       case CostOp::Abs: HPF90D_STRIPE(dst[l] = std::fabs(a[l]));
-      case CostOp::Sin:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::sin(a[l]);
-        break;
-      case CostOp::Cos:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::cos(a[l]);
-        break;
-      case CostOp::Atan:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::atan(a[l]);
-        break;
+      case CostOp::Sin: HPF90D_LANES(dst[l] = std::sin(a[l]));
+      case CostOp::Cos: HPF90D_LANES(dst[l] = std::cos(a[l]));
+      case CostOp::Atan: HPF90D_LANES(dst[l] = std::atan(a[l]));
       case CostOp::Trunc: HPF90D_STRIPE(dst[l] = std::trunc(a[l]));
-      case CostOp::Nint:
-        for (std::size_t l = 0; l < S; ++l) dst[l] = std::nearbyint(a[l]);
-        break;
+      case CostOp::Nint: HPF90D_LANES(dst[l] = std::round(a[l]));
       case CostOp::Merge: {
         const double* cc = regs + static_cast<std::size_t>(in.c) * S;
         HPF90D_STRIPE(dst[l] = cc[l] != 0.0 ? a[l] : b[l]);
       }
+      case CostOp::Move: HPF90D_STRIPE(dst[l] = a[l]);
+      case CostOp::ArrayLoad:
+      case CostOp::ArrayOffset: {
+        const ArrayView* view = in.b < arrays.size() ? &arrays[in.b] : nullptr;
+        if (view == nullptr || view->extents == nullptr) {
+          std::fill(ok, ok + S, static_cast<unsigned char>(0));
+          std::fill(dst, dst + S, 0.0);
+          break;
+        }
+        // dst accumulates the offset; a lane out of bounds in any dim fails
+        // and adds nothing for that dim, so every offset stays in bounds
+        std::fill(dst, dst + S, 0.0);
+        const int rank = cp.arrays[in.b].rank;
+        for (int d = 0; d < rank; ++d) {
+          const double* sub = regs + (static_cast<std::size_t>(in.a) + d) * S;
+          const double extent = view->extents[d];
+          const double stride = view->strides[d];
+          for (std::size_t l = 0; l < S; ++l) {
+            const bool inside = subscript_in(sub[l], extent);
+            ok[l] = inside ? ok[l] : static_cast<unsigned char>(0);
+            const double i =
+                static_cast<double>(static_cast<long long>(inside ? sub[l] + 0.5 : 1.0));
+            dst[l] += (i - 1.0) * stride;
+          }
+        }
+        // an empty array has no data, and no lane passed its bounds test
+        if (in.op == CostOp::ArrayLoad && view->data != nullptr) {
+          const double* data = view->data;
+          for (std::size_t l = 0; l < S; ++l) dst[l] = data[static_cast<std::size_t>(dst[l])];
+        }
+        break;
+      }
+      case CostOp::Size: {
+        const CostArray& sized = cp.arrays[in.b];
+        for (std::size_t l = 0; l < S; ++l) {
+          const double k = std::trunc(a[l]);
+          const bool inside = k >= 1.0 && k <= static_cast<double>(sized.rank);
+          const int slot = sized.extent_slot + (inside ? static_cast<int>(k) - 1 : 0);
+          const bool defined = inside && env.defined(slot)[l] != 0;
+          ok[l] = defined ? ok[l] : static_cast<unsigned char>(0);
+          dst[l] = defined ? env.values(slot)[l] : 0.0;
+        }
+        break;
+      }
     }
   }
+}
+
+/// The diagnostic of instruction `at` failing for the lane whose operand
+/// registers start at `lane_regs` (register r at lane_regs[r * S]).
+support::CompileError instruction_error(const CostProgram& cp, std::size_t at,
+                                        std::span<const ArrayView> arrays,
+                                        const double* lane_regs, std::size_t S) {
+  const CostInstr& in = cp.code[at];
+  const CostSource& src = cp.sources[at];
+  const auto reg = [&](int r) { return lane_regs[static_cast<std::size_t>(r) * S]; };
+  switch (in.op) {
+    case CostOp::Load:
+      for (const CostArray& x : cp.arrays) {
+        if (x.extent_slot >= 0 && in.a >= x.extent_slot && in.a < x.extent_slot + x.rank) {
+          return unresolved_extents(src.text);
+        }
+      }
+      return support::CompileError(src.loc, unavailable(src.text));
+    case CostOp::IDiv:
+    case CostOp::IMod:
+      return support::CompileError(src.loc, kIntDivideError);
+    case CostOp::ArrayLoad:
+    case CostOp::ArrayOffset: {
+      if (arrays.empty()) {
+        return support::CompileError(
+            src.loc, "array element '" + src.text + "' cannot be read during interpretation");
+      }
+      const ArrayView& view = arrays[in.b];
+      if (view.extents == nullptr) return unresolved_extents(src.text);
+      for (int d = 0; d < cp.arrays[in.b].rank; ++d) {
+        const double x = reg(in.a + d);
+        if (subscript_in(x, view.extents[d])) continue;
+        return support::CompileError(
+            {}, "subscript out of bounds for '" + src.text + "' dim " +
+                    std::to_string(d + 1) + ": " + std::to_string(std::llround(x)) +
+                    " not in 1.." +
+                    std::to_string(static_cast<long long>(view.extents[d])));
+      }
+      break;
+    }
+    case CostOp::Size: {
+      const double k = std::trunc(reg(in.a));
+      const int rank = cp.arrays[in.b].rank;
+      if (!(k >= 1.0 && k <= static_cast<double>(rank))) {
+        return support::CompileError(
+            src.loc, support::strfmt("size dimension %.17g out of range 1..%d for '%s'", k,
+                                     rank, src.text.c_str()));
+      }
+      return unresolved_extents(src.text);
+    }
+    default:
+      break;
+  }
+  return support::CompileError(src.loc, src.text);
+}
+
+}  // namespace
+
+std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c, const BatchEnv& env,
+                            std::span<const ArrayView> arrays, double* regs, double* out,
+                            unsigned char* ok, std::size_t width) {
+  const std::size_t S = width;
+  std::fill(ok, ok + S, static_cast<unsigned char>(1));
+  const CostInstr* ip = cp.code.data() + c.first;
+  run(cp, ip, ip + c.count, env, arrays, regs, ok, S);
   const double* res = regs + static_cast<std::size_t>(c.result) * S;
   std::copy(res, res + S, out);
   return S / kBatchStripe;
 }
 
+support::CompileError lane_error(const CostProgram& cp, const ExprCode& c,
+                                 const BatchEnv& env, std::span<const ArrayView> arrays,
+                                 double* regs, std::size_t width, std::size_t lane) {
+  std::vector<unsigned char> ok(width, 1);
+  const CostInstr* const first = cp.code.data() + c.first;
+  for (std::uint32_t i = 0; i < c.count; ++i) {
+    const std::size_t at = c.first + i;
+    // without storage the reference fails where it is reached, before its
+    // subscripts are evaluated
+    const std::int32_t probe = cp.sources[at].probe;
+    if (arrays.empty() && probe >= 0) {
+      return instruction_error(cp, c.first + static_cast<std::size_t>(probe), arrays,
+                               regs + lane, width);
+    }
+    run(cp, first + i, first + i + 1, env, arrays, regs, ok.data(), width);
+    if (ok[lane] == 0) return instruction_error(cp, at, arrays, regs + lane, width);
+  }
+  return support::CompileError(support::SourceLoc{}, "internal: lane did not fail");
+}
+
+#undef HPF90D_LANES
 #undef HPF90D_STRIPE
 #undef HPF90D_SIMD_LOOP
 

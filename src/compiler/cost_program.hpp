@@ -1,37 +1,35 @@
-// cost_program.hpp — priced expressions flattened to register bytecode.
+// cost_program.hpp — every expression of a compiled program as register
+// bytecode: the one expression evaluator of both engines.
 //
-// The interpretation engine re-evaluates a small set of scalar expressions
-// (assignment right-hand sides, loop bounds, branch conditions, shift
-// amounts) at every sweep point. Walking the AST for each of them costs a
-// virtual-free but still recursive tree traversal, per-node std::optional
-// plumbing, and — for unannotated extent clones — a SymbolTable name lookup
-// per Var. A CostProgram removes all of that at compile time: every priced
-// expression is flattened once into a linear register program over symbol
-// slots (variable ids resolved statically, PARAMETER fallbacks baked in,
-// static size() calls folded to constants), and the engines execute that
-// bytecode with no dispatch, no name lookups, and no exceptions.
+// The pipeline flattens each expression the engines evaluate (right-hand
+// sides, bounds and spaces, conditions, shift amounts, forall masks and
+// targets, reduction arguments, printed values) once into a linear
+// register program over BatchEnv slots, with variable ids and PARAMETER
+// fallbacks resolved statically. eval_code_batch runs one expression over
+// the lanes of a structure-of-arrays BatchEnv in 8-lane stripes: a lane per
+// sweep point in the interpretation engine (core::BatchEngine, no array
+// storage, so an element read fails its lane), a lane per forall point in
+// the functional simulator (sim::Executor, over ArrayView storage).
 //
-// The instruction set mirrors compiler::eval_rec exactly — same operation
-// order, same integer-division selection by static operand types, same
-// failure points — so bytecode evaluation is bit-identical to the tree
-// evaluator, including *when* it fails (an undefined critical variable, an
-// array element probe, a trapping integer division). Expressions the
-// flattener cannot prove equivalent (e.g. size() with a non-static dim
-// argument) are left uncompiled (ExprCode::ok == false) and the walker
-// falls back to the tree evaluator for just those expressions.
-//
-// One evaluator runs the bytecode: eval_code_batch, over a
-// structure-of-arrays BatchEnv (values[slot][lane]) — one instruction loop
-// for all lanes of a lockstep window (core::BatchEngine), one lane when a
-// single point is predicted.
+// Instructions follow the expression's left-to-right post-order, and every
+// failure (an undefined variable, an integer division by zero, a subscript
+// out of bounds, a size() dimension out of range) fails only its own lane:
+// nothing traps and no out-of-bounds element is read. lane_error replays a
+// failed lane and turns its first failure into the located diagnostic of
+// the per-instruction source table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "compiler/eval.hpp"
 #include "compiler/spmd_ir.hpp"
+#include "hpf/fold.hpp"
+#include "support/diagnostics.hpp"
 
 namespace hpf90d::compiler {
 
@@ -39,16 +37,20 @@ enum class CostOp : std::uint8_t {
   Const,     // dst = pool[a]
   Load,      // dst = env[a]; fails when slot a is undefined
   LoadDflt,  // dst = env[a], or pool[b] when undefined (PARAMETER fallback)
-  Fail,      // unconditional failure (array probe, unpriceable intrinsic)
+  Fail,      // unconditional failure (unlowered or unresolved call, ...)
   Neg,       // dst = -r[a]
   Not,       // dst = r[a] == 0 ? 1 : 0
   Add, Sub, Mul, Div, Pow,          // dst = r[a] op r[b]
   IDiv,      // dst = (ll)r[a] / (ll)r[b]; fails where front::int_divide does
   Lt, Le, Gt, Ge, Eq, Ne,           // dst = r[a] op r[b] ? 1 : 0
-  And, Or,   // non-short-circuit, as the tree evaluator
+  And, Or,   // non-short-circuit
   FMod, IMod, Min2, Max2, Sign2,    // two-operand intrinsics (IMod as IDiv)
   Exp, Log, Sqrt, Abs, Sin, Cos, Atan, Trunc, Nint,  // one-operand intrinsics
   Merge,     // dst = r[c] != 0 ? r[a] : r[b]
+  Move,      // dst = r[a]
+  ArrayLoad,    // dst = element (r[a], ..., r[a+rank-1]) of arrays[b]
+  ArrayOffset,  // dst = that element's row-major offset, nothing read
+  Size,      // dst = extent k = trunc(r[a]) of arrays[b]; fails unless 1 <= k <= rank
 };
 
 struct CostInstr {
@@ -59,70 +61,111 @@ struct CostInstr {
   std::uint16_t c = 0;
 };
 
-/// One flattened expression: a slice of CostProgram::code plus the register
-/// holding its value. ok == false marks an expression the flattener could
-/// not compile; consumers must use the tree evaluator for it.
+/// Where an instruction came from, for its failure's diagnostic: the
+/// expression's location and the name (or, for Fail, the message) the
+/// diagnostic quotes. `probe` >= 0 marks the first instruction of an array
+/// element reference and holds that reference's ArrayLoad: an engine
+/// without array storage fails the reference there, before its subscripts.
+struct CostSource {
+  support::SourceLoc loc;
+  std::string text;
+  std::int32_t probe = -1;
+};
+
+/// One flattened expression: a slice of CostProgram::code, the register
+/// holding its value, and the arrays (CostProgram::arrays ids, a slice of
+/// CostProgram::expr_arrays) its element accesses touch.
 struct ExprCode {
   std::uint32_t first = 0;
   std::uint32_t count = 0;
   std::uint16_t result = 0;
   std::uint16_t regs = 0;
-  bool ok = false;
+  std::uint32_t arrays_first = 0;
+  std::uint32_t arrays_count = 0;
 };
 
 /// Per-SpmdNode indices into CostProgram::exprs (-1 = the node has no such
 /// expression). Space dimensions are triples (lo, hi, step) stored
 /// consecutively in CostProgram::space_codes; a -1 step means "constant 1"
-/// (a null IterIndex::stride).
+/// (a null IterIndex::stride). HostIO arguments are io_count consecutive
+/// exprs from io_first.
 struct NodeCost {
-  std::int32_t rhs = -1;         // ScalarAssign right-hand side
-  std::int32_t cond = -1;        // IfBlock / WhileLoop condition
+  std::int32_t rhs = -1;         // ScalarAssign / LocalLoop right-hand side
+  std::int32_t cond = -1;        // IfBlock / WhileLoop condition, LocalLoop mask
+  std::int32_t lhs = -1;         // LocalLoop target element's offset
+  std::int32_t arg = -1;         // LocalLoop inner-reduction / Reduce argument
   std::int32_t do_lo = -1, do_hi = -1, do_step = -1;
   std::int32_t comm_amount = -1; // CShiftComm shift expression
   std::int32_t inner_lo = -1, inner_hi = -1;  // InnerReduce bounds
   std::int32_t space_first = -1; // first (lo,hi,step) triple in space_codes
   std::int32_t space_dims = 0;
+  std::int32_t io_first = -1;
+  std::int32_t io_count = 0;
 };
 
-/// The flattened cost program for one CompiledProgram, built by the
-/// pipeline right after node numbering and shared (immutable) by every
-/// engine.
+/// An array the bytecode touches (ArrayLoad/ArrayOffset/Size b). When
+/// size() reads it, BatchEnv slots [extent_slot, extent_slot + rank), after
+/// the symbol slots, hold its extents; engines define them from the bound
+/// layout, undefined where the layout cannot resolve them.
+struct CostArray {
+  int symbol = -1;
+  int rank = 0;
+  int extent_slot = -1;  // -1: size() never reads it
+};
+
+/// The flattened program for one CompiledProgram, built by the pipeline
+/// right after node numbering and shared (immutable) by every engine.
 struct CostProgram {
-  std::vector<CostInstr> code;   // all expressions, concatenated
-  std::vector<double> pool;      // deduplicated constants
+  std::vector<CostInstr> code;    // all expressions, concatenated
+  std::vector<CostSource> sources;  // parallel to code
+  std::vector<double> pool;       // deduplicated constants
   std::vector<ExprCode> exprs;
-  std::vector<NodeCost> nodes;   // indexed by SpmdNode::id
+  std::vector<NodeCost> nodes;    // indexed by SpmdNode::id
   std::vector<std::int32_t> space_codes;  // (lo,hi,step) triples
-  std::uint16_t max_regs = 0;    // register-file size covering every expr
+  std::vector<CostArray> arrays;
+  std::vector<std::uint16_t> expr_arrays;  // ExprCode::arrays_* slices
+  std::size_t slots = 0;          // BatchEnv slots: symbols, then extents
+  std::uint16_t max_regs = 0;     // register-file size covering every expr
 };
 
-/// Flattens every priced expression of `prog` (requires numbered nodes).
+/// Flattens every expression the engines evaluate in `prog` (requires
+/// numbered nodes).
 [[nodiscard]] std::shared_ptr<const CostProgram> compile_cost_program(
     const CompiledProgram& prog);
+
+/// The (symbol id, value) pairs an environment starts with, in symbol
+/// order: every PARAMETER symbol's folded value, then the user `bindings`
+/// (which take precedence — the framework's problem-size override). The
+/// fold is pure in (symbols, bindings), so a caller running repeated sweeps
+/// computes it once per (program, problem) and scatters it into any number
+/// of environments (see core::BatchLane::seed).
+struct SeededValues {
+  std::vector<std::pair<int, double>> defined;
+};
+[[nodiscard]] SeededValues seed_values(const front::SymbolTable& symbols,
+                                       const front::Bindings& bindings);
 
 /// Lanes per SIMD stripe of the batch evaluator: one cache line of doubles,
 /// the widest vector any mainstream ISA retires in one register (AVX-512)
 /// and a whole-number multiple of SSE2/NEON/AVX2 widths. Column strides,
-/// register files, and the out/ok spans of eval_code_batch are padded to
-/// this width so every inner loop has a fixed, compile-time trip count.
+/// register files, and evaluation widths are padded to this width so every
+/// inner loop has a fixed, compile-time trip count.
 inline constexpr std::size_t kBatchStripe = 8;
 
-/// Structure-of-arrays scalar environment for lockstep batch evaluation:
-/// values(slot)[lane] with a parallel defined mask. Lane count is fixed per
-/// reset; slots mirror ScalarEnv symbol ids. Columns are padded to a
+/// Structure-of-arrays environment for lockstep evaluation: values(slot)
+/// [lane] with a parallel defined mask. Lane count is fixed per reset;
+/// slots are symbol ids, then array extents. Columns are padded to a
 /// kBatchStripe multiple (stride()); padding lanes read as undefined zeros,
 /// so stripe-major evaluation computes harmless garbage for them.
 class BatchEnv {
  public:
-  void reset(std::size_t symbol_count, std::size_t lanes) {
-    lanes_ = lanes;
+  void reset(std::size_t slots, std::size_t lanes) {
     stride_ = (lanes + kBatchStripe - 1) / kBatchStripe * kBatchStripe;
-    values_.assign(symbol_count * stride_, 0.0);
-    defined_.assign(symbol_count * stride_, 0);
+    values_.assign(slots * stride_, 0.0);
+    defined_.assign(slots * stride_, 0);
   }
 
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
-  /// Column spacing: lanes() rounded up to a kBatchStripe multiple.
+  /// Column spacing: the lane count rounded up to a kBatchStripe multiple.
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
 
   [[nodiscard]] const double* values(int slot) const {
@@ -136,31 +179,52 @@ class BatchEnv {
     values_[static_cast<std::size_t>(slot) * stride_ + lane] = value;
     defined_[static_cast<std::size_t>(slot) * stride_ + lane] = 1;
   }
+  /// Sets every lane of `slot`, padding included: a replicated value.
+  void broadcast(int slot, double value, bool defined = true) {
+    const std::size_t at = static_cast<std::size_t>(slot) * stride_;
+    std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(at), stride_, value);
+    std::fill_n(defined_.begin() + static_cast<std::ptrdiff_t>(at), stride_,
+                static_cast<unsigned char>(defined ? 1 : 0));
+  }
 
  private:
-  std::size_t lanes_ = 0;
   std::size_t stride_ = 0;
   std::vector<double> values_;
   std::vector<unsigned char> defined_;
 };
 
-/// Executes one compiled expression over every lane of `env` in lockstep.
-/// Dispatch is instruction-major (one switch per instruction, amortized
-/// over the whole batch) and every lane loop runs as whole 8-lane stripes
-/// over stride-padded columns, so the vectorizer emits full-width bodies
-/// with no runtime trip-count checks and no scalar epilogue.
-///
-/// `regs` must hold max_regs * env.stride() doubles, 64-byte aligned (the
-/// stride is a kBatchStripe multiple, so every register column is then
-/// cache-line aligned too); `out` and `ok` hold env.stride() entries
-/// (ok[l] == 0 marks a lane whose evaluation failed; its out value is
-/// unspecified, as are all entries past env.lanes()). Lane l's result is
-/// bit-identical to the tree evaluator against lane l's scalar environment,
-/// failures included: stripes only regroup independent per-lane
-/// arithmetic, and no fast-math reassociation is in play. Returns the
-/// number of stripes executed (telemetry).
-std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c,
-                            const BatchEnv& env, double* regs, double* out,
-                            unsigned char* ok);
+/// Row-major storage of one CostProgram::arrays entry, as the simulator
+/// binds it: extents and element strides as doubles (exact far beyond any
+/// array that fits in memory). A null `extents` leaves the array unbound:
+/// its element accesses fail.
+struct ArrayView {
+  double* data = nullptr;
+  const double* extents = nullptr;
+  const double* strides = nullptr;
+};
+
+/// Executes one compiled expression over lanes [0, width) of `env` in
+/// lockstep; `width` is a kBatchStripe multiple no larger than
+/// env.stride(). Dispatch is instruction-major and every lane loop runs as
+/// whole 8-lane stripes, so the vectorizer emits full-width bodies with no
+/// trip-count checks. `arrays` is indexed like CostProgram::arrays, or
+/// empty where no array storage exists (the interpretation engine): every
+/// element access then fails. `regs` holds max_regs * width doubles,
+/// 64-byte aligned; `out` and `ok` hold `width` entries (ok[l] == 0 marks a
+/// failed lane, whose out value is unspecified). No fast-math
+/// reassociation is in play, so a lane's value does not depend on the
+/// width or on the other lanes. Returns the stripes executed (telemetry).
+std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c, const BatchEnv& env,
+                            std::span<const ArrayView> arrays, double* regs, double* out,
+                            unsigned char* ok, std::size_t width);
+
+/// The located diagnostic of lane `lane`'s first failure in `c`, found by
+/// replaying the evaluation (same env, arrays and width) one instruction at
+/// a time. Cold: for a lane eval_code_batch reported failed.
+[[nodiscard]] support::CompileError lane_error(const CostProgram& cp, const ExprCode& c,
+                                               const BatchEnv& env,
+                                               std::span<const ArrayView> arrays,
+                                               double* regs, std::size_t width,
+                                               std::size_t lane);
 
 }  // namespace hpf90d::compiler

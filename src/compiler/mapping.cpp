@@ -310,6 +310,12 @@ std::vector<long long> DataLayout::array_extents(int symbol) const {
   return *se.dims;
 }
 
+const std::vector<long long>* DataLayout::resolved_extents(int symbol) const noexcept {
+  if (symbol < 0 || static_cast<std::size_t>(symbol) >= extents_.size()) return nullptr;
+  const auto& dims = extents_[static_cast<std::size_t>(symbol)].dims;
+  return dims ? &*dims : nullptr;
+}
+
 std::string DataLayout::ownership_picture(int symbol, int cell_rows, int cell_cols) const {
   const ArrayMap* map = map_for(symbol);
   std::ostringstream os;

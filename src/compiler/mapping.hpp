@@ -196,6 +196,8 @@ class DataLayout {
   /// support::CompileError when the symbol's extents did not resolve under
   /// this configuration's bindings.
   [[nodiscard]] std::vector<long long> array_extents(int symbol) const;
+  /// The same extents, or nullptr where array_extents would throw.
+  [[nodiscard]] const std::vector<long long>* resolved_extents(int symbol) const noexcept;
 
   /// Renders an ownership picture of a 2-D array for documentation and the
   /// Fig 3 bench (`P 1`..`P n` cells).

@@ -188,14 +188,13 @@ struct CompiledProgram {
   /// Per-node operation counts indexed by SpmdNode::id, filled by the
   /// pipeline (compute_node_ops). Computed once at compile time and shared
   /// by every consumer — all engine arenas and the simulator's cost model —
-  /// instead of being re-derived per engine. Empty only for hand-built
-  /// programs that bypassed lower_program; consumers then fall back to
-  /// collect_node_ops.
+  /// instead of being re-derived per engine.
   std::vector<NodeOpCounts> node_ops;
-  /// Priced expressions flattened to register bytecode (cost_program.hpp),
-  /// built by the pipeline alongside node_ops and shared immutably by every
-  /// engine arena. Null for hand-built programs that bypassed
-  /// lower_program; the engines then evaluate expression trees directly.
+  /// Every expression the engines evaluate, flattened to register bytecode
+  /// (cost_program.hpp), built by the pipeline alongside node_ops and
+  /// shared immutably by every engine arena and the simulator. Both are
+  /// empty only in hand-built programs that bypassed lower_program, which
+  /// neither engine runs.
   std::shared_ptr<const CostProgram> cost_program;
 
   [[nodiscard]] std::string str() const { return root ? root->str() : std::string{}; }
@@ -206,7 +205,7 @@ struct CompiledProgram {
 [[nodiscard]] std::vector<NodeOpCounts> collect_node_ops(const CompiledProgram& prog);
 
 /// Fills prog.node_ops via collect_node_ops. Called by the pipeline after
-/// node numbering; also the fix-up for hand-built programs.
+/// node numbering.
 void compute_node_ops(CompiledProgram& prog);
 
 }  // namespace hpf90d::compiler

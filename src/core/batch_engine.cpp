@@ -67,9 +67,16 @@ void BatchEngine::interpret(const compiler::CompiledProgram& prog,
 
   // Seed the SoA environment: scatter each lane's precomputed parameter
   // fold into its column.
-  env_.reset(prog.symbols.size(), L);
+  env_.reset(cost_->slots, L);
   for (std::size_t l = 0; l < L; ++l) {
     for (const auto& [sym, v] : lanes[l].seed->defined) env_.define(sym, l, v);
+    // size() reads the lane's own layout
+    for (const compiler::CostArray& x : cost_->arrays) {
+      const std::vector<long long>* e = lanes[l].layout->resolved_extents(x.symbol);
+      for (int d = 0; x.extent_slot >= 0 && e != nullptr && d < x.rank; ++d) {
+        env_.define(x.extent_slot + d, l, static_cast<double>((*e)[static_cast<std::size_t>(d)]));
+      }
+    }
   }
 
   // Register columns are stride-padded; align the file to a cache line so
@@ -135,64 +142,35 @@ void BatchEngine::walk(const SpmdNode& n) {
   }
 }
 
-void BatchEngine::eval(std::int32_t expr_id, const front::Expr& e) {
-  const compiler::ExprCode& c = cost_->exprs[static_cast<std::size_t>(expr_id)];
-  if (!c.ok) {
-    eval_tree(e);
-    return;
-  }
-  stats_.simd_stripes +=
-      compiler::eval_code_batch(*cost_, c, env_, regs_aligned_, vals_.data(), ok_.data());
+void BatchEngine::eval(std::int32_t expr_id) {
+  stats_.simd_stripes += compiler::eval_code_batch(
+      *cost_, cost_->exprs[static_cast<std::size_t>(expr_id)], env_, {}, regs_aligned_,
+      vals_.data(), ok_.data(), env_.stride());
 }
 
-void BatchEngine::eval_tree(const front::Expr& e) {
-  for (const int l : active_) {
-    gather_lane(l);
-    const std::optional<double> v =
-        compiler::try_eval_scalar(e, lane_env_, nullptr, prog_->symbols);
-    ok_[static_cast<std::size_t>(l)] = v ? 1 : 0;
-    vals_[static_cast<std::size_t>(l)] = v ? *v : 0.0;
-  }
-}
-
-void BatchEngine::gather_lane(int l) {
-  const std::size_t symbols = prog_->symbols.size();
-  lane_env_.reset(symbols);
-  for (std::size_t s = 0; s < symbols; ++s) {
-    const int slot = static_cast<int>(s);
-    if (env_.defined(slot)[l]) lane_env_.define(slot, env_.values(slot)[l]);
-  }
-}
-
-void BatchEngine::take_bound(const front::Expr& e, long long* out, unsigned char* fail,
+void BatchEngine::take_bound(std::int32_t expr_id, long long* out, unsigned char* fail,
                              const support::SourceLoc& loc, const char* context) {
+  eval(expr_id);
   for (const int l : active_) {
     const auto u = static_cast<std::size_t>(l);
     if (ok_[u]) {
       out[u] = std::llround(vals_[u]);
-    } else if (lone_) {
-      out[u] = lone_bound(e, loc, context);
-    } else {
+    } else if (!lone_) {
       fail[u] = 1;
+    } else {
+      const CompileError err =
+          compiler::lane_error(*cost_, cost_->exprs[static_cast<std::size_t>(expr_id)], env_,
+                               {}, regs_aligned_, env_.stride(), 0);
+      if (context == nullptr) throw err;
+      throw CompileError(loc, std::string("unresolved critical variable in ") + context +
+                                  " bounds: " + err.what());
     }
-  }
-}
-
-long long BatchEngine::lone_bound(const front::Expr& e, const support::SourceLoc& loc,
-                                  const char* context) {
-  gather_lane(0);
-  try {
-    return compiler::eval_int(e, lane_env_, nullptr, prog_->symbols);
-  } catch (const CompileError& err) {
-    if (context == nullptr) throw;
-    throw CompileError(loc, std::string("unresolved critical variable in ") + context +
-                                " bounds: " + err.what());
   }
 }
 
 void BatchEngine::batch_scalar_assign(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  eval(nc.rhs, *n.rhs);
+  eval(nc.rhs);
   const bool int_lhs = n.lhs->type == front::TypeBase::Integer;
   const int sym = n.lhs->symbol;
   for (const int l : active_) {
@@ -209,13 +187,10 @@ void BatchEngine::batch_scalar_assign(const SpmdNode& n) {
 void BatchEngine::batch_do(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
   for (const int l : active_) b_fail_[static_cast<std::size_t>(l)] = 0;
-  eval(nc.do_lo, *n.do_lo);
-  take_bound(*n.do_lo, b_lo_.data(), b_fail_.data(), n.loc, "do");
-  eval(nc.do_hi, *n.do_hi);
-  take_bound(*n.do_hi, b_hi_.data(), b_fail_.data(), n.loc, "do");
+  take_bound(nc.do_lo, b_lo_.data(), b_fail_.data(), n.loc, "do");
+  take_bound(nc.do_hi, b_hi_.data(), b_fail_.data(), n.loc, "do");
   if (n.do_step) {
-    eval(nc.do_step, *n.do_step);
-    take_bound(*n.do_step, b_step_.data(), b_fail_.data(), n.loc, "do");
+    take_bound(nc.do_step, b_step_.data(), b_fail_.data(), n.loc, "do");
   } else {
     for (const int l : active_) b_step_[static_cast<std::size_t>(l)] = 1;
   }
@@ -259,7 +234,7 @@ void BatchEngine::batch_while(const SpmdNode& n) {
   long long trips = 0;
   while (true) {
     if (active_.empty()) return;
-    eval(nc.cond, *n.mask);
+    eval(nc.cond);
     if (lone_ && !ok_[0]) {
       throw CompileError(n.loc,
                          "do while condition depends on data values; supply an "
@@ -287,7 +262,7 @@ void BatchEngine::batch_while(const SpmdNode& n) {
 
 void BatchEngine::batch_if(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  eval(nc.cond, *n.mask);
+  eval(nc.cond);
   // unresolved conditions assume the then-branch (no eviction on failure)
   const auto then_of = [&](int l) {
     const auto u = static_cast<std::size_t>(l);
@@ -311,14 +286,10 @@ void BatchEngine::resolve_space_batch(const SpmdNode& n, const compiler::NodeCos
   for (std::size_t d = 0; d < dims; ++d) {
     const compiler::IterIndex& ix = n.space[d];
     const std::int32_t* sc = cost_->space_codes.data() + nc.space_first + 3 * d;
-    eval(sc[0], *ix.lo);
-    take_bound(*ix.lo, sp_lo_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
-    eval(sc[1], *ix.hi);
-    take_bound(*ix.hi, sp_hi_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
+    take_bound(sc[0], sp_lo_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
+    take_bound(sc[1], sp_hi_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
     if (ix.stride) {
-      eval(sc[2], *ix.stride);
-      take_bound(*ix.stride, sp_step_.data() + d * L, sp_fail_.data(), ix.lo->loc,
-                 "forall");
+      take_bound(sc[2], sp_step_.data() + d * L, sp_fail_.data(), ix.lo->loc, "forall");
     } else {
       for (const int l : active_) sp_step_[d * L + static_cast<std::size_t>(l)] = 1;
     }
@@ -390,10 +361,8 @@ void BatchEngine::batch_local_loop(const SpmdNode& n) {
     // a failing bound evicts (or, alone, throws) only where points() > 0
     if (lone_ && pts_[0] <= 0) return;
     for (const int l : active_) b_fail_[static_cast<std::size_t>(l)] = 0;
-    eval(nc.inner_hi, *n.inner->index.hi);
-    take_bound(*n.inner->index.hi, b_hi_.data(), b_fail_.data(), n.loc, nullptr);
-    eval(nc.inner_lo, *n.inner->index.lo);
-    take_bound(*n.inner->index.lo, b_lo_.data(), b_fail_.data(), n.loc, nullptr);
+    take_bound(nc.inner_hi, b_hi_.data(), b_fail_.data(), n.loc, nullptr);
+    take_bound(nc.inner_lo, b_lo_.data(), b_fail_.data(), n.loc, nullptr);
     const auto inner_ok = [&](int l) {
       const auto u = static_cast<std::size_t>(l);
       return pts_[u] <= 0 || b_fail_[u] == 0;
@@ -462,7 +431,7 @@ void BatchEngine::batch_reduce(const SpmdNode& n) {
 
 void BatchEngine::batch_cshift(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
-  eval(nc.comm_amount, *n.comm_amount);
+  eval(nc.comm_amount);
   for (const int l : active_) {
     const auto u = static_cast<std::size_t>(l);
     // an unevaluable shift amount defaults to 1 (no eviction)

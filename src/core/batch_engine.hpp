@@ -36,8 +36,8 @@ namespace hpf90d::core {
 struct BatchLane {
   const compiler::DataLayout* layout = nullptr;
   const front::Bindings* bindings = nullptr;
-  /// The seed_environment fold of `bindings` for the program (see
-  /// compiler::seed_values): the lane's environment column starts as this
+  /// The compiler::seed_values fold of `bindings` for the program: the
+  /// lane's environment column starts as this
   /// list. Owned by the caller, which memoizes it per bindings object; it
   /// must outlive the interpret() call.
   const compiler::SeededValues* seed = nullptr;
@@ -105,26 +105,17 @@ class BatchEngine {
   void batch_cshift(const SpmdNode& n);
   void batch_irregular(const SpmdNode& n);
 
-  /// Evaluates expression `e` (CostProgram::exprs[expr_id]) over all lanes
-  /// into vals_/ok_. Compiled code runs dense (evicted lanes compute too,
-  /// their results are noise); an uncompiled expression goes through the
-  /// tree evaluator for each active lane.
-  void eval(std::int32_t expr_id, const front::Expr& e);
-  /// Tree-evaluator fallback of eval() for ExprCode::ok == false.
-  void eval_tree(const front::Expr& e);
-  /// Loads lane `l`'s BatchEnv column into lane_env_.
-  void gather_lane(int l);
-  /// Rounds each active lane's just-evaluated bound `e` into out[lane]; a
-  /// lane whose evaluation failed is flagged in fail[lane] — or, in a
-  /// one-lane window, resolved by lone_bound.
-  void take_bound(const front::Expr& e, long long* out, unsigned char* fail,
+  /// Evaluates CostProgram::exprs[expr_id] over all lanes into vals_/ok_.
+  /// Evaluation runs dense: evicted lanes compute too, their results are
+  /// noise.
+  void eval(std::int32_t expr_id);
+  /// Evaluates bound `expr_id` and rounds each active lane's value into
+  /// out[lane]; a lane whose evaluation failed is flagged in fail[lane] —
+  /// or, in a one-lane window, throws the bytecode's located diagnostic,
+  /// prefixed at `loc` by "unresolved critical variable in <context>
+  /// bounds: " when `context` is non-null.
+  void take_bound(std::int32_t expr_id, long long* out, unsigned char* fail,
                   const support::SourceLoc& loc, const char* context);
-  /// The one-lane window's failing bound: re-evaluates `e` with the tree
-  /// evaluator and returns its value when that succeeds; otherwise throws
-  /// the tree's diagnostic, prefixed at `loc` by "unresolved critical
-  /// variable in <context> bounds: " when `context` is non-null.
-  [[gnu::cold]] long long lone_bound(const front::Expr& e, const support::SourceLoc& loc,
-                                     const char* context);
   /// Evaluates a node's iteration space for all lanes into sp_*_.
   void resolve_space_batch(const SpmdNode& n, const compiler::NodeCost& nc);
   /// Loads lane `l`'s resolved space from sp_*_ into `sp`.
@@ -151,7 +142,6 @@ class BatchEngine {
 
   std::vector<InterpretationEngine> engines_;  // per-lane clocks/metrics/pricing
   compiler::BatchEnv env_;                     // the single source of scalar values
-  compiler::ScalarEnv lane_env_{0};            // one lane's column, for the tree evaluator
   bool lone_ = false;                          // a one-lane window: failures throw
 
   std::vector<double> regs_;        // max_regs * kBatchStripe file (+ alignment slack)

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "compiler/eval.hpp"
 #include "compiler/mapping.hpp"
 #include "compiler/spmd_ir.hpp"
 #include "core/aag.hpp"

@@ -38,7 +38,7 @@ std::optional<double> apply_intrinsic(IntrinsicId id, std::span<const double> ar
     case Float:
     case Dble: return args[0];
     case Int: return std::trunc(args[0]);
-    case Nint: return std::nearbyint(args[0]);
+    case Nint: return std::round(args[0]);  // half away from zero, as Fortran
     case Sum: case Product: case Maxval: case Minval: case Maxloc:
     case Cshift: case Tshift: case Size:
       return std::nullopt;

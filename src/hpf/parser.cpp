@@ -164,6 +164,17 @@ class Parser {
 
   // -- statements ---------------------------------------------------------
   StmtPtr parse_statement() {
+    if (stmt_depth_ == kMaxStmtDepth) {
+      throw CompileError(peek().loc, "statements nested more than " +
+                                         std::to_string(kMaxStmtDepth) + " levels deep");
+    }
+    ++stmt_depth_;
+    StmtPtr stmt = parse_statement_here();
+    --stmt_depth_;
+    return stmt;
+  }
+
+  StmtPtr parse_statement_here() {
     if (at_word("forall")) return parse_forall();
     if (at_word("where")) return parse_where();
     if (at_word("do")) return parse_do();
@@ -688,6 +699,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   int depth_ = 0;   // current expression nesting (see kMaxExprDepth)
+  int stmt_depth_ = 0;  // current statement nesting (see kMaxStmtDepth)
   int height_ = 0;  // height of the expression parse_* last returned
 };
 

@@ -39,6 +39,13 @@ inline constexpr int kMaxExprDepth = 256;
 /// rejected with a diagnostic at the operator (or call) that crosses it.
 inline constexpr int kMaxExprHeight = 2048;
 
+/// Deepest statement nesting the parser accepts: each DO, DO WHILE, block
+/// IF, FORALL and WHERE construct opens one level. Sema, lowering and both
+/// engines walk statement trees recursively, so a hostile source such as
+/// 50,000 nested IF blocks is rejected here, with a diagnostic located at
+/// the statement that crosses the limit, instead of overflowing the stack.
+inline constexpr int kMaxStmtDepth = 256;
+
 /// Parses a complete source file (lexes it first). Throws
 /// support::CompileError on syntax errors.
 [[nodiscard]] Program parse_program(std::string_view source);

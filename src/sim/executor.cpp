@@ -54,25 +54,33 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
                       const machine::MachineModel& machine, const SimOptions& options,
                       const front::Bindings& bindings) {
   prog_ = &prog;
-  if (prog.node_ops.size() == static_cast<std::size_t>(prog.node_count)) {
-    node_ops_ = &prog.node_ops;
-  } else {
-    // Hand-built program that bypassed the pipeline: price it here.
-    fallback_node_ops_ = compiler::collect_node_ops(prog);
-    node_ops_ = &fallback_node_ops_;
-  }
+  cost_program_ = prog.cost_program.get();
   layout_ = &layout;
   machine_ = &machine;
   options_ = options;
   nprocs_ = layout.nprocs();
-  env_.reset(prog.symbols.size());
+  const compiler::CostProgram& cp = *cost_program_;
+  env_.reset(cp.slots, kLanes);
+  for (const auto& [id, v] : compiler::seed_values(prog.symbols, bindings).defined) {
+    env_.broadcast(id, v);
+  }
+  for (const compiler::CostArray& x : cp.arrays) {
+    const std::vector<long long>* e = layout.resolved_extents(x.symbol);
+    for (int d = 0; x.extent_slot >= 0 && e != nullptr && d < x.rank; ++d) {
+      env_.broadcast(x.extent_slot + d, static_cast<double>((*e)[static_cast<std::size_t>(d)]));
+    }
+  }
   storage_.rebind(prog.symbols, layout);
+  views_.assign(cp.arrays.size(), compiler::ArrayView{});
+  // one register column per lane, cache-line aligned like the env columns
+  regs_.resize(static_cast<std::size_t>(cp.max_regs) * kLanes + 8);
+  const auto raw = reinterpret_cast<std::uintptr_t>(regs_.data());
+  regs_aligned_ = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
   cost_.emplace(machine.node());
   comm_model_ = machine::CommModel(machine.node().comm);
   network_.emplace(nprocs_, layout.grid().shape, machine.node().comm,
                    SimNetworkOptions{options.contention});
   clock_.assign(static_cast<std::size_t>(nprocs_), 0.0);
-  compiler::seed_environment(env_, prog_->symbols, bindings);
   counted_ = nullptr;
 }
 
@@ -97,7 +105,7 @@ void Executor::record(ValueTape& tape) {
   for (const auto& sym : prog_->symbols.symbols()) {
     if (sym.kind == front::SymbolKind::Scalar || sym.kind == front::SymbolKind::Param) {
       const int id = prog_->symbols.find(sym.name);
-      if (env_.is_defined(id)) tape.scalars[sym.name] = env_.value(id);
+      if (env_.defined(id)[0] != 0) tape.scalars[sym.name] = env_.values(id)[0];
     }
   }
 }
@@ -169,9 +177,6 @@ void Executor::charge_overhead(int node_id, int proc, double t) {
   clock_[static_cast<std::size_t>(proc)] += t;
   metric(node_id).overhead += t;
 }
-void Executor::charge_all_comp(int node_id, double t) {
-  for (int p = 0; p < nprocs_; ++p) charge_comp(node_id, p, t);
-}
 void Executor::charge_all_overhead(int node_id, double t) {
   for (int p = 0; p < nprocs_; ++p) charge_overhead(node_id, p, t);
 }
@@ -179,6 +184,30 @@ void Executor::charge_all_overhead(int node_id, double t) {
 // ---------------------------------------------------------------------------
 // functional pass
 // ---------------------------------------------------------------------------
+
+void Executor::eval(std::int32_t id, std::size_t width, double* out, unsigned char* ok) {
+  const compiler::CostProgram& cp = *cost_program_;
+  const compiler::ExprCode& c = cp.exprs[static_cast<std::size_t>(id)];
+  // bind the arrays it touches on first use; one whose extents do not
+  // resolve stays unbound, so an element access fails where it is reached
+  for (std::uint32_t k = 0; k < c.arrays_count; ++k) {
+    const std::size_t a = cp.expr_arrays[c.arrays_first + k];
+    if (views_[a].extents == nullptr) views_[a] = storage_.view(cp.arrays[a].symbol);
+  }
+  (void)compiler::eval_code_batch(cp, c, env_, views_, regs_aligned_, out, ok, width);
+}
+
+double Executor::scalar(std::int32_t id) {
+  eval(id, compiler::kBatchStripe, vals_.data(), ok_.data());
+  if (ok_[0] == 0) fail_lane(id, compiler::kBatchStripe, 0);
+  return vals_[0];
+}
+
+void Executor::fail_lane(std::int32_t id, std::size_t width, std::size_t lane) {
+  throw compiler::lane_error(*cost_program_,
+                             cost_program_->exprs[static_cast<std::size_t>(id)], env_,
+                             views_, regs_aligned_, width, lane);
+}
 
 void Executor::record_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
   for (const auto& n : nodes) record_node(*n);
@@ -189,25 +218,25 @@ void Executor::record_node(const SpmdNode& n) {
   switch (n.kind) {
     case SpmdKind::Seq: record_seq(n.children); break;
     case SpmdKind::ScalarAssign: {
-      const double v = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
-      env_.define(n.lhs->symbol, n.lhs->type == front::TypeBase::Integer ? std::trunc(v) : v);
+      const double v = scalar(node_cost(n).rhs);
+      env_.broadcast(n.lhs->symbol,
+                     n.lhs->type == front::TypeBase::Integer ? std::trunc(v) : v);
       break;
     }
     case SpmdKind::LocalLoop: record_local_loop(n); break;
     case SpmdKind::Reduce: record_reduce(n); break;
     case SpmdKind::CShiftComm: {
-      const long long shift =
-          compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
+      const long long shift = scalar_int(node_cost(n).comm_amount);
       storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
       words.push_back(shift);
       break;
     }
     case SpmdKind::GatherComm:
-    case SpmdKind::ScatterComm: words.push_back(resolve_space(n.space)); break;
+    case SpmdKind::ScatterComm: words.push_back(resolve_space(n)); break;
     case SpmdKind::DoLoop: record_do(n); break;
     case SpmdKind::WhileLoop: record_while(n); break;
     case SpmdKind::IfBlock: {
-      const bool taken = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
+      const bool taken = scalar(node_cost(n).cond) != 0.0;
       words.push_back(taken ? 1 : 0);
       record_seq(taken ? n.children : n.else_children);
       break;
@@ -219,15 +248,15 @@ void Executor::record_node(const SpmdNode& n) {
 }
 
 void Executor::record_do(const SpmdNode& n) {
-  const long long lo = compiler::eval_int(*n.do_lo, env_, &storage_, prog_->symbols);
-  const long long hi = compiler::eval_int(*n.do_hi, env_, &storage_, prog_->symbols);
-  const long long step =
-      n.do_step ? compiler::eval_int(*n.do_step, env_, &storage_, prog_->symbols) : 1;
+  const compiler::NodeCost& nc = node_cost(n);
+  const long long lo = scalar_int(nc.do_lo);
+  const long long hi = scalar_int(nc.do_hi);
+  const long long step = n.do_step ? scalar_int(nc.do_step) : 1;
   if (step == 0) throw CompileError(n.loc, "do loop step is zero");
   const long long trips = trip_count(lo, hi, step);
   rec_->words.push_back(trips);
   for (long long t = 0; t < trips; ++t) {
-    env_.define(n.do_symbol, static_cast<double>(lo + t * step));
+    env_.broadcast(n.do_symbol, static_cast<double>(lo + t * step));
     record_seq(n.children);
   }
 }
@@ -238,7 +267,7 @@ void Executor::record_while(const SpmdNode& n) {
   const std::size_t slot = rec_->words.size();
   rec_->words.push_back(0);
   long long trips = 0;
-  while (compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0) {
+  while (scalar(node_cost(n).cond) != 0.0) {
     if (++trips > options_.max_while_trips) throw CompileError(n.loc, kWhileLimitError);
     record_seq(n.children);
   }
@@ -246,9 +275,10 @@ void Executor::record_while(const SpmdNode& n) {
 }
 
 void Executor::record_hostio(const SpmdNode& n) {
-  for (const auto& arg : n.io_args) {
-    if (arg->rank == 0) {
-      rec_->printed[arg->str()] = compiler::eval_scalar(*arg, env_, &storage_, prog_->symbols);
+  const compiler::NodeCost& nc = node_cost(n);
+  for (std::size_t i = 0; i < n.io_args.size(); ++i) {
+    if (n.io_args[i]->rank == 0) {
+      rec_->printed[n.io_args[i]->str()] = scalar(nc.io_first + static_cast<std::int32_t>(i));
     }
   }
 }
@@ -334,22 +364,39 @@ void Executor::time_hostio(const SpmdNode& n) {
 // iteration helpers
 // ---------------------------------------------------------------------------
 
-long long Executor::resolve_space(const std::vector<compiler::IterIndex>& space) {
+long long Executor::resolve_space(const SpmdNode& n) {
+  const compiler::NodeCost& nc = node_cost(n);
+  const std::int32_t* codes = cost_program_->space_codes.data() + nc.space_first;
   lo_.clear();
   hi_.clear();
   step_.clear();
   long long total = 1;
-  for (const auto& ix : space) {
-    const long long lo = compiler::eval_int(*ix.lo, env_, &storage_, prog_->symbols);
-    const long long hi = compiler::eval_int(*ix.hi, env_, &storage_, prog_->symbols);
-    const long long step =
-        ix.stride ? compiler::eval_int(*ix.stride, env_, &storage_, prog_->symbols) : 1;
+  for (std::size_t d = 0; d < n.space.size(); ++d) {
+    const long long lo = scalar_int(codes[3 * d]);
+    const long long hi = scalar_int(codes[3 * d + 1]);
+    const long long step = codes[3 * d + 2] >= 0 ? scalar_int(codes[3 * d + 2]) : 1;
     lo_.push_back(lo);
     hi_.push_back(hi);
     step_.push_back(step);
     total *= trip_count(lo, hi, step);
   }
   return total;
+}
+
+std::size_t Executor::load_points(const SpmdNode& n, bool& more) {
+  std::size_t m = 0;
+  do {
+    for (std::size_t d = 0; d < point_.size(); ++d) {
+      env_.define(n.space[d].symbol, m, static_cast<double>(point_[d]));
+    }
+    ++m;
+    more = next_point();
+  } while (more && m < kLanes);
+  return m;
+}
+
+void Executor::keep_last_point(const SpmdNode& n, std::size_t last) {
+  for (const auto& ix : n.space) env_.broadcast(ix.symbol, env_.values(ix.symbol)[last]);
 }
 
 bool Executor::next_point() {
@@ -529,17 +576,28 @@ long long Executor::working_set_bytes(const Expr& lhs, const Expr* rhs,
 // local computation
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Pads a lane count to whole stripes.
+std::size_t stripes_for(std::size_t lanes) {
+  return (lanes + compiler::kBatchStripe - 1) / compiler::kBatchStripe *
+         compiler::kBatchStripe;
+}
+
+}  // namespace
+
 void Executor::record_local_loop(const SpmdNode& n) {
+  const compiler::NodeCost& nc = node_cost(n);
   std::vector<long long>& words = rec_->words;
-  const long long points = resolve_space(n.space);
+  const long long points = resolve_space(n);
   words.push_back(points);
   if (points <= 0) return;
 
   // inner-reduction resolved bounds (loop-invariant by construction)
   long long inner_lo = 0, inner_hi = -1;
   if (n.inner) {
-    inner_lo = compiler::eval_int(*n.inner->index.lo, env_, &storage_, prog_->symbols);
-    inner_hi = compiler::eval_int(*n.inner->index.hi, env_, &storage_, prog_->symbols);
+    inner_lo = scalar_int(nc.inner_lo);
+    inner_hi = scalar_int(nc.inner_hi);
     words.push_back(std::max<long long>(0, inner_hi - inner_lo + 1));
   }
   // A distributed loop's space, and its mask bits, let any layout count
@@ -549,57 +607,82 @@ void Executor::record_local_loop(const SpmdNode& n) {
   const std::size_t mask_at = words.size();
   if (mask_bits) words.resize(mask_at + mask_words(points), 0);
 
-  // evaluate all RHS first (forall semantics), then commit
+  // Forall semantics: every point's mask, value and target are evaluated
+  // against the arrays as they stand, then the stores commit. Points run
+  // kLanes at a time as lanes, in odometer order, so the first failing
+  // point is the first failing lane of the first chunk that has one.
   pending_.clear();
   const int lhs_symbol = n.lhs->symbol;
   (void)storage_.raw(lhs_symbol);  // ensure allocated
 
   point_.assign(lo_.begin(), lo_.end());
-  lhs_idx_.resize(n.lhs->subs.size());
-  std::size_t k = 0;  // the point's odometer ordinal
-  do {
-    for (std::size_t d = 0; d < point_.size(); ++d) {
-      env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
-    }
-    const bool mask_true =
-        !n.mask || compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols) != 0.0;
-    if (mask_true) {
-      if (mask_bits) {
-        words[mask_at + k / 64] |= static_cast<long long>(std::uint64_t{1} << (k % 64));
-      }
-      double value;
-      if (n.inner) {
-        const compiler::ReduceOp op = n.inner->op;
-        double acc = op == compiler::ReduceOp::Product  ? 1.0
-                     : op == compiler::ReduceOp::MaxVal ? -1e300
-                     : op == compiler::ReduceOp::MinVal ? 1e300
-                                                        : 0.0;
-        for (long long j = inner_lo; j <= inner_hi; ++j) {
-          env_.define(n.inner->index.symbol, static_cast<double>(j));
-          const double x =
-              compiler::eval_scalar(*n.inner->arg, env_, &storage_, prog_->symbols);
+  std::size_t k = 0;  // odometer ordinal of the chunk's first point
+  std::size_t m = 0;
+  for (bool more = true; more; k += m) {
+    m = load_points(n, more);
+    const std::size_t width = stripes_for(m);
+    if (n.mask) eval(nc.cond, width, mask_.data(), mask_ok_.data());
+    if (n.inner) {
+      const compiler::ReduceOp op = n.inner->op;
+      const double init = op == compiler::ReduceOp::Product  ? 1.0
+                          : op == compiler::ReduceOp::MaxVal ? -1e300
+                          : op == compiler::ReduceOp::MinVal ? 1e300
+                                                             : 0.0;
+      std::fill_n(value_.begin(), width, init);
+      std::fill_n(value_ok_.begin(), width, static_cast<unsigned char>(1));
+      for (long long j = inner_lo; j <= inner_hi; ++j) {
+        env_.broadcast(n.inner->index.symbol, static_cast<double>(j));
+        eval(nc.arg, width, vals_.data(), ok_.data());
+        for (std::size_t l = 0; l < width; ++l) {
+          const double x = vals_[l];
+          double& acc = value_[l];
           switch (op) {
             case compiler::ReduceOp::Sum: acc += x; break;
             case compiler::ReduceOp::Product: acc *= x; break;
             case compiler::ReduceOp::MaxVal: acc = std::max(acc, x); break;
             default: acc = std::min(acc, x); break;
           }
+          value_ok_[l] &= ok_[l];
         }
-        value = acc;
-      } else {
-        value = compiler::eval_scalar(*n.rhs, env_, &storage_, prog_->symbols);
       }
-      if (n.lhs->type == front::TypeBase::Integer) value = std::trunc(value);
-      for (std::size_t d = 0; d < lhs_idx_.size(); ++d) {
-        lhs_idx_[d] = compiler::eval_int(*n.lhs->subs[d].scalar, env_, &storage_,
-                                         prog_->symbols);
-      }
-      pending_.push_back(PendingStore{storage_.offset(lhs_symbol, lhs_idx_), value});
+    } else {
+      eval(nc.rhs, width, value_.data(), value_ok_.data());
     }
-    ++k;
-  } while (next_point());
+    eval(nc.lhs, width, offset_.data(), offset_ok_.data());
+
+    for (std::size_t l = 0; l < m; ++l) {
+      const bool on = !n.mask || (mask_ok_[l] != 0 && mask_[l] != 0.0);
+      if ((n.mask && mask_ok_[l] == 0) || (on && (value_ok_[l] == 0 || offset_ok_[l] == 0))) {
+        fail_point(n, width, l, inner_lo, inner_hi);
+      }
+      if (!on) continue;
+      if (mask_bits) {
+        words[mask_at + (k + l) / 64] |= static_cast<long long>(std::uint64_t{1} << ((k + l) % 64));
+      }
+      const double value =
+          n.lhs->type == front::TypeBase::Integer ? std::trunc(value_[l]) : value_[l];
+      pending_.push_back(PendingStore{static_cast<std::size_t>(offset_[l]), value});
+    }
+  }
+  keep_last_point(n, m - 1);
   auto raw = storage_.raw(lhs_symbol);
   for (const auto& st : pending_) raw[st.offset] = st.value;
+}
+
+void Executor::fail_point(const SpmdNode& n, std::size_t width, std::size_t lane,
+                          long long inner_lo, long long inner_hi) {
+  const compiler::NodeCost& nc = node_cost(n);
+  if (n.mask && mask_ok_[lane] == 0) fail_lane(nc.cond, width, lane);
+  if (n.inner) {
+    for (long long j = inner_lo; j <= inner_hi; ++j) {
+      env_.broadcast(n.inner->index.symbol, static_cast<double>(j));
+      eval(nc.arg, width, vals_.data(), ok_.data());
+      if (ok_[lane] == 0) fail_lane(nc.arg, width, lane);
+    }
+  } else if (value_ok_[lane] == 0) {
+    fail_lane(nc.rhs, width, lane);
+  }
+  fail_lane(nc.lhs, width, lane);
 }
 
 void Executor::time_local_loop(const SpmdNode& n) {
@@ -692,7 +775,8 @@ void Executor::charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* ho
 // ---------------------------------------------------------------------------
 
 void Executor::record_reduce(const SpmdNode& n) {
-  const long long points = resolve_space(n.space);
+  const compiler::NodeCost& nc = node_cost(n);
+  const long long points = resolve_space(n);
   rec_->words.push_back(points);
   if (points > 0 && n.home_symbol >= 0) record_space();
 
@@ -704,29 +788,39 @@ void Executor::record_reduce(const SpmdNode& n) {
                                                   : 0.0;
   long long arg_at = 0;
   if (points > 0) {
+    // points run as lanes; the accumulation stays sequential in odometer
+    // order, so every partial result rounds as a point-by-point loop would
     point_.assign(lo_.begin(), lo_.end());
-    do {
-      for (std::size_t d = 0; d < point_.size(); ++d) {
-        env_.define(n.space[d].symbol, static_cast<double>(point_[d]));
+    std::size_t m = 0;
+    for (bool more = true; more;) {
+      m = load_points(n, more);
+      const std::size_t width = stripes_for(m);
+      eval(nc.arg, width, vals_.data(), ok_.data());
+      for (std::size_t l = 0; l < m; ++l) {
+        if (ok_[l] == 0) fail_lane(nc.arg, width, l);
       }
-      const double x =
-          compiler::eval_scalar(*n.reduce_arg, env_, &storage_, prog_->symbols);
-      if (op == compiler::ReduceOp::Sum) {
-        acc += x;
-      } else if (op == compiler::ReduceOp::Product) {
-        acc *= x;
-      } else if (is_max) {
-        if (x > acc) {
-          acc = x;
-          arg_at = point_[0];
+      for (std::size_t l = 0; l < m; ++l) {
+        const double x = vals_[l];
+        if (op == compiler::ReduceOp::Sum) {
+          acc += x;
+        } else if (op == compiler::ReduceOp::Product) {
+          acc *= x;
+        } else if (is_max) {
+          if (x > acc) {
+            acc = x;
+            arg_at = n.space.empty()
+                         ? 0
+                         : static_cast<long long>(env_.values(n.space[0].symbol)[l]);
+          }
+        } else {
+          acc = std::min(acc, x);
         }
-      } else {
-        acc = std::min(acc, x);
       }
-    } while (next_point());
+    }
+    keep_last_point(n, m - 1);
   }
-  env_.define(n.reduce_result,
-              op == compiler::ReduceOp::MaxLoc ? static_cast<double>(arg_at) : acc);
+  env_.broadcast(n.reduce_result,
+                 op == compiler::ReduceOp::MaxLoc ? static_cast<double>(arg_at) : acc);
 }
 
 void Executor::time_reduce(const SpmdNode& n) {

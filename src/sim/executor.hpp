@@ -4,15 +4,27 @@
 // engine prices is executed here with real data, per-processor clocks, an
 // event-driven hypercube network, the fine i860 cost model, and seeded OS
 // noise (see DESIGN.md's substitution table).
+//
+// Values come from the one expression evaluator both engines share, the
+// program's cost bytecode (compiler/cost_program.hpp). Replicated scalar
+// code runs it on one stripe; a forall or reduction runs it over up to 64
+// of its points at a time, one point per lane, in odometer order: a
+// forall's mask, value and target for every lane before any store
+// commits, a reduction's argument for every lane before the sequential
+// accumulation. A failing point raises the diagnostic of its first failing
+// instruction; the first failing point in odometer order wins, and a
+// masked-off point never fails.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "compiler/eval.hpp"
+#include "compiler/cost_program.hpp"
 #include "compiler/mapping.hpp"
 #include "compiler/spmd_ir.hpp"
 #include "machine/sag.hpp"
@@ -149,6 +161,29 @@ class Executor {
   /// Records the resolved space lo_/hi_/step_ (rank * 3 words).
   void record_space();
 
+  [[nodiscard]] const compiler::NodeCost& node_cost(const SpmdNode& n) const {
+    return cost_program_->nodes.at(static_cast<std::size_t>(n.id));
+  }
+  /// Evaluates expression `id` over lanes [0, width) of env_, binding the
+  /// arrays it touches first.
+  void eval(std::int32_t id, std::size_t width, double* out, unsigned char* ok);
+  /// A replicated value (one stripe, whose lanes agree); throws the
+  /// expression's diagnostic when it fails.
+  double scalar(std::int32_t id);
+  long long scalar_int(std::int32_t id) { return std::llround(scalar(id)); }
+  /// Throws the diagnostic of lane `lane` of `id` over `width` lanes.
+  [[noreturn]] void fail_lane(std::int32_t id, std::size_t width, std::size_t lane);
+  /// Loads up to kLanes further points, in odometer order from point_, into
+  /// the space symbols' lanes; returns how many, `more` while some remain.
+  std::size_t load_points(const SpmdNode& n, bool& more);
+  /// Broadcasts lane `last`'s point: the space symbols end as the last
+  /// point left them.
+  void keep_last_point(const SpmdNode& n, std::size_t last);
+  /// Throws the diagnostic of forall point `lane` that failed its mask,
+  /// value or target, in that order.
+  [[noreturn]] void fail_point(const SpmdNode& n, std::size_t width, std::size_t lane,
+                               long long inner_lo, long long inner_hi);
+
   // --- timing walk -----------------------------------------------------------------
   void time_seq(const std::vector<compiler::SpmdNodePtr>& nodes);
   void time_node(const SpmdNode& n);
@@ -188,8 +223,8 @@ class Executor {
   std::span<const long long> tape_at(std::size_t count);
 
   // --- helpers ------------------------------------------------------------------
-  /// Resolves `space` into lo_/hi_/step_ scratch; returns the point count.
-  long long resolve_space(const std::vector<compiler::IterIndex>& space);
+  /// Resolves `n`'s space into lo_/hi_/step_ scratch; returns the point count.
+  long long resolve_space(const SpmdNode& n);
   /// Advances point_ through lo_/hi_/step_ in row-major order; false once
   /// the space is exhausted.
   bool next_point();
@@ -215,19 +250,18 @@ class Executor {
   void charge_comp(int node_id, int proc, double t);
   void charge_comm(int node_id, int proc, double t);
   void charge_overhead(int node_id, int proc, double t);
-  void charge_all_comp(int node_id, double t);
   void charge_all_overhead(int node_id, double t);
 
   NodeMetric& metric(int node_id) { return metrics_.at(static_cast<std::size_t>(node_id)); }
 
   /// Compile-time operation counts for one node (the shared
-  /// CompiledProgram::node_ops table; see engine.hpp for the same pattern,
-  /// including the at() guard against unnumbered hand-built nodes).
+  /// CompiledProgram::node_ops table; at() guards against unnumbered
+  /// nodes, as in the interpretation engine).
   [[nodiscard]] const compiler::OpCounts& body_ops(const SpmdNode& n) const {
-    return node_ops_->at(static_cast<std::size_t>(n.id)).body;
+    return prog_->node_ops.at(static_cast<std::size_t>(n.id)).body;
   }
   [[nodiscard]] const compiler::OpCounts& cond_ops(const SpmdNode& n) const {
-    return node_ops_->at(static_cast<std::size_t>(n.id)).cond;
+    return prog_->node_ops.at(static_cast<std::size_t>(n.id)).cond;
   }
 
   /// Pairwise recursive-doubling collective over all processors: per stage
@@ -237,17 +271,25 @@ class Executor {
   // Pointers (not references) so rebind() can re-target the executor; null
   // only between default construction and the first rebind.
   const compiler::CompiledProgram* prog_ = nullptr;
-  // Points at prog_->node_ops, or at fallback_node_ops_ for hand-built
-  // programs that bypassed the pipeline.
-  const std::vector<compiler::NodeOpCounts>* node_ops_ = nullptr;
-  std::vector<compiler::NodeOpCounts> fallback_node_ops_;
   const compiler::DataLayout* layout_ = nullptr;
   const machine::MachineModel* machine_ = nullptr;
   SimOptions options_;
   int nprocs_ = 0;
 
-  compiler::ScalarEnv env_{0};
+  // The functional pass's one evaluator: the program's cost bytecode over
+  // env_, kLanes forall points per evaluation; replicated values sit in
+  // every lane.
+  static constexpr std::size_t kLanes = 64;
+  const compiler::CostProgram* cost_program_ = nullptr;
+  compiler::BatchEnv env_;
   Storage storage_;
+  std::vector<compiler::ArrayView> views_;   // indexed like CostProgram::arrays
+  std::vector<double> regs_;                 // max_regs * kLanes (+ alignment slack)
+  double* regs_aligned_ = nullptr;
+  using LaneColumn = std::array<double, kLanes>;
+  using LaneFlags = std::array<unsigned char, kLanes>;
+  LaneColumn vals_, mask_, value_, offset_;
+  LaneFlags ok_, mask_ok_, value_ok_, offset_ok_;
   // NodeCostModel and SimNetwork hold references/config, so retargeting is
   // an emplace rather than an assignment.
   std::optional<NodeCostModel> cost_;

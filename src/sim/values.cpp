@@ -1,5 +1,6 @@
 #include "sim/values.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/diagnostics.hpp"
@@ -29,11 +30,10 @@ Storage::ArrayStore& Storage::shape(int symbol) {
   auto& store = arrays_.at(static_cast<std::size_t>(symbol));
   if (store.shaped) return store;
   store.extents = layout_->array_extents(symbol);
-  store.strides.assign(store.extents.size(), 1);
-  long long total = 1;
-  for (std::size_t d = store.extents.size(); d-- > 0;) {
-    store.strides[d] = total;
-    total *= store.extents[d];
+  store.extents_d.assign(store.extents.begin(), store.extents.end());
+  store.strides_d.assign(store.extents.size(), 1.0);
+  for (std::size_t d = store.extents.size(); d-- > 1;) {
+    store.strides_d[d - 1] = store.strides_d[d] * store.extents_d[d];
   }
   store.shaped = true;
   return store;
@@ -57,38 +57,11 @@ Storage::ArrayStore& Storage::ensure(int symbol) {
   return store;
 }
 
-std::size_t Storage::offset(int symbol, std::span<const long long> index) {
-  return offset_in(ensure(symbol), symbol, index);
-}
-
-std::size_t Storage::offset_in(const ArrayStore& store, int symbol,
-                               std::span<const long long> index) const {
-  std::size_t off = 0;
-  for (std::size_t d = 0; d < store.extents.size(); ++d) {
-    const long long i = index[d];
-    if (i < 1 || i > store.extents[d]) {
-      throw CompileError({}, "subscript out of bounds for '" +
-                                 symbols_->at(symbol).name + "' dim " +
-                                 std::to_string(d + 1) + ": " + std::to_string(i) +
-                                 " not in 1.." + std::to_string(store.extents[d]));
-    }
-    off += static_cast<std::size_t>((i - 1) * store.strides[d]);
-  }
-  return off;
-}
-
-double Storage::load(int symbol, std::span<const long long> index) {
-  const ArrayStore& store = ensure(symbol);
-  return store.data[offset_in(store, symbol, index)];
-}
-
-void Storage::store(int symbol, std::span<const long long> index, double value) {
-  ArrayStore& s = ensure(symbol);
-  s.data[offset_in(s, symbol, index)] = value;
-}
-
-long long Storage::extent(int symbol, int dim) {
-  return shape(symbol).extents.at(static_cast<std::size_t>(dim));
+compiler::ArrayView Storage::view(int symbol) {
+  if (layout_->resolved_extents(symbol) == nullptr) return {};
+  ArrayStore& store = ensure(symbol);
+  return {store.data.empty() ? nullptr : store.data.data(), store.extents_d.data(),
+          store.strides_d.data()};
 }
 
 std::span<double> Storage::raw(int symbol) { return ensure(symbol).data; }
@@ -105,23 +78,22 @@ long long Storage::total_elements(int symbol) {
 void Storage::cshift_into(int dst_symbol, int src_symbol, int dim, long long shift) {
   ArrayStore& src = ensure(src_symbol);
   ArrayStore& dst = ensure(dst_symbol);
-  const std::size_t rank = src.extents.size();
   if (dst.extents != src.extents) {
     throw CompileError({}, "cshift shape mismatch");
   }
+  // dst(..., i, ...) = src(..., 1 + mod(i - 1 + shift, n), ...): per run of
+  // `inner` contiguous elements below `dim`, a rotation of its n rows
   const long long n = src.extents.at(static_cast<std::size_t>(dim));
-  std::vector<long long> idx(rank, 1);
-  const std::size_t total = src.data.size();
-  std::vector<long long> src_idx(rank, 1);
-  for (std::size_t linear = 0; linear < total; ++linear) {
-    src_idx = idx;
-    const long long i = idx[static_cast<std::size_t>(dim)];
-    src_idx[static_cast<std::size_t>(dim)] = 1 + ((i - 1 + shift) % n + n) % n;
-    dst.data[offset(dst_symbol, idx)] = src.data[offset(src_symbol, src_idx)];
-    // increment odometer (row-major, last dim fastest)
-    for (std::size_t d = rank; d-- > 0;) {
-      if (++idx[d] <= src.extents[d]) break;
-      idx[d] = 1;
+  if (src.data.empty()) return;
+  const auto inner = static_cast<long long>(src.strides_d[static_cast<std::size_t>(dim)]);
+  const long long block = n * inner;
+  const long long s = ((shift % n) + n) % n;
+  for (std::size_t base = 0; base < src.data.size(); base += static_cast<std::size_t>(block)) {
+    for (long long i = 0; i < n; ++i) {
+      const auto to = base + static_cast<std::size_t>(i * inner);
+      const auto from = base + static_cast<std::size_t>(((i + s) % n) * inner);
+      std::copy_n(src.data.begin() + static_cast<std::ptrdiff_t>(from), inner,
+                  dst.data.begin() + static_cast<std::ptrdiff_t>(to));
     }
   }
 }

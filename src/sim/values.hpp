@@ -16,13 +16,13 @@
 #include <span>
 #include <vector>
 
-#include "compiler/eval.hpp"
+#include "compiler/cost_program.hpp"
 #include "compiler/mapping.hpp"
 #include "hpf/sema.hpp"
 
 namespace hpf90d::sim {
 
-class Storage final : public compiler::ArrayAccess {
+class Storage {
  public:
   /// Arena construction: no program bound yet; call rebind() before use.
   Storage() = default;
@@ -35,15 +35,10 @@ class Storage final : public compiler::ArrayAccess {
   /// outlive the next use.
   void rebind(const front::SymbolTable& symbols, const compiler::DataLayout& layout);
 
-  /// ArrayAccess interface (1-based Fortran indices).
-  [[nodiscard]] double load(int symbol, std::span<const long long> index) override;
-  [[nodiscard]] long long extent(int symbol, int dim) override;
-
-  void store(int symbol, std::span<const long long> index, double value);
-
-  /// Linearized (0-based, row-major) offset of a 1-based index vector;
-  /// bounds-checked; allocates the array on first touch.
-  [[nodiscard]] std::size_t offset(int symbol, std::span<const long long> index);
+  /// The array as the cost bytecode reads and writes it (row-major data,
+  /// extents and strides); allocates it on first touch. Unbound (null
+  /// extents) when the layout cannot resolve its extents.
+  [[nodiscard]] compiler::ArrayView view(int symbol);
 
   [[nodiscard]] std::span<double> raw(int symbol);
   /// Geometry queries. They resolve the array's shape without filling its
@@ -60,7 +55,7 @@ class Storage final : public compiler::ArrayAccess {
  private:
   struct ArrayStore {
     std::vector<long long> extents;
-    std::vector<long long> strides;  // row-major element strides
+    std::vector<double> extents_d, strides_d;  // for ArrayView: row-major strides
     std::vector<double> data;
     bool shaped = false;     // extents/strides derived
     bool allocated = false;  // data filled
@@ -68,8 +63,6 @@ class Storage final : public compiler::ArrayAccess {
 
   ArrayStore& shape(int symbol);
   ArrayStore& ensure(int symbol);
-  std::size_t offset_in(const ArrayStore& store, int symbol,
-                        std::span<const long long> index) const;
 
   // Pointers (not references) so rebind() can re-target the storage; null
   // only between default construction and the first rebind.

@@ -921,6 +921,47 @@ TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {
 }
 
 
+// --- size() under the run's bindings ------------------------------------------
+
+// size(a) reads the bound layout's extents in both engines: with n bound to
+// 1024, the loop runs 1024 trips in the prediction as in the measurement,
+// not the 64 the source's PARAMETER default would give.
+TEST(SizeIntrinsic, PredictionReadsTheBoundExtents) {
+  static const char* const source = R"f90(
+program t
+  parameter (n = 64)
+  real a(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ distribute d(block)
+  m = size(a)
+  do k = 1, m
+    forall (i = 1:n) a(i) = a(i) + 1.0
+  end do
+end program t
+)f90";
+  api::ExperimentPlan plan("size under bindings");
+  front::Bindings b;
+  b.set_int("n", 1024);
+  plan.source(source).machines({"ipsc860"}).nprocs({4}).runs(1).add_problem("n=1024", b);
+  api::Session session;
+  const api::RunReport report = session.run(plan);
+  ASSERT_EQ(report.records.size(), 1u);
+  const api::Comparison& c = report.records[0].comparison;
+  EXPECT_GT(c.measured_mean, 0.0);
+  EXPECT_LT(c.abs_error_pct(), 5.0) << "estimated " << c.estimated << " measured "
+                                    << c.measured_mean;
+
+  // size(a, k) with k from the run's bindings selects the bound extent too
+  api::RunConfig cfg;
+  cfg.nprocs = 4;
+  cfg.bindings = b;
+  const auto prog = session.compile(std::string(source));
+  const auto with_dim = session.compile(
+      std::string(source).replace(std::string(source).find("size(a)"), 7, "size(a, 1)"));
+  EXPECT_EQ(session.predict(with_dim, cfg).total, session.predict(prog, cfg).total);
+}
+
 // --- predictor diagnostics ----------------------------------------------------
 
 // The interpretation walk's located diagnostics: each program fails for one

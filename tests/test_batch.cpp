@@ -477,11 +477,10 @@ end program mixed
 
 // --- every plan runs lockstep ---------------------------------------------------
 
-TEST(BatchOracle, UncompiledExpressionRunsLockstep) {
-  // size() with a run-time dim argument stays out of the cost bytecode
-  // (ExprCode::ok == false); each lane evaluates it with the tree
-  // evaluator on its own environment column, and the shift amount it
-  // feeds prices differently per problem.
+TEST(BatchOracle, RunTimeSizeDimensionRunsLockstep) {
+  // size() with a run-time dim argument selects each lane's extent slot in
+  // the cost bytecode, and the shift amount it feeds prices differently
+  // per problem.
   static const char* const source = R"f90(
 program sizes
   parameter (n = 64)
@@ -497,12 +496,7 @@ program sizes
   end do
 end program sizes
 )f90";
-  const compiler::CompiledProgram prog = compiler::compile(source);
-  const auto& exprs = prog.cost_program->exprs;
-  ASSERT_TRUE(std::any_of(exprs.begin(), exprs.end(),
-                          [](const compiler::ExprCode& c) { return !c.ok; }));
-
-  api::ExperimentPlan plan("batch oracle: uncompiled expression");
+  api::ExperimentPlan plan("batch oracle: run-time size dimension");
   plan.source(source).machines({"ipsc860"}).nprocs({1, 2, 4}).runs(0);
   for (const long long k : {1, 2}) {
     front::Bindings b;

@@ -67,7 +67,7 @@ TEST(Pipeline, NodeOpCountsAreHoistedIntoTheCompiledProgram) {
   EXPECT_GT(ops.body.fmul, 0);
   // no mask: the condition counts are zero
   EXPECT_EQ(ops.cond.total_flops(), 0);
-  // collect_node_ops reproduces the table (the hand-built-program fallback)
+  // collect_node_ops reproduces the table compute_node_ops stored
   const auto again = compiler::collect_node_ops(p);
   ASSERT_EQ(again.size(), p.node_ops.size());
   for (std::size_t i = 0; i < again.size(); ++i) {

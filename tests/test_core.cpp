@@ -2,6 +2,8 @@
 // variables, interpretation functions, engine behaviour, output module.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "compiler/pipeline.hpp"
 #include "core/aag.hpp"
 #include "core/critical.hpp"
@@ -305,6 +307,31 @@ TEST(Engine, PerAauMetricsSumToTotals) {
   }
   EXPECT_NEAR(comp, pred.comp, 1e-12);
   EXPECT_NEAR(comm, pred.comm, 1e-12);
+}
+
+TEST(Engine, NintTripCountsRoundHalfAwayFromZero) {
+  CoreFixture f;
+  const auto prog = compiler::compile(R"f90(
+program t
+  real v(8)
+!hpf$ template d(8)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  do k = 1, nint(x) + 4
+    forall (j = 1:8) v(j) = 1.0
+  end do
+end program t
+)f90");
+  const compiler::SpmdNode& loop = *prog.root->children.at(0);
+  ASSERT_EQ(loop.kind, compiler::SpmdKind::DoLoop);
+  const int forall = loop.children.at(0)->id;
+  for (const auto& [x, trips] : {std::pair{0.5, 5}, std::pair{-0.5, 3}, std::pair{2.5, 7},
+                                 std::pair{-2.5, 1}, std::pair{3.5, 8}}) {
+    front::Bindings b;
+    b.set("x", x);
+    EXPECT_EQ(f.predict(prog, 2, b).per_aau.at(static_cast<std::size_t>(forall)).visits, trips)
+        << "nint(" << x << ")";
+  }
 }
 
 // --- output module -------------------------------------------------------------------

@@ -519,11 +519,17 @@ TEST(ObsSession, RunScopedSinkOverridesSessionSink) {
 
 TEST(ServeObs, MetricsEndpointServesPrometheusText) {
   serve::ServerOptions base;
-  base.slow_job_ms = 1;  // any real sweep takes >= 1ms
+  base.slow_job_ms = 1;
   ServerFixture fixture(base);
   serve::ServeClient client(fixture.options.socket_path, "tenant-a");
   client.connect();
-  const std::uint64_t id = client.submit(small_plan());
+  // at n = 256 the sweep takes several milliseconds on any host (the
+  // default n = 64 can finish inside the 1 ms threshold)
+  api::ExperimentPlan plan = small_plan();
+  front::Bindings n256;
+  n256.set_int("n", 256);
+  plan.add_problem("n=256", n256);
+  const std::uint64_t id = client.submit(plan);
   ASSERT_TRUE(client.wait(id).ok());
 
   const std::string text = client.metrics();

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "compiler/pipeline.hpp"
 #include "core/engine.hpp"
 #include "hpf/parser.hpp"
 #include "machine/ipsc860.hpp"
+#include "sim/simulator.hpp"
 #include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
@@ -247,6 +249,47 @@ TEST(Parser, ExpressionNestingIsBounded) {
       "program t\nx = " + nest("(", kMaxExprDepth - 1, "1", ")") + "\nend program t\n"));
   EXPECT_NO_THROW((void)hpf90d::compiler::compile(
       "program t\nx = " + nest("-", kMaxExprDepth - 1, "1") + "\nend program t\n"));
+}
+
+/// `depth` nested blocks, one statement per line, opened by `open` (which
+/// ends its line) and closed by `close`, around one assignment.
+std::string nested_blocks(int depth, std::string_view open, std::string_view close) {
+  return nest(std::string(open) + "\n", depth, "x = 1.0\n", std::string(close) + "\n");
+}
+
+TEST(Parser, StatementNestingIsBounded) {
+  // hostile depths are rejected at the statement that crosses the limit:
+  // the k-th block opens on line 1 + k, in column 1
+  for (const auto& [open, close] : {std::pair{"if (x > 0.0) then", "end if"},
+                                    std::pair{"do i = 1, 1", "end do"}}) {
+    try {
+      (void)parse(nested_blocks(50000, open, close));
+      ADD_FAILURE() << open << ": 50,000 nested blocks parsed";
+    } catch (const support::CompileError& e) {
+      EXPECT_EQ(e.loc().line, 2u + kMaxStmtDepth) << open;
+      EXPECT_EQ(e.loc().column, 1u) << open;
+      EXPECT_NE(std::string(e.what()).find("statements nested more than " +
+                                           std::to_string(kMaxStmtDepth) + " levels deep"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(parse_error_at(nested_blocks(kMaxStmtDepth, open, close)).line,
+              2u + kMaxStmtDepth)
+        << open;
+
+    // just under the limit (the assignment is one level itself) compiles,
+    // predicts and measures
+    const auto at_limit = hpf90d::compiler::compile(
+        "program t\n" + nested_blocks(kMaxStmtDepth - 1, open, close) + "end program t\n");
+    const machine::MachineModel cube = machine::make_ipsc860();
+    hpf90d::compiler::LayoutOptions layout;
+    layout.nprocs = 2;
+    front::Bindings x;
+    x.set("x", 1.0);
+    EXPECT_GT(core::predict(at_limit, x, layout, cube).total, 0.0) << open;
+    EXPECT_GT(sim::Simulator(cube).measure(at_limit, x, layout, {}, 1).stats.mean, 0.0)
+        << open;
+  }
 }
 
 /// `x = 1.0 + 1.0 + ... + 1.0` with `terms` terms: a flat chain the parser

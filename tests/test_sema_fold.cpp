@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/cost_program.hpp"
-#include "compiler/eval.hpp"
 #include "compiler/pipeline.hpp"
 #include "hpf/fold.hpp"
 #include "hpf/intrinsics.hpp"
@@ -190,45 +190,94 @@ TEST(Fold, BindingsMergePrecedence) {
 
 // --- scalar evaluation --------------------------------------------------------
 
+/// One-lane evaluation of cost bytecode, as the interpretation engine runs
+/// it: no array storage, the environment seeded from `bindings`.
+struct OneLane {
+  const compiler::CostProgram& cp;
+  compiler::BatchEnv env;
+  std::vector<double> file;
+  double* regs = nullptr;
+  std::vector<double> out = std::vector<double>(compiler::kBatchStripe);
+  std::vector<unsigned char> ok = std::vector<unsigned char>(compiler::kBatchStripe);
+
+  OneLane(const compiler::CompiledProgram& prog, const front::Bindings& bindings)
+      : cp(*prog.cost_program), file(cp.max_regs * compiler::kBatchStripe + 8) {
+    env.reset(cp.slots, 1);
+    for (const auto& [id, v] : compiler::seed_values(prog.symbols, bindings).defined) {
+      env.define(id, 0, v);
+    }
+    const auto raw = reinterpret_cast<std::uintptr_t>(file.data());
+    regs = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
+  }
+
+  /// The value of `code`, or nullopt (with `error` set) when it fails.
+  std::optional<double> value(const compiler::ExprCode& code, std::string* error = nullptr) {
+    (void)compiler::eval_code_batch(cp, code, env, {}, regs, out.data(), ok.data(),
+                                    compiler::kBatchStripe);
+    if (ok[0]) return out[0];
+    if (error != nullptr) {
+      *error = compiler::lane_error(cp, code, env, {}, regs, compiler::kBatchStripe, 0).what();
+    }
+    return std::nullopt;
+  }
+
+  /// The right-hand side of the program's `index`-th top-level statement.
+  std::optional<double> rhs(const compiler::CompiledProgram& prog, std::size_t index,
+                            std::string* error = nullptr) {
+    const compiler::SpmdNode& node = *prog.root->children.at(index);
+    const compiler::NodeCost& nc = cp.nodes[static_cast<std::size_t>(node.id)];
+    return value(cp.exprs[static_cast<std::size_t>(nc.rhs)], error);
+  }
+};
+
+compiler::CompiledProgram compile_body(std::string_view body) {
+  return compiler::compile("program t\n" + std::string(body) + "\nend program t\n");
+}
+
 TEST(Eval, SeededEnvironmentResolvesParams) {
-  auto a = analyze_body("parameter (n = 64)\nk = n/2");
-  compiler::ScalarEnv env(a.symbols.size());
-  front::Bindings none;
-  compiler::seed_environment(env, a.symbols, none);
-  EXPECT_DOUBLE_EQ(
-      compiler::eval_scalar(*a.prog.stmts[0]->rhs, env, nullptr, a.symbols), 32.0);
+  const auto prog = compile_body("parameter (n = 64)\nk = n/2");
+  OneLane lane(prog, {});
+  EXPECT_EQ(lane.rhs(prog, 0), 32.0);
 }
 
 TEST(Eval, BindingOverridesParameter) {
-  auto a = analyze_body("parameter (n = 64)\nk = n");
-  compiler::ScalarEnv env(a.symbols.size());
+  const auto prog = compile_body("parameter (n = 64)\nk = n");
   front::Bindings b;
   b.set_int("n", 256);
-  compiler::seed_environment(env, a.symbols, b);
-  EXPECT_DOUBLE_EQ(
-      compiler::eval_scalar(*a.prog.stmts[0]->rhs, env, nullptr, a.symbols), 256.0);
+  OneLane lane(prog, b);
+  EXPECT_EQ(lane.rhs(prog, 0), 256.0);
 }
 
-TEST(Eval, ArrayAccessWithoutAccessorThrows) {
-  auto a = analyze_body("real v(4)\nx = v(2)");
-  compiler::ScalarEnv env(a.symbols.size());
-  front::Bindings none;
-  compiler::seed_environment(env, a.symbols, none);
-  EXPECT_THROW((void)compiler::eval_scalar(*a.prog.stmts[0]->rhs, env, nullptr,
-                                           a.symbols),
-               support::CompileError);
-  EXPECT_FALSE(compiler::try_eval_scalar(*a.prog.stmts[0]->rhs, env, nullptr,
-                                         a.symbols)
-                   .has_value());
+TEST(Eval, ArrayElementFailsWithoutStorage) {
+  const auto prog = compile_body("real v(4)\nx = v(2)");
+  OneLane lane(prog, {});
+  std::string error;
+  EXPECT_FALSE(lane.rhs(prog, 0, &error).has_value());
+  EXPECT_EQ(error, "3:5: array element 'v' cannot be read during interpretation");
 }
 
 TEST(Eval, IntegerSemanticsInEval) {
-  auto a = analyze_body("i = 7\nj = 2\nk = i/j");
-  compiler::ScalarEnv env(a.symbols.size());
-  env.define(a.symbols.find("i"), 7);
-  env.define(a.symbols.find("j"), 2);
-  EXPECT_DOUBLE_EQ(
-      compiler::eval_scalar(*a.prog.stmts[2]->rhs, env, nullptr, a.symbols), 3.0);
+  const auto prog = compile_body("i = 7\nj = 2\nk = i/j");
+  OneLane lane(prog, {});
+  lane.env.define(prog.symbols.find("i"), 0, 7);
+  lane.env.define(prog.symbols.find("j"), 0, 2);
+  EXPECT_EQ(lane.rhs(prog, 2), 3.0);
+}
+
+TEST(Eval, NintRoundsHalfAwayFromZero) {
+  const std::vector<std::pair<std::string, double>> cases = {
+      {"0.5", 1.0}, {"-0.5", -1.0}, {"2.5", 3.0}, {"-2.5", -3.0}, {"3.5", 4.0},
+      {"2.4", 2.0}, {"-2.6", -3.0}};
+  std::string body;
+  for (const auto& [arg, want] : cases) body += "x = nint(" + arg + ")\n";
+  const auto prog = compile_body(body);
+  OneLane lane(prog, {});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [arg, want] = cases[i];
+    EXPECT_EQ(lane.rhs(prog, i), want) << "nint(" << arg << ")";
+    EXPECT_EQ(front::try_fold(*prog.root->children[i]->rhs, front::Bindings{}), want)
+        << "nint(" << arg << ")";
+  }
 }
 
 // --- the intrinsic registry ---------------------------------------------------
@@ -253,9 +302,8 @@ std::optional<std::uint64_t> bits(std::optional<double> v) {
 
 // Table-driven over the whole registry, so a new elemental row is covered
 // without touching this test: on a grid of literal arguments (zero,
-// negative, integer- and real-typed), fold, the tree evaluator and the
-// batch bytecode evaluator agree bit for bit — including on which inputs
-// fail.
+// negative, integer- and real-typed), fold and the cost bytecode agree bit
+// for bit — including on which inputs fail.
 TEST(Intrinsics, EveryElementalRowAgreesAcrossEvaluators) {
   const std::vector<std::string> grid = {"0", "-7", "1", "3", "0.0", "-2.5", "0.5", "3.0"};
   int checked = 0;
@@ -269,31 +317,15 @@ TEST(Intrinsics, EveryElementalRowAgreesAcrossEvaluators) {
       }
     }
     const auto prog = compiler::compile(src + "end program t\n");
-    const compiler::CostProgram& cp = *prog.cost_program;
-    compiler::ScalarEnv env(prog.symbols.size());
-    compiler::BatchEnv batch_env;
-    batch_env.reset(prog.symbols.size(), 1);
-    const std::size_t stride = batch_env.stride();
-    std::vector<double> batch_file(cp.max_regs * stride + compiler::kBatchStripe);
-    const auto raw = reinterpret_cast<std::uintptr_t>(batch_file.data());
-    double* batch_regs = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
-    std::vector<double> out(stride);
-    std::vector<unsigned char> ok(stride);
-
-    for (const auto& node : prog.root->children) {
-      if (node->kind != compiler::SpmdKind::ScalarAssign) continue;
-      const front::Expr& e = *node->rhs;
+    OneLane lane(prog, {});
+    for (std::size_t i = 0; i < prog.root->children.size(); ++i) {
+      const compiler::SpmdNode& node = *prog.root->children[i];
+      if (node.kind != compiler::SpmdKind::ScalarAssign) continue;
+      const front::Expr& e = *node.rhs;
       ASSERT_EQ(e.intrinsic, static_cast<front::IntrinsicId>(row)) << e.str();
-      const compiler::ExprCode& code =
-          cp.exprs[static_cast<std::size_t>(cp.nodes[static_cast<std::size_t>(node->id)].rhs)];
-      ASSERT_TRUE(code.ok) << e.str();
-
       const auto folded = bits(front::try_fold(e, front::Bindings{}));
-      const auto tree = bits(compiler::try_eval_scalar(e, env, nullptr, prog.symbols));
-      (void)compiler::eval_code_batch(cp, code, batch_env, batch_regs, out.data(), ok.data());
-      const auto batch = ok[0] ? bits(out[0]) : std::nullopt;
-      EXPECT_EQ(folded, tree) << e.str();
-      EXPECT_EQ(tree, batch) << e.str();
+      const auto batch = bits(lane.rhs(prog, i));
+      EXPECT_EQ(folded, batch) << e.str();
       ++checked;
     }
   }

@@ -692,7 +692,8 @@ TEST(ExperimentServer, MalformedPlanFailsTheJobNotTheDaemon) {
 TEST(ExperimentServer, GarbageBytesDropTheConnectionOnly) {
   ServerFixture fixture;
   const int fd = connect_unix(fixture.options.socket_path);
-  ASSERT_GT(::send(fd, "\xde\xad\xbe\xef garbage, not a frame header", 36, 0), 0);
+  static constexpr char kGarbage[] = "\xde\xad\xbe\xef garbage, not a frame header";
+  ASSERT_GT(::send(fd, kGarbage, sizeof kGarbage - 1, 0), 0);
   ::close(fd);
 
   serve::ServeClient client(fixture.options.socket_path, "tenant");

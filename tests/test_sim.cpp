@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <span>
 #include <optional>
 #include <string>
 
@@ -55,7 +56,7 @@ program t
 end program t
 )f90";
 
-TEST(Storage, RowMajorOffsets) {
+TEST(Storage, RowMajorView) {
   auto prog = comp(R"f90(
 program t
   parameter (n = 4, m = 3)
@@ -69,25 +70,12 @@ end program t
   const compiler::DataLayout layout =
       compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
   sim::Storage storage(prog.symbols, layout);
-  const int a = prog.symbols.find("a");
-  const long long i11[2] = {1, 1};
-  const long long i12[2] = {1, 2};
-  const long long i21[2] = {2, 1};
-  EXPECT_EQ(storage.offset(a, i11), 0u);
-  EXPECT_EQ(storage.offset(a, i12), 1u);   // last dim contiguous
-  EXPECT_EQ(storage.offset(a, i21), 3u);   // row stride = m
-}
-
-TEST(Storage, OutOfBoundsThrows) {
-  auto prog = comp(kTiny);
-  const compiler::DataLayout layout =
-      compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
-  sim::Storage storage(prog.symbols, layout);
-  const int v = prog.symbols.find("v");
-  const long long bad[1] = {9};
-  const long long zero[1] = {0};
-  EXPECT_THROW((void)storage.load(v, bad), support::CompileError);
-  EXPECT_THROW((void)storage.load(v, zero), support::CompileError);
+  const compiler::ArrayView a = storage.view(prog.symbols.find("a"));
+  ASSERT_NE(a.data, nullptr);
+  EXPECT_EQ(a.extents[0], 4.0);
+  EXPECT_EQ(a.extents[1], 3.0);
+  EXPECT_EQ(a.strides[0], 3.0);  // row stride = m
+  EXPECT_EQ(a.strides[1], 1.0);  // last dim contiguous
 }
 
 TEST(Storage, DefaultFillIsNearUnity) {
@@ -95,10 +83,9 @@ TEST(Storage, DefaultFillIsNearUnity) {
   const compiler::DataLayout layout =
       compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
   sim::Storage storage(prog.symbols, layout);
-  const int v = prog.symbols.find("v");
-  for (long long i = 1; i <= 8; ++i) {
-    const long long idx[1] = {i};
-    const double x = storage.load(v, idx);
+  const std::span<const double> v = storage.raw(prog.symbols.find("v"));
+  ASSERT_EQ(v.size(), 8u);
+  for (const double x : v) {
     EXPECT_GT(x, 0.85);
     EXPECT_LT(x, 1.15);
   }
@@ -111,17 +98,39 @@ TEST(Storage, CshiftSemanticsMatchFortran) {
   sim::Storage storage(prog.symbols, layout);
   const int v = prog.symbols.find("v");
   const int w = prog.symbols.find("w");
-  for (long long i = 1; i <= 8; ++i) {
-    const long long idx[1] = {i};
-    storage.store(v, idx, static_cast<double>(i));
-  }
+  const std::span<double> vs = storage.raw(v);
+  for (std::size_t i = 0; i < vs.size(); ++i) vs[i] = static_cast<double>(i + 1);
+  const std::span<const double> ws = storage.raw(w);
   storage.cshift_into(w, v, 0, 1);  // w(i) = v(1 + mod(i-1+1, 8))
-  const long long one[1] = {1};
-  const long long eight[1] = {8};
-  EXPECT_DOUBLE_EQ(storage.load(w, one), 2.0);
-  EXPECT_DOUBLE_EQ(storage.load(w, eight), 1.0);  // wraps around
+  EXPECT_DOUBLE_EQ(ws[0], 2.0);
+  EXPECT_DOUBLE_EQ(ws[7], 1.0);  // wraps around
   storage.cshift_into(w, v, 0, -1);
-  EXPECT_DOUBLE_EQ(storage.load(w, one), 8.0);
+  EXPECT_DOUBLE_EQ(ws[0], 8.0);
+  storage.cshift_into(w, v, 0, 17);  // shifts wrap modulo the extent
+  EXPECT_DOUBLE_EQ(ws[0], 2.0);
+}
+
+TEST(Storage, CshiftRotatesOneDimensionOfATwoDimensionalArray) {
+  auto prog = comp(R"f90(
+program t
+  real a(3, 4), b(3, 4)
+  a(1,1) = 0.0
+end program t
+)f90");
+  const compiler::DataLayout layout =
+      compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
+  sim::Storage storage(prog.symbols, layout);
+  const int a = prog.symbols.find("a");
+  const int b = prog.symbols.find("b");
+  const std::span<double> as = storage.raw(a);
+  for (std::size_t i = 0; i < as.size(); ++i) as[i] = static_cast<double>(i);  // 4*(i-1)+(j-1)
+  const std::span<const double> bs = storage.raw(b);
+  storage.cshift_into(b, a, 0, 1);  // b(i, j) = a(1 + mod(i, 3), j)
+  EXPECT_EQ(std::vector<double>(bs.begin(), bs.end()),
+            (std::vector<double>{4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3}));
+  storage.cshift_into(b, a, 1, -1);  // b(i, j) = a(i, 1 + mod(j - 2, 4))
+  EXPECT_EQ(std::vector<double>(bs.begin(), bs.end()),
+            (std::vector<double>{3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10}));
 }
 
 // --- network --------------------------------------------------------------------
@@ -1197,6 +1206,18 @@ program t
 end program t
 )f90");
   EXPECT_EQ(message, "8:33: intrinsic 'minval' cannot be evaluated here");
+}
+
+TEST(FunctionalPass, NintRoundsHalfAwayFromZero) {
+  const sim::ValueTape tape = record_tape(comp(R"f90(
+program t
+  print *, nint(0.5), nint(-0.5), nint(2.5), nint(-2.5), nint(3.5)
+end program t
+)f90"), {});
+  const std::map<std::string, double> expected = {
+      {"nint(0.5)", 1.0}, {"nint((-0.5))", -1.0}, {"nint(2.5)", 3.0},
+      {"nint((-2.5))", -3.0}, {"nint(3.5)", 4.0}};
+  EXPECT_EQ(tape.printed, expected);
 }
 
 TEST(FunctionalPass, FirstFailingPointInOdometerOrderWins) {
