@@ -14,7 +14,7 @@ using front::ExprKind;
 
 namespace {
 
-constexpr const char* kIntDivideError = "integer division by zero or overflow";
+const std::string kIntDivideError = "integer division by zero or overflow";
 const support::SourceLoc kNoLoc;
 const std::string kNoText;
 
@@ -74,9 +74,6 @@ class Flattener {
     next_reg_ = 0;
   }
 
-  /// The expression's instruction count so far.
-  [[nodiscard]] std::size_t emitted() const { return out_.code.size() - first_; }
-
   [[nodiscard]] int alloc(int count = 1) {
     if (next_reg_ + count > 0xffff) throw std::length_error("cost program register file");
     const int r = next_reg_;
@@ -103,8 +100,16 @@ class Flattener {
                                   static_cast<std::uint16_t>(a),
                                   static_cast<std::uint16_t>(b),
                                   static_cast<std::uint16_t>(c)});
-    out_.sources.push_back(CostSource{loc, text, -1});
+    out_.sources.push_back(CostSource{loc, text.empty() ? 0 : text_id(text), -1});
     return dst;
+  }
+
+  /// The texts entry equal to `text` (a program has a few dozen names).
+  [[nodiscard]] std::uint32_t text_id(const std::string& text) {
+    const auto it = std::find(out_.texts.begin(), out_.texts.end(), text);
+    if (it != out_.texts.end()) return static_cast<std::uint32_t>(it - out_.texts.begin());
+    out_.texts.push_back(text);
+    return static_cast<std::uint32_t>(out_.texts.size() - 1);
   }
 
   int emit_const(double v) { return push(CostOp::Const, alloc(), pool_id(v)); }
@@ -168,7 +173,7 @@ class Flattener {
           case front::BinOp::And: op = CostOp::And; break;
           case front::BinOp::Or: op = CostOp::Or; break;
         }
-        return push(op, alloc(), a, b, 0, e.loc);
+        return push(op, alloc(), a, b, 0, e.loc, op == CostOp::IDiv ? kIntDivideError : kNoText);
       }
       case ExprKind::Call: return emit_call(e);
     }
@@ -204,7 +209,7 @@ class Flattener {
     }
     const int dst = push(op, alloc(), base, id, 0, e.loc, e.name);
     // the outermost reference starting here is the one reached first
-    out_.sources[start].probe = static_cast<std::int32_t>(emitted() - 1);
+    out_.sources[start].probe = static_cast<std::int32_t>(out_.code.size() - 1 - first_);
     return dst;
   }
 
@@ -225,7 +230,9 @@ class Flattener {
 
     const auto unary = [&](CostOp op) { return push(op, alloc(), argv[0]); };
     const auto binary = [&](CostOp op) {
-      return argv.size() < 2 ? malformed(e) : push(op, alloc(), argv[0], argv[1], 0, e.loc);
+      return argv.size() < 2 ? malformed(e)
+                             : push(op, alloc(), argv[0], argv[1], 0, e.loc,
+                                    op == CostOp::IMod ? kIntDivideError : kNoText);
     };
     using enum front::IntrinsicId;
     switch (*e.intrinsic) {
@@ -260,7 +267,7 @@ class Flattener {
     return unevaluable();
   }
 
-  /// size(a) is the product of a's extent slots; size(a, k) selects one
+  /// size(a) is the product of a's extents; size(a, k) selects one
   /// at run time.
   int emit_size(const Expr& e) {
     if (e.args.empty() || !known_symbol(e.args[0]->symbol)) return malformed(e);
@@ -279,12 +286,11 @@ class Flattener {
       const int k = emit(*e.args[1]);
       return push(CostOp::Size, alloc(), k, id, 0, e.loc, array.name);
     }
-    if (rank == 0) return emit_const(1.0);
     // extents multiply exactly in doubles, as in the long long they came from
-    int v = push(CostOp::Load, alloc(), slot, 0, 0, {}, array.name);
-    for (int d = 1; d < rank; ++d) {
-      const int x = push(CostOp::Load, alloc(), slot + d, 0, 0, {}, array.name);
-      v = push(CostOp::Mul, alloc(), v, x);
+    int v = emit_const(1.0);
+    for (int d = 1; d <= rank; ++d) {
+      const int k = emit_const(d);
+      v = push(CostOp::Mul, alloc(), v, push(CostOp::Size, alloc(), k, id, 0, e.loc, array.name));
     }
     return v;
   }
@@ -373,7 +379,6 @@ class Builder {
           break;
         case SpmdKind::HostIO:
           nc.io_first = static_cast<std::int32_t>(out_.exprs.size());
-          nc.io_count = static_cast<std::int32_t>(n.io_args.size());
           for (const auto& a : n.io_args) (void)add(a);
           break;
         default:
@@ -395,6 +400,17 @@ std::shared_ptr<const CostProgram> compile_cost_program(const CompiledProgram& p
   auto cp = std::make_shared<CostProgram>();
   Builder(prog, *cp).run();
   return cp;
+}
+
+void BatchEnv::define_extents(const CostProgram& cp, const DataLayout& layout,
+                              std::size_t lane) {
+  for (const CostArray& x : cp.arrays) {
+    if (x.extent_slot < 0) continue;
+    const std::vector<long long>* e = layout.resolved_extents(x.symbol);
+    for (int d = 0; e != nullptr && d < x.rank; ++d) {
+      define(x.extent_slot + d, lane, static_cast<double>((*e)[static_cast<std::size_t>(d)]));
+    }
+  }
 }
 
 SeededValues seed_values(const front::SymbolTable& symbols, const front::Bindings& bindings) {
@@ -603,32 +619,25 @@ support::CompileError instruction_error(const CostProgram& cp, std::size_t at,
                                         std::span<const ArrayView> arrays,
                                         const double* lane_regs, std::size_t S) {
   const CostInstr& in = cp.code[at];
-  const CostSource& src = cp.sources[at];
+  const support::SourceLoc& loc = cp.sources[at].loc;
+  const std::string& text = cp.texts[cp.sources[at].text];
   const auto reg = [&](int r) { return lane_regs[static_cast<std::size_t>(r) * S]; };
   switch (in.op) {
     case CostOp::Load:
-      for (const CostArray& x : cp.arrays) {
-        if (x.extent_slot >= 0 && in.a >= x.extent_slot && in.a < x.extent_slot + x.rank) {
-          return unresolved_extents(src.text);
-        }
-      }
-      return support::CompileError(src.loc, unavailable(src.text));
-    case CostOp::IDiv:
-    case CostOp::IMod:
-      return support::CompileError(src.loc, kIntDivideError);
+      return support::CompileError(loc, unavailable(text));
     case CostOp::ArrayLoad:
     case CostOp::ArrayOffset: {
       if (arrays.empty()) {
         return support::CompileError(
-            src.loc, "array element '" + src.text + "' cannot be read during interpretation");
+            loc, "array element '" + text + "' cannot be read during interpretation");
       }
       const ArrayView& view = arrays[in.b];
-      if (view.extents == nullptr) return unresolved_extents(src.text);
+      if (view.extents == nullptr) return unresolved_extents(text);
       for (int d = 0; d < cp.arrays[in.b].rank; ++d) {
         const double x = reg(in.a + d);
         if (subscript_in(x, view.extents[d])) continue;
         return support::CompileError(
-            {}, "subscript out of bounds for '" + src.text + "' dim " +
+            {}, "subscript out of bounds for '" + text + "' dim " +
                     std::to_string(d + 1) + ": " + std::to_string(std::llround(x)) +
                     " not in 1.." +
                     std::to_string(static_cast<long long>(view.extents[d])));
@@ -640,15 +649,15 @@ support::CompileError instruction_error(const CostProgram& cp, std::size_t at,
       const int rank = cp.arrays[in.b].rank;
       if (!(k >= 1.0 && k <= static_cast<double>(rank))) {
         return support::CompileError(
-            src.loc, support::strfmt("size dimension %.17g out of range 1..%d for '%s'", k,
-                                     rank, src.text.c_str()));
+            loc, support::strfmt("size dimension %.17g out of range 1..%d for '%s'", k,
+                                     rank, text.c_str()));
       }
-      return unresolved_extents(src.text);
+      return unresolved_extents(text);
     }
     default:
       break;
   }
-  return support::CompileError(src.loc, src.text);
+  return support::CompileError(loc, text);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "compiler/mapping.hpp"
 #include "compiler/spmd_ir.hpp"
 #include "hpf/fold.hpp"
 #include "support/diagnostics.hpp"
@@ -63,12 +64,13 @@ struct CostInstr {
 
 /// Where an instruction came from, for its failure's diagnostic: the
 /// expression's location and the name (or, for Fail, the message) the
-/// diagnostic quotes. `probe` >= 0 marks the first instruction of an array
-/// element reference and holds that reference's ArrayLoad: an engine
-/// without array storage fails the reference there, before its subscripts.
+/// diagnostic quotes, as an index into CostProgram::texts. `probe` >= 0
+/// marks the first instruction of an array element reference and holds
+/// that reference's ArrayLoad: an engine without array storage fails the
+/// reference there, before its subscripts.
 struct CostSource {
   support::SourceLoc loc;
-  std::string text;
+  std::uint32_t text = 0;
   std::int32_t probe = -1;
 };
 
@@ -87,8 +89,8 @@ struct ExprCode {
 /// Per-SpmdNode indices into CostProgram::exprs (-1 = the node has no such
 /// expression). Space dimensions are triples (lo, hi, step) stored
 /// consecutively in CostProgram::space_codes; a -1 step means "constant 1"
-/// (a null IterIndex::stride). HostIO arguments are io_count consecutive
-/// exprs from io_first.
+/// (a null IterIndex::stride). HostIO arguments are consecutive exprs from
+/// io_first.
 struct NodeCost {
   std::int32_t rhs = -1;         // ScalarAssign / LocalLoop right-hand side
   std::int32_t cond = -1;        // IfBlock / WhileLoop condition, LocalLoop mask
@@ -100,7 +102,6 @@ struct NodeCost {
   std::int32_t space_first = -1; // first (lo,hi,step) triple in space_codes
   std::int32_t space_dims = 0;
   std::int32_t io_first = -1;
-  std::int32_t io_count = 0;
 };
 
 /// An array the bytecode touches (ArrayLoad/ArrayOffset/Size b). When
@@ -118,6 +119,7 @@ struct CostArray {
 struct CostProgram {
   std::vector<CostInstr> code;    // all expressions, concatenated
   std::vector<CostSource> sources;  // parallel to code
+  std::vector<std::string> texts{std::string()};  // distinct source texts
   std::vector<double> pool;       // deduplicated constants
   std::vector<ExprCode> exprs;
   std::vector<NodeCost> nodes;    // indexed by SpmdNode::id
@@ -179,6 +181,9 @@ class BatchEnv {
     values_[static_cast<std::size_t>(slot) * stride_ + lane] = value;
     defined_[static_cast<std::size_t>(slot) * stride_ + lane] = 1;
   }
+  /// Defines lane `lane`'s extent slots (CostArray::extent_slot) from
+  /// `layout`, leaving undefined those it cannot resolve.
+  void define_extents(const CostProgram& cp, const DataLayout& layout, std::size_t lane);
   /// Sets every lane of `slot`, padding included: a replicated value.
   void broadcast(int slot, double value, bool defined = true) {
     const std::size_t at = static_cast<std::size_t>(slot) * stride_;

@@ -70,13 +70,7 @@ void BatchEngine::interpret(const compiler::CompiledProgram& prog,
   env_.reset(cost_->slots, L);
   for (std::size_t l = 0; l < L; ++l) {
     for (const auto& [sym, v] : lanes[l].seed->defined) env_.define(sym, l, v);
-    // size() reads the lane's own layout
-    for (const compiler::CostArray& x : cost_->arrays) {
-      const std::vector<long long>* e = lanes[l].layout->resolved_extents(x.symbol);
-      for (int d = 0; x.extent_slot >= 0 && e != nullptr && d < x.rank; ++d) {
-        env_.define(x.extent_slot + d, l, static_cast<double>((*e)[static_cast<std::size_t>(d)]));
-      }
-    }
+    env_.define_extents(*cost_, *lanes[l].layout, l);  // size() reads the lane's layout
   }
 
   // Register columns are stride-padded; align the file to a cache line so

@@ -32,6 +32,12 @@ std::size_t mask_words(long long points) {
   return static_cast<std::size_t>((points + 63) / 64);
 }
 
+/// Pads a lane count to whole stripes.
+std::size_t stripes_for(std::size_t lanes) {
+  return (lanes + compiler::kBatchStripe - 1) / compiler::kBatchStripe *
+         compiler::kBatchStripe;
+}
+
 }  // namespace
 
 std::size_t ValueTape::bytes() const noexcept {
@@ -64,12 +70,7 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   for (const auto& [id, v] : compiler::seed_values(prog.symbols, bindings).defined) {
     env_.broadcast(id, v);
   }
-  for (const compiler::CostArray& x : cp.arrays) {
-    const std::vector<long long>* e = layout.resolved_extents(x.symbol);
-    for (int d = 0; x.extent_slot >= 0 && e != nullptr && d < x.rank; ++d) {
-      env_.broadcast(x.extent_slot + d, static_cast<double>((*e)[static_cast<std::size_t>(d)]));
-    }
-  }
+  for (std::size_t l = 0; l < kLanes; ++l) env_.define_extents(cp, layout, l);
   storage_.rebind(prog.symbols, layout);
   views_.assign(cp.arrays.size(), compiler::ArrayView{});
   // one register column per lane, cache-line aligned like the env columns
@@ -575,16 +576,6 @@ long long Executor::working_set_bytes(const Expr& lhs, const Expr* rhs,
 // ---------------------------------------------------------------------------
 // local computation
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Pads a lane count to whole stripes.
-std::size_t stripes_for(std::size_t lanes) {
-  return (lanes + compiler::kBatchStripe - 1) / compiler::kBatchStripe *
-         compiler::kBatchStripe;
-}
-
-}  // namespace
 
 void Executor::record_local_loop(const SpmdNode& n) {
   const compiler::NodeCost& nc = node_cost(n);
