@@ -154,6 +154,11 @@ struct SeededValues {
 /// inner loop has a fixed, compile-time trip count.
 inline constexpr std::size_t kBatchStripe = 8;
 
+/// `lanes` padded to whole stripes.
+inline constexpr std::size_t stripe_width(std::size_t lanes) {
+  return (lanes + kBatchStripe - 1) / kBatchStripe * kBatchStripe;
+}
+
 /// Structure-of-arrays environment for lockstep evaluation: values(slot)
 /// [lane] with a parallel defined mask. Lane count is fixed per reset;
 /// slots are symbol ids, then array extents. Columns are padded to a
@@ -162,7 +167,7 @@ inline constexpr std::size_t kBatchStripe = 8;
 class BatchEnv {
  public:
   void reset(std::size_t slots, std::size_t lanes) {
-    stride_ = (lanes + kBatchStripe - 1) / kBatchStripe * kBatchStripe;
+    stride_ = stripe_width(lanes);
     values_.assign(slots * stride_, 0.0);
     defined_.assign(slots * stride_, 0);
   }

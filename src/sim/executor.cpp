@@ -32,12 +32,6 @@ std::size_t mask_words(long long points) {
   return static_cast<std::size_t>((points + 63) / 64);
 }
 
-/// Pads a lane count to whole stripes.
-std::size_t stripes_for(std::size_t lanes) {
-  return (lanes + compiler::kBatchStripe - 1) / compiler::kBatchStripe *
-         compiler::kBatchStripe;
-}
-
 }  // namespace
 
 std::size_t ValueTape::bytes() const noexcept {
@@ -611,7 +605,7 @@ void Executor::record_local_loop(const SpmdNode& n) {
   std::size_t m = 0;
   for (bool more = true; more; k += m) {
     m = load_points(n, more);
-    const std::size_t width = stripes_for(m);
+    const std::size_t width = compiler::stripe_width(m);
     if (n.mask) eval(nc.cond, width, mask_.data(), mask_ok_.data());
     if (n.inner) {
       const compiler::ReduceOp op = n.inner->op;
@@ -785,7 +779,7 @@ void Executor::record_reduce(const SpmdNode& n) {
     std::size_t m = 0;
     for (bool more = true; more;) {
       m = load_points(n, more);
-      const std::size_t width = stripes_for(m);
+      const std::size_t width = compiler::stripe_width(m);
       eval(nc.arg, width, vals_.data(), ok_.data());
       for (std::size_t l = 0; l < m; ++l) {
         if (ok_[l] == 0) fail_lane(nc.arg, width, l);
