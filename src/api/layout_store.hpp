@@ -2,8 +2,9 @@
 //
 // The session keeps two caches of artifacts that are expensive to build and
 // pure in their key: DataLayouts (LayoutStore) and the simulator's value
-// tapes (ValueTapeStore: one functional pass per (program, bindings),
-// re-timed by every processor count and machine). Both are instances of
+// tapes (ValueTapeStore: one functional pass per (value digest, bindings,
+// WHILE trip limit) — compiler::value_tape_key — re-timed by every
+// processor count, machine and directive variant). Both are instances of
 // one store with three jobs on the sweep hot path:
 //
 //   1. *Once-build semantics.* A placeholder future is inserted under the

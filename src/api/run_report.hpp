@@ -60,8 +60,9 @@ struct CacheStats {
   /// operator- carries the minuend's value instead of subtracting.
   std::size_t layout_capacity = 0;
   /// The simulator's value-tape store: a miss is one functional pass of a
-  /// (program, bindings), a hit re-times a tape another processor count or
-  /// machine recorded, an eviction is a tape dropped for the byte budget.
+  /// (value digest, bindings) — compiler::value_tape_key — a hit re-times a
+  /// tape another processor count, machine or directive variant recorded,
+  /// an eviction is a tape dropped for the byte budget.
   std::size_t value_tape_hits = 0;
   std::size_t value_tape_misses = 0;
   std::size_t value_tape_evictions = 0;

@@ -34,17 +34,6 @@ std::size_t shard_of(std::string_view key, std::size_t shard_count) {
   return static_cast<std::size_t>(support::fnv1a64(key)) % shard_count;
 }
 
-/// The value-tape key: seed_for's (compile_id folded into the bindings +
-/// structure prefix digest) plus the WHILE trip limit, which decides
-/// whether the functional pass throws. Noise, contention and the collective
-/// only move clocks.
-compiler::LayoutDigest value_tape_key(const compiler::CompiledProgram& prog,
-                                      const compiler::LayoutDigestState& prefix,
-                                      const sim::SimOptions& sim) {
-  return {prefix.a ^ (prog.compile_id * 0x9e3779b97f4a7c15ULL),
-          prefix.b ^ (static_cast<std::uint64_t>(sim.max_while_trips) * 0xc2b2ae3d27d4eb4fULL)};
-}
-
 }  // namespace
 
 Session::ProgramHandle Session::compile(std::string_view source,
@@ -203,8 +192,8 @@ sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig&
   core::require_critical_complete(*prog, config.bindings);
   const LayoutStore::Ptr layout = layout_for(*prog, config.bindings, layout_options(config));
   const core::BatchLane lane{layout.get(), &config.bindings, nullptr};
-  const compiler::LayoutDigest key = value_tape_key(
-      *prog, compiler::layout_fingerprint_prefix(*prog, config.bindings), config.sim);
+  const compiler::LayoutDigest key =
+      compiler::value_tape_key(*prog, config.bindings, config.sim.max_while_trips);
   EngineArena arena;
   arena.set_trace(obs_);
   return arena.measure_batch_into(*prog, machine(config.machine), config.sim, config.runs,
@@ -435,10 +424,11 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     // chunk walks problems × nprocs with equal bindings adjacent, so warm
     // points finish a captured prefix state instead of re-hashing the
     // whole binding set. The same per-problem boundary keys the seed memo —
-    // lanes carry the precomputed parameter fold.
+    // lanes carry the precomputed parameter fold — and the value-tape key.
     const front::Bindings* prefix_of = nullptr;
     compiler::LayoutDigestState prefix{};
     const compiler::SeededValues* seed = nullptr;
+    compiler::LayoutDigest tape_key;
     for (std::size_t i = c.begin; i < c.end; ++i) {
       const Point& pt = points[i];
       compiler::LayoutOptions lo;
@@ -452,12 +442,16 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
         prefix_of = &pt.problem->bindings;
         ws.seeds.push_back(seed_for(prog, prefix, pt.problem->bindings));
         seed = ws.seeds.back().get();
+        if (plan.measure_runs() > 0) {
+          tape_key = compiler::value_tape_key(prog, pt.problem->bindings,
+                                              plan.sim_opts().max_while_trips);
+        }
       }
       ws.layouts.push_back(layout_for(prog, pt.problem->bindings, lo, ws.layout_key,
                                       compiler::layout_fingerprint_finish(prefix, lo)));
       ws.lanes.push_back(
           core::BatchLane{ws.layouts.back().get(), &pt.problem->bindings, seed});
-      ws.tape_keys.push_back(value_tape_key(prog, prefix, plan.sim_opts()));
+      ws.tape_keys.push_back(tape_key);
     }
 
     // Local tallies, flushed to the shared atomics once per chunk.
@@ -567,9 +561,10 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
 
     // Measurement: one batched pass over the whole chunk in point order —
     // per-point bit-identical to measure_into, independent of how
-    // prediction grouped the lanes. The first point of each (program,
-    // problem) in the session runs the functional pass; the rest re-time
-    // its value tape.
+    // prediction grouped the lanes. The first point of each (value digest,
+    // problem) in the session runs the functional pass; the rest — other
+    // processor counts, machines and directive variants — re-time its
+    // value tape.
     if (plan.measure_runs() > 0) {
       const std::span<const sim::MeasuredResult> measured =
           arena.measure_batch_into(prog, mach, plan.sim_opts(), plan.measure_runs(),

@@ -12,9 +12,9 @@
 //     of (directives, symbol extents, bindings, nprocs, grid shape) — so
 //     session-owned and externally owned programs share entries, and
 //     entries survive program eviction,
-//   * it keeps one simulator value tape per (program, bindings), so a
-//     measured sweep runs each problem's functional pass once and re-times
-//     it for every processor count and machine,
+//   * it keeps one simulator value tape per (value digest, bindings), so
+//     a measured sweep runs each problem's functional pass once and
+//     re-times it for every processor count, machine and directive variant,
 //   * it executes whole ExperimentPlans batched on a worker pool (sweep
 //     points are independent), returning a RunReport whose records,
 //     ordering, estimates, and cache statistics are identical for any
@@ -263,7 +263,7 @@ class Session {
       const front::Bindings& bindings) const;
 
   /// The value-tape store for `prog`; null for hand-built programs
-  /// (compile_id 0), whose structure the key cannot tell apart.
+  /// (compile_id 0), which carry no value digest.
   [[nodiscard]] ValueTapeStore* value_tapes_for(
       const compiler::CompiledProgram& prog) const noexcept {
     return prog.compile_id != 0 ? &value_tapes_ : nullptr;
@@ -294,11 +294,12 @@ class Session {
   /// bound (see layout_store.hpp for why it is not sharded).
   mutable LayoutStore layout_store_;
 
-  /// The simulator's value tapes, one per (compile_id, bindings, WHILE
-  /// trip limit): the first measured point of a (program, problem) runs the
-  /// functional pass, every other processor count and machine re-times its
-  /// tape. Same once-build machinery as the layout store, so hit/miss
-  /// counts are deterministic for any worker count.
+  /// The simulator's value tapes, one per (value digest, bindings, WHILE
+  /// trip limit) — compiler::value_tape_key: the first measured point of a
+  /// problem runs the functional pass, every other processor count, machine
+  /// and directive variant of the same values re-times its tape. Same
+  /// once-build machinery as the layout store, so hit/miss counts are
+  /// deterministic for any worker count.
   mutable ValueTapeStore value_tapes_{kValueTapeBudget,
                                       [](const sim::ValueTape& t) { return t.bytes(); }};
 

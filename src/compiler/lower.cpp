@@ -161,25 +161,33 @@ class Lowerer {
     into.push_back(std::move(node));
   }
 
-  /// Replaces every full-reduction call in `e` with a reference to a fresh
-  /// scalar temporary, emitting the Reduce nodes that compute them.
-  void extract_reductions(ExprPtr& e, std::vector<SpmdNodePtr>& into,
+  /// Replaces every full-reduction call in `root` with a reference to a
+  /// fresh scalar temporary, emitting the Reduce nodes that compute them.
+  /// An explicit worklist visits the tree in pre-order (arguments, then
+  /// subscripts, left to right), so the Reduce nodes come out in source
+  /// order and an expression of any height lowers in constant stack.
+  void extract_reductions(ExprPtr& root, std::vector<SpmdNodePtr>& into,
                           front::SourceLoc loc) {
-    const auto kind = e->intrinsic_kind();
-    if ((kind == front::IntrinsicKind::Reduction ||
-         kind == front::IntrinsicKind::Location) &&
-        e->rank == 0 && e->args.size() == 1) {
-      into.push_back(make_reduce_node(*e, loc, into));
-      const int result = into.back()->reduce_result;
-      auto var = front::make_var(out_.symbols.at(result).name, loc);
-      var->symbol = result;
-      var->type = out_.symbols.at(result).type;
-      e = std::move(var);
-      return;
-    }
-    for (auto& a : e->args) extract_reductions(a, into, loc);
-    for (auto& s : e->subs) {
-      if (s.scalar) extract_reductions(s.scalar, into, loc);
+    std::vector<ExprPtr*> work{&root};
+    while (!work.empty()) {
+      ExprPtr& e = *work.back();
+      work.pop_back();
+      const auto kind = e->intrinsic_kind();
+      if ((kind == front::IntrinsicKind::Reduction ||
+           kind == front::IntrinsicKind::Location) &&
+          e->rank == 0 && e->args.size() == 1) {
+        into.push_back(make_reduce_node(*e, loc, into));
+        const int result = into.back()->reduce_result;
+        auto var = front::make_var(out_.symbols.at(result).name, loc);
+        var->symbol = result;
+        var->type = out_.symbols.at(result).type;
+        e = std::move(var);
+        continue;
+      }
+      for (auto s = e->subs.rbegin(); s != e->subs.rend(); ++s) {
+        if (s->scalar) work.push_back(&s->scalar);
+      }
+      for (auto a = e->args.rbegin(); a != e->args.rend(); ++a) work.push_back(&*a);
     }
   }
 

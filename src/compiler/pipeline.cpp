@@ -1,9 +1,12 @@
 #include "compiler/pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
+#include "compiler/cost_program.hpp"
 #include "compiler/lower.hpp"
 #include "compiler/normalize.hpp"
 #include "hpf/directives.hpp"
@@ -43,6 +46,7 @@ CompiledProgram compile(std::string_view source, const CompilerOptions& options)
                                        std::move(symbols), std::move(directives), options);
   prog.structure_fingerprint = structure_fingerprint(prog);
   prog.structure_digest = digest_of(prog.structure_fingerprint);
+  prog.value_digest = value_digest(prog);
   prog.compile_id = next_compile_id();
   return prog;
 }
@@ -87,6 +91,7 @@ CompiledProgram compile_with_directives(std::string_view source,
                                        std::move(symbols), std::move(directives), options);
   prog.structure_fingerprint = structure_fingerprint(prog);
   prog.structure_digest = digest_of(prog.structure_fingerprint);
+  prog.value_digest = value_digest(prog);
   prog.compile_id = next_compile_id();
   return prog;
 }
@@ -201,18 +206,12 @@ void feed_int(Sink& out, long long v) {
   out.put(p, static_cast<std::size_t>(buf + sizeof buf - p));
 }
 
-/// The (program, bindings) prefix of the fingerprint byte sequence. The
-/// prefix deliberately comes BEFORE the layout options so a sweep can
-/// capture the digest state once per problem (layout_fingerprint_prefix)
-/// and finish it per nprocs point — the fingerprint format is internal
-/// (spill addresses re-key on a format change and degrade to misses).
+/// The bindings (map iteration is name-sorted, so the order is canonical);
+/// values render as their raw IEEE bit pattern in fixed-width hex — exact
+/// without a decimal round-trip, and far cheaper than %.17g on what is the
+/// layout-key hot path of every sweep point.
 template <class Sink>
-void feed_layout_prefix(Sink& fp, const CompiledProgram& prog,
-                        const front::Bindings& bindings) {
-  // bindings (map iteration is name-sorted, so the order is canonical);
-  // values render as their raw IEEE bit pattern in fixed-width hex — exact
-  // without a decimal round-trip, and far cheaper than %.17g on what is
-  // the layout-key hot path of every sweep point
+void feed_bindings(Sink& fp, const front::Bindings& bindings) {
   for (const auto& [name, value] : bindings.values()) {
     fp.put(name.data(), name.size());
     fp.put('=');
@@ -227,6 +226,17 @@ void feed_layout_prefix(Sink& fp, const CompiledProgram& prog,
     fp.put('\x1e');
   }
   fp.put('\x1d');
+}
+
+/// The (program, bindings) prefix of the fingerprint byte sequence. The
+/// prefix deliberately comes BEFORE the layout options so a sweep can
+/// capture the digest state once per problem (layout_fingerprint_prefix)
+/// and finish it per nprocs point — the fingerprint format is internal
+/// (spill addresses re-key on a format change and degrade to misses).
+template <class Sink>
+void feed_layout_prefix(Sink& fp, const CompiledProgram& prog,
+                        const front::Bindings& bindings) {
+  feed_bindings(fp, bindings);
 
   // program structure, compacted to a 64-bit digest plus length (the
   // program key's collision posture: a collision needs same-length
@@ -316,6 +326,221 @@ std::string layout_fingerprint(const CompiledProgram& prog,
   std::string fp;
   layout_fingerprint_into(fp, prog, bindings, options);
   return fp;
+}
+
+namespace {
+
+/// Computes compiler::value_digest by folding in what sim::Executor::record
+/// reads, in record order. Keep it in step with the functional pass — a
+/// field the pass starts reading belongs here too.
+class ValueDigestWalk {
+ public:
+  explicit ValueDigestWalk(const CompiledProgram& prog)
+      : prog_(prog), cp_(*prog.cost_program) {}
+
+  LayoutDigest run() {
+    // ids are positional, so the table goes in order: names and kinds
+    // decide the reported scalars, PARAMETER expressions the seeded values,
+    // extent expressions the storage shapes, ids the default fill
+    for (const auto& sym : prog_.symbols.symbols()) {
+      text(sym.name);
+      word(static_cast<int>(sym.kind));
+      word(static_cast<int>(sym.type));
+      word(static_cast<std::uint64_t>(sym.dims.size()));
+      for (const auto& d : sym.dims) text(d->str());
+      word(sym.param_value ? 1 : 0);
+      if (sym.param_value) text(sym.param_value->str());
+    }
+    seq(prog_.root->children);
+    return {a_, b_};
+  }
+
+ private:
+  /// Folds one word into both streams. Each step (xor, odd multiply,
+  /// xorshift) is a bijection of the state, so sequences that differ in one
+  /// word never meet at that word; a word at a time keeps the walk a small
+  /// fraction of a compilation.
+  void word(std::uint64_t v) {
+    a_ = (a_ ^ v) * 0xff51afd7ed558ccdULL;
+    a_ ^= a_ >> 33;
+    b_ = (b_ ^ v) * 0xc4ceb9fe1a85ec53ULL;
+    b_ ^= b_ >> 29;
+  }
+  void word(int v) { word(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+  void word(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    word(bits);
+  }
+  void text(std::string_view t) {
+    word(static_cast<std::uint64_t>(t.size()));
+    for (std::size_t i = 0; i < t.size(); i += sizeof(std::uint64_t)) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, t.data() + i, std::min(sizeof bits, t.size() - i));
+      word(bits);
+    }
+  }
+  void array(std::size_t a) {
+    word(cp_.arrays[a].symbol);
+    word(cp_.arrays[a].rank);
+  }
+
+  /// One expression's instructions with their operands by content, and
+  /// their sources (a failing lane's diagnostic quotes them).
+  void expr(std::int32_t id) {
+    if (id < 0) {
+      word(-1);
+      return;
+    }
+    const ExprCode& c = cp_.exprs[static_cast<std::size_t>(id)];
+    word(static_cast<std::uint64_t>(c.count));
+    word(static_cast<int>(c.result));
+    for (std::uint32_t k = 0; k < c.arrays_count; ++k) array(cp_.expr_arrays[c.arrays_first + k]);
+    for (std::uint32_t i = c.first; i < c.first + c.count; ++i) {
+      const CostInstr& in = cp_.code[i];
+      word(static_cast<int>(in.op));
+      word(static_cast<int>(in.dst));
+      switch (in.op) {
+        case CostOp::Const: word(cp_.pool[in.a]); break;
+        case CostOp::LoadDflt:
+          word(static_cast<int>(in.a));  // a symbol slot
+          word(cp_.pool[in.b]);
+          break;
+        case CostOp::ArrayLoad:
+        case CostOp::ArrayOffset:
+        case CostOp::Size:
+          word(static_cast<int>(in.a));
+          array(in.b);
+          break;
+        default:  // Load's symbol slot, or operand registers
+          word(static_cast<int>(in.a));
+          word(static_cast<int>(in.b));
+          word(static_cast<int>(in.c));
+          break;
+      }
+      const CostSource& src = cp_.sources[i];
+      word(static_cast<std::uint64_t>(src.loc.line));
+      word(static_cast<std::uint64_t>(src.loc.column));
+      text(cp_.texts[src.text]);
+      word(src.probe);
+    }
+  }
+
+  void space(const SpmdNode& n, const NodeCost& nc) {
+    word(static_cast<std::uint64_t>(n.space.size()));
+    for (std::size_t d = 0; d < n.space.size(); ++d) {
+      word(n.space[d].symbol);
+      for (std::size_t k = 0; k < 3; ++k) {
+        expr(cp_.space_codes[static_cast<std::size_t>(nc.space_first) + 3 * d + k]);
+      }
+    }
+  }
+
+  void target(const front::Expr& lhs) {
+    word(lhs.symbol);
+    word(lhs.type == front::TypeBase::Integer ? 1 : 0);
+  }
+
+  void seq(const std::vector<SpmdNodePtr>& nodes) {
+    word(static_cast<std::uint64_t>(0x5e9));  // nesting marks: the tree's shape
+    for (const auto& n : nodes) node(*n);
+    word(static_cast<std::uint64_t>(0x5e9e));
+  }
+
+  void node(const SpmdNode& n) {
+    // priced from the configuration alone: the pass records nothing
+    if (n.kind == SpmdKind::OverlapComm || n.kind == SpmdKind::SliceBroadcast) return;
+    const NodeCost& nc = cp_.nodes.at(static_cast<std::size_t>(n.id));
+    word(static_cast<int>(n.kind));
+    switch (n.kind) {
+      case SpmdKind::Seq: seq(n.children); break;
+      case SpmdKind::ScalarAssign:
+        expr(nc.rhs);
+        target(*n.lhs);
+        break;
+      case SpmdKind::LocalLoop:
+        space(n, nc);
+        expr(n.mask ? nc.cond : -1);
+        if (n.inner) {
+          word(static_cast<int>(n.inner->op));
+          word(n.inner->index.symbol);
+          expr(nc.inner_lo);
+          expr(nc.inner_hi);
+          expr(nc.arg);
+        } else {
+          expr(nc.rhs);
+        }
+        expr(nc.lhs);
+        target(*n.lhs);
+        break;
+      case SpmdKind::Reduce:
+        space(n, nc);
+        word(static_cast<int>(n.reduce_op));
+        expr(nc.arg);
+        word(n.reduce_result);
+        break;
+      case SpmdKind::CShiftComm:
+        expr(nc.comm_amount);
+        word(n.comm_temp);
+        word(n.comm_array);
+        word(n.comm_dim);
+        break;
+      case SpmdKind::GatherComm:
+      case SpmdKind::ScatterComm: space(n, nc); break;
+      case SpmdKind::DoLoop:
+        expr(nc.do_lo);
+        expr(nc.do_hi);
+        expr(n.do_step ? nc.do_step : -1);
+        word(n.do_symbol);
+        word(static_cast<std::uint64_t>(n.loc.line));
+        word(static_cast<std::uint64_t>(n.loc.column));
+        seq(n.children);
+        break;
+      case SpmdKind::WhileLoop:
+        expr(nc.cond);
+        word(static_cast<std::uint64_t>(n.loc.line));
+        word(static_cast<std::uint64_t>(n.loc.column));
+        seq(n.children);
+        break;
+      case SpmdKind::IfBlock:
+        expr(nc.cond);
+        seq(n.children);
+        seq(n.else_children);
+        break;
+      case SpmdKind::HostIO:
+        for (std::size_t i = 0; i < n.io_args.size(); ++i) {
+          const front::Expr& arg = *n.io_args[i];
+          word(arg.rank);
+          if (arg.rank == 0) {
+            text(arg.str());
+            expr(nc.io_first + static_cast<std::int32_t>(i));
+          }
+        }
+        break;
+      case SpmdKind::OverlapComm:
+      case SpmdKind::SliceBroadcast: break;
+    }
+  }
+
+  const CompiledProgram& prog_;
+  const CostProgram& cp_;
+  std::uint64_t a_ = 14695981039346656037ULL;
+  std::uint64_t b_ = 14695981039346656037ULL ^ 0x9e3779b97f4a7c15ULL;
+};
+
+}  // namespace
+
+LayoutDigest value_digest(const CompiledProgram& prog) {
+  return ValueDigestWalk(prog).run();
+}
+
+LayoutDigest value_tape_key(const CompiledProgram& prog, const front::Bindings& bindings,
+                            long long max_while_trips) {
+  DigestSink sink;
+  sink.put(reinterpret_cast<const char*>(&prog.value_digest), sizeof prog.value_digest);
+  feed_bindings(sink, bindings);
+  feed_int(sink, max_while_trips);
+  return {sink.a, sink.b};
 }
 
 }  // namespace hpf90d::compiler

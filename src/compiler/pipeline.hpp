@@ -60,19 +60,14 @@ void layout_fingerprint_into(std::string& out, const CompiledProgram& prog,
                              const front::Bindings& bindings,
                              const LayoutOptions& options);
 
-/// 128-bit content digest of a layout fingerprint: two independent FNV-1a
-/// style streams over the exact byte sequence layout_fingerprint produces,
-/// so layout_fingerprint_digest(p, b, o) == layout_digest_of(
+/// A layout fingerprint's LayoutDigest (spmd_ir.hpp) is two independent
+/// FNV-1a style streams over the exact byte sequence layout_fingerprint
+/// produces, so layout_fingerprint_digest(p, b, o) == layout_digest_of(
 /// layout_fingerprint(p, b, o)) always — the string and streaming entry
 /// points address the same cache entry. At 128 bits over machine-generated
 /// (non-adversarial) keys, a collision is beyond-astronomical, which is
 /// what lets the layout store index on the digest alone.
-struct LayoutDigest {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  friend bool operator==(const LayoutDigest&, const LayoutDigest&) = default;
-};
-
+///
 /// Streams the fingerprint bytes straight into a LayoutDigest — no string
 /// is materialized. This is the per-point layout lookup of a warm sweep:
 /// hashing ~tens of bytes replaces building, re-hashing, and comparing a
@@ -104,5 +99,24 @@ struct LayoutDigestState {
 /// layout_fingerprint_digest(p, b, o).
 [[nodiscard]] LayoutDigest layout_fingerprint_finish(const LayoutDigestState& state,
                                                      const LayoutOptions& options);
+
+/// Digest of exactly what the simulator's functional pass
+/// (sim::Executor::record) reads of `prog`, walking the SPMD tree in record
+/// order: each node's kind and the functional fields it reads, the content
+/// of its cost-program expressions (ops, registers, pool values, arrays by
+/// symbol and rank, source locations and texts), and the symbol table.
+/// Node ids, the mapping directives and the nodes that record nothing
+/// (OverlapComm, SliceBroadcast) are left out, so directive variants of
+/// one program share a digest. compile() stores it in
+/// CompiledProgram::value_digest.
+[[nodiscard]] LayoutDigest value_digest(const CompiledProgram& prog);
+
+/// The key of a recorded sim::ValueTape: the program's value digest, the
+/// bindings and the WHILE trip limit (which decides whether the pass
+/// throws) — everything the tape depends on. Noise, contention, the
+/// collective, the layout and the machine only move clocks.
+[[nodiscard]] LayoutDigest value_tape_key(const CompiledProgram& prog,
+                                          const front::Bindings& bindings,
+                                          long long max_while_trips);
 
 }  // namespace hpf90d::compiler

@@ -69,6 +69,15 @@ using SpmdNodePtr = std::unique_ptr<SpmdNode>;
 
 struct CostProgram;  // cost_program.hpp — flattened priced-expression bytecode
 
+/// 128-bit content digest: two independent 64-bit hash streams over one
+/// input (pipeline.hpp computes the layout fingerprint's and the value
+/// digest).
+struct LayoutDigest {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  friend bool operator==(const LayoutDigest&, const LayoutDigest&) = default;
+};
+
 struct SpmdNode {
   SpmdKind kind = SpmdKind::Seq;
   front::SourceLoc loc;
@@ -185,6 +194,10 @@ struct CompiledProgram {
   /// programs). Lets address-keyed consumers detect that a reused address
   /// holds a *different* compilation.
   std::uint64_t compile_id = 0;
+  /// compiler::value_digest of this program, stamped by the pipeline (zero
+  /// for hand-built programs): programs with equal digests record equal
+  /// simulator value tapes under equal bindings.
+  LayoutDigest value_digest;
   /// Per-node operation counts indexed by SpmdNode::id, filled by the
   /// pipeline (compute_node_ops). Computed once at compile time and shared
   /// by every consumer — all engine arenas and the simulator's cost model —

@@ -585,12 +585,12 @@ void Executor::record_local_loop(const SpmdNode& n) {
     inner_hi = scalar_int(nc.inner_hi);
     words.push_back(std::max<long long>(0, inner_hi - inner_lo + 1));
   }
-  // A distributed loop's space, and its mask bits, let any layout count
-  // its owners' iterations and trues without evaluating anything.
-  const bool mask_bits = n.home_symbol >= 0 && n.mask;
-  if (n.home_symbol >= 0) record_space();
+  // The space, and the mask bits, let any layout count the owners'
+  // iterations and trues without evaluating anything. Every loop records
+  // them, replicated or not, so the tape does not depend on the mapping.
+  record_space();
   const std::size_t mask_at = words.size();
-  if (mask_bits) words.resize(mask_at + mask_words(points), 0);
+  if (n.mask) words.resize(mask_at + mask_words(points), 0);
 
   // Forall semantics: every point's mask, value and target are evaluated
   // against the arrays as they stand, then the stores commit. Points run
@@ -641,7 +641,7 @@ void Executor::record_local_loop(const SpmdNode& n) {
         fail_point(n, width, l, inner_lo, inner_hi);
       }
       if (!on) continue;
-      if (mask_bits) {
+      if (n.mask) {
         words[mask_at + (k + l) / 64] |= static_cast<long long>(std::uint64_t{1} << ((k + l) % 64));
       }
       const double value =
@@ -676,7 +676,7 @@ void Executor::time_local_loop(const SpmdNode& n) {
   if (v.points <= 0) return;
   if (n.inner) v.inner_trips = tape_next();
   const compiler::ArrayMap* home = home_map(n);
-  if (n.home_symbol >= 0) owned_counts(n, home, n.mask != nullptr, v);
+  owned_counts(n, home, n.mask != nullptr, v);
   charge_local_loop(n, home, v);
 }
 
@@ -763,7 +763,7 @@ void Executor::record_reduce(const SpmdNode& n) {
   const compiler::NodeCost& nc = node_cost(n);
   const long long points = resolve_space(n);
   rec_->words.push_back(points);
-  if (points > 0 && n.home_symbol >= 0) record_space();
+  if (points > 0) record_space();
 
   const compiler::ReduceOp op = n.reduce_op;
   const bool is_max = op == compiler::ReduceOp::MaxVal || op == compiler::ReduceOp::MaxLoc;
@@ -812,7 +812,7 @@ void Executor::time_reduce(const SpmdNode& n) {
   LoopVisit v;
   v.points = tape_next();
   const compiler::ArrayMap* home = home_map(n);
-  if (v.points > 0 && n.home_symbol >= 0) owned_counts(n, home, false, v);
+  if (v.points > 0) owned_counts(n, home, false, v);
   charge_reduce(n, home, v);
 }
 

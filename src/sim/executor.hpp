@@ -66,16 +66,18 @@ struct SimResult {
 };
 
 /// What a program's values decide about its timing, recorded once per
-/// (program, bindings) by the functional pass and independent of the
-/// layout, the machine and the options other than the WHILE trip limit.
-/// `words` holds, in walk order: one entry per DO (trips), WHILE (trips),
-/// IF (outcome), CSHIFT (amount) and irregular-comm (points) visit; per
-/// LocalLoop visit its point count and, when there are points, its inner
-/// trips, then — for a loop with a home array — the resolved iteration
-/// space (lo, hi, step per dimension) and, when masked, one mask bit per
-/// point in odometer order; per Reduce visit its point count and, when
-/// there are points and a home array, its space. `printed` and `scalars`
-/// are the SimResult maps of the same name.
+/// (value digest, bindings) by the functional pass and independent of the
+/// layout, the mapping directives, the machine and the options other than
+/// the WHILE trip limit (compiler::value_digest covers what the pass
+/// reads). `words` holds, in walk order: one entry per DO (trips), WHILE
+/// (trips), IF (outcome), CSHIFT (amount) and irregular-comm (points)
+/// visit; per LocalLoop visit its point count and, when there are points,
+/// its inner trips, the resolved iteration space (lo, hi, step per
+/// dimension) and, when masked, one mask bit per point in odometer order;
+/// per Reduce visit its point count and, when there are points, its space.
+/// A replicated loop records its space too, so the words do not depend on
+/// which loops a mapping distributes. `printed` and `scalars` are the
+/// SimResult maps of the same name.
 struct ValueTape {
   std::vector<long long> words;
   std::map<std::string, double> printed;
@@ -96,9 +98,11 @@ struct ValueTape {
 /// A measurement has two halves, and they meet only at a ValueTape.
 /// The *functional pass* (record) evaluates the program against real data
 /// and records everything value-dependent that timing needs. It reads the
-/// bindings and the array extents, never the processor count, the grid, the
-/// machine, the clocks or the noise stream, so one pass serves every
-/// (layout, machine, seed) of the same (program, bindings). The *timing
+/// bindings and the array extents, never the processor count, the grid,
+/// the mapping, the machine, the clocks or the noise stream, so one pass
+/// serves every (layout, machine, seed) of every program with the same
+/// value digest (compiler::value_digest: HPF directives never change a
+/// program's values) under the same bindings. The *timing
 /// walk* (retime) charges clocks, the network and the noise stream from a
 /// tape alone, without evaluating a single expression; it derives each
 /// distributed loop's per-processor iteration and mask-true counts from the
@@ -209,9 +213,10 @@ class Executor {
     std::span<const long long> trues;
   };
 
-  /// Reads a distributed loop's recorded space (and mask bits) off the tape
-  /// and yields its per-processor counts under the bound layout: derived on
-  /// the first walk of a tape, read back on later ones.
+  /// Reads a loop's recorded space (and mask bits) off the tape and, when
+  /// the bound layout distributes it (`home` non-null), yields its
+  /// per-processor counts: derived on the first walk of a tape, read back
+  /// on later ones.
   void owned_counts(const SpmdNode& n, const compiler::ArrayMap* home, bool masked,
                     LoopVisit& v);
   void charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,

@@ -7,10 +7,11 @@
 // benches can test the paper's claim that interpreted times typically fall
 // within the measured variance.
 //
-// A program's values depend only on (program, bindings): never on the
-// processor count, the grid, the machine, the noise seed, contention or
-// the collective algorithm (SimOptions::max_while_trips decides only
-// whether the pass throws). So the functional pass runs once per (program,
+// A program's values depend only on its value digest and its bindings
+// (compiler::value_digest): never on the mapping directives, the processor
+// count, the grid, the machine, the noise seed, contention or the
+// collective algorithm (SimOptions::max_while_trips decides only whether
+// the pass throws). So the functional pass runs once per (value digest,
 // bindings) and records a ValueTape; every run of every (layout, machine)
 // point is a timing walk of that tape (see executor.hpp). measure_into
 // takes a tape recorded elsewhere, which is how the session shares one
@@ -73,7 +74,7 @@ class Simulator {
   /// holding one MeasuredResult and one Executor per worker measures a
   /// whole sweep without per-point result allocation. With `tape` null,
   /// run 0 is the functional pass (Executor::run_into); with a tape of the
-  /// same (program, bindings), recorded under any layout and machine, no
+  /// same (value digest, bindings), recorded under any layout and machine, no
   /// value is computed at all. Either way every run is a timing walk of one
   /// tape under this point's layout, machine and seed, and the contents are
   /// bit-identical to measure().

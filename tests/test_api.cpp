@@ -484,20 +484,23 @@ std::vector<std::string> run_unshared(const std::vector<api::ExperimentPlan>& pl
   for (const api::ExperimentPlan& plan : plans) {
     api::RunReport joined;
     for (const std::string& machine : plan.machine_names()) {
-      for (const api::ProblemCase& problem : plan.problems()) {
-        for (const int nprocs : plan.nprocs_list()) {
-          api::ExperimentPlan point(plan.title());
-          point.source(plan.program_source())
-              .machines({machine})
-              .nprocs({nprocs})
-              .add_problem(problem.name, problem.bindings)
-              .runs(plan.measure_runs());
-          api::Session fresh;
-          api::RunOptions opts;
-          opts.workers = 1;
-          const api::RunReport report = fresh.run(point, opts);
-          EXPECT_EQ(report.cache.value_tape_hits, 0u);
-          joined.records.push_back(report.records.at(0));
+      for (const api::DirectiveVariant& variant : plan.variants()) {
+        for (const api::ProblemCase& problem : plan.problems()) {
+          for (const int nprocs : plan.nprocs_list()) {
+            api::ExperimentPlan point(plan.title());
+            point.source(plan.program_source())
+                .machines({machine})
+                .add_variant(variant)
+                .nprocs({nprocs})
+                .add_problem(problem.name, problem.bindings)
+                .runs(plan.measure_runs());
+            api::Session fresh;
+            api::RunOptions opts;
+            opts.workers = 1;
+            const api::RunReport report = fresh.run(point, opts);
+            EXPECT_EQ(report.cache.value_tape_hits, 0u);
+            joined.records.push_back(report.records.at(0));
+          }
         }
       }
     }
@@ -536,6 +539,52 @@ TEST(ValueTapes, MachinesShareTapesAcrossConcurrentChunks) {
     EXPECT_EQ(cache.value_tape_misses, 4u) << "workers=" << workers;
     EXPECT_EQ(cache.value_tape_hits, 28u) << "workers=" << workers;
   }
+}
+
+TEST(ValueTapes, DistributionVariantsShareOneTape) {
+  // directives never change values: the variants' chunks, measured by
+  // different workers, share one functional pass per size
+  const auto& bb = suite::app("laplace_bb");
+  const auto& bx = suite::app("laplace_bx");
+  const auto& xb = suite::app("laplace_xb");
+  api::ExperimentPlan variants("laplace distributions");
+  variants.source(bb.source)
+      .add_variant(bb.name, bb.directive_overrides, 2)
+      .add_variant(bx.name, bx.directive_overrides)
+      .add_variant(xb.name, xb.directive_overrides)
+      .nprocs({1, 2, 4, 8})
+      .problems_from({bb.problem_sizes[0], bb.problem_sizes[1]}, bb.bindings)
+      .runs(3);
+  const std::vector<api::ExperimentPlan> plans = {variants};
+  const std::vector<std::string> unshared = run_unshared(plans);
+  for (const int workers : {1, 4}) {
+    api::Session session;
+    api::CacheStats cache;
+    EXPECT_EQ(run_shared_tape_plans(session, workers, plans, cache), unshared)
+        << "workers=" << workers;
+    // 3 variants x 2 sizes x 4 processor counts: 2 passes, 22 re-timings
+    EXPECT_EQ(cache.value_tape_misses, 2u) << "workers=" << workers;
+    EXPECT_EQ(cache.value_tape_hits, 22u) << "workers=" << workers;
+  }
+
+  // Session::measure under one distribution records the tape a run under
+  // another re-times
+  api::Session session;
+  api::RunConfig cfg;
+  cfg.bindings = bb.bindings(bb.problem_sizes[0]);
+  cfg.nprocs = 4;
+  (void)session.measure(session.compile_with_directives(bb.source, bb.directive_overrides),
+                        cfg);
+  EXPECT_EQ(session.cache_stats().value_tape_misses, 1u);
+  api::ExperimentPlan plan("x-block");
+  plan.source(xb.source)
+      .add_variant(xb.name, xb.directive_overrides)
+      .nprocs({2})
+      .add_problem("n=16", cfg.bindings)
+      .runs(2);
+  const api::RunReport report = session.run(plan);
+  EXPECT_EQ(report.cache.value_tape_hits, 1u);
+  EXPECT_EQ(report.cache.value_tape_misses, 0u);
 }
 
 TEST(ValueTapes, SessionMeasureSharesTheStoreWithRun) {

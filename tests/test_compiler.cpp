@@ -2,10 +2,20 @@
 // lowering structure for the suite programs, op counting, F77 codegen.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <functional>
+#include <optional>
+#include <string>
+
 #include "compiler/codegen_f77.hpp"
+#include "compiler/lower.hpp"
+#include "compiler/normalize.hpp"
 #include "compiler/opcount.hpp"
 #include "compiler/pipeline.hpp"
+#include "hpf/directives.hpp"
 #include "hpf/parser.hpp"
+#include "hpf/sema.hpp"
 #include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
@@ -17,6 +27,17 @@ using compiler::SpmdKind;
 using compiler::SpmdNode;
 
 CompiledProgram comp(std::string_view src) { return compiler::compile(src); }
+
+/// The thread stack Lower.DeepestChainLowersOnASmallStack lowers on. A
+/// lowering that recursed once per expression level needed about 1 MB of
+/// stack in a Release build and about 8 MB under ASan, whose frames are
+/// several times larger; what is left of the recursion (Expr::clone, the
+/// bytecode flattener) needs under 400 KB and 3 MB.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::size_t kSmallStack = std::size_t{5} << 20;
+#else
+constexpr std::size_t kSmallStack = std::size_t{640} << 10;
+#endif
 
 int count_kind(const SpmdNode& n, SpmdKind k) {
   int c = n.kind == k ? 1 : 0;
@@ -176,6 +197,58 @@ TEST(Lower, FullReductionBecomesReduceNode) {
 TEST(Lower, NestedReductionsBothExtracted) {
   auto p = comp_body("x = sum(a) + product(b)");
   EXPECT_EQ(count_kind(*p.root, SpmdKind::Reduce), 2);
+  // extracted in source order, ahead of the assignment that reads them
+  ASSERT_EQ(p.root->children.size(), 3u);
+  EXPECT_EQ(p.root->children[0]->reduce_op, compiler::ReduceOp::Sum);
+  EXPECT_EQ(p.root->children[1]->reduce_op, compiler::ReduceOp::Product);
+  EXPECT_EQ(p.root->children[2]->kind, SpmdKind::ScalarAssign);
+}
+
+/// Runs `fn` on a thread whose stack is `bytes` large.
+void run_on_stack(std::size_t bytes, const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, bytes), 0);
+  pthread_t thread;
+  const auto start = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, start,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(Lower, DeepestChainLowersOnASmallStack) {
+  // A chain exactly kMaxExprHeight levels high, the deepest the parser
+  // accepts, with a reduction at its deepest leaf (sum(a) is two levels):
+  // lowering (reduction extraction, op counts, the cost bytecode) must not
+  // recurse once per level deeper than a small thread stack holds,
+  // sanitizers' larger frames included.
+  std::string src = std::string(kHeader) + "x = sum(a)";
+  for (int i = 2; i < front::kMaxExprHeight; ++i) src += " + 1.0";
+  src += "\nend program t\n";
+  EXPECT_THROW((void)front::parse_program(std::string(src).insert(src.find("\nend"), " + 1.0")),
+               support::CompileError);
+  front::Program ast = front::parse_program(src);
+  front::SymbolTable symbols = front::analyze(ast);
+  front::DirectiveSet directives = front::parse_directives(ast.raw_directives);
+  compiler::normalize(ast, symbols);
+  std::optional<CompiledProgram> lowered;
+  std::string error;
+  run_on_stack(kSmallStack, [&] {
+    try {
+      lowered = compiler::lower_program("t", std::move(ast), std::move(symbols),
+                                        std::move(directives), {});
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  ASSERT_TRUE(lowered.has_value()) << error;
+  EXPECT_EQ(count_kind(*lowered->root, SpmdKind::Reduce), 1);
+  EXPECT_EQ(lowered->root->children.back()->kind, SpmdKind::ScalarAssign);
 }
 
 TEST(Lower, CshiftMakesTempAndComm) {
