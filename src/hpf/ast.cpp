@@ -1,6 +1,7 @@
 #include "hpf/ast.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace hpf90d::front {
 
@@ -54,24 +55,48 @@ Subscript Subscript::clone() const {
 }
 
 ExprPtr Expr::clone() const {
-  auto out = std::make_unique<Expr>();
-  out->kind = kind;
-  out->loc = loc;
-  out->int_value = int_value;
-  out->real_value = real_value;
-  out->bool_value = bool_value;
-  out->name = name;
-  out->symbol = symbol;
-  out->intrinsic = intrinsic;
-  out->bin_op = bin_op;
-  out->un_op = un_op;
-  out->type = type;
-  out->rank = rank;
-  out->args.reserve(args.size());
-  for (const auto& a : args) out->args.push_back(a->clone());
-  out->subs.reserve(subs.size());
-  for (const auto& s : subs) out->subs.push_back(s.clone());
-  return out;
+  // A worklist of (source, destination slot) pairs instead of one call per
+  // level: expressions reach kMaxExprHeight levels, and lowering clones
+  // them on threads with small stacks. The list is per thread, so cloning
+  // allocates only the copy.
+  thread_local std::vector<std::pair<const Expr*, ExprPtr*>> work;
+  ExprPtr root;
+  work.assign(1, {this, &root});
+  while (!work.empty()) {
+    const auto [src, slot] = work.back();
+    work.pop_back();
+    auto out = std::make_unique<Expr>();
+    out->kind = src->kind;
+    out->loc = src->loc;
+    out->int_value = src->int_value;
+    out->real_value = src->real_value;
+    out->bool_value = src->bool_value;
+    out->name = src->name;
+    out->symbol = src->symbol;
+    out->intrinsic = src->intrinsic;
+    out->bin_op = src->bin_op;
+    out->un_op = src->un_op;
+    out->type = src->type;
+    out->rank = src->rank;
+    out->args.resize(src->args.size());
+    for (std::size_t i = 0; i < src->args.size(); ++i) {
+      work.emplace_back(src->args[i].get(), &out->args[i]);
+    }
+    out->subs.resize(src->subs.size());
+    for (std::size_t i = 0; i < src->subs.size(); ++i) {
+      const Subscript& from = src->subs[i];
+      Subscript& to = out->subs[i];
+      to.kind = from.kind;
+      for (const auto& [part, dst] : {std::pair{&from.scalar, &to.scalar},
+                                      std::pair{&from.lo, &to.lo},
+                                      std::pair{&from.hi, &to.hi},
+                                      std::pair{&from.stride, &to.stride}}) {
+        if (*part) work.emplace_back(part->get(), dst);
+      }
+    }
+    *slot = std::move(out);
+  }
+  return root;
 }
 
 namespace {

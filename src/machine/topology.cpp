@@ -33,15 +33,12 @@ int Hypercube::hops(int a, int b) noexcept {
 
 std::vector<int> Hypercube::route(int a, int b) const {
   std::vector<int> path{a};
-  int cur = a;
-  unsigned diff = static_cast<unsigned>(a ^ b);
-  for (int d = 0; d < dim_; ++d) {
-    if (diff & (1u << d)) {
-      cur ^= (1 << d);
-      path.push_back(cur);
-    }
-  }
+  for (int cur = a; cur != b;) path.push_back(cur = next_hop(cur, b));
   return path;
+}
+
+int Hypercube::next_hop(int at, int to) noexcept {
+  return at ^ (1 << std::countr_zero(static_cast<unsigned>(at ^ to)));
 }
 
 int Hypercube::link_index(int from, int to) const {

@@ -35,6 +35,10 @@ class Hypercube {
   /// (inclusive of both endpoints), correcting dimensions lowest first.
   [[nodiscard]] std::vector<int> route(int a, int b) const;
 
+  /// The node after `at` on the e-cube route to `to` (at != to): the
+  /// lowest differing address bit corrected.
+  [[nodiscard]] static int next_hop(int at, int to) noexcept;
+
   /// Directed link index for the hop `from` -> `to` (differ in one bit);
   /// used by the simulator's link-occupancy table.
   [[nodiscard]] int link_index(int from, int to) const;

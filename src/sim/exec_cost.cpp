@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace hpf90d::sim {
 
@@ -23,7 +22,7 @@ double flat_op_time(const compiler::OpCounts& ops, const machine::ProcessingComp
 }  // namespace
 
 LoopBodyCost NodeCostModel::body_cost(const compiler::OpCounts& ops,
-                                      const std::vector<AccessPattern>& accesses,
+                                      std::span<const AccessPattern> accesses,
                                       long long working_set_bytes,
                                       double mask_fraction,
                                       const compiler::OpCounts* mask_ops) const {
@@ -52,32 +51,28 @@ LoopBodyCost NodeCostModel::body_cost(const compiler::OpCounts& ops,
   double mem = 0.0;
   // combined footprint of the distinct arrays the loop streams through:
   // several 8 KB streams evict each other even though each alone fits
+  // (an array counts at its first reference)
   long long loop_footprint = 0;
-  {
-    std::vector<int> seen;
-    for (const auto& a : accesses) {
-      bool dup = false;
-      for (int s : seen) dup = dup || s == a.symbol;
-      if (!dup) {
-        seen.push_back(a.symbol);
-        loop_footprint += a.array_bytes;
-      }
-    }
-    if (working_set_bytes > 0) {
-      loop_footprint = std::min(loop_footprint, 4 * working_set_bytes);
-    }
-  }
-  std::vector<char> used(accesses.size(), 0);
   for (std::size_t i = 0; i < accesses.size(); ++i) {
-    if (used[i]) continue;
+    bool dup = false;
+    for (std::size_t j = 0; j < i && !dup; ++j) dup = accesses[j].symbol == accesses[i].symbol;
+    if (!dup) loop_footprint += accesses[i].array_bytes;
+  }
+  if (working_set_bytes > 0) {
+    loop_footprint = std::min(loop_footprint, 4 * working_set_bytes);
+  }
+  // one group per (array, stride), led by its first reference
+  const auto same_group = [](const AccessPattern& x, const AccessPattern& y) {
+    return x.symbol == y.symbol && x.stride_elements == y.stride_elements;
+  };
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
     const AccessPattern& a = accesses[i];
+    bool counted = false;  // in the group of an earlier reference
+    for (std::size_t j = 0; j < i && !counted; ++j) counted = same_group(accesses[j], a);
+    if (counted) continue;
     int group_count = 1;
     for (std::size_t j = i + 1; j < accesses.size(); ++j) {
-      if (!used[j] && accesses[j].symbol == a.symbol &&
-          accesses[j].stride_elements == a.stride_elements) {
-        used[j] = 1;
-        ++group_count;
-      }
+      if (same_group(accesses[j], a)) ++group_count;
     }
     double lines_per_iter;
     if (a.stride_elements < 0) {

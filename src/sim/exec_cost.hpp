@@ -19,7 +19,7 @@
 // error envelope matches the paper's Table 2 shape (see EXPERIMENTS.md).
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "compiler/opcount.hpp"
 #include "machine/sau.hpp"
@@ -48,9 +48,10 @@ class NodeCostModel {
   /// Cost of one iteration of a loop body with operation counts `ops` and
   /// the given access patterns. `working_set_bytes` is the loop's total
   /// traffic footprint (drives cache capacity behaviour); `mask_fraction`
-  /// the realized fraction of iterations whose body executes.
+  /// the realized fraction of iterations whose body executes. Allocates
+  /// nothing.
   [[nodiscard]] LoopBodyCost body_cost(const compiler::OpCounts& ops,
-                                       const std::vector<AccessPattern>& accesses,
+                                       std::span<const AccessPattern> accesses,
                                        long long working_set_bytes,
                                        double mask_fraction = 1.0,
                                        const compiler::OpCounts* mask_ops = nullptr) const;

@@ -76,7 +76,9 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   network_.emplace(nprocs_, layout.grid().shape, machine.node().comm,
                    SimNetworkOptions{options.contention});
   clock_.assign(static_cast<std::size_t>(nprocs_), 0.0);
-  counted_ = nullptr;
+  planned_ = nullptr;
+  node_plans_.assign(static_cast<std::size_t>(prog.node_count), NodePlan{});
+  accesses_.clear();
 }
 
 SimResult Executor::run() {
@@ -94,7 +96,7 @@ void Executor::record(ValueTape& tape) {
   tape.words.clear();
   tape.printed.clear();
   tape.scalars.clear();
-  if (counted_ == &tape) counted_ = nullptr;  // re-recorded in place
+  if (planned_ == &tape) planned_ = nullptr;  // re-recorded in place
   rec_ = &tape;
   record_seq(prog_->root->children);
   for (const auto& sym : prog_->symbols.symbols()) {
@@ -113,12 +115,14 @@ double Executor::retime(const ValueTape& tape, std::uint64_t seed) {
   for (int p = 0; p < nprocs_; ++p) {
     clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
   }
-  deriving_ = counted_ != &tape;
+  deriving_ = planned_ != &tape;
   if (deriving_) {
-    counted_ = nullptr;
-    counts_.clear();
+    planned_ = nullptr;
+    charges_.clear();
+    visit_block_.clear();
+    for (NodePlan& np : node_plans_) np.last_len = 0;
   }
-  counts_pos_ = 0;
+  visit_pos_ = 0;
   walk_ = &tape;
   walk_pos_ = 0;
   time_seq(prog_->root->children);
@@ -126,7 +130,7 @@ double Executor::retime(const ValueTape& tape, std::uint64_t seed) {
   if (walk_pos_ != tape.words.size()) {
     throw std::logic_error("timing walk did not consume the whole value tape");
   }
-  counted_ = &tape;
+  planned_ = &tape;
   return *std::max_element(clock_.begin(), clock_.end());
 }
 
@@ -306,7 +310,7 @@ void Executor::time_node(const SpmdNode& n) {
 }
 
 void Executor::time_scalar_assign(const SpmdNode& n) {
-  const double t = cost_->scalar_cost(body_ops(n)) + machine_->node().proc.t_store;
+  const double t = node_plan(n).stmt_t;
   // replicated computation: every node executes the same statement
   for (int p = 0; p < nprocs_; ++p) {
     charge_comp(n.id, p, t * noise_.compute_factor());
@@ -327,8 +331,7 @@ void Executor::time_while(const SpmdNode& n) {
   // A tape recorded under a larger limit still fails this one, at the same
   // loop a fresh functional pass would.
   if (trips > options_.max_while_trips) throw CompileError(n.loc, kWhileLimitError);
-  const double cond_t =
-      machine_->node().proc.branch_overhead + cost_->scalar_cost(cond_ops(n));
+  const double cond_t = node_plan(n).cond_t;
   for (long long t = 0;; ++t) {
     charge_all_overhead(n.id, cond_t);
     if (t == trips) break;
@@ -540,31 +543,153 @@ void collect_accesses(const Expr& e, int inner_symbol, Storage& storage,
 
 }  // namespace
 
-std::vector<AccessPattern> Executor::access_patterns(const SpmdNode& n) {
-  std::vector<AccessPattern> out;
+void Executor::collect_access_patterns(const SpmdNode& n) {
+  const std::size_t first = accesses_.size();
   const int inner = n.inner          ? n.inner->index.symbol
                     : !n.space.empty() ? n.space.back().symbol
                                        : -1;
   if (n.inner) {
-    collect_accesses(*n.inner->arg, inner, storage_, prog_->symbols, out, false);
+    collect_accesses(*n.inner->arg, inner, storage_, prog_->symbols, accesses_, false);
   } else if (n.rhs) {
-    collect_accesses(*n.rhs, inner, storage_, prog_->symbols, out, false);
+    collect_accesses(*n.rhs, inner, storage_, prog_->symbols, accesses_, false);
   }
-  if (n.mask) collect_accesses(*n.mask, inner, storage_, prog_->symbols, out, false);
+  if (n.mask) collect_accesses(*n.mask, inner, storage_, prog_->symbols, accesses_, false);
   if (n.lhs && n.lhs->kind == ExprKind::ArrayRef) {
-    collect_accesses(*n.lhs, inner, storage_, prog_->symbols, out, true);
+    collect_accesses(*n.lhs, inner, storage_, prog_->symbols, accesses_, true);
   }
-  if (n.reduce_arg) collect_accesses(*n.reduce_arg, inner, storage_, prog_->symbols, out, false);
-  return out;
+  if (n.reduce_arg) {
+    collect_accesses(*n.reduce_arg, inner, storage_, prog_->symbols, accesses_, false);
+  }
+  for (std::size_t i = first; i < accesses_.size(); ++i) {
+    accesses_[i].array_bytes /= std::max(1, nprocs_);
+  }
 }
 
-long long Executor::working_set_bytes(const Expr& lhs, const Expr* rhs,
-                                      long long points) const {
-  // footprint ~ iteration count x (distinct arrays touched) x element size
-  long long arrays = 1;
-  if (rhs != nullptr) compiler::count_array_refs(*rhs, arrays);
-  const long long iters = std::max<long long>(1, points);
-  return iters * arrays * front::type_size_bytes(lhs.type) / std::max(1, nprocs_);
+// ---------------------------------------------------------------------------
+// the timing plan
+// ---------------------------------------------------------------------------
+
+Executor::NodePlan& Executor::node_plan(const SpmdNode& n) {
+  NodePlan& np = node_plans_.at(static_cast<std::size_t>(n.id));
+  if (np.ready) return np;
+  np.ready = true;
+  const auto& proc = machine_->node().proc;
+  switch (n.kind) {
+    case SpmdKind::ScalarAssign:
+      np.stmt_t = cost_->scalar_cost(body_ops(n)) + proc.t_store;
+      break;
+    case SpmdKind::WhileLoop:
+      np.cond_t = proc.branch_overhead + cost_->scalar_cost(cond_ops(n));
+      break;
+    case SpmdKind::LocalLoop:
+    case SpmdKind::Reduce: {
+      np.access_first = accesses_.size();
+      collect_access_patterns(n);
+      np.access_count = accesses_.size() - np.access_first;
+      break;
+    }
+    default: break;
+  }
+  return np;
+}
+
+void Executor::plan_visit(const SpmdNode& n, std::span<const long long> words) {
+  NodePlan& np = node_plan(n);
+  const std::size_t at = static_cast<std::size_t>(words.data() - walk_->words.data());
+  if (np.last_len == words.size() &&
+      std::equal(words.begin(), words.end(), walk_->words.begin() + np.last_at)) {
+    visit_block_.push_back(np.last_block);
+    return;
+  }
+  np.last_at = at;
+  np.last_len = words.size();
+  np.last_block = charges_.size();
+  visit_block_.push_back(np.last_block);
+  const std::size_t nprocs = static_cast<std::size_t>(nprocs_);
+  charges_.resize(charges_.size() + nprocs);
+
+  // the words: points, inner trips (LocalLoop with a dim reduction), the
+  // space (lo, hi, step per dimension), mask bits (masked LocalLoop)
+  const bool local = n.kind == SpmdKind::LocalLoop;
+  const bool masked = local && n.mask != nullptr;
+  const long long points = words[0];
+  const long long inner_trips = local && n.inner ? words[1] : 0;
+  const std::size_t space_at = local && n.inner ? 2 : 1;
+  lo_.clear();
+  hi_.clear();
+  step_.clear();
+  for (std::size_t d = 0; d < n.space.size(); ++d) {
+    lo_.push_back(words[space_at + 3 * d]);
+    hi_.push_back(words[space_at + 3 * d + 1]);
+    step_.push_back(words[space_at + 3 * d + 2]);
+  }
+  const compiler::ArrayMap* home = home_map(n);
+  if (home != nullptr) {
+    count_owned(n, *home, masked ? words.subspan(space_at + 3 * n.space.size())
+                                 : std::span<const long long>{});
+  }
+
+  const compiler::OpCounts& ops = body_ops(n);
+  const compiler::OpCounts* mask_ops = masked ? &cond_ops(n) : nullptr;
+  const std::span<const AccessPattern> accesses(accesses_.data() + np.access_first,
+                                                np.access_count);
+  // working set ~ iteration count x (arrays touched) x element size
+  const Expr& elem = local ? *n.lhs : *n.reduce_arg;
+  const long long ws = points * prog_->node_ops.at(static_cast<std::size_t>(n.id)).ws_arrays *
+                       front::type_size_bytes(elem.type) / std::max(1, nprocs_);
+  const double t_store = machine_->node().proc.t_store;
+  Charge* const out = charges_.data() + np.last_block;
+  LoopBodyCost body;
+  double body_frac = -1.0;  // the mask fraction `body` was priced at
+  for (std::size_t p = 0; p < nprocs; ++p) {
+    const long long it = home != nullptr ? iters_[p] : points;
+    if (it == 0) continue;
+    const long long tr = home != nullptr && masked ? trues_[p] : points;
+    const double frac = masked ? static_cast<double>(tr) / static_cast<double>(it) : 1.0;
+    if (frac != body_frac) {
+      body = cost_->body_cost(ops, accesses, ws, frac, mask_ops);
+      body_frac = frac;
+    }
+    double per_iter = body.per_iteration;
+    if (local && n.inner) {
+      per_iter = body.setup +
+                 static_cast<double>(inner_trips) * (body.per_iteration + body.per_iter_overhead) +
+                 t_store;
+    }
+    out[p] = Charge{it, static_cast<double>(it) * per_iter,
+                    body.setup + static_cast<double>(it) * body.per_iter_overhead};
+  }
+}
+
+void Executor::count_owned(const SpmdNode& n, const compiler::ArrayMap& home,
+                           std::span<const long long> bits) {
+  // An unmasked loop's counts follow from the ownership histograms; a masked
+  // one (or an unseparable mapping) walks the recorded space.
+  const std::size_t nprocs = static_cast<std::size_t>(nprocs_);
+  iters_.assign(nprocs, 0);
+  if (!bits.empty() || !count_owned_iterations(n, home, iters_)) {
+    trues_.assign(nprocs, 0);
+    point_.assign(lo_.begin(), lo_.end());
+    std::size_t k = 0;
+    do {
+      const auto owner = static_cast<std::size_t>(owner_of_point(n, home, point_));
+      ++iters_[owner];
+      if (!bits.empty() && (static_cast<std::uint64_t>(bits[k / 64]) >> (k % 64) & 1) != 0) {
+        ++trues_[owner];
+      }
+      ++k;
+    } while (next_point());
+  }
+}
+
+void Executor::charge_planned(const SpmdNode& n) {
+  const Charge* const c = charges_.data() + visit_block_[visit_pos_++];
+  for (int p = 0; p < nprocs_; ++p) {
+    const Charge& ch = c[static_cast<std::size_t>(p)];
+    if (ch.iters == 0) continue;
+    charge_comp(n.id, p, ch.comp * noise_.compute_factor());
+    charge_overhead(n.id, p, ch.overhead);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -671,88 +796,13 @@ void Executor::fail_point(const SpmdNode& n, std::size_t width, std::size_t lane
 }
 
 void Executor::time_local_loop(const SpmdNode& n) {
-  LoopVisit v;
-  v.points = tape_next();
-  if (v.points <= 0) return;
-  if (n.inner) v.inner_trips = tape_next();
-  const compiler::ArrayMap* home = home_map(n);
-  owned_counts(n, home, n.mask != nullptr, v);
-  charge_local_loop(n, home, v);
-}
-
-void Executor::owned_counts(const SpmdNode& n, const compiler::ArrayMap* home, bool masked,
-                            LoopVisit& v) {
-  const std::span<const long long> space = tape_at(3 * n.space.size());
-  const std::span<const long long> bits =
-      masked ? tape_at(mask_words(v.points)) : std::span<const long long>{};
-  if (home == nullptr) return;  // replicated under this layout
-
-  const std::size_t np = static_cast<std::size_t>(nprocs_);
-  const std::size_t width = masked ? 2 * np : np;
-  if (deriving_) {
-    // An unmasked loop's counts follow from the ownership histograms; a
-    // masked one (or an unseparable mapping) walks the recorded space.
-    counts_.resize(counts_pos_ + width, 0);
-    const std::span<long long> iters(counts_.data() + counts_pos_, np);
-    lo_.clear();
-    hi_.clear();
-    step_.clear();
-    for (std::size_t d = 0; d < n.space.size(); ++d) {
-      lo_.push_back(space[3 * d]);
-      hi_.push_back(space[3 * d + 1]);
-      step_.push_back(space[3 * d + 2]);
-    }
-    if (masked || !count_owned_iterations(n, *home, iters)) {
-      long long* const trues = counts_.data() + counts_pos_ + np;
-      point_.assign(lo_.begin(), lo_.end());
-      std::size_t k = 0;
-      do {
-        const auto owner = static_cast<std::size_t>(owner_of_point(n, *home, point_));
-        ++iters[owner];
-        if (masked && (static_cast<std::uint64_t>(bits[k / 64]) >> (k % 64) & 1) != 0) {
-          ++trues[owner];
-        }
-        ++k;
-      } while (next_point());
-    }
-  }
-  const long long* const at = counts_.data() + counts_pos_;
-  counts_pos_ += width;
-  v.iters = {at, np};
-  if (masked) v.trues = {at + np, np};
-}
-
-void Executor::charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,
-                                 const LoopVisit& v) {
-  const compiler::OpCounts& ops = body_ops(n);
-  const compiler::OpCounts& mask_ops = cond_ops(n);
-  std::vector<AccessPattern> accesses = access_patterns(n);
-  for (auto& a : accesses) a.array_bytes /= std::max(1, nprocs_);
-  const long long ws =
-      working_set_bytes(*n.lhs, n.rhs ? n.rhs.get() : n.inner->arg.get(), v.points);
-  const auto& p = machine_->node().proc;
-
-  const bool replicated = home == nullptr;
-  for (int proc = 0; proc < nprocs_; ++proc) {
-    const std::size_t pi = static_cast<std::size_t>(proc);
-    const long long it = replicated ? v.points : v.iters[pi];
-    if (it == 0) continue;
-    const long long tr = replicated || !n.mask ? v.points : v.trues[pi];
-    const double frac = n.mask ? static_cast<double>(tr) / static_cast<double>(it) : 1.0;
-    const LoopBodyCost body =
-        cost_->body_cost(ops, accesses, ws, frac, n.mask ? &mask_ops : nullptr);
-    double per_iter = body.per_iteration;
-    if (n.inner) {
-      per_iter = body.setup +
-                 static_cast<double>(v.inner_trips) *
-                     (body.per_iteration + body.per_iter_overhead) +
-                 p.t_store;
-    }
-    const double comp_t = static_cast<double>(it) * per_iter * noise_.compute_factor();
-    const double ovhd_t = body.setup + static_cast<double>(it) * body.per_iter_overhead;
-    charge_comp(n.id, proc, comp_t);
-    charge_overhead(n.id, proc, ovhd_t);
-  }
+  const std::size_t at = walk_pos_;
+  const long long points = tape_next();
+  if (points <= 0) return;
+  if (n.inner) (void)tape_next();  // inner trips
+  (void)tape_at(3 * n.space.size() + (n.mask ? mask_words(points) : 0));
+  if (deriving_) plan_visit(n, {walk_->words.data() + at, walk_pos_ - at});
+  charge_planned(n);
 }
 
 // ---------------------------------------------------------------------------
@@ -809,33 +859,16 @@ void Executor::record_reduce(const SpmdNode& n) {
 }
 
 void Executor::time_reduce(const SpmdNode& n) {
-  LoopVisit v;
-  v.points = tape_next();
-  const compiler::ArrayMap* home = home_map(n);
-  if (v.points > 0) owned_counts(n, home, false, v);
-  charge_reduce(n, home, v);
-}
-
-void Executor::charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home,
-                             const LoopVisit& v) {
   // --- local partial reduction ----------------------------------------------
-  const compiler::OpCounts& ops = body_ops(n);
-  std::vector<AccessPattern> accesses = access_patterns(n);
-  for (auto& a : accesses) a.array_bytes /= std::max(1, nprocs_);
-  const long long ws = working_set_bytes(*n.reduce_arg, n.reduce_arg.get(), v.points);
-  const LoopBodyCost body = cost_->body_cost(ops, accesses, ws);
-  const bool replicated = home == nullptr;
-  for (int proc = 0; proc < nprocs_ && v.points > 0; ++proc) {
-    const long long it = replicated ? v.points : v.iters[static_cast<std::size_t>(proc)];
-    if (it == 0) continue;
-    charge_comp(n.id, proc,
-                static_cast<double>(it) * body.per_iteration * noise_.compute_factor());
-    charge_overhead(n.id, proc,
-                    body.setup + static_cast<double>(it) * body.per_iter_overhead);
+  const std::size_t at = walk_pos_;
+  if (tape_next() > 0) {
+    (void)tape_at(3 * n.space.size());
+    if (deriving_) plan_visit(n, {walk_->words.data() + at, walk_pos_ - at});
+    charge_planned(n);
   }
 
   // --- combine across the cube ------------------------------------------------
-  if (!replicated && nprocs_ > 1) {
+  if (home_map(n) != nullptr && nprocs_ > 1) {
     const int elem = n.reduce_op == compiler::ReduceOp::MaxLoc ? 12 : 8;  // value (+ index)
     const double op_t = machine_->node().proc.t_fadd +
                         machine_->node().comm.coll_stage_setup;
@@ -925,8 +958,10 @@ void Executor::time_overlap(const SpmdNode& n) {
   const bool strided = n.comm_dim != 0;  // row-major: outermost dim slabs are contiguous
 
   // snapshot departures, then apply arrivals
-  std::vector<double> depart(static_cast<std::size_t>(nprocs_), -1.0);
-  std::vector<long long> send_bytes(static_cast<std::size_t>(nprocs_), 0);
+  std::vector<double>& depart = depart_;
+  std::vector<long long>& send_bytes = msg_bytes_;
+  depart.assign(static_cast<std::size_t>(nprocs_), -1.0);
+  send_bytes.assign(static_cast<std::size_t>(nprocs_), 0);
   const int dir = n.comm_offset > 0 ? +1 : -1;
 
   auto slab_elements = [&](int proc) -> long long {
@@ -960,7 +995,8 @@ void Executor::time_overlap(const SpmdNode& n) {
     send_bytes[static_cast<std::size_t>(q)] = bytes;
     depart[static_cast<std::size_t>(q)] = clock_[static_cast<std::size_t>(q)] + pack;
   }
-  std::vector<double> new_clock = clock_;
+  std::vector<double>& new_clock = clock_scratch_;
+  new_clock.assign(clock_.begin(), clock_.end());
   for (int q = 0; q < nprocs_; ++q) {
     if (depart[static_cast<std::size_t>(q)] < 0) continue;
     const std::span<const int> qc = layout_->proc_coords(q);
@@ -1007,9 +1043,12 @@ void Executor::time_cshift(const SpmdNode& n) {
   const long long w = std::min<long long>(std::llabs(shift), dd.block);
   const int dir = shift > 0 ? +1 : -1;
 
-  std::vector<double> depart(static_cast<std::size_t>(nprocs_), -1.0);
-  std::vector<long long> msg_bytes(static_cast<std::size_t>(nprocs_), 0);
-  std::vector<long long> local_bytes(static_cast<std::size_t>(nprocs_), 0);
+  std::vector<double>& depart = depart_;
+  std::vector<long long>& msg_bytes = msg_bytes_;
+  std::vector<long long>& local_bytes = local_bytes_;
+  depart.assign(static_cast<std::size_t>(nprocs_), -1.0);
+  msg_bytes.assign(static_cast<std::size_t>(nprocs_), 0);
+  local_bytes.assign(static_cast<std::size_t>(nprocs_), 0);
   for (int q = 0; q < nprocs_; ++q) {
     const std::span<const int> coords = layout_->proc_coords(q);
     long long perp = 1;
@@ -1027,7 +1066,8 @@ void Executor::time_cshift(const SpmdNode& n) {
         clock_[static_cast<std::size_t>(q)] +
         comm_model_.pack(msg_bytes[static_cast<std::size_t>(q)], strided);
   }
-  std::vector<double> new_clock = clock_;
+  std::vector<double>& new_clock = clock_scratch_;
+  new_clock.assign(clock_.begin(), clock_.end());
   for (int q = 0; q < nprocs_; ++q) {
     if (msg_bytes[static_cast<std::size_t>(q)] == 0) continue;
     // circular: wrap at the grid edges
@@ -1073,7 +1113,8 @@ void Executor::time_irregular(const SpmdNode& n) {
   }
   // staged pairwise exchange rounds
   for (int r = 1; r < nprocs_; ++r) {
-    std::vector<double> snapshot = clock_;
+    std::vector<double>& snapshot = clock_scratch_;
+    snapshot.assign(clock_.begin(), clock_.end());
     for (int p = 0; p < nprocs_; ++p) {
       const int q = (p + r) % nprocs_;
       const double arr = network_->send(p, q, per_partner * elem,

@@ -104,12 +104,31 @@ struct ValueTape {
 /// value digest (compiler::value_digest: HPF directives never change a
 /// program's values) under the same bindings. The *timing
 /// walk* (retime) charges clocks, the network and the noise stream from a
-/// tape alone, without evaluating a single expression; it derives each
-/// distributed loop's per-processor iteration and mask-true counts from the
-/// recorded space under the bound layout, once per (tape, layout), and
-/// reuses them for every further seed. run() is record() then retime() of
-/// the executor's own tape; re-timing a tape recorded under any other
-/// layout or machine is bit-identical to a fresh run under this one.
+/// tape alone, without evaluating a single expression. run() is record()
+/// then retime() of the executor's own tape; re-timing a tape recorded
+/// under any other layout or machine is bit-identical to a fresh run under
+/// this one.
+///
+/// The timing walk runs from a *timing plan*. What is derived once:
+///   - per node, on its first visit after a rebind: a ScalarAssign's
+///     statement cost, a WHILE's condition cost, and a LocalLoop's or
+///     Reduce's access patterns (array footprints per processor) and
+///     working-set arrays;
+///   - per LocalLoop/Reduce visit with points, on the first walk of a tape
+///     after a rebind (the deriving walk): each processor's iteration count
+///     under the bound layout (ownership histograms, or the recorded space
+///     and mask bits walked point by point), its compute charge before
+///     noise (iterations x per-iteration time) and its overhead. A visit
+///     whose words (points, inner trips, space, mask bits) equal its node's
+///     previous visit's shares that visit's charges.
+/// What is derived per seed, in the same order on every walk: the startup
+/// skew, one noise draw per charged compute phase, and every network
+/// event (OverlapComm, CShiftComm, irregular exchanges, collectives), so a
+/// later seed reads the plan back, draws noise and sends messages, and
+/// allocates nothing. What invalidates the plan: rebind() (a new layout,
+/// machine, options or program, even an equal one) drops all of it;
+/// record() into the planned tape, or retiming another tape object, drops
+/// the per-visit charges.
 class Executor {
  public:
   /// Arena construction: no state bound yet; call rebind() before run().
@@ -135,9 +154,8 @@ class Executor {
   /// The timing walk: re-times `tape` under the bound layout, machine and
   /// options with noise seed `seed` and fills `out` in place, reusing its
   /// vectors (previous contents discarded). Any number of calls per
-  /// rebind; the per-processor counts are derived on the first call for a
-  /// tape and reused while later calls pass the same, unchanged tape
-  /// object.
+  /// rebind; the timing plan is derived on the first call for a tape and
+  /// read back while later calls pass the same, unchanged tape object.
   void retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out);
   /// Same walk, returning only the program time.
   [[nodiscard]] double retime(const ValueTape& tape, std::uint64_t seed);
@@ -203,25 +221,16 @@ class Executor {
   void time_irregular(const SpmdNode& n);
   void time_slice_bcast(const SpmdNode& n);
 
-  /// What the timing half of a LocalLoop or Reduce visit consumes.
-  /// `iters` is empty for a replicated loop and `trues` for an unmasked or
-  /// replicated one.
-  struct LoopVisit {
-    long long points = 0;       // iteration-space size
-    long long inner_trips = 0;  // inner dim-reduction trip count
-    std::span<const long long> iters;
-    std::span<const long long> trues;
-  };
-
-  /// Reads a loop's recorded space (and mask bits) off the tape and, when
-  /// the bound layout distributes it (`home` non-null), yields its
-  /// per-processor counts: derived on the first walk of a tape, read back
-  /// on later ones.
-  void owned_counts(const SpmdNode& n, const compiler::ArrayMap* home, bool masked,
-                    LoopVisit& v);
-  void charge_local_loop(const SpmdNode& n, const compiler::ArrayMap* home,
-                         const LoopVisit& v);
-  void charge_reduce(const SpmdNode& n, const compiler::ArrayMap* home, const LoopVisit& v);
+  /// Appends the visit's block of charges to the plan, or reuses the node's
+  /// previous block when its words are the same.
+  void plan_visit(const SpmdNode& n, std::span<const long long> words);
+  /// Charges the next planned visit: per processor with iterations, its
+  /// compute charge times a noise draw, then its overhead.
+  void charge_planned(const SpmdNode& n);
+  /// Per-processor iteration (and, when masked, mask-true) counts of the
+  /// space in lo_/hi_/step_ under the home mapping, into iters_/trues_.
+  void count_owned(const SpmdNode& n, const compiler::ArrayMap& home,
+                   std::span<const long long> bits);
 
   long long tape_next() { return tape_at(1)[0]; }
   /// The next `count` words of the tape being re-timed.
@@ -247,10 +256,8 @@ class Executor {
   bool count_owned_iterations(const SpmdNode& n, const compiler::ArrayMap& home,
                               std::span<long long> iters);
 
-  [[nodiscard]] std::vector<AccessPattern> access_patterns(const SpmdNode& n);
-  [[nodiscard]] long long working_set_bytes(const front::Expr& lhs,
-                                            const front::Expr* rhs,
-                                            long long points) const;
+  /// Appends the memory-access patterns of `n`'s references to accesses_.
+  void collect_access_patterns(const SpmdNode& n);
 
   void charge_comp(int node_id, int proc, double t);
   void charge_comm(int node_id, int proc, double t);
@@ -310,12 +317,35 @@ class Executor {
   const ValueTape* walk_ = nullptr;  // tape being re-timed
   std::size_t walk_pos_ = 0;
 
-  // Per-processor counts of every distributed loop visit of `counted_`
-  // under the bound layout, in walk order: iters, then trues when masked.
-  std::vector<long long> counts_;
-  std::size_t counts_pos_ = 0;
-  const ValueTape* counted_ = nullptr;  // null: not derived yet
+  // The timing plan of `planned_` under the bound layout and machine. Per
+  // LocalLoop/Reduce visit with points, in walk order, the first of its
+  // block of nprocs charges; a visit whose words equal its node's previous
+  // visit's shares that visit's block.
+  struct Charge {
+    long long iters = 0;  // 0: the processor sits the visit out
+    double comp = 0;      // iters x per-iteration time, before noise
+    double overhead = 0;
+  };
+  std::vector<Charge> charges_;
+  std::vector<std::size_t> visit_block_;
+  std::size_t visit_pos_ = 0;
+  const ValueTape* planned_ = nullptr;  // null: no plan derived
   bool deriving_ = false;
+
+  // Per-node constants of the bound layout and machine, filled on the
+  // node's first visit after a rebind, and the node's previous visit in the
+  // current deriving walk.
+  struct NodePlan {
+    bool ready = false;
+    double stmt_t = 0;          // ScalarAssign: one statement, before noise
+    double cond_t = 0;          // WhileLoop: one condition test
+    std::size_t access_first = 0, access_count = 0;  // into accesses_
+    std::size_t last_at = 0, last_len = 0;  // previous visit's tape words
+    std::size_t last_block = 0;             // ... and its block
+  };
+  [[nodiscard]] NodePlan& node_plan(const SpmdNode& n);
+  std::vector<NodePlan> node_plans_;
+  std::vector<AccessPattern> accesses_;  // array_bytes already per processor
 
   // Reused per-visit scratch.
   struct PendingStore {
@@ -330,6 +360,9 @@ class Executor {
   std::vector<int> grid_home_dim_;      // ... and the home dim it drives
   std::vector<long long> owner_hist_;   // ... per-axis ownership histograms
   std::vector<int> coords_scratch_;
+  std::vector<long long> iters_, trues_;  // one visit's per-processor counts
+  std::vector<double> depart_, clock_scratch_;  // communication nodes
+  std::vector<long long> msg_bytes_, local_bytes_;
 };
 
 }  // namespace hpf90d::sim

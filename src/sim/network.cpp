@@ -44,21 +44,21 @@ double SimNetwork::send(int from, int to, long long bytes, double depart,
 
   // Circuit-switched DCM routing: the header establishes the path hop by
   // hop (waiting for each link), then the payload streams through. Each
-  // link on the path is held for the payload duration.
-  const std::vector<int> path = cube_.route(a, b);
+  // link on the path is held for the payload duration. The path is the
+  // e-cube route, walked hop by hop.
   double t = depart + setup;
-  for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-    const int link = cube_.link_index(path[h], path[h + 1]);
+  for (int node = a, next = 0; node != b; node = next) {
+    next = machine::Hypercube::next_hop(node, b);
     if (options_.contention) {
-      t = std::max(t, link_free_[static_cast<std::size_t>(link)]);
+      t = std::max(t, link_free_[static_cast<std::size_t>(cube_.link_index(node, next))]);
     }
-    if (h > 0) t += comm_.per_hop;
+    if (node != a) t += comm_.per_hop;
   }
   const double arrival = t + wire;
   if (options_.contention) {
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const int link = cube_.link_index(path[h], path[h + 1]);
-      link_free_[static_cast<std::size_t>(link)] = arrival;
+    for (int node = a, next = 0; node != b; node = next) {
+      next = machine::Hypercube::next_hop(node, b);
+      link_free_[static_cast<std::size_t>(cube_.link_index(node, next))] = arrival;
     }
   }
   return arrival;

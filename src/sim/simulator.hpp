@@ -15,7 +15,10 @@
 // bindings) and records a ValueTape; every run of every (layout, machine)
 // point is a timing walk of that tape (see executor.hpp). measure_into
 // takes a tape recorded elsewhere, which is how the session shares one
-// functional pass across a whole sweep.
+// functional pass across a whole sweep. Within one point, run 0's walk
+// derives the timing plan: every loop visit's per-processor counts and
+// seed-independent charges under the point's layout and machine. Runs 1..
+// read it back and draw only their own noise and network events.
 #pragma once
 
 #include "compiler/mapping.hpp"

@@ -31,12 +31,13 @@ CompiledProgram comp(std::string_view src) { return compiler::compile(src); }
 /// The thread stack Lower.DeepestChainLowersOnASmallStack lowers on. A
 /// lowering that recursed once per expression level needed about 1 MB of
 /// stack in a Release build and about 8 MB under ASan, whose frames are
-/// several times larger; what is left of the recursion (Expr::clone, the
-/// bytecode flattener) needs under 400 KB and 3 MB.
+/// several times larger; with Expr::clone on a worklist, what is left of
+/// the recursion (op counting, the bytecode flattener) needs about 270 KB
+/// and 1.1 MB. Expr::clone alone needed about 3 MB under ASan.
 #if defined(__SANITIZE_ADDRESS__)
-constexpr std::size_t kSmallStack = std::size_t{5} << 20;
+constexpr std::size_t kSmallStack = std::size_t{2} << 20;
 #else
-constexpr std::size_t kSmallStack = std::size_t{640} << 10;
+constexpr std::size_t kSmallStack = std::size_t{448} << 10;
 #endif
 
 int count_kind(const SpmdNode& n, SpmdKind k) {

@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <map>
 #include <span>
 #include <optional>
@@ -24,6 +28,27 @@
 #include "support/codec.hpp"
 #include "support/diagnostics.hpp"
 #include "support/text.hpp"
+
+// Counts global operator new calls while g_count_news is set
+// (TimingWalk.LaterSeedsAllocateNothing).
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<long long> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t bytes) { return ::operator new(bytes); }
+// Out of line, so no delete expression inlines to a free() of new'd memory.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace hpf90d {
 namespace {
@@ -1352,6 +1377,271 @@ end program t
   EXPECT_NE(message.find("subscript out of bounds for 'u' dim 1: 70 not in 1..64"),
             std::string::npos)
       << message;
+}
+
+// --- timing walk pins and plan invalidation ----------------------------------------
+//
+// Simulator::measure's whole timing output — every sample, the detail's
+// total, processor clocks and per-node comp/comm/overhead/visits — pinned by
+// an FNV-1a digest of their bits per suite app at its two smallest Table 2
+// sizes over P = 1, 2, 4, 8 and 3 runs. The constants were taken before the
+// timing walk derived its charges once per (tape, layout); a change to any of
+// them is a change to what the simulator measures.
+
+void append_bits(std::string& bytes, std::uint64_t bits) {
+  for (int b = 0; b < 8; ++b) bytes += static_cast<char>((bits >> (8 * b)) & 0xff);
+}
+void append_bits(std::string& bytes, double v) {
+  append_bits(bytes, std::bit_cast<std::uint64_t>(v));
+}
+
+void append_measured(std::string& bytes, const sim::MeasuredResult& m) {
+  for (const double s : m.stats.samples) append_bits(bytes, s);
+  append_bits(bytes, m.detail.total);
+  for (const double c : m.detail.proc_clock) append_bits(bytes, c);
+  for (const sim::NodeMetric& n : m.detail.per_node) {
+    append_bits(bytes, n.comp);
+    append_bits(bytes, n.comm);
+    append_bits(bytes, n.overhead);
+    append_bits(bytes, static_cast<std::uint64_t>(n.visits));
+  }
+}
+
+/// The digest of Simulator::measure over P = 1, 2, 4, 8 and 3 runs.
+std::uint64_t measured_digest(const compiler::CompiledProgram& prog,
+                              const front::Bindings& bindings) {
+  const machine::MachineModel machine = machine::make_ipsc860();
+  const sim::Simulator simulator(machine);
+  std::string bytes;
+  for (const int nprocs : {1, 2, 4, 8}) {
+    compiler::LayoutOptions lo;
+    lo.nprocs = nprocs;
+    append_measured(bytes, simulator.measure(prog, bindings, lo, {}, 3));
+  }
+  return support::fnv1a64(bytes);
+}
+
+// The first forall's mask admits fewer points every trip; the second's
+// stays the same while the values under it change.
+constexpr const char* kMaskChangesInDo = R"f90(
+program t
+  parameter (n = 48)
+  real a(n), b(n)
+!hpf$ template d(n)
+!hpf$ align a(i) with d(i)
+!hpf$ align b(i) with d(i)
+!hpf$ distribute d(cyclic)
+  forall (i = 1:n) a(i) = real(mod(i * 5, 13))
+  forall (i = 1:n) b(i) = 0.0
+  do k = 1, 10
+    forall (i = 1:n, a(i) .gt. real(k)) b(i) = b(i) + a(i) * 2.0
+    forall (i = 1:n, a(i) .gt. 6.0) b(i) = b(i) * 0.5
+  end do
+  s = sum(b)
+  print *, s
+end program t
+)f90";
+
+TEST(TimingWalk, ProgramDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"if in do", 1451877038911535473ULL},
+      {"do while", 17971709384729842580ULL},
+      {"masked forall", 17045961448033786019ULL},
+      {"invariant overlap", 6429078965416776439ULL},
+      {"reductions", 15823415108093721013ULL},
+      {"mask changes in do", 470045586281691381ULL},
+  };
+  const std::vector<std::pair<std::string, const char*>> programs = {
+      {"if in do", kIfInDo},
+      {"do while", kDoWhile},
+      {"masked forall", kMaskedForall},
+      {"invariant overlap", kInvariantOverlap},
+      {"reductions", kReductions},
+      {"mask changes in do", kMaskChangesInDo},
+  };
+  for (const auto& [key, src] : programs) {
+    const std::uint64_t digest = measured_digest(comp(src), {});
+    const auto it = expected.find(key);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "{\"" << key << "\", " << digest << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(digest, it->second) << key;
+  }
+}
+
+TEST(TimingWalk, SuiteDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"lfk1 128", 9783924136995202352ULL},
+      {"lfk1 256", 4695336861097031281ULL},
+      {"lfk2 128", 4888586958756683944ULL},
+      {"lfk2 256", 9383331853594350895ULL},
+      {"lfk3 128", 1479074471751732028ULL},
+      {"lfk3 256", 585414506396436615ULL},
+      {"lfk9 128", 10450660904678188827ULL},
+      {"lfk9 256", 15131848576697089355ULL},
+      {"lfk14 128", 4868131347854936991ULL},
+      {"lfk14 256", 13538537179012852187ULL},
+      {"lfk22 128", 11770899457115602734ULL},
+      {"lfk22 256", 17771062210223923788ULL},
+      {"pbs1 128", 4648761292243053672ULL},
+      {"pbs1 256", 16348547142397655006ULL},
+      {"pbs2 16", 14549193926738415407ULL},
+      {"pbs2 64", 329167157569890501ULL},
+      {"pbs3 16", 6508506204979709165ULL},
+      {"pbs3 64", 1651932548750522802ULL},
+      {"pbs4 128", 2617121840452288549ULL},
+      {"pbs4 256", 13846527114381884782ULL},
+      {"pi 128", 4601311509425155909ULL},
+      {"pi 256", 12354741453828200075ULL},
+      {"nbody 16", 943512850351417250ULL},
+      {"nbody 64", 11260965002126097853ULL},
+      {"finance 32", 15190030856947332652ULL},
+      {"finance 64", 7574170547916508690ULL},
+      {"laplace_bb 16", 14758028481931659423ULL},
+      {"laplace_bb 32", 13887382886132448420ULL},
+      {"laplace_bx 16", 13675551710302207394ULL},
+      {"laplace_bx 32", 8601155402135940682ULL},
+      {"laplace_xb 16", 4580533895499089102ULL},
+      {"laplace_xb 32", 11069887770393954146ULL},
+  };
+  for (const auto& app : suite::validation_suite()) {
+    const compiler::CompiledProgram prog =
+        app.directive_overrides.empty()
+            ? comp(app.source)
+            : compiler::compile_with_directives(app.source, app.directive_overrides);
+    for (std::size_t i = 0; i < 2 && i < app.problem_sizes.size(); ++i) {
+      const long long size = app.problem_sizes[i];
+      const std::string key = app.id + " " + std::to_string(size);
+      const std::uint64_t digest = measured_digest(prog, app.bindings(size));
+      const auto it = expected.find(key);
+      if (it == expected.end()) {
+        ADD_FAILURE() << "{\"" << key << "\", " << digest << "ULL},";
+        continue;
+      }
+      EXPECT_EQ(digest, it->second) << key;
+    }
+  }
+}
+
+/// Re-times `tape` through `arena`, rebound to (layout, machine), under the
+/// first three run seeds, and expects each result to equal a fresh run of
+/// that seed bit for bit: the first walk derives the plan, the others read
+/// it back.
+void expect_arena_matches_fresh(sim::Executor& arena, const sim::ValueTape& tape,
+                                const compiler::CompiledProgram& prog,
+                                const front::Bindings& bindings,
+                                const compiler::DataLayout& layout,
+                                const machine::MachineModel& machine,
+                                const std::string& label) {
+  const sim::SimOptions so;
+  arena.rebind(prog, layout, machine, so, bindings);
+  sim::SimResult got;
+  for (int r = 0; r < 3; ++r) {
+    sim::SimOptions run_opts = so;
+    run_opts.seed = run_seed(so.seed, r);
+    arena.retime_into(tape, run_opts.seed, got);
+    const sim::SimResult want = sim::Executor(prog, layout, machine, run_opts, bindings).run();
+    expect_same_result(got, want, label + " run " + std::to_string(r));
+  }
+}
+
+TEST(TimingWalk, PlanFollowsTheLayoutAcrossRebinds) {
+  // one arena, one tape: layouts A, B, A of the same processor count
+  const auto& app = suite::app("laplace_bb");
+  const compiler::CompiledProgram prog =
+      compiler::compile_with_directives(app.source, app.directive_overrides);
+  const front::Bindings bindings = app.bindings(16);
+  const machine::MachineModel machine = machine::make_ipsc860();
+  compiler::LayoutOptions line;
+  line.nprocs = 4;
+  line.grid_shape = std::vector<int>{4, 1};
+  compiler::LayoutOptions square;
+  square.nprocs = 4;
+  square.grid_shape = std::vector<int>{2, 2};
+  const compiler::DataLayout a = compiler::make_layout(prog, bindings, line);
+  const compiler::DataLayout b = compiler::make_layout(prog, bindings, square);
+  sim::ValueTape tape;
+  sim::Executor(prog, a, machine, {}, bindings).record(tape);
+  sim::Executor arena;
+  expect_arena_matches_fresh(arena, tape, prog, bindings, a, machine, "A");
+  expect_arena_matches_fresh(arena, tape, prog, bindings, b, machine, "B");
+  expect_arena_matches_fresh(arena, tape, prog, bindings, a, machine, "A again");
+}
+
+TEST(TimingWalk, TwoMachinesShareOneLayout) {
+  const auto& app = suite::app("lfk9");
+  const compiler::CompiledProgram prog = comp(app.source);
+  const front::Bindings bindings = app.bindings(app.problem_sizes.front());
+  compiler::LayoutOptions lo;
+  lo.nprocs = 4;
+  const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
+  const machine::MachineModel ipsc = machine::make_ipsc860();
+  const machine::MachineModel paragon = machine::make_paragon();
+  sim::ValueTape tape;
+  sim::Executor(prog, layout, ipsc, {}, bindings).record(tape);
+  sim::Executor arena;
+  expect_arena_matches_fresh(arena, tape, prog, bindings, layout, ipsc, "ipsc860");
+  expect_arena_matches_fresh(arena, tape, prog, bindings, layout, paragon, "paragon");
+  expect_arena_matches_fresh(arena, tape, prog, bindings, layout, ipsc, "ipsc860 again");
+}
+
+TEST(TimingWalk, DoWhoseForallSpaceChangesEveryTrip) {
+  // lfk2's level loop halves ii every trip, and with it the forall's space
+  const auto& app = suite::app("lfk2");
+  const compiler::CompiledProgram prog = comp(app.source);
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::Executor arena;
+  for (const long long size : {app.problem_sizes[0], app.problem_sizes[1]}) {
+    const front::Bindings bindings = app.bindings(size);
+    sim::ValueTape tape;
+    for (const int nprocs : {1, 2, 4, 8}) {
+      compiler::LayoutOptions lo;
+      lo.nprocs = nprocs;
+      const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
+      if (tape.words.empty()) sim::Executor(prog, layout, machine, {}, bindings).record(tape);
+      expect_arena_matches_fresh(arena, tape, prog, bindings, layout, machine,
+                                 "lfk2 " + std::to_string(size) + " P=" +
+                                     std::to_string(nprocs));
+    }
+  }
+}
+
+TEST(TimingWalk, MaskedForallWhoseMaskChangesEveryTrip) {
+  const compiler::CompiledProgram prog = comp(kMaskChangesInDo);
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::ValueTape tape;
+  sim::Executor arena;
+  for (const int nprocs : {1, 2, 4, 8}) {
+    compiler::LayoutOptions lo;
+    lo.nprocs = nprocs;
+    const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
+    if (tape.words.empty()) sim::Executor(prog, layout, machine, {}, {}).record(tape);
+    expect_arena_matches_fresh(arena, tape, prog, {}, layout, machine,
+                               "P=" + std::to_string(nprocs));
+  }
+}
+
+TEST(TimingWalk, LaterSeedsAllocateNothing) {
+  const auto& app = suite::app("nbody");
+  const compiler::CompiledProgram prog = comp(app.source);
+  const front::Bindings bindings = app.bindings(64);
+  compiler::LayoutOptions lo;
+  lo.nprocs = 8;
+  const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
+  const machine::MachineModel machine = machine::make_ipsc860();
+  sim::ValueTape tape;
+  sim::Executor(prog, layout, machine, {}, bindings).record(tape);
+  sim::Executor arena(prog, layout, machine, {}, bindings);
+  const double first = arena.retime(tape, run_seed(42, 0));
+  g_news.store(0);
+  g_count_news.store(true);
+  const double second = arena.retime(tape, run_seed(42, 1));
+  const double third = arena.retime(tape, run_seed(42, 2));
+  g_count_news.store(false);
+  EXPECT_EQ(g_news.load(), 0);
+  EXPECT_GT(first, 0.0);
+  EXPECT_NE(second, third);
 }
 
 }  // namespace
