@@ -593,9 +593,9 @@ Executor::NodePlan& Executor::node_plan(const SpmdNode& n) {
   return np;
 }
 
-void Executor::plan_visit(const SpmdNode& n, std::span<const long long> words) {
+void Executor::plan_visit(const SpmdNode& n, std::size_t at) {
   NodePlan& np = node_plan(n);
-  const std::size_t at = static_cast<std::size_t>(words.data() - walk_->words.data());
+  const std::span<const long long> words(walk_->words.data() + at, walk_pos_ - at);
   if (np.last_len == words.size() &&
       std::equal(words.begin(), words.end(), walk_->words.begin() + np.last_at)) {
     visit_block_.push_back(np.last_block);
@@ -801,7 +801,7 @@ void Executor::time_local_loop(const SpmdNode& n) {
   if (points <= 0) return;
   if (n.inner) (void)tape_next();  // inner trips
   (void)tape_at(3 * n.space.size() + (n.mask ? mask_words(points) : 0));
-  if (deriving_) plan_visit(n, {walk_->words.data() + at, walk_pos_ - at});
+  if (deriving_) plan_visit(n, at);
   charge_planned(n);
 }
 
@@ -863,7 +863,7 @@ void Executor::time_reduce(const SpmdNode& n) {
   const std::size_t at = walk_pos_;
   if (tape_next() > 0) {
     (void)tape_at(3 * n.space.size());
-    if (deriving_) plan_visit(n, {walk_->words.data() + at, walk_pos_ - at});
+    if (deriving_) plan_visit(n, at);
     charge_planned(n);
   }
 

@@ -221,9 +221,10 @@ class Executor {
   void time_irregular(const SpmdNode& n);
   void time_slice_bcast(const SpmdNode& n);
 
-  /// Appends the visit's block of charges to the plan, or reuses the node's
-  /// previous block when its words are the same.
-  void plan_visit(const SpmdNode& n, std::span<const long long> words);
+  /// Appends the block of charges of the visit whose tape words run from
+  /// `at` to the walk position, or reuses the node's previous block when
+  /// its words are the same.
+  void plan_visit(const SpmdNode& n, std::size_t at);
   /// Charges the next planned visit: per processor with iterations, its
   /// compute charge times a noise draw, then its overhead.
   void charge_planned(const SpmdNode& n);
