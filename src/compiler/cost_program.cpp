@@ -46,12 +46,14 @@ class Flattener {
   [[nodiscard]] ExprCode compile(const Expr& e, bool offset = false) {
     ExprCode code;
     code.first = static_cast<std::uint32_t>(out_.code.size());
+    const std::size_t subscripts = out_.subscripts.size();
     restart(code.first);
     int r = -1;
     try {
       r = offset ? emit_element(e, CostOp::ArrayOffset) : emit(e);
     } catch (const std::length_error&) {
       restart(code.first);
+      out_.subscripts.resize(subscripts);
       r = emit_fail(e.loc, "expression exceeds the cost program's register file");
     }
     code.count = static_cast<std::uint32_t>(out_.code.size() - code.first);
@@ -132,9 +134,7 @@ class Flattener {
       case ExprKind::RealLit: return emit_const(e.real_value);
       case ExprKind::LogicalLit: return emit_const(e.bool_value ? 1.0 : 0.0);
       case ExprKind::Var: {
-        // unannotated clones (declared extents) resolve by name
-        int id = e.symbol;
-        if (id < 0) id = prog_.symbols.find(e.name);
+        const int id = var_symbol(e);
         if (!known_symbol(id)) return unknown_variable(e);
         const front::Symbol& sym = prog_.symbols.at(id);
         if (sym.kind == front::SymbolKind::Param && sym.const_value) {
@@ -180,8 +180,54 @@ class Flattener {
     return malformed(e);
   }
 
-  /// An element access: the subscripts into `rank` consecutive registers,
-  /// then one bounds-checked ArrayLoad/ArrayOffset over them.
+  /// The symbol a Var reads; unannotated clones (declared extents) resolve
+  /// by name.
+  [[nodiscard]] int var_symbol(const Expr& v) const {
+    return v.symbol >= 0 ? v.symbol : prog_.symbols.find(v.name);
+  }
+
+  /// The slot `v` Loads (a known, non-PARAMETER symbol), or -1.
+  [[nodiscard]] int loaded_slot(const Expr& v) const {
+    if (v.kind != ExprKind::Var) return -1;
+    const int id = var_symbol(v);
+    if (!known_symbol(id)) return -1;
+    const front::Symbol& sym = prog_.symbols.at(id);
+    return sym.kind == front::SymbolKind::Param && sym.const_value ? -1 : id;
+  }
+
+  /// Whether subscript `x` has a fused form (see AffineSubscript): `k`, or
+  /// a Loaded variable `v` with its Var in `*var` and k in `k`.
+  [[nodiscard]] bool affine(const Expr& x, const Expr** var, double& k) const {
+    *var = nullptr;
+    k = 0;
+    if (x.kind == ExprKind::IntLit) {
+      k = static_cast<double>(x.int_value);
+      return true;
+    }
+    const Expr* v = &x;
+    if (x.kind == ExprKind::Binary && x.args.size() == 2) {
+      const Expr& l = *x.args[0];
+      const Expr& r = *x.args[1];
+      const bool add = x.bin_op == front::BinOp::Add;
+      if ((add || x.bin_op == front::BinOp::Sub) && r.kind == ExprKind::IntLit) {
+        v = &l;
+        k = add ? static_cast<double>(r.int_value) : -static_cast<double>(r.int_value);
+      } else if (add && l.kind == ExprKind::IntLit) {
+        v = &r;
+        k = static_cast<double>(l.int_value);
+      } else {
+        return false;
+      }
+    }
+    if (loaded_slot(*v) < 0) return false;
+    *var = v;
+    return true;
+  }
+
+  /// An element access. Subscripts of the fused forms go to the subscript
+  /// table and the access is one instruction; otherwise they go into
+  /// `rank` consecutive registers, then one bounds-checked
+  /// ArrayLoad/ArrayOffset over them.
   int emit_element(const Expr& e, CostOp op) {
     const std::size_t start = out_.code.size();
     if (e.kind != ExprKind::ArrayRef || !known_symbol(e.symbol) ||
@@ -189,6 +235,7 @@ class Flattener {
       return malformed(e);
     }
     const int rank = static_cast<int>(e.subs.size());
+    if (const int fused = emit_fused(e, op); fused >= 0) return fused;
     const int base = alloc(rank);
     for (int d = 0; d < rank; ++d) {
       const front::Subscript& sub = e.subs[static_cast<std::size_t>(d)];
@@ -203,17 +250,53 @@ class Flattener {
         push(CostOp::Move, base + d, r);
       }
     }
-    const int id = array_id(e.symbol, rank);
-    if (std::find(used_.begin(), used_.end(), id) == used_.end()) {
-      used_.push_back(static_cast<std::uint16_t>(id));
-    }
-    const int dst = push(op, alloc(), base, id, 0, e.loc, e.name);
+    const int dst = push(op, alloc(), base, use_array(e.symbol, rank, op), 0, e.loc, e.name);
     // the outermost reference starting here is the one reached first
     out_.sources[start].probe = static_cast<std::int32_t>(out_.code.size() - 1 - first_);
     return dst;
   }
 
-  int emit_call(const Expr& e) {
+  /// The fused access of `e` when every subscript has a fused form and the
+  /// table index fits the instruction, else -1 (nothing emitted). Out of
+  /// line, like emit_call: emit_element is on emit's recursion.
+  [[gnu::noinline]] int emit_fused(const Expr& e, CostOp op) {
+    const std::size_t first = out_.subscripts.size();
+    if (first > 0xffff) return -1;
+    const Expr* var = nullptr;
+    double k = 0;
+    for (const front::Subscript& sub : e.subs) {
+      if (sub.kind != front::Subscript::Kind::Scalar || !affine(*sub.scalar, &var, k)) {
+        return -1;
+      }
+    }
+    for (const front::Subscript& sub : e.subs) {
+      (void)affine(*sub.scalar, &var, k);
+      out_.subscripts.push_back(var == nullptr ? AffineSubscript{-1, k, {}, 0}
+                                               : AffineSubscript{loaded_slot(*var), k,
+                                                                 var->loc, text_id(var->name)});
+    }
+    const int rank = static_cast<int>(e.subs.size());
+    const int dst = push(op, alloc(), static_cast<int>(first), use_array(e.symbol, rank, op),
+                         1, e.loc, e.name);
+    out_.sources.back().probe = static_cast<std::int32_t>(out_.code.size() - 1 - first_);
+    return dst;
+  }
+
+  /// The arrays id of `symbol`, noted among the expression's arrays. A
+  /// target's own ArrayOffset goes last even when a subscript read it.
+  int use_array(int symbol, int rank, CostOp op) {
+    const int id = array_id(symbol, rank);
+    if (op == CostOp::ArrayOffset ||
+        std::find(used_.begin(), used_.end(), id) == used_.end()) {
+      used_.push_back(static_cast<std::uint16_t>(id));
+    }
+    return id;
+  }
+
+  // Out of line: inlined into emit, its locals would grow every level of
+  // emit's recursion (a kMaxExprHeight chain must fit a small stack under
+  // sanitizers).
+  [[gnu::noinline]] int emit_call(const Expr& e) {
     const auto unevaluable = [&] {
       return emit_fail(e.loc, "intrinsic '" + e.name + "' cannot be evaluated here");
     };
@@ -438,14 +521,14 @@ SeededValues seed_values(const front::SymbolTable& symbols, const front::Binding
 // evaluator
 // ---------------------------------------------------------------------------
 
-// Fixed-width stripe loop: the trip count is the compile-time kBatchStripe
-// and every operand column is contiguous and disjoint from dst (registers
-// are distinct slots; in-place dst==a is still elementwise independent), so
-// the loop is vectorizable without intrinsics. HPF90D_SIMD_LOOP asks the
-// compiler to vectorize it; HPF90D_DISABLE_SIMD (the CI A/B gate) drops the
-// hint without changing results — elementwise IEEE arithmetic is
-// bit-identical scalar or vectorized (no reassociation, no FMA contraction
-// beyond what the scalar loop would also get).
+// Lane loops: every operand column is contiguous and disjoint from dst
+// (registers are distinct slots; in-place dst==a is still elementwise
+// independent), so a loop over the lanes is vectorizable without
+// intrinsics. HPF90D_SIMD_LOOP asserts that independence to the compiler;
+// defining HPF90D_DISABLE_SIMD drops the hint without changing results —
+// elementwise IEEE arithmetic is bit-identical scalar or vectorized (no
+// reassociation, no FMA contraction beyond what the scalar loop would also
+// get).
 #if defined(HPF90D_DISABLE_SIMD)
 #define HPF90D_SIMD_LOOP
 #elif defined(__clang__)
@@ -457,17 +540,19 @@ SeededValues seed_values(const front::SymbolTable& symbols, const front::Binding
 #endif
 
 // Each instruction dispatches once (instruction-major, so the switch cost
-// amortizes over the lanes) and its lane loop runs as whole 8-lane
-// stripes: the inner trip count is the compile-time kBatchStripe, so the
-// vectorizer emits exactly one full-width body per stripe — no runtime
-// trip-count checks, no scalar prologue or epilogue (widths are padded to
-// the stripe width).
-#define HPF90D_STRIPE(expr)                                \
-  for (std::size_t s = 0; s < S; s += kBatchStripe) {      \
-    HPF90D_SIMD_LOOP                                       \
-    for (std::size_t l = s; l < s + kBatchStripe; ++l) {   \
-      expr;                                                \
-    }                                                      \
+// amortizes over the lanes) and runs one plain loop over all its lanes.
+// The bodies are branch-free — operands loaded before any select, `&` and
+// `|` for the logical operators — because under the default trapping math
+// GCC will not if-convert a floating-point operation that sits under a
+// condition, and a loop it cannot if-convert stays scalar. So written, GCC
+// 12 at -O3 vectorizes these loops for plain x86-64 (SSE2) and wider ISAs
+// alike, except Sqrt's (errno) and Trunc's (no SSE2 rounding instruction);
+// the native CI leg's vectorization report checks that cost_program.cpp
+// keeps vectorized loops.
+#define HPF90D_SIMD_LANES(expr)                            \
+  HPF90D_SIMD_LOOP                                         \
+  for (std::size_t l = 0; l < S; ++l) {                    \
+    expr;                                                  \
   }                                                        \
   break
 
@@ -488,6 +573,104 @@ namespace {
   return y >= 1.0 && y < extent + 1.0;
 }
 
+/// 2^52: below it, (x + kIntegral) - kIntegral is x rounded to an integer,
+/// so it equals x exactly when x is integral.
+constexpr double kIntegral = 4503599627370496.0;
+
+/// Lanes an element access screens at a time (a stack block of flags).
+constexpr std::size_t kScreenBlock = 64;
+
+/// The screen of one dimension of an element access over lanes [0, n):
+/// adds (v - 1) * stride to off[l] for subscript v = x[l] + k, and to
+/// bad[l] a quantity that is 0 exactly when v is integral and in
+/// 1..extent (|v - mid| <= half; a fraction of at least 2^-52 scaled by
+/// 2^84 outweighs any half below 2^31), positive or NaN otherwise. Pure
+/// arithmetic: no compare, so the loop vectorizes under trapping math.
+void screen_dimension(const double* x, double k, double mid, double half, double stride,
+                      double* off, double* bad, std::size_t n) {
+  HPF90D_SIMD_LOOP
+  for (std::size_t l = 0; l < n; ++l) {
+    const double v = x[l] + k;
+    const double y = std::fabs(v - mid) - half +
+                     std::fabs(((v + kIntegral) - kIntegral) - v) * 0x1p84;
+    bad[l] += y + std::fabs(y);
+    off[l] += (v - 1.0) * stride;
+  }
+}
+
+/// Subscript `d` of lane `l` of element access `in`, as the unfused
+/// sequence computes it: an undefined fused variable reads as 0, as its
+/// Load would.
+double subscript_of(const CostProgram& cp, const CostInstr& in, const BatchEnv& env,
+                    const double* regs, std::size_t S, int d, std::size_t l) {
+  if (in.c == 0) return regs[(static_cast<std::size_t>(in.a) + d) * S + l];
+  const AffineSubscript& sub = cp.subscripts[static_cast<std::size_t>(in.a) + d];
+  if (sub.slot < 0) return sub.offset;
+  return (env.defined(sub.slot)[l] != 0 ? env.values(sub.slot)[l] : 0.0) + sub.offset;
+}
+
+/// The element offsets of an ArrayLoad/ArrayOffset over a bound `view`
+/// into dst[0, S), failing the lanes the unfused sequence fails: an
+/// undefined fused subscript variable (read as 0, as a Load would), or a
+/// subscript outside its extent. A lane whose every subscript is integral
+/// and in range takes its offset from the screen; any other recomputes it
+/// with subscript_in's exact rounding, adding nothing for a failing
+/// dimension, so every offset stays in bounds.
+void element_offsets(const CostProgram& cp, const CostInstr& in, const BatchEnv& env,
+                     const ArrayView& view, const double* regs, double* dst,
+                     unsigned char* ok, std::size_t S) {
+  const int rank = cp.arrays[in.b].rank;
+  const AffineSubscript* const subs = in.c != 0 ? cp.subscripts.data() + in.a : nullptr;
+  for (int d = 0; subs != nullptr && d < rank; ++d) {
+    if (subs[d].slot < 0) continue;
+    const unsigned char* def = env.defined(subs[d].slot);
+    HPF90D_SIMD_LOOP
+    for (std::size_t l = 0; l < S; ++l) ok[l] &= static_cast<unsigned char>(def[l] != 0);
+  }
+  double bad[kScreenBlock];
+  for (std::size_t first = 0; first < S; first += kScreenBlock) {
+    const std::size_t n = std::min(kScreenBlock, S - first);
+    double* const off = dst + first;
+    std::fill_n(off, n, 0.0);
+    std::fill_n(bad, n, 0.0);
+    for (int d = 0; d < rank; ++d) {
+      const double extent = view.extents[d];
+      const double mid = (extent + 1.0) / 2.0;
+      const double half = extent < 2147483648.0 ? (extent - 1.0) / 2.0 : -1.0;
+      const double stride = view.strides[d];
+      if (subs == nullptr || subs[d].slot >= 0) {
+        const double* x = subs == nullptr
+                              ? regs + (static_cast<std::size_t>(in.a) + d) * S
+                              : env.values(subs[d].slot);
+        screen_dimension(x + first, subs == nullptr ? 0.0 : subs[d].offset, mid, half,
+                         stride, off, bad, n);
+      } else {
+        // a constant subscript: one screen for every lane
+        double part = 0.0;
+        double flag = 0.0;
+        screen_dimension(&subs[d].offset, 0.0, mid, half, stride, &part, &flag, 1);
+        for (std::size_t l = 0; l < n; ++l) {
+          off[l] += part;
+          bad[l] += flag;
+        }
+      }
+    }
+    for (std::size_t l = 0; l < n; ++l) {
+      if (bad[l] == 0.0) continue;
+      const std::size_t lane = first + l;
+      double offset = 0.0;
+      for (int d = 0; d < rank; ++d) {
+        const double v = subscript_of(cp, in, env, regs, S, d, lane);
+        const bool inside = subscript_in(v, view.extents[d]);
+        ok[lane] = inside ? ok[lane] : static_cast<unsigned char>(0);
+        offset += (static_cast<double>(static_cast<long long>(inside ? v + 0.5 : 1.0)) - 1.0) *
+                  view.strides[d];
+      }
+      off[l] = offset;
+    }
+  }
+}
+
 /// Runs instructions [ip, end) over lanes [0, S), clearing ok[l] for every
 /// lane an instruction fails.
 void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
@@ -502,30 +685,31 @@ void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
     switch (in.op) {
       case CostOp::Const: {
         const double v = pool[in.a];
-        HPF90D_STRIPE(dst[l] = v);
+        HPF90D_SIMD_LANES(dst[l] = v);
       }
       case CostOp::Load: {
         const double* v = env.values(in.a);
         const unsigned char* d = env.defined(in.a);
-        HPF90D_STRIPE(ok[l] = d[l] != 0 ? ok[l] : static_cast<unsigned char>(0);
-                      dst[l] = d[l] != 0 ? v[l] : 0.0);
+        HPF90D_SIMD_LANES(const double x = v[l];
+                          ok[l] &= static_cast<unsigned char>(d[l] != 0);
+                          dst[l] = d[l] != 0 ? x : 0.0);
       }
       case CostOp::LoadDflt: {
         const double* v = env.values(in.a);
         const unsigned char* d = env.defined(in.a);
         const double dflt = pool[in.b];
-        HPF90D_STRIPE(dst[l] = d[l] != 0 ? v[l] : dflt);
+        HPF90D_SIMD_LANES(const double x = v[l]; dst[l] = d[l] != 0 ? x : dflt);
       }
       case CostOp::Fail:
         std::fill(ok, ok + S, static_cast<unsigned char>(0));
         std::fill(dst, dst + S, 0.0);
         break;
-      case CostOp::Neg: HPF90D_STRIPE(dst[l] = -a[l]);
-      case CostOp::Not: HPF90D_STRIPE(dst[l] = a[l] == 0.0 ? 1.0 : 0.0);
-      case CostOp::Add: HPF90D_STRIPE(dst[l] = a[l] + b[l]);
-      case CostOp::Sub: HPF90D_STRIPE(dst[l] = a[l] - b[l]);
-      case CostOp::Mul: HPF90D_STRIPE(dst[l] = a[l] * b[l]);
-      case CostOp::Div: HPF90D_STRIPE(dst[l] = a[l] / b[l]);
+      case CostOp::Neg: HPF90D_SIMD_LANES(dst[l] = -a[l]);
+      case CostOp::Not: HPF90D_SIMD_LANES(dst[l] = a[l] == 0.0 ? 1.0 : 0.0);
+      case CostOp::Add: HPF90D_SIMD_LANES(dst[l] = a[l] + b[l]);
+      case CostOp::Sub: HPF90D_SIMD_LANES(dst[l] = a[l] - b[l]);
+      case CostOp::Mul: HPF90D_SIMD_LANES(dst[l] = a[l] * b[l]);
+      case CostOp::Div: HPF90D_SIMD_LANES(dst[l] = a[l] / b[l]);
       case CostOp::Pow: HPF90D_LANES(dst[l] = std::pow(a[l], b[l]));
       case CostOp::IDiv:
       case CostOp::IMod:
@@ -537,35 +721,36 @@ void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
           dst[l] = v.value_or(0.0);
         }
         break;
-      case CostOp::Lt: HPF90D_STRIPE(dst[l] = a[l] < b[l] ? 1.0 : 0.0);
-      case CostOp::Le: HPF90D_STRIPE(dst[l] = a[l] <= b[l] ? 1.0 : 0.0);
-      case CostOp::Gt: HPF90D_STRIPE(dst[l] = a[l] > b[l] ? 1.0 : 0.0);
-      case CostOp::Ge: HPF90D_STRIPE(dst[l] = a[l] >= b[l] ? 1.0 : 0.0);
-      case CostOp::Eq: HPF90D_STRIPE(dst[l] = a[l] == b[l] ? 1.0 : 0.0);
-      case CostOp::Ne: HPF90D_STRIPE(dst[l] = a[l] != b[l] ? 1.0 : 0.0);
+      case CostOp::Lt: HPF90D_SIMD_LANES(dst[l] = a[l] < b[l] ? 1.0 : 0.0);
+      case CostOp::Le: HPF90D_SIMD_LANES(dst[l] = a[l] <= b[l] ? 1.0 : 0.0);
+      case CostOp::Gt: HPF90D_SIMD_LANES(dst[l] = a[l] > b[l] ? 1.0 : 0.0);
+      case CostOp::Ge: HPF90D_SIMD_LANES(dst[l] = a[l] >= b[l] ? 1.0 : 0.0);
+      case CostOp::Eq: HPF90D_SIMD_LANES(dst[l] = a[l] == b[l] ? 1.0 : 0.0);
+      case CostOp::Ne: HPF90D_SIMD_LANES(dst[l] = a[l] != b[l] ? 1.0 : 0.0);
       case CostOp::And:
-        HPF90D_STRIPE(dst[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0);
+        HPF90D_SIMD_LANES(dst[l] = ((a[l] != 0.0) & (b[l] != 0.0)) ? 1.0 : 0.0);
       case CostOp::Or:
-        HPF90D_STRIPE(dst[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0);
+        HPF90D_SIMD_LANES(dst[l] = ((a[l] != 0.0) | (b[l] != 0.0)) ? 1.0 : 0.0);
       case CostOp::FMod: HPF90D_LANES(dst[l] = std::fmod(a[l], b[l]));
-      case CostOp::Min2: HPF90D_STRIPE(dst[l] = std::min(a[l], b[l]));
-      case CostOp::Max2: HPF90D_STRIPE(dst[l] = std::max(a[l], b[l]));
+      case CostOp::Min2: HPF90D_SIMD_LANES(dst[l] = std::min(a[l], b[l]));
+      case CostOp::Max2: HPF90D_SIMD_LANES(dst[l] = std::max(a[l], b[l]));
       case CostOp::Sign2:
-        HPF90D_STRIPE(dst[l] = b[l] >= 0 ? std::fabs(a[l]) : -std::fabs(a[l]));
+        HPF90D_SIMD_LANES(dst[l] = b[l] >= 0 ? std::fabs(a[l]) : -std::fabs(a[l]));
       case CostOp::Exp: HPF90D_LANES(dst[l] = std::exp(a[l]));
       case CostOp::Log: HPF90D_LANES(dst[l] = std::log(a[l]));
-      case CostOp::Sqrt: HPF90D_STRIPE(dst[l] = std::sqrt(a[l]));
-      case CostOp::Abs: HPF90D_STRIPE(dst[l] = std::fabs(a[l]));
+      case CostOp::Sqrt: HPF90D_SIMD_LANES(dst[l] = std::sqrt(a[l]));
+      case CostOp::Abs: HPF90D_SIMD_LANES(dst[l] = std::fabs(a[l]));
       case CostOp::Sin: HPF90D_LANES(dst[l] = std::sin(a[l]));
       case CostOp::Cos: HPF90D_LANES(dst[l] = std::cos(a[l]));
       case CostOp::Atan: HPF90D_LANES(dst[l] = std::atan(a[l]));
-      case CostOp::Trunc: HPF90D_STRIPE(dst[l] = std::trunc(a[l]));
+      case CostOp::Trunc: HPF90D_SIMD_LANES(dst[l] = std::trunc(a[l]));
       case CostOp::Nint: HPF90D_LANES(dst[l] = std::round(a[l]));
       case CostOp::Merge: {
         const double* cc = regs + static_cast<std::size_t>(in.c) * S;
-        HPF90D_STRIPE(dst[l] = cc[l] != 0.0 ? a[l] : b[l]);
+        HPF90D_SIMD_LANES(const double x = a[l]; const double y = b[l];
+                          dst[l] = cc[l] != 0.0 ? x : y);
       }
-      case CostOp::Move: HPF90D_STRIPE(dst[l] = a[l]);
+      case CostOp::Move: HPF90D_SIMD_LANES(dst[l] = a[l]);
       case CostOp::ArrayLoad:
       case CostOp::ArrayOffset: {
         const ArrayView* view = in.b < arrays.size() ? &arrays[in.b] : nullptr;
@@ -574,26 +759,19 @@ void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
           std::fill(dst, dst + S, 0.0);
           break;
         }
-        // dst accumulates the offset; a lane out of bounds in any dim fails
-        // and adds nothing for that dim, so every offset stays in bounds
-        std::fill(dst, dst + S, 0.0);
-        const int rank = cp.arrays[in.b].rank;
-        for (int d = 0; d < rank; ++d) {
-          const double* sub = regs + (static_cast<std::size_t>(in.a) + d) * S;
-          const double extent = view->extents[d];
-          const double stride = view->strides[d];
-          for (std::size_t l = 0; l < S; ++l) {
-            const bool inside = subscript_in(sub[l], extent);
-            ok[l] = inside ? ok[l] : static_cast<unsigned char>(0);
-            const double i =
-                static_cast<double>(static_cast<long long>(inside ? sub[l] + 0.5 : 1.0));
-            dst[l] += (i - 1.0) * stride;
-          }
-        }
+        element_offsets(cp, in, env, *view, regs, dst, ok, S);
         // an empty array has no data, and no lane passed its bounds test
         if (in.op == CostOp::ArrayLoad && view->data != nullptr) {
           const double* data = view->data;
-          for (std::size_t l = 0; l < S; ++l) dst[l] = data[static_cast<std::size_t>(dst[l])];
+          const int rank = cp.arrays[in.b].rank;
+          const double elements = rank > 0 ? view->extents[0] * view->strides[0] : 1.0;
+          if (elements < 2147483648.0) {  // every offset fits an int32
+            for (std::size_t l = 0; l < S; ++l) {
+              dst[l] = data[static_cast<std::int32_t>(dst[l])];
+            }
+          } else {
+            for (std::size_t l = 0; l < S; ++l) dst[l] = data[static_cast<std::size_t>(dst[l])];
+          }
         }
         break;
       }
@@ -613,15 +791,16 @@ void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
   }
 }
 
-/// The diagnostic of instruction `at` failing for the lane whose operand
-/// registers start at `lane_regs` (register r at lane_regs[r * S]).
+/// The diagnostic of instruction `at` failing for lane `lane` (register r
+/// at regs[r * S + lane]).
 support::CompileError instruction_error(const CostProgram& cp, std::size_t at,
+                                        const BatchEnv& env,
                                         std::span<const ArrayView> arrays,
-                                        const double* lane_regs, std::size_t S) {
+                                        const double* regs, std::size_t S, std::size_t lane) {
   const CostInstr& in = cp.code[at];
   const support::SourceLoc& loc = cp.sources[at].loc;
   const std::string& text = cp.texts[cp.sources[at].text];
-  const auto reg = [&](int r) { return lane_regs[static_cast<std::size_t>(r) * S]; };
+  const auto reg = [&](int r) { return regs[static_cast<std::size_t>(r) * S + lane]; };
   switch (in.op) {
     case CostOp::Load:
       return support::CompileError(loc, unavailable(text));
@@ -631,10 +810,18 @@ support::CompileError instruction_error(const CostProgram& cp, std::size_t at,
         return support::CompileError(
             loc, "array element '" + text + "' cannot be read during interpretation");
       }
+      // a fused access fails first where one of its Loads would have
+      const int rank = cp.arrays[in.b].rank;
+      for (int d = 0; in.c != 0 && d < rank; ++d) {
+        const AffineSubscript& sub = cp.subscripts[static_cast<std::size_t>(in.a) + d];
+        if (sub.slot >= 0 && env.defined(sub.slot)[lane] == 0) {
+          return support::CompileError(sub.loc, unavailable(cp.texts[sub.text]));
+        }
+      }
       const ArrayView& view = arrays[in.b];
       if (view.extents == nullptr) return unresolved_extents(text);
-      for (int d = 0; d < cp.arrays[in.b].rank; ++d) {
-        const double x = reg(in.a + d);
+      for (int d = 0; d < rank; ++d) {
+        const double x = subscript_of(cp, in, env, regs, S, d, lane);
         if (subscript_in(x, view.extents[d])) continue;
         return support::CompileError(
             {}, "subscript out of bounds for '" + text + "' dim " +
@@ -685,17 +872,17 @@ support::CompileError lane_error(const CostProgram& cp, const ExprCode& c,
     // subscripts are evaluated
     const std::int32_t probe = cp.sources[at].probe;
     if (arrays.empty() && probe >= 0) {
-      return instruction_error(cp, c.first + static_cast<std::size_t>(probe), arrays,
-                               regs + lane, width);
+      return instruction_error(cp, c.first + static_cast<std::size_t>(probe), env, arrays,
+                               regs, width, lane);
     }
     run(cp, first + i, first + i + 1, env, arrays, regs, ok.data(), width);
-    if (ok[lane] == 0) return instruction_error(cp, at, arrays, regs + lane, width);
+    if (ok[lane] == 0) return instruction_error(cp, at, env, arrays, regs, width, lane);
   }
   return support::CompileError(support::SourceLoc{}, "internal: lane did not fail");
 }
 
 #undef HPF90D_LANES
-#undef HPF90D_STRIPE
+#undef HPF90D_SIMD_LANES
 #undef HPF90D_SIMD_LOOP
 
 }  // namespace hpf90d::compiler

@@ -6,10 +6,11 @@
 // targets, reduction arguments, printed values) once into a linear
 // register program over BatchEnv slots, with variable ids and PARAMETER
 // fallbacks resolved statically. eval_code_batch runs one expression over
-// the lanes of a structure-of-arrays BatchEnv in 8-lane stripes: a lane per
-// sweep point in the interpretation engine (core::BatchEngine, no array
-// storage, so an element read fails its lane), a lane per forall point in
-// the functional simulator (sim::Executor, over ArrayView storage).
+// the lanes of a structure-of-arrays BatchEnv, one instruction at a time
+// over every lane: a lane per sweep point in the interpretation engine
+// (core::BatchEngine, no array storage, so an element read fails its
+// lane), a lane per forall point in the functional simulator
+// (sim::Executor, over ArrayView storage).
 //
 // Instructions follow the expression's left-to-right post-order, and every
 // failure (an undefined variable, an integer division by zero, a subscript
@@ -49,7 +50,8 @@ enum class CostOp : std::uint8_t {
   Exp, Log, Sqrt, Abs, Sin, Cos, Atan, Trunc, Nint,  // one-operand intrinsics
   Merge,     // dst = r[c] != 0 ? r[a] : r[b]
   Move,      // dst = r[a]
-  ArrayLoad,    // dst = element (r[a], ..., r[a+rank-1]) of arrays[b]
+  ArrayLoad,    // dst = element (r[a], ..., r[a+rank-1]) of arrays[b]; with c = 1
+                // (fused), element (s[a], ..., s[a+rank-1]) for s = subscripts
   ArrayOffset,  // dst = that element's row-major offset, nothing read
   Size,      // dst = extent k = trunc(r[a]) of arrays[b]; fails unless 1 <= k <= rank
 };
@@ -60,6 +62,21 @@ struct CostInstr {
   std::uint16_t a = 0;
   std::uint16_t b = 0;
   std::uint16_t c = 0;
+};
+
+/// One subscript of a fused element access (ArrayLoad/ArrayOffset with
+/// c = 1), the form `v`, `v + k`, `v - k`, `k + v` or `k` of a
+/// non-PARAMETER variable v and an integer literal k: the value of BatchEnv
+/// slot `slot` plus `offset` (v - k as v + (-k), the same double), or
+/// `offset` alone when slot is -1. The access reads the slot in place of
+/// the Load it replaces, and fails as that Load would: a lane where the
+/// slot is undefined fails with the diagnostic at `loc` naming
+/// texts[text], before any bounds test of the access.
+struct AffineSubscript {
+  std::int32_t slot = -1;
+  double offset = 0;
+  support::SourceLoc loc;
+  std::uint32_t text = 0;
 };
 
 /// Where an instruction came from, for its failure's diagnostic: the
@@ -76,7 +93,10 @@ struct CostSource {
 
 /// One flattened expression: a slice of CostProgram::code, the register
 /// holding its value, and the arrays (CostProgram::arrays ids, a slice of
-/// CostProgram::expr_arrays) its element accesses touch.
+/// CostProgram::expr_arrays) its element accesses touch. The slice of an
+/// element offset (NodeCost::lhs) ends with the target array itself, after
+/// any array its subscripts read, and holds it twice when a subscript
+/// reads the target too.
 struct ExprCode {
   std::uint32_t first = 0;
   std::uint32_t count = 0;
@@ -126,6 +146,7 @@ struct CostProgram {
   std::vector<std::int32_t> space_codes;  // (lo,hi,step) triples
   std::vector<CostArray> arrays;
   std::vector<std::uint16_t> expr_arrays;  // ExprCode::arrays_* slices
+  std::vector<AffineSubscript> subscripts;  // fused accesses' subscripts, rank per access
   std::size_t slots = 0;          // BatchEnv slots: symbols, then extents
   std::uint16_t max_regs = 0;     // register-file size covering every expr
 };
@@ -147,11 +168,11 @@ struct SeededValues {
 [[nodiscard]] SeededValues seed_values(const front::SymbolTable& symbols,
                                        const front::Bindings& bindings);
 
-/// Lanes per SIMD stripe of the batch evaluator: one cache line of doubles,
-/// the widest vector any mainstream ISA retires in one register (AVX-512)
-/// and a whole-number multiple of SSE2/NEON/AVX2 widths. Column strides,
-/// register files, and evaluation widths are padded to this width so every
-/// inner loop has a fixed, compile-time trip count.
+/// The lane granule of the batch evaluator: one cache line of doubles, the
+/// widest vector any mainstream ISA retires in one register (AVX-512) and a
+/// whole-number multiple of SSE2/NEON/AVX2 widths. Column strides, register
+/// files and evaluation widths are padded to a multiple of it (a *stripe*),
+/// so a vector body never straddles a column's end.
 inline constexpr std::size_t kBatchStripe = 8;
 
 /// `lanes` padded to whole stripes.
@@ -163,7 +184,7 @@ inline constexpr std::size_t stripe_width(std::size_t lanes) {
 /// [lane] with a parallel defined mask. Lane count is fixed per reset;
 /// slots are symbol ids, then array extents. Columns are padded to a
 /// kBatchStripe multiple (stride()); padding lanes read as undefined zeros,
-/// so stripe-major evaluation computes harmless garbage for them.
+/// so evaluation computes harmless garbage for them.
 class BatchEnv {
  public:
   void reset(std::size_t slots, std::size_t lanes) {
@@ -185,6 +206,17 @@ class BatchEnv {
   void define(int slot, std::size_t lane, double value) {
     values_[static_cast<std::size_t>(slot) * stride_ + lane] = value;
     defined_[static_cast<std::size_t>(slot) * stride_ + lane] = 1;
+  }
+  /// Defines lanes [lane, lane + count) of `slot` as first, first + step,
+  /// first + 2 step, ...: one run of a loop index (step 0 holds it still).
+  void define_run(int slot, std::size_t lane, std::size_t count, long long first,
+                  long long step) {
+    const std::size_t at = static_cast<std::size_t>(slot) * stride_ + lane;
+    for (std::size_t j = 0; j < count; ++j) {
+      values_[at + j] = static_cast<double>(first + static_cast<long long>(j) * step);
+    }
+    std::fill_n(defined_.begin() + static_cast<std::ptrdiff_t>(at), count,
+                static_cast<unsigned char>(1));
   }
   /// Defines lane `lane`'s extent slots (CostArray::extent_slot) from
   /// `layout`, leaving undefined those it cannot resolve.
@@ -215,15 +247,15 @@ struct ArrayView {
 
 /// Executes one compiled expression over lanes [0, width) of `env` in
 /// lockstep; `width` is a kBatchStripe multiple no larger than
-/// env.stride(). Dispatch is instruction-major and every lane loop runs as
-/// whole 8-lane stripes, so the vectorizer emits full-width bodies with no
-/// trip-count checks. `arrays` is indexed like CostProgram::arrays, or
-/// empty where no array storage exists (the interpretation engine): every
-/// element access then fails. `regs` holds max_regs * width doubles,
+/// env.stride(). Dispatch is instruction-major: each instruction runs one
+/// loop over every lane, vectorized where the compiler can (see
+/// HPF90D_SIMD_LANES in the implementation). `arrays` is indexed like
+/// CostProgram::arrays, or empty where no array storage exists (the
+/// interpretation engine): every element access then fails. `regs` holds max_regs * width doubles,
 /// 64-byte aligned; `out` and `ok` hold `width` entries (ok[l] == 0 marks a
 /// failed lane, whose out value is unspecified). No fast-math
 /// reassociation is in play, so a lane's value does not depend on the
-/// width or on the other lanes. Returns the stripes executed (telemetry).
+/// width or on the other lanes. Returns the stripes covered (telemetry).
 std::size_t eval_code_batch(const CostProgram& cp, const ExprCode& c, const BatchEnv& env,
                             std::span<const ArrayView> arrays, double* regs, double* out,
                             unsigned char* ok, std::size_t width);

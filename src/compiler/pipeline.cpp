@@ -408,6 +408,22 @@ class ValueDigestWalk {
           break;
         case CostOp::ArrayLoad:
         case CostOp::ArrayOffset:
+          word(static_cast<int>(in.c));
+          if (in.c != 0) {
+            // a fused access's subscripts by content, not table position
+            for (int d = 0; d < cp_.arrays[in.b].rank; ++d) {
+              const AffineSubscript& sub = cp_.subscripts[static_cast<std::size_t>(in.a) + d];
+              word(sub.slot);
+              word(sub.offset);
+              word(static_cast<std::uint64_t>(sub.loc.line));
+              word(static_cast<std::uint64_t>(sub.loc.column));
+              text(cp_.texts[sub.text]);
+            }
+          } else {
+            word(static_cast<int>(in.a));
+          }
+          array(in.b);
+          break;
         case CostOp::Size:
           word(static_cast<int>(in.a));
           array(in.b);

@@ -79,6 +79,8 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   planned_ = nullptr;
   node_plans_.assign(static_cast<std::size_t>(prog.node_count), NodePlan{});
   accesses_.clear();
+  exchanges_.clear();
+  shift_blocks_.clear();
 }
 
 SimResult Executor::run() {
@@ -382,12 +384,22 @@ long long Executor::resolve_space(const SpmdNode& n) {
 }
 
 std::size_t Executor::load_points(const SpmdNode& n, bool& more) {
+  const std::size_t rank = point_.size();
+  if (rank == 0) {
+    more = false;
+    return 1;
+  }
+  // a run of the innermost dimension at a time: its index counts through
+  // the run while the outer ones hold still
+  const std::size_t d = rank - 1;
   std::size_t m = 0;
   do {
-    for (std::size_t d = 0; d < point_.size(); ++d) {
-      env_.define(n.space[d].symbol, m, static_cast<double>(point_[d]));
-    }
-    ++m;
+    const auto left = static_cast<std::size_t>(trip_count(point_[d], hi_[d], step_[d]));
+    const std::size_t run = std::min(left, kLanes - m);
+    env_.define_run(n.space[d].symbol, m, run, point_[d], step_[d]);
+    for (std::size_t o = 0; o < d; ++o) env_.define_run(n.space[o].symbol, m, run, point_[o], 0);
+    m += run;
+    point_[d] += static_cast<long long>(run - 1) * step_[d];
     more = next_point();
   } while (more && m < kLanes);
   return m;
@@ -588,6 +600,19 @@ Executor::NodePlan& Executor::node_plan(const SpmdNode& n) {
       np.access_count = accesses_.size() - np.access_first;
       break;
     }
+    case SpmdKind::OverlapComm: plan_overlap(n, np); break;
+    case SpmdKind::CShiftComm: {
+      const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
+      if (map == nullptr || map->dims[static_cast<std::size_t>(n.comm_dim)].grid_dim < 0 ||
+          map->dims[static_cast<std::size_t>(n.comm_dim)].nprocs <= 1) {
+        // serial dimension: each processor copies its share in place
+        const long long total = storage_.total_elements(n.comm_array) /
+                                std::max(1LL, static_cast<long long>(nprocs_));
+        const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+        np.serial_copy = static_cast<double>(total * elem) / machine_->node().mem.mem_bandwidth;
+      }
+      break;
+    }
     default: break;
   }
   return np;
@@ -720,10 +745,14 @@ void Executor::record_local_loop(const SpmdNode& n) {
   // Forall semantics: every point's mask, value and target are evaluated
   // against the arrays as they stand, then the stores commit. Points run
   // kLanes at a time as lanes, in odometer order, so the first failing
-  // point is the first failing lane of the first chunk that has one.
+  // point is the first failing lane of the first chunk that has one. A
+  // forall that reads its own target holds its stores until the last
+  // chunk; any other commits each chunk's as it goes, since no later
+  // chunk can see them.
   pending_.clear();
-  const int lhs_symbol = n.lhs->symbol;
-  (void)storage_.raw(lhs_symbol);  // ensure allocated
+  const bool direct = !reads_own_target(n);
+  const std::span<double> target = storage_.raw(n.lhs->symbol);
+  const bool integer = n.lhs->type == front::TypeBase::Integer;
 
   point_.assign(lo_.begin(), lo_.end());
   std::size_t k = 0;  // odometer ordinal of the chunk's first point
@@ -765,18 +794,45 @@ void Executor::record_local_loop(const SpmdNode& n) {
       if ((n.mask && mask_ok_[l] == 0) || (on && (value_ok_[l] == 0 || offset_ok_[l] == 0))) {
         fail_point(n, width, l, inner_lo, inner_hi);
       }
-      if (!on) continue;
+    }
+    for (std::size_t l = 0; l < m; ++l) {
       if (n.mask) {
+        if (mask_[l] == 0.0) continue;
         words[mask_at + (k + l) / 64] |= static_cast<long long>(std::uint64_t{1} << ((k + l) % 64));
       }
-      const double value =
-          n.lhs->type == front::TypeBase::Integer ? std::trunc(value_[l]) : value_[l];
-      pending_.push_back(PendingStore{static_cast<std::size_t>(offset_[l]), value});
+      const double value = integer ? std::trunc(value_[l]) : value_[l];
+      const auto offset = static_cast<std::size_t>(offset_[l]);
+      if (direct) {
+        target[offset] = value;
+      } else {
+        pending_.push_back(PendingStore{offset, value});
+      }
     }
   }
   keep_last_point(n, m - 1);
-  auto raw = storage_.raw(lhs_symbol);
-  for (const auto& st : pending_) raw[st.offset] = st.value;
+  for (const auto& st : pending_) target[st.offset] = st.value;
+}
+
+bool Executor::reads_own_target(const SpmdNode& n) const {
+  const compiler::CostProgram& cp = *cost_program_;
+  const compiler::NodeCost& nc = node_cost(n);
+  // the target's own ArrayOffset is the offset expression's last access,
+  // and its array the last entry of that expression's arrays
+  const compiler::ExprCode& lhs = cp.exprs[static_cast<std::size_t>(nc.lhs)];
+  if (lhs.count == 0 || lhs.arrays_count == 0 ||
+      cp.code[lhs.first + lhs.count - 1].op != compiler::CostOp::ArrayOffset) {
+    return true;  // no well-formed target: keep the stores back
+  }
+  const std::uint16_t target = cp.expr_arrays[lhs.arrays_first + lhs.arrays_count - 1];
+  const auto reads = [&](std::int32_t id, bool own_target) {
+    if (id < 0) return false;
+    const compiler::ExprCode& c = cp.exprs[static_cast<std::size_t>(id)];
+    const auto first = cp.expr_arrays.begin() + c.arrays_first;
+    const auto last = first + c.arrays_count - (own_target ? 1 : 0);
+    return std::find(first, last, target) != last;
+  };
+  return reads(nc.cond, false) || reads(n.inner ? nc.arg : nc.rhs, false) ||
+         reads(nc.lhs, true);
 }
 
 void Executor::fail_point(const SpmdNode& n, std::size_t width, std::size_t lane,
@@ -920,178 +976,155 @@ void Executor::collective_stages(int node_id, long long bytes, double per_stage_
 // ---------------------------------------------------------------------------
 
 void Executor::time_overlap(const SpmdNode& n) {
-  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
-  if (map == nullptr) return;
-  const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
-  if (dd.grid_dim < 0 || dd.nprocs <= 1) return;  // dimension is serial here
-
+  const NodePlan& np = node_plan(n);
+  if (!np.exchanges) return;  // no map, or the dimension is serial here
+  const Exchange* const ex = exchanges_.data() + np.exchange_first;
   // A re-issued exchange of unchanged data finds last iteration's message
   // already buffered at the receiver: in steady state only packing and wire
   // occupancy remain (message queues absorb the latency).
   if (n.comm_src_invariant && metric(n.id).visits > 1) {
-    const int elem_sz = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-    const bool strided_slab = n.comm_dim != 0;
-    const long long width_s = std::min<long long>(std::llabs(n.comm_offset),
-                                                  std::max<long long>(dd.block, 1));
     for (int p = 0; p < nprocs_; ++p) {
-      const std::span<const int> coords = layout_->proc_coords(p);
-      const int k = coords[static_cast<std::size_t>(dd.grid_dim)];
-      const int dir0 = n.comm_offset > 0 ? +1 : -1;
-      const bool has_partner = dir0 > 0 ? k + 1 < dd.nprocs : k > 0;
-      if (!has_partner) continue;
-      long long perp = 1;
-      for (std::size_t j = 0; j < map->dims.size(); ++j) {
-        if (static_cast<int>(j) == n.comm_dim) continue;
-        const auto& od = map->dims[j];
-        const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
-        perp *= od.local_count(c);
-      }
-      const long long bytes = perp * width_s * elem_sz;
-      const double t = 2.0 * comm_model_.pack(bytes, strided_slab) +
-                       machine_->node().comm.per_byte * static_cast<double>(bytes);
-      charge_comm(n.id, p, t * noise_.comm_factor());
+      const Exchange& e = ex[static_cast<std::size_t>(p)];
+      if (e.buffered) charge_comm(n.id, p, e.steady * noise_.comm_factor());
     }
     return;
   }
-
-  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-  const bool strided = n.comm_dim != 0;  // row-major: outermost dim slabs are contiguous
-
-  // snapshot departures, then apply arrivals
-  std::vector<double>& depart = depart_;
-  std::vector<long long>& send_bytes = msg_bytes_;
-  depart.assign(static_cast<std::size_t>(nprocs_), -1.0);
-  send_bytes.assign(static_cast<std::size_t>(nprocs_), 0);
-  const int dir = n.comm_offset > 0 ? +1 : -1;
-
-  auto slab_elements = [&](int proc) -> long long {
-    const std::span<const int> coords = layout_->proc_coords(proc);
-    long long perp = 1;
-    for (std::size_t j = 0; j < map->dims.size(); ++j) {
-      if (static_cast<int>(j) == n.comm_dim) continue;
-      const auto& od = map->dims[j];
-      const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
-      perp *= od.local_count(c);
-    }
-    const int cc = coords[static_cast<std::size_t>(dd.grid_dim)];
-    const long long width =
-        dd.kind == front::DistKind::Cyclic
-            ? dd.local_count(cc)
-            : std::min<long long>(std::llabs(n.comm_offset),
-                                  std::max<long long>(dd.block, 1));
-    return perp * width;
-  };
-
-  // sender q (coord k) sends to receiver p (coord k-dir): receiver needs
-  // elements offset `dir` beyond its boundary
-  for (int q = 0; q < nprocs_; ++q) {
-    const std::span<const int> coords = layout_->proc_coords(q);
-    const int k = coords[static_cast<std::size_t>(dd.grid_dim)];
-    const int kr = k - dir;
-    if (kr < 0 || kr >= dd.nprocs) continue;
-    const long long bytes = slab_elements(q) * elem;
-    if (bytes == 0) continue;
-    const double pack = comm_model_.pack(bytes, strided);
-    send_bytes[static_cast<std::size_t>(q)] = bytes;
-    depart[static_cast<std::size_t>(q)] = clock_[static_cast<std::size_t>(q)] + pack;
-  }
-  std::vector<double>& new_clock = clock_scratch_;
-  new_clock.assign(clock_.begin(), clock_.end());
-  for (int q = 0; q < nprocs_; ++q) {
-    if (depart[static_cast<std::size_t>(q)] < 0) continue;
-    const std::span<const int> qc = layout_->proc_coords(q);
-    std::vector<int>& coords = coords_scratch_;
-    coords.assign(qc.begin(), qc.end());
-    coords[static_cast<std::size_t>(dd.grid_dim)] -= dir;
-    const int p = layout_->grid().linear(coords);
-    const double arr = network_->send(q, p, send_bytes[static_cast<std::size_t>(q)],
-                                     depart[static_cast<std::size_t>(q)], noise_);
-    const double unpack =
-        comm_model_.pack(send_bytes[static_cast<std::size_t>(q)], strided);
-    new_clock[static_cast<std::size_t>(p)] =
-        std::max(new_clock[static_cast<std::size_t>(p)], arr + unpack);
-    new_clock[static_cast<std::size_t>(q)] = std::max(
-        new_clock[static_cast<std::size_t>(q)], depart[static_cast<std::size_t>(q)]);
-  }
-  for (int p = 0; p < nprocs_; ++p) {
-    const double dt = new_clock[static_cast<std::size_t>(p)] -
-                      clock_[static_cast<std::size_t>(p)];
-    if (dt > 0) charge_comm(n.id, p, dt);
-  }
+  exchange(n, ex, /*copy_while_waiting=*/false);
 }
 
 void Executor::time_cshift(const SpmdNode& n) {
   const long long shift = tape_next();
   if (shift == 0) return;
-
-  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
-  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-  const auto& mem = machine_->node().mem;
-
-  if (map == nullptr || map->dims[static_cast<std::size_t>(n.comm_dim)].grid_dim < 0 ||
-      map->dims[static_cast<std::size_t>(n.comm_dim)].nprocs <= 1) {
-    // serial dimension: local circular copy only
-    const long long total = storage_.total_elements(n.comm_array) /
-                            std::max(1LL, static_cast<long long>(nprocs_));
-    const double t = static_cast<double>(total * elem) / mem.mem_bandwidth;
-    for (int p = 0; p < nprocs_; ++p) charge_comm(n.id, p, t);
+  const NodePlan& np = node_plan(n);
+  if (np.serial_copy >= 0) {  // serial dimension: local circular copy only
+    for (int p = 0; p < nprocs_; ++p) charge_comm(n.id, p, np.serial_copy);
     return;
   }
+  if (deriving_) visit_block_.push_back(shift_block(n, shift));
+  exchange(n, exchanges_.data() + visit_block_[visit_pos_++], /*copy_while_waiting=*/true);
+}
 
+void Executor::exchange(const SpmdNode& n, const Exchange* ex, bool copy_while_waiting) {
+  const std::size_t nprocs = static_cast<std::size_t>(nprocs_);
+  // snapshot departures, then apply arrivals
+  depart_.resize(nprocs);
+  for (std::size_t q = 0; q < nprocs; ++q) depart_[q] = clock_[q] + ex[q].pack;
+  std::vector<double>& new_clock = clock_scratch_;
+  new_clock.assign(clock_.begin(), clock_.end());
+  for (std::size_t q = 0; q < nprocs; ++q) {
+    const Exchange& e = ex[q];
+    if (e.partner < 0) continue;
+    const auto p = static_cast<std::size_t>(e.partner);
+    const double arr = network_->send(static_cast<int>(q), e.partner, e.bytes, depart_[q], noise_);
+    new_clock[p] = copy_while_waiting ? std::max(new_clock[p] + e.after, arr)
+                                      : std::max(new_clock[p], arr + e.after);
+    new_clock[q] = std::max(new_clock[q], depart_[q]);
+  }
+  for (std::size_t p = 0; p < nprocs; ++p) {
+    const double dt = new_clock[p] - clock_[p];
+    if (dt > 0) charge_comm(n.id, static_cast<int>(p), dt);
+  }
+}
+
+long long Executor::slab_across(const compiler::ArrayMap& map, int dim, int proc) const {
+  const std::span<const int> coords = layout_->proc_coords(proc);
+  long long perp = 1;
+  for (std::size_t j = 0; j < map.dims.size(); ++j) {
+    if (static_cast<int>(j) == dim) continue;
+    const auto& od = map.dims[j];
+    const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
+    perp *= od.local_count(c);
+  }
+  return perp;
+}
+
+int Executor::grid_neighbour(int proc, int grid_dim, int coord) {
+  const std::span<const int> pc = layout_->proc_coords(proc);
+  coords_scratch_.assign(pc.begin(), pc.end());
+  coords_scratch_[static_cast<std::size_t>(grid_dim)] = coord;
+  return layout_->grid().linear(coords_scratch_);
+}
+
+void Executor::plan_overlap(const SpmdNode& n, NodePlan& np) {
+  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
+  if (map == nullptr) return;
   const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
+  if (dd.grid_dim < 0 || dd.nprocs <= 1) return;
+  np.exchanges = true;
+  np.exchange_first = exchanges_.size();
+  exchanges_.resize(exchanges_.size() + static_cast<std::size_t>(nprocs_));
+  Exchange* const ex = exchanges_.data() + np.exchange_first;
+
+  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+  const bool strided = n.comm_dim != 0;  // row-major: outermost dim slabs are contiguous
+  const int dir = n.comm_offset > 0 ? +1 : -1;
+  const long long buffered_width =
+      std::min<long long>(std::llabs(n.comm_offset), std::max<long long>(dd.block, 1));
+  for (int q = 0; q < nprocs_; ++q) {
+    Exchange& e = ex[static_cast<std::size_t>(q)];
+    const long long perp = slab_across(*map, n.comm_dim, q);
+    const int k = layout_->proc_coords(q)[static_cast<std::size_t>(dd.grid_dim)];
+    // steady state: processor q re-sends its buffered slab
+    e.buffered = dir > 0 ? k + 1 < dd.nprocs : k > 0;
+    if (e.buffered) {
+      const long long bytes = perp * buffered_width * elem;
+      e.steady = 2.0 * comm_model_.pack(bytes, strided) +
+                 machine_->node().comm.per_byte * static_cast<double>(bytes);
+    }
+    // sender q (coord k) sends to receiver p (coord k-dir): receiver needs
+    // elements offset `dir` beyond its boundary
+    const int kr = k - dir;
+    if (kr < 0 || kr >= dd.nprocs) continue;
+    const long long width = dd.kind == front::DistKind::Cyclic ? dd.local_count(k)
+                                                               : buffered_width;
+    const long long bytes = perp * width * elem;
+    if (bytes == 0) continue;
+    e.bytes = bytes;
+    e.pack = comm_model_.pack(bytes, strided);
+    e.after = e.pack;  // unpacking at the receiver
+    e.partner = grid_neighbour(q, dd.grid_dim, kr);
+  }
+}
+
+std::size_t Executor::shift_block(const SpmdNode& n, long long shift) {
+  for (const ShiftBlock& b : shift_blocks_) {
+    if (b.node == n.id && b.shift == shift) return b.first;
+  }
+  const std::size_t first = exchanges_.size();
+  shift_blocks_.push_back(ShiftBlock{n.id, shift, first});
+  exchanges_.resize(first + static_cast<std::size_t>(nprocs_));
+  Exchange* const ex = exchanges_.data() + first;
+
+  const compiler::ArrayMap& map = *layout_->map_for(n.comm_array);
+  const auto& dd = map.dims[static_cast<std::size_t>(n.comm_dim)];
+  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
   const bool strided = n.comm_dim != 0;
   const long long w = std::min<long long>(std::llabs(shift), dd.block);
   const int dir = shift > 0 ? +1 : -1;
-
-  std::vector<double>& depart = depart_;
-  std::vector<long long>& msg_bytes = msg_bytes_;
   std::vector<long long>& local_bytes = local_bytes_;
-  depart.assign(static_cast<std::size_t>(nprocs_), -1.0);
-  msg_bytes.assign(static_cast<std::size_t>(nprocs_), 0);
   local_bytes.assign(static_cast<std::size_t>(nprocs_), 0);
   for (int q = 0; q < nprocs_; ++q) {
-    const std::span<const int> coords = layout_->proc_coords(q);
-    long long perp = 1;
-    for (std::size_t j = 0; j < map->dims.size(); ++j) {
-      if (static_cast<int>(j) == n.comm_dim) continue;
-      const auto& od = map->dims[j];
-      const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
-      perp *= od.local_count(c);
-    }
-    const long long own =
-        dd.local_count(coords[static_cast<std::size_t>(dd.grid_dim)]);
-    msg_bytes[static_cast<std::size_t>(q)] = perp * w * elem;
-    local_bytes[static_cast<std::size_t>(q)] = perp * std::max<long long>(own - w, 0) * elem;
-    depart[static_cast<std::size_t>(q)] =
-        clock_[static_cast<std::size_t>(q)] +
-        comm_model_.pack(msg_bytes[static_cast<std::size_t>(q)], strided);
-  }
-  std::vector<double>& new_clock = clock_scratch_;
-  new_clock.assign(clock_.begin(), clock_.end());
-  for (int q = 0; q < nprocs_; ++q) {
-    if (msg_bytes[static_cast<std::size_t>(q)] == 0) continue;
+    const long long perp = slab_across(map, n.comm_dim, q);
+    const int k = layout_->proc_coords(q)[static_cast<std::size_t>(dd.grid_dim)];
+    Exchange& e = ex[static_cast<std::size_t>(q)];
+    e.bytes = perp * w * elem;
+    e.pack = comm_model_.pack(e.bytes, strided);
+    local_bytes[static_cast<std::size_t>(q)] =
+        perp * std::max<long long>(dd.local_count(k) - w, 0) * elem;
     // circular: wrap at the grid edges
-    const std::span<const int> qc = layout_->proc_coords(q);
-    std::vector<int>& coords = coords_scratch_;
-    coords.assign(qc.begin(), qc.end());
-    int& k = coords[static_cast<std::size_t>(dd.grid_dim)];
-    k = (k - dir % dd.nprocs + dd.nprocs) % dd.nprocs;
-    const int p = layout_->grid().linear(coords);
-    const double arr = network_->send(q, p, msg_bytes[static_cast<std::size_t>(q)],
-                                     depart[static_cast<std::size_t>(q)], noise_);
-    const double local_copy =
-        static_cast<double>(local_bytes[static_cast<std::size_t>(p)]) / mem.mem_bandwidth;
-    new_clock[static_cast<std::size_t>(p)] =
-        std::max(new_clock[static_cast<std::size_t>(p)] + local_copy, arr);
-    new_clock[static_cast<std::size_t>(q)] =
-        std::max(new_clock[static_cast<std::size_t>(q)],
-                 depart[static_cast<std::size_t>(q)]);
+    if (e.bytes != 0) {
+      e.partner = grid_neighbour(q, dd.grid_dim, (k - dir % dd.nprocs + dd.nprocs) % dd.nprocs);
+    }
   }
-  for (int p = 0; p < nprocs_; ++p) {
-    const double dt =
-        new_clock[static_cast<std::size_t>(p)] - clock_[static_cast<std::size_t>(p)];
-    if (dt > 0) charge_comm(n.id, p, dt);
+  // the receiver copies its own kept part while the message is in flight
+  const double bandwidth = machine_->node().mem.mem_bandwidth;
+  for (int q = 0; q < nprocs_; ++q) {
+    Exchange& e = ex[static_cast<std::size_t>(q)];
+    if (e.partner >= 0) {
+      e.after = static_cast<double>(local_bytes[static_cast<std::size_t>(e.partner)]) / bandwidth;
+    }
   }
+  return first;
 }
 
 void Executor::time_irregular(const SpmdNode& n) {

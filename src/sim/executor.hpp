@@ -8,12 +8,23 @@
 // Values come from the one expression evaluator both engines share, the
 // program's cost bytecode (compiler/cost_program.hpp). Replicated scalar
 // code runs it on one stripe; a forall or reduction runs it over up to 64
-// of its points at a time, one point per lane, in odometer order: a
-// forall's mask, value and target for every lane before any store
-// commits, a reduction's argument for every lane before the sequential
-// accumulation. A failing point raises the diagnostic of its first failing
-// instruction; the first failing point in odometer order wins, and a
-// masked-off point never fails.
+// of its points at a time, one point per lane, in odometer order (the
+// points load a run of the innermost dimension at a time): a forall's
+// mask, value and target for every lane of a chunk before any of the
+// chunk's stores commit, a reduction's argument for every lane before the
+// sequential accumulation. A failing point raises the diagnostic of its
+// first failing instruction; the first failing point in odometer order
+// wins, and a masked-off point never fails.
+//
+// Where a forall's stores go is decided from the program: when none of its
+// mask, value, inner-reduction argument or target-subscript expressions
+// reads the target array (CostProgram::expr_arrays, the target's own
+// ArrayOffset left out), each chunk's stores go straight into storage, as
+// no later point can see them; a forall that reads its own target holds
+// every store back until its last chunk is evaluated (snapshot
+// semantics). A failing point therefore may leave a direct-commit forall's
+// target partly written. That is harmless: the throw ends the functional
+// pass, and record() is one-shot per rebind, which re-fills storage.
 #pragma once
 
 #include <array>
@@ -111,9 +122,14 @@ struct ValueTape {
 ///
 /// The timing walk runs from a *timing plan*. What is derived once:
 ///   - per node, on its first visit after a rebind: a ScalarAssign's
-///     statement cost, a WHILE's condition cost, and a LocalLoop's or
+///     statement cost, a WHILE's condition cost, a LocalLoop's or
 ///     Reduce's access patterns (array footprints per processor) and
-///     working-set arrays;
+///     working-set arrays, and an OverlapComm's exchange (each processor's
+///     partner, message bytes, pack and unpack times, and steady-state
+///     re-send time);
+///   - per (CShiftComm, shift), on its first visit after a rebind: the
+///     exchange likewise, with each receiver's local copy time, or a
+///     serial dimension's copy time per node;
 ///   - per LocalLoop/Reduce visit with points, on the first walk of a tape
 ///     after a rebind (the deriving walk): each processor's iteration count
 ///     under the bound layout (ownership histograms, or the recorded space
@@ -122,13 +138,14 @@ struct ValueTape {
 ///     whose words (points, inner trips, space, mask bits) equal its node's
 ///     previous visit's shares that visit's charges.
 /// What is derived per seed, in the same order on every walk: the startup
-/// skew, one noise draw per charged compute phase, and every network
-/// event (OverlapComm, CShiftComm, irregular exchanges, collectives), so a
-/// later seed reads the plan back, draws noise and sends messages, and
-/// allocates nothing. What invalidates the plan: rebind() (a new layout,
-/// machine, options or program, even an equal one) drops all of it;
-/// record() into the planned tape, or retiming another tape object, drops
-/// the per-visit charges.
+/// skew, one noise draw per charged compute phase and per steady-state
+/// re-send, and every network event (OverlapComm, CShiftComm, irregular
+/// exchanges, collectives), so a later seed reads the plan back, draws
+/// noise and sends messages, and allocates nothing. What invalidates the
+/// plan: rebind() (a new layout, machine, options or program, even an
+/// equal one) drops all of it; record() into the planned tape, or
+/// retiming another tape object, drops the per-visit charges (the
+/// exchanges depend on no tape and stay).
 class Executor {
  public:
   /// Arena construction: no state bound yet; call rebind() before run().
@@ -171,6 +188,8 @@ class Executor {
 
  private:
   using SpmdNode = compiler::SpmdNode;
+  struct NodePlan;
+  struct Exchange;
 
   // --- functional pass --------------------------------------------------------
   void record_seq(const std::vector<compiler::SpmdNodePtr>& nodes);
@@ -201,6 +220,10 @@ class Executor {
   /// Broadcasts lane `last`'s point: the space symbols end as the last
   /// point left them.
   void keep_last_point(const SpmdNode& n, std::size_t last);
+  /// Whether a forall's mask, value, inner-reduction argument or target
+  /// subscripts read its target array (CostProgram::expr_arrays, the
+  /// target's own access left out).
+  [[nodiscard]] bool reads_own_target(const SpmdNode& n) const;
   /// Throws the diagnostic of forall point `lane` that failed its mask,
   /// value or target, in that order.
   [[noreturn]] void fail_point(const SpmdNode& n, std::size_t width, std::size_t lane,
@@ -220,11 +243,26 @@ class Executor {
   void time_cshift(const SpmdNode& n);
   void time_irregular(const SpmdNode& n);
   void time_slice_bcast(const SpmdNode& n);
+  /// Sends one planned exchange's messages from the current clocks and
+  /// charges each processor's wait. A receiver's `after` runs after the
+  /// arrival or, `copy_while_waiting`, while the message is in flight.
+  void exchange(const SpmdNode& n, const Exchange* ex, bool copy_while_waiting);
 
   /// Appends the block of charges of the visit whose tape words run from
   /// `at` to the walk position, or reuses the node's previous block when
   /// its words are the same.
   void plan_visit(const SpmdNode& n, std::size_t at);
+  /// Plans an OverlapComm's exchange (both the first and the steady-state
+  /// one) into exchanges_.
+  void plan_overlap(const SpmdNode& n, NodePlan& np);
+  /// The first of the nprocs exchanges_ entries of CShiftComm `n` by
+  /// `shift`, planned on the first visit with that shift after a rebind.
+  std::size_t shift_block(const SpmdNode& n, long long shift);
+  /// Elements of `map`'s local slab across dimension `dim` on `proc`: the
+  /// product of its local counts in the other dimensions.
+  [[nodiscard]] long long slab_across(const compiler::ArrayMap& map, int dim, int proc) const;
+  /// The processor at `coord` along grid axis `grid_dim` from `proc`.
+  [[nodiscard]] int grid_neighbour(int proc, int grid_dim, int coord);
   /// Charges the next planned visit: per processor with iterations, its
   /// compute charge times a noise draw, then its overhead.
   void charge_planned(const SpmdNode& n);
@@ -341,12 +379,34 @@ class Executor {
     double stmt_t = 0;          // ScalarAssign: one statement, before noise
     double cond_t = 0;          // WhileLoop: one condition test
     std::size_t access_first = 0, access_count = 0;  // into accesses_
+    bool exchanges = false;     // OverlapComm: the dimension is distributed here
+    std::size_t exchange_first = 0;  // ... and its nprocs exchanges_ entries
+    double serial_copy = -1;    // CShiftComm: a serial dimension's copy (-1: distributed)
     std::size_t last_at = 0, last_len = 0;  // previous visit's tape words
     std::size_t last_block = 0;             // ... and its block
   };
   [[nodiscard]] NodePlan& node_plan(const SpmdNode& n);
   std::vector<NodePlan> node_plans_;
   std::vector<AccessPattern> accesses_;  // array_bytes already per processor
+
+  // Per processor of an exchange under the bound layout and machine, in
+  // blocks of nprocs: one per OverlapComm, one per (CShiftComm, shift). A
+  // CShiftComm visit's block is a visit_block_ entry of the deriving walk.
+  struct Exchange {
+    int partner = -1;     // receiver of this processor's message; -1: none
+    long long bytes = 0;
+    double pack = 0;      // before departure
+    double after = 0;     // the receiver's unpacking or local copy
+    bool buffered = false;  // OverlapComm steady state: re-sends its slab ...
+    double steady = 0;      // ... in this time, before noise
+  };
+  struct ShiftBlock {
+    int node = -1;
+    long long shift = 0;
+    std::size_t first = 0;
+  };
+  std::vector<Exchange> exchanges_;
+  std::vector<ShiftBlock> shift_blocks_;
 
   // Reused per-visit scratch.
   struct PendingStore {
@@ -363,7 +423,7 @@ class Executor {
   std::vector<int> coords_scratch_;
   std::vector<long long> iters_, trues_;  // one visit's per-processor counts
   std::vector<double> depart_, clock_scratch_;  // communication nodes
-  std::vector<long long> msg_bytes_, local_bytes_;
+  std::vector<long long> local_bytes_;
 };
 
 }  // namespace hpf90d::sim

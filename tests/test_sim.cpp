@@ -1084,6 +1084,9 @@ end program t
   // a forall mask
   EXPECT_NE(digest("b(i) .gt. 2.0", "b(i) .ge. 2.0"), base);
   EXPECT_NE(digest("forall (i = 2:n, b(i) .gt. 2.0)", "forall (i = 2:n)"), base);
+  // a fused subscript's offset, read or target (every later column kept)
+  EXPECT_NE(digest("a(i) = b(i) + 1.0", "a(i) = b(i-1)+1.0"), base);
+  EXPECT_NE(digest("a(i) = b(i) + 1.0", "a(i-1)=b(i) + 1.0"), base);
   // an irregular gather
   const compiler::CompiledProgram gathered =
       comp(edited(kBase, "a(i) = b(i) + 1.0", "a(i) = b(ix(i)) + 1.0"));
@@ -1377,6 +1380,123 @@ end program t
   EXPECT_NE(message.find("subscript out of bounds for 'u' dim 1: 70 not in 1..64"),
             std::string::npos)
       << message;
+}
+
+TEST(FunctionalPass, SelfReadingForallKeepsSnapshotSemantics) {
+  // 66 points a row: 64-point chunks end mid-row, so a store committed
+  // before a later chunk's reads would change what a(i - 1, j) or
+  // a(i, j + 1) sees
+  const sim::ValueTape tape = record_tape(comp(R"f90(
+program t
+  parameter (n = 67)
+  real a(n, n)
+!hpf$ template d(n, n)
+!hpf$ align a(i, j) with d(i, j)
+!hpf$ distribute d(block, block)
+  forall (i = 1:n, j = 1:n) a(i, j) = real(mod(i * j, 7))
+  forall (i = 2:n, j = 1:n - 1) a(i, j) = a(i - 1, j) + a(i, j + 1)
+  s = sum(a)
+  print *, s, a(3, 65), a(67, 66)
+end program t
+)f90"), {});
+  constexpr int n = 67;
+  const auto at = [](int i, int j) { return static_cast<std::size_t>((i - 1) * n + (j - 1)); };
+  std::vector<double> before(static_cast<std::size_t>(n * n));
+  for (int i = 1; i <= n; ++i) {
+    for (int j = 1; j <= n; ++j) before[at(i, j)] = static_cast<double>(i * j % 7);
+  }
+  std::vector<double> after = before;
+  for (int i = 2; i <= n; ++i) {
+    for (int j = 1; j <= n - 1; ++j) after[at(i, j)] = before[at(i - 1, j)] + before[at(i, j + 1)];
+  }
+  double s = 0.0;  // whole numbers: exact in any order
+  for (const double x : after) s += x;
+  const std::map<std::string, double> expected = {
+      {"s", s}, {"a(3,65)", after[at(3, 65)]}, {"a(67,66)", after[at(67, 66)]}};
+  EXPECT_EQ(tape.printed, expected);
+}
+
+TEST(FunctionalPass, FusedSubscriptDiagnosticsAreTheUnfusedOnes) {
+  // an undefined variable fails at its own Var, before any bounds test of
+  // its access, even one in an earlier dimension
+  EXPECT_EQ(pass_failure(R"f90(
+program t
+  parameter (n = 64)
+  real u(n), v(n)
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) v(i) = u(i + k)
+end program t
+)f90").first,
+            "9:33: value of 'k' is not available (unresolved critical variable?)");
+  constexpr const char* kTwoDims = R"f90(
+program t
+  parameter (n = 8)
+  real a(n, n), v(n)
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) v(i) = a(i + 70, k - 1)
+end program t
+)f90";
+  EXPECT_EQ(pass_failure(kTwoDims).first,
+            "8:37: value of 'k' is not available (unresolved critical variable?)");
+  EXPECT_EQ(pass_failure(edited(kTwoDims, "a(i + 70,", "a(m + 1,")).first,
+            "8:29: value of 'm' is not available (unresolved critical variable?)");
+  EXPECT_EQ(pass_failure(edited(kTwoDims, "v(i) = a(i + 70, k - 1)", "a(i, m) = v(i)")).first,
+            "8:25: value of 'm' is not available (unresolved critical variable?)");
+  // out of bounds: the first failing dimension, unlocated, with its value
+  EXPECT_EQ(pass_failure(edited(kTwoDims, "a(i + 70, k - 1)", "a(i + 1, 2 + i)")).first,
+            "<unknown>: subscript out of bounds for 'a' dim 2: 9 not in 1..8");
+  EXPECT_EQ(pass_failure(edited(kTwoDims, "a(i + 70, k - 1)", "a(i + 8, 8 + i)")).first,
+            "<unknown>: subscript out of bounds for 'a' dim 1: 9 not in 1..8");
+  EXPECT_EQ(pass_failure(edited(kTwoDims, "a(i + 70, k - 1)", "a(i, 9)")).first,
+            "<unknown>: subscript out of bounds for 'a' dim 2: 9 not in 1..8");
+  EXPECT_EQ(pass_failure(edited(kTwoDims, "forall (i = 1:n) v(i) = a(i + 70, k - 1)",
+                                "forall (i = 1:n, j = 1:n) a(i, j + 1) = v(i)"))
+                .first,
+            "<unknown>: subscript out of bounds for 'a' dim 2: 9 not in 1..8");
+}
+
+TEST(FunctionalPass, NonIntegralSubscriptVariableRoundsHalfAwayFromZero) {
+  const compiler::CompiledProgram prog = comp(R"f90(
+program t
+  parameter (n = 16)
+  real u(n), v(n)
+  integer k
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) u(i) = 10.0 * real(i)
+  forall (i = 1:n) v(i) = 0.0
+  forall (i = 1:n - 3) v(i) = u(i + k)
+  forall (i = 1:n - 3) v(i) = v(i) + u(k - 1) + u(k)
+  print *, v(1), v(2), v(13)
+end program t
+)f90");
+  // a binding reaches the environment as given, INTEGER or not
+  front::Bindings half;
+  half.set("k", 2.5);
+  const int k = prog.symbols.find("k");
+  const compiler::SeededValues seeded = compiler::seed_values(prog.symbols, half);
+  EXPECT_NE(std::find(seeded.defined.begin(), seeded.defined.end(), std::pair<int, double>{k, 2.5}),
+            seeded.defined.end());
+  // i + 2.5 reads u(i + 3), k - 1 reads u(2) and k reads u(3)
+  const std::map<std::string, double> expected = {
+      {"v(1)", 90.0}, {"v(2)", 100.0}, {"v(13)", 210.0}};
+  EXPECT_EQ(record_tape(prog, half).printed, expected);
+  // k - 1 = -1.5 rounds to -2
+  front::Bindings negative;
+  negative.set("k", -0.5);
+  try {
+    (void)record_tape(prog, negative);
+    ADD_FAILURE() << "the functional pass did not fail";
+  } catch (const support::CompileError& e) {
+    EXPECT_STREQ(e.what(), "<unknown>: subscript out of bounds for 'u' dim 1: -2 not in 1..16");
+  }
 }
 
 // --- timing walk pins and plan invalidation ----------------------------------------
