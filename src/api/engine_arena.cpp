@@ -32,18 +32,14 @@ std::span<const sim::MeasuredResult> EngineArena::measure_batch_into(
     const core::BatchLane& lane = lanes[i];
     ValueTapeStore::Ptr tape;
     if (tapes != nullptr) {
-      // The hit path first: it builds no std::function.
-      tape = tapes->try_get(tape_keys[i]);
-      if (!tape) {
-        tape = tapes->get_or_build(tape_keys[i], {}, [&] {
-          obs::Span pass(obs_sink_, obs::Phase::SimValuePass);
-          sim::ValueTape recorded;
-          executor_.rebind(prog, *lane.layout, machine, options, *lane.bindings);
-          executor_.record(recorded);
-          pass.set_arg(recorded.bytes());
-          return recorded;
-        });
-      }
+      tape = tapes->get_or_build(tape_keys[i], nullptr, [&] {
+        obs::Span pass(obs_sink_, obs::Phase::SimValuePass);
+        sim::ValueTape recorded;
+        executor_.rebind(prog, *lane.layout, machine, options, *lane.bindings);
+        executor_.record(recorded);
+        pass.set_arg(recorded.bytes());
+        return recorded;
+      });
     }
     const obs::Span retime(obs_sink_, obs::Phase::SimRetime,
                            static_cast<std::uint64_t>(std::max(1, runs)));

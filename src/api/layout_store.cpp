@@ -1,64 +1,51 @@
 #include "api/layout_store.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "obs/obs.hpp"
 #include "sim/executor.hpp"
 
 namespace hpf90d::api {
 
 template <class Value>
-typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(const std::string& key,
-                                                              const Builder& build) {
-  const compiler::LayoutDigest digest = compiler::layout_digest_of(key);
-  return get_or_build(digest, [&]() -> const std::string& { return key; }, build);
-}
-
-template <class Value>
-typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(
-    const compiler::LayoutDigest& digest, const KeyFn& key, const Builder& build) {
-  // The promise is constructed only on a miss: the hit path — the steady
-  // state of a warm sweep, millions of calls — allocates nothing (a
-  // promise's shared state is a heap allocation per call otherwise).
-  std::optional<std::promise<Ptr>> promise;
+typename OnceStore<Value>::Ptr OnceStore<Value>::find_or_claim(
+    const compiler::LayoutDigest& digest, std::optional<Claim>& claim) {
   std::shared_future<Ptr> future;
-  std::uint64_t owner = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (ReadySlot* slot = ready_find_locked(digest)) {
-      lru_.splice(lru_.begin(), lru_, slot->lru_it);
-      Ptr shared = slot->ptr;
-      ++hits_;
-      return shared;
-    }
     if (const auto it = map_.find(digest); it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      if (it->second.ready) {
+        ++hits_;
+        return it->second.ready;
+      }
       future = it->second.future;
     } else {
       ++misses_;
-      owner = ++next_owner_;
-      promise.emplace();
+      claim.emplace();
+      claim->owner = ++next_owner_;
       lru_.push_front(digest);
       // A costed placeholder is charged once its value exists.
       const std::size_t cost = cost_fn_ == nullptr ? 1 : 0;
       resident_ += cost;
-      map_.emplace(digest, Entry{promise->get_future().share(), nullptr, lru_.begin(),
-                                 owner, cost});
+      map_.emplace(digest, Entry{claim->promise.get_future().share(), nullptr, lru_.begin(),
+                                 claim->owner, cost});
       // The new entry sits at the hot end, so eviction can only claim other
       // keys (possibly ones whose build is still in flight — their waiters
       // hold the shared state, so the build completes normally).
       evict_excess_locked();
+      return nullptr;
     }
   }
-  if (future.valid()) {
-    Ptr shared = future.get();  // rethrows a failed build
-    // counted only on success: a waiter on a failing build leaves no
-    // spurious hit, so misses = build attempts and hits = served layouts
-    ++hits_;
-    return shared;
-  }
+  Ptr shared = future.get();  // rethrows a failed build
+  // counted only on success: a waiter on a failing build leaves no
+  // spurious hit, so misses = build attempts and hits = served values
+  ++hits_;
+  return shared;
+}
 
+template <class Value>
+typename OnceStore<Value>::Ptr OnceStore<Value>::fill(
+    const compiler::LayoutDigest& digest, Claim& claim,
+    const std::function<const std::string&()>& key, const std::function<Value()>& build) {
   try {
     Ptr value;
     bool fresh_build = false;
@@ -66,7 +53,7 @@ typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(
     // restarted process re-inherits every value it (or any sibling) ever
     // built. Loaded entries are not written back; only fresh builds are.
     // Spill files are addressed by the fingerprint *string*, which is why
-    // the KeyFn exists — and why it is only invoked here, on the miss path.
+    // `key` exists — and why it is only invoked here, on the miss path.
     if (spill_.load) {
       const obs::Span span(obs_sink_, obs::Phase::SpillLoad);
       value = spill_.load(key());
@@ -77,13 +64,14 @@ typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(
       value = std::make_shared<const Value>(build());
       fresh_build = true;
     }
-    promise->set_value(value);
+    claim.promise.set_value(value);
     {
-      // Publish the resolved pointer for the locked fast path. Guarded by
-      // owner: eviction may have dropped our placeholder and a later miss
+      // Publish the resolved pointer for the hit path. Guarded by owner:
+      // eviction may have dropped our placeholder and a later miss
       // re-inserted a different entry under this digest.
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (const auto it = map_.find(digest); it != map_.end() && it->second.owner == owner) {
+      if (const auto it = map_.find(digest);
+          it != map_.end() && it->second.owner == claim.owner) {
         const std::size_t cost = cost_fn_ == nullptr ? 1 : cost_fn_(*value);
         if (capacity_ != 0 && cost > capacity_) {
           evict_locked(it);  // larger than the whole budget: served, not kept
@@ -91,7 +79,6 @@ typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(
           resident_ += cost - it->second.cost;
           it->second.cost = cost;
           it->second.ready = value;
-          ready_insert_locked(digest, value, it->second.lru_it);
           evict_excess_locked();
         }
       }
@@ -106,88 +93,20 @@ typename OnceStore<Value>::Ptr OnceStore<Value>::get_or_build(
       // Erase only our own placeholder: eviction may already have dropped
       // it and a concurrent miss re-inserted a healthy one for this key.
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (const auto it = map_.find(digest); it != map_.end() && it->second.owner == owner) {
+      if (const auto it = map_.find(digest);
+          it != map_.end() && it->second.owner == claim.owner) {
         resident_ -= it->second.cost;
         lru_.erase(it->second.lru_it);
         map_.erase(it);
       }
     }
-    promise->set_exception(std::current_exception());
+    claim.promise.set_exception(std::current_exception());
     throw;
   }
 }
 
 template <class Value>
-typename OnceStore<Value>::Ptr OnceStore<Value>::try_get(
-    const compiler::LayoutDigest& digest) {
-  std::shared_future<Ptr> future;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (ReadySlot* slot = ready_find_locked(digest)) {
-      lru_.splice(lru_.begin(), lru_, slot->lru_it);
-      Ptr shared = slot->ptr;
-      ++hits_;
-      return shared;
-    }
-    const auto it = map_.find(digest);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    future = it->second.future;
-  }
-  Ptr shared = future.get();  // rethrows a failed in-flight build
-  ++hits_;
-  return shared;
-}
-
-template <class Value>
-typename OnceStore<Value>::ReadySlot* OnceStore<Value>::ready_find_locked(
-    const compiler::LayoutDigest& digest) {
-  if (ready_idx_.empty()) return nullptr;
-  const std::size_t mask = ready_idx_.size() - 1;
-  for (std::size_t i = DigestHash{}(digest) & mask;; i = (i + 1) & mask) {
-    ReadySlot& slot = ready_idx_[i];
-    if (!slot.ptr) return nullptr;
-    if (slot.digest == digest) return &slot;
-  }
-}
-
-template <class Value>
-void OnceStore<Value>::ready_insert_locked(const compiler::LayoutDigest& digest,
-                                           const Ptr& ptr,
-                                           std::list<compiler::LayoutDigest>::iterator lru_it) {
-  if ((ready_n_ + 1) * 2 > ready_idx_.size()) {
-    std::vector<ReadySlot> old = std::move(ready_idx_);
-    ready_idx_.assign(old.empty() ? 64 : old.size() * 2, ReadySlot{});
-    const std::size_t mask = ready_idx_.size() - 1;
-    for (ReadySlot& s : old) {
-      if (!s.ptr) continue;
-      std::size_t i = DigestHash{}(s.digest) & mask;
-      while (ready_idx_[i].ptr) i = (i + 1) & mask;
-      ready_idx_[i] = std::move(s);
-    }
-  }
-  const std::size_t mask = ready_idx_.size() - 1;
-  std::size_t i = DigestHash{}(digest) & mask;
-  while (ready_idx_[i].ptr) {
-    if (ready_idx_[i].digest == digest) return;  // already indexed
-    i = (i + 1) & mask;
-  }
-  ready_idx_[i] = ReadySlot{digest, ptr, lru_it};
-  ++ready_n_;
-}
-
-template <class Value>
-void OnceStore<Value>::ready_rebuild_locked() {
-  std::fill(ready_idx_.begin(), ready_idx_.end(), ReadySlot{});
-  ready_n_ = 0;
-  for (auto& [digest, entry] : map_) {
-    if (entry.ready) ready_insert_locked(digest, entry.ready, entry.lru_it);
-  }
-}
-
-template <class Value>
-void OnceStore<Value>::evict_locked(
-    typename std::unordered_map<compiler::LayoutDigest, Entry, DigestHash>::iterator it) {
+void OnceStore<Value>::evict_locked(typename Map::iterator it) {
   resident_ -= it->second.cost;
   lru_.erase(it->second.lru_it);
   map_.erase(it);
@@ -197,14 +116,7 @@ void OnceStore<Value>::evict_locked(
 template <class Value>
 void OnceStore<Value>::evict_excess_locked() {
   if (capacity_ == 0) return;
-  bool evicted = false;
-  while (resident_ > capacity_ && !lru_.empty()) {
-    evict_locked(map_.find(lru_.back()));
-    evicted = true;
-  }
-  // Evicted entries leave dangling ready slots (and stale lru_ iterators);
-  // re-derive the index. Eviction is the cold path by construction.
-  if (evicted) ready_rebuild_locked();
+  while (resident_ > capacity_ && !lru_.empty()) evict_locked(map_.find(lru_.back()));
 }
 
 template <class Value>
@@ -231,8 +143,6 @@ void OnceStore<Value>::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   map_.clear();
   lru_.clear();
-  ready_idx_.clear();
-  ready_n_ = 0;
   resident_ = 0;
 }
 
@@ -246,7 +156,9 @@ typename OnceStore<Value>::Counters OnceStore<Value>::counters() const {
   return {hits_.load(), misses_.load(), evictions_.load(), spill_hits_.load(), resident};
 }
 
+template class OnceStore<compiler::CompiledProgram>;
 template class OnceStore<compiler::DataLayout>;
 template class OnceStore<sim::ValueTape>;
+template class OnceStore<std::string>;
 
 }  // namespace hpf90d::api

@@ -1,11 +1,13 @@
 // layout_store.hpp — content-addressed, LRU-bounded once-build stores.
 //
-// The session keeps two caches of artifacts that are expensive to build and
-// pure in their key: DataLayouts (LayoutStore) and the simulator's value
+// OnceStore is the session's one cache implementation. Every artifact the
+// session memoizes is pure in its key and lives in an instance of it:
+// compiled programs (keyed by source hash, directive overrides and
+// compiler options), DataLayouts (LayoutStore), the simulator's value
 // tapes (ValueTapeStore: one functional pass per (value digest, bindings,
 // WHILE trip limit) — compiler::value_tape_key — re-timed by every
-// processor count, machine and directive variant). Both are instances of
-// one store with three jobs on the sweep hot path:
+// processor count, machine and directive variant), and critical-variable
+// verdicts. The store has three jobs on the sweep hot path:
 //
 //   1. *Once-build semantics.* A placeholder future is inserted under the
 //      store lock and the value is built OUTSIDE it, so distinct keys never
@@ -24,10 +26,11 @@
 //   3. *Observability.* Hit / miss / eviction counters and the resident
 //      cost feed the session's CacheStats.
 //
-// PR 2 sharded this map because entries were built under their shard lock;
-// with builds moved outside the lock the critical section is an O(1) map
-// probe plus a list splice, and a single mutex buys an *exact* global LRU
-// order instead of a per-shard approximation.
+// Entries are indexed by a 128-bit content digest; string keys are hashed
+// to it (compiler::layout_digest_of). The builds run outside the lock, so
+// the critical section is an O(1) map probe plus a list splice, and a
+// single mutex buys an *exact* global LRU order instead of a per-shard
+// approximation.
 //
 // Determinism note: with a budget the working set fits in, the counters are
 // reproducible for any worker count. A budget under concurrent inserts can
@@ -44,9 +47,10 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "compiler/mapping.hpp"
 #include "compiler/pipeline.hpp"
@@ -65,11 +69,6 @@ template <class Value>
 class OnceStore {
  public:
   using Ptr = std::shared_ptr<const Value>;
-  using Builder = std::function<Value()>;
-  /// Lazily produces the fingerprint *string* for a digest-keyed lookup.
-  /// Only invoked on a miss (the spill tier addresses files by the string
-  /// key), so the hot hit path never materializes a key.
-  using KeyFn = std::function<const std::string&()>;
   /// An entry's share of the budget; null charges every entry 1.
   using CostFn = std::size_t (*)(const Value&);
 
@@ -95,29 +94,31 @@ class OnceStore {
   explicit OnceStore(std::size_t capacity = 0, CostFn cost = nullptr)
       : capacity_(capacity), cost_fn_(cost) {}
 
-  /// Returns the value for `key`, invoking `build` (outside the store
-  /// lock) when the key is absent. Concurrent callers of one key share a
-  /// single build; concurrent builds of distinct keys proceed in parallel.
-  /// A throwing builder propagates to every waiter and leaves the key
-  /// absent, so the next lookup retries. Funnels through the digest
-  /// overload below (the map is indexed by 128-bit content digest, never by
-  /// the string), so string and digest callers address the same entries.
-  [[nodiscard]] Ptr get_or_build(const std::string& key, const Builder& build);
+  /// Returns the value for `digest`, invoking `build()` (outside the store
+  /// lock) when it is absent. Concurrent callers of one key share a single
+  /// build; concurrent builds of distinct keys proceed in parallel. A
+  /// throwing builder propagates to every waiter and leaves the key absent,
+  /// so the next lookup retries. `key()` yields the fingerprint *string*
+  /// the spill tier addresses files by; it is called only on a miss with a
+  /// spill attached (nullptr will do for a store that has none). Both are
+  /// plain callables, so a hit — the steady state of a warm sweep — builds
+  /// no std::function and allocates nothing.
+  template <class KeyFn, class Build>
+  [[nodiscard]] Ptr get_or_build(const compiler::LayoutDigest& digest, KeyFn&& key,
+                                 Build&& build) {
+    std::optional<Claim> claim;
+    if (Ptr hit = find_or_claim(digest, claim)) return hit;
+    return fill(digest, *claim, std::forward<KeyFn>(key), std::forward<Build>(build));
+  }
 
-  /// Digest-keyed lookup — the sweep hot path. `key` is consulted only on a
-  /// miss with a spill attached, so a warm lookup does no string work at
-  /// all. Identical counter and LRU behaviour to the string overload.
-  [[nodiscard]] Ptr get_or_build(const compiler::LayoutDigest& digest, const KeyFn& key,
-                                 const Builder& build);
-
-  /// Hit-only probe: returns the value when `digest` is resident (counting
-  /// a hit and touching the LRU entry exactly like get_or_build), nullptr
-  /// when absent — no miss is counted and nothing is inserted, so a caller
-  /// falling back to get_or_build preserves the exact counter semantics.
-  /// Exists because the warm path of a sweep point otherwise pays two
-  /// std::function constructions (key + builder) per probe just to not call
-  /// them.
-  [[nodiscard]] Ptr try_get(const compiler::LayoutDigest& digest);
+  /// String-keyed lookup: the key is hashed to the digest, so string and
+  /// digest callers address the same entries.
+  template <class Build>
+  [[nodiscard]] Ptr get_or_build(const std::string& key, Build&& build) {
+    return get_or_build(
+        compiler::layout_digest_of(key), [&]() -> const std::string& { return key; },
+        std::forward<Build>(build));
+  }
 
   /// Attaches (or detaches, with default-constructed functions) the spill
   /// tier. Not safe to call concurrently with get_or_build.
@@ -151,6 +152,12 @@ class OnceStore {
     std::size_t cost = 0;     // charged against capacity_
   };
 
+  /// A miss's placeholder: the promise its waiters hold the future of.
+  struct Claim {
+    std::promise<Ptr> promise;
+    std::uint64_t owner = 0;
+  };
+
   /// The digest is already uniformly mixed; fold its halves for the bucket
   /// index instead of re-hashing.
   struct DigestHash {
@@ -158,40 +165,28 @@ class OnceStore {
       return static_cast<std::size_t>(d.a ^ (d.b * 0x9e3779b97f4a7c15ULL));
     }
   };
+  using Map = std::unordered_map<compiler::LayoutDigest, Entry, DigestHash>;
 
-  /// Read-optimized mirror of every *resolved* entry: open addressing over
-  /// a power-of-two slot array, linear probing, keyed by the (already
-  /// uniformly mixed) digest. A warm hit costs one masked index and one
-  /// slot line instead of the node-based map's prime modulo plus two
-  /// dependent pointer chases. Slots carry the entry's lru_ iterator (list
-  /// iterators survive splices) so the hit path never touches map_ at all.
-  /// Guarded by mutex_; rebuilt wholesale on eviction (rare by design).
-  struct ReadySlot {
-    compiler::LayoutDigest digest{};
-    Ptr ptr;  // null = empty slot
-    std::list<compiler::LayoutDigest>::iterator lru_it{};
-  };
+  /// The lookup half of get_or_build: returns the value when `digest` is
+  /// resident or being built (waiting for that build), else inserts a
+  /// placeholder, engages `claim` with it and returns null. The promise is
+  /// constructed only here, on a miss: a hit allocates nothing.
+  [[nodiscard]] Ptr find_or_claim(const compiler::LayoutDigest& digest,
+                                  std::optional<Claim>& claim);
+  /// The miss half: loads or builds the value, resolves the claim's waiters
+  /// and publishes the entry (or removes the placeholder if the build threw).
+  [[nodiscard]] Ptr fill(const compiler::LayoutDigest& digest, Claim& claim,
+                         const std::function<const std::string&()>& key,
+                         const std::function<Value()>& build);
 
-  /// Probes the ready index; caller holds mutex_. Returns nullptr on miss.
-  [[nodiscard]] ReadySlot* ready_find_locked(const compiler::LayoutDigest& digest);
-  /// Inserts a resolved entry, growing the slot array at 50% load.
-  void ready_insert_locked(const compiler::LayoutDigest& digest, const Ptr& ptr,
-                           std::list<compiler::LayoutDigest>::iterator lru_it);
-  /// Re-derives the index from map_ (after evictions invalidate slots).
-  void ready_rebuild_locked();
-
-  /// Drops one entry, counting it as evicted; caller holds mutex_ and
-  /// rebuilds the ready index afterwards.
-  void evict_locked(typename std::unordered_map<compiler::LayoutDigest, Entry,
-                                                DigestHash>::iterator it);
+  /// Drops one entry, counting it as evicted; caller holds mutex_.
+  void evict_locked(typename Map::iterator it);
   /// Evicts cold entries until the resident cost fits capacity_; caller
   /// holds mutex_.
   void evict_excess_locked();
 
   mutable std::mutex mutex_;
-  std::unordered_map<compiler::LayoutDigest, Entry, DigestHash> map_;
-  std::vector<ReadySlot> ready_idx_;  // power-of-two size (or empty)
-  std::size_t ready_n_ = 0;           // occupied slots
+  Map map_;
   std::list<compiler::LayoutDigest> lru_;  // front = most recently used
   std::size_t capacity_ = 0;  // 0 = unbounded
   std::size_t resident_ = 0;  // summed Entry::cost, guarded by mutex_

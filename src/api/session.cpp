@@ -1,8 +1,10 @@
 #include "api/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -30,10 +32,6 @@ std::string program_key(std::string_view source,
   return key;
 }
 
-std::size_t shard_of(std::string_view key, std::size_t shard_count) {
-  return static_cast<std::size_t>(support::fnv1a64(key)) % shard_count;
-}
-
 }  // namespace
 
 Session::ProgramHandle Session::compile(std::string_view source,
@@ -51,43 +49,10 @@ Session::ProgramHandle Session::compile_cached(std::string_view source,
                                                const std::vector<std::string>& overrides,
                                                const compiler::CompilerOptions& options) {
   const std::string key = program_key(source, overrides, options);
-  ProgramShard& shard = program_shards_[shard_of(key, kShards)];
-
-  // Per-entry once semantics: the placeholder future is inserted under the
-  // shard lock and the compiler runs OUTSIDE it — a concurrent compile of
-  // the same source waits on the future and then hits (each unique key
-  // misses exactly once), while distinct keys that collide into this shard
-  // compile in parallel. This mirrors LayoutStore::get_or_build minus the
-  // LRU machinery; unlike there, the failure-path erase below needs no
-  // owner check because nothing but clear_program_cache() (documented
-  // non-racing) can remove a placeholder. If this cache ever gains
-  // eviction, fold it into LayoutStore's owner-guarded implementation
-  // instead of growing a second copy.
-  std::promise<ProgramHandle> promise;
-  std::shared_future<ProgramHandle> future;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const auto it = shard.map.find(key); it != shard.map.end()) {
-      future = it->second;
-    } else {
-      ++stats_.compile_misses;
-      shard.map.emplace(key, promise.get_future().share());
-    }
-  }
-  if (future.valid()) {
-    ProgramHandle shared = future.get();  // rethrows a failed build
-    // counted only on success, so a failed shared build leaves no spurious
-    // hit behind (misses = compilation attempts, hits = served results)
-    ++stats_.compile_hits;
-    return shared;
-  }
-
-  try {
-    auto prog = std::make_shared<compiler::CompiledProgram>(
-        overrides.empty()
-            ? compiler::compile(source, options)
-            : compiler::compile_with_directives(source, overrides, options));
-    promise.set_value(prog);
+  return programs_.get_or_build(key, [&] {
+    compiler::CompiledProgram prog =
+        overrides.empty() ? compiler::compile(source, options)
+                          : compiler::compile_with_directives(source, overrides, options);
     // Write-behind the recipe so a restarted session can warm_start this
     // entry. Spill failures must not fail the compile.
     if (spill_) {
@@ -97,50 +62,22 @@ Session::ProgramHandle Session::compile_cached(std::string_view source,
       }
     }
     return prog;
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.erase(key);  // the next lookup retries the compilation
-    }
-    promise.set_exception(std::current_exception());
-    throw;
-  }
+  });
 }
 
 LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
                                      const front::Bindings& bindings,
-                                     const compiler::LayoutOptions& lo) const {
-  // Content-addressed key: two structurally identical programs (identical
+                                     const compiler::LayoutOptions& lo,
+                                     const compiler::LayoutDigest& digest) const {
+  // Content-addressed: two structurally identical programs (identical
   // directives, symbols, aliases) share one entry regardless of who owns
   // them, and the entry outlives both (DataLayout is self-contained).
   std::string key;
-  return layout_for(prog, bindings, lo, key);
-}
-
-LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
-                                     const front::Bindings& bindings,
-                                     const compiler::LayoutOptions& lo,
-                                     std::string& key_scratch) const {
-  // The digest streams the fingerprint bytes without building them; the
-  // string key is only materialized (into the worker's scratch buffer) when
-  // the store misses and needs a spill address.
-  return layout_for(prog, bindings, lo, key_scratch,
-                    compiler::layout_fingerprint_digest(prog, bindings, lo));
-}
-
-LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
-                                     const front::Bindings& bindings,
-                                     const compiler::LayoutOptions& lo,
-                                     std::string& key_scratch,
-                                     const compiler::LayoutDigest& digest) const {
-  // Warm path first: a resident digest resolves without constructing the
-  // key/builder std::functions below (whose captures spill to the heap).
-  if (LayoutStore::Ptr hit = layout_store_.try_get(digest)) return hit;
   return layout_store_.get_or_build(
       digest,
       [&]() -> const std::string& {
-        compiler::layout_fingerprint_into(key_scratch, prog, bindings, lo);
-        return key_scratch;
+        compiler::layout_fingerprint_into(key, prog, bindings, lo);
+        return key;
       },
       [&] {
         const obs::Span span(obs_, obs::Phase::LayoutBuild);
@@ -148,29 +85,11 @@ LayoutStore::Ptr Session::layout_for(const compiler::CompiledProgram& prog,
       });
 }
 
-std::shared_ptr<const compiler::SeededValues> Session::seed_for(
-    const compiler::CompiledProgram& prog, const compiler::LayoutDigestState& prefix,
-    const front::Bindings& bindings) const {
-  // The prefix digest covers the binding values and the program structure;
-  // compile_id is folded in as well so hand-built programs with an empty
-  // structure fingerprint still get distinct entries.
-  const std::pair<std::uint64_t, std::uint64_t> key{
-      prefix.a ^ (prog.compile_id * 0x9e3779b97f4a7c15ULL), prefix.b};
-  {
-    const std::lock_guard<std::mutex> lock(seed_mutex_);
-    if (const auto it = seed_memo_.find(key); it != seed_memo_.end()) return it->second;
-  }
-  auto seeds = std::make_shared<const compiler::SeededValues>(
-      compiler::seed_values(prog.symbols, bindings));
-  const std::lock_guard<std::mutex> lock(seed_mutex_);
-  // Keep the first published entry on a race — callers may already hold it.
-  return seed_memo_.try_emplace(key, std::move(seeds)).first->second;
-}
-
 CacheStats Session::cache_stats() const noexcept {
+  const auto programs = programs_.counters();
   const LayoutStore::Counters layouts = layout_store_.counters();
   const ValueTapeStore::Counters tapes = value_tapes_.counters();
-  return {stats_.compile_hits.load(), stats_.compile_misses.load(),
+  return {programs.hits,              programs.misses,
           layouts.hits,               layouts.misses,
           layouts.evictions,          layouts.spill_hits,
           layout_store_.capacity(),   tapes.hits,
@@ -181,7 +100,9 @@ CacheStats Session::cache_stats() const noexcept {
 core::PredictionResult Session::predict(const ProgramHandle& prog,
                                         const RunConfig& config) {
   core::require_critical_complete(*prog, config.bindings);
-  const LayoutStore::Ptr layout = layout_for(*prog, config.bindings, layout_options(config));
+  const compiler::LayoutOptions lo = layout_options(config);
+  const LayoutStore::Ptr layout = layout_for(
+      *prog, config.bindings, lo, compiler::layout_fingerprint_digest(*prog, config.bindings, lo));
   // core::predict's layout overload re-validates critical variables; walk
   // the point directly so the (potentially expensive) analysis runs once.
   return core::interpret_one(*prog, config.bindings, *layout, machine(config.machine),
@@ -190,7 +111,9 @@ core::PredictionResult Session::predict(const ProgramHandle& prog,
 
 sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig& config) {
   core::require_critical_complete(*prog, config.bindings);
-  const LayoutStore::Ptr layout = layout_for(*prog, config.bindings, layout_options(config));
+  const compiler::LayoutOptions lo = layout_options(config);
+  const LayoutStore::Ptr layout = layout_for(
+      *prog, config.bindings, lo, compiler::layout_fingerprint_digest(*prog, config.bindings, lo));
   const core::BatchLane lane{layout.get(), &config.bindings, nullptr};
   const compiler::LayoutDigest key =
       compiler::value_tape_key(*prog, config.bindings, config.sim.max_while_trips);
@@ -259,23 +182,15 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       key += '\x1f';
       key += name;
     }
-    {
-      const std::lock_guard<std::mutex> lock(critical_mutex_);
-      const auto it = critical_memo_.find(key);
-      if (it != critical_memo_.end()) {
-        if (it->second.empty()) return;
-        throw support::CompileError(it->second);
+    const auto verdict = critical_.get_or_build(key, [&] {
+      try {
+        core::require_critical_complete(prog, bindings);
+      } catch (const support::CompileError& e) {
+        return std::string(e.what());
       }
-    }
-    try {
-      core::require_critical_complete(prog, bindings);
-    } catch (const support::CompileError& e) {
-      const std::lock_guard<std::mutex> lock(critical_mutex_);
-      critical_memo_.emplace(std::move(key), e.what());
-      throw;
-    }
-    const std::lock_guard<std::mutex> lock(critical_mutex_);
-    critical_memo_.emplace(std::move(key), std::string());
+      return std::string();
+    });
+    if (!verdict->empty()) throw support::CompileError(*verdict);
   };
   for (std::size_t v = 0; v < plan.variants().size(); ++v) {
     if (plan.scaled_by_nprocs()) {
@@ -392,9 +307,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     std::vector<DeferredPoint> deferred;          // this round's regroup pool
     std::vector<DeferredPoint> deferred_next;     // evictions feeding next round
     std::vector<std::size_t> alone;               // offsets rerun as one-lane windows
-    std::vector<std::shared_ptr<const compiler::SeededValues>> seeds;  // keep-alives
+    std::vector<compiler::SeededValues> seeds;    // one per problem of the chunk
     std::vector<compiler::LayoutDigest> tape_keys;  // value-tape keys, offset order
-    std::string layout_key;
   };
 
   // One worker claim = one chunk. The chunk runs as a stream of lockstep
@@ -419,12 +333,13 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     ws.lanes.clear();
     ws.layouts.clear();
     ws.seeds.clear();
+    ws.seeds.reserve(n);  // at most one fold per point: lanes' pointers stay valid
     ws.tape_keys.clear();
-    // The digest's (program, bindings) prefix is memoized per problem: a
-    // chunk walks problems × nprocs with equal bindings adjacent, so warm
-    // points finish a captured prefix state instead of re-hashing the
-    // whole binding set. The same per-problem boundary keys the seed memo —
-    // lanes carry the precomputed parameter fold — and the value-tape key.
+    // The digest's (program, bindings) prefix is computed once per problem:
+    // a chunk walks problems × nprocs with equal bindings adjacent, so
+    // points finish a captured prefix state instead of re-hashing the whole
+    // binding set. The same per-problem boundary folds the parameters the
+    // lanes start from and derives the value-tape key.
     const front::Bindings* prefix_of = nullptr;
     compiler::LayoutDigestState prefix{};
     const compiler::SeededValues* seed = nullptr;
@@ -440,14 +355,14 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       if (&pt.problem->bindings != prefix_of) {
         prefix = compiler::layout_fingerprint_prefix(prog, pt.problem->bindings);
         prefix_of = &pt.problem->bindings;
-        ws.seeds.push_back(seed_for(prog, prefix, pt.problem->bindings));
-        seed = ws.seeds.back().get();
+        ws.seeds.push_back(compiler::seed_values(prog.symbols, pt.problem->bindings));
+        seed = &ws.seeds.back();
         if (plan.measure_runs() > 0) {
           tape_key = compiler::value_tape_key(prog, pt.problem->bindings,
                                               plan.sim_opts().max_while_trips);
         }
       }
-      ws.layouts.push_back(layout_for(prog, pt.problem->bindings, lo, ws.layout_key,
+      ws.layouts.push_back(layout_for(prog, pt.problem->bindings, lo,
                                       compiler::layout_fingerprint_finish(prefix, lo)));
       ws.lanes.push_back(
           core::BatchLane{ws.layouts.back().get(), &pt.problem->bindings, seed});
@@ -706,14 +621,7 @@ std::size_t Session::warm_start() {
   return warmed;
 }
 
-std::size_t Session::cached_programs() const {
-  std::size_t n = 0;
-  for (auto& shard : program_shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.map.size();
-  }
-  return n;
-}
+std::size_t Session::cached_programs() const { return programs_.size(); }
 
 std::size_t Session::cached_layouts() const { return layout_store_.size(); }
 
@@ -721,21 +629,9 @@ void Session::clear_caches() {
   clear_program_cache();
   layout_store_.clear();
   value_tapes_.clear();
-  {
-    const std::lock_guard<std::mutex> lock(critical_mutex_);
-    critical_memo_.clear();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(seed_mutex_);
-    seed_memo_.clear();
-  }
+  critical_.clear();
 }
 
-void Session::clear_program_cache() {
-  for (auto& shard : program_shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-}
+void Session::clear_program_cache() { programs_.clear(); }
 
 }  // namespace hpf90d::api

@@ -20,13 +20,16 @@
 //     ordering, estimates, and cache statistics are identical for any
 //     worker count.
 //
+// Every cache above — programs, layouts, value tapes, and run()'s
+// critical-variable verdicts — is an api::OnceStore (layout_store.hpp).
+//
 // Thread safety: compile/predict/measure/compare and the caches they use
 // may be called concurrently. Cache entries have per-entry once semantics:
-// a placeholder future is inserted under the (shard/store) lock and the
-// program or layout is built OUTSIDE it, so concurrent builds of distinct
-// keys proceed in parallel while every unique key still misses exactly
-// once — which is what keeps RunReport cache statistics deterministic
-// under parallel execution. The layout store can additionally be bounded
+// a placeholder future is inserted under the store lock and the artifact
+// is built OUTSIDE it, so concurrent builds of distinct keys proceed in
+// parallel while every unique key still misses exactly once — which is
+// what keeps RunReport cache statistics deterministic under parallel
+// execution. The layout store can additionally be bounded
 // (set_layout_cache_capacity): entries are retired in LRU order and
 // eviction counts surface in the cache stats. clear_caches() must not race
 // with in-flight calls.
@@ -41,18 +44,10 @@
 // windows, and whatever stays alone reruns as a one-lane window.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "api/layout_store.hpp"
@@ -212,8 +207,8 @@ class Session {
   void set_trace_sink(obs::Sink* sink);
   [[nodiscard]] obs::Sink* trace_sink() const noexcept { return obs_; }
 
-  /// Drops programs and layouts. Not safe to call concurrently with other
-  /// session operations.
+  /// Drops programs, layouts, value tapes and critical-variable verdicts.
+  /// Not safe to call concurrently with other session operations.
   void clear_caches();
   /// Drops cached programs only. Layout entries are content-addressed and
   /// self-contained, so they survive program eviction and keep serving
@@ -221,46 +216,19 @@ class Session {
   void clear_program_cache();
 
  private:
-  /// Compile-cache counters, atomically incremented by concurrent workers
-  /// (the layout counters live in the LayoutStore).
-  struct AtomicCacheStats {
-    std::atomic<std::size_t> compile_hits{0};
-    std::atomic<std::size_t> compile_misses{0};
-  };
-
   [[nodiscard]] ProgramHandle compile_cached(std::string_view source,
                                              const std::vector<std::string>& overrides,
                                              const compiler::CompilerOptions& options);
-  /// Memoized layout lookup by content fingerprint. The entry is built
-  /// outside the store lock (per-entry once semantics: every unique key
-  /// misses exactly once, distinct keys build in parallel). The returned
-  /// shared_ptr keeps the layout alive across clear_caches() and LRU
-  /// eviction.
-  [[nodiscard]] LayoutStore::Ptr layout_for(
-      const compiler::CompiledProgram& prog, const front::Bindings& bindings,
-      const compiler::LayoutOptions& lo) const;
-
-  /// Hot-path variant: the fingerprint is rebuilt into `key_scratch`
-  /// (worker-owned, reused across points), so a warm lookup performs no
-  /// allocation at all.
-  [[nodiscard]] LayoutStore::Ptr layout_for(
-      const compiler::CompiledProgram& prog, const front::Bindings& bindings,
-      const compiler::LayoutOptions& lo, std::string& key_scratch) const;
-
-  /// Hottest-path variant: the caller already finished the content digest
-  /// (memoized fingerprint prefix per problem — see
-  /// compiler::layout_fingerprint_prefix), so a warm lookup hashes nothing.
-  [[nodiscard]] LayoutStore::Ptr layout_for(
-      const compiler::CompiledProgram& prog, const front::Bindings& bindings,
-      const compiler::LayoutOptions& lo, std::string& key_scratch,
-      const compiler::LayoutDigest& digest) const;
-
-  /// Memoized seed_values fold for one (program, problem) — see
-  /// seed_memo_ below. `prefix` must be layout_fingerprint_prefix(prog,
-  /// bindings) (run() computes it per problem for the layout digest anyway).
-  [[nodiscard]] std::shared_ptr<const compiler::SeededValues> seed_for(
-      const compiler::CompiledProgram& prog, const compiler::LayoutDigestState& prefix,
-      const front::Bindings& bindings) const;
+  /// Memoized layout lookup by content fingerprint; `digest` is
+  /// compiler::layout_fingerprint_digest(prog, bindings, lo) (run() finishes
+  /// a per-problem prefix instead, so a warm lookup hashes nothing). The
+  /// fingerprint string is only built on a miss with a spill attached. The
+  /// returned shared_ptr keeps the layout alive across clear_caches() and
+  /// LRU eviction.
+  [[nodiscard]] LayoutStore::Ptr layout_for(const compiler::CompiledProgram& prog,
+                                            const front::Bindings& bindings,
+                                            const compiler::LayoutOptions& lo,
+                                            const compiler::LayoutDigest& digest) const;
 
   /// The value-tape store for `prog`; null for hand-built programs
   /// (compile_id 0), which carry no value digest.
@@ -278,55 +246,27 @@ class Session {
 
   int max_nodes_;
   MachineRegistry registry_;
-  mutable AtomicCacheStats stats_;
 
-  /// Sharded program cache: each shard is an independently locked map of
-  /// per-entry futures — the shard lock covers only the probe/placeholder
-  /// insert, never a compilation.
-  static constexpr std::size_t kShards = 16;
-  struct ProgramShard {
-    std::mutex mutex;
-    std::map<std::string, std::shared_future<ProgramHandle>, std::less<>> map;
-  };
-  mutable std::array<ProgramShard, kShards> program_shards_;
+  /// Compiled programs, keyed by (source hash, directive overrides,
+  /// compiler options); its counters are the compile hits and misses.
+  OnceStore<compiler::CompiledProgram> programs_;
 
-  /// Content-addressed layout store: once-build futures + optional LRU
-  /// bound (see layout_store.hpp for why it is not sharded).
+  /// Content-addressed layout store with an optional LRU bound.
   mutable LayoutStore layout_store_;
 
   /// The simulator's value tapes, one per (value digest, bindings, WHILE
   /// trip limit) — compiler::value_tape_key: the first measured point of a
   /// problem runs the functional pass, every other processor count, machine
-  /// and directive variant of the same values re-times its tape. Same
-  /// once-build machinery as the layout store, so hit/miss counts are
-  /// deterministic for any worker count.
+  /// and directive variant of the same values re-times its tape.
   mutable ValueTapeStore value_tapes_{kValueTapeBudget,
                                       [](const sim::ValueTape& t) { return t.bytes(); }};
 
-  /// Critical-variable check memo for Session::run: analyze_critical
-  /// depends only on the compilation and on WHICH names are bound (never
-  /// their values), so the verdict is cached per (compile_id, bound-name
-  /// set) across runs — a repeated sweep skips the 250-odd tree walks.
-  /// Value is the diagnostic message, empty on success.
-  mutable std::mutex critical_mutex_;
-  mutable std::map<std::string, std::string, std::less<>> critical_memo_;
-
-  /// seed_values fold memo for the sweep hot path: the fold is pure
-  /// in (program symbols, binding values), both of which the layout
-  /// fingerprint *prefix* digest already covers — so run() keys the memo on
-  /// (compile_id, prefix digest) it computes per problem anyway and lanes
-  /// carry the precomputed (id, value) list instead of re-folding the
-  /// parameters on every chunk of every run. Entries are shared_ptr so a
-  /// clear_caches() mid-run cannot pull values out from under live lanes.
-  struct SeedMemoHash {
-    std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& k) const noexcept {
-      return static_cast<std::size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
-    }
-  };
-  mutable std::mutex seed_mutex_;
-  mutable std::unordered_map<std::pair<std::uint64_t, std::uint64_t>,
-                             std::shared_ptr<const compiler::SeededValues>, SeedMemoHash>
-      seed_memo_;
+  /// Critical-variable verdicts for Session::run: analyze_critical depends
+  /// only on the compilation and on WHICH names are bound (never their
+  /// values), so the verdict is cached per (compile_id, bound-name set)
+  /// across runs — a repeated sweep skips the 250-odd tree walks. The value
+  /// is the diagnostic message, empty on success.
+  OnceStore<std::string> critical_;
 
   /// Persistent artifact tier; null when no spill is attached.
   std::shared_ptr<ArtifactSpill> spill_;

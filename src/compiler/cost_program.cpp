@@ -525,13 +525,10 @@ SeededValues seed_values(const front::SymbolTable& symbols, const front::Binding
 // (registers are distinct slots; in-place dst==a is still elementwise
 // independent), so a loop over the lanes is vectorizable without
 // intrinsics. HPF90D_SIMD_LOOP asserts that independence to the compiler;
-// defining HPF90D_DISABLE_SIMD drops the hint without changing results —
 // elementwise IEEE arithmetic is bit-identical scalar or vectorized (no
 // reassociation, no FMA contraction beyond what the scalar loop would also
 // get).
-#if defined(HPF90D_DISABLE_SIMD)
-#define HPF90D_SIMD_LOOP
-#elif defined(__clang__)
+#if defined(__clang__)
 #define HPF90D_SIMD_LOOP _Pragma("clang loop vectorize(enable)")
 #elif defined(__GNUC__)
 #define HPF90D_SIMD_LOOP _Pragma("GCC ivdep")

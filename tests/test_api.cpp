@@ -187,6 +187,76 @@ TEST(Session, CompilationIsMemoized) {
   EXPECT_EQ(session.cached_programs(), 3u);
 }
 
+TEST(Session, ConcurrentCompilesOfOneSourceBuildOnce) {
+  api::Session session;
+  const std::string& source = suite::app("laplace_bb").source;
+  constexpr int kThreads = 8;
+  std::vector<const compiler::CompiledProgram*> got(kThreads, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      got[t] = session.compile(source).get();
+    });
+  }
+  go.store(true);
+  for (auto& th : pool) th.join();
+  for (const auto* p : got) EXPECT_EQ(p, got[0]);
+  EXPECT_NE(got[0], nullptr);
+  EXPECT_EQ(session.cache_stats().compile_misses, 1u);
+  EXPECT_EQ(session.cache_stats().compile_hits, 7u);
+  EXPECT_EQ(session.cached_programs(), 1u);
+}
+
+TEST(Session, FailedCompileIsRetriedAndNotKept) {
+  api::Session session;
+  const std::string bad = "program t\n  x = (1 +\nend program t\n";
+  EXPECT_THROW((void)session.compile(bad), support::CompileError);
+  EXPECT_THROW((void)session.compile(bad), support::CompileError);
+  EXPECT_EQ(session.cache_stats().compile_misses, 2u);
+  EXPECT_EQ(session.cache_stats().compile_hits, 0u);
+  EXPECT_EQ(session.cached_programs(), 0u);
+}
+
+TEST(Session, UnresolvedCriticalVariableFailsEveryRunAlike) {
+  // k is computed from array data and bounds a forall, so no plan without
+  // a binding for it can be priced
+  api::ExperimentPlan plan("critical");
+  plan.source(R"f90(
+program t
+  parameter (n = 32)
+  real v(n)
+  integer k
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  k = int(sum(v))
+  forall (i = 1:k) v(i) = 0.0
+end program t
+)f90")
+      .nprocs({1, 2})
+      .runs(0);
+  api::Session session;
+  std::vector<std::string> messages;
+  std::vector<support::SourceLoc> locs;
+  for (int i = 0; i < 2; ++i) {
+    try {
+      (void)session.run(plan);
+      ADD_FAILURE() << "run " << i << " succeeded";
+    } catch (const support::CompileError& e) {
+      messages.emplace_back(e.what());
+      locs.push_back(e.loc());
+    }
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_NE(messages[0].find("unresolved critical variables: k"), std::string::npos)
+      << messages[0];
+  EXPECT_EQ(messages[1], messages[0]);
+  EXPECT_EQ(locs[1].line, locs[0].line);
+  EXPECT_EQ(locs[1].column, locs[0].column);
+}
+
 // Integer `/` and `mod` that would trap in hardware (a zero divisor, or
 // LLONG_MIN / -1) fail the evaluation instead of the process: prediction
 // completes, and measurement raises a located compile error.
