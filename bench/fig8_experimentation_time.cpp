@@ -14,6 +14,8 @@
 // the tool time by roughly the core count while producing an identical
 // report.
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -58,7 +60,11 @@ int main() {
   // changes, by up to the core count.
   const auto& base = suite::app("laplace_bb");
   api::ExperimentPlan combined("combined Laplace sweep");
-  combined.source(base.source).nprocs({1, 2, 4, 8}).runs(bench::full_sweep() ? 3 : 1);
+  // FULL=1 in the environment measures three runs per point instead of one
+  const char* full = std::getenv("FULL");
+  combined.source(base.source)
+      .nprocs({1, 2, 4, 8})
+      .runs(full != nullptr && std::string(full) == "1" ? 3 : 1);
   for (const char* id : ids) {
     combined.add_variant(bench::variant_for(suite::app(id)));
   }

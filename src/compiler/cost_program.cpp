@@ -509,10 +509,13 @@ SeededValues seed_values(const front::SymbolTable& symbols, const front::Binding
       }
     }
   }
+  // a symbol's id is its index in the table (SymbolTable::add)
   SeededValues out;
-  for (const auto& sym : symbols.symbols()) {
-    const int id = symbols.find(sym.name);
-    if (const auto v = fold_env.get(sym.name)) out.defined.emplace_back(id, *v);
+  const auto& syms = symbols.symbols();
+  for (std::size_t id = 0; id < syms.size(); ++id) {
+    if (const auto v = fold_env.get(syms[id].name)) {
+      out.defined.emplace_back(static_cast<int>(id), *v);
+    }
   }
   return out;
 }

@@ -37,9 +37,9 @@ struct BatchLane {
   const compiler::DataLayout* layout = nullptr;
   const front::Bindings* bindings = nullptr;
   /// The compiler::seed_values fold of `bindings` for the program: the
-  /// lane's environment column starts as this
-  /// list. Owned by the caller, which memoizes it per bindings object; it
-  /// must outlive the interpret() call.
+  /// lane's environment column starts as this list. Owned by the caller
+  /// (Session::run folds once per problem in each chunk); it must outlive
+  /// the interpret() call.
   const compiler::SeededValues* seed = nullptr;
 };
 

@@ -14,9 +14,9 @@
 //   * conditional work    — masked bodies pay branch mispredict-like
 //     penalties depending on the realized mask fraction.
 //
-// These mechanisms produce the systematic prediction error the experiments
-// in bench/table2_accuracy measure; their magnitudes are calibrated so the
-// error envelope matches the paper's Table 2 shape (see EXPERIMENTS.md).
+// These mechanisms produce the systematic prediction error the measured
+// Table 2 (`hpf90d_studycheck --table2`) shows; their magnitudes are
+// calibrated so the error envelope matches the paper's Table 2 shape.
 #pragma once
 
 #include <span>

@@ -311,7 +311,8 @@ std::vector<BenchmarkApp> build_suite() {
                  const char* source, std::vector<long long> sizes,
                  std::function<front::Bindings(long long)> bindings = bind_n,
                  std::function<long long(long long)> elements = identity_elements,
-                 std::vector<std::string> overrides = {}) {
+                 std::vector<std::string> overrides = {},
+                 std::optional<int> grid_rank = std::nullopt) {
     BenchmarkApp app;
     app.id = std::move(id);
     app.name = std::move(name);
@@ -321,6 +322,7 @@ std::vector<BenchmarkApp> build_suite() {
     app.bindings = std::move(bindings);
     app.data_elements = std::move(elements);
     app.directive_overrides = std::move(overrides);
+    app.grid_rank = grid_rank;
     apps.push_back(std::move(app));
   };
 
@@ -366,7 +368,7 @@ std::vector<BenchmarkApp> build_suite() {
   const std::vector<long long> laplace_sizes{16, 32, 64, 128, 256};
   add("laplace_bb", "Laplace (Blk-Blk)", "Laplace solver, (BLOCK,BLOCK) distribution",
       kLaplace, laplace_sizes, bind_n, [](long long n) { return n * n; },
-      {"processors p(2,2)", "distribute d(block,block)"});
+      {"processors p(2,2)", "distribute d(block,block)"}, 2);
   add("laplace_bx", "Laplace (Blk-X)", "Laplace solver, (BLOCK,*) distribution",
       kLaplace, laplace_sizes, bind_n, [](long long n) { return n * n; },
       {"processors p(4)", "distribute d(block,*)"});

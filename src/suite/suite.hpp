@@ -29,6 +29,10 @@ struct BenchmarkApp {
   std::function<front::Bindings(long long)> bindings;
   /// Directive overrides (Laplace distribution variants).
   std::vector<std::string> directive_overrides;
+  /// Rank of the processor grid the paper's experiments force (2 for the
+  /// (BLOCK,BLOCK) Laplace rows: near-square 2x2 and 2x4 grids); unset
+  /// lets the layout choose.
+  std::optional<int> grid_rank;
 };
 
 /// The full validation set in paper Table 1 order.

@@ -8,7 +8,6 @@
 #include "core/aag.hpp"
 #include "core/output.hpp"
 #include "api/session.hpp"
-#include "driver/report.hpp"
 #include "suite/suite.hpp"
 
 namespace hpf90d {
@@ -104,27 +103,6 @@ TEST(Accuracy, SweepAggregationMatchesTable2Shape) {
   EXPECT_GT(max_err("lfk9"), max_err("pbs1"));
 }
 
-TEST(Report, AccuracyRowAggregation) {
-  std::vector<driver::SweepPoint> sweep;
-  driver::SweepPoint a;
-  a.problem_size = 128;
-  a.nprocs = 1;
-  a.comparison.estimated = 1.1;
-  a.comparison.measured_mean = 1.0;
-  driver::SweepPoint b;
-  b.problem_size = 4096;
-  b.nprocs = 8;
-  b.comparison.estimated = 0.99;
-  b.comparison.measured_mean = 1.0;
-  sweep = {a, b};
-  const auto row = driver::AccuracyRow::from_sweep("X", sweep);
-  EXPECT_NEAR(row.min_abs_error_pct, 1.0, 1e-9);
-  EXPECT_NEAR(row.max_abs_error_pct, 10.0, 1e-6);
-  EXPECT_EQ(row.sizes, "128 - 4096");
-  EXPECT_EQ(row.procs, "1 - 8");
-  EXPECT_EQ(row.points, 2);
-}
-
 // --- §5.2.1 directive selection -----------------------------------------------
 
 TEST(DirectiveSelection, BlockStarWinsLaplaceAtScale) {
@@ -138,7 +116,9 @@ TEST(DirectiveSelection, BlockStarWinsLaplaceAtScale) {
     auto prog = compile_app(app);
     api::RunConfig cfg = ipsc860();
     cfg.nprocs = 4;
-    if (std::string(ids[k]) == "laplace_bb") cfg.grid_shape = std::vector<int>{2, 2};
+    if (app.grid_rank) {
+      cfg.grid_shape = compiler::ProcGrid::factorized(cfg.nprocs, *app.grid_rank).shape;
+    }
     cfg.bindings = app.bindings(n);
     cfg.runs = 2;
     const auto cmp = session().compare(prog, cfg);

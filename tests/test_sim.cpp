@@ -740,8 +740,7 @@ TEST(TimingReplay, SuiteAppsMatchFreshRunsBitForBit) {
             : compiler::compile_with_directives(app.source, app.directive_overrides);
     // the smallest Table 2 size
     const long long size = app.problem_sizes.front();
-    expect_replay_oracle(prog, app.bindings(size), app.id,
-                         app.id == "laplace_bb" ? std::optional<int>(2) : std::nullopt);
+    expect_replay_oracle(prog, app.bindings(size), app.id, app.grid_rank);
   }
 }
 

@@ -1,5 +1,5 @@
 // Support-library and reporting tests: diagnostics, text utilities, table
-// rendering, series rendering, F77 round-trips, and the cluster machine
+// rendering, F77 round-trips, and the cluster machine
 // abstraction (§7 extension).
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "core/engine.hpp"
 #include "compiler/pipeline.hpp"
-#include "driver/report.hpp"
 #include "machine/cluster.hpp"
 #include "machine/ipsc860.hpp"
 #include "suite/suite.hpp"
@@ -249,16 +248,6 @@ TEST(Table, AlignmentAndRules) {
     pos += 2;
   }
   EXPECT_GE(rules, 4u);
-}
-
-TEST(Report, SeriesRendering) {
-  api::Comparison cmp;
-  cmp.estimated = 0.5;
-  cmp.measured_mean = 0.4;
-  const std::string s = driver::render_series("ttl", {{64, cmp}});
-  EXPECT_NE(s.find("# ttl"), std::string::npos);
-  EXPECT_NE(s.find("0.500000"), std::string::npos);
-  EXPECT_NE(s.find("25.00"), std::string::npos);  // 25% error
 }
 
 // --- §7 extension: second machine abstraction ---------------------------------
