@@ -10,7 +10,7 @@
 //   * serial vs worker pool — RunOptions::workers,
 //   * lane width            — RunOptions::batch_size (1 = one-lane windows),
 //   * divergence            — a binding-dependent loop bound that splits
-//                             lockstep windows and exercises re-compaction,
+//                             lockstep windows, evicted lanes finishing alone,
 //   * bounded layout store  — Session::set_layout_cache_capacity under
 //                             eviction pressure.
 //
@@ -156,10 +156,8 @@ BENCHMARK(BM_CompileToBytecode)->Unit(benchmark::kMicrosecond);
 void BM_DivergentSweep_lanes(benchmark::State& state, int lanes) {
   // Worst case for lockstep: the outer DO trip count is a per-problem
   // binding, so a 64-lane window splinters at the first size-dependent
-  // loop. The evicted lanes re-batch by divergence key into lockstep
-  // refill windows; lone stragglers rerun as one-lane windows. The
-  // `replayed` counter is the fraction of points finally priced alone,
-  // `refilled` the fraction of evictions recovered into refill windows.
+  // loop, and every evicted lane finishes in its own one-lane window. The
+  // `replayed` counter is the fraction of points finally priced alone.
   static const char* const source = R"f90(
 program levels
   parameter (n = 256)
@@ -189,21 +187,17 @@ end program levels
     warmed = true;
   }
   opts.batch_size = lanes;
-  double replayed_points = 0, evicted_lanes = 0, refilled_lanes = 0, total_points = 0;
+  double replayed_points = 0, total_points = 0;
   for (auto _ : state) {
     const api::RunReport report = session.run(plan, opts);
     benchmark::DoNotOptimize(&report);
     replayed_points += static_cast<double>(report.batch.replayed_points);
-    evicted_lanes += static_cast<double>(report.batch.evicted_lanes);
-    refilled_lanes += static_cast<double>(report.batch.refilled_lanes);
     total_points += static_cast<double>(plan.point_count());
   }
-  // proper counters summed over every iteration (not the last run's
-  // snapshot), reported as fractions of their own denominators
+  // a proper counter summed over every iteration (not the last run's
+  // snapshot), reported as a fraction of the points run
   state.counters["replayed"] = benchmark::Counter(
       total_points == 0 ? 0.0 : replayed_points / total_points);
-  state.counters["refilled"] = benchmark::Counter(
-      evicted_lanes == 0 ? 0.0 : refilled_lanes / evicted_lanes);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.point_count()));
 }

@@ -14,10 +14,10 @@ void EngineArena::set_trace(obs::Sink* sink) noexcept {
 std::span<const core::PredictionResult> EngineArena::predict_batch(
     const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
     const core::PredictOptions& options, std::span<const core::BatchLane> lanes,
-    core::BatchRunStats& stats, std::vector<core::EvictedLane>& deferred) {
+    core::BatchRunStats& stats, std::vector<int>& evicted) {
   batch_predictions_.resize(lanes.size());
   batch_engine_.interpret(prog, machine, options, lanes, batch_predictions_.data(), stats,
-                          deferred);
+                          evicted);
   return batch_predictions_;
 }
 

@@ -30,13 +30,13 @@ class EngineArena {
   /// Lockstep prediction of one window: fills the arena's batch scratch
   /// with one PredictionResult per lane and returns it, valid until the
   /// next predict_batch call. `stats` receives the walk's effectiveness
-  /// counters; lanes evicted from the walk are appended to `deferred` (see
-  /// batch_engine.hpp), their result slots left unwritten for the caller
-  /// to re-batch or rerun alone.
+  /// counters; `evicted` is set to the lanes that left lockstep, in lane
+  /// order (see batch_engine.hpp), their result slots left unwritten for
+  /// the caller to finish in one-lane windows.
   [[nodiscard]] std::span<const core::PredictionResult> predict_batch(
       const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
       const core::PredictOptions& options, std::span<const core::BatchLane> lanes,
-      core::BatchRunStats& stats, std::vector<core::EvictedLane>& deferred);
+      core::BatchRunStats& stats, std::vector<int>& evicted);
 
   /// Batched measurement companion to predict_batch: measures every lane
   /// through the reusable executor into the arena's scratch vector. With a

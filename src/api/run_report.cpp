@@ -205,7 +205,6 @@ std::string RunReport::json() const {
   out += "\"ir_visits\":" + std::to_string(batch.ir_visits) + ",";
   out += "\"lane_visits\":" + std::to_string(batch.lane_visits) + ",";
   out += "\"evicted_lanes\":" + std::to_string(batch.evicted_lanes) + ",";
-  out += "\"refilled_lanes\":" + std::to_string(batch.refilled_lanes) + ",";
   out += "\"simd_stripes\":" + std::to_string(batch.simd_stripes) + "},";
   out += "\"records\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -279,8 +278,6 @@ RunReport RunReport::from_json(std::string_view text) {
   report.batch.lane_visits = u64_field("lane_visits");
   in.expect(',');
   report.batch.evicted_lanes = u64_field("evicted_lanes");
-  in.expect(',');
-  report.batch.refilled_lanes = u64_field("refilled_lanes");
   in.expect(',');
   report.batch.simd_stripes = u64_field("simd_stripes");
   in.expect('}');

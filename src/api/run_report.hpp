@@ -191,17 +191,16 @@ struct ReportDiff {
 /// ascii()/csv()/from_csv() (they would break the oracle equality the
 /// batched path guarantees).
 /// Every point is counted once, by the window it finished in: a window of
-/// two or more lanes (fresh or re-compacted) makes it batched; a one-lane
-/// window makes it scalar when the point is fresh, replayed when it was
-/// evicted first.
+/// two or more lanes makes it batched; a one-lane window makes it scalar
+/// when the point is fresh, replayed when it was evicted first. A point is
+/// evicted at most once, so evicted_lanes == replayed_points.
 struct BatchStats {
   std::size_t batched_points = 0;   // points finished in a window of >= 2 lanes
   std::size_t scalar_points = 0;    // points priced alone in a fresh 1-lane window
   std::size_t replayed_points = 0;  // evicted points finished later, alone
   std::uint64_t ir_visits = 0;      // SPMD nodes visited by lockstep walks
   std::uint64_t lane_visits = 0;    // sum of active lanes over those visits
-  std::uint64_t evicted_lanes = 0;  // evictions (a point can evict repeatedly)
-  std::uint64_t refilled_lanes = 0; // evicted lanes re-entering a lockstep batch
+  std::uint64_t evicted_lanes = 0;  // lanes that left a lockstep window
   std::uint64_t simd_stripes = 0;   // 8-lane stripes the cost bytecode evaluated
 
   /// Mean lanes priced per bytecode visit (1.0 would match scalar cost).
@@ -211,8 +210,7 @@ struct BatchStats {
                                 static_cast<double>(ir_visits);
   }
 
-  /// Mean fraction of the configured lane width kept busy per visit — the
-  /// occupancy the re-compaction scheduler tries to maximize.
+  /// Mean fraction of the configured lane width kept busy per visit.
   [[nodiscard]] double mean_occupancy(int batch_size) const {
     return batch_size <= 0 ? 0.0
                            : mean_lanes_per_visit() / static_cast<double>(batch_size);

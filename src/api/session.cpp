@@ -247,9 +247,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   // Partition the sweep into chunks: maximal runs of consecutive points
   // sharing (compiled program, machine) — the lockstep lane contract —
   // capped at a fixed granule. The cap is deliberately a constant, NOT
-  // batch_size, so the partition (and with it divergence, re-compaction,
-  // and replay behaviour) depends only on the plan — identical for every
-  // batch size, worker count, and SIMD width. Lockstep batching happens
+  // batch_size, so the partition depends only on the plan — identical for
+  // every batch size, worker count, and SIMD width. Lockstep batching happens
   // *inside* a chunk in windows of at most batch_size lanes; batch_size <=
   // 1 degenerates to one-lane windows.
   chunks.reserve(points.size() / kChunkGranule + 1);
@@ -272,11 +271,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   // full result.
   core::PredictOptions sweep_predict = plan.predict_opts();
   sweep_predict.detailed = sweep_predict.trace;
-  // Re-compaction rounds are self-limiting — every lockstep window retires
-  // at least its lead lane, so the deferred pool strictly shrinks — but a
-  // cap stops pathological regroup chains early (the remainder reruns in
-  // one-lane windows).
-  constexpr int kMaxCompactionRounds = 8;
 
   // Batch telemetry accumulates through order-independent integer sums, so
   // RunReport::batch is deterministic under any worker interleaving.
@@ -286,38 +280,25 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   std::atomic<std::uint64_t> ir_visits{0};
   std::atomic<std::uint64_t> lane_visits{0};
   std::atomic<std::uint64_t> evicted_lanes{0};
-  std::atomic<std::uint64_t> refilled_lanes{0};
   std::atomic<std::uint64_t> simd_stripes{0};
 
-  // One deferred entry per evicted lane awaiting re-batch: `key` groups
-  // lanes that diverged identically (core::EvictedLane), `offset` indexes
-  // the chunk's lane table.
-  struct DeferredPoint {
-    std::uint64_t key = 0;
-    std::uint32_t offset = 0;
-  };
   // Worker-owned state reused across chunks (no per-chunk allocation in
   // steady state).
   struct WorkerScratch {
     EngineArena arena;
-    std::vector<core::BatchLane> lanes;           // chunk lanes, offset order
-    std::vector<LayoutStore::Ptr> layouts;        // keep-alives, offset order
-    std::vector<core::BatchLane> window;          // regrouped re-batch windows
-    std::vector<core::EvictedLane> evictions;     // per-window export
-    std::vector<DeferredPoint> deferred;          // this round's regroup pool
-    std::vector<DeferredPoint> deferred_next;     // evictions feeding next round
-    std::vector<std::size_t> alone;               // offsets rerun as one-lane windows
-    std::vector<compiler::SeededValues> seeds;    // one per problem of the chunk
+    std::vector<core::BatchLane> lanes;             // chunk lanes, offset order
+    std::vector<LayoutStore::Ptr> layouts;          // keep-alives, offset order
+    std::vector<int> evicted;                       // one window's evicted lanes
+    std::vector<std::size_t> alone;                 // evicted offsets, point order
+    std::vector<compiler::SeededValues> seeds;      // one per problem of the chunk
     std::vector<compiler::LayoutDigest> tape_keys;  // value-tape keys, offset order
   };
 
   // One worker claim = one chunk. The chunk runs as a stream of lockstep
-  // windows: fresh points in point order first, then re-compaction rounds
-  // that regroup evicted lanes by divergence key and give them a fresh
-  // lockstep batch, and finally one-lane windows for whatever could not be
-  // regrouped. Records are assembled by point index and a lane's
-  // arithmetic does not depend on its window, so the record payload is
-  // byte-identical for any batch size or worker count.
+  // windows: fresh points in point order first, then one one-lane window
+  // per evicted lane, in point order. Records are assembled by point index
+  // and a lane's arithmetic does not depend on its window, so the record
+  // payload is byte-identical for any batch size or worker count.
   const auto run_chunk = [&](const Chunk& c, WorkerScratch& ws) {
     const std::size_t n = c.end - c.begin;
     const Point& p0 = points[c.begin];
@@ -371,7 +352,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
 
     // Local tallies, flushed to the shared atomics once per chunk.
     std::size_t batched_n = 0, scalar_n = 0, replayed_n = 0;
-    std::uint64_t ir_n = 0, lanes_n = 0, evicted_n = 0, refilled_n = 0, stripes_n = 0;
+    std::uint64_t ir_n = 0, lanes_n = 0, evicted_n = 0, stripes_n = 0;
 
     const auto assemble = [&](std::size_t off, const core::PredictionResult& pred) {
       const Point& pt = points[c.begin + off];
@@ -384,95 +365,44 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
     };
 
-    // One lockstep window. `off_of` maps window lane -> chunk offset;
-    // `refill` marks windows of lanes already evicted once. A point that
-    // finishes here counts as batched when the window has two or more
-    // lanes, else as replayed (refill) or scalar (fresh).
-    const auto run_window = [&](std::span<const core::BatchLane> lane_span,
-                                const auto& off_of, bool refill) {
-      const std::size_t w = lane_span.size();
-      ws.evictions.clear();
+    // One lockstep window over the chunk offsets [first, first + w). A
+    // point that finishes here counts as batched when the window has two or
+    // more lanes, else as replayed (evicted once already) or scalar (fresh).
+    // Evicted offsets join `alone`; fresh windows run in point order and
+    // report evictions in lane order, so `alone` stays sorted.
+    const auto run_window = [&](std::size_t first, std::size_t w, bool replay) {
       core::BatchRunStats bs;
-      const std::span<const core::PredictionResult> preds =
-          arena.predict_batch(prog, mach, sweep_predict, lane_span, bs, ws.evictions);
+      const std::span<const core::PredictionResult> preds = arena.predict_batch(
+          prog, mach, sweep_predict,
+          std::span<const core::BatchLane>(ws.lanes.data() + first, w), bs, ws.evicted);
       ir_n += bs.ir_visits;
       lanes_n += bs.lane_visits;
       stripes_n += bs.simd_stripes;
       evicted_n += bs.evicted_lanes;
-      if (refill && w >= 2) refilled_n += w;
-      std::size_t& finished_n = w >= 2 ? batched_n : refill ? replayed_n : scalar_n;
-      // Evictions arrive sorted by lane; merge-walk the window.
+      std::size_t& finished_n = w >= 2 ? batched_n : replay ? replayed_n : scalar_n;
       std::size_t e = 0;
       for (std::size_t k = 0; k < w; ++k) {
-        if (e < ws.evictions.size() && ws.evictions[e].lane == static_cast<int>(k)) {
-          const core::EvictedLane& ev = ws.evictions[e++];
-          const std::size_t off = off_of(k);
-          if (ev.rebatchable) {
-            ws.deferred_next.push_back(
-                DeferredPoint{ev.key, static_cast<std::uint32_t>(off)});
-          } else {
-            ws.alone.push_back(off);
-          }
+        if (e < ws.evicted.size() && ws.evicted[e] == static_cast<int>(k)) {
+          ws.alone.push_back(first + k);
+          ++e;
           continue;
         }
-        assemble(off_of(k), preds[k]);
+        assemble(first + k, preds[k]);
         ++finished_n;
       }
     };
 
-    ws.deferred_next.clear();
-    ws.alone.clear();
-
     // Phase 1 — fresh windows in point order.
+    ws.alone.clear();
     for (std::size_t f = 0; f < n; f += lane_width) {
-      const std::size_t w = std::min(lane_width, n - f);
-      run_window(std::span<const core::BatchLane>(ws.lanes.data() + f, w),
-                 [&](std::size_t k) { return f + k; }, false);
+      run_window(f, std::min(lane_width, n - f), false);
     }
 
-    // Phase 2 — re-compaction rounds: regroup evicted lanes by divergence
-    // key (ties broken by offset, so the schedule is deterministic and
-    // independent of anything but the chunk contents) and run each group
-    // as its own lockstep window (a lone lane as a one-lane window).
-    for (int round = 0; !ws.deferred_next.empty(); ++round) {
-      ws.deferred.swap(ws.deferred_next);
-      ws.deferred_next.clear();
-      if (round >= kMaxCompactionRounds) {
-        for (const DeferredPoint& d : ws.deferred) ws.alone.push_back(d.offset);
-        break;
-      }
-      std::sort(ws.deferred.begin(), ws.deferred.end(),
-                [](const DeferredPoint& a, const DeferredPoint& b) {
-                  return a.key != b.key ? a.key < b.key : a.offset < b.offset;
-                });
-      for (std::size_t g = 0; g < ws.deferred.size();) {
-        std::size_t h = g + 1;
-        while (h < ws.deferred.size() && ws.deferred[h].key == ws.deferred[g].key) ++h;
-        for (std::size_t s = g; s < h; s += lane_width) {
-          const std::size_t w = std::min(lane_width, h - s);
-          ws.window.clear();
-          for (std::size_t k = 0; k < w; ++k) {
-            ws.window.push_back(ws.lanes[ws.deferred[s + k].offset]);
-          }
-          run_window(std::span<const core::BatchLane>(ws.window),
-                     [&](std::size_t k) {
-                       return static_cast<std::size_t>(ws.deferred[s + k].offset);
-                     },
-                     true);
-        }
-        g = h;
-      }
-    }
-
-    // Phase 3 — one-lane windows, in point order, for lanes evicted by a
-    // failure (each throws its diagnostic here) and for any left over after
-    // the last compaction round.
-    std::sort(ws.alone.begin(), ws.alone.end());
-    for (std::size_t i = 0; i < ws.alone.size(); ++i) {
-      const std::size_t off = ws.alone[i];
-      run_window(std::span<const core::BatchLane>(ws.lanes.data() + off, 1),
-                 [&](std::size_t) { return off; }, true);
-    }
+    // Phase 2 — every evicted lane finishes in a one-lane window, in point
+    // order. A one-lane window never evicts; a lane evicted by a failure
+    // throws its located diagnostic here.
+    const std::size_t evicted_points = ws.alone.size();
+    for (std::size_t i = 0; i < evicted_points; ++i) run_window(ws.alone[i], 1, true);
 
     // Measurement: one batched pass over the whole chunk in point order —
     // per-point bit-identical to measure_into, independent of how
@@ -501,7 +431,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     ir_visits.fetch_add(ir_n, std::memory_order_relaxed);
     lane_visits.fetch_add(lanes_n, std::memory_order_relaxed);
     evicted_lanes.fetch_add(evicted_n, std::memory_order_relaxed);
-    refilled_lanes.fetch_add(refilled_n, std::memory_order_relaxed);
     simd_stripes.fetch_add(stripes_n, std::memory_order_relaxed);
   };
 
@@ -546,7 +475,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   report.batch.ir_visits = ir_visits.load();
   report.batch.lane_visits = lane_visits.load();
   report.batch.evicted_lanes = evicted_lanes.load();
-  report.batch.refilled_lanes = refilled_lanes.load();
   report.batch.simd_stripes = simd_stripes.load();
   report.cache = cache_stats() - before;
   report.wall_seconds =
@@ -568,8 +496,6 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
         .add(report.batch.replayed_points);
     reg.counter("hpf90d_run_evicted_lanes_total", "Lanes evicted from lockstep windows")
         .add(report.batch.evicted_lanes);
-    reg.counter("hpf90d_run_refilled_lanes_total", "Evicted lanes re-batched by compaction")
-        .add(report.batch.refilled_lanes);
     reg.gauge("hpf90d_run_lockstep_occupancy", "Mean active lanes per batch IR visit, last run")
         .set(report.batch.mean_lanes_per_visit());
     reg.histogram("hpf90d_run_wall_seconds", "Session::run wall time",

@@ -39,9 +39,9 @@
 // owns an EngineArena — a reusable BatchEngine/Executor pair — so the
 // steady-state hot path allocates nothing per point (see
 // engine_arena.hpp). Inside a chunk, points are priced in lockstep windows
-// of up to RunOptions::batch_size lanes (core::BatchEngine); lanes that
-// diverge are regrouped with equal-path lanes of the same chunk into fresh
-// windows, and whatever stays alone reruns as a one-lane window.
+// of up to RunOptions::batch_size lanes (core::BatchEngine); a lane that
+// leaves lockstep finishes in a one-lane window, after the chunk's fresh
+// windows and in point order.
 #pragma once
 
 #include <memory>

@@ -15,42 +15,24 @@ namespace hpf90d::core {
 using compiler::SpmdKind;
 using support::CompileError;
 
-namespace {
-
-/// hash_combine-style mixer for the control-path hash. Quality only
-/// affects re-compaction grouping (a collision re-evicts), never results.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return (h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 12) + (h >> 4))) *
-         0x2545f4914f6cdd1dULL;
-}
-
-}  // namespace
-
-template <class Pred, class Outcome>
-void BatchEngine::evict_unless(Pred keep, Outcome outcome, bool rebatchable) {
-  const std::uint64_t base = path_hash_;
-  const auto key_of = [&](int l) {
-    return mix(base, static_cast<std::uint64_t>(static_cast<long long>(outcome(l))));
-  };
+template <class Pred>
+void BatchEngine::evict_unless(Pred keep) {
   std::size_t w = 0;
   for (const int l : active_) {
     if (keep(l)) {
       active_[w++] = l;
     } else {
-      evicted_.push_back(EvictedLane{l, key_of(l), rebatchable});
+      evicted_.push_back(l);
     }
   }
   active_.resize(w);
-  // Every site folds the kept outcome in — even when nothing evicted — so
-  // the hash encodes the whole decision sequence, not just divergences.
-  if (w > 0) path_hash_ = key_of(active_[0]);
 }
 
 void BatchEngine::interpret(const compiler::CompiledProgram& prog,
                             const machine::MachineModel& machine,
                             const PredictOptions& options,
                             std::span<const BatchLane> lanes, PredictionResult* results,
-                            BatchRunStats& stats, std::vector<EvictedLane>& deferred) {
+                            BatchRunStats& stats, std::vector<int>& evicted) {
   const obs::Span window_span(obs_sink_, obs::Phase::LockstepWindow, lanes.size());
 
   prog_ = &prog;
@@ -88,7 +70,6 @@ void BatchEngine::interpret(const compiler::CompiledProgram& prog,
   active_.resize(L);
   std::iota(active_.begin(), active_.end(), 0);
   evicted_.clear();
-  path_hash_ = 0xcbf29ce484222325ULL;
 
   walk_seq(prog.root->children);
 
@@ -96,11 +77,8 @@ void BatchEngine::interpret(const compiler::CompiledProgram& prog,
     engines_[static_cast<std::size_t>(l)].finalize_into(results[l]);
   }
   stats_.evicted_lanes = evicted_.size();
-  std::sort(evicted_.begin(), evicted_.end(),
-            [](const EvictedLane& a, const EvictedLane& b) { return a.lane < b.lane; });
-  // The caller's re-compaction scheduler regroups equal-key lanes into
-  // fresh lockstep batches; their results[] slots stay untouched here.
-  deferred.insert(deferred.end(), evicted_.begin(), evicted_.end());
+  std::sort(evicted_.begin(), evicted_.end());
+  evicted.assign(evicted_.begin(), evicted_.end());
   stats = stats_;
 }
 
@@ -194,7 +172,7 @@ void BatchEngine::batch_do(const SpmdNode& n) {
     const auto u = static_cast<std::size_t>(l);
     return b_fail_[u] == 0 && b_step_[u] != 0;
   };
-  evict_unless(bound_ok, [&](int l) { return bound_ok(l) ? 0 : 1; }, false);
+  evict_unless(bound_ok);
   if (active_.empty()) return;
 
   const auto trips_of = [&](int l) {
@@ -204,8 +182,8 @@ void BatchEngine::batch_do(const SpmdNode& n) {
     return lo >= hi ? (lo - hi) / (-st) + 1 : 0;
   };
   const long long trips = trips_of(active_[0]);
-  // benign divergence: lanes sharing a trip count re-batch in lockstep
-  evict_unless([&](int l) { return trips_of(l) == trips; }, trips_of, true);
+  // benign divergence: lanes with another trip count finish alone
+  evict_unless([&](int l) { return trips_of(l) == trips; });
   if (active_.empty()) return;
 
   auto& fn = *engines_[static_cast<std::size_t>(active_[0])].fn_;
@@ -235,15 +213,10 @@ void BatchEngine::batch_while(const SpmdNode& n) {
                          "explicit binding for its critical variables");
     }
     // a data-dependent condition: evict, so the lane reruns alone and throws
-    evict_unless([&](int l) { return ok_[static_cast<std::size_t>(l)] != 0; },
-                 [&](int l) { return ok_[static_cast<std::size_t>(l)] != 0 ? 0 : 1; },
-                 false);
+    evict_unless([&](int l) { return ok_[static_cast<std::size_t>(l)] != 0; });
     if (active_.empty()) return;
     const bool taken = vals_[static_cast<std::size_t>(active_[0])] != 0.0;
-    const auto taken_of = [&](int l) {
-      return vals_[static_cast<std::size_t>(l)] != 0.0 ? 1 : 0;
-    };
-    evict_unless([&](int l) { return (taken_of(l) != 0) == taken; }, taken_of, true);
+    evict_unless([&](int l) { return (vals_[static_cast<std::size_t>(l)] != 0.0) == taken; });
     const double t = engines_[static_cast<std::size_t>(active_[0])].branch_cost(n);
     for (const int l : active_) engines_[static_cast<std::size_t>(l)].charge_all(n.id, t, 'O');
     if (!taken) return;
@@ -263,8 +236,7 @@ void BatchEngine::batch_if(const SpmdNode& n) {
     return ok_[u] == 0 || vals_[u] != 0.0;
   };
   const bool taken = then_of(active_[0]);
-  evict_unless([&](int l) { return then_of(l) == taken; },
-               [&](int l) { return then_of(l) ? 1 : 0; }, true);
+  evict_unless([&](int l) { return then_of(l) == taken; });
   const double t = engines_[static_cast<std::size_t>(active_[0])].branch_cost(n);
   for (const int l : active_) engines_[static_cast<std::size_t>(l)].charge_all(n.id, t, 'O');
   walk_seq(taken ? n.children : n.else_children);
@@ -341,8 +313,7 @@ void BatchEngine::batch_local_loop(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
   resolve_space_batch(n, nc);
   // a failing bound: evict, so the lane reruns alone and throws
-  evict_unless([&](int l) { return sp_fail_[static_cast<std::size_t>(l)] == 0; },
-               [&](int l) { return sp_fail_[static_cast<std::size_t>(l)]; }, false);
+  evict_unless([&](int l) { return sp_fail_[static_cast<std::size_t>(l)] == 0; });
   if (active_.empty()) return;
 
   const std::size_t dims = n.space.size();
@@ -361,7 +332,7 @@ void BatchEngine::batch_local_loop(const SpmdNode& n) {
       const auto u = static_cast<std::size_t>(l);
       return pts_[u] <= 0 || b_fail_[u] == 0;
     };
-    evict_unless(inner_ok, [&](int l) { return inner_ok(l) ? 0 : 1; }, false);
+    evict_unless(inner_ok);
     if (active_.empty()) return;
   }
 
@@ -398,8 +369,7 @@ void BatchEngine::batch_local_loop(const SpmdNode& n) {
 void BatchEngine::batch_reduce(const SpmdNode& n) {
   const compiler::NodeCost& nc = cost_->nodes[static_cast<std::size_t>(n.id)];
   resolve_space_batch(n, nc);
-  evict_unless([&](int l) { return sp_fail_[static_cast<std::size_t>(l)] == 0; },
-               [&](int l) { return sp_fail_[static_cast<std::size_t>(l)]; }, false);
+  evict_unless([&](int l) { return sp_fail_[static_cast<std::size_t>(l)] == 0; });
   if (active_.empty()) return;
 
   const std::size_t dims = n.space.size();
@@ -444,7 +414,7 @@ void BatchEngine::batch_irregular(const SpmdNode& n) {
     const auto u = static_cast<std::size_t>(l);
     return engines_[u].nprocs_ <= 1 || sp_fail_[u] == 0;
   };
-  evict_unless(irr_ok, [&](int l) { return irr_ok(l) ? 0 : 1; }, false);
+  evict_unless(irr_ok);
   const std::size_t dims = n.space.size();
   for (const int l : active_) {
     const auto u = static_cast<std::size_t>(l);
@@ -464,9 +434,9 @@ PredictionResult interpret_one(const compiler::CompiledProgram& prog,
   BatchEngine engine;
   PredictionResult out;
   BatchRunStats stats;
-  std::vector<EvictedLane> deferred;  // a one-lane window never evicts
+  std::vector<int> evicted;  // a one-lane window never evicts
   engine.interpret(prog, machine, options, std::span<const BatchLane>(&lane, 1), &out, stats,
-                   deferred);
+                   evicted);
   return out;
 }
 

@@ -14,9 +14,9 @@
 // equal DO trip counts (bounds may differ), the same IF decision, the same
 // WHILE test outcome on every trip. Lanes that diverge — different trip
 // counts from per-lane critical variables, or a failing bound — are
-// *evicted* and handed back to the caller, which re-batches lanes that
-// diverged the same way and runs the rest as one-lane windows. A one-lane
-// window never evicts: a failing bound throws its located diagnostic.
+// *evicted* and handed back to the caller, which finishes each of them in
+// a one-lane window. A one-lane window never evicts: a failing bound
+// throws its located diagnostic.
 #pragma once
 
 #include <span>
@@ -51,39 +51,21 @@ struct BatchRunStats {
   std::uint64_t simd_stripes = 0;   // 8-lane stripes the bytecode evaluated
 };
 
-/// One lane evicted by interpret(): the lane left lockstep at a divergence
-/// point identified by `key` — a running hash of every control decision on
-/// the walk path up to the divergence, combined with the lane's own
-/// divergent outcome. Two lanes with equal keys took identical control
-/// paths and then diverged the same way, so a re-batch of equal-key lanes
-/// stays in lockstep at least through the point where they left (and
-/// usually to the end). The key is only a grouping hint: a collision costs
-/// a second eviction, never a wrong result.
-/// `rebatchable` is false for failure evictions (failing bounds,
-/// unresolved conditions): those lanes rerun alone, so the one-lane walk
-/// throws their diagnostic.
-struct EvictedLane {
-  int lane = 0;
-  std::uint64_t key = 0;
-  bool rebatchable = false;
-};
-
 /// Reusable arena: one per worker, interpret() per window. Not
 /// thread-safe; distinct workers use distinct engines.
 class BatchEngine {
  public:
   /// Interprets every lane in lockstep, filling results[l] for each lane l
-  /// that stays in lockstep. Evicted lanes are appended to `deferred` in
-  /// lane order, keyed for regrouping; their results[] slots are left
-  /// untouched for the caller (the session's re-compaction scheduler) to
-  /// re-batch or rerun alone. A one-lane window evicts nothing: where a
-  /// wider window would evict the lane for a failing bound or condition,
-  /// it throws the located support::CompileError instead. The WHILE trip
-  /// limit throws for any window.
+  /// that stays in lockstep. `evicted` is set to the lanes that left
+  /// lockstep, in ascending lane order; their results[] slots are left
+  /// untouched for the caller to finish in one-lane windows. A one-lane
+  /// window evicts nothing: where a wider window would evict the lane for
+  /// a failing bound or condition, it throws the located
+  /// support::CompileError instead. The WHILE trip limit throws for any
+  /// window.
   void interpret(const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
                  const PredictOptions& options, std::span<const BatchLane> lanes,
-                 PredictionResult* results, BatchRunStats& stats,
-                 std::vector<EvictedLane>& deferred);
+                 PredictionResult* results, BatchRunStats& stats, std::vector<int>& evicted);
 
   /// Attaches a tracing sink (nullptr detaches): each lockstep walk is
   /// recorded as one obs::Phase::LockstepWindow span (arg = lane count).
@@ -125,15 +107,9 @@ class BatchEngine {
   /// common case) all pointers share one Space built once per node instead
   /// of rebuilding sp_scratch_ per lane per use.
   void resolve_lane_spaces(const std::vector<int>& which, std::size_t dims);
-  /// Drops active lanes failing `keep` into the eviction set, keying each
-  /// with the current path hash combined with its own `outcome(l)` (any
-  /// integral). The kept lanes' shared outcome is then folded into
-  /// path_hash_, so the hash encodes the full control-decision history —
-  /// including trip counts, which change how many times later sites
-  /// execute. `rebatchable` tags whether the evicted lanes may rejoin a
-  /// lockstep batch or must rerun alone (failure evictions).
-  template <class Pred, class Outcome>
-  void evict_unless(Pred keep, Outcome outcome, bool rebatchable);
+  /// Drops active lanes failing `keep` into the eviction set.
+  template <class Pred>
+  void evict_unless(Pred keep);
 
   const compiler::CompiledProgram* prog_ = nullptr;
   const compiler::CostProgram* cost_ = nullptr;
@@ -148,9 +124,8 @@ class BatchEngine {
   double* regs_aligned_ = nullptr;  // regs_ rounded up to a 64-byte boundary
   std::vector<double> vals_;        // per-lane expression results (stride-padded)
   std::vector<unsigned char> ok_;   // per-lane expression success (stride-padded)
-  std::vector<int> active_;          // lanes still in lockstep
-  std::vector<EvictedLane> evicted_; // lanes that left lockstep, keyed
-  std::uint64_t path_hash_ = 0;      // running control-path hash (divergence keys)
+  std::vector<int> active_;         // lanes still in lockstep
+  std::vector<int> evicted_;        // lanes that left lockstep
 
   // per-node scratch (sized lanes / dims*lanes, reused across nodes)
   std::vector<long long> b_lo_, b_hi_, b_step_, pts_;

@@ -279,7 +279,7 @@ study::StudyPlan decode_study(std::string_view text) {
 namespace {
 
 /// The value-tape store's counters: one "tapes" line after "cache" in the
-/// outcome (v2) and stats (v7) payloads.
+/// outcome (v2) and stats (v8) payloads.
 void emit_tapes(std::string& out, const api::CacheStats& c) {
   out += support::strfmt("tapes %zu %zu %zu %zu\n", c.value_tape_hits,
                          c.value_tape_misses, c.value_tape_evictions, c.value_tape_bytes);
@@ -357,12 +357,14 @@ JobOutcome decode_outcome(std::string_view text) {
 
 std::string encode_stats(const ServerStats& s) {
   const api::CacheStats& c = s.cache;
-  // version 7 adds the tapes line (value-tape store counters). v6 dropped
-  // v5's cross-chunk pool + speculation counters from the batch line (the
-  // features are gone). v4 added the spilldir and queue lines (disk usage,
-  // live queue occupancy, slow-job count); v3 widened the batch line with
-  // re-compaction + SIMD telemetry; v2 added the batch line itself.
-  std::string out = "hpf90d-stats 7\n";
+  // version 8 drops the refilled-lanes counter from the batch line (evicted
+  // lanes are no longer re-batched). v7 added the tapes line (value-tape
+  // store counters). v6 dropped v5's cross-chunk pool + speculation
+  // counters from the batch line (the features are gone). v4 added the
+  // spilldir and queue lines (disk usage, live queue occupancy, slow-job
+  // count); v3 widened the batch line with re-compaction + SIMD telemetry;
+  // v2 added the batch line itself.
+  std::string out = "hpf90d-stats 8\n";
   out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
                          c.compile_misses, c.layout_hits, c.layout_misses,
                          c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
@@ -378,13 +380,12 @@ std::string encode_stats(const ServerStats& s) {
                          static_cast<unsigned long long>(s.spill_dir_files));
   out += support::strfmt("queue %zu %zu %zu\n", s.queue_depth, s.jobs_running,
                          s.slow_jobs);
-  out += support::strfmt("batch %zu %zu %zu %zu %llu %llu %llu %llu %llu\n",
+  out += support::strfmt("batch %zu %zu %zu %zu %llu %llu %llu %llu\n",
                          s.jobs_coalesced, s.points_batched, s.points_scalar,
                          s.points_replayed,
                          static_cast<unsigned long long>(s.batch_ir_visits),
                          static_cast<unsigned long long>(s.batch_lane_visits),
                          static_cast<unsigned long long>(s.lanes_evicted),
-                         static_cast<unsigned long long>(s.lanes_refilled),
                          static_cast<unsigned long long>(s.simd_stripes));
   return out;
 }
@@ -396,9 +397,9 @@ ServerStats decode_stats(std::string_view text) {
     if (header.size() != 2 || header[0] != "hpf90d-stats") {
       in.fail("not an hpf90d-stats payload");
     }
-    // Version-strict: a v6 daemon's payload is a hard error, not a partial
+    // Version-strict: a v7 daemon's payload is a hard error, not a partial
     // decode — mixed-version deployments must fail loudly.
-    if (header[1] != "7") in.fail("unsupported stats version " + header[1]);
+    if (header[1] != "8") in.fail("unsupported stats version " + header[1]);
   }
   ServerStats s;
   const auto cache = fields_of(in.next_line());
@@ -437,7 +438,7 @@ ServerStats decode_stats(std::string_view text) {
   s.jobs_running = static_cast<std::size_t>(in.int_field(queue[2]));
   s.slow_jobs = static_cast<std::size_t>(in.int_field(queue[3]));
   const auto batch = fields_of(in.next_line());
-  if (batch.size() != 10 || batch[0] != "batch") in.fail("expected batch line");
+  if (batch.size() != 9 || batch[0] != "batch") in.fail("expected batch line");
   s.jobs_coalesced = static_cast<std::size_t>(in.int_field(batch[1]));
   s.points_batched = static_cast<std::size_t>(in.int_field(batch[2]));
   s.points_scalar = static_cast<std::size_t>(in.int_field(batch[3]));
@@ -445,8 +446,7 @@ ServerStats decode_stats(std::string_view text) {
   s.batch_ir_visits = static_cast<std::uint64_t>(in.int_field(batch[5]));
   s.batch_lane_visits = static_cast<std::uint64_t>(in.int_field(batch[6]));
   s.lanes_evicted = static_cast<std::uint64_t>(in.int_field(batch[7]));
-  s.lanes_refilled = static_cast<std::uint64_t>(in.int_field(batch[8]));
-  s.simd_stripes = static_cast<std::uint64_t>(in.int_field(batch[9]));
+  s.simd_stripes = static_cast<std::uint64_t>(in.int_field(batch[8]));
   return s;
 }
 

@@ -78,11 +78,9 @@ struct ServerStats {
   std::size_t points_replayed = 0;
   std::uint64_t batch_ir_visits = 0;
   std::uint64_t batch_lane_visits = 0;
-  /// Re-compaction and SIMD telemetry (stats codec v3): evictions across
-  /// every lockstep walk, evicted lanes re-batched into keyed refill
-  /// windows, and 8-lane stripes the vectorized cost evaluator priced.
+  /// Eviction and SIMD telemetry (stats codec v3): evictions across every
+  /// lockstep walk, and 8-lane stripes the vectorized cost evaluator priced.
   std::uint64_t lanes_evicted = 0;
-  std::uint64_t lanes_refilled = 0;
   std::uint64_t simd_stripes = 0;
   /// Live queue occupancy and slow-job telemetry (stats codec v4): jobs
   /// waiting, jobs executing right now, and jobs whose sweep exceeded

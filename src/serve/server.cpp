@@ -353,7 +353,6 @@ std::string ExperimentServer::execute(const Job& job, JobState& terminal) {
     batch_ir_visits_.fetch_add(b.ir_visits, std::memory_order_relaxed);
     batch_lane_visits_.fetch_add(b.lane_visits, std::memory_order_relaxed);
     lanes_evicted_.fetch_add(b.evicted_lanes, std::memory_order_relaxed);
-    lanes_refilled_.fetch_add(b.refilled_lanes, std::memory_order_relaxed);
     simd_stripes_.fetch_add(b.simd_stripes, std::memory_order_relaxed);
   };
   try {
@@ -418,7 +417,7 @@ void ExperimentServer::stream_stats(int fd, const std::string& request) {
         s.queue_depth,    s.jobs_running,  s.jobs_submitted,
         s.jobs_done,      s.jobs_failed,   s.jobs_cancelled,
         s.points_batched, s.points_scalar, s.points_replayed,
-        s.lanes_evicted + s.lanes_refilled};
+        s.lanes_evicted};
   };
   bool pushed_any = false;
   std::array<std::uint64_t, 10> last{};
@@ -467,8 +466,6 @@ std::string ExperimentServer::metrics_text() {
       .set(s.mean_lanes_per_visit());
   metrics_.gauge("hpf90d_lanes_evicted", "Lanes evicted from lockstep windows")
       .set(static_cast<double>(s.lanes_evicted));
-  metrics_.gauge("hpf90d_lanes_refilled", "Evicted lanes re-batched by compaction")
-      .set(static_cast<double>(s.lanes_refilled));
   const std::size_t probes = s.cache.layout_misses;
   metrics_.gauge("hpf90d_spill_hit_ratio",
                  "Layout-store misses answered by the artifact spill")
@@ -522,7 +519,6 @@ ServerStats ExperimentServer::stats() const {
   s.batch_ir_visits = batch_ir_visits_.load();
   s.batch_lane_visits = batch_lane_visits_.load();
   s.lanes_evicted = lanes_evicted_.load();
-  s.lanes_refilled = lanes_refilled_.load();
   s.simd_stripes = simd_stripes_.load();
   s.queue_depth = queue_.queued();
   s.jobs_running = queue_.running();

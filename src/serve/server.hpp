@@ -179,7 +179,6 @@ class ExperimentServer {
   std::atomic<std::uint64_t> batch_ir_visits_{0};
   std::atomic<std::uint64_t> batch_lane_visits_{0};
   std::atomic<std::uint64_t> lanes_evicted_{0};
-  std::atomic<std::uint64_t> lanes_refilled_{0};
   std::atomic<std::uint64_t> simd_stripes_{0};
 
   // observability: span ring, metrics registry, slow-job log

@@ -101,10 +101,13 @@ void Executor::record(ValueTape& tape) {
   if (planned_ == &tape) planned_ = nullptr;  // re-recorded in place
   rec_ = &tape;
   record_seq(prog_->root->children);
-  for (const auto& sym : prog_->symbols.symbols()) {
+  // a symbol's id is its index in the table (SymbolTable::add)
+  const auto& syms = prog_->symbols.symbols();
+  for (std::size_t id = 0; id < syms.size(); ++id) {
+    const auto& sym = syms[id];
     if (sym.kind == front::SymbolKind::Scalar || sym.kind == front::SymbolKind::Param) {
-      const int id = prog_->symbols.find(sym.name);
-      if (env_.defined(id)[0] != 0) tape.scalars[sym.name] = env_.values(id)[0];
+      const int i = static_cast<int>(id);
+      if (env_.defined(i)[0] != 0) tape.scalars[sym.name] = env_.values(i)[0];
     }
   }
 }

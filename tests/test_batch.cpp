@@ -57,7 +57,6 @@ void expect_oracle(const api::ExperimentPlan& plan, std::size_t point_count,
 
   bool saw_batched = false;
   bool saw_evicted = false;
-  bool saw_recovered = false;
   for (const int batch : batch_sizes(point_count)) {
     for (const int workers : kWorkerCounts) {
       const Exports e = run_once(plan, batch, workers);
@@ -70,21 +69,19 @@ void expect_oracle(const api::ExperimentPlan& plan, std::size_t point_count,
       // an eviction
       EXPECT_EQ(
           e.batch.batched_points + e.batch.scalar_points + e.batch.replayed_points,
-          point_count);
+          point_count)
+          << "batch_size=" << batch << " workers=" << workers;
+      // a point is evicted at most once, and every evicted point finishes
+      // alone
+      EXPECT_EQ(e.batch.evicted_lanes, e.batch.replayed_points)
+          << "batch_size=" << batch << " workers=" << workers;
       if (e.batch.batched_points > 0) saw_batched = true;
       if (e.batch.evicted_lanes > 0) saw_evicted = true;
-      // a divergent lane is recovered either way: re-batched into a
-      // lockstep refill window, or rerun alone (lone keys, failure
-      // evictions)
-      if (e.batch.replayed_points > 0 || e.batch.refilled_lanes > 0)
-        saw_recovered = true;
     }
   }
   EXPECT_TRUE(saw_batched) << "no setting ever took the lockstep path";
   if (expect_divergence) {
     EXPECT_TRUE(saw_evicted) << "expected divergent lanes to be evicted";
-    EXPECT_TRUE(saw_recovered)
-        << "expected evicted lanes to be refilled or replayed";
   }
 }
 
@@ -123,9 +120,9 @@ TEST(BatchOracle, DirectiveVariantsSplitChunksDeterministically) {
 
 TEST(BatchOracle, BindingDependentDoTripsForceReplay) {
   // The outer DO trip count is a per-problem binding: lanes from different
-  // problems disagree at the first size-dependent scalar loop and are
-  // evicted — then either re-batched by key or rerun alone — and must
-  // reproduce the one-lane report byte for byte either way.
+  // problems disagree at the first size-dependent scalar loop, are
+  // evicted, finish alone, and must reproduce the one-lane report byte for
+  // byte.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -188,13 +185,12 @@ end program masked
   expect_oracle(plan, 2u * 2u * 3u, /*expect_divergence=*/true);
 }
 
-// --- re-compaction -----------------------------------------------------------
+// --- evicted lanes finish alone -----------------------------------------------
 
-TEST(BatchOracle, ForcedDivergenceRefillsLanesWithoutScalarReplay) {
-  // 4 nlev groups x 4 system sizes, the whole sweep in one batch: the
-  // binding-dependent DO evicts 12 of the 16 lanes at once. Every nlev
-  // group still holds 4 lanes, so keyed re-compaction re-batches all of
-  // them into lockstep refill windows and nothing is left to run alone.
+TEST(BatchOracle, WholeSweepEvictionsFinishAlone) {
+  // 4 nlev groups x 4 system sizes, the whole sweep in one window: the
+  // binding-dependent DO keeps the lead lane's nlev group (4 lanes) and
+  // evicts the other 12, each of which finishes in its own one-lane window.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -208,7 +204,7 @@ program levels
   end do
 end program levels
 )f90";
-  api::ExperimentPlan plan("batch oracle: occupancy");
+  api::ExperimentPlan plan("batch oracle: whole-sweep eviction");
   plan.source(source).machines({"ipsc860"}).nprocs({1, 2, 4, 8});
   for (const long long nlev : {2, 3, 5, 8}) {
     front::Bindings b;
@@ -217,29 +213,21 @@ end program levels
   }
   plan.runs(2);
   const std::size_t points = 4u * 4u;
+  expect_oracle(plan, points, /*expect_divergence=*/true);
 
-  const Exports compacted =
-      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1);
-  EXPECT_GT(compacted.batch.evicted_lanes, 0u);
-  EXPECT_GT(compacted.batch.refilled_lanes, 0u);
-  EXPECT_EQ(compacted.batch.replayed_points, 0u)
-      << "keyed refill should leave no lane to run alone";
-  EXPECT_EQ(compacted.batch.batched_points + compacted.batch.scalar_points, points);
-  // every lockstep visit — fresh window or keyed refill — keeps at least a
-  // full nlev group (4 lanes) active; a one-lane window prices 1 at a time
-  EXPECT_GT(compacted.batch.mean_lanes_per_visit(), 3.0);
-  // and the exports agree with the one-lane run byte for byte
-  const Exports scalar = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  EXPECT_EQ(compacted.ascii, scalar.ascii);
-  EXPECT_EQ(compacted.csv, scalar.csv);
+  const Exports e = run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1);
+  EXPECT_EQ(e.batch.evicted_lanes, 12u);
+  EXPECT_EQ(e.batch.replayed_points, 12u);
+  EXPECT_EQ(e.batch.batched_points, 4u);
+  EXPECT_EQ(e.batch.scalar_points, 0u);
 }
 
-TEST(BatchOracle, MultiRoundRecompactionStaysDeterministic) {
-  // Two sequential binding-dependent DOs: lanes regroup by the first trip
-  // count, then the refill windows themselves diverge at the second DO and
-  // need a second compaction round. Every (na, nb) subgroup still spans the
-  // 3 system sizes, so both rounds re-batch cleanly, and the exports must
-  // stay byte-identical across batch size and workers.
+TEST(BatchOracle, TwoDivergenceSitesEvictEachLaneOnce) {
+  // Two sequential binding-dependent DOs: the first keeps the lead lane's
+  // na group, the second the lead lane's nb subgroup. A lane evicted at the
+  // first DO finishes alone and never meets the second in a shared window,
+  // so no point is evicted twice, and the exports stay byte-identical
+  // across batch size and workers.
   static const char* const source = R"f90(
 program levels2
   parameter (n = 512)
@@ -270,12 +258,12 @@ end program levels2
   const std::size_t points = 2u * 2u * 3u;
   expect_oracle(plan, points, /*expect_divergence=*/true);
 
-  // with the whole sweep in one batch, both divergence rounds resolve via
-  // refill windows: nothing is left to run alone
+  // one window: 6 lanes leave at the first DO and 3 more at the second
   const Exports e = run_once(plan, /*batch_size=*/static_cast<int>(points),
                              /*workers=*/1);
-  EXPECT_GT(e.batch.refilled_lanes, 0u);
-  EXPECT_EQ(e.batch.replayed_points, 0u);
+  EXPECT_EQ(e.batch.evicted_lanes, 9u);
+  EXPECT_EQ(e.batch.replayed_points, 9u);
+  EXPECT_EQ(e.batch.batched_points, 3u);
 }
 
 // --- chunk boundaries ---------------------------------------------------------
@@ -283,9 +271,8 @@ end program levels2
 TEST(BatchOracle, LoneLanesInDifferentChunksReplayScalar) {
   // 258 single-nprocs points of one (machine, variant) group: the 256-point
   // chunk granule splits them into two chunks. Exactly one point per chunk
-  // carries nlev = 9 (the rest nlev = 2), so each chunk evicts one LONE
-  // rebatchable lane its own re-compaction cannot pair. Chunks never share
-  // lanes, so both rerun alone — and the exports stay byte-identical to
+  // carries nlev = 9 (the rest nlev = 2), so each chunk evicts one lane,
+  // which finishes alone in that chunk. The exports stay byte-identical to
   // the one-lane run, with telemetry identical for every worker count.
   static const char* const source = R"f90(
 program split
@@ -308,7 +295,9 @@ end program split
     // one divergent point per chunk: 10 in the first, 257 in the second
     b.set_int("nlev", (i == 10 || i == 257) ? 9 : 2);
     b.set("pad", static_cast<double>(i));  // distinct bindings per point
-    plan.add_problem("p" + std::to_string(i), b);
+    std::string name = "p";
+    name += std::to_string(i);
+    plan.add_problem(name, b);
   }
   plan.runs(1);
 
@@ -321,7 +310,6 @@ end program split
       << "each chunk should replay exactly its lone divergent lane";
   EXPECT_EQ(serial.batch.batched_points, kPoints - 2);
   EXPECT_EQ(serial.batch.evicted_lanes, 2u);
-  EXPECT_EQ(serial.batch.refilled_lanes, 0u);
 
   // Each chunk's schedule depends only on its own points, so telemetry —
   // not just the payload — is identical under concurrent chunk execution.
@@ -330,7 +318,6 @@ end program split
   EXPECT_EQ(parallel.csv, baseline.csv);
   EXPECT_EQ(parallel.batch.replayed_points, serial.batch.replayed_points);
   EXPECT_EQ(parallel.batch.batched_points, serial.batch.batched_points);
-  EXPECT_EQ(parallel.batch.refilled_lanes, serial.batch.refilled_lanes);
   EXPECT_EQ(parallel.batch.evicted_lanes, serial.batch.evicted_lanes);
   EXPECT_EQ(parallel.batch.ir_visits, serial.batch.ir_visits);
   EXPECT_EQ(parallel.batch.lane_visits, serial.batch.lane_visits);
@@ -425,11 +412,10 @@ end program cheapif
   expect_oracle(plan, 2u * 2u * 4u, /*expect_divergence=*/true);
 }
 
-TEST(BatchOracle, IfArmsWithLoopsRefill) {
+TEST(BatchOracle, IfArmsWithLoopsEvictEachLaneOnce) {
   // The first IF's else-arm contains a DO; the second IF is loop-free.
-  // Every u group holds both w values, so the windows the first IF
-  // produces — the survivors AND the keyed refill of its evictees — still
-  // disagree at the second IF.
+  // Every u group holds both w values, so the lanes that survive the first
+  // IF still disagree at the second.
   static const char* const source = R"f90(
 program mixed
   parameter (n = 256)
@@ -468,11 +454,12 @@ end program mixed
   const std::size_t points = 2u * 2u * 3u;
   expect_oracle(plan, points, /*expect_divergence=*/true);
 
-  // Whole-sweep batch: the IFs split the window, and keyed refill
-  // re-batches the evicted lanes.
+  // Whole-sweep batch: the first IF evicts the 6 lanes of the other u, the
+  // second the 3 survivors of the other w.
   const Exports e = run_once(plan, static_cast<int>(points), /*workers=*/1);
-  EXPECT_GT(e.batch.evicted_lanes, 0u);
-  EXPECT_GT(e.batch.refilled_lanes, 0u);
+  EXPECT_EQ(e.batch.evicted_lanes, 9u);
+  EXPECT_EQ(e.batch.replayed_points, 9u);
+  EXPECT_EQ(e.batch.batched_points, 3u);
 }
 
 // --- every plan runs lockstep ---------------------------------------------------

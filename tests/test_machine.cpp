@@ -171,8 +171,8 @@ TEST(SAG, FatTreeTiersAndBisectionFactor) {
   EXPECT_EQ(fattree_tiers(5, 4), 2);
   EXPECT_EQ(fattree_tiers(16, 4), 2);
   EXPECT_EQ(fattree_tiers(64, 4), 3);
-  EXPECT_THROW(fattree_tiers(0, 4), std::invalid_argument);
-  EXPECT_THROW(fattree_tiers(8, 1), std::invalid_argument);
+  EXPECT_THROW((void)fattree_tiers(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)fattree_tiers(8, 1), std::invalid_argument);
 
   // default 2:1 taper: each extra tier halves the bisection bandwidth
   EXPECT_DOUBLE_EQ(fattree_bisection_factor(4), 1.0);
@@ -183,7 +183,7 @@ TEST(SAG, FatTreeTiersAndBisectionFactor) {
   EXPECT_DOUBLE_EQ(fattree_bisection_factor(64, full), 1.0);
   FatTreeParams bad;
   bad.taper = 0.5;
-  EXPECT_THROW(fattree_bisection_factor(64, bad), std::invalid_argument);
+  EXPECT_THROW((void)fattree_bisection_factor(64, bad), std::invalid_argument);
 }
 
 TEST(SAG, FatTreeCommCostsAreBisectionAware) {

@@ -252,7 +252,9 @@ TEST(ObsMetrics, LabeledChildrenRenderSortedAndCanonicalized) {
 TEST(ObsMetrics, LabelCardinalityCollapsesIntoOverflowChild) {
   obs::Registry reg;
   for (std::size_t i = 0; i < obs::Registry::kMaxChildren + 50; ++i) {
-    reg.counter("hpf90d_fan", "f", {{"tenant", "t" + std::to_string(i)}}).add();
+    std::string tenant = "t";
+    tenant += std::to_string(i);
+    reg.counter("hpf90d_fan", "f", {{"tenant", tenant}}).add();
   }
   // the cap holds: kMaxChildren distinct children plus one overflow child
   // absorbing everything past it
@@ -301,7 +303,6 @@ api::RunReport sample_report() {
   report.batch.ir_visits = 400;
   report.batch.lane_visits = 1600;
   report.batch.evicted_lanes = 3;
-  report.batch.refilled_lanes = 2;
   report.batch.simd_stripes = 200;
   api::RunRecord r;
   r.machine = "ipsc860";
@@ -338,7 +339,6 @@ TEST(RunReportJson, RoundTripsEveryField) {
   EXPECT_EQ(back.batch.scalar_points, 1u);
   EXPECT_EQ(back.batch.replayed_points, 2u);
   EXPECT_EQ(back.batch.evicted_lanes, 3u);
-  EXPECT_EQ(back.batch.refilled_lanes, 2u);
   ASSERT_EQ(back.records.size(), 2u);
   EXPECT_EQ(back.records[0].machine, "ipsc860");
   EXPECT_EQ(back.records[0].variant, "(block,*)");
@@ -543,7 +543,6 @@ TEST(ServeObs, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(text.find("hpf90d_tenant_jobs{state=\"done\",tenant=\"tenant-a\"} 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("hpf90d_lanes_evicted"), std::string::npos);
-  EXPECT_NE(text.find("hpf90d_lanes_refilled"), std::string::npos);
   // the plan measures one problem at three processor counts: one
   // functional pass, re-timed twice
   EXPECT_NE(text.find("hpf90d_value_tape_misses 1\n"), std::string::npos) << text;

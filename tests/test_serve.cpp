@@ -309,7 +309,6 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   stats.batch_ir_visits = 1250;
   stats.batch_lane_visits = 70000;
   stats.lanes_evicted = 21;
-  stats.lanes_refilled = 19;
   stats.simd_stripes = 8750;
   stats.queue_depth = 6;
   stats.jobs_running = 2;
@@ -332,7 +331,6 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
   EXPECT_EQ(s2.batch_ir_visits, 1250u);
   EXPECT_EQ(s2.batch_lane_visits, 70000u);
   EXPECT_EQ(s2.lanes_evicted, 21u);
-  EXPECT_EQ(s2.lanes_refilled, 19u);
   EXPECT_EQ(s2.simd_stripes, 8750u);
   EXPECT_EQ(s2.mean_lanes_per_visit(), 56.0);
   EXPECT_EQ(s2.queue_depth, 6u);
@@ -347,20 +345,20 @@ TEST(PlanCodec, OutcomeAndStatsRoundTrip) {
 
 TEST(PlanCodec, StatsCodecIsStrictAboutVersionAndBatchLine) {
   const std::string good = serve::encode_stats(serve::ServerStats{});
-  EXPECT_EQ(good.rfind("hpf90d-stats 7\n", 0), 0u);
+  EXPECT_EQ(good.rfind("hpf90d-stats 8\n", 0), 0u);
   EXPECT_NE(good.find("\ntapes "), std::string::npos);
   EXPECT_NE(good.find("\nbatch "), std::string::npos);
   EXPECT_NE(good.find("\nqueue "), std::string::npos);
   EXPECT_NE(good.find("\nspilldir "), std::string::npos);
 
   // older headers (v1: no batch line, v2/v3: narrower batch lines, v4: no
-  // queue/spilldir lines, v5: a wider batch line, v6: no tapes line) are
-  // different wire formats — a version mismatch is a hard error, never a
-  // best-effort parse
-  for (const char* old :
-       {"stats 1", "stats 2", "stats 3", "stats 4", "stats 5", "stats 6"}) {
+  // queue/spilldir lines, v5: a wider batch line, v6: no tapes line, v7: a
+  // refilled-lanes field in the batch line) are different wire formats — a
+  // version mismatch is a hard error, never a best-effort parse
+  for (const char* old : {"stats 1", "stats 2", "stats 3", "stats 4", "stats 5", "stats 6",
+                          "stats 7"}) {
     std::string stale = good;
-    stale.replace(stale.find("stats 7"), 7, old);
+    stale.replace(stale.find("stats 8"), 7, old);
     EXPECT_THROW((void)serve::decode_stats(stale), serve::CodecError);
   }
 
@@ -368,10 +366,10 @@ TEST(PlanCodec, StatsCodecIsStrictAboutVersionAndBatchLine) {
   const std::size_t pos = good.find("\nbatch ");
   const std::size_t eol = good.find('\n', pos + 1);
   std::string missing = good;
-  missing.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8");
+  missing.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7");
   EXPECT_THROW((void)serve::decode_stats(missing), serve::CodecError);
   std::string extra = good;
-  extra.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8 9 10");
+  extra.replace(pos, eol - pos, "\nbatch 1 2 3 4 5 6 7 8 9");
   EXPECT_THROW((void)serve::decode_stats(extra), serve::CodecError);
 }
 
@@ -390,13 +388,13 @@ TEST(PlanCodec, StatsCodecRejectsV5Payload) {
       "batch 0 0 0 0 0 0 0 0 0 0 0 0\n";
   EXPECT_THROW((void)serve::decode_stats(v5), serve::CodecError);
   std::string relabeled = v5;
-  relabeled.replace(relabeled.find("stats 5"), 7, "stats 7");
+  relabeled.replace(relabeled.find("stats 5"), 7, "stats 8");
   relabeled.insert(relabeled.find("session "), "tapes 0 0 0 0\n");
   EXPECT_THROW((void)serve::decode_stats(relabeled), serve::CodecError);
   // the same payload with the current header and batch width decodes
   std::string current = relabeled;
   current.replace(current.find("batch "), std::string::npos,
-                  "batch 0 0 0 0 0 0 0 0 0\n");
+                  "batch 0 0 0 0 0 0 0 0\n");
   EXPECT_NO_THROW((void)serve::decode_stats(current));
 }
 
@@ -822,10 +820,10 @@ TEST(ExperimentServer, BatchTelemetrySurfacesThroughTheStatsEndpoint) {
   EXPECT_EQ(stats.points_batched + stats.points_scalar + stats.points_replayed, 4u);
   EXPECT_GT(stats.batch_ir_visits, 0u);
   EXPECT_GT(stats.mean_lanes_per_visit(), 1.0);
-  // the vectorized cost evaluator ran (8-lane stripes), and eviction /
-  // refill totals stay consistent
+  // the vectorized cost evaluator ran (8-lane stripes), and every evicted
+  // lane finished alone
   EXPECT_GT(stats.simd_stripes, 0u);
-  EXPECT_LE(stats.lanes_refilled, stats.lanes_evicted);
+  EXPECT_EQ(stats.lanes_evicted, stats.points_replayed);
 }
 
 TEST(ExperimentServer, StatsStreamOnChangePushesOnlyWhenCountersMove) {
