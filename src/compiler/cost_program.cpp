@@ -609,13 +609,37 @@ double subscript_of(const CostProgram& cp, const CostInstr& in, const BatchEnv& 
   return (env.defined(sub.slot)[l] != 0 ? env.values(sub.slot)[l] : 0.0) + sub.offset;
 }
 
+/// Whether fused access `subs` over `view` can skip the screen: every
+/// extent is below 2^31 and every subscript stays inside its extent for
+/// every lane, by its slot's index interval plus its offset (a constant
+/// subscript: the offset itself). Double sums round monotonically, so each
+/// lane's x + k lies between the interval's two rounded ends; and a sum of
+/// integers rounds to an integer.
+bool subscripts_inside(const AffineSubscript* subs, int rank, const BatchEnv& env,
+                       const ArrayView& view) {
+  for (int d = 0; d < rank; ++d) {
+    const double extent = view.extents[d];
+    const BatchEnv::Interval span =
+        subs[d].slot < 0 ? BatchEnv::Interval{0.0, 0.0} : env.interval(subs[d].slot);
+    if (!(extent < 2147483648.0 && span.lo + subs[d].offset >= 1.0 &&
+          span.hi + subs[d].offset <= extent)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The element offsets of an ArrayLoad/ArrayOffset over a bound `view`
 /// into dst[0, S), failing the lanes the unfused sequence fails: an
 /// undefined fused subscript variable (read as 0, as a Load would), or a
-/// subscript outside its extent. A lane whose every subscript is integral
-/// and in range takes its offset from the screen; any other recomputes it
-/// with subscript_in's exact rounding, adding nothing for a failing
-/// dimension, so every offset stays in bounds.
+/// subscript outside its extent. Two paths give the same offsets:
+/// - hoisted: a fused access whose index intervals keep every subscript in
+///   range (subscripts_inside) sums (v - 1) * stride per dimension, with
+///   no bounds test at all;
+/// - screened: any other access screens every lane. A lane whose every
+///   subscript is integral and in range takes its offset from the screen;
+///   any other recomputes it with subscript_in's exact rounding, adding
+///   nothing for a failing dimension, so every offset stays in bounds.
 void element_offsets(const CostProgram& cp, const CostInstr& in, const BatchEnv& env,
                      const ArrayView& view, const double* regs, double* dst,
                      unsigned char* ok, std::size_t S) {
@@ -626,6 +650,26 @@ void element_offsets(const CostProgram& cp, const CostInstr& in, const BatchEnv&
     const unsigned char* def = env.defined(subs[d].slot);
     HPF90D_SIMD_LOOP
     for (std::size_t l = 0; l < S; ++l) ok[l] &= static_cast<unsigned char>(def[l] != 0);
+  }
+  if (subs != nullptr && subscripts_inside(subs, rank, env, view)) {
+    std::fill_n(dst, S, 0.0);
+    for (int d = 0; d < rank; ++d) {
+      const double k = subs[d].offset;
+      const double stride = view.strides[d];
+      if (subs[d].slot < 0) {
+        const double part = (k - 1.0) * stride;
+        HPF90D_SIMD_LOOP
+        for (std::size_t l = 0; l < S; ++l) dst[l] += part;
+        continue;
+      }
+      const double* x = env.values(subs[d].slot);
+      HPF90D_SIMD_LOOP
+      for (std::size_t l = 0; l < S; ++l) {
+        const double v = x[l] + k;
+        dst[l] += (v - 1.0) * stride;
+      }
+    }
+    return;
   }
   double bad[kScreenBlock];
   for (std::size_t first = 0; first < S; first += kScreenBlock) {

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -183,14 +185,31 @@ inline constexpr std::size_t stripe_width(std::size_t lanes) {
 /// Structure-of-arrays environment for lockstep evaluation: values(slot)
 /// [lane] with a parallel defined mask. Lane count is fixed per reset;
 /// slots are symbol ids, then array extents. Columns are padded to a
-/// kBatchStripe multiple (stride()); padding lanes read as undefined zeros,
-/// so evaluation computes harmless garbage for them.
+/// kBatchStripe multiple (stride()); padding lanes start as undefined zeros
+/// (broadcast sets them too), so evaluation computes harmless garbage for
+/// them.
+///
+/// Each slot also keeps an index interval: integers lo <= hi such that
+/// every lane's value, padding lanes and undefined lanes included, lies in
+/// [lo, hi], or unknown. reset gives [0, 0], broadcast of an integer v
+/// gives [v, v] (any other value: unknown), define_run widens the interval
+/// by the run's two endpoints, and define makes it unknown. A fused
+/// element access whose subscripts stay inside their extents over the
+/// whole interval skips the per-lane bounds screen.
 class BatchEnv {
  public:
+  /// An index interval; lo is NaN when unknown.
+  struct Interval {
+    double lo = 0;
+    double hi = 0;
+    [[nodiscard]] bool known() const noexcept { return !std::isnan(lo); }
+  };
+
   void reset(std::size_t slots, std::size_t lanes) {
     stride_ = stripe_width(lanes);
     values_.assign(slots * stride_, 0.0);
     defined_.assign(slots * stride_, 0);
+    intervals_.assign(slots, Interval{});
   }
 
   /// Column spacing: the lane count rounded up to a kBatchStripe multiple.
@@ -202,21 +221,33 @@ class BatchEnv {
   [[nodiscard]] const unsigned char* defined(int slot) const {
     return defined_.data() + static_cast<std::size_t>(slot) * stride_;
   }
+  [[nodiscard]] const Interval& interval(int slot) const {
+    return intervals_[static_cast<std::size_t>(slot)];
+  }
 
   void define(int slot, std::size_t lane, double value) {
     values_[static_cast<std::size_t>(slot) * stride_ + lane] = value;
     defined_[static_cast<std::size_t>(slot) * stride_ + lane] = 1;
+    intervals_[static_cast<std::size_t>(slot)].lo = kUnknown;
   }
   /// Defines lanes [lane, lane + count) of `slot` as first, first + step,
   /// first + 2 step, ...: one run of a loop index (step 0 holds it still).
   void define_run(int slot, std::size_t lane, std::size_t count, long long first,
                   long long step) {
+    if (count == 0) return;
     const std::size_t at = static_cast<std::size_t>(slot) * stride_ + lane;
     for (std::size_t j = 0; j < count; ++j) {
       values_[at + j] = static_cast<double>(first + static_cast<long long>(j) * step);
     }
     std::fill_n(defined_.begin() + static_cast<std::ptrdiff_t>(at), count,
                 static_cast<unsigned char>(1));
+    // long long -> double rounds monotonically, so the two end lanes bound
+    // every lane of the run
+    Interval& span = intervals_[static_cast<std::size_t>(slot)];
+    const double a = values_[at];
+    const double b = values_[at + count - 1];
+    span.lo = std::min({span.lo, a, b});  // a NaN lo stays NaN
+    span.hi = std::max({span.hi, a, b});
   }
   /// Defines lane `lane`'s extent slots (CostArray::extent_slot) from
   /// `layout`, leaving undefined those it cannot resolve.
@@ -227,12 +258,19 @@ class BatchEnv {
     std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(at), stride_, value);
     std::fill_n(defined_.begin() + static_cast<std::ptrdiff_t>(at), stride_,
                 static_cast<unsigned char>(defined ? 1 : 0));
+    // NaN and the infinities fail the test, so they leave the slot unknown
+    const bool integral = std::isfinite(value) && std::trunc(value) == value;
+    intervals_[static_cast<std::size_t>(slot)] =
+        integral ? Interval{value, value} : Interval{kUnknown, kUnknown};
   }
 
  private:
+  static constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+
   std::size_t stride_ = 0;
   std::vector<double> values_;
   std::vector<unsigned char> defined_;
+  std::vector<Interval> intervals_;  // one per slot
 };
 
 /// Row-major storage of one CostProgram::arrays entry, as the simulator

@@ -386,6 +386,13 @@ long long Executor::resolve_space(const SpmdNode& n) {
   return total;
 }
 
+void Executor::first_point(const SpmdNode& n) {
+  point_.assign(lo_.begin(), lo_.end());
+  for (std::size_t d = 0; d < point_.size(); ++d) {
+    env_.broadcast(n.space[d].symbol, static_cast<double>(point_[d]));
+  }
+}
+
 std::size_t Executor::load_points(const SpmdNode& n, bool& more) {
   const std::size_t rank = point_.size();
   if (rank == 0) {
@@ -757,7 +764,7 @@ void Executor::record_local_loop(const SpmdNode& n) {
   const std::span<double> target = storage_.raw(n.lhs->symbol);
   const bool integer = n.lhs->type == front::TypeBase::Integer;
 
-  point_.assign(lo_.begin(), lo_.end());
+  first_point(n);
   std::size_t k = 0;  // odometer ordinal of the chunk's first point
   std::size_t m = 0;
   for (bool more = true; more; k += m) {
@@ -884,7 +891,7 @@ void Executor::record_reduce(const SpmdNode& n) {
   if (points > 0) {
     // points run as lanes; the accumulation stays sequential in odometer
     // order, so every partial result rounds as a point-by-point loop would
-    point_.assign(lo_.begin(), lo_.end());
+    first_point(n);
     std::size_t m = 0;
     for (bool more = true; more;) {
       m = load_points(n, more);

@@ -14,6 +14,7 @@
 #include <map>
 #include <span>
 #include <optional>
+#include <random>
 #include <string>
 
 #include "compiler/pipeline.hpp"
@@ -1496,6 +1497,271 @@ end program t
   } catch (const support::CompileError& e) {
     EXPECT_STREQ(e.what(), "<unknown>: subscript out of bounds for 'u' dim 1: -2 not in 1..16");
   }
+}
+
+TEST(FunctionalPass, ShiftedReadLeavingItsRangeInTheLastChunkFails) {
+  // 67 x 21 points: the last 64-lane chunk holds rows 65..67, and only row
+  // 67 reads u(68, j). Every earlier chunk keeps i + 1 inside 1..67, so the
+  // bounds test that fails is the screen of that last chunk alone.
+  const auto [message, loc] = pass_failure(R"f90(
+program t
+  parameter (n = 67)
+  real u(n, n), v(n, n)
+!hpf$ template d(n, n)
+!hpf$ align u(i, j) with d(i, j)
+!hpf$ align v(i, j) with d(i, j)
+!hpf$ distribute d(block, block)
+  forall (i = 1:n, j = 1:21) v(i, j) = u(i + 1, j)
+end program t
+)f90");
+  EXPECT_EQ(message, "<unknown>: subscript out of bounds for 'u' dim 1: 68 not in 1..67");
+  EXPECT_FALSE(loc.valid());
+}
+
+TEST(FunctionalPass, NegativeStepForallMatchesAHandLoop) {
+  const sim::ValueTape tape = record_tape(comp(R"f90(
+program t
+  parameter (n = 67)
+  real u(n), v(n)
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) u(i) = real(mod(i * 13, 31))
+  forall (i = 1:n) v(i) = 0.0
+  forall (i = n:2:-1) v(i) = u(i - 1)
+  s = sum(v)
+  print *, s, v(1), v(2), v(66), v(67)
+end program t
+)f90"), {});
+  constexpr int n = 67;
+  std::vector<double> u(n + 1), v(n + 1, 0.0);
+  for (int i = 1; i <= n; ++i) u[i] = static_cast<double>(i * 13 % 31);
+  for (int i = n; i >= 2; --i) v[i] = u[i - 1];
+  double s = 0.0;  // whole numbers: exact in any order
+  for (int i = 1; i <= n; ++i) s += v[i];
+  const std::map<std::string, double> expected = {
+      {"s", s}, {"v(1)", v[1]}, {"v(2)", v[2]}, {"v(66)", v[66]}, {"v(67)", v[67]}};
+  EXPECT_EQ(tape.printed, expected);
+}
+
+TEST(FunctionalPass, IndexLeftLargeByAnEarlierForallReadsAsBefore) {
+  // the first forall leaves i = 100 in every lane; the second's 37 points
+  // fill one chunk of width 40, whose three padding lanes held that 100
+  const sim::ValueTape tape = record_tape(comp(R"f90(
+program t
+  parameter (n = 37, m = 100)
+  real u(n), w(n), big(m)
+!hpf$ template d(m)
+!hpf$ align big(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:m) big(i) = real(i)
+  forall (i = 1:n) u(i) = real(2 * i)
+  forall (i = 1:n - 1) w(i) = big(i + 1) + u(i + 1)
+  k = i
+  s = sum(w)
+  print *, k, w(1), w(36), s
+end program t
+)f90"), {});
+  // w(i) = (i + 1) + 2 (i + 1) for i < 37; w(37) keeps its fill, so s is
+  // pinned as the pass printed it before index intervals existed
+  const std::map<std::string, double> expected = {
+      {"k", 36.0}, {"w(1)", 6.0}, {"w(36)", 111.0}, {"s", 2106.9451539471584}};
+  EXPECT_EQ(tape.printed, expected);
+}
+
+// --- index intervals and the hoisted element access --------------------------------
+
+/// Whether every lane of `slot`, padding included, lies in its interval.
+bool interval_holds(const compiler::BatchEnv& env, int slot) {
+  const compiler::BatchEnv::Interval span = env.interval(slot);
+  if (!span.known()) return true;
+  if (std::trunc(span.lo) != span.lo || std::trunc(span.hi) != span.hi) return false;
+  const double* v = env.values(slot);
+  return std::all_of(v, v + env.stride(), [&](double x) { return span.lo <= x && x <= span.hi; });
+}
+
+std::pair<double, double> bounds_of(const compiler::BatchEnv& env, int slot) {
+  return {env.interval(slot).lo, env.interval(slot).hi};
+}
+
+TEST(IndexInterval, ResetBroadcastAndDefine) {
+  compiler::BatchEnv env;
+  env.reset(3, 20);
+  for (int slot = 0; slot < 3; ++slot) {
+    ASSERT_TRUE(env.interval(slot).known());
+    EXPECT_EQ(bounds_of(env, slot), std::make_pair(0.0, 0.0));
+  }
+  env.broadcast(0, 7.0);
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(7.0, 7.0));
+  env.broadcast(0, -3.0, false);  // an undefined value still bounds its lanes
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(-3.0, -3.0));
+  for (const double x : {2.5, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    env.broadcast(1, x);
+    EXPECT_FALSE(env.interval(1).known()) << x;
+  }
+  env.broadcast(1, 4.0);  // a later broadcast is exact again
+  EXPECT_EQ(bounds_of(env, 1), std::make_pair(4.0, 4.0));
+  env.define(1, 5, 4.0);  // even an integral value inside the interval
+  EXPECT_FALSE(env.interval(1).known());
+  env.define_run(1, 0, 3, 1, 1);  // a run does not make an unknown slot known
+  EXPECT_FALSE(env.interval(1).known());
+  env.broadcast(1, 6.0);
+  EXPECT_EQ(bounds_of(env, 1), std::make_pair(6.0, 6.0));
+}
+
+TEST(IndexInterval, DefineRunWidensByItsEndpoints) {
+  compiler::BatchEnv env;
+  env.reset(1, 64);
+  env.define_run(0, 0, 5, 3, 2);  // 3, 5, ..., 11 over reset zeros
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(0.0, 11.0));
+  env.broadcast(0, 3.0);
+  env.define_run(0, 0, 5, 3, 2);
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(3.0, 11.0));
+  env.define_run(0, 40, 4, 10, -3);  // 10, 7, 4, 1
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(1.0, 11.0));
+  env.define_run(0, 60, 4, 12, 0);  // held still
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(1.0, 12.0));
+  env.define_run(0, 8, 0, 1000, 1);  // no lanes, no change
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(1.0, 12.0));
+  EXPECT_TRUE(interval_holds(env, 0));
+
+  // near 2^53 a run's values round, but never past its rounded endpoints
+  constexpr long long kTop = 1LL << 53;
+  env.broadcast(0, static_cast<double>(kTop - 2));
+  env.define_run(0, 0, 7, kTop - 2, 1);
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(static_cast<double>(kTop - 2),
+                                              static_cast<double>(kTop + 4)));
+  EXPECT_TRUE(interval_holds(env, 0));
+  env.define_run(0, 10, 5, -kTop + 3, -3);
+  EXPECT_EQ(env.interval(0).lo, static_cast<double>(-kTop - 9));
+  EXPECT_TRUE(interval_holds(env, 0));
+  env.broadcast(0, static_cast<double>(kTop + 1));  // rounds to 2^53: still an integer
+  EXPECT_EQ(bounds_of(env, 0), std::make_pair(static_cast<double>(kTop), static_cast<double>(kTop)));
+}
+
+/// A one-instruction program: a fused ArrayLoad or ArrayOffset of a rank-`rank`
+/// array whose subscript d reads slot d plus offsets[d], or offsets[d]
+/// alone where constant[d].
+compiler::CostProgram fused_access(compiler::CostOp op, int rank, const std::vector<double>& offsets,
+                                   const std::vector<bool>& constant) {
+  compiler::CostProgram cp;
+  cp.arrays.push_back(compiler::CostArray{0, rank, -1});
+  for (int d = 0; d < rank; ++d) {
+    compiler::AffineSubscript sub;
+    sub.slot = constant[static_cast<std::size_t>(d)] ? -1 : d;
+    sub.offset = offsets[static_cast<std::size_t>(d)];
+    cp.subscripts.push_back(sub);
+  }
+  cp.code.push_back(compiler::CostInstr{op, 0, 0, 0, 1});
+  cp.sources.emplace_back();
+  cp.exprs.push_back(compiler::ExprCode{0, 1, 0, 1, 0, 0});
+  cp.slots = static_cast<std::size_t>(rank);
+  cp.max_regs = 1;
+  return cp;
+}
+
+TEST(HoistedAccess, SameBitsAndFlagsAsTheScreen) {
+  // Each case draws one subscript column per dimension, from one of: in
+  // range, both edges, one past an edge, a non-integral or NaN lane, and
+  // undefined lanes. The same env is evaluated with its intervals as built
+  // and forced unknown (define() of a lane past the evaluated width, its
+  // value unchanged); only the first can take the hoisted path.
+  enum Draw { Inside, Edges, PastLow, PastHigh, Fraction, NotANumber, Undefined, kDraws };
+  std::mt19937_64 rng(20260419);
+  const auto pick = [&](long long lo, long long hi) {
+    return std::uniform_int_distribution<long long>(lo, hi)(rng);
+  };
+  std::vector<double> regs_file(8 + 64);
+  const auto raw = reinterpret_cast<std::uintptr_t>(regs_file.data());
+  double* const regs = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
+  int hoisted = 0;
+  int cases = 0;
+  for (const std::size_t width : {std::size_t{8}, std::size_t{64}}) {
+    for (int rank = 1; rank <= 3; ++rank) {
+      for (int trial = 0; trial < 300; ++trial) {
+        std::vector<double> extents, strides, offsets;
+        std::vector<bool> constant;
+        for (int d = 0; d < rank; ++d) {
+          extents.push_back(static_cast<double>(pick(1, 9)));
+          offsets.push_back(static_cast<double>(pick(-3, 3)));
+          constant.push_back(pick(0, 5) == 0);
+        }
+        strides.assign(static_cast<std::size_t>(rank), 1.0);
+        for (int d = rank - 1; d > 0; --d) strides[d - 1] = strides[d] * extents[d];
+        std::vector<double> data(static_cast<std::size_t>(strides[0] * extents[0]));
+        for (double& x : data) x = std::uniform_real_distribution<double>(-1.0, 1.0)(rng);
+        const compiler::ArrayView view{data.data(), extents.data(), strides.data()};
+
+        // the same draws build both envs; the spare last lane is never evaluated
+        compiler::BatchEnv envs[2];
+        for (compiler::BatchEnv& env : envs) env.reset(static_cast<std::size_t>(rank), width + 1);
+        for (int d = 0; d < rank; ++d) {
+          const auto ext = static_cast<long long>(extents[d]);
+          const auto k = static_cast<long long>(offsets[d]);
+          if (constant[d]) {  // k itself is the subscript: in range, or one past
+            offsets[d] = static_cast<double>(pick(0, ext + 1));
+            continue;
+          }
+          const auto draw = static_cast<Draw>(pick(0, kDraws - 1));
+          const long long base = pick(1, ext) - k;
+          std::vector<double> column(width);
+          for (double& x : column) x = static_cast<double>(pick(1, ext) - k);
+          const std::size_t at = static_cast<std::size_t>(pick(0, static_cast<long long>(width) - 1));
+          if (draw == Edges) {
+            column[0] = static_cast<double>(1 - k);
+            column[width - 1] = static_cast<double>(ext - k);
+          }
+          if (draw == PastLow) column[at] = static_cast<double>(-k);
+          if (draw == PastHigh) column[at] = static_cast<double>(ext + 1 - k);
+          if (draw == Fraction) column[at] = static_cast<double>(pick(1, ext) - k) + 0.5;
+          if (draw == NotANumber) column[at] = std::nan("");
+          for (compiler::BatchEnv& env : envs) {
+            env.broadcast(d, static_cast<double>(base), draw != Undefined);
+            for (std::size_t l = 0; l < width; ++l) {
+              if (draw == Undefined && l % 3 != 0) continue;
+              if (std::trunc(column[l]) == column[l]) {
+                env.define_run(d, l, 1, static_cast<long long>(column[l]), 0);
+              } else {
+                env.define(d, l, column[l]);
+              }
+            }
+          }
+          envs[1].define(d, width, envs[1].values(d)[width]);
+          ASSERT_TRUE(interval_holds(envs[0], d));
+        }
+        bool inside = true;
+        for (int d = 0; d < rank; ++d) {
+          const compiler::BatchEnv::Interval span =
+              constant[d] ? compiler::BatchEnv::Interval{0.0, 0.0} : envs[0].interval(d);
+          inside = inside && span.lo + offsets[d] >= 1.0 && span.hi + offsets[d] <= extents[d];
+        }
+        hoisted += inside ? 1 : 0;
+        ++cases;
+
+        for (const compiler::CostOp op : {compiler::CostOp::ArrayLoad, compiler::CostOp::ArrayOffset}) {
+          const compiler::CostProgram cp = fused_access(op, rank, offsets, constant);
+          const std::vector<compiler::ArrayView> views{view};
+          std::vector<double> out[2];
+          std::vector<unsigned char> ok[2];
+          for (int e = 0; e < 2; ++e) {
+            out[e].assign(width, 0.0);
+            ok[e].assign(width, 0);
+            (void)compiler::eval_code_batch(cp, cp.exprs[0], envs[e], views, regs, out[e].data(),
+                                            ok[e].data(), width);
+          }
+          for (std::size_t l = 0; l < width; ++l) {
+            ASSERT_EQ(ok[0][l], ok[1][l]) << "rank " << rank << " trial " << trial << " lane " << l;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[0][l]), std::bit_cast<std::uint64_t>(out[1][l]))
+                << "rank " << rank << " trial " << trial << " lane " << l;
+          }
+        }
+      }
+    }
+  }
+  // both paths are exercised
+  EXPECT_GT(hoisted, cases / 5);
+  EXPECT_LT(hoisted, cases - cases / 5);
 }
 
 // --- timing walk pins and plan invalidation ----------------------------------------
