@@ -192,8 +192,9 @@ struct ReportDiff {
 /// batched path guarantees).
 /// Every point is counted once, by the window it finished in: a window of
 /// two or more lanes makes it batched; a one-lane window makes it scalar
-/// when the point is fresh, replayed when it was evicted first. A point is
-/// evicted at most once, so evicted_lanes == replayed_points.
+/// when the point is fresh, replayed when it was evicted first. Evicted
+/// lanes re-batch, so evicted_lanes counts every eviction of every round
+/// and is at least replayed_points.
 struct BatchStats {
   std::size_t batched_points = 0;   // points finished in a window of >= 2 lanes
   std::size_t scalar_points = 0;    // points priced alone in a fresh 1-lane window

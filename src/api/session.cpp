@@ -5,6 +5,8 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -289,16 +291,21 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     std::vector<core::BatchLane> lanes;             // chunk lanes, offset order
     std::vector<LayoutStore::Ptr> layouts;          // keep-alives, offset order
     std::vector<int> evicted;                       // one window's evicted lanes
-    std::vector<std::size_t> alone;                 // evicted offsets, point order
+    std::vector<std::size_t> round;                 // a round's offsets, point order
+    std::vector<std::size_t> next;                  // its evicted offsets, point order
+    std::vector<core::BatchLane> window;            // one window's lanes
     std::vector<compiler::SeededValues> seeds;      // one per problem of the chunk
     std::vector<compiler::LayoutDigest> tape_keys;  // value-tape keys, offset order
   };
 
-  // One worker claim = one chunk. The chunk runs as a stream of lockstep
-  // windows: fresh points in point order first, then one one-lane window
-  // per evicted lane, in point order. Records are assembled by point index
-  // and a lane's arithmetic does not depend on its window, so the record
-  // payload is byte-identical for any batch size or worker count.
+  // One worker claim = one chunk. The chunk runs as rounds of lockstep
+  // windows: the fresh points in point order, then the lanes the round
+  // evicted, again in point order, until none remain. A round in which no
+  // lane finishes (failure evictions can empty every window) hands the
+  // rest to one-lane windows, which never evict. Records are assembled by
+  // point index and a lane's arithmetic does not depend on its window, so
+  // the record payload is byte-identical for any batch size or worker
+  // count.
   const auto run_chunk = [&](const Chunk& c, WorkerScratch& ws) {
     const std::size_t n = c.end - c.begin;
     const Point& p0 = points[c.begin];
@@ -365,44 +372,53 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
     };
 
-    // One lockstep window over the chunk offsets [first, first + w). A
-    // point that finishes here counts as batched when the window has two or
-    // more lanes, else as replayed (evicted once already) or scalar (fresh).
-    // Evicted offsets join `alone`; fresh windows run in point order and
-    // report evictions in lane order, so `alone` stays sorted.
-    const auto run_window = [&](std::size_t first, std::size_t w, bool replay) {
+    // One lockstep window over the chunk offsets `offs`; returns how many
+    // of its points finish. A point that finishes here counts as batched
+    // when the window has two or more lanes, else as replayed (evicted
+    // before) or scalar (fresh). Evicted offsets join `next`; windows run
+    // in point order and report evictions in lane order, so `next` stays
+    // sorted.
+    const auto run_window = [&](std::span<const std::size_t> offs, bool replay) {
+      ws.window.clear();
+      for (const std::size_t off : offs) ws.window.push_back(ws.lanes[off]);
       core::BatchRunStats bs;
-      const std::span<const core::PredictionResult> preds = arena.predict_batch(
-          prog, mach, sweep_predict,
-          std::span<const core::BatchLane>(ws.lanes.data() + first, w), bs, ws.evicted);
+      const std::span<const core::PredictionResult> preds =
+          arena.predict_batch(prog, mach, sweep_predict, ws.window, bs, ws.evicted);
       ir_n += bs.ir_visits;
       lanes_n += bs.lane_visits;
       stripes_n += bs.simd_stripes;
       evicted_n += bs.evicted_lanes;
-      std::size_t& finished_n = w >= 2 ? batched_n : replay ? replayed_n : scalar_n;
+      std::size_t& finished_n = offs.size() >= 2 ? batched_n : replay ? replayed_n : scalar_n;
+      std::size_t finished = 0;
       std::size_t e = 0;
-      for (std::size_t k = 0; k < w; ++k) {
+      for (std::size_t k = 0; k < offs.size(); ++k) {
         if (e < ws.evicted.size() && ws.evicted[e] == static_cast<int>(k)) {
-          ws.alone.push_back(first + k);
+          ws.next.push_back(offs[k]);
           ++e;
           continue;
         }
-        assemble(first + k, preds[k]);
-        ++finished_n;
+        assemble(offs[k], preds[k]);
+        ++finished;
       }
+      finished_n += finished;
+      return finished;
     };
 
-    // Phase 1 — fresh windows in point order.
-    ws.alone.clear();
-    for (std::size_t f = 0; f < n; f += lane_width) {
-      run_window(f, std::min(lane_width, n - f), false);
+    ws.round.resize(n);
+    std::iota(ws.round.begin(), ws.round.end(), std::size_t{0});
+    for (bool replay = false; !ws.round.empty(); replay = true) {
+      ws.next.clear();
+      const std::span<const std::size_t> round(ws.round);
+      std::size_t finished = 0;
+      for (std::size_t f = 0; f < round.size(); f += lane_width) {
+        finished += run_window(round.subspan(f, std::min(lane_width, round.size() - f)), replay);
+      }
+      ws.round.swap(ws.next);
+      if (finished == 0) {  // one-lane windows never evict
+        for (const std::size_t off : ws.round) run_window({&off, 1}, true);
+        break;
+      }
     }
-
-    // Phase 2 — every evicted lane finishes in a one-lane window, in point
-    // order. A one-lane window never evicts; a lane evicted by a failure
-    // throws its located diagnostic here.
-    const std::size_t evicted_points = ws.alone.size();
-    for (std::size_t i = 0; i < evicted_points; ++i) run_window(ws.alone[i], 1, true);
 
     // Measurement: one batched pass over the whole chunk in point order —
     // per-point bit-identical to measure_into, independent of how

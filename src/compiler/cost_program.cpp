@@ -609,37 +609,111 @@ double subscript_of(const CostProgram& cp, const CostInstr& in, const BatchEnv& 
   return (env.defined(sub.slot)[l] != 0 ? env.values(sub.slot)[l] : 0.0) + sub.offset;
 }
 
-/// Whether fused access `subs` over `view` can skip the screen: every
-/// extent is below 2^31 and every subscript stays inside its extent for
-/// every lane, by its slot's index interval plus its offset (a constant
-/// subscript: the offset itself). Double sums round monotonically, so each
-/// lane's x + k lies between the interval's two rounded ends; and a sum of
-/// integers rounds to an integer.
-bool subscripts_inside(const AffineSubscript* subs, int rank, const BatchEnv& env,
-                       const ArrayView& view) {
+/// Whether two run lists cover the same lanes run for run.
+bool same_lanes(std::span<const BatchEnv::Run> a, std::span<const BatchEnv::Run> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const BatchEnv::Run& x, const BatchEnv::Run& y) {
+                      return x.lane == y.lane && x.count == y.count;
+                    });
+}
+
+/// The run path of a fused ArrayLoad/ArrayOffset over a bound `view`. When
+/// every subscript variable has runs (BatchEnv::runs), the variables that
+/// vary over lanes [0, S) share their runs' lanes (one held by a single
+/// step-0 run over those lanes counts as a constant subscript), and every
+/// run keeps each subscript integral and inside its extent at both of its
+/// ends, it writes lanes [0, S) of dst and returns true: a run as one
+/// strided copy out of storage (ArrayLoad) or one ramp of offsets
+/// (ArrayOffset), and the padding lanes past the last run lane 0's. No
+/// lane fails: a lane a run covers is defined, and its subscripts lie
+/// between the run's ends. Otherwise it returns false, dst unspecified.
+///
+/// Lane j of a run has offset sum_d (v_d + j s_d - 1) stride_d, with v_d
+/// the run's first subscript and s_d its step: integers whose sums stay
+/// inside the array, so every double below is exact and the ramp is the
+/// screen's per-lane sum bit for bit.
+bool run_access(const CostProgram& cp, const CostInstr& in, const BatchEnv& env,
+                const ArrayView& view, double* dst, std::size_t S) {
+  constexpr int kMaxRank = 8;
+  const int rank = cp.arrays[in.b].rank;
+  const bool load = in.op == CostOp::ArrayLoad;
+  if (rank > kMaxRank || (load && view.data == nullptr)) return false;
+  const AffineSubscript* const subs = cp.subscripts.data() + in.a;
+  double base = 0.0;  // the offset the constant subscripts contribute
+  int vary[kMaxRank];
+  int varying = 0;
+  std::span<const BatchEnv::Run> lead;
   for (int d = 0; d < rank; ++d) {
     const double extent = view.extents[d];
-    const BatchEnv::Interval span =
-        subs[d].slot < 0 ? BatchEnv::Interval{0.0, 0.0} : env.interval(subs[d].slot);
-    if (!(extent < 2147483648.0 && span.lo + subs[d].offset >= 1.0 &&
-          span.hi + subs[d].offset <= extent)) {
-      return false;
+    const double k = subs[d].offset;
+    if (!(extent < 2147483648.0) || std::trunc(k) != k) return false;
+    double v = k;
+    if (subs[d].slot >= 0) {
+      const std::span<const BatchEnv::Run> runs = env.runs(subs[d].slot);
+      if (runs.empty()) return false;
+      if (runs.size() != 1 || runs[0].step != 0.0 || runs[0].count < S) {
+        if (lead.empty()) {
+          lead = runs;
+        } else if (!same_lanes(lead, runs)) {
+          return false;
+        }
+        vary[varying++] = d;
+        continue;
+      }
+      v += runs[0].first;
     }
+    if (!(v >= 1.0 && v <= extent)) return false;
+    base += (v - 1.0) * view.strides[d];
   }
+  if (varying == 0) {
+    std::fill_n(dst, S, load ? view.data[static_cast<std::ptrdiff_t>(base)] : base);
+    return true;
+  }
+  std::size_t end = 0;  // lanes the runs wrote
+  for (std::size_t r = 0; r < lead.size() && lead[r].lane < S; ++r) {
+    const double last = static_cast<double>(lead[r].count - 1);
+    double off = base;
+    double step = 0.0;
+    for (int i = 0; i < varying; ++i) {
+      const int d = vary[i];
+      const BatchEnv::Run& run = env.runs(subs[d].slot)[r];
+      const double v = run.first + subs[d].offset;
+      const double w = v + last * run.step;
+      const double extent = view.extents[d];
+      if (!(v >= 1.0 && v <= extent && w >= 1.0 && w <= extent)) return false;
+      off += (v - 1.0) * view.strides[d];
+      step += run.step * view.strides[d];
+    }
+    const std::size_t lane = lead[r].lane;
+    const std::size_t n = std::min<std::size_t>(lead[r].count, S - lane);
+    double* const out = dst + lane;
+    if (load) {
+      const double* const src = view.data + static_cast<std::ptrdiff_t>(off);
+      const auto stride = static_cast<std::ptrdiff_t>(step);
+      if (stride == 1) {
+        std::copy(src, src + n, out);
+      } else {
+        for (std::size_t j = 0; j < n; ++j) out[j] = src[static_cast<std::ptrdiff_t>(j) * stride];
+      }
+    } else {
+      const auto lanes = static_cast<int>(n);
+      HPF90D_SIMD_LOOP
+      for (int j = 0; j < lanes; ++j) out[j] = off + static_cast<double>(j) * step;
+    }
+    end = lane + n;
+  }
+  std::fill(dst + end, dst + S, dst[0]);
   return true;
 }
 
 /// The element offsets of an ArrayLoad/ArrayOffset over a bound `view`
-/// into dst[0, S), failing the lanes the unfused sequence fails: an
-/// undefined fused subscript variable (read as 0, as a Load would), or a
-/// subscript outside its extent. Two paths give the same offsets:
-/// - hoisted: a fused access whose index intervals keep every subscript in
-///   range (subscripts_inside) sums (v - 1) * stride per dimension, with
-///   no bounds test at all;
-/// - screened: any other access screens every lane. A lane whose every
-///   subscript is integral and in range takes its offset from the screen;
-///   any other recomputes it with subscript_in's exact rounding, adding
-///   nothing for a failing dimension, so every offset stays in bounds.
+/// that run_access does not take, screened lane by lane into dst[0, S),
+/// failing the lanes the unfused sequence fails: an undefined fused
+/// subscript variable (read as 0, as a Load would), or a subscript outside
+/// its extent. A lane whose every subscript is integral and in range takes
+/// its offset from the screen; any other recomputes it with subscript_in's
+/// exact rounding, adding nothing for a failing dimension, so every offset
+/// stays in bounds.
 void element_offsets(const CostProgram& cp, const CostInstr& in, const BatchEnv& env,
                      const ArrayView& view, const double* regs, double* dst,
                      unsigned char* ok, std::size_t S) {
@@ -650,26 +724,6 @@ void element_offsets(const CostProgram& cp, const CostInstr& in, const BatchEnv&
     const unsigned char* def = env.defined(subs[d].slot);
     HPF90D_SIMD_LOOP
     for (std::size_t l = 0; l < S; ++l) ok[l] &= static_cast<unsigned char>(def[l] != 0);
-  }
-  if (subs != nullptr && subscripts_inside(subs, rank, env, view)) {
-    std::fill_n(dst, S, 0.0);
-    for (int d = 0; d < rank; ++d) {
-      const double k = subs[d].offset;
-      const double stride = view.strides[d];
-      if (subs[d].slot < 0) {
-        const double part = (k - 1.0) * stride;
-        HPF90D_SIMD_LOOP
-        for (std::size_t l = 0; l < S; ++l) dst[l] += part;
-        continue;
-      }
-      const double* x = env.values(subs[d].slot);
-      HPF90D_SIMD_LOOP
-      for (std::size_t l = 0; l < S; ++l) {
-        const double v = x[l] + k;
-        dst[l] += (v - 1.0) * stride;
-      }
-    }
-    return;
   }
   double bad[kScreenBlock];
   for (std::size_t first = 0; first < S; first += kScreenBlock) {
@@ -803,6 +857,7 @@ void run(const CostProgram& cp, const CostInstr* ip, const CostInstr* const end,
           std::fill(dst, dst + S, 0.0);
           break;
         }
+        if (in.c != 0 && run_access(cp, in, env, *view, dst, S)) break;
         element_offsets(cp, in, env, *view, regs, dst, ok, S);
         // an empty array has no data, and no lane passed its bounds test
         if (in.op == CostOp::ArrayLoad && view->data != nullptr) {

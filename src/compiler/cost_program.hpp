@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -185,31 +184,37 @@ inline constexpr std::size_t stripe_width(std::size_t lanes) {
 /// Structure-of-arrays environment for lockstep evaluation: values(slot)
 /// [lane] with a parallel defined mask. Lane count is fixed per reset;
 /// slots are symbol ids, then array extents. Columns are padded to a
-/// kBatchStripe multiple (stride()); padding lanes start as undefined zeros
-/// (broadcast sets them too), so evaluation computes harmless garbage for
-/// them.
+/// kBatchStripe multiple (stride()); padding lanes start as undefined zeros,
+/// so evaluation computes harmless garbage for them.
 ///
-/// Each slot also keeps an index interval: integers lo <= hi such that
-/// every lane's value, padding lanes and undefined lanes included, lies in
-/// [lo, hi], or unknown. reset gives [0, 0], broadcast of an integer v
-/// gives [v, v] (any other value: unknown), define_run widens the interval
-/// by the run's two endpoints, and define makes it unknown. A fused
-/// element access whose subscripts stay inside their extents over the
-/// whole interval skips the per-lane bounds screen.
+/// Each slot also keeps the runs that define its lanes (runs()): runs in
+/// lane order, the first at lane 0 and each starting where the previous
+/// one ends, a run giving its lanes first, first + step, ... as defined
+/// integers. define_run at lane 0 starts a new list and one at the list's
+/// end extends it; broadcast of a defined finite integer makes one step-0
+/// run over every lane; define, a gapped or overlapping run, a run whose
+/// ends reach 2^52, and any other broadcast empty it. A fused element
+/// access whose subscripts all have runs reads whole runs out of storage
+/// (eval_code_batch) and treats the evaluated lanes past the last run as
+/// padding lanes: they take lane 0's element, whatever they hold.
 class BatchEnv {
  public:
-  /// An index interval; lo is NaN when unknown.
-  struct Interval {
-    double lo = 0;
-    double hi = 0;
-    [[nodiscard]] bool known() const noexcept { return !std::isnan(lo); }
+  /// Lanes [lane, lane + count) hold first, first + step, ...: integers
+  /// below 2^52 in magnitude, so every lane is exact. A one-lane run has
+  /// step 0.
+  struct Run {
+    std::uint32_t lane = 0;
+    std::uint32_t count = 0;
+    double first = 0;
+    double step = 0;
   };
 
   void reset(std::size_t slots, std::size_t lanes) {
     stride_ = stripe_width(lanes);
     values_.assign(slots * stride_, 0.0);
     defined_.assign(slots * stride_, 0);
-    intervals_.assign(slots, Interval{});
+    runs_.resize(slots);
+    for (std::vector<Run>& r : runs_) r.clear();
   }
 
   /// Column spacing: the lane count rounded up to a kBatchStripe multiple.
@@ -221,14 +226,15 @@ class BatchEnv {
   [[nodiscard]] const unsigned char* defined(int slot) const {
     return defined_.data() + static_cast<std::size_t>(slot) * stride_;
   }
-  [[nodiscard]] const Interval& interval(int slot) const {
-    return intervals_[static_cast<std::size_t>(slot)];
+  /// The runs that define `slot`'s lanes; empty when they are unknown.
+  [[nodiscard]] std::span<const Run> runs(int slot) const {
+    return runs_[static_cast<std::size_t>(slot)];
   }
 
   void define(int slot, std::size_t lane, double value) {
     values_[static_cast<std::size_t>(slot) * stride_ + lane] = value;
     defined_[static_cast<std::size_t>(slot) * stride_ + lane] = 1;
-    intervals_[static_cast<std::size_t>(slot)].lo = kUnknown;
+    runs_[static_cast<std::size_t>(slot)].clear();
   }
   /// Defines lanes [lane, lane + count) of `slot` as first, first + step,
   /// first + 2 step, ...: one run of a loop index (step 0 holds it still).
@@ -236,18 +242,30 @@ class BatchEnv {
                   long long step) {
     if (count == 0) return;
     const std::size_t at = static_cast<std::size_t>(slot) * stride_ + lane;
-    for (std::size_t j = 0; j < count; ++j) {
-      values_[at + j] = static_cast<double>(first + static_cast<long long>(j) * step);
+    double* const v = values_.data() + at;
+    const double a = static_cast<double>(first);
+    const double b = static_cast<double>(first + static_cast<long long>(count - 1) * step);
+    const bool exact = std::fabs(a) < kExactRun && std::fabs(b) < kExactRun;
+    if (exact) {  // every lane and partial sum an exact integer: a double ramp
+      const double s = static_cast<double>(step);
+      const auto n = static_cast<int>(count);
+      for (int j = 0; j < n; ++j) v[j] = a + static_cast<double>(j) * s;
+    } else {
+      for (std::size_t j = 0; j < count; ++j) {
+        v[j] = static_cast<double>(first + static_cast<long long>(j) * step);
+      }
     }
     std::fill_n(defined_.begin() + static_cast<std::ptrdiff_t>(at), count,
                 static_cast<unsigned char>(1));
-    // long long -> double rounds monotonically, so the two end lanes bound
-    // every lane of the run
-    Interval& span = intervals_[static_cast<std::size_t>(slot)];
-    const double a = values_[at];
-    const double b = values_[at + count - 1];
-    span.lo = std::min({span.lo, a, b});  // a NaN lo stays NaN
-    span.hi = std::max({span.hi, a, b});
+    std::vector<Run>& runs = runs_[static_cast<std::size_t>(slot)];
+    if (lane == 0) runs.clear();
+    const bool joins = runs.empty() ? lane == 0 : runs.back().lane + runs.back().count == lane;
+    if (!joins || !exact) {
+      runs.clear();
+      return;
+    }
+    runs.push_back(Run{static_cast<std::uint32_t>(lane), static_cast<std::uint32_t>(count), a,
+                       count > 1 ? static_cast<double>(step) : 0.0});
   }
   /// Defines lane `lane`'s extent slots (CostArray::extent_slot) from
   /// `layout`, leaving undefined those it cannot resolve.
@@ -258,19 +276,22 @@ class BatchEnv {
     std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(at), stride_, value);
     std::fill_n(defined_.begin() + static_cast<std::ptrdiff_t>(at), stride_,
                 static_cast<unsigned char>(defined ? 1 : 0));
-    // NaN and the infinities fail the test, so they leave the slot unknown
-    const bool integral = std::isfinite(value) && std::trunc(value) == value;
-    intervals_[static_cast<std::size_t>(slot)] =
-        integral ? Interval{value, value} : Interval{kUnknown, kUnknown};
+    std::vector<Run>& runs = runs_[static_cast<std::size_t>(slot)];
+    runs.clear();
+    // NaN and the infinities fail the test
+    if (defined && std::fabs(value) < kExactRun && std::trunc(value) == value) {
+      runs.push_back(Run{0, static_cast<std::uint32_t>(stride_), value, 0.0});
+    }
   }
 
  private:
-  static constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+  /// 2^52: a run whose ends lie below it has exact lanes and an exact span.
+  static constexpr double kExactRun = 4503599627370496.0;
 
   std::size_t stride_ = 0;
   std::vector<double> values_;
   std::vector<unsigned char> defined_;
-  std::vector<Interval> intervals_;  // one per slot
+  std::vector<std::vector<Run>> runs_;  // one list per slot
 };
 
 /// Row-major storage of one CostProgram::arrays entry, as the simulator

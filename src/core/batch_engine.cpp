@@ -182,7 +182,7 @@ void BatchEngine::batch_do(const SpmdNode& n) {
     return lo >= hi ? (lo - hi) / (-st) + 1 : 0;
   };
   const long long trips = trips_of(active_[0]);
-  // benign divergence: lanes with another trip count finish alone
+  // benign divergence: lanes with another trip count run again later
   evict_unless([&](int l) { return trips_of(l) == trips; });
   if (active_.empty()) return;
 

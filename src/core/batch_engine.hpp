@@ -14,9 +14,10 @@
 // equal DO trip counts (bounds may differ), the same IF decision, the same
 // WHILE test outcome on every trip. Lanes that diverge — different trip
 // counts from per-lane critical variables, or a failing bound — are
-// *evicted* and handed back to the caller, which finishes each of them in
-// a one-lane window. A one-lane window never evicts: a failing bound
-// throws its located diagnostic.
+// *evicted* and handed back to the caller, which runs them again in later
+// windows (api::Session::run re-batches them in point order, round after
+// round). A one-lane window never evicts: a failing bound throws its
+// located diagnostic.
 #pragma once
 
 #include <span>
@@ -58,7 +59,7 @@ class BatchEngine {
   /// Interprets every lane in lockstep, filling results[l] for each lane l
   /// that stays in lockstep. `evicted` is set to the lanes that left
   /// lockstep, in ascending lane order; their results[] slots are left
-  /// untouched for the caller to finish in one-lane windows. A one-lane
+  /// untouched for the caller to finish in later windows. A one-lane
   /// window evicts nothing: where a wider window would evict the lane for
   /// a failing bound or condition, it throws the located
   /// support::CompileError instead. The WHILE trip limit throws for any

@@ -386,13 +386,6 @@ long long Executor::resolve_space(const SpmdNode& n) {
   return total;
 }
 
-void Executor::first_point(const SpmdNode& n) {
-  point_.assign(lo_.begin(), lo_.end());
-  for (std::size_t d = 0; d < point_.size(); ++d) {
-    env_.broadcast(n.space[d].symbol, static_cast<double>(point_[d]));
-  }
-}
-
 std::size_t Executor::load_points(const SpmdNode& n, bool& more) {
   const std::size_t rank = point_.size();
   if (rank == 0) {
@@ -764,7 +757,7 @@ void Executor::record_local_loop(const SpmdNode& n) {
   const std::span<double> target = storage_.raw(n.lhs->symbol);
   const bool integer = n.lhs->type == front::TypeBase::Integer;
 
-  first_point(n);
+  point_.assign(lo_.begin(), lo_.end());
   std::size_t k = 0;  // odometer ordinal of the chunk's first point
   std::size_t m = 0;
   for (bool more = true; more; k += m) {
@@ -799,11 +792,28 @@ void Executor::record_local_loop(const SpmdNode& n) {
     }
     eval(nc.lhs, width, offset_.data(), offset_ok_.data());
 
-    for (std::size_t l = 0; l < m; ++l) {
+    // one AND over the chunk's flags; only a chunk with a failed flag
+    // walks its lanes for the first point that fails (a masked-off point
+    // never does)
+    unsigned char all_ok = 1;
+    for (std::size_t l = 0; l < m; ++l) all_ok &= value_ok_[l] & offset_ok_[l];
+    for (std::size_t l = 0; n.mask && l < m; ++l) all_ok &= mask_ok_[l];
+    for (std::size_t l = 0; all_ok == 0 && l < m; ++l) {
       const bool on = !n.mask || (mask_ok_[l] != 0 && mask_[l] != 0.0);
       if ((n.mask && mask_ok_[l] == 0) || (on && (value_ok_[l] == 0 || offset_ok_[l] == 0))) {
         fail_point(n, width, l, inner_lo, inner_hi);
       }
+    }
+    if (!n.mask && direct) {  // every point stores, straight into storage
+      double* const out = target.data();
+      if (integer) {
+        for (std::size_t l = 0; l < m; ++l) {
+          out[static_cast<std::ptrdiff_t>(offset_[l])] = std::trunc(value_[l]);
+        }
+      } else {
+        for (std::size_t l = 0; l < m; ++l) out[static_cast<std::ptrdiff_t>(offset_[l])] = value_[l];
+      }
+      continue;
     }
     for (std::size_t l = 0; l < m; ++l) {
       if (n.mask) {
@@ -891,13 +901,15 @@ void Executor::record_reduce(const SpmdNode& n) {
   if (points > 0) {
     // points run as lanes; the accumulation stays sequential in odometer
     // order, so every partial result rounds as a point-by-point loop would
-    first_point(n);
+    point_.assign(lo_.begin(), lo_.end());
     std::size_t m = 0;
     for (bool more = true; more;) {
       m = load_points(n, more);
       const std::size_t width = compiler::stripe_width(m);
       eval(nc.arg, width, vals_.data(), ok_.data());
-      for (std::size_t l = 0; l < m; ++l) {
+      unsigned char all_ok = 1;
+      for (std::size_t l = 0; l < m; ++l) all_ok &= ok_[l];
+      for (std::size_t l = 0; all_ok == 0 && l < m; ++l) {
         if (ok_[l] == 0) fail_lane(nc.arg, width, l);
       }
       for (std::size_t l = 0; l < m; ++l) {

@@ -214,16 +214,11 @@ class Executor {
   long long scalar_int(std::int32_t id) { return std::llround(scalar(id)); }
   /// Throws the diagnostic of lane `lane` of `id` over `width` lanes.
   [[noreturn]] void fail_lane(std::int32_t id, std::size_t width, std::size_t lane);
-  /// Starts point_ at the space's first point, broadcast to every lane of
-  /// the space symbols. Each index interval (compiler::BatchEnv) then starts
-  /// inside the space and grows only with the runs load_points defines, so
-  /// a value an earlier, wider loop left behind cannot push the fused
-  /// accesses onto the per-lane bounds screen, and padding lanes always
-  /// hold a point of the space.
-  void first_point(const SpmdNode& n);
   /// Loads up to kLanes further points, in odometer order from point_, into
   /// the space symbols' lanes; returns how many, `more` while some remain.
-  /// Each run widens its symbol's index interval by the run's two ends.
+  /// Each run of the innermost dimension is one compiler::BatchEnv run of
+  /// every space symbol (the outer ones step 0), so the symbols' run lists
+  /// share their lanes and a fused access reads each run as one slice.
   std::size_t load_points(const SpmdNode& n, bool& more);
   /// Broadcasts lane `last`'s point: the space symbols end as the last
   /// point left them.

@@ -16,6 +16,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 
 #include "compiler/pipeline.hpp"
 #include "api/api.hpp"
@@ -1570,74 +1571,85 @@ end program t
   EXPECT_EQ(tape.printed, expected);
 }
 
-// --- index intervals and the hoisted element access --------------------------------
+// --- run lists and the run path of a fused element access -------------------------
 
-/// Whether every lane of `slot`, padding included, lies in its interval.
-bool interval_holds(const compiler::BatchEnv& env, int slot) {
-  const compiler::BatchEnv::Interval span = env.interval(slot);
-  if (!span.known()) return true;
-  if (std::trunc(span.lo) != span.lo || std::trunc(span.hi) != span.hi) return false;
-  const double* v = env.values(slot);
-  return std::all_of(v, v + env.stride(), [&](double x) { return span.lo <= x && x <= span.hi; });
+/// Whether every lane `slot`'s runs cover holds its run's value, defined,
+/// and the runs start at lane 0 without a gap.
+bool runs_hold(const compiler::BatchEnv& env, int slot) {
+  std::size_t lane = 0;
+  for (const compiler::BatchEnv::Run& run : env.runs(slot)) {
+    if (run.lane != lane || run.count == 0 || (run.count == 1 && run.step != 0.0)) return false;
+    for (std::size_t j = 0; j < run.count; ++j, ++lane) {
+      if (env.values(slot)[lane] != run.first + static_cast<double>(j) * run.step ||
+          env.defined(slot)[lane] == 0) {
+        return false;
+      }
+    }
+  }
+  return lane <= env.stride();
 }
 
-std::pair<double, double> bounds_of(const compiler::BatchEnv& env, int slot) {
-  return {env.interval(slot).lo, env.interval(slot).hi};
+using RunTuple = std::tuple<std::uint32_t, std::uint32_t, double, double>;
+
+std::vector<RunTuple> runs_of(const compiler::BatchEnv& env, int slot) {
+  std::vector<RunTuple> out;
+  for (const compiler::BatchEnv::Run& r : env.runs(slot)) out.emplace_back(r.lane, r.count, r.first, r.step);
+  return out;
 }
 
-TEST(IndexInterval, ResetBroadcastAndDefine) {
+TEST(RunList, ResetBroadcastAndDefine) {
   compiler::BatchEnv env;
-  env.reset(3, 20);
-  for (int slot = 0; slot < 3; ++slot) {
-    ASSERT_TRUE(env.interval(slot).known());
-    EXPECT_EQ(bounds_of(env, slot), std::make_pair(0.0, 0.0));
-  }
-  env.broadcast(0, 7.0);
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(7.0, 7.0));
-  env.broadcast(0, -3.0, false);  // an undefined value still bounds its lanes
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(-3.0, -3.0));
-  for (const double x : {2.5, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+  env.reset(3, 20);  // stride 24
+  for (int slot = 0; slot < 3; ++slot) EXPECT_TRUE(env.runs(slot).empty());
+  env.broadcast(0, 7.0);  // one step-0 run over every lane, padding included
+  EXPECT_EQ(runs_of(env, 0), (std::vector<RunTuple>{{0, 24, 7.0, 0.0}}));
+  EXPECT_TRUE(runs_hold(env, 0));
+  env.broadcast(0, -3.0, false);  // undefined lanes have no run
+  EXPECT_TRUE(env.runs(0).empty());
+  for (const double x : {2.5, std::nan(""), HUGE_VAL, -HUGE_VAL, 0x1p52, -0x1p60}) {
+    env.broadcast(1, 4.0);
     env.broadcast(1, x);
-    EXPECT_FALSE(env.interval(1).known()) << x;
+    EXPECT_TRUE(env.runs(1).empty()) << x;
   }
-  env.broadcast(1, 4.0);  // a later broadcast is exact again
-  EXPECT_EQ(bounds_of(env, 1), std::make_pair(4.0, 4.0));
-  env.define(1, 5, 4.0);  // even an integral value inside the interval
-  EXPECT_FALSE(env.interval(1).known());
-  env.define_run(1, 0, 3, 1, 1);  // a run does not make an unknown slot known
-  EXPECT_FALSE(env.interval(1).known());
-  env.broadcast(1, 6.0);
-  EXPECT_EQ(bounds_of(env, 1), std::make_pair(6.0, 6.0));
+  env.broadcast(1, 4.0);  // a later broadcast makes a run again
+  EXPECT_EQ(runs_of(env, 1), (std::vector<RunTuple>{{0, 24, 4.0, 0.0}}));
+  env.define(1, 5, 4.0);  // even the value the run gave the lane
+  EXPECT_TRUE(env.runs(1).empty());
+  env.define_run(1, 3, 2, 1, 1);  // a run past lane 0 does not start a list
+  EXPECT_TRUE(env.runs(1).empty());
 }
 
-TEST(IndexInterval, DefineRunWidensByItsEndpoints) {
+TEST(RunList, DefineRunExtendsOrEmpties) {
   compiler::BatchEnv env;
   env.reset(1, 64);
-  env.define_run(0, 0, 5, 3, 2);  // 3, 5, ..., 11 over reset zeros
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(0.0, 11.0));
-  env.broadcast(0, 3.0);
-  env.define_run(0, 0, 5, 3, 2);
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(3.0, 11.0));
-  env.define_run(0, 40, 4, 10, -3);  // 10, 7, 4, 1
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(1.0, 11.0));
-  env.define_run(0, 60, 4, 12, 0);  // held still
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(1.0, 12.0));
-  env.define_run(0, 8, 0, 1000, 1);  // no lanes, no change
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(1.0, 12.0));
-  EXPECT_TRUE(interval_holds(env, 0));
+  env.broadcast(0, 9.0);
+  env.define_run(0, 0, 5, 3, 2);  // lane 0 starts a new list: 3, 5, ..., 11
+  EXPECT_EQ(runs_of(env, 0), (std::vector<RunTuple>{{0, 5, 3.0, 2.0}}));
+  env.define_run(0, 5, 4, 10, -3);  // contiguous: 10, 7, 4, 1
+  env.define_run(0, 9, 1, 12, 5);   // one lane: step 0
+  env.define_run(0, 10, 0, 1000, 1);  // no lanes, no change
+  env.define_run(0, 10, 3, -4, 0);  // held still
+  EXPECT_EQ(runs_of(env, 0), (std::vector<RunTuple>{
+                                 {0, 5, 3.0, 2.0}, {5, 4, 10.0, -3.0}, {9, 1, 12.0, 0.0},
+                                 {10, 3, -4.0, 0.0}}));
+  EXPECT_TRUE(runs_hold(env, 0));
+  env.define_run(0, 14, 2, 1, 1);  // a gap at lane 13
+  EXPECT_TRUE(env.runs(0).empty());
+  env.define_run(0, 0, 4, 1, 1);
+  env.define_run(0, 2, 4, 1, 1);  // overlapping
+  EXPECT_TRUE(env.runs(0).empty());
+  env.define_run(0, 0, 8, 6, -1);  // lane 0 starts over
+  EXPECT_EQ(runs_of(env, 0), (std::vector<RunTuple>{{0, 8, 6.0, -1.0}}));
 
-  // near 2^53 a run's values round, but never past its rounded endpoints
-  constexpr long long kTop = 1LL << 53;
-  env.broadcast(0, static_cast<double>(kTop - 2));
-  env.define_run(0, 0, 7, kTop - 2, 1);
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(static_cast<double>(kTop - 2),
-                                              static_cast<double>(kTop + 4)));
-  EXPECT_TRUE(interval_holds(env, 0));
-  env.define_run(0, 10, 5, -kTop + 3, -3);
-  EXPECT_EQ(env.interval(0).lo, static_cast<double>(-kTop - 9));
-  EXPECT_TRUE(interval_holds(env, 0));
-  env.broadcast(0, static_cast<double>(kTop + 1));  // rounds to 2^53: still an integer
-  EXPECT_EQ(bounds_of(env, 0), std::make_pair(static_cast<double>(kTop), static_cast<double>(kTop)));
+  // a run reaching 2^52 could not be read back exactly as first + j step
+  constexpr long long kTop = 1LL << 52;
+  env.define_run(0, 8, 3, kTop - 3, 1);  // ends just below: kept
+  EXPECT_EQ(runs_of(env, 0).size(), 2u);
+  EXPECT_TRUE(runs_hold(env, 0));
+  env.define_run(0, 11, 2, kTop - 1, 1);  // ends at 2^52
+  EXPECT_TRUE(env.runs(0).empty());
+  env.define_run(0, 0, 2, -kTop, 1);
+  EXPECT_TRUE(env.runs(0).empty());
 }
 
 /// A one-instruction program: a fused ArrayLoad or ArrayOffset of a rank-`rank`
@@ -1661,29 +1673,41 @@ compiler::CostProgram fused_access(compiler::CostOp op, int rank, const std::vec
   return cp;
 }
 
-TEST(HoistedAccess, SameBitsAndFlagsAsTheScreen) {
-  // Each case draws one subscript column per dimension, from one of: in
-  // range, both edges, one past an edge, a non-integral or NaN lane, and
-  // undefined lanes. The same env is evaluated with its intervals as built
-  // and forced unknown (define() of a lane past the evaluated width, its
-  // value unchanged); only the first can take the hoisted path.
-  enum Draw { Inside, Edges, PastLow, PastHigh, Fraction, NotANumber, Undefined, kDraws };
-  std::mt19937_64 rng(20260419);
+TEST(RunAccess, SameBitsAndFlagsAsTheScreen) {
+  // Each case loads lanes [0, m) of a width-S chunk as runs of random
+  // lengths, as load_points would: per dimension, each run a random first
+  // subscript and a step of -2..2 that keep it inside its extent, or one of
+  // these draws: a run one past the low or high edge, a skipped run
+  // (undefined lanes: a gap), a lane defined alone, or the subscript held
+  // by a broadcast; a dimension may also be a constant subscript, in range
+  // or one past. The lanes past m hold an earlier loop's leftovers. The
+  // same values are evaluated with their runs as built and with the runs
+  // emptied (define() of a lane past the evaluated width, its value
+  // unchanged), which takes the screen.
+  enum Draw { Inside, PastLow, PastHigh, Gap, Alone, Held, kDraws };
+  std::mt19937_64 rng(20261019);
   const auto pick = [&](long long lo, long long hi) {
     return std::uniform_int_distribution<long long>(lo, hi)(rng);
   };
   std::vector<double> regs_file(8 + 64);
   const auto raw = reinterpret_cast<std::uintptr_t>(regs_file.data());
   double* const regs = reinterpret_cast<double*>((raw + 63) & ~std::uintptr_t{63});
-  int hoisted = 0;
+  int run_path = 0;
   int cases = 0;
   for (const std::size_t width : {std::size_t{8}, std::size_t{64}}) {
     for (int rank = 1; rank <= 3; ++rank) {
       for (int trial = 0; trial < 300; ++trial) {
+        const auto m = static_cast<std::size_t>(
+            pick(0, 2) == 0 ? pick(1, static_cast<long long>(width)) : static_cast<long long>(width));
+        std::vector<std::size_t> cuts{0};  // run boundaries over [0, m)
+        const auto longest = static_cast<long long>(m / static_cast<std::size_t>(pick(1, 4)));
+        while (cuts.back() < m) {
+          cuts.push_back(std::min(m, cuts.back() + static_cast<std::size_t>(pick(1, std::max(1LL, longest)))));
+        }
         std::vector<double> extents, strides, offsets;
         std::vector<bool> constant;
         for (int d = 0; d < rank; ++d) {
-          extents.push_back(static_cast<double>(pick(1, 9)));
+          extents.push_back(static_cast<double>(pick(1, 12)));
           offsets.push_back(static_cast<double>(pick(-3, 3)));
           constant.push_back(pick(0, 5) == 0);
         }
@@ -1696,47 +1720,51 @@ TEST(HoistedAccess, SameBitsAndFlagsAsTheScreen) {
         // the same draws build both envs; the spare last lane is never evaluated
         compiler::BatchEnv envs[2];
         for (compiler::BatchEnv& env : envs) env.reset(static_cast<std::size_t>(rank), width + 1);
+        bool runs_inside = true;  // whether the run path should take the access
         for (int d = 0; d < rank; ++d) {
           const auto ext = static_cast<long long>(extents[d]);
           const auto k = static_cast<long long>(offsets[d]);
           if (constant[d]) {  // k itself is the subscript: in range, or one past
             offsets[d] = static_cast<double>(pick(0, ext + 1));
+            runs_inside = runs_inside && offsets[d] >= 1.0 && offsets[d] <= extents[d];
             continue;
           }
-          const auto draw = static_cast<Draw>(pick(0, kDraws - 1));
-          const long long base = pick(1, ext) - k;
-          std::vector<double> column(width);
-          for (double& x : column) x = static_cast<double>(pick(1, ext) - k);
-          const std::size_t at = static_cast<std::size_t>(pick(0, static_cast<long long>(width) - 1));
-          if (draw == Edges) {
-            column[0] = static_cast<double>(1 - k);
-            column[width - 1] = static_cast<double>(ext - k);
+          const auto draw = pick(0, 1) == 0 ? Inside : static_cast<Draw>(pick(0, kDraws - 1));
+          // the run a draw changes; a gap is never the last of several, whose
+          // lanes would then be padding lanes
+          const auto runs = static_cast<long long>(cuts.size()) - 1;
+          const auto odd = static_cast<std::size_t>(pick(0, draw == Gap && runs > 1 ? runs - 2 : runs - 1));
+          if (draw == Held) {
+            const long long v = pick(0, ext + 1);
+            for (compiler::BatchEnv& env : envs) env.broadcast(d, static_cast<double>(v - k));
+            runs_inside = runs_inside && v >= 1 && v <= ext;
+            envs[1].define(d, width, envs[1].values(d)[width]);
+            continue;
           }
-          if (draw == PastLow) column[at] = static_cast<double>(-k);
-          if (draw == PastHigh) column[at] = static_cast<double>(ext + 1 - k);
-          if (draw == Fraction) column[at] = static_cast<double>(pick(1, ext) - k) + 0.5;
-          if (draw == NotANumber) column[at] = std::nan("");
-          for (compiler::BatchEnv& env : envs) {
-            env.broadcast(d, static_cast<double>(base), draw != Undefined);
-            for (std::size_t l = 0; l < width; ++l) {
-              if (draw == Undefined && l % 3 != 0) continue;
-              if (std::trunc(column[l]) == column[l]) {
-                env.define_run(d, l, 1, static_cast<long long>(column[l]), 0);
-              } else {
-                env.define(d, l, column[l]);
-              }
+          const auto leftover = static_cast<double>(pick(-5, 20));
+          for (compiler::BatchEnv& env : envs) env.broadcast(d, leftover, draw != Gap);
+          for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+            const auto count = static_cast<long long>(cuts[r + 1] - cuts[r]);
+            long long step = pick(-2, 2);
+            if (std::abs(step) * (count - 1) > ext - 1) step = 0;
+            const long long span = std::abs(step) * (count - 1);
+            long long low = pick(1, ext - span);  // the run's least subscript
+            if (r == odd && draw == PastLow) low = 0;
+            if (r == odd && draw == PastHigh) low = ext - span + 1;
+            const long long first = step >= 0 ? low : low + span;
+            if (r == odd && draw == Gap) continue;
+            for (compiler::BatchEnv& env : envs) {
+              env.define_run(d, cuts[r], static_cast<std::size_t>(count), first - k, step);
+            }
+            if (r == odd && draw == Alone) {
+              for (compiler::BatchEnv& env : envs) env.define(d, cuts[r], env.values(d)[cuts[r]]);
             }
           }
+          runs_inside = runs_inside && (draw == Inside || draw == Held);
           envs[1].define(d, width, envs[1].values(d)[width]);
-          ASSERT_TRUE(interval_holds(envs[0], d));
+          ASSERT_TRUE(runs_hold(envs[0], d));
         }
-        bool inside = true;
-        for (int d = 0; d < rank; ++d) {
-          const compiler::BatchEnv::Interval span =
-              constant[d] ? compiler::BatchEnv::Interval{0.0, 0.0} : envs[0].interval(d);
-          inside = inside && span.lo + offsets[d] >= 1.0 && span.hi + offsets[d] <= extents[d];
-        }
-        hoisted += inside ? 1 : 0;
+        run_path += runs_inside ? 1 : 0;
         ++cases;
 
         for (const compiler::CostOp op : {compiler::CostOp::ArrayLoad, compiler::CostOp::ArrayOffset}) {
@@ -1750,9 +1778,13 @@ TEST(HoistedAccess, SameBitsAndFlagsAsTheScreen) {
             (void)compiler::eval_code_batch(cp, cp.exprs[0], envs[e], views, regs, out[e].data(),
                                             ok[e].data(), width);
           }
-          for (std::size_t l = 0; l < width; ++l) {
+          for (std::size_t l = 0; l < m; ++l) {
             ASSERT_EQ(ok[0][l], ok[1][l]) << "rank " << rank << " trial " << trial << " lane " << l;
             ASSERT_EQ(std::bit_cast<std::uint64_t>(out[0][l]), std::bit_cast<std::uint64_t>(out[1][l]))
+                << "rank " << rank << " trial " << trial << " lane " << l;
+          }
+          for (std::size_t l = m; runs_inside && l < width; ++l) {  // padding: lane 0's element
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[0][l]), std::bit_cast<std::uint64_t>(out[0][0]))
                 << "rank " << rank << " trial " << trial << " lane " << l;
           }
         }
@@ -1760,8 +1792,58 @@ TEST(HoistedAccess, SameBitsAndFlagsAsTheScreen) {
     }
   }
   // both paths are exercised
-  EXPECT_GT(hoisted, cases / 5);
-  EXPECT_LT(hoisted, cases - cases / 5);
+  EXPECT_GT(run_path, cases / 5);
+  EXPECT_LT(run_path, cases - cases / 5);
+}
+
+/// A 2-D forall over (i, j) with innermost extent `inner`, reading
+/// shifted neighbours of `a`; `via_index` routes every subscript through
+/// ix(x) = x, which keeps the reads off the run path.
+std::string one_run_per_row(int inner, bool via_index) {
+  const std::string i = via_index ? "ix(i)" : "i";
+  const std::string j = via_index ? "ix(j)" : "j";
+  return support::strfmt(R"f90(
+program t
+  parameter (n = 150, m = %d)
+  real a(n, m), b(n, m)
+  integer ix(n)
+  forall (k = 1:n) ix(k) = k
+  forall (i = 1:n, j = 1:m) a(i, j) = real(i * 7 + j * 3) * 0.5
+  forall (i = 2:n - 1, j = 1:m) b(%s, %s) = a(%s - 1, %s) - a(%s + 1, %s) * 2.0 + a(%s, %s)
+  s = sum(b)
+  print *, s, b(2, 1), b(n - 1, m)
+end program t
+)f90",
+                           inner, i.c_str(), j.c_str(), i.c_str(), j.c_str(), i.c_str(),
+                           j.c_str(), i.c_str(), j.c_str());
+}
+
+TEST(FunctionalPass, ShortInnermostRunsRecordTheScreensTape) {
+  for (const int inner : {1, 3}) {
+    const sim::ValueTape runs = record_tape(comp(one_run_per_row(inner, false)), {});
+    const sim::ValueTape screened = record_tape(comp(one_run_per_row(inner, true)), {});
+    EXPECT_EQ(runs.words, screened.words) << inner;
+    EXPECT_EQ(runs.printed, screened.printed) << inner;
+    EXPECT_EQ(runs.scalars, screened.scalars) << inner;
+    EXPECT_EQ(runs.printed.size(), 3u);
+  }
+}
+
+TEST(FunctionalPass, OnlyTheLastLaneOfAChunkFailing) {
+  // 64 points, one chunk: only lane 63 (i = 64) reads u(65)
+  const auto [message, loc] = pass_failure(R"f90(
+program t
+  parameter (n = 64)
+  real u(n), v(n)
+!hpf$ template d(n)
+!hpf$ align u(i) with d(i)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) v(i) = u(i + 1)
+end program t
+)f90");
+  EXPECT_EQ(message, "<unknown>: subscript out of bounds for 'u' dim 1: 65 not in 1..64");
+  EXPECT_FALSE(loc.valid());
 }
 
 // --- timing walk pins and plan invalidation ----------------------------------------
