@@ -44,12 +44,15 @@ class EngineArena {
   /// runs the functional pass once and publishes the tape (a throwing pass
   /// publishes nothing), a hit skips it, and every run re-times the tape
   /// under the lane's layout and this machine. Without one, each lane runs
-  /// its own functional pass. The returned span is valid until the next
-  /// measure_batch_into call.
+  /// its own functional pass. With `streams` and noise on, every run draws
+  /// its noise from its run seed's stream, built on the store's first
+  /// lookup of that seed; the results are the same bits either way. The
+  /// returned span is valid until the next measure_batch_into call.
   [[nodiscard]] std::span<const sim::MeasuredResult> measure_batch_into(
       const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
       const sim::SimOptions& options, int runs, std::span<const core::BatchLane> lanes,
-      std::span<const compiler::LayoutDigest> tape_keys, ValueTapeStore* tapes);
+      std::span<const compiler::LayoutDigest> tape_keys, ValueTapeStore* tapes,
+      NoiseStreamStore* streams);
 
   /// Attaches a tracing sink (nullptr detaches, the default): batched
   /// measurements record obs::Phase::MeasureBatch spans and the lockstep
@@ -62,6 +65,8 @@ class EngineArena {
   sim::Executor executor_;
   std::vector<core::PredictionResult> batch_predictions_;  // predict_batch scratch
   std::vector<sim::MeasuredResult> batch_measured_;        // measure_batch_into scratch
+  std::vector<NoiseStreamStore::Ptr> streams_;             // ... its runs' streams
+  std::vector<const sim::NoiseStream*> stream_ptrs_;       // ... and their addresses
 };
 
 }  // namespace hpf90d::api

@@ -2,6 +2,7 @@
 
 #include "obs/obs.hpp"
 #include "sim/executor.hpp"
+#include "sim/noise.hpp"
 
 namespace hpf90d::api {
 
@@ -159,6 +160,7 @@ typename OnceStore<Value>::Counters OnceStore<Value>::counters() const {
 template class OnceStore<compiler::CompiledProgram>;
 template class OnceStore<compiler::DataLayout>;
 template class OnceStore<sim::ValueTape>;
+template class OnceStore<sim::NoiseStream>;
 template class OnceStore<std::string>;
 
 }  // namespace hpf90d::api

@@ -6,8 +6,10 @@
 // compiler options), DataLayouts (LayoutStore), the simulator's value
 // tapes (ValueTapeStore: one functional pass per (value digest, bindings,
 // WHILE trip limit) — compiler::value_tape_key — re-timed by every
-// processor count, machine and directive variant), and critical-variable
-// verdicts. The store has three jobs on the sweep hot path:
+// processor count, machine and directive variant), critical-variable
+// verdicts, and the simulator's noise streams (NoiseStreamStore: one per
+// noise seed, read by every timing walk of that seed). The store has three
+// jobs on the sweep hot path:
 //
 //   1. *Once-build semantics.* A placeholder future is inserted under the
 //      store lock and the value is built OUTSIDE it, so distinct keys never
@@ -61,6 +63,7 @@ class Sink;
 
 namespace hpf90d::sim {
 struct ValueTape;
+class NoiseStream;
 }  // namespace hpf90d::sim
 
 namespace hpf90d::api {
@@ -207,5 +210,7 @@ class OnceStore {
 using LayoutStore = OnceStore<compiler::DataLayout>;
 /// Simulator value tapes, charged by ValueTape::bytes.
 using ValueTapeStore = OnceStore<sim::ValueTape>;
+/// Noise streams keyed by {seed, 0}, one entry each.
+using NoiseStreamStore = OnceStore<sim::NoiseStream>;
 
 }  // namespace hpf90d::api

@@ -122,7 +122,8 @@ sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig&
   EngineArena arena;
   arena.set_trace(obs_);
   return arena.measure_batch_into(*prog, machine(config.machine), config.sim, config.runs,
-                                  {&lane, 1}, {&key, 1}, value_tapes_for(*prog))[0];
+                                  {&lane, 1}, {&key, 1}, value_tapes_for(*prog),
+                                  &noise_streams_)[0];
 }
 
 Comparison Session::compare(const ProgramHandle& prog, const RunConfig& config) {
@@ -429,7 +430,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     if (plan.measure_runs() > 0) {
       const std::span<const sim::MeasuredResult> measured =
           arena.measure_batch_into(prog, mach, plan.sim_opts(), plan.measure_runs(),
-                                   ws.lanes, ws.tape_keys, value_tapes_for(prog));
+                                   ws.lanes, ws.tape_keys, value_tapes_for(prog),
+                                   &noise_streams_);
       for (std::size_t off = 0; off < n; ++off) {
         RunRecord& rec = report.records[c.begin + off];
         const sim::RunStats& st = measured[off].stats;
@@ -567,10 +569,13 @@ std::size_t Session::cached_programs() const { return programs_.size(); }
 
 std::size_t Session::cached_layouts() const { return layout_store_.size(); }
 
+std::size_t Session::cached_noise_streams() const { return noise_streams_.size(); }
+
 void Session::clear_caches() {
   clear_program_cache();
   layout_store_.clear();
   value_tapes_.clear();
+  noise_streams_.clear();
   critical_.clear();
 }
 

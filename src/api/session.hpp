@@ -15,13 +15,17 @@
 //   * it keeps one simulator value tape per (value digest, bindings), so
 //     a measured sweep runs each problem's functional pass once and
 //     re-times it for every processor count, machine and directive variant,
+//   * it keeps one noise stream per noise seed (a few at a time), so every
+//     timing walk of that seed reads its noise draws back instead of
+//     seeding an engine and re-deriving them,
 //   * it executes whole ExperimentPlans batched on a worker pool (sweep
 //     points are independent), returning a RunReport whose records,
 //     ordering, estimates, and cache statistics are identical for any
 //     worker count.
 //
-// Every cache above — programs, layouts, value tapes, and run()'s
-// critical-variable verdicts — is an api::OnceStore (layout_store.hpp).
+// Every cache above — programs, layouts, value tapes, noise streams, and
+// run()'s critical-variable verdicts — is an api::OnceStore
+// (layout_store.hpp).
 //
 // Thread safety: compile/predict/measure/compare and the caches they use
 // may be called concurrently. Cache entries have per-entry once semantics:
@@ -79,8 +83,12 @@ struct RunConfig {
 };
 
 /// Execution options for Session::run. Sweep points are independent
-/// (prediction is pure; measurement derives its noise seeds per point), so
-/// the cross product is dispatched to a pool of workers.
+/// (prediction is pure; measurement reads only the point's own state and
+/// the session's shared caches), so the cross product is dispatched to a
+/// pool of workers. Every measured point of a plan draws its noise from the
+/// same run seeds (sim::run_seed of the plan's seed), and the session's
+/// noise-stream store relies on that sharing: all the workers read one
+/// stream per seed.
 struct RunOptions {
   /// Worker threads: 0 = std::thread::hardware_concurrency, 1 = today's
   /// serial path (no threads spawned). The RunReport's records, ordering,
@@ -157,6 +165,9 @@ class Session {
   /// Byte budget of the value-tape store behind measure() and run(). A
   /// tape larger than the whole budget is used once and not kept.
   static constexpr std::size_t kValueTapeBudget = std::size_t{16} << 20;
+  /// Noise streams kept at once (LRU), about 105 KB each: a plan's runs
+  /// draw from runs() seeds.
+  static constexpr std::size_t kNoiseStreams = 4;
 
   // --- batched execution ------------------------------------------------------
   /// Executes the plan's whole cross product through the caches on a worker
@@ -167,6 +178,7 @@ class Session {
   [[nodiscard]] CacheStats cache_stats() const noexcept;
   [[nodiscard]] std::size_t cached_programs() const;
   [[nodiscard]] std::size_t cached_layouts() const;
+  [[nodiscard]] std::size_t cached_noise_streams() const;
 
   /// LRU bound on the content-addressed layout store, in entries; 0 (the
   /// default) keeps it unbounded. Shrinking evicts immediately, coldest
@@ -207,7 +219,8 @@ class Session {
   void set_trace_sink(obs::Sink* sink);
   [[nodiscard]] obs::Sink* trace_sink() const noexcept { return obs_; }
 
-  /// Drops programs, layouts, value tapes and critical-variable verdicts.
+  /// Drops programs, layouts, value tapes, noise streams and
+  /// critical-variable verdicts.
   /// Not safe to call concurrently with other session operations.
   void clear_caches();
   /// Drops cached programs only. Layout entries are content-addressed and
@@ -260,6 +273,10 @@ class Session {
   /// and directive variant of the same values re-times its tape.
   mutable ValueTapeStore value_tapes_{kValueTapeBudget,
                                       [](const sim::ValueTape& t) { return t.bytes(); }};
+
+  /// The simulator's noise streams, one per noise seed (sim::NoiseStream):
+  /// built on a seed's first measured run, read by every later walk.
+  NoiseStreamStore noise_streams_{kNoiseStreams};
 
   /// Critical-variable verdicts for Session::run: analyze_critical depends
   /// only on the compilation and on WHICH names are bound (never their

@@ -89,9 +89,9 @@ SimResult Executor::run() {
   return out;
 }
 
-void Executor::run_into(SimResult& out) {
+void Executor::run_into(SimResult& out, const NoiseStream* stream) {
   record(tape_);
-  retime_into(tape_, options_.seed, out);
+  retime_into(tape_, options_.seed, out, stream);
 }
 
 void Executor::record(ValueTape& tape) {
@@ -112,10 +112,11 @@ void Executor::record(ValueTape& tape) {
   }
 }
 
-double Executor::retime(const ValueTape& tape, std::uint64_t seed) {
+double Executor::retime(const ValueTape& tape, std::uint64_t seed,
+                        const NoiseStream* stream) {
   options_.seed = seed;
   network_->reset();
-  noise_ = NoiseModel(seed, options_.noise);
+  noise_.reset(seed, options_.noise, stream);
   metrics_.assign(static_cast<std::size_t>(prog_->node_count), NodeMetric{});
   for (int p = 0; p < nprocs_; ++p) {
     clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
@@ -139,8 +140,9 @@ double Executor::retime(const ValueTape& tape, std::uint64_t seed) {
   return *std::max_element(clock_.begin(), clock_.end());
 }
 
-void Executor::retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out) {
-  out.total = retime(tape, seed);
+void Executor::retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out,
+                           const NoiseStream* stream) {
+  out.total = retime(tape, seed, stream);
   out.proc_clock = clock_;
   out.per_node = metrics_;
   out.comp = out.comm = out.overhead = 0;

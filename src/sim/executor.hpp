@@ -141,7 +141,11 @@ struct ValueTape {
 /// skew, one noise draw per charged compute phase and per steady-state
 /// re-send, and every network event (OverlapComm, CShiftComm, irregular
 /// exchanges, collectives), so a later seed reads the plan back, draws
-/// noise and sends messages, and allocates nothing. What invalidates the
+/// noise and sends messages, and allocates nothing. The draws themselves
+/// are not re-derived when the caller passes the seed's NoiseStream (a
+/// session shares one per seed, noise.hpp): the walk's cursor reads the
+/// stream's memoized normal pairs and words, and seeds no engine; without
+/// one it seeds its own. What invalidates the
 /// plan: rebind() (a new layout, machine, options or program, even an
 /// equal one) drops all of it; record() into the planned tape, or
 /// retiming another tape object, drops the per-visit charges (the
@@ -173,18 +177,25 @@ class Executor {
   /// vectors (previous contents discarded). Any number of calls per
   /// rebind; the timing plan is derived on the first call for a tape and
   /// read back while later calls pass the same, unchanged tape object.
-  void retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out);
+  /// `stream`, when given, is `seed`'s shared NoiseStream: the walk draws
+  /// its noise from it instead of seeding an engine, with the same bits.
+  void retime_into(const ValueTape& tape, std::uint64_t seed, SimResult& out,
+                   const NoiseStream* stream = nullptr);
   /// Same walk, returning only the program time.
-  [[nodiscard]] double retime(const ValueTape& tape, std::uint64_t seed);
+  [[nodiscard]] double retime(const ValueTape& tape, std::uint64_t seed,
+                              const NoiseStream* stream = nullptr);
 
   /// record() into the executor's own tape, then retime it under the bound
-  /// options' seed. One-shot per rebind.
+  /// options' seed (and that seed's `stream`, if given). One-shot per
+  /// rebind.
   [[nodiscard]] SimResult run();
-  void run_into(SimResult& out);
+  void run_into(SimResult& out, const NoiseStream* stream = nullptr);
 
   /// Re-times the executor's own tape (the last run()'s) under `seed`:
   /// bit-identical to SimResult::total of a fresh run with that seed.
-  [[nodiscard]] double replay(std::uint64_t seed) { return retime(tape_, seed); }
+  [[nodiscard]] double replay(std::uint64_t seed, const NoiseStream* stream = nullptr) {
+    return retime(tape_, seed, stream);
+  }
 
  private:
   using SpmdNode = compiler::SpmdNode;
@@ -349,7 +360,9 @@ class Executor {
   std::optional<NodeCostModel> cost_;
   machine::CommModel comm_model_{machine::CommComponent{}};
   std::optional<SimNetwork> network_;
-  NoiseModel noise_{0, false};
+  // The walk's noise cursor, reset per walk: over the seed's stream when
+  // one is passed, else over an engine it seeds; disabled until then.
+  NoiseModel noise_;
 
   std::vector<double> clock_;
   std::vector<NodeMetric> metrics_;

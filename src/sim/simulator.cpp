@@ -35,15 +35,18 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
                              const front::Bindings& bindings,
                              const compiler::DataLayout& layout,
                              const SimOptions& options, int runs, Executor& arena,
-                             MeasuredResult& out, const ValueTape* tape) const {
+                             MeasuredResult& out, const ValueTape* tape,
+                             std::span<const NoiseStream* const> streams) const {
   out.stats.samples.clear();
   out.stats.mean = 0.0;
   out.stats.stddev = 0.0;
   out.stats.min = 1e300;
   out.stats.max = 0.0;
   for (int r = 0; r < std::max(1, runs); ++r) {
-    const std::uint64_t seed =
-        options.seed + static_cast<std::uint64_t>(r) * 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t seed = run_seed(options.seed, r);
+    const NoiseStream* stream =
+        static_cast<std::size_t>(r) < streams.size() ? streams[static_cast<std::size_t>(r)]
+                                                     : nullptr;
     double total = 0.0;
     if (r == 0) {
       // Run 0 fills the detail: the functional pass when no tape is shared,
@@ -52,13 +55,13 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
       run_opts.seed = seed;
       arena.rebind(prog, layout, machine_, run_opts, bindings);
       if (tape == nullptr) {
-        arena.run_into(out.detail);
+        arena.run_into(out.detail, stream);
       } else {
-        arena.retime_into(*tape, seed, out.detail);
+        arena.retime_into(*tape, seed, out.detail, stream);
       }
       total = out.detail.total;
     } else {
-      total = tape == nullptr ? arena.replay(seed) : arena.retime(*tape, seed);
+      total = tape == nullptr ? arena.replay(seed, stream) : arena.retime(*tape, seed, stream);
     }
     out.stats.samples.push_back(total);
     out.stats.mean += total;

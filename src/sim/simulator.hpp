@@ -18,8 +18,14 @@
 // functional pass across a whole sweep. Within one point, run 0's walk
 // derives the timing plan: every loop visit's per-processor counts and
 // seed-independent charges under the point's layout and machine. Runs 1..
-// read it back and draw only their own noise and network events.
+// read it back and draw only their own noise and network events. Run r's
+// noise seed is run_seed(options.seed, r), so every point of a sweep draws
+// from the same few seeds: given their NoiseStreams (the session keeps them),
+// a walk reads its seed's memoized draws instead of seeding an engine.
 #pragma once
+
+#include <cstdint>
+#include <span>
 
 #include "compiler/mapping.hpp"
 #include "compiler/pipeline.hpp"
@@ -28,6 +34,11 @@
 #include "sim/executor.hpp"
 
 namespace hpf90d::sim {
+
+/// The noise seed of run `run` of a measurement under base seed `seed`.
+[[nodiscard]] constexpr std::uint64_t run_seed(std::uint64_t seed, int run) noexcept {
+  return seed + static_cast<std::uint64_t>(run) * 0x9e3779b97f4a7c15ULL;
+}
 
 struct RunStats {
   double mean = 0;
@@ -80,12 +91,15 @@ class Simulator {
   /// same (value digest, bindings), recorded under any layout and machine, no
   /// value is computed at all. Either way every run is a timing walk of one
   /// tape under this point's layout, machine and seed, and the contents are
-  /// bit-identical to measure().
+  /// bit-identical to measure(). `streams[r]`, where present and non-null,
+  /// is run r's NoiseStream (built for run_seed(options.seed, r)); it only
+  /// saves run r seeding and drawing its noise afresh.
   void measure_into(const compiler::CompiledProgram& prog,
                     const front::Bindings& bindings,
                     const compiler::DataLayout& layout, const SimOptions& options,
                     int runs, Executor& arena, MeasuredResult& out,
-                    const ValueTape* tape = nullptr) const;
+                    const ValueTape* tape = nullptr,
+                    std::span<const NoiseStream* const> streams = {}) const;
 
  private:
   const machine::MachineModel& machine_;

@@ -48,10 +48,18 @@ Storage::ArrayStore& Storage::ensure(int symbol) {
   // Deterministic near-unity fill for data the program never initializes
   // (benchmark kernels read "existing" operand arrays). Values stay in
   // [0.9, 1.1] so divisions, products, and exponentials remain tame.
+  // Element i's value depends on i % 257 only: the first period is
+  // computed, the rest copies it.
+  constexpr std::size_t kPeriod = 257;
   store.data.resize(static_cast<std::size_t>(total));
   const double phase = static_cast<double>(symbol) * 0.7311;
-  for (std::size_t i = 0; i < store.data.size(); ++i) {
-    store.data[i] = 1.0 + 0.1 * std::sin(phase + 0.217 * static_cast<double>(i % 257));
+  const std::size_t n = store.data.size();
+  for (std::size_t i = 0; i < std::min(n, kPeriod); ++i) {
+    store.data[i] = 1.0 + 0.1 * std::sin(phase + 0.217 * static_cast<double>(i));
+  }
+  for (std::size_t i = kPeriod; i < n; i += kPeriod) {
+    std::copy_n(store.data.begin(), std::min(kPeriod, n - i),
+                store.data.begin() + static_cast<std::ptrdiff_t>(i));
   }
   store.allocated = true;
   return store;

@@ -686,6 +686,82 @@ TEST(ValueTapes, SessionMeasureSharesTheStoreWithRun) {
   EXPECT_EQ(session.cache_stats().value_tape_bytes, 0u);
 }
 
+// --- noise streams ------------------------------------------------------------
+//
+// Every measured point of a plan draws from the plan's run seeds, and the
+// session shares one noise stream per seed. Reading it must change no bit.
+
+TEST(NoiseStreams, SharedStreamsKeepReportsByteIdentical) {
+  const auto& app = suite::app("nbody");
+  api::ExperimentPlan plan("noise streams");
+  plan.source(app.source)
+      .machines({"ipsc860", "paragon"})
+      .nprocs({1, 2, 4, 8})
+      .problems_from({16, 256}, app.bindings)
+      .runs(3);
+  api::Session session;
+  api::RunOptions serial;
+  serial.workers = 1;
+  api::RunOptions pool;
+  pool.workers = 4;
+  // the pool goes first: its workers (one per machine's chunk) build the
+  // streams and read them concurrently
+  const api::RunReport first = session.run(plan, pool);
+  const std::string csv = first.csv();
+  EXPECT_EQ(session.run(plan, serial).csv(), csv);
+  EXPECT_EQ(session.run(plan, serial).csv(), csv);
+  EXPECT_EQ(session.cached_noise_streams(), 3u);  // one per run seed
+
+  // every point measured again by the simulator facade, which seeds its own
+  // engines
+  api::RunReport alone = first;
+  const auto prog = session.compile(app.source);
+  for (api::RunRecord& rec : alone.records) {
+    const auto problem = std::find_if(plan.problems().begin(), plan.problems().end(),
+                                      [&](const api::ProblemCase& c) { return c.name == rec.problem; });
+    ASSERT_NE(problem, plan.problems().end());
+    compiler::LayoutOptions lo;
+    lo.nprocs = rec.nprocs;
+    const compiler::DataLayout layout = compiler::make_layout(*prog, problem->bindings, lo);
+    const sim::MeasuredResult m = sim::Simulator(session.machine(rec.machine))
+                                      .measure(*prog, problem->bindings, layout,
+                                               plan.sim_opts(), plan.measure_runs());
+    rec.comparison.measured_mean = m.stats.mean;
+    rec.comparison.measured_min = m.stats.min;
+    rec.comparison.measured_max = m.stats.max;
+    rec.comparison.measured_stddev = m.stats.stddev;
+  }
+  EXPECT_EQ(alone.csv(), csv);
+}
+
+TEST(NoiseStreams, StoreHoldsAtMostItsCap) {
+  const auto& app = suite::app("pi");
+  api::Session session;
+  for (std::uint64_t k = 1; k <= 10; ++k) {
+    sim::SimOptions so;
+    so.seed = k * 1000;  // one run each: ten distinct seeds
+    api::ExperimentPlan plan("seed " + std::to_string(so.seed));
+    plan.source(app.source)
+        .nprocs({2})
+        .problems_from({app.problem_sizes.front()}, app.bindings)
+        .runs(1)
+        .sim_options(so);
+    (void)session.run(plan);
+    EXPECT_LE(session.cached_noise_streams(), api::Session::kNoiseStreams) << "seed " << so.seed;
+  }
+  EXPECT_EQ(session.cached_noise_streams(), api::Session::kNoiseStreams);
+  session.clear_caches();
+  EXPECT_EQ(session.cached_noise_streams(), 0u);
+
+  // a measurement without noise draws nothing, so it builds no stream
+  sim::SimOptions quiet;
+  quiet.noise = false;
+  api::ExperimentPlan plan("quiet");
+  plan.source(app.source).nprocs({2}).problems_from({16}, app.bindings).runs(3).sim_options(quiet);
+  (void)session.run(plan);
+  EXPECT_EQ(session.cached_noise_streams(), 0u);
+}
+
 // size(a, k) with k outside 1..rank(a) is a located diagnostic on every
 // path, never an out_of_range from a container.
 constexpr const char* kSizeDim =

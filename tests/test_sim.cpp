@@ -118,6 +118,31 @@ TEST(Storage, DefaultFillIsNearUnity) {
   }
 }
 
+TEST(Storage, DefaultFillIsThePerElementFormula) {
+  // the fill computes one period of 257 values and copies it; every element
+  // must still equal the formula of (symbol, i % 257)
+  for (const long long n : {1LL, 100LL, 256LL, 257LL, 258LL, 600LL, 1031LL}) {
+    const std::string src = "program t\n  parameter (n = " + std::to_string(n) +
+                            ")\n  real a(n), b(2, n)\n  a(1) = 0.0\nend program t\n";
+    const auto prog = comp(src);
+    const compiler::DataLayout layout =
+        compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
+    sim::Storage storage(prog.symbols, layout);
+    for (const char* name : {"a", "b"}) {
+      const int symbol = prog.symbols.find(name);
+      const std::span<const double> data = storage.raw(symbol);
+      ASSERT_EQ(data.size(), static_cast<std::size_t>(n * (name[0] == 'b' ? 2 : 1)));
+      const double phase = static_cast<double>(symbol) * 0.7311;
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        const double want = 1.0 + 0.1 * std::sin(phase + 0.217 * static_cast<double>(i % 257));
+        mismatches += std::bit_cast<std::uint64_t>(data[i]) != std::bit_cast<std::uint64_t>(want);
+      }
+      EXPECT_EQ(mismatches, 0u) << name << " n=" << n;
+    }
+  }
+}
+
 TEST(Storage, CshiftSemanticsMatchFortran) {
   auto prog = comp(kTiny);
   const compiler::DataLayout layout =
@@ -222,6 +247,111 @@ TEST(Noise, DisabledIsExactlyUnity) {
     EXPECT_DOUBLE_EQ(off.comm_factor(), 1.0);
     EXPECT_DOUBLE_EQ(off.startup_skew(), 0.0);
   }
+}
+
+// --- noise streams ----------------------------------------------------------------
+//
+// The oracle is the noise model as it was before streams: one live
+// std::mt19937_64 per model and the three std distributions, with the
+// engine's words counted so the test can tell where each normal pair lies.
+
+struct CountingEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  std::mt19937_64 engine;
+  std::size_t drawn = 0;
+  result_type operator()() {
+    ++drawn;
+    return engine();
+  }
+};
+
+class OracleNoise {
+ public:
+  explicit OracleNoise(std::uint64_t seed) : rng_{std::mt19937_64(seed)} {}
+
+  double compute_factor() {
+    const double g = gauss();
+    double f = 1.0 + 0.004 * g;
+    if (spike_(rng_) < 0.01) f += 0.03 * spike_mag_(rng_);
+    return f < 0.995 ? 0.995 : f;
+  }
+  double comm_factor() { return 1.0 + 0.006 * std::fabs(gauss()); }
+  double startup_skew() { return 4e-6 * std::fabs(gauss()); }
+
+  /// Normal pairs drawn so far that start below NoiseStream::kMemo and read
+  /// words past it.
+  std::size_t straddles = 0;
+  std::size_t words() const { return rng_.drawn; }
+
+ private:
+  double gauss() {
+    const std::size_t at = rng_.drawn;
+    const double g = gauss_(rng_);
+    if (at < sim::NoiseStream::kMemo && rng_.drawn > sim::NoiseStream::kMemo) ++straddles;
+    return g;
+  }
+
+  CountingEngine rng_;
+  std::normal_distribution<double> gauss_{0.0, 1.0};
+  std::uniform_real_distribution<double> spike_{0.0, 1.0};
+  std::uniform_real_distribution<double> spike_mag_{0.0, 1.0};
+};
+
+TEST(NoiseStream, CursorsDrawTheLiveEnginesBits) {
+  constexpr std::size_t kDraws = 6000;  // about 2.5 words each: well past kMemo
+  std::size_t straddles = 0;
+  for (const std::uint64_t seed :
+       {sim::run_seed(42, 0), sim::run_seed(42, 1), sim::run_seed(42, 2), std::uint64_t{123}}) {
+    const sim::NoiseStream stream(seed);
+    for (std::uint32_t order = 0; order < 8; ++order) {
+      std::mt19937 pick(order);
+      OracleNoise oracle(seed);
+      sim::NoiseModel streamed(seed, true, &stream);
+      sim::NoiseModel alone(seed, true);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < kDraws; ++i) {
+        double want = 0, got = 0, got_alone = 0;
+        switch (pick() % 4) {
+          case 0:
+          case 1:
+            want = oracle.compute_factor();
+            got = streamed.compute_factor();
+            got_alone = alone.compute_factor();
+            break;
+          case 2:
+            want = oracle.comm_factor();
+            got = streamed.comm_factor();
+            got_alone = alone.comm_factor();
+            break;
+          default:
+            want = oracle.startup_skew();
+            got = streamed.startup_skew();
+            got_alone = alone.startup_skew();
+            break;
+        }
+        const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+        mismatches += bits(got) != bits(want) || bits(got_alone) != bits(want);
+      }
+      EXPECT_EQ(mismatches, 0u) << "seed " << seed << " order " << order;
+      EXPECT_GT(oracle.words(), 2 * sim::NoiseStream::kMemo);
+      straddles += oracle.straddles;
+    }
+  }
+  // some pairs start in the memo and read words past it
+  EXPECT_GT(straddles, 0u);
+}
+
+TEST(NoiseStream, RejectsAnotherSeedAndStaysSmall) {
+  const sim::NoiseStream stream(7);
+  EXPECT_EQ(stream.seed(), 7u);
+  EXPECT_THROW(sim::NoiseModel(8, true, &stream), std::invalid_argument);
+  // noise off reads no stream, whatever its seed
+  sim::NoiseModel off(8, false, &stream);
+  EXPECT_EQ(off.compute_factor(), 1.0);
+  // at most 32 bytes per memoized position, engine included
+  EXPECT_LE(stream.bytes(), 32 * sim::NoiseStream::kMemo);
 }
 
 // --- functional execution ---------------------------------------------------------
@@ -2086,6 +2216,40 @@ TEST(TimingWalk, MaskedForallWhoseMaskChangesEveryTrip) {
     if (tape.words.empty()) sim::Executor(prog, layout, machine, {}, {}).record(tape);
     expect_arena_matches_fresh(arena, tape, prog, {}, layout, machine,
                                "P=" + std::to_string(nprocs));
+  }
+}
+
+TEST(TimingWalk, SharedNoiseStreamsKeepEveryBit) {
+  // a walk reading its seed's stream equals one seeding its own engine, with
+  // and without a shared tape; nbody's walks (about 19k words at n=256, P=8)
+  // run far past the memo
+  const machine::MachineModel machine = machine::make_ipsc860();
+  for (const auto& [name, size] : {std::pair{"nbody", 256LL}, {"laplace_bb", 64LL}, {"pi", 256LL}}) {
+    const auto& app = suite::app(name);
+    const compiler::CompiledProgram prog = comp(app.source);
+    const front::Bindings bindings = app.bindings(size);
+    compiler::LayoutOptions lo;
+    lo.nprocs = 8;
+    const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
+    const sim::SimOptions so;
+    constexpr int kRuns = 3;
+    std::vector<sim::NoiseStream> streams;
+    for (int r = 0; r < kRuns; ++r) streams.emplace_back(sim::run_seed(so.seed, r));
+    const std::vector<const sim::NoiseStream*> ptrs = {&streams[0], &streams[1], &streams[2]};
+    sim::ValueTape tape;
+    sim::Executor(prog, layout, machine, so, bindings).record(tape);
+    const sim::Simulator simulator(machine);
+    const sim::ValueTape* const shared_tapes[] = {nullptr, &tape};
+    for (const sim::ValueTape* shared : shared_tapes) {
+      sim::Executor a, b;
+      sim::MeasuredResult alone, streamed;
+      simulator.measure_into(prog, bindings, layout, so, kRuns, a, alone, shared);
+      simulator.measure_into(prog, bindings, layout, so, kRuns, b, streamed, shared, ptrs);
+      EXPECT_EQ(streamed.stats.samples, alone.stats.samples) << name;
+      EXPECT_EQ(streamed.detail.proc_clock, alone.detail.proc_clock) << name;
+      EXPECT_EQ(streamed.detail.comp, alone.detail.comp) << name;
+      EXPECT_EQ(streamed.detail.comm, alone.detail.comm) << name;
+    }
   }
 }
 
