@@ -22,11 +22,6 @@ ExperimentPlan& ExperimentPlan::machines(std::vector<std::string> names) {
   return *this;
 }
 
-ExperimentPlan& ExperimentPlan::add_machine(std::string name) {
-  machines_.push_back(std::move(name));
-  return *this;
-}
-
 ExperimentPlan& ExperimentPlan::nprocs(std::vector<int> counts) {
   nprocs_ = std::move(counts);
   return *this;
@@ -61,33 +56,6 @@ ExperimentPlan& ExperimentPlan::problems_from(
     add_problem(std::string(label_prefix) + std::to_string(size), make_bindings(size));
   }
   return *this;
-}
-
-ExperimentPlan& ExperimentPlan::problems_scaled_by_nprocs(
-    const std::vector<long long>& base_sizes,
-    const std::function<front::Bindings(long long)>& make_bindings,
-    std::string_view label_prefix) {
-  if (!make_bindings) {
-    throw std::invalid_argument("ExperimentPlan \"" + title_ +
-                                "\": problems_scaled_by_nprocs requires a bindings "
-                                "factory");
-  }
-  if (nprocs_.empty()) {
-    throw std::invalid_argument("ExperimentPlan \"" + title_ +
-                                "\": set nprocs() before problems_scaled_by_nprocs "
-                                "(the scaled axis consumes the processor list)");
-  }
-  std::vector<ScaledCase> cases;
-  cases.reserve(base_sizes.size() * nprocs_.size());
-  for (const long long base : base_sizes) {
-    for (const int np : nprocs_) {
-      const long long scaled = base * np;
-      cases.push_back({{std::string(label_prefix) + std::to_string(scaled),
-                        make_bindings(scaled)},
-                       np});
-    }
-  }
-  return scaled_cases(std::move(cases));
 }
 
 ExperimentPlan& ExperimentPlan::scaled_cases(std::vector<ScaledCase> cases) {

@@ -58,7 +58,6 @@ class ExperimentPlan {
   // --- builder --------------------------------------------------------------
   ExperimentPlan& source(std::string hpf_source);
   ExperimentPlan& machines(std::vector<std::string> names);
-  ExperimentPlan& add_machine(std::string name);
   ExperimentPlan& nprocs(std::vector<int> counts);
   ExperimentPlan& add_variant(DirectiveVariant v);
   ExperimentPlan& add_variant(std::string name, std::vector<std::string> overrides,
@@ -72,21 +71,12 @@ class ExperimentPlan {
       const std::vector<long long>& sizes,
       const std::function<front::Bindings(long long)>& make_bindings,
       std::string_view label_prefix = "n=");
-  /// Couples the problem axis to the processor count: for every base size
-  /// s and every swept processor count P, ONE point with the scaled size
-  /// s*P, labelled "<label_prefix><s*P>", replaces the problems x nprocs
+  /// Couples the problem axis to the processor count: each (problem,
+  /// nprocs) pair is ONE point, and the pairs replace the problems x nprocs
   /// cross product (weak scaling: per-processor work stays constant while
-  /// the machine grows). The nprocs axis must be set *before* this call —
-  /// the pairs are materialized immediately, so the plan stays a plain
-  /// declarative value (and stays serializable for the experiment
-  /// service). Mutually exclusive with add_problem/problems_from.
-  ExperimentPlan& problems_scaled_by_nprocs(
-      const std::vector<long long>& base_sizes,
-      const std::function<front::Bindings(long long scaled)>& make_bindings,
-      std::string_view label_prefix = "n=");
-
-  /// Installs pre-materialized scaled pairs verbatim (the plan-transport
-  /// decoder's entry; problems_scaled_by_nprocs is the builder's).
+  /// the machine grows). The pairs are installed verbatim, so the plan
+  /// stays a plain declarative value (and stays serializable for the
+  /// experiment service). Mutually exclusive with add_problem/problems_from.
   ExperimentPlan& scaled_cases(std::vector<ScaledCase> cases);
 
   /// Simulated-measurement repetitions; 0 disables measurement entirely

@@ -1,10 +1,7 @@
 #include "api/run_report.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <stdexcept>
-#include <tuple>
 
 #include "support/codec.hpp"
 #include "support/table.hpp"
@@ -28,14 +25,6 @@ const RunRecord* RunReport::best_estimated() const {
         return a.comparison.estimated < b.comparison.estimated;
       });
   return it == records.end() ? nullptr : &*it;
-}
-
-double RunReport::worst_error_pct() const {
-  double worst = 0;
-  for (const auto& r : records) {
-    if (r.measured) worst = std::max(worst, r.comparison.abs_error_pct());
-  }
-  return worst;
 }
 
 std::string RunReport::ascii() const {
@@ -89,101 +78,6 @@ std::string RunReport::csv() const {
         r.comparison.estimated, r.comparison.measured_mean, r.comparison.measured_min,
         r.comparison.measured_max, r.comparison.measured_stddev);
   }
-  return out;
-}
-
-double ReportDiff::worst_delta_pct() const {
-  double worst = 0;
-  for (const auto& r : records) worst = std::max(worst, std::abs(r.delta_pct()));
-  return worst;
-}
-
-std::string ReportDiff::ascii() const {
-  support::TextTable table({"machine", "variant", "problem", "P", "before", "after",
-                            "delta", "delta%", "measured%", "sig"});
-  for (const auto& r : records) {
-    table.add_row({r.machine, r.variant, r.problem, std::to_string(r.nprocs),
-                   support::format_seconds(r.estimated_before),
-                   support::format_seconds(r.estimated_after),
-                   support::strfmt("%+.3g s", r.delta()),
-                   support::strfmt("%+.2f%%", r.delta_pct()),
-                   r.measured ? support::strfmt("%+.2f%%", r.measured_delta_pct())
-                              : std::string("-"),
-                   r.measured ? (r.significant() ? std::string("*") : std::string(""))
-                              : std::string("-")});
-  }
-  std::string out = table.str();
-  out += support::strfmt("%zu points diffed | worst delta %.2f%%", records.size(),
-                         worst_delta_pct());
-  std::size_t significant = 0;
-  for (const auto& r : records) significant += r.significant() ? 1 : 0;
-  if (significant > 0) {
-    out += support::strfmt(" | %zu significant measured shift%s (*)", significant,
-                           significant == 1 ? "" : "s");
-  }
-  if (only_before + only_after > 0) {
-    out += support::strfmt(" | unmatched: %zu before-only, %zu after-only",
-                           only_before, only_after);
-  }
-  out += '\n';
-  return out;
-}
-
-std::string ReportDiff::csv() const {
-  std::string out =
-      "machine,variant,problem,nprocs,estimated_before,estimated_after,delta,"
-      "delta_pct,measured,measured_before,measured_after,measured_delta,"
-      "measured_delta_pct,stddev_before,stddev_after,significant\n";
-  for (const auto& r : records) {
-    out += support::strfmt(
-        "%s,%s,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,"
-        "%.17g,%d\n",
-        csv_field(r.machine).c_str(), csv_field(r.variant).c_str(),
-        csv_field(r.problem).c_str(), r.nprocs, r.estimated_before, r.estimated_after,
-        r.delta(), r.delta_pct(), r.measured ? 1 : 0, r.measured_before,
-        r.measured_after, r.measured_delta(), r.measured_delta_pct(), r.stddev_before,
-        r.stddev_after, r.significant() ? 1 : 0);
-  }
-  return out;
-}
-
-ReportDiff RunReport::diff(const RunReport& before, const RunReport& after) {
-  using Key = std::tuple<std::string, std::string, std::string, int>;
-  const auto key_of = [](const RunRecord& r) {
-    return Key{r.machine, r.variant, r.problem, r.nprocs};
-  };
-  // Plan-produced reports have unique keys, but from_csv accepts arbitrary
-  // files: records are consumed pairwise per key, so duplicates diff
-  // one-to-one and any surplus is counted as unmatched, never dropped.
-  std::map<Key, std::deque<const RunRecord*>> after_by_key;
-  for (const auto& r : after.records) after_by_key[key_of(r)].push_back(&r);
-
-  ReportDiff out;
-  for (const auto& a : before.records) {
-    const auto it = after_by_key.find(key_of(a));
-    if (it == after_by_key.end() || it->second.empty()) {
-      ++out.only_before;
-      continue;
-    }
-    const RunRecord* b = it->second.front();
-    it->second.pop_front();
-    DiffRecord d;
-    d.machine = a.machine;
-    d.variant = a.variant;
-    d.problem = a.problem;
-    d.nprocs = a.nprocs;
-    d.estimated_before = a.comparison.estimated;
-    d.estimated_after = b->comparison.estimated;
-    if (a.measured && b->measured) {
-      d.measured = true;
-      d.measured_before = a.comparison.measured_mean;
-      d.measured_after = b->comparison.measured_mean;
-      d.stddev_before = a.comparison.measured_stddev;
-      d.stddev_after = b->comparison.measured_stddev;
-    }
-    out.records.push_back(std::move(d));
-  }
-  for (const auto& [key, remaining] : after_by_key) out.only_after += remaining.size();
   return out;
 }
 

@@ -126,65 +126,6 @@ struct RunRecord {
   bool measured = false;  // false = predict-only point (measured_* are zero)
 };
 
-/// Per-point delta between two reports (cross-PR regression tracking: diff
-/// yesterday's exported CSV against today's run). Estimated times diff
-/// always; measured (simulator) means diff when both sides measured the
-/// point, with the run-to-run variance deciding significance.
-struct DiffRecord {
-  std::string machine;
-  std::string variant;
-  std::string problem;
-  int nprocs = 0;
-  double estimated_before = 0;
-  double estimated_after = 0;
-  /// True when the point was measured in both reports (the measured_* and
-  /// stddev_* fields are zero otherwise).
-  bool measured = false;
-  double measured_before = 0;
-  double measured_after = 0;
-  double stddev_before = 0;
-  double stddev_after = 0;
-
-  [[nodiscard]] double delta() const { return estimated_after - estimated_before; }
-  /// Signed percentage change relative to `before` (0 when before == 0).
-  [[nodiscard]] double delta_pct() const {
-    return estimated_before == 0 ? 0 : 100.0 * delta() / estimated_before;
-  }
-  [[nodiscard]] double measured_delta() const {
-    return measured_after - measured_before;
-  }
-  [[nodiscard]] double measured_delta_pct() const {
-    return measured_before == 0 ? 0 : 100.0 * measured_delta() / measured_before;
-  }
-  /// Variance-aware significance for the measured-mean shift: the means
-  /// moved by more than twice the combined run-to-run standard deviation
-  /// (~95% under the simulator's noise model). Always false for
-  /// predict-only points; a zero-variance pair flags any non-zero shift.
-  [[nodiscard]] bool significant() const {
-    if (!measured) return false;
-    const double spread =
-        std::sqrt(stddev_before * stddev_before + stddev_after * stddev_after);
-    return std::abs(measured_delta()) > 2.0 * spread;
-  }
-};
-
-/// The result of RunReport::diff: one DiffRecord per sweep point present in
-/// both reports, plus counts of unmatched points.
-struct ReportDiff {
-  std::vector<DiffRecord> records;
-  std::size_t only_before = 0;  // points present only in the first report
-  std::size_t only_after = 0;   // points present only in the second report
-
-  /// Largest |delta_pct| over the matched points (0 when none matched).
-  [[nodiscard]] double worst_delta_pct() const;
-
-  /// Fixed-width table of per-point deltas.
-  [[nodiscard]] std::string ascii() const;
-
-  /// Machine-readable export: a header row then one line per record.
-  [[nodiscard]] std::string csv() const;
-};
-
 /// Batched-interpretation effectiveness counters for one run. Execution
 /// telemetry, not results: the record payload is byte-identical for any
 /// batch_size/worker combination, so these are deliberately excluded from
@@ -229,9 +170,6 @@ struct RunReport {
   /// Record with the smallest estimated time; nullptr when empty.
   [[nodiscard]] const RunRecord* best_estimated() const;
 
-  /// Worst abs_error_pct over the measured records (0 when none measured).
-  [[nodiscard]] double worst_error_pct() const;
-
   /// Paper-style fixed-width table (support::TextTable) plus a cache/time
   /// footer.
   [[nodiscard]] std::string ascii() const;
@@ -254,12 +192,6 @@ struct RunReport {
   /// Parses the output of json(). Throws std::invalid_argument on
   /// malformed input or schema drift.
   [[nodiscard]] static RunReport from_json(std::string_view text);
-
-  /// Per-point estimated-time deltas between two reports. Points are
-  /// matched by (machine, variant, problem, nprocs); unmatched points are
-  /// counted, not diffed. Matched records keep `before`'s order.
-  [[nodiscard]] static ReportDiff diff(const RunReport& before,
-                                       const RunReport& after);
 };
 
 }  // namespace hpf90d::api

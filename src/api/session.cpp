@@ -105,8 +105,8 @@ core::PredictionResult Session::predict(const ProgramHandle& prog,
   const compiler::LayoutOptions lo = layout_options(config);
   const LayoutStore::Ptr layout = layout_for(
       *prog, config.bindings, lo, compiler::layout_fingerprint_digest(*prog, config.bindings, lo));
-  // core::predict's layout overload re-validates critical variables; walk
-  // the point directly so the (potentially expensive) analysis runs once.
+  // the critical-variable analysis ran above, before the layout: the walk
+  // itself does not repeat it
   return core::interpret_one(*prog, config.bindings, *layout, machine(config.machine),
                              config.predict);
 }
@@ -570,15 +570,5 @@ std::size_t Session::cached_programs() const { return programs_.size(); }
 std::size_t Session::cached_layouts() const { return layout_store_.size(); }
 
 std::size_t Session::cached_noise_streams() const { return noise_streams_.size(); }
-
-void Session::clear_caches() {
-  clear_program_cache();
-  layout_store_.clear();
-  value_tapes_.clear();
-  noise_streams_.clear();
-  critical_.clear();
-}
-
-void Session::clear_program_cache() { programs_.clear(); }
 
 }  // namespace hpf90d::api

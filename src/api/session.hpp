@@ -35,8 +35,7 @@
 // what keeps RunReport cache statistics deterministic under parallel
 // execution. The layout store can additionally be bounded
 // (set_layout_cache_capacity): entries are retired in LRU order and
-// eviction counts surface in the cache stats. clear_caches() must not race
-// with in-flight calls.
+// eviction counts surface in the cache stats.
 //
 // Session::run has one scheduler. The sweep is cut into chunks of points
 // sharing (program, machine); a worker pool claims chunks, and each worker
@@ -219,14 +218,6 @@ class Session {
   void set_trace_sink(obs::Sink* sink);
   [[nodiscard]] obs::Sink* trace_sink() const noexcept { return obs_; }
 
-  /// Drops programs, layouts, value tapes, noise streams and
-  /// critical-variable verdicts.
-  /// Not safe to call concurrently with other session operations.
-  void clear_caches();
-  /// Drops cached programs only. Layout entries are content-addressed and
-  /// self-contained, so they survive program eviction and keep serving
-  /// structurally identical programs.
-  void clear_program_cache();
 
  private:
   [[nodiscard]] ProgramHandle compile_cached(std::string_view source,
@@ -236,8 +227,7 @@ class Session {
   /// compiler::layout_fingerprint_digest(prog, bindings, lo) (run() finishes
   /// a per-problem prefix instead, so a warm lookup hashes nothing). The
   /// fingerprint string is only built on a miss with a spill attached. The
-  /// returned shared_ptr keeps the layout alive across clear_caches() and
-  /// LRU eviction.
+  /// returned shared_ptr keeps the layout alive across LRU eviction.
   [[nodiscard]] LayoutStore::Ptr layout_for(const compiler::CompiledProgram& prog,
                                             const front::Bindings& bindings,
                                             const compiler::LayoutOptions& lo,

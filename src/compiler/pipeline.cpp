@@ -271,8 +271,8 @@ void feed_layout_options(Sink& fp, const LayoutOptions& options) {
 
 /// The one definition of the fingerprint byte sequence: both the string
 /// key and its streaming digest are produced from this template, which is
-/// what guarantees layout_fingerprint_digest == layout_digest_of(
-/// layout_fingerprint(...)) byte for byte.
+/// what guarantees layout_fingerprint_digest == layout_digest_of(the
+/// layout_fingerprint_into string) byte for byte.
 template <class Sink>
 void feed_fingerprint(Sink& fp, const CompiledProgram& prog,
                       const front::Bindings& bindings, const LayoutOptions& options) {
@@ -318,14 +318,6 @@ LayoutDigest layout_fingerprint_finish(const LayoutDigestState& state,
   sink.b = state.b;
   feed_layout_options(sink, options);
   return LayoutDigest{sink.a, sink.b};
-}
-
-std::string layout_fingerprint(const CompiledProgram& prog,
-                               const front::Bindings& bindings,
-                               const LayoutOptions& options) {
-  std::string fp;
-  layout_fingerprint_into(fp, prog, bindings, options);
-  return fp;
 }
 
 namespace {

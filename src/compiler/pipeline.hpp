@@ -45,28 +45,27 @@ namespace hpf90d::compiler {
 
 /// Structural fingerprint of everything `make_layout` consumes: the
 /// program structure (see structure_fingerprint) plus the bindings and the
-/// layout options. Two programs with equal fingerprints produce
-/// interchangeable layouts, even when compiled separately — this is the
-/// session's content-addressed layout-cache key, so externally owned
-/// programs share cache entries with session-owned ones.
-[[nodiscard]] std::string layout_fingerprint(const CompiledProgram& prog,
-                                             const front::Bindings& bindings,
-                                             const LayoutOptions& options);
-
-/// Same fingerprint, rebuilt into a caller-owned buffer (cleared first).
-/// The sweep hot path computes one key per point; reusing a per-worker
-/// buffer removes the last per-point allocation from the layout lookup.
+/// layout options, built into a caller-owned buffer (cleared first). Two
+/// programs with equal fingerprints produce interchangeable layouts, even
+/// when compiled separately, so externally owned programs share the
+/// session's layout-cache entries with session-owned ones. The string is
+/// what the spill tier files a layout under (api::OnceStore); lookups use
+/// its digest.
 void layout_fingerprint_into(std::string& out, const CompiledProgram& prog,
                              const front::Bindings& bindings,
                              const LayoutOptions& options);
 
 /// A layout fingerprint's LayoutDigest (spmd_ir.hpp) is two independent
-/// FNV-1a style streams over the exact byte sequence layout_fingerprint
-/// produces, so layout_fingerprint_digest(p, b, o) == layout_digest_of(
-/// layout_fingerprint(p, b, o)) always — the string and streaming entry
-/// points address the same cache entry. At 128 bits over machine-generated
-/// (non-adversarial) keys, a collision is beyond-astronomical, which is
-/// what lets the layout store index on the digest alone.
+/// FNV-1a style streams over the exact byte sequence layout_fingerprint_into
+/// writes, so for all inputs
+///   layout_fingerprint_digest(p, b, o)
+///     == layout_fingerprint_finish(layout_fingerprint_prefix(p, b), o)
+///     == layout_digest_of(the string layout_fingerprint_into(s, p, b, o) writes)
+/// and every entry point addresses the same cache entry: Session::run's
+/// prefix-and-finish keys, Session::predict's whole digest and the spill
+/// tier's string. At 128 bits over machine-generated (non-adversarial)
+/// keys, a collision is beyond-astronomical, which is what lets the layout
+/// store index on the digest alone.
 ///
 /// Streams the fingerprint bytes straight into a LayoutDigest — no string
 /// is materialized. This is the per-point layout lookup of a warm sweep:
@@ -94,9 +93,7 @@ struct LayoutDigestState {
 [[nodiscard]] LayoutDigestState layout_fingerprint_prefix(
     const CompiledProgram& prog, const front::Bindings& bindings);
 
-/// Completes a prefix state with the layout options. For all inputs:
-/// layout_fingerprint_finish(layout_fingerprint_prefix(p, b), o) ==
-/// layout_fingerprint_digest(p, b, o).
+/// Completes a prefix state with the layout options (the identity above).
 [[nodiscard]] LayoutDigest layout_fingerprint_finish(const LayoutDigestState& state,
                                                      const LayoutOptions& options);
 

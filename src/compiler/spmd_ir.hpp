@@ -181,12 +181,12 @@ struct CompiledProgram {
   std::vector<std::pair<int, int>> temp_aliases;
   int node_count = 0;
   /// Serialization of the layout-relevant structure (directives, symbols,
-  /// temp aliases), filled by the pipeline so layout_fingerprint need not
-  /// re-walk the program on every cache lookup. Empty for hand-built
-  /// programs; layout_fingerprint then computes it on the fly.
+  /// temp aliases), filled by the pipeline so a layout fingerprint need
+  /// not re-walk the program on every cache lookup. Empty for hand-built
+  /// programs; the fingerprint then computes it on the fly.
   std::string structure_fingerprint;
   /// Compact rendering of structure_fingerprint — its fnv1a64 plus length —
-  /// precomputed by the pipeline so layout_fingerprint appends a ready
+  /// precomputed by the pipeline so a layout fingerprint appends a ready
   /// string instead of formatting one per cache lookup. Empty for
   /// hand-built programs.
   std::string structure_digest;

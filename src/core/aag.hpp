@@ -54,9 +54,6 @@ class SynchronizedAAG {
   [[nodiscard]] const std::vector<CommTableEntry>& comm_table() const noexcept {
     return comm_table_;
   }
-  [[nodiscard]] const std::vector<SyncEdge>& sync_edges() const noexcept {
-    return edges_;
-  }
 
   /// AAU ids attached to a source line (per-line metric queries, §4.2).
   [[nodiscard]] std::vector<int> aaus_on_line(std::uint32_t line) const;

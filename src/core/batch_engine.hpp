@@ -145,8 +145,9 @@ class BatchEngine {
   BatchRunStats stats_{};
 };
 
-/// Interprets one point as a one-lane BatchEngine walk: core::predict
-/// without its critical-variable check, for callers that ran it already.
+/// Interprets one point as a one-lane BatchEngine walk. It does not check
+/// critical variables: callers run core::require_critical_complete first,
+/// as Session::predict does.
 [[nodiscard]] PredictionResult interpret_one(const compiler::CompiledProgram& prog,
                                              const front::Bindings& bindings,
                                              const compiler::DataLayout& layout,

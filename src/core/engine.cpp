@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <span>
 
-#include "compiler/pipeline.hpp"
-#include "core/batch_engine.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hpf90d::core {
@@ -519,27 +517,6 @@ void require_critical_complete(const compiler::CompiledProgram& prog,
     throw CompileError({}, "unresolved critical variables: " + names +
                                " (supply bindings for them)");
   }
-}
-
-PredictionResult predict(const compiler::CompiledProgram& prog,
-                         const front::Bindings& bindings,
-                         const compiler::LayoutOptions& layout_options,
-                         const machine::MachineModel& machine,
-                         const PredictOptions& options) {
-  // Check critical variables before layout resolution so missing bindings
-  // surface as the curated diagnostic, not a raw extent-fold error.
-  require_critical_complete(prog, bindings);
-  const compiler::DataLayout layout = compiler::make_layout(prog, bindings, layout_options);
-  return predict(prog, bindings, layout, machine, options);
-}
-
-PredictionResult predict(const compiler::CompiledProgram& prog,
-                         const front::Bindings& bindings,
-                         const compiler::DataLayout& layout,
-                         const machine::MachineModel& machine,
-                         const PredictOptions& options) {
-  require_critical_complete(prog, bindings);
-  return interpret_one(prog, bindings, layout, machine, options);
 }
 
 }  // namespace hpf90d::core

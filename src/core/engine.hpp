@@ -12,7 +12,7 @@
 // which walks any number of points in lockstep; predicting one point is
 // its one-lane walk. This header holds what a lane carries through that
 // walk — the InterpretationEngine's clocks, metrics and pricing — plus the
-// result types and the predict() entry points.
+// result types and the critical-variable check every prediction runs first.
 #pragma once
 
 #include <cstdint>
@@ -197,23 +197,5 @@ class InterpretationEngine {
 /// critical-variable set incomplete.
 void require_critical_complete(const compiler::CompiledProgram& prog,
                                const front::Bindings& bindings);
-
-/// Convenience wrapper: layout construction + critical-variable check +
-/// interpretation (a one-lane core::BatchEngine walk) in one call. Throws support::CompileError when a critical
-/// variable is unresolved (listing it, as the interactive tool would).
-[[nodiscard]] PredictionResult predict(const compiler::CompiledProgram& prog,
-                                       const front::Bindings& bindings,
-                                       const compiler::LayoutOptions& layout_options,
-                                       const machine::MachineModel& machine,
-                                       const PredictOptions& options = {});
-
-/// Same, against a prebuilt layout (the session's content-addressed cache
-/// path). Pure: reads the program, layout, and machine without mutating
-/// shared state, so concurrent calls over the same arguments are safe.
-[[nodiscard]] PredictionResult predict(const compiler::CompiledProgram& prog,
-                                       const front::Bindings& bindings,
-                                       const compiler::DataLayout& layout,
-                                       const machine::MachineModel& machine,
-                                       const PredictOptions& options = {});
 
 }  // namespace hpf90d::core

@@ -66,22 +66,6 @@ IterCost InterpretationFunctions::condt_cost(const compiler::OpCounts& body_ops,
   return out;
 }
 
-ComputeEstimate InterpretationFunctions::iter_d(const compiler::OpCounts& ops,
-                                                long long iters, int elem_bytes,
-                                                long long working_set,
-                                                long long inner_m) const {
-  return iter_cost(ops, elem_bytes, working_set, inner_m).at(iters);
-}
-
-ComputeEstimate InterpretationFunctions::condt_d(const compiler::OpCounts& body_ops,
-                                                 const compiler::OpCounts& mask_ops,
-                                                 double mask_prob, long long iters,
-                                                 int elem_bytes, long long working_set,
-                                                 long long inner_m) const {
-  return condt_cost(body_ops, mask_ops, mask_prob, elem_bytes, working_set, inner_m)
-      .at(iters);
-}
-
 void InterpretationFunctions::iter_costs(const compiler::OpCounts& ops, int elem_bytes,
                                          std::span<const long long> working_set,
                                          std::span<const long long> inner_m,

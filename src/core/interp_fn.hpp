@@ -53,26 +53,15 @@ class InterpretationFunctions {
     return flat_ops(ops) + sau_.proc.t_store;
   }
 
-  /// IterD AAU: `iters` local iterations of a body with `ops` per element.
-  /// `elem_bytes` sizes the streaming memory heuristic; `working_set` the
-  /// capacity heuristic; `inner_m` > 0 adds a sequential inner reduction of
-  /// m elements per iteration.
-  [[nodiscard]] ComputeEstimate iter_d(const compiler::OpCounts& ops, long long iters,
-                                       int elem_bytes, long long working_set,
-                                       long long inner_m = 0) const;
-
-  /// CondtD AAU: masked IterD; the mask is evaluated every iteration, the
-  /// body executes with probability `mask_prob`.
-  [[nodiscard]] ComputeEstimate condt_d(const compiler::OpCounts& body_ops,
-                                        const compiler::OpCounts& mask_ops,
-                                        double mask_prob, long long iters,
-                                        int elem_bytes, long long working_set,
-                                        long long inner_m = 0) const;
-
-  /// Iteration-count-independent decompositions of iter_d / condt_d (the
-  /// engine's per-processor hot path).
+  /// IterD AAU: the per-iteration decomposition of a body with `ops` per
+  /// element; `.at(iters)` prices `iters` local iterations. `elem_bytes`
+  /// sizes the streaming memory heuristic; `working_set` the capacity
+  /// heuristic; `inner_m` > 0 adds a sequential inner reduction of m
+  /// elements per iteration.
   [[nodiscard]] IterCost iter_cost(const compiler::OpCounts& ops, int elem_bytes,
                                    long long working_set, long long inner_m = 0) const;
+  /// CondtD AAU: masked IterD; the mask is evaluated every iteration, the
+  /// body executes with probability `mask_prob`.
   [[nodiscard]] IterCost condt_cost(const compiler::OpCounts& body_ops,
                                     const compiler::OpCounts& mask_ops,
                                     double mask_prob, int elem_bytes,

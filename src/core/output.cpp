@@ -14,10 +14,6 @@ AAUMetric OutputModule::whole_program() const {
   return total;
 }
 
-AAUMetric OutputModule::aau(int id) const {
-  return result_.per_aau.at(static_cast<std::size_t>(id));
-}
-
 AAUMetric OutputModule::sub_aag(int id) const {
   AAUMetric total;
   for (int a : saag_.subtree(id)) total.add(result_.per_aau.at(static_cast<std::size_t>(a)));

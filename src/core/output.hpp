@@ -24,9 +24,6 @@ class OutputModule {
   /// Cumulative metrics for the whole application.
   [[nodiscard]] AAUMetric whole_program() const;
 
-  /// Metrics of a single AAU.
-  [[nodiscard]] AAUMetric aau(int id) const;
-
   /// Cumulative metrics of the sub-AAG rooted at `id`.
   [[nodiscard]] AAUMetric sub_aag(int id) const;
 

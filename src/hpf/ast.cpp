@@ -5,16 +5,6 @@
 
 namespace hpf90d::front {
 
-std::string_view type_base_name(TypeBase t) noexcept {
-  switch (t) {
-    case TypeBase::Integer: return "integer";
-    case TypeBase::Real: return "real";
-    case TypeBase::Double: return "double precision";
-    case TypeBase::Logical: return "logical";
-  }
-  return "?";
-}
-
 int type_size_bytes(TypeBase t) noexcept {
   switch (t) {
     case TypeBase::Integer: return 4;
@@ -42,16 +32,6 @@ std::string_view binop_spelling(BinOp op) noexcept {
     case BinOp::Or: return ".or.";
   }
   return "?";
-}
-
-Subscript Subscript::clone() const {
-  Subscript s;
-  s.kind = kind;
-  if (scalar) s.scalar = scalar->clone();
-  if (lo) s.lo = lo->clone();
-  if (hi) s.hi = hi->clone();
-  if (stride) s.stride = stride->clone();
-  return s;
 }
 
 ExprPtr Expr::clone() const {
@@ -215,127 +195,6 @@ ExprPtr make_unary(UnOp op, ExprPtr operand) {
   e->un_op = op;
   e->args.push_back(std::move(operand));
   return e;
-}
-
-ForallIndex ForallIndex::clone() const {
-  ForallIndex out;
-  out.name = name;
-  out.symbol = symbol;
-  out.lo = lo->clone();
-  out.hi = hi->clone();
-  if (stride) out.stride = stride->clone();
-  return out;
-}
-
-StmtPtr Stmt::clone() const {
-  auto out = std::make_unique<Stmt>();
-  out->kind = kind;
-  out->loc = loc;
-  if (lhs) out->lhs = lhs->clone();
-  if (rhs) out->rhs = rhs->clone();
-  out->forall_indices.reserve(forall_indices.size());
-  for (const auto& fi : forall_indices) out->forall_indices.push_back(fi.clone());
-  if (mask) out->mask = mask->clone();
-  out->do_var = do_var;
-  out->do_symbol = do_symbol;
-  if (do_lo) out->do_lo = do_lo->clone();
-  if (do_hi) out->do_hi = do_hi->clone();
-  if (do_step) out->do_step = do_step->clone();
-  out->body.reserve(body.size());
-  for (const auto& s : body) out->body.push_back(s->clone());
-  out->else_body.reserve(else_body.size());
-  for (const auto& s : else_body) out->else_body.push_back(s->clone());
-  out->print_args.reserve(print_args.size());
-  for (const auto& e : print_args) out->print_args.push_back(e->clone());
-  return out;
-}
-
-std::string Stmt::str(int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  std::ostringstream os;
-  switch (kind) {
-    case StmtKind::Assign:
-      os << pad << lhs->str() << " = " << rhs->str() << '\n';
-      break;
-    case StmtKind::Forall: {
-      os << pad << "forall (";
-      for (std::size_t i = 0; i < forall_indices.size(); ++i) {
-        if (i) os << ", ";
-        const auto& fi = forall_indices[i];
-        os << fi.name << '=' << fi.lo->str() << ':' << fi.hi->str();
-        if (fi.stride) os << ':' << fi.stride->str();
-      }
-      if (mask) os << ", " << mask->str();
-      os << ")\n";
-      for (const auto& s : body) os << s->str(indent + 1);
-      os << pad << "end forall\n";
-      break;
-    }
-    case StmtKind::Where:
-      os << pad << "where (" << mask->str() << ")\n";
-      for (const auto& s : body) os << s->str(indent + 1);
-      if (!else_body.empty()) {
-        os << pad << "elsewhere\n";
-        for (const auto& s : else_body) os << s->str(indent + 1);
-      }
-      os << pad << "end where\n";
-      break;
-    case StmtKind::Do:
-      os << pad << "do " << do_var << " = " << do_lo->str() << ", " << do_hi->str();
-      if (do_step) os << ", " << do_step->str();
-      os << '\n';
-      for (const auto& s : body) os << s->str(indent + 1);
-      os << pad << "end do\n";
-      break;
-    case StmtKind::DoWhile:
-      os << pad << "do while (" << mask->str() << ")\n";
-      for (const auto& s : body) os << s->str(indent + 1);
-      os << pad << "end do\n";
-      break;
-    case StmtKind::If:
-      os << pad << "if (" << mask->str() << ") then\n";
-      for (const auto& s : body) os << s->str(indent + 1);
-      if (!else_body.empty()) {
-        os << pad << "else\n";
-        for (const auto& s : else_body) os << s->str(indent + 1);
-      }
-      os << pad << "end if\n";
-      break;
-    case StmtKind::Print:
-      os << pad << "print *";
-      for (const auto& e : print_args) os << ", " << e->str();
-      os << '\n';
-      break;
-  }
-  return os.str();
-}
-
-std::string Program::str() const {
-  std::ostringstream os;
-  os << "program " << name << '\n';
-  for (const auto& d : decls) {
-    os << "  " << type_base_name(d.type) << ' ';
-    for (std::size_t i = 0; i < d.items.size(); ++i) {
-      if (i) os << ", ";
-      os << d.items[i].name;
-      if (!d.items[i].dims.empty()) {
-        os << '(';
-        for (std::size_t k = 0; k < d.items[i].dims.size(); ++k) {
-          if (k) os << ',';
-          os << d.items[i].dims[k]->str();
-        }
-        os << ')';
-      }
-    }
-    os << '\n';
-  }
-  for (const auto& p : parameters) {
-    os << "  parameter (" << p.name << " = " << p.value->str() << ")\n";
-  }
-  for (const auto& rd : raw_directives) os << "!hpf$" << rd.text << '\n';
-  for (const auto& s : stmts) os << s->str(1);
-  os << "end program " << name << '\n';
-  return os.str();
 }
 
 }  // namespace hpf90d::front

@@ -25,8 +25,6 @@ using support::SourceLoc;
 
 enum class TypeBase { Integer, Real, Double, Logical };
 
-[[nodiscard]] std::string_view type_base_name(TypeBase t) noexcept;
-
 /// Element size in bytes on the modelled machine (iPSC/860 conventions:
 /// INTEGER*4, REAL*4, DOUBLE PRECISION*8, LOGICAL*4).
 [[nodiscard]] int type_size_bytes(TypeBase t) noexcept;
@@ -60,8 +58,6 @@ struct Subscript {
   enum class Kind { Scalar, Triplet, All } kind = Kind::Scalar;
   ExprPtr scalar;          // Kind::Scalar
   ExprPtr lo, hi, stride;  // Kind::Triplet; any may be null (default bound)
-
-  [[nodiscard]] Subscript clone() const;
 };
 
 struct Expr {
@@ -126,8 +122,6 @@ struct ForallIndex {
   std::string name;
   int symbol = -1;
   ExprPtr lo, hi, stride;  // stride may be null (defaults to 1)
-
-  [[nodiscard]] ForallIndex clone() const;
 };
 
 struct Stmt {
@@ -154,9 +148,6 @@ struct Stmt {
 
   // Print
   std::vector<ExprPtr> print_args;
-
-  [[nodiscard]] StmtPtr clone() const;
-  [[nodiscard]] std::string str(int indent = 0) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -196,8 +187,6 @@ struct Program {
   std::vector<ParameterDef> parameters;
   std::vector<RawDirective> raw_directives;
   std::vector<StmtPtr> stmts;
-
-  [[nodiscard]] std::string str() const;
 };
 
 }  // namespace hpf90d::front

@@ -67,7 +67,7 @@ MachineModel make_cluster(int nodes) {
   host.name = "file server";
   host.io.host_latency = 8e-3;
   host.io.host_per_byte = 1.2e-6;
-  model.host_unit = model.sag.add_unit(host, root);
+  model.sag.add_unit(host, root);
 
   SAU lan;
   lan.name = "ethernet segment";

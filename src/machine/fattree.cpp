@@ -101,7 +101,7 @@ MachineModel make_fattree(int nodes, const FatTreeParams& params) {
   host.name = "front-end server";
   host.io.host_latency = 2e-3;
   host.io.host_per_byte = 0.8e-6;
-  model.host_unit = model.sag.add_unit(host, root);
+  model.sag.add_unit(host, root);
 
   // Switch tiers from the spine down to the leaves: the decomposition keeps
   // one SAU per tier so per-unit queries see the fabric's hierarchy.

@@ -76,7 +76,7 @@ MachineModel make_ipsc860(int nodes) {
   SAU host;
   host.name = "SRM host (80386)";
   host.io = srm_io();
-  model.host_unit = model.sag.add_unit(host, root);
+  model.sag.add_unit(host, root);
 
   SAU cube;
   cube.name = "i860 cube";

@@ -78,7 +78,7 @@ MachineModel make_paragon(int nodes) {
   SAU host;
   host.name = "service partition";
   host.io = service_io();
-  model.host_unit = model.sag.add_unit(host, root);
+  model.sag.add_unit(host, root);
 
   SAU mesh;
   mesh.name = "wormhole mesh";

@@ -14,13 +14,6 @@ void SystemAbstractionGraph::replace_unit(int index, SAU sau) {
   units_.at(static_cast<std::size_t>(index)).sau = std::move(sau);
 }
 
-int SystemAbstractionGraph::find(std::string_view name) const {
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    if (units_[i].sau.name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::string SystemAbstractionGraph::str() const {
   std::ostringstream os;
   // render as an indented tree (children follow parents in insertion order)

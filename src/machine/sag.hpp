@@ -7,8 +7,8 @@
 //
 // Nodes are homogeneous, so the cube SAU carries the node parameters; the
 // graph structure is kept (rather than a flat parameter set) because the
-// paper's methodology is explicitly hierarchical and the framework exposes
-// per-unit queries.
+// paper's methodology is explicitly hierarchical: reports render it
+// (str()), and machine models pick their node unit out of it.
 #pragma once
 
 #include <string>
@@ -28,11 +28,7 @@ class SystemAbstractionGraph {
   void replace_unit(int index, SAU sau);
 
   [[nodiscard]] const SAU& unit(int index) const { return units_.at(static_cast<std::size_t>(index)).sau; }
-  [[nodiscard]] int parent_of(int index) const { return units_.at(static_cast<std::size_t>(index)).parent; }
   [[nodiscard]] std::size_t size() const noexcept { return units_.size(); }
-
-  /// Finds a unit by name (first match in preorder); -1 when absent.
-  [[nodiscard]] int find(std::string_view name) const;
 
   /// Renders the decomposition for reports.
   [[nodiscard]] std::string str() const;
@@ -45,17 +41,15 @@ class SystemAbstractionGraph {
   std::vector<Entry> units_;
 };
 
-/// A fully configured abstract machine: the SAG plus the roles the
-/// framework needs resolved (which SAU describes a compute node, which the
-/// host) and the machine size.
+/// A fully configured abstract machine: the SAG plus the role the
+/// framework needs resolved (which SAU describes a compute node) and the
+/// machine size.
 struct MachineModel {
   SystemAbstractionGraph sag;
   int node_unit = -1;  // SAU index of a compute node
-  int host_unit = -1;  // SAU index of the SRM host
   int max_nodes = 0;   // cube size
 
   [[nodiscard]] const SAU& node() const { return sag.unit(node_unit); }
-  [[nodiscard]] const SAU& host() const { return sag.unit(host_unit); }
 };
 
 }  // namespace hpf90d::machine

@@ -27,16 +27,6 @@ int Hypercube::grid_to_node(int linear_id, std::span<const int> grid_shape) cons
   return static_cast<int>(node);
 }
 
-int Hypercube::hops(int a, int b) noexcept {
-  return std::popcount(static_cast<unsigned>(a ^ b));
-}
-
-std::vector<int> Hypercube::route(int a, int b) const {
-  std::vector<int> path{a};
-  for (int cur = a; cur != b;) path.push_back(cur = next_hop(cur, b));
-  return path;
-}
-
 int Hypercube::next_hop(int at, int to) noexcept {
   return at ^ (1 << std::countr_zero(static_cast<unsigned>(at ^ to)));
 }

@@ -3,12 +3,10 @@
 // Processor-grid coordinates are embedded into the cube with (binary
 // reflected) Gray codes so that grid neighbours are cube neighbours, and
 // messages follow e-cube (dimension-ordered) routes. The simulator models
-// per-link occupancy along these routes; the interpretation engine only
-// needs hop counts.
+// per-link occupancy along these routes.
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace hpf90d::machine {
 
@@ -21,19 +19,11 @@ class Hypercube {
   explicit Hypercube(int nodes);
 
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
-  [[nodiscard]] int dimension() const noexcept { return dim_; }
 
   /// Maps a row-major linear processor-grid id onto a physical cube node.
   /// For 2-D grids (r x c, both powers of two) the mapping is
   /// gray(row) concatenated with gray(col); 1-D grids use gray(p).
   [[nodiscard]] int grid_to_node(int linear_id, std::span<const int> grid_shape) const;
-
-  /// Hamming distance between two physical node ids (= e-cube hop count).
-  [[nodiscard]] static int hops(int a, int b) noexcept;
-
-  /// e-cube route: the ordered list of nodes visited from `a` to `b`
-  /// (inclusive of both endpoints), correcting dimensions lowest first.
-  [[nodiscard]] std::vector<int> route(int a, int b) const;
 
   /// The node after `at` on the e-cube route to `to` (at != to): the
   /// lowest differing address bit corrected.

@@ -89,13 +89,6 @@ std::uint64_t Tracer::dropped() const {
   return recorded_ - ring_.size();
 }
 
-void Tracer::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-  recorded_ = 0;
-}
-
 std::string Tracer::chrome_trace_json() const {
   const std::vector<SpanRecord> spans = snapshot();
   // Chrome's trace_event format: an array of complete ("X") events with

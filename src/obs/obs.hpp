@@ -116,14 +116,11 @@ class Tracer : public Sink {
   /// Lifetime spans seen / spans overwritten by ring wrap-around.
   [[nodiscard]] std::uint64_t recorded() const;
   [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Chrome trace_event JSON ("X" complete events, microsecond timebase):
   /// load in chrome://tracing / Perfetto. Deterministic given the ring
   /// contents (spans render oldest first).
   [[nodiscard]] std::string chrome_trace_json() const;
-
-  void clear();
 
  private:
   const std::size_t capacity_;

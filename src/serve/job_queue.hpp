@@ -38,7 +38,7 @@ struct Job {
   JobState state = JobState::Queued;
   std::string result;        // encoded outcome once terminal
   /// Steady-clock nanoseconds at submit — the server turns pop-minus-submit
-  /// into an obs::Phase::QueueWait span and the slow-job log's wait column.
+  /// into an obs::Phase::QueueWait span and the queue-wait histogram.
   std::uint64_t submitted_ns = 0;
 };
 

@@ -84,7 +84,7 @@ struct ServerStats {
   std::uint64_t simd_stripes = 0;
   /// Live queue occupancy and slow-job telemetry (stats codec v4): jobs
   /// waiting, jobs executing right now, and jobs whose sweep exceeded
-  /// ServerOptions::slow_job_threshold_ms since the daemon started.
+  /// ServerOptions::slow_job_ms since the daemon started.
   std::size_t queue_depth = 0;
   std::size_t jobs_running = 0;
   std::size_t slow_jobs = 0;

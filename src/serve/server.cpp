@@ -331,10 +331,6 @@ void ExperimentServer::executor_loop() {
     if (options_.slow_job_ms > 0 &&
         wall_s * 1000.0 >= static_cast<double>(options_.slow_job_ms)) {
       slow_jobs_.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(slow_mutex_);
-      slow_log_.push_back(SlowJob{job->id, job->tenant, job->is_study, wall_s, wait_s});
-      const std::size_t cap = options_.slow_job_capacity < 1 ? 1 : options_.slow_job_capacity;
-      while (slow_log_.size() > cap) slow_log_.pop_front();
     }
 
     queue_.complete(job->id, terminal, std::move(result));
@@ -489,11 +485,6 @@ std::string ExperimentServer::metrics_text() {
   metrics_.gauge("hpf90d_trace_spans_dropped", "Spans overwritten by ring wrap-around")
       .set(static_cast<double>(tracer_.dropped()));
   return metrics_.prometheus();
-}
-
-std::vector<SlowJob> ExperimentServer::slow_jobs() const {
-  const std::lock_guard<std::mutex> lock(slow_mutex_);
-  return {slow_log_.begin(), slow_log_.end()};
 }
 
 ServerStats ExperimentServer::stats() const {

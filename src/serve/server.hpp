@@ -27,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,20 +65,9 @@ struct ServerOptions {
   /// either way; tracing only observes timings.
   bool trace = true;
   std::size_t trace_capacity = 1 << 14;
-  /// Slow-job log: a job whose sweep wall time reaches this threshold is
-  /// remembered (most recent `slow_job_capacity` kept) and counted in
-  /// ServerStats::slow_jobs. 0 disables the log.
+  /// Slow jobs: a job whose sweep wall time reaches this threshold is
+  /// counted in ServerStats::slow_jobs. 0 disables the count.
   int slow_job_ms = 0;
-  std::size_t slow_job_capacity = 64;
-};
-
-/// One entry of the daemon's slow-job log (ServerOptions::slow_job_ms).
-struct SlowJob {
-  std::uint64_t id = 0;
-  std::string tenant;
-  bool is_study = false;
-  double wall_seconds = 0;   // sweep execution time
-  double wait_seconds = 0;   // time spent queued before an executor popped it
 };
 
 class ExperimentServer {
@@ -124,9 +112,6 @@ class ExperimentServer {
   /// stats() and renders the registry. Deterministic for equal daemon
   /// state.
   [[nodiscard]] std::string metrics_text();
-
-  /// Most recent slow jobs, oldest first (empty when slow_job_ms == 0).
-  [[nodiscard]] std::vector<SlowJob> slow_jobs() const;
 
  private:
   /// A job currently executing, keyed by its content address (the encoded
@@ -181,12 +166,10 @@ class ExperimentServer {
   std::atomic<std::uint64_t> lanes_evicted_{0};
   std::atomic<std::uint64_t> simd_stripes_{0};
 
-  // observability: span ring, metrics registry, slow-job log
+  // observability: span ring, metrics registry, slow-job count
   obs::Tracer tracer_;
   obs::Registry metrics_;
   std::atomic<std::size_t> slow_jobs_{0};
-  mutable std::mutex slow_mutex_;
-  std::deque<SlowJob> slow_log_;  // bounded at slow_job_capacity
 };
 
 }  // namespace hpf90d::serve

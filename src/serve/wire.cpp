@@ -109,16 +109,6 @@ std::string encode_frame(const Frame& frame) {
   return out;
 }
 
-std::optional<Frame> decode_frame(std::string_view buffer, std::size_t& offset) {
-  if (buffer.size() - offset < kHeaderSize) return std::nullopt;
-  Frame frame;
-  const std::uint32_t len = parse_header(buffer.data() + offset, frame.type);
-  if (buffer.size() - offset - kHeaderSize < len) return std::nullopt;
-  frame.payload.assign(buffer.data() + offset + kHeaderSize, len);
-  offset += kHeaderSize + len;
-  return frame;
-}
-
 void write_frame(int fd, const Frame& frame) {
   const std::string bytes = encode_frame(frame);
   std::size_t sent = 0;

@@ -8,18 +8,16 @@
 // stays debuggable with `xxd` while the framing keeps message boundaries
 // exact under arbitrary kernel segmentation.
 //
-// Robustness contract: decode_frame never reads past the buffer, rejects
-// bad magic / unsupported versions / oversized payloads with WireError
-// (the connection is then dropped — framing cannot be resynchronized),
-// and reports short buffers as "need more bytes" rather than errors, so a
-// reader can accumulate from a stream of arbitrary chunk sizes.
+// Robustness contract: try_read_frame validates a header before it waits
+// for any payload, rejects bad magic / unsupported versions / oversized
+// payloads with WireError (the connection is then dropped — framing cannot
+// be resynchronized), and treats a stream that ends inside a frame as a
+// WireError too: only a close at a frame boundary is a clean end.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace hpf90d::serve {
 
@@ -72,13 +70,6 @@ struct Frame {
 /// Serializes header + payload. Throws WireError when the payload exceeds
 /// kMaxPayload.
 [[nodiscard]] std::string encode_frame(const Frame& frame);
-
-/// Decodes one frame starting at `offset`. On success advances `offset`
-/// past the frame and returns it; returns nullopt (offset untouched) when
-/// the buffer ends mid-header or mid-payload; throws WireError on bad
-/// magic, unsupported version, or an oversized length field.
-[[nodiscard]] std::optional<Frame> decode_frame(std::string_view buffer,
-                                                std::size_t& offset);
 
 /// Blocking frame write on a connected socket (MSG_NOSIGNAL — a dead peer
 /// raises WireError, not SIGPIPE).

@@ -83,12 +83,6 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   shift_blocks_.clear();
 }
 
-SimResult Executor::run() {
-  SimResult out;
-  run_into(out);
-  return out;
-}
-
 void Executor::run_into(SimResult& out, const NoiseStream* stream) {
   record(tape_);
   retime_into(tape_, options_.seed, out, stream);

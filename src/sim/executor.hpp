@@ -61,8 +61,6 @@ struct NodeMetric {
   double comm = 0;
   double overhead = 0;
   long long visits = 0;
-
-  [[nodiscard]] double total() const noexcept { return comp + comm + overhead; }
 };
 
 struct SimResult {
@@ -115,7 +113,7 @@ struct ValueTape {
 /// value digest (compiler::value_digest: HPF directives never change a
 /// program's values) under the same bindings. The *timing
 /// walk* (retime) charges clocks, the network and the noise stream from a
-/// tape alone, without evaluating a single expression. run() is record()
+/// tape alone, without evaluating a single expression. run_into() is record()
 /// then retime() of the executor's own tape; re-timing a tape recorded
 /// under any other layout or machine is bit-identical to a fresh run under
 /// this one.
@@ -152,7 +150,7 @@ struct ValueTape {
 /// exchanges depend on no tape and stay).
 class Executor {
  public:
-  /// Arena construction: no state bound yet; call rebind() before run().
+  /// Arena construction: no state bound yet; call rebind() before a run.
   Executor() = default;
 
   Executor(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
@@ -185,13 +183,12 @@ class Executor {
   [[nodiscard]] double retime(const ValueTape& tape, std::uint64_t seed,
                               const NoiseStream* stream = nullptr);
 
-  /// record() into the executor's own tape, then retime it under the bound
-  /// options' seed (and that seed's `stream`, if given). One-shot per
-  /// rebind.
-  [[nodiscard]] SimResult run();
+  /// record() into the executor's own tape, then retime it into `out` under
+  /// the bound options' seed (and that seed's `stream`, if given). One-shot
+  /// per rebind.
   void run_into(SimResult& out, const NoiseStream* stream = nullptr);
 
-  /// Re-times the executor's own tape (the last run()'s) under `seed`:
+  /// Re-times the executor's own tape (the last run_into()'s) under `seed`:
   /// bit-identical to SimResult::total of a fresh run with that seed.
   [[nodiscard]] double replay(std::uint64_t seed, const NoiseStream* stream = nullptr) {
     return retime(tape_, seed, stream);
@@ -367,7 +364,7 @@ class Executor {
   std::vector<double> clock_;
   std::vector<NodeMetric> metrics_;
 
-  ValueTape tape_;                   // run()'s own tape
+  ValueTape tape_;                   // run_into()'s own tape
   ValueTape* rec_ = nullptr;         // tape record() is filling
   const ValueTape* walk_ = nullptr;  // tape being re-timed
   std::size_t walk_pos_ = 0;

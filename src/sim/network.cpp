@@ -27,11 +27,6 @@ void SimNetwork::reset() {
   std::fill(link_free_.begin(), link_free_.end(), 0.0);
 }
 
-int SimNetwork::hops_between(int from, int to) const {
-  return machine::Hypercube::hops(proc_to_node_[static_cast<std::size_t>(from)],
-                                  proc_to_node_[static_cast<std::size_t>(to)]);
-}
-
 double SimNetwork::send(int from, int to, long long bytes, double depart,
                         NoiseModel& noise) {
   const int a = proc_to_node_[static_cast<std::size_t>(from)];

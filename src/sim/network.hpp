@@ -27,8 +27,6 @@ class SimNetwork {
   /// returns arrival time at `to`. Updates link occupancy.
   double send(int from, int to, long long bytes, double depart, NoiseModel& noise);
 
-  [[nodiscard]] int hops_between(int from, int to) const;
-
   void reset();
 
  private:

@@ -27,9 +27,4 @@ NoiseStream::NoiseStream(std::uint64_t seed) : seed_(seed), engine_(seed) {
   }
 }
 
-std::size_t NoiseStream::bytes() const noexcept {
-  return sizeof(*this) + words_.capacity() * sizeof(std::uint64_t) +
-         pairs_.capacity() * sizeof(detail::NormalPair) + reads_.capacity();
-}
-
 }  // namespace hpf90d::sim

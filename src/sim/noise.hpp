@@ -21,10 +21,10 @@
 // word positions, the normal pair a draw starting there yields, computed
 // once by std::normal_distribution itself. A NoiseModel is the cursor one
 // walk draws through. Below the memo it reads pairs and words back; past it
-// it continues on a copy of the stream's engine; with no stream (a
-// standalone Executor or Simulator::measure) it seeds an engine of its own.
-// The draws are bit-identical in all three cases, and a disabled model (noise
-// off, or a default-constructed one) seeds nothing.
+// it continues on a copy of the stream's engine; with no stream (an
+// Executor or Simulator::measure_into called without one) it seeds an
+// engine of its own. The draws are bit-identical in all three cases, and a
+// disabled model (noise off, or a default-constructed one) seeds nothing.
 #pragma once
 
 #include <cmath>
@@ -76,8 +76,6 @@ class NoiseStream {
   explicit NoiseStream(std::uint64_t seed);
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// Resident size: the words, the pairs and the engine.
-  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   friend class NoiseModel;

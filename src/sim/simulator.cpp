@@ -5,32 +5,6 @@
 
 namespace hpf90d::sim {
 
-MeasuredResult Simulator::measure(const compiler::CompiledProgram& prog,
-                                  const front::Bindings& bindings,
-                                  const compiler::LayoutOptions& layout_options,
-                                  const SimOptions& options, int runs) const {
-  const compiler::DataLayout layout = compiler::make_layout(prog, bindings, layout_options);
-  return measure(prog, bindings, layout, options, runs);
-}
-
-MeasuredResult Simulator::measure(const compiler::CompiledProgram& prog,
-                                  const front::Bindings& bindings,
-                                  const compiler::DataLayout& layout,
-                                  const SimOptions& options, int runs) const {
-  Executor arena;
-  return measure(prog, bindings, layout, options, runs, arena);
-}
-
-MeasuredResult Simulator::measure(const compiler::CompiledProgram& prog,
-                                  const front::Bindings& bindings,
-                                  const compiler::DataLayout& layout,
-                                  const SimOptions& options, int runs,
-                                  Executor& arena) const {
-  MeasuredResult out;
-  measure_into(prog, bindings, layout, options, runs, arena, out);
-  return out;
-}
-
 void Simulator::measure_into(const compiler::CompiledProgram& prog,
                              const front::Bindings& bindings,
                              const compiler::DataLayout& layout,

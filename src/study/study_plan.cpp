@@ -64,24 +64,11 @@ StudyPlan& StudyPlan::add_variant(std::string name, std::vector<std::string> ove
   return *this;
 }
 
-StudyPlan& StudyPlan::add_problem(std::string name, front::Bindings bindings) {
-  inner_.add_problem(std::move(name), std::move(bindings));
-  return *this;
-}
-
 StudyPlan& StudyPlan::problems_from(
     const std::vector<long long>& sizes,
     const std::function<front::Bindings(long long)>& make_bindings,
     std::string_view label_prefix) {
   inner_.problems_from(sizes, make_bindings, label_prefix);
-  return *this;
-}
-
-StudyPlan& StudyPlan::problems_scaled_by_nprocs(
-    const std::vector<long long>& base_sizes,
-    const std::function<front::Bindings(long long)>& make_bindings,
-    std::string_view label_prefix) {
-  inner_.problems_scaled_by_nprocs(base_sizes, make_bindings, label_prefix);
   return *this;
 }
 
@@ -92,21 +79,6 @@ StudyPlan& StudyPlan::nprocs(std::vector<int> counts) {
 
 StudyPlan& StudyPlan::runs(int n) {
   inner_.runs(n);
-  return *this;
-}
-
-StudyPlan& StudyPlan::compiler_options(compiler::CompilerOptions opts) {
-  inner_.compiler_options(opts);
-  return *this;
-}
-
-StudyPlan& StudyPlan::predict_options(core::PredictOptions opts) {
-  inner_.predict_options(opts);
-  return *this;
-}
-
-StudyPlan& StudyPlan::sim_options(sim::SimOptions opts) {
-  inner_.sim_options(opts);
   return *this;
 }
 

@@ -44,22 +44,11 @@ class StudyPlan {
   StudyPlan& add_variant(api::DirectiveVariant v);
   StudyPlan& add_variant(std::string name, std::vector<std::string> overrides,
                          std::optional<int> grid_rank = std::nullopt);
-  StudyPlan& add_problem(std::string name, front::Bindings bindings);
   StudyPlan& problems_from(const std::vector<long long>& sizes,
                            const std::function<front::Bindings(long long)>& make_bindings,
                            std::string_view label_prefix = "n=");
-  /// Weak-scaling axis: couples the problem size to the swept processor
-  /// count (see ExperimentPlan::problems_scaled_by_nprocs). Call nprocs()
-  /// first; mutually exclusive with add_problem/problems_from.
-  StudyPlan& problems_scaled_by_nprocs(
-      const std::vector<long long>& base_sizes,
-      const std::function<front::Bindings(long long scaled)>& make_bindings,
-      std::string_view label_prefix = "n=");
   StudyPlan& nprocs(std::vector<int> counts);
   StudyPlan& runs(int n);
-  StudyPlan& compiler_options(compiler::CompilerOptions opts);
-  StudyPlan& predict_options(core::PredictOptions opts);
-  StudyPlan& sim_options(sim::SimOptions opts);
 
   // --- accessors --------------------------------------------------------------
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
@@ -79,10 +68,10 @@ class StudyPlan {
   /// codec reads the swept axes through this.
   [[nodiscard]] const api::ExperimentPlan& inner() const noexcept { return inner_; }
 
-  /// Installs a decoded inner plan verbatim (the plan-transport decoder's
-  /// entry, pairing with inner(); the builder methods above are the
-  /// programmatic route). Whatever machine axis the plan carries is
-  /// overwritten by lower().
+  /// Installs an inner plan verbatim: the plan-transport decoder's entry
+  /// (pairing with inner()), and the route to what the builder methods
+  /// above do not forward (the weak-scaling pairs, the option blocks).
+  /// Whatever machine axis the plan carries is overwritten by lower().
   StudyPlan& replace_inner(api::ExperimentPlan inner) {
     inner_ = std::move(inner);
     return *this;

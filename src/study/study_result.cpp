@@ -112,13 +112,6 @@ std::string Crossover::str() const {
       support::format_seconds(b_after).c_str());
 }
 
-const machine::WhatIfParams* StudyResult::params_for(std::string_view machine) const {
-  for (const auto& pt : machine_points) {
-    if (pt.name == machine) return &pt.params;
-  }
-  return nullptr;
-}
-
 std::vector<Crossover> StudyResult::crossovers() const {
   const SweepIndex ix(report);
   std::vector<Crossover> out;
@@ -259,29 +252,6 @@ std::string StudyDiff::ascii() const {
   for (const auto& x : lost) out += "  - " + x.str() + "\n";
   out += support::strfmt("significant deltas: %zu\n", deltas.size());
   for (const auto& d : deltas) out += "  ~ " + d.str() + "\n";
-  return out;
-}
-
-std::string StudyDiff::csv() const {
-  // kind-discriminated rows so one file carries all three change classes:
-  //   crossover,<gained|lost>,axis,a,b,context,problem,np_before,np_after
-  //   delta,machine,variant,problem,nprocs,before,after,rel_change
-  std::string out = "kind,f1,f2,f3,f4,f5,f6,f7,f8\n";
-  const auto crossover_row = [&](const char* tag, const Crossover& x) {
-    out += support::strfmt("crossover,%s,%s,%s,%s,%s,%s,%d,%d\n", tag,
-                           csv_field(x.axis).c_str(), csv_field(x.a).c_str(),
-                           csv_field(x.b).c_str(), csv_field(x.context).c_str(),
-                           csv_field(x.problem).c_str(), x.nprocs_before,
-                           x.nprocs_after);
-  };
-  for (const auto& x : gained) crossover_row("gained", x);
-  for (const auto& x : lost) crossover_row("lost", x);
-  for (const auto& d : deltas) {
-    out += support::strfmt("delta,%s,%s,%s,%d,%.17g,%.17g,%.17g,\n",
-                           csv_field(d.machine).c_str(), csv_field(d.variant).c_str(),
-                           csv_field(d.problem).c_str(), d.nprocs, d.estimated_before,
-                           d.estimated_after, d.rel_change);
-  }
   return out;
 }
 

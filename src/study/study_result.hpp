@@ -52,13 +52,11 @@ struct ScalabilityCurve {
 };
 
 /// Bottleneck attribution for one sweep point: the predicted per-phase
-/// decomposition plus the dominant category.
+/// decomposition (phases.dominant() names the dominant category).
 struct BottleneckRecord {
   std::string machine, variant, problem;
   int nprocs = 0;
   api::PhaseBreakdown phases;
-
-  [[nodiscard]] const char* dominant() const noexcept { return phases.dominant(); }
 };
 
 /// One sweep point whose estimated time moved significantly between two
@@ -100,9 +98,6 @@ struct StudyDiff {
 
   /// Human-readable summary (deterministic, no wall time).
   [[nodiscard]] std::string ascii() const;
-
-  /// One row per change: kind,axis/machine,... Deterministic; %.17g.
-  [[nodiscard]] std::string csv() const;
 };
 
 struct StudyResult {
@@ -112,10 +107,6 @@ struct StudyResult {
   /// knob axes; reference machines are absent — their knobs are unity).
   std::vector<MachinePoint> machine_points;
   api::RunReport report;  // records carry the per-phase decomposition
-
-  /// The knob settings behind a machine name; nullptr for reference
-  /// machines (and anything else outside the family grid).
-  [[nodiscard]] const machine::WhatIfParams* params_for(std::string_view machine) const;
 
   // --- analysis ---------------------------------------------------------------
   /// Variant-vs-variant flips (per machine and problem) followed by

@@ -11,41 +11,6 @@ std::string SourceLoc::str() const {
   return os.str();
 }
 
-namespace {
-std::string_view severity_name(Severity sev) {
-  switch (sev) {
-    case Severity::Note: return "note";
-    case Severity::Warning: return "warning";
-    case Severity::Error: return "error";
-  }
-  return "?";
-}
-}  // namespace
-
-std::string Diagnostic::str() const {
-  std::ostringstream os;
-  os << loc.str() << ": " << severity_name(severity) << ": " << message;
-  return os.str();
-}
-
-void DiagnosticEngine::report(Severity sev, SourceLoc loc, std::string message) {
-  if (sev == Severity::Error) ++error_count_;
-  diags_.push_back(Diagnostic{sev, loc, std::move(message)});
-}
-
-void DiagnosticEngine::check(std::string_view stage) const {
-  if (!has_errors()) return;
-  std::ostringstream os;
-  os << stage << " failed with " << error_count_ << " error(s):\n" << str();
-  throw CompileError(os.str());
-}
-
-std::string DiagnosticEngine::str() const {
-  std::ostringstream os;
-  for (const auto& d : diags_) os << d.str() << '\n';
-  return os.str();
-}
-
 CompileError::CompileError(SourceLoc loc, const std::string& what)
     : std::runtime_error(loc.str() + ": " + what), loc_(loc) {}
 

@@ -1,12 +1,10 @@
-// diagnostics.hpp — source locations, diagnostics and error reporting shared
-// by every stage of the HPF/Fortran 90D pipeline (lexer through interpreter).
+// diagnostics.hpp — source locations and the located error shared by every
+// stage of the HPF/Fortran 90D pipeline (lexer through interpreter).
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace hpf90d::support {
 
@@ -20,50 +18,6 @@ struct SourceLoc {
   [[nodiscard]] std::string str() const;
 
   friend bool operator==(const SourceLoc&, const SourceLoc&) = default;
-};
-
-enum class Severity { Note, Warning, Error };
-
-/// One diagnostic message attached to a source location.
-struct Diagnostic {
-  Severity severity = Severity::Error;
-  SourceLoc loc;
-  std::string message;
-
-  [[nodiscard]] std::string str() const;
-};
-
-/// Collects diagnostics across a compilation. Errors are recorded rather
-/// than thrown so that a stage can report several problems per run; callers
-/// check `has_errors()` (or call `check()` to throw) at stage boundaries.
-class DiagnosticEngine {
- public:
-  void report(Severity sev, SourceLoc loc, std::string message);
-  void error(SourceLoc loc, std::string message) {
-    report(Severity::Error, loc, std::move(message));
-  }
-  void warning(SourceLoc loc, std::string message) {
-    report(Severity::Warning, loc, std::move(message));
-  }
-  void note(SourceLoc loc, std::string message) {
-    report(Severity::Note, loc, std::move(message));
-  }
-
-  [[nodiscard]] bool has_errors() const noexcept { return error_count_ != 0; }
-  [[nodiscard]] std::size_t error_count() const noexcept { return error_count_; }
-  [[nodiscard]] const std::vector<Diagnostic>& diagnostics() const noexcept {
-    return diags_;
-  }
-
-  /// Throws CompileError summarizing all errors if any were reported.
-  void check(std::string_view stage) const;
-
-  /// All diagnostics rendered one per line.
-  [[nodiscard]] std::string str() const;
-
- private:
-  std::vector<Diagnostic> diags_;
-  std::size_t error_count_ = 0;
 };
 
 /// Thrown when a pipeline stage cannot proceed (syntax error, unsupported

@@ -21,22 +21,14 @@ bool looks_numeric(const std::string& s) {
 
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 
-void TextTable::add_row(std::vector<std::string> cells) {
-  Row row;
-  row.cells = std::move(cells);
-  row.rule_before = pending_rule_;
-  pending_rule_ = false;
-  rows_.push_back(std::move(row));
-}
-
-void TextTable::add_rule() { pending_rule_ = true; }
+void TextTable::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
 
 std::string TextTable::str() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t i = 0; i < header_.size(); ++i) widths[i] = header_[i].size();
   for (const auto& row : rows_) {
-    for (std::size_t i = 0; i < row.cells.size() && i < widths.size(); ++i) {
-      widths[i] = std::max(widths[i], row.cells[i].size());
+    for (std::size_t i = 0; i < row.size() && i < widths.size(); ++i) {
+      widths[i] = std::max(widths[i], row[i].size());
     }
   }
 
@@ -63,10 +55,7 @@ std::string TextTable::str() const {
 
   std::ostringstream os;
   os << hrule() << render_row(header_) << hrule();
-  for (const auto& row : rows_) {
-    if (row.rule_before) os << hrule();
-    os << render_row(row.cells);
-  }
+  for (const auto& row : rows_) os << render_row(row);
   os << hrule();
   return os.str();
 }

@@ -15,21 +15,11 @@ class TextTable {
 
   void add_row(std::vector<std::string> cells);
 
-  /// Adds a horizontal rule before the next row.
-  void add_rule();
-
   [[nodiscard]] std::string str() const;
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool rule_before = false;
-  };
   std::vector<std::string> header_;
-  std::vector<Row> rows_;
-  bool pending_rule_ = false;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace hpf90d::support

@@ -12,12 +12,6 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool iequals(std::string_view a, std::string_view b) noexcept {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -73,12 +67,6 @@ std::string format_seconds(double seconds) {
   if (seconds >= 1.0) return strfmt("%.3f s", seconds);
   if (seconds >= 1e-3) return strfmt("%.3f ms", seconds * 1e3);
   return strfmt("%.1f us", seconds * 1e6);
-}
-
-std::string format_bytes(double bytes) {
-  if (bytes >= 1024.0 * 1024.0) return strfmt("%.2f MB", bytes / (1024.0 * 1024.0));
-  if (bytes >= 1024.0) return strfmt("%.2f KB", bytes / 1024.0);
-  return strfmt("%.0f B", bytes);
 }
 
 }  // namespace hpf90d::support

@@ -13,7 +13,6 @@ namespace hpf90d::support {
 /// Lower-cases ASCII; Fortran identifiers and keywords are case-insensitive
 /// and the pipeline canonicalizes them to lower case.
 [[nodiscard]] std::string to_lower(std::string_view s);
-[[nodiscard]] std::string to_upper(std::string_view s);
 
 /// Case-insensitive ASCII equality.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b) noexcept;
@@ -33,13 +32,10 @@ namespace hpf90d::support {
 /// Renders seconds with an auto-chosen unit (s / ms / us) for reports.
 [[nodiscard]] std::string format_seconds(double seconds);
 
-/// Renders a byte count with an auto-chosen unit (B / KB / MB).
-[[nodiscard]] std::string format_bytes(double bytes);
-
 /// FNV-1a 64-bit: cheap, stable content hash for cache keys. Keys built
 /// from it should also embed the input length, so a collision needs
 /// same-length inputs (the compaction posture of the session's program
-/// key and of layout_fingerprint's structure digest).
+/// key and of the layout fingerprint's structure digest).
 [[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : s) {

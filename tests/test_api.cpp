@@ -1,7 +1,7 @@
 // Experiment-session API tests: machine registry lookup (including the
 // unknown-name error path), compilation/layout cache behaviour across an
 // ExperimentPlan sweep, content-addressed layout sharing with externally
-// owned programs, worker-pool determinism, and RunReport CSV export/diff.
+// owned programs, worker-pool determinism, and RunReport CSV export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -312,10 +312,6 @@ TEST(Session, LayoutsAreMemoizedPerConfiguration) {
   cfg.nprocs = 8;
   (void)session.predict(prog, cfg);
   EXPECT_EQ(session.cache_stats().layout_misses, 2u);
-
-  session.clear_caches();
-  EXPECT_EQ(session.cached_programs(), 0u);
-  EXPECT_EQ(session.cached_layouts(), 0u);
 }
 
 TEST(Session, LayoutCacheIsContentAddressed) {
@@ -352,7 +348,7 @@ TEST(Session, LayoutCacheIsContentAddressed) {
   EXPECT_EQ(session.cache_stats().layout_misses, 2u);
 }
 
-TEST(Session, LayoutEntriesSurviveProgramEviction) {
+TEST(Session, LayoutEntriesOutliveTheirPrograms) {
   api::Session session;
   const auto& app = suite::app("pi");
   api::RunConfig cfg;
@@ -360,13 +356,14 @@ TEST(Session, LayoutEntriesSurviveProgramEviction) {
   cfg.bindings = app.bindings(256);
 
   {
-    const auto prog = session.compile(app.source);
+    const auto prog =
+        std::make_shared<const compiler::CompiledProgram>(compiler::compile(app.source));
     (void)session.predict(prog, cfg);
   }
   EXPECT_EQ(session.cache_stats().layout_misses, 1u);
 
-  // evict every program; layouts are self-contained and stay usable
-  session.clear_program_cache();
+  // the program that built the layout is gone; layouts are self-contained
+  // and stay usable
   EXPECT_EQ(session.cached_programs(), 0u);
   EXPECT_EQ(session.cached_layouts(), 1u);
 
@@ -681,9 +678,6 @@ TEST(ValueTapes, SessionMeasureSharesTheStoreWithRun) {
   api::ExperimentPlan plan("footer");
   plan.source(app.source).nprocs({1, 2}).problems_from({16}, app.bindings).runs(1);
   EXPECT_NE(session.run(plan).ascii().find("value tapes 1 hit / 1 miss"), std::string::npos);
-  // clear_caches drops the tapes
-  session.clear_caches();
-  EXPECT_EQ(session.cache_stats().value_tape_bytes, 0u);
 }
 
 // --- noise streams ------------------------------------------------------------
@@ -712,8 +706,8 @@ TEST(NoiseStreams, SharedStreamsKeepReportsByteIdentical) {
   EXPECT_EQ(session.run(plan, serial).csv(), csv);
   EXPECT_EQ(session.cached_noise_streams(), 3u);  // one per run seed
 
-  // every point measured again by the simulator facade, which seeds its own
-  // engines
+  // every point measured again on a fresh arena, with no shared tape or
+  // streams: the simulator seeds its own engines
   api::RunReport alone = first;
   const auto prog = session.compile(app.source);
   for (api::RunRecord& rec : alone.records) {
@@ -723,9 +717,11 @@ TEST(NoiseStreams, SharedStreamsKeepReportsByteIdentical) {
     compiler::LayoutOptions lo;
     lo.nprocs = rec.nprocs;
     const compiler::DataLayout layout = compiler::make_layout(*prog, problem->bindings, lo);
-    const sim::MeasuredResult m = sim::Simulator(session.machine(rec.machine))
-                                      .measure(*prog, problem->bindings, layout,
-                                               plan.sim_opts(), plan.measure_runs());
+    sim::Executor arena;
+    sim::MeasuredResult m;
+    sim::Simulator(session.machine(rec.machine))
+        .measure_into(*prog, problem->bindings, layout, plan.sim_opts(), plan.measure_runs(),
+                      arena, m);
     rec.comparison.measured_mean = m.stats.mean;
     rec.comparison.measured_min = m.stats.min;
     rec.comparison.measured_max = m.stats.max;
@@ -750,16 +746,15 @@ TEST(NoiseStreams, StoreHoldsAtMostItsCap) {
     EXPECT_LE(session.cached_noise_streams(), api::Session::kNoiseStreams) << "seed " << so.seed;
   }
   EXPECT_EQ(session.cached_noise_streams(), api::Session::kNoiseStreams);
-  session.clear_caches();
-  EXPECT_EQ(session.cached_noise_streams(), 0u);
 
   // a measurement without noise draws nothing, so it builds no stream
   sim::SimOptions quiet;
   quiet.noise = false;
   api::ExperimentPlan plan("quiet");
   plan.source(app.source).nprocs({2}).problems_from({16}, app.bindings).runs(3).sim_options(quiet);
-  (void)session.run(plan);
-  EXPECT_EQ(session.cached_noise_streams(), 0u);
+  api::Session fresh;
+  (void)fresh.run(plan);
+  EXPECT_EQ(fresh.cached_noise_streams(), 0u);
 }
 
 // size(a, k) with k outside 1..rank(a) is a located diagnostic on every
@@ -810,50 +805,6 @@ TEST(SizeDimension, OutOfRangeIsALocatedDiagnostic) {
       expect_size_error([&] { (void)session.run(plan); }, k, 7, 15, bound_error,
                         runs == 0 ? "run runs(0)" : "run runs(3)");
     }
-  }
-}
-
-TEST(RunReport, DiffCoversMeasuredMeansWithSignificance) {
-  api::Session session;
-  const auto& app = suite::app("pi");
-  api::ExperimentPlan plan("measured diff");
-  plan.source(app.source).nprocs({1, 2}).problems_from({256}, app.bindings).runs(2);
-  const api::RunReport before = session.run(plan);
-
-  // identical runs: measured deltas are zero and nothing is significant
-  const api::ReportDiff same = api::RunReport::diff(before, session.run(plan));
-  ASSERT_EQ(same.records.size(), 2u);
-  for (const auto& r : same.records) {
-    EXPECT_TRUE(r.measured);
-    EXPECT_EQ(r.measured_delta(), 0.0);
-    EXPECT_FALSE(r.significant());
-  }
-
-  // a 3-sigma mean shift flags significance; a sub-sigma wiggle does not
-  api::RunReport after = before;
-  auto& shifted = after.records[0].comparison;
-  shifted.measured_mean += 3.0 * (shifted.measured_stddev + 1e-6);
-  auto& wiggled = after.records[1].comparison;
-  wiggled.measured_mean += 0.1 * wiggled.measured_stddev;
-  const api::ReportDiff diff = api::RunReport::diff(before, after);
-  ASSERT_EQ(diff.records.size(), 2u);
-  EXPECT_TRUE(diff.records[0].significant());
-  EXPECT_GT(diff.records[0].measured_delta(), 0.0);
-  EXPECT_FALSE(diff.records[1].significant());
-
-  // renderings carry the measured column and the significance marker
-  EXPECT_NE(diff.ascii().find("measured%"), std::string::npos);
-  EXPECT_NE(diff.ascii().find("significant measured shift"), std::string::npos);
-  EXPECT_NE(diff.csv().find("measured_delta_pct"), std::string::npos);
-
-  // predict-only points stay out of the significance machinery
-  api::ExperimentPlan predict_only("predict only");
-  predict_only.source(app.source).nprocs({1, 2}).problems_from({256}, app.bindings).runs(0);
-  const api::RunReport estimates = session.run(predict_only);
-  const api::ReportDiff none = api::RunReport::diff(estimates, estimates);
-  for (const auto& r : none.records) {
-    EXPECT_FALSE(r.measured);
-    EXPECT_FALSE(r.significant());
   }
 }
 
@@ -982,9 +933,10 @@ TEST(ExperimentPlan, PredictOnlySweep) {
   // on one processor the categories partition the whole predicted time
   EXPECT_NEAR(report.records[0].phases.total(), report.records[0].comparison.estimated,
               1e-12 + 1e-9 * report.records[0].comparison.estimated);
-  EXPECT_EQ(report.worst_error_pct(), 0.0);
   ASSERT_NE(report.best_estimated(), nullptr);
   EXPECT_EQ(report.best_estimated()->nprocs, 4);  // pi scales on the cube
+  // the same plan again, now from the session's caches, reports the same
+  EXPECT_EQ(session.run(plan).csv(), report.csv());
 }
 
 TEST(ExperimentPlan, ProblemsFromGeneratesLabelledCases) {
@@ -1057,64 +1009,6 @@ TEST(RunReport, CsvRejectsMalformedInput) {
   EXPECT_EQ(ok.records[0].nprocs, 8);
   EXPECT_EQ(ok.records[0].comparison.estimated, 1.5);
 }
-
-TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {
-  api::Session session;
-  const auto& app = suite::app("pi");
-  api::ExperimentPlan plan("diff base");
-  plan.source(app.source).nprocs({1, 4}).problems_from({256}, app.bindings).runs(0);
-  const api::RunReport before = session.run(plan);
-
-  // identical runs diff to zero everywhere
-  const api::ReportDiff same = api::RunReport::diff(before, session.run(plan));
-  ASSERT_EQ(same.records.size(), 2u);
-  EXPECT_EQ(same.worst_delta_pct(), 0.0);
-  EXPECT_EQ(same.only_before, 0u);
-  EXPECT_EQ(same.only_after, 0u);
-
-  // a perturbed copy shows signed per-point deltas
-  api::RunReport after = before;
-  after.records[0].comparison.estimated *= 1.10;  // 10% regression
-  after.records[1].comparison.estimated *= 0.50;  // 2x improvement
-  const api::ReportDiff diff = api::RunReport::diff(before, after);
-  ASSERT_EQ(diff.records.size(), 2u);
-  EXPECT_NEAR(diff.records[0].delta_pct(), 10.0, 1e-9);
-  EXPECT_NEAR(diff.records[1].delta_pct(), -50.0, 1e-9);
-  EXPECT_GT(diff.records[0].delta(), 0.0);
-  EXPECT_LT(diff.records[1].delta(), 0.0);
-  EXPECT_NEAR(diff.worst_delta_pct(), 50.0, 1e-9);
-
-  // csv export carries the header and one row per matched point
-  const std::string csv = diff.csv();
-  EXPECT_NE(csv.find("estimated_before"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  EXPECT_NE(diff.ascii().find("worst delta"), std::string::npos);
-
-  // unmatched points are counted, not diffed
-  after.records.pop_back();
-  api::RunRecord extra;
-  extra.machine = "cluster";
-  extra.variant = "v";
-  extra.problem = "n=1";
-  extra.nprocs = 2;
-  after.records.push_back(extra);
-  const api::ReportDiff partial = api::RunReport::diff(before, after);
-  EXPECT_EQ(partial.records.size(), 1u);
-  EXPECT_EQ(partial.only_before, 1u);
-  EXPECT_EQ(partial.only_after, 1u);
-
-  // duplicate keys (possible in hand-edited CSVs) are consumed pairwise;
-  // the surplus is counted, never silently dropped
-  api::RunReport dup = before;
-  dup.records.push_back(before.records[0]);
-  const api::ReportDiff surplus = api::RunReport::diff(before, dup);
-  EXPECT_EQ(surplus.records.size(), 2u);
-  EXPECT_EQ(surplus.only_after, 1u);
-  const api::ReportDiff deficit = api::RunReport::diff(dup, before);
-  EXPECT_EQ(deficit.records.size(), 2u);
-  EXPECT_EQ(deficit.only_before, 1u);
-}
-
 
 // --- size() under the run's bindings ------------------------------------------
 

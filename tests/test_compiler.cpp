@@ -1,15 +1,18 @@
 // Compiler middle-end tests: normalization, communication detection,
-// lowering structure for the suite programs, op counting, F77 codegen.
+// lowering structure for the suite programs and op counting.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
 
 #include <functional>
+#include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 
-#include "compiler/codegen_f77.hpp"
 #include "compiler/lower.hpp"
+#include "compiler/mapping.hpp"
 #include "compiler/normalize.hpp"
 #include "compiler/opcount.hpp"
 #include "compiler/pipeline.hpp"
@@ -241,8 +244,8 @@ TEST(Lower, DeepestChainLowersOnASmallStack) {
   std::string error;
   run_on_stack(kSmallStack, [&] {
     try {
-      lowered = compiler::lower_program("t", std::move(ast), std::move(symbols),
-                                        std::move(directives), {});
+      lowered.emplace(compiler::lower_program("t", std::move(ast), std::move(symbols),
+                                              std::move(directives), {}));
     } catch (const std::exception& e) {
       error = e.what();
     }
@@ -405,20 +408,42 @@ TEST(OpCount, AssignmentAddsStore) {
   EXPECT_EQ(ops.loads, 0);
 }
 
-TEST(CodegenF77, EmitsCommCallsAndLoops) {
-  const auto& app = suite::app("laplace_bb");
-  auto p = compiler::compile_with_directives(app.source, app.directive_overrides);
-  const std::string f77 = compiler::codegen_f77(p);
-  EXPECT_NE(f77.find("call exchange_overlap"), std::string::npos);
-  EXPECT_NE(f77.find("do "), std::string::npos);
-  EXPECT_NE(f77.find("program laplace_node"), std::string::npos);
-}
-
-TEST(CodegenF77, EmitsCollectiveCalls) {
-  auto p = comp(suite::app("pi").source);
-  const std::string f77 = compiler::codegen_f77(p);
-  EXPECT_NE(f77.find("call gsum"), std::string::npos);
-  EXPECT_NE(f77.find("mynode()"), std::string::npos);
+// The layout key's three entry points agree (pipeline.hpp): Session::run
+// keys a point by its (program, bindings) prefix finished per layout
+// option, Session::predict by the whole digest, and the spill tier files a
+// layout under the fingerprint string, whose digest a restarted daemon
+// looks up. A layout any of them builds is found by the others.
+TEST(LayoutFingerprint, DigestEntryPointsAgreeOverTheSuite) {
+  std::string key;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> distinct;
+  std::size_t points = 0;
+  for (const auto& app : suite::validation_suite()) {
+    const auto prog = compiler::compile_with_directives(app.source, app.directive_overrides);
+    for (const long long size : app.problem_sizes) {
+      if (app.id == "nbody" ? size > 256 : size > 2048) continue;  // the trimmed Table 2
+      const front::Bindings bindings = app.bindings(size);
+      const compiler::LayoutDigestState prefix =
+          compiler::layout_fingerprint_prefix(prog, bindings);
+      for (const int nprocs : suite::paper_system_sizes()) {
+        compiler::LayoutOptions lo;
+        lo.nprocs = nprocs;
+        if (app.grid_rank) {
+          lo.grid_shape = compiler::ProcGrid::factorized(nprocs, *app.grid_rank).shape;
+        }
+        const std::string label =
+            app.id + " n=" + std::to_string(size) + " P=" + std::to_string(nprocs);
+        const compiler::LayoutDigest whole =
+            compiler::layout_fingerprint_digest(prog, bindings, lo);
+        EXPECT_EQ(compiler::layout_fingerprint_finish(prefix, lo), whole) << label;
+        compiler::layout_fingerprint_into(key, prog, bindings, lo);
+        EXPECT_EQ(compiler::layout_digest_of(key), whole) << label;
+        distinct.emplace(whole.a, whole.b);
+        ++points;
+      }
+    }
+  }
+  EXPECT_EQ(points, 304u);  // the trimmed Table 2's points
+  EXPECT_EQ(distinct.size(), points);  // and no two points share a key
 }
 
 TEST(MessageVectorizationOption, RecordedOnCommNodes) {

@@ -155,8 +155,7 @@ TEST(PerformanceDebugging, FinancialPhasesSeparate) {
   }
   for (const auto& aau : saag.aaus()) {
     if (aau.kind == core::AAUKind::IterD && aau.parent == saag.root()) {
-      const auto m = out.aau(aau.id);
-      phase2.add(m);
+      phase2.add(out.sub_aag(aau.id));
     }
   }
   EXPECT_GT(phase1.comm, 0.0);          // phase 1 communicates (cshift)

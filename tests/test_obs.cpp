@@ -61,8 +61,7 @@ api::ExperimentPlan small_plan(const std::string& title = "obs test plan") {
 
 /// RAII daemon on a scratch socket (same shape as test_serve's fixture).
 struct ServerFixture {
-  explicit ServerFixture(serve::ServerOptions base = {}) {
-    options = base;
+  explicit ServerFixture(serve::ServerOptions base = {}) : options(std::move(base)) {
     options.socket_path = scratch_path("sock") + ".sock";
     server = std::make_unique<serve::ExperimentServer>(options);
     server->start();
@@ -112,7 +111,6 @@ TEST(ObsTracer, RingOverwritesOldestAtFixedCapacity) {
   for (std::uint64_t i = 0; i < 20; ++i) {
     tracer.record({obs::Phase::Compile, 1, i + 1, 1, i});
   }
-  EXPECT_EQ(tracer.capacity(), 8u);
   EXPECT_EQ(tracer.recorded(), 20u);
   EXPECT_EQ(tracer.dropped(), 12u);
   const auto spans = tracer.snapshot();
@@ -120,9 +118,6 @@ TEST(ObsTracer, RingOverwritesOldestAtFixedCapacity) {
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(spans[i].arg, 12u + i) << "ring must retain the newest, oldest first";
   }
-  tracer.clear();
-  EXPECT_TRUE(tracer.snapshot().empty());
-  EXPECT_EQ(tracer.recorded(), 0u);
 }
 
 TEST(ObsTracer, ChromeTraceJsonListsSpansWithPhaseNames) {
@@ -452,7 +447,8 @@ TEST(ObsSession, MeasuredPointNestsValuePassAndRetime) {
       .nprocs({2})
       .add_variant("(block,*)", {"distribute d(block,*)"}, 1)
       .runs(3);
-  obs::Tracer tracer;
+  // one ring per phase below, each outliving the sessions that write it
+  obs::Tracer tracer, retimed, measured;
   api::Session session;
   session.set_trace_sink(&tracer);
   api::RunOptions options;
@@ -475,26 +471,25 @@ TEST(ObsSession, MeasuredPointNestsValuePassAndRetime) {
   EXPECT_EQ(first.cache.value_tape_bytes, passes[0].arg);
 
   // another processor count of the same problem re-times the shared tape
-  tracer.clear();
+  session.set_trace_sink(&retimed);
   plan.nprocs({4});
   const api::RunReport second = session.run(plan, options);
-  EXPECT_EQ(spans_of(tracer, obs::Phase::MeasureBatch).size(), 1u);
-  EXPECT_TRUE(spans_of(tracer, obs::Phase::SimValuePass).empty());
-  EXPECT_EQ(spans_of(tracer, obs::Phase::SimRetime).size(), 1u);
+  EXPECT_EQ(spans_of(retimed, obs::Phase::MeasureBatch).size(), 1u);
+  EXPECT_TRUE(spans_of(retimed, obs::Phase::SimValuePass).empty());
+  EXPECT_EQ(spans_of(retimed, obs::Phase::SimRetime).size(), 1u);
   EXPECT_EQ(second.cache.value_tape_misses, 0u);
   EXPECT_EQ(second.cache.value_tape_hits, 1u);
 
   // Session::measure records the same nesting
   api::Session measuring;
-  measuring.set_trace_sink(&tracer);
-  tracer.clear();
+  measuring.set_trace_sink(&measured);
   api::RunConfig cfg;
   cfg.nprocs = 2;
   cfg.runs = 2;
   (void)measuring.measure(measuring.compile(kLaplace), cfg);
-  const auto m_batches = spans_of(tracer, obs::Phase::MeasureBatch);
-  const auto m_passes = spans_of(tracer, obs::Phase::SimValuePass);
-  const auto m_retimes = spans_of(tracer, obs::Phase::SimRetime);
+  const auto m_batches = spans_of(measured, obs::Phase::MeasureBatch);
+  const auto m_passes = spans_of(measured, obs::Phase::SimValuePass);
+  const auto m_retimes = spans_of(measured, obs::Phase::SimRetime);
   ASSERT_EQ(m_batches.size(), 1u);
   ASSERT_EQ(m_passes.size(), 1u);
   ASSERT_EQ(m_retimes.size(), 1u);
@@ -562,14 +557,10 @@ TEST(ServeObs, MetricsEndpointServesPrometheusText) {
   EXPECT_TRUE(saw_execute);
   EXPECT_TRUE(saw_wait);
 
-  // slow-job log: threshold 1ms catches the sweep
-  const auto slow = fixture.server->slow_jobs();
-  ASSERT_FALSE(slow.empty());
-  EXPECT_EQ(slow.back().id, id);
-  EXPECT_EQ(slow.back().tenant, "tenant-a");
-  EXPECT_GT(slow.back().wall_seconds, 0.0);
+  // slow-job count: threshold 1ms catches the sweep
   const serve::ServerStats stats = client.stats();
-  EXPECT_EQ(stats.slow_jobs, slow.size());
+  EXPECT_EQ(stats.slow_jobs, 1u);
+  EXPECT_NE(client.metrics().find("hpf90d_slow_jobs 1\n"), std::string::npos);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.jobs_running, 0u);
 }
@@ -681,7 +672,6 @@ TEST(ServeObs, ConcurrentStatsAndMetricsPollsAreRaceFree) {
         (void)poll.stats();
         (void)poll.metrics();
         (void)fixture.server->tracer().snapshot();
-        (void)fixture.server->slow_jobs();
       }
     });
   }

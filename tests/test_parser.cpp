@@ -5,11 +5,9 @@
 #include <string>
 #include <utility>
 
+#include "api/api.hpp"
 #include "compiler/pipeline.hpp"
-#include "core/engine.hpp"
 #include "hpf/parser.hpp"
-#include "machine/ipsc860.hpp"
-#include "sim/simulator.hpp"
 #include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
@@ -279,16 +277,15 @@ TEST(Parser, StatementNestingIsBounded) {
 
     // just under the limit (the assignment is one level itself) compiles,
     // predicts and measures
-    const auto at_limit = hpf90d::compiler::compile(
+    api::Session session;
+    const auto at_limit = session.compile(
         "program t\n" + nested_blocks(kMaxStmtDepth - 1, open, close) + "end program t\n");
-    const machine::MachineModel cube = machine::make_ipsc860();
-    hpf90d::compiler::LayoutOptions layout;
-    layout.nprocs = 2;
-    front::Bindings x;
-    x.set("x", 1.0);
-    EXPECT_GT(core::predict(at_limit, x, layout, cube).total, 0.0) << open;
-    EXPECT_GT(sim::Simulator(cube).measure(at_limit, x, layout, {}, 1).stats.mean, 0.0)
-        << open;
+    api::RunConfig cfg;
+    cfg.nprocs = 2;
+    cfg.bindings.set("x", 1.0);
+    cfg.runs = 1;
+    EXPECT_GT(session.predict(at_limit, cfg).total, 0.0) << open;
+    EXPECT_GT(session.measure(at_limit, cfg).stats.mean, 0.0) << open;
   }
 }
 
@@ -319,25 +316,16 @@ TEST(Parser, FlatChainHeightIsBounded) {
 
   // a chain exactly at the limit compiles, and the passes after the parser
   // (sema, lowering, op counts, bytecode, interpretation) walk it safely
-  const auto at_limit = hpf90d::compiler::compile("program t\n" + flat_sum(kMaxExprHeight) +
-                                                  "\nend program t\n");
-  const machine::MachineModel cube = machine::make_ipsc860();
-  hpf90d::compiler::LayoutOptions layout;
-  layout.nprocs = 1;
-  EXPECT_GT(core::predict(at_limit, {}, layout, cube).total, 0.0);
+  api::Session session;
+  const auto at_limit =
+      session.compile("program t\n" + flat_sum(kMaxExprHeight) + "\nend program t\n");
+  EXPECT_GT(session.predict(at_limit, api::RunConfig{}).total, 0.0);
 
   EXPECT_NO_THROW((void)hpf90d::compiler::compile("program t\n" + flat_sum(1000) +
                                                   "\nend program t\n"));
   for (const auto& app : suite::validation_suite()) {
     EXPECT_NO_THROW((void)hpf90d::compiler::compile(app.source)) << app.id;
   }
-}
-
-TEST(Parser, StmtRoundTripText) {
-  const Program p = parse("forall (i = 1:n) x(i) = y(i) + 1.0");
-  const std::string s = p.stmts[0]->str();
-  EXPECT_NE(s.find("forall (i=1:n)"), std::string::npos);
-  EXPECT_NE(s.find("x(i) = (y(i) + 1.0)"), std::string::npos);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -82,8 +83,8 @@ int connect_unix(const std::string& path) {
 /// RAII server + cleanup of socket/artifact scratch.
 struct ServerFixture {
   explicit ServerFixture(std::string artifact_dir = "",
-                         serve::ServerOptions base = {}) {
-    options = base;
+                         serve::ServerOptions base = {})
+      : options(std::move(base)) {
     options.socket_path = scratch_path("sock") + ".sock";
     options.artifact_dir = std::move(artifact_dir);
     server = std::make_unique<serve::ExperimentServer>(options);
@@ -99,6 +100,36 @@ struct ServerFixture {
 };
 
 // --- wire framing -------------------------------------------------------------
+//
+// Through try_read_frame, the reader the daemon runs on each connection.
+
+/// A connected socket pair: bytes sent on the writer end are read from the
+/// reader end. Closing the writer ends the stream.
+struct WirePair {
+  WirePair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+  ~WirePair() {
+    close_writer();
+    ::close(fds[1]);
+  }
+  void send(std::string_view bytes) {
+    EXPECT_EQ(::send(fds[0], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  void close_writer() {
+    if (fds[0] >= 0) ::close(fds[0]);
+    fds[0] = -1;
+  }
+  serve::ReadStatus read(serve::Frame& out) { return serve::try_read_frame(fds[1], out, 1000); }
+  int fds[2] = {-1, -1};
+};
+
+/// try_read_frame on `bytes` followed by the writer's close.
+serve::ReadStatus read_closed(std::string_view bytes, serve::Frame& out) {
+  WirePair wire;
+  wire.send(bytes);
+  wire.close_writer();
+  return wire.read(out);
+}
 
 TEST(Wire, FrameRoundTripsArbitraryBytes) {
   serve::Frame frame;
@@ -106,58 +137,77 @@ TEST(Wire, FrameRoundTripsArbitraryBytes) {
   frame.payload = std::string("bin\0ary\n\tdata", 13);
   const std::string bytes = serve::encode_frame(frame);
   ASSERT_EQ(bytes.size(), serve::kHeaderSize + 13);
-  std::size_t offset = 0;
-  const auto decoded = serve::decode_frame(bytes, offset);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, serve::MsgType::SubmitPlan);
-  EXPECT_EQ(decoded->payload, frame.payload);
-  EXPECT_EQ(offset, bytes.size());
+  WirePair wire;
+  wire.send(bytes);
+  wire.close_writer();
+  serve::Frame decoded;
+  ASSERT_EQ(wire.read(decoded), serve::ReadStatus::Ok);
+  EXPECT_EQ(decoded.type, serve::MsgType::SubmitPlan);
+  EXPECT_EQ(decoded.payload, frame.payload);
+  // the stream ended at a frame boundary: a clean end, not an error
+  EXPECT_EQ(wire.read(decoded), serve::ReadStatus::Eof);
 }
 
-TEST(Wire, TruncatedBufferReportsNeedMoreBytes) {
-  const std::string bytes =
-      serve::encode_frame({serve::MsgType::Hello, "tenant-name"});
-  // every strict prefix is "incomplete", never an error
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    std::size_t offset = 0;
-    EXPECT_FALSE(serve::decode_frame(std::string_view(bytes).substr(0, n), offset)
-                     .has_value())
-        << "prefix length " << n;
-    EXPECT_EQ(offset, 0u);
+TEST(Wire, TruncatedHeaderIsAnErrorNotAHang) {
+  const std::string bytes = serve::encode_frame({serve::MsgType::Hello, "tenant-name"});
+  serve::Frame out;
+  EXPECT_EQ(read_closed("", out), serve::ReadStatus::Eof);
+  for (std::size_t n = 1; n < serve::kHeaderSize; ++n) {
+    EXPECT_THROW((void)read_closed(std::string_view(bytes).substr(0, n), out),
+                 serve::WireError)
+        << "header prefix " << n;
   }
+}
+
+TEST(Wire, TruncatedPayloadIsAnErrorNotAHang) {
+  const std::string bytes = serve::encode_frame({serve::MsgType::Hello, "tenant-name"});
+  serve::Frame out;
+  for (std::size_t n = serve::kHeaderSize; n < bytes.size(); ++n) {
+    EXPECT_THROW((void)read_closed(std::string_view(bytes).substr(0, n), out),
+                 serve::WireError)
+        << "frame prefix " << n;
+  }
+  EXPECT_EQ(read_closed(bytes, out), serve::ReadStatus::Ok);
+  EXPECT_EQ(out.payload, "tenant-name");
 }
 
 TEST(Wire, BadMagicRejected) {
   std::string bytes = serve::encode_frame({serve::MsgType::Hello, "x"});
   bytes[0] = 'X';
-  std::size_t offset = 0;
-  EXPECT_THROW((void)serve::decode_frame(bytes, offset), serve::WireError);
+  serve::Frame out;
+  EXPECT_THROW((void)read_closed(bytes, out), serve::WireError);
 }
 
 TEST(Wire, BadVersionRejected) {
   std::string bytes = serve::encode_frame({serve::MsgType::Hello, "x"});
   bytes[4] = 0x7f;  // version LSB
-  std::size_t offset = 0;
-  EXPECT_THROW((void)serve::decode_frame(bytes, offset), serve::WireError);
+  serve::Frame out;
+  EXPECT_THROW((void)read_closed(bytes, out), serve::WireError);
 }
 
 TEST(Wire, OversizedLengthFieldRejected) {
+  // rejected from the header alone: no payload is ever awaited
   std::string bytes = serve::encode_frame({serve::MsgType::Hello, ""});
   bytes[8] = bytes[9] = bytes[10] = bytes[11] = static_cast<char>(0xff);
-  std::size_t offset = 0;
-  EXPECT_THROW((void)serve::decode_frame(bytes, offset), serve::WireError);
+  WirePair wire;
+  wire.send(bytes);
+  serve::Frame out;
+  EXPECT_THROW((void)wire.read(out), serve::WireError);
 }
 
-TEST(Wire, TwoFramesDecodeBackToBack) {
-  const std::string bytes = serve::encode_frame({serve::MsgType::Hello, "a"}) +
-                            serve::encode_frame({serve::MsgType::Stats, ""});
-  std::size_t offset = 0;
-  const auto first = serve::decode_frame(bytes, offset);
-  const auto second = serve::decode_frame(bytes, offset);
-  ASSERT_TRUE(first && second);
-  EXPECT_EQ(first->type, serve::MsgType::Hello);
-  EXPECT_EQ(second->type, serve::MsgType::Stats);
-  EXPECT_EQ(offset, bytes.size());
+TEST(Wire, TwoFramesInOneSendReadBackToBack) {
+  WirePair wire;
+  wire.send(serve::encode_frame({serve::MsgType::Hello, "a"}) +
+            serve::encode_frame({serve::MsgType::Stats, ""}));
+  wire.close_writer();
+  serve::Frame first, second;
+  ASSERT_EQ(wire.read(first), serve::ReadStatus::Ok);
+  ASSERT_EQ(wire.read(second), serve::ReadStatus::Ok);
+  EXPECT_EQ(first.type, serve::MsgType::Hello);
+  EXPECT_EQ(first.payload, "a");
+  EXPECT_EQ(second.type, serve::MsgType::Stats);
+  EXPECT_EQ(second.payload, "");
+  EXPECT_EQ(wire.read(second), serve::ReadStatus::Eof);
 }
 
 TEST(Wire, SocketRoundTripAndGarbageRejection) {
@@ -213,12 +263,10 @@ TEST(PlanCodec, PlanRoundTripIsAFixpoint) {
 
 TEST(PlanCodec, ScaledAxisRoundTrips) {
   api::ExperimentPlan plan("weak scaling");
-  plan.source(kLaplace).nprocs({1, 4});
-  plan.problems_scaled_by_nprocs({64}, [](long long scaled) {
-    front::Bindings b;
-    b.set_int("n", scaled);
-    return b;
-  });
+  front::Bindings n64, n256;
+  n64.set_int("n", 64);
+  n256.set_int("n", 256);
+  plan.source(kLaplace).nprocs({1, 4}).scaled_cases({{{"n=64", n64}, 1}, {{"n=256", n256}, 4}});
   const std::string once = serve::encode_plan(plan);
   const api::ExperimentPlan decoded = serve::decode_plan(once);
   EXPECT_EQ(serve::encode_plan(decoded), once);

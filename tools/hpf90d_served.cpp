@@ -15,7 +15,7 @@
 // disables it, --trace-capacity resizes it). --trace FILE (or the
 // HPF90D_TRACE environment variable) writes the ring as Chrome trace_event
 // JSON at shutdown — open it in chrome://tracing or Perfetto.
-// --slow-job-ms N logs jobs whose sweep takes >= N ms (client-visible via
+// --slow-job-ms N counts jobs whose sweep takes >= N ms (client-visible via
 // STATS; see the README's Observability section).
 #include <climits>
 #include <csignal>
