@@ -206,8 +206,10 @@ BENCHMARK_CAPTURE(BM_DivergentSweep_lanes, lanes64, 64)->Unit(benchmark::kMillis
 
 void BM_MeasuredSweep_lanes(benchmark::State& state, int lanes) {
   // Measured points (runs > 0) dominate real Table-2 style sweeps; the
-  // lockstep measurement path (Simulator::measure_batch_into) runs one
-  // functional pass per lane and replays its timing tape for later runs.
+  // measurement loop (EngineArena::measure_batch_into) runs one functional
+  // pass per (value digest, problem) in the session, not per lane, and
+  // re-times that value tape for every run of every lane. The session is
+  // warm, so the timed iterations re-time tapes only.
   // An eighth of the predict-only point count keeps the wall time
   // comparable to the other captures.
   const long long points = std::max(16LL, sweep_points() / 8);

@@ -91,7 +91,11 @@ std::string RunReport::json() const {
   out += "\"layout_misses\":" + std::to_string(cache.layout_misses) + ",";
   out += "\"layout_evictions\":" + std::to_string(cache.layout_evictions) + ",";
   out += "\"layout_spill_hits\":" + std::to_string(cache.layout_spill_hits) + ",";
-  out += "\"layout_capacity\":" + std::to_string(cache.layout_capacity) + "},";
+  out += "\"layout_capacity\":" + std::to_string(cache.layout_capacity) + ",";
+  out += "\"value_tape_hits\":" + std::to_string(cache.value_tape_hits) + ",";
+  out += "\"value_tape_misses\":" + std::to_string(cache.value_tape_misses) + ",";
+  out += "\"value_tape_evictions\":" + std::to_string(cache.value_tape_evictions) + ",";
+  out += "\"value_tape_bytes\":" + std::to_string(cache.value_tape_bytes) + "},";
   out += "\"batch\":{";
   out += "\"batched_points\":" + std::to_string(batch.batched_points) + ",";
   out += "\"scalar_points\":" + std::to_string(batch.scalar_points) + ",";
@@ -153,6 +157,14 @@ RunReport RunReport::from_json(std::string_view text) {
   report.cache.layout_spill_hits = size_field("layout_spill_hits");
   in.expect(',');
   report.cache.layout_capacity = size_field("layout_capacity");
+  in.expect(',');
+  report.cache.value_tape_hits = size_field("value_tape_hits");
+  in.expect(',');
+  report.cache.value_tape_misses = size_field("value_tape_misses");
+  in.expect(',');
+  report.cache.value_tape_evictions = size_field("value_tape_evictions");
+  in.expect(',');
+  report.cache.value_tape_bytes = size_field("value_tape_bytes");
   in.expect('}');
   in.expect(',');
   in.key("batch");

@@ -151,12 +151,6 @@ struct BatchStats {
                           : static_cast<double>(lane_visits) /
                                 static_cast<double>(ir_visits);
   }
-
-  /// Mean fraction of the configured lane width kept busy per visit.
-  [[nodiscard]] double mean_occupancy(int batch_size) const {
-    return batch_size <= 0 ? 0.0
-                           : mean_lanes_per_visit() / static_cast<double>(batch_size);
-  }
 };
 
 /// The result of Session::run over one ExperimentPlan.
@@ -183,8 +177,8 @@ struct RunReport {
   [[nodiscard]] static RunReport from_csv(std::string_view text);
 
   /// Full JSON export: unlike csv(), this carries everything — title,
-  /// records (with the predicted phase breakdown), cache stats, batch
-  /// telemetry, and wall time. Deterministic (%.17g doubles, fixed key
+  /// records (with the predicted phase breakdown), every CacheStats field
+  /// (the value-tape counters included), batch telemetry, and wall time. Deterministic (%.17g doubles, fixed key
   /// order), so from_json(json()) reproduces the exact report and
   /// json(from_json(t)) == t for any t this emitted.
   [[nodiscard]] std::string json() const;

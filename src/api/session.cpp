@@ -123,7 +123,7 @@ sim::MeasuredResult Session::measure(const ProgramHandle& prog, const RunConfig&
   arena.set_trace(obs_);
   return arena.measure_batch_into(*prog, machine(config.machine), config.sim, config.runs,
                                   {&lane, 1}, {&key, 1}, value_tapes_for(*prog),
-                                  &noise_streams_)[0];
+                                  noise_streams_)[0];
 }
 
 Comparison Session::compare(const ProgramHandle& prog, const RunConfig& config) {
@@ -269,11 +269,11 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   const std::size_t lane_width =
       options.batch_size > 1 ? static_cast<std::size_t>(options.batch_size) : 1;
   // RunRecord reads only totals and phase sums, never the per-AAU /
-  // per-processor tables, so the sweep predicts lean (identical phase
-  // arithmetic, no table copies) — except under tracing, which needs the
-  // full result.
+  // per-processor tables or a trace, so the sweep predicts lean (identical
+  // phase arithmetic, no table copies; EngineArena::predict_batch) and
+  // untraced: a traced plan would build its events only to drop them.
   core::PredictOptions sweep_predict = plan.predict_opts();
-  sweep_predict.detailed = sweep_predict.trace;
+  sweep_predict.trace = false;
 
   // Batch telemetry accumulates through order-independent integer sums, so
   // RunReport::batch is deterministic under any worker interleaving.
@@ -422,8 +422,8 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
     }
 
     // Measurement: one batched pass over the whole chunk in point order —
-    // per-point bit-identical to measure_into, independent of how
-    // prediction grouped the lanes. The first point of each (value digest,
+    // per-point bit-identical to Session::measure of the point, independent
+    // of how prediction grouped the lanes. The first point of each (value digest,
     // problem) in the session runs the functional pass; the rest — other
     // processor counts, machines and directive variants — re-time its
     // value tape.
@@ -431,7 +431,7 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
       const std::span<const sim::MeasuredResult> measured =
           arena.measure_batch_into(prog, mach, plan.sim_opts(), plan.measure_runs(),
                                    ws.lanes, ws.tape_keys, value_tapes_for(prog),
-                                   &noise_streams_);
+                                   noise_streams_);
       for (std::size_t off = 0; off < n; ++off) {
         RunRecord& rec = report.records[c.begin + off];
         const sim::RunStats& st = measured[off].stats;

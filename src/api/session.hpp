@@ -44,7 +44,14 @@
 // engine_arena.hpp). Inside a chunk, points are priced in lockstep windows
 // of up to RunOptions::batch_size lanes (core::BatchEngine); a lane that
 // leaves lockstep finishes in a one-lane window, after the chunk's fresh
-// windows and in point order.
+// windows and in point order. A sweep predicts untraced and lean (totals
+// and phase sums only); predict() honours PredictOptions::trace and fills
+// every table.
+//
+// Every measured point, from measure() or run(), goes through one loop,
+// EngineArena::measure_batch_into: the point's value tape (from the
+// session's store, or the arena's scratch tape for a program without a
+// value digest) re-timed once per run.
 #pragma once
 
 #include <memory>
@@ -59,7 +66,7 @@
 #include "api/spill.hpp"
 #include "compiler/pipeline.hpp"
 #include "core/engine.hpp"
-#include "sim/simulator.hpp"
+#include "sim/executor.hpp"
 
 namespace hpf90d::obs {
 class Registry;
@@ -135,7 +142,6 @@ class Session {
 
   [[nodiscard]] MachineRegistry& machines() noexcept { return registry_; }
   [[nodiscard]] const MachineRegistry& machines() const noexcept { return registry_; }
-  [[nodiscard]] int max_nodes() const noexcept { return max_nodes_; }
 
   /// The session-sized model for a registry name (default: the paper's
   /// testbed). Throws std::out_of_range for unregistered names.
@@ -196,9 +202,6 @@ class Session {
   /// warm_start. Not safe to call concurrently with session operations; the
   /// spill itself must be thread-safe (see spill.hpp).
   void set_artifact_spill(std::shared_ptr<ArtifactSpill> spill);
-  [[nodiscard]] const std::shared_ptr<ArtifactSpill>& artifact_spill() const noexcept {
-    return spill_;
-  }
 
   /// Recompiles every program recipe the spill has persisted, repopulating
   /// the program cache, and returns the number of programs warmed. A plan
@@ -216,7 +219,6 @@ class Session {
   /// thread-safe and outlive the session (or be detached first). Not safe
   /// to call concurrently with in-flight session operations.
   void set_trace_sink(obs::Sink* sink);
-  [[nodiscard]] obs::Sink* trace_sink() const noexcept { return obs_; }
 
 
  private:

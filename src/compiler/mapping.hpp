@@ -112,12 +112,6 @@ struct ArrayMap {
   std::vector<DimDist> dims;
 
   [[nodiscard]] int rank() const noexcept { return static_cast<int>(dims.size()); }
-  [[nodiscard]] bool distributed() const noexcept {
-    for (const auto& d : dims) {
-      if (d.kind != front::DistKind::Collapsed) return true;
-    }
-    return false;
-  }
   /// Total element count.
   [[nodiscard]] long long total_elements() const noexcept {
     long long t = 1;
@@ -189,7 +183,6 @@ class DataLayout {
   /// (used for compiler-introduced shift temporaries).
   void add_alias(int temp_symbol, int like_symbol, std::string name);
 
-  [[nodiscard]] const std::vector<ArrayMap>& maps() const noexcept { return maps_; }
 
   /// Resolved extents (from declarations) for any array symbol, mapped or
   /// not; used by the simulator's storage allocator. Throws

@@ -32,7 +32,7 @@ void BatchEngine::interpret(const compiler::CompiledProgram& prog,
                             const machine::MachineModel& machine,
                             const PredictOptions& options,
                             std::span<const BatchLane> lanes, PredictionResult* results,
-                            BatchRunStats& stats, std::vector<int>& evicted) {
+                            BatchRunStats& stats, std::vector<int>& evicted, bool detailed) {
   const obs::Span window_span(obs_sink_, obs::Phase::LockstepWindow, lanes.size());
 
   prog_ = &prog;
@@ -74,7 +74,7 @@ void BatchEngine::interpret(const compiler::CompiledProgram& prog,
   walk_seq(prog.root->children);
 
   for (const int l : active_) {
-    engines_[static_cast<std::size_t>(l)].finalize_into(results[l]);
+    engines_[static_cast<std::size_t>(l)].finalize_into(results[l], detailed);
   }
   stats_.evicted_lanes = evicted_.size();
   std::sort(evicted_.begin(), evicted_.end());
@@ -436,7 +436,7 @@ PredictionResult interpret_one(const compiler::CompiledProgram& prog,
   BatchRunStats stats;
   std::vector<int> evicted;  // a one-lane window never evicts
   engine.interpret(prog, machine, options, std::span<const BatchLane>(&lane, 1), &out, stats,
-                   evicted);
+                   evicted, /*detailed=*/true);
   return out;
 }
 

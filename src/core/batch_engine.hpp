@@ -63,10 +63,13 @@ class BatchEngine {
   /// window evicts nothing: where a wider window would evict the lane for
   /// a failing bound or condition, it throws the located
   /// support::CompileError instead. The WHILE trip limit throws for any
-  /// window.
+  /// window. `detailed` fills each result's per-AAU and per-processor
+  /// tables and trace; without it only the total and the phase sums are
+  /// filled, with the same bits (InterpretationEngine::finalize_into).
   void interpret(const compiler::CompiledProgram& prog, const machine::MachineModel& machine,
                  const PredictOptions& options, std::span<const BatchLane> lanes,
-                 PredictionResult* results, BatchRunStats& stats, std::vector<int>& evicted);
+                 PredictionResult* results, BatchRunStats& stats, std::vector<int>& evicted,
+                 bool detailed);
 
   /// Attaches a tracing sink (nullptr detaches): each lockstep walk is
   /// recorded as one obs::Phase::LockstepWindow span (arg = lane count).
@@ -145,9 +148,9 @@ class BatchEngine {
   BatchRunStats stats_{};
 };
 
-/// Interprets one point as a one-lane BatchEngine walk. It does not check
-/// critical variables: callers run core::require_critical_complete first,
-/// as Session::predict does.
+/// Interprets one point as a one-lane BatchEngine walk, with every table
+/// of the result filled. It does not check critical variables: callers run
+/// core::require_critical_complete first, as Session::predict does.
 [[nodiscard]] PredictionResult interpret_one(const compiler::CompiledProgram& prog,
                                              const front::Bindings& bindings,
                                              const compiler::DataLayout& layout,

@@ -34,10 +34,10 @@ void InterpretationEngine::rebind(const compiler::CompiledProgram& prog,
   trace_.clear();
 }
 
-void InterpretationEngine::finalize_into(PredictionResult& out) {
+void InterpretationEngine::finalize_into(PredictionResult& out, bool detailed) {
   out.total = *std::max_element(clock_.begin(), clock_.end());
   out.comp = out.comm = out.overhead = out.wait = 0;
-  if (!options_.detailed) {
+  if (!detailed) {
     // sweep hot path: same divide-then-accumulate order as below, so the
     // phase sums are bit-identical — only the table copies are skipped
     out.proc_clock.clear();

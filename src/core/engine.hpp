@@ -38,12 +38,6 @@ struct PredictOptions {
   /// Record a ParaGraph-style event trace (see output.hpp).
   bool trace = false;
   std::size_t max_trace_events = 200000;
-  /// Fill PredictionResult::per_aau / proc_clock / trace. The sweep hot
-  /// path clears this: totals and the phase sums (comp/comm/overhead/wait)
-  /// are always filled with identical arithmetic, but the per-AAU and
-  /// per-processor tables — which RunReport never reads — are skipped, so
-  /// finalize costs O(nodes) instead of two vector copies per point.
-  bool detailed = true;
 };
 
 /// One interpreted event for the trace output (ParaGraph-compatible
@@ -86,7 +80,12 @@ class InterpretationEngine {
               const front::Bindings& bindings);
 
   /// Turns the accumulated clocks and metrics into a PredictionResult.
-  void finalize_into(PredictionResult& out);
+  /// The total and the phase sums (comp/comm/overhead/wait) are always
+  /// filled with identical arithmetic; `detailed` also fills per_aau,
+  /// proc_clock and trace. A sweep finalizes lean (its records never read
+  /// the tables), so finalize costs O(nodes) instead of two vector copies
+  /// per point.
+  void finalize_into(PredictionResult& out, bool detailed);
 
   struct ResolvedSpace {
     std::vector<long long> lo, hi, step;

@@ -22,8 +22,6 @@ namespace hpf90d::core {
 struct ComputeEstimate {
   double comp = 0;
   double overhead = 0;
-
-  [[nodiscard]] double total() const noexcept { return comp + overhead; }
 };
 
 /// Per-iteration decomposition of an IterD/CondtD estimate. The engine
@@ -104,8 +102,6 @@ class InterpretationFunctions {
   }
 
   [[nodiscard]] double flat_ops(const compiler::OpCounts& ops) const;
-
-  [[nodiscard]] const machine::SAU& sau() const noexcept { return sau_; }
 
  private:
   const machine::SAU& sau_;

@@ -38,7 +38,6 @@ class SymbolTable {
   int add(Symbol sym);
 
   [[nodiscard]] int find(std::string_view name) const;  // -1 if absent
-  [[nodiscard]] bool contains(std::string_view name) const { return find(name) >= 0; }
   [[nodiscard]] const Symbol& at(int index) const { return symbols_.at(static_cast<std::size_t>(index)); }
   [[nodiscard]] Symbol& at(int index) { return symbols_.at(static_cast<std::size_t>(index)); }
   [[nodiscard]] std::size_t size() const noexcept { return symbols_.size(); }

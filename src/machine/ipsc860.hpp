@@ -6,8 +6,8 @@
 // specification (40 MHz i860XR nodes, 4 KB I-cache / 8 KB D-cache, 8 MB
 // memory, ~75 us short-message latency, ~2.8 MB/s sustained link
 // bandwidth) and from the usual compiled-Fortran derating of the i860's
-// theoretical peak. DESIGN.md documents the substitution of a simulated
-// cube for the real one.
+// theoretical peak. README's `src/sim/` paragraph describes the simulated
+// cube that stands in for the real one.
 #pragma once
 
 #include "machine/sag.hpp"

@@ -18,8 +18,6 @@ class Hypercube {
   /// `nodes` must be a power of two (iPSC cubes are).
   explicit Hypercube(int nodes);
 
-  [[nodiscard]] int nodes() const noexcept { return nodes_; }
-
   /// Maps a row-major linear processor-grid id onto a physical cube node.
   /// For 2-D grids (r x c, both powers of two) the mapping is
   /// gray(row) concatenated with gray(col); 1-D grids use gray(p).

@@ -39,7 +39,6 @@ class ArtifactStore : public api::ArtifactSpill {
   void store_program(const std::string& key, const api::ProgramRecipe& recipe) override;
   std::vector<api::ProgramRecipe> load_programs() override;
 
-  [[nodiscard]] const std::string& root() const noexcept { return root_; }
 
   /// Lifetime I/O counters (diagnostics; surfaced in ServerStats).
   [[nodiscard]] std::size_t layouts_stored() const noexcept {

@@ -68,7 +68,6 @@ class ServeClient {
   void connect();
 
   void set_retry(RetryPolicy policy) noexcept { retry_ = policy; }
-  [[nodiscard]] const RetryPolicy& retry() const noexcept { return retry_; }
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
   void close();
 

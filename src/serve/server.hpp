@@ -88,24 +88,19 @@ class ExperimentServer {
   /// jobs finish), joins every thread, removes the socket. Idempotent.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept { return running_.load(); }
   /// True once a Shutdown frame (or stop()) was seen. The daemon's main
   /// loop polls this and then calls stop() — a connection thread cannot
   /// join itself.
   [[nodiscard]] bool stop_requested() const noexcept { return stopping_.load(); }
   /// Programs recompiled from persisted recipes during start().
   [[nodiscard]] std::size_t warmed_programs() const noexcept { return warmed_; }
-  [[nodiscard]] api::Session& session() noexcept { return session_; }
-  [[nodiscard]] JobQueue& queue() noexcept { return queue_; }
-  [[nodiscard]] const ServerOptions& options() const noexcept { return options_; }
 
   /// Snapshot of the daemon counters (the StatsReply payload).
   [[nodiscard]] ServerStats stats() const;
 
   /// The daemon's span ring (always constructed; only attached to the
-  /// session when ServerOptions::trace is set) and metrics registry.
+  /// session when ServerOptions::trace is set).
   [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
-  [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
   /// Prometheus text exposition for the MetricsReply frame: refreshes the
   /// snapshot gauges (queue depth, occupancy, spill hit ratio, ...) from

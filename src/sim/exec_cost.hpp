@@ -59,8 +59,6 @@ class NodeCostModel {
   /// Cost of one replicated scalar statement.
   [[nodiscard]] double scalar_cost(const compiler::OpCounts& ops) const;
 
-  [[nodiscard]] const machine::SAU& sau() const noexcept { return sau_; }
-
  private:
   const machine::SAU& sau_;
 };

@@ -42,13 +42,6 @@ std::size_t ValueTape::bytes() const noexcept {
   return total;
 }
 
-Executor::Executor(const compiler::CompiledProgram& prog,
-                   const compiler::DataLayout& layout,
-                   const machine::MachineModel& machine, const SimOptions& options,
-                   const front::Bindings& bindings) {
-  rebind(prog, layout, machine, options, bindings);
-}
-
 void Executor::rebind(const compiler::CompiledProgram& prog,
                       const compiler::DataLayout& layout,
                       const machine::MachineModel& machine, const SimOptions& options,
@@ -81,11 +74,6 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   accesses_.clear();
   exchanges_.clear();
   shift_blocks_.clear();
-}
-
-void Executor::run_into(SimResult& out, const NoiseStream* stream) {
-  record(tape_);
-  retime_into(tape_, options_.seed, out, stream);
 }
 
 void Executor::record(ValueTape& tape) {

@@ -3,7 +3,7 @@
 // the iPSC/860 and measure": the same compiler output the interpretation
 // engine prices is executed here with real data, per-processor clocks, an
 // event-driven hypercube network, the fine i860 cost model, and seeded OS
-// noise (see DESIGN.md's substitution table).
+// noise (see README's `src/sim/` paragraph).
 //
 // Values come from the one expression evaluator both engines share, the
 // program's cost bytecode (compiler/cost_program.hpp). Replicated scalar
@@ -29,6 +29,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
@@ -97,12 +98,35 @@ struct ValueTape {
   [[nodiscard]] std::size_t bytes() const noexcept;
 };
 
-/// The executor is reusable: a default-constructed executor is an *arena*
-/// that `rebind()` points at a new configuration before each run. Rebinding
-/// resets every piece of simulation state exactly as construction would
-/// (storage contents, clocks, network occupancy, noise stream) while
-/// reusing the large scratch allocations — per-worker executors serve
-/// thousands of measured points without per-run heap churn.
+/// The noise seed of run `run` of a measurement under base seed `seed`.
+/// Every point of a sweep draws from the same few seeds, which is what
+/// lets a session share one NoiseStream per seed.
+[[nodiscard]] constexpr std::uint64_t run_seed(std::uint64_t seed, int run) noexcept {
+  return seed + static_cast<std::uint64_t>(run) * 0x9e3779b97f4a7c15ULL;
+}
+
+/// Total-time statistics across a measurement's runs, the paper's
+/// measured column (§5.1: repeated runs whose spread is timing tolerance
+/// and system load).
+struct RunStats {
+  double mean = 0;
+  double min = 0;
+  double max = 0;
+  double stddev = 0;
+  std::vector<double> samples;  // one program time per run, in run order
+};
+
+struct MeasuredResult {
+  SimResult detail;  // the first run's full breakdown
+  RunStats stats;    // total-time statistics across runs
+};
+
+/// The executor is an *arena*: `rebind()` points it at a configuration
+/// before each run. Rebinding resets every piece of simulation state
+/// exactly as a fresh executor's first rebind would (storage contents,
+/// clocks, network occupancy, noise stream) while reusing the large scratch
+/// allocations — per-worker executors serve thousands of measured points
+/// without per-run heap churn.
 ///
 /// A measurement has two halves, and they meet only at a ValueTape.
 /// The *functional pass* (record) evaluates the program against real data
@@ -113,10 +137,10 @@ struct ValueTape {
 /// value digest (compiler::value_digest: HPF directives never change a
 /// program's values) under the same bindings. The *timing
 /// walk* (retime) charges clocks, the network and the noise stream from a
-/// tape alone, without evaluating a single expression. run_into() is record()
-/// then retime() of the executor's own tape; re-timing a tape recorded
-/// under any other layout or machine is bit-identical to a fresh run under
-/// this one.
+/// tape alone, without evaluating a single expression. Re-timing a tape
+/// recorded under any other layout or machine is bit-identical to
+/// recording and re-timing one under this one. api::EngineArena's
+/// measure_batch_into is the one measurement loop over these two halves.
 ///
 /// The timing walk runs from a *timing plan*. What is derived once:
 ///   - per node, on its first visit after a rebind: a ScalarAssign's
@@ -153,13 +177,9 @@ class Executor {
   /// Arena construction: no state bound yet; call rebind() before a run.
   Executor() = default;
 
-  Executor(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
-           const machine::MachineModel& machine, const SimOptions& options,
-           const front::Bindings& bindings);
-
   /// Re-targets the executor, producing bit-identical behaviour to a fresh
-  /// Executor(prog, layout, machine, options, bindings). The referenced
-  /// arguments must outlive every record/retime until the next rebind.
+  /// executor bound the same way. The referenced arguments must outlive
+  /// every record/retime until the next rebind.
   void rebind(const compiler::CompiledProgram& prog, const compiler::DataLayout& layout,
               const machine::MachineModel& machine, const SimOptions& options,
               const front::Bindings& bindings);
@@ -182,17 +202,6 @@ class Executor {
   /// Same walk, returning only the program time.
   [[nodiscard]] double retime(const ValueTape& tape, std::uint64_t seed,
                               const NoiseStream* stream = nullptr);
-
-  /// record() into the executor's own tape, then retime it into `out` under
-  /// the bound options' seed (and that seed's `stream`, if given). One-shot
-  /// per rebind.
-  void run_into(SimResult& out, const NoiseStream* stream = nullptr);
-
-  /// Re-times the executor's own tape (the last run_into()'s) under `seed`:
-  /// bit-identical to SimResult::total of a fresh run with that seed.
-  [[nodiscard]] double replay(std::uint64_t seed, const NoiseStream* stream = nullptr) {
-    return retime(tape_, seed, stream);
-  }
 
  private:
   using SpmdNode = compiler::SpmdNode;
@@ -364,7 +373,6 @@ class Executor {
   std::vector<double> clock_;
   std::vector<NodeMetric> metrics_;
 
-  ValueTape tape_;                   // run_into()'s own tape
   ValueTape* rec_ = nullptr;         // tape record() is filling
   const ValueTape* walk_ = nullptr;  // tape being re-timed
   std::size_t walk_pos_ = 0;

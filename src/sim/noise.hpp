@@ -21,10 +21,13 @@
 // word positions, the normal pair a draw starting there yields, computed
 // once by std::normal_distribution itself. A NoiseModel is the cursor one
 // walk draws through. Below the memo it reads pairs and words back; past it
-// it continues on a copy of the stream's engine; with no stream (an
-// Executor or Simulator::measure_into called without one) it seeds an
-// engine of its own. The draws are bit-identical in all three cases, and a
-// disabled model (noise off, or a default-constructed one) seeds nothing.
+// it continues on a copy of the stream's engine. With no stream it seeds an
+// engine of its own: every measured walk with noise on gets its seed's
+// stream (api::EngineArena::measure_batch_into), so the self-seeded engine
+// is the reference the shared streams are tested against (an
+// Executor::retime without a stream). The draws are bit-identical in all
+// three cases, and a disabled model (noise off, or a default-constructed
+// one) seeds nothing.
 #pragma once
 
 #include <cmath>
@@ -94,9 +97,6 @@ class NoiseModel {
  public:
   /// Disabled: every factor is exactly unity.
   NoiseModel() = default;
-  NoiseModel(std::uint64_t seed, bool enabled, const NoiseStream* stream = nullptr) {
-    reset(seed, enabled, stream);
-  }
 
   /// Restarts at `seed`'s first draw, reading `stream` (null, or built for
   /// `seed`) as far as it reaches. A disabled model seeds nothing.

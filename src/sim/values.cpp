@@ -9,10 +9,6 @@ namespace hpf90d::sim {
 
 using support::CompileError;
 
-Storage::Storage(const front::SymbolTable& symbols, const compiler::DataLayout& layout) {
-  rebind(symbols, layout);
-}
-
 void Storage::rebind(const front::SymbolTable& symbols,
                      const compiler::DataLayout& layout) {
   symbols_ = &symbols;

@@ -7,8 +7,8 @@
 // DataLayout ownership maps; this keeps data movement exact without
 // duplicating every block per processor.
 //
-// Local storage is row-major (last dimension contiguous) — see DESIGN.md:
-// this mirrors (transposed) the Fortran column-major layout and preserves
+// Local storage is row-major (last dimension contiguous; see README's
+// `src/sim/` paragraph): this mirrors (transposed) the Fortran column-major layout and preserves
 // the (BLOCK,*) vs (*,BLOCK) packing asymmetry the paper's Laplace study
 // depends on.
 #pragma once
@@ -27,12 +27,9 @@ class Storage {
   /// Arena construction: no program bound yet; call rebind() before use.
   Storage() = default;
 
-  Storage(const front::SymbolTable& symbols, const compiler::DataLayout& layout);
-
-  /// Re-targets the storage at another (symbol table, layout) pair,
-  /// invalidating every array exactly as fresh construction would while
-  /// keeping the per-array buffers' capacity. The referenced arguments must
-  /// outlive the next use.
+  /// Targets the storage at a (symbol table, layout) pair, invalidating
+  /// every array while keeping the per-array buffers' capacity. The
+  /// referenced arguments must outlive the next use.
   void rebind(const front::SymbolTable& symbols, const compiler::DataLayout& layout);
 
   /// The array as the cost bytecode reads and writes it (row-major data,

@@ -55,7 +55,6 @@ class MachineFamily {
   /// Re-targets the family at a different base machine, keeping the axes.
   void set_base(std::string base) { base_ = std::move(base); }
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::string& base() const noexcept { return base_; }
   [[nodiscard]] const std::vector<KnobAxis>& axes() const noexcept { return axes_; }
 

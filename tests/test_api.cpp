@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -17,7 +18,6 @@
 #include "api/api.hpp"
 #include "machine/ipsc860.hpp"
 #include "machine/whatif.hpp"
-#include "sim/simulator.hpp"
 #include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
@@ -680,10 +680,84 @@ TEST(ValueTapes, SessionMeasureSharesTheStoreWithRun) {
   EXPECT_NE(session.run(plan).ascii().find("value tapes 1 hit / 1 miss"), std::string::npos);
 }
 
+TEST(ValueTapes, ProgramWithoutValueDigestMeasuresOnAScratchTape) {
+  // a hand-built program (compile_id 0) carries no value digest, so no
+  // store serves it: the measurement records into the arena's scratch tape
+  // and walks it exactly as a stored tape, keeping nothing
+  const auto& app = suite::app("laplace_bb");
+  api::Session session;
+  const auto compiled = session.compile(app.source);
+  auto hand_built = std::make_shared<compiler::CompiledProgram>(compiler::compile(app.source));
+  ASSERT_NE(hand_built->compile_id, 0u);
+  hand_built->compile_id = 0;
+  api::RunConfig cfg;
+  cfg.bindings = app.bindings(app.problem_sizes[0]);
+  cfg.nprocs = 4;
+  const sim::MeasuredResult want = session.measure(compiled, cfg);
+  const api::CacheStats before = session.cache_stats();
+  EXPECT_EQ(before.value_tape_misses, 1u);
+  const sim::MeasuredResult got = session.measure(hand_built, cfg);
+  const api::CacheStats after = session.cache_stats();
+  EXPECT_EQ(after.value_tape_hits, before.value_tape_hits);
+  EXPECT_EQ(after.value_tape_misses, before.value_tape_misses);
+  EXPECT_EQ(after.value_tape_evictions, before.value_tape_evictions);
+  EXPECT_EQ(after.value_tape_bytes, before.value_tape_bytes);
+
+  EXPECT_EQ(got.stats.samples, want.stats.samples);
+  EXPECT_EQ(got.stats.mean, want.stats.mean);
+  EXPECT_EQ(got.stats.min, want.stats.min);
+  EXPECT_EQ(got.stats.max, want.stats.max);
+  EXPECT_EQ(got.stats.stddev, want.stats.stddev);
+  EXPECT_EQ(got.detail.total, want.detail.total);
+  EXPECT_EQ(got.detail.proc_clock, want.detail.proc_clock);
+  EXPECT_EQ(got.detail.comp, want.detail.comp);
+  EXPECT_EQ(got.detail.comm, want.detail.comm);
+  EXPECT_EQ(got.detail.overhead, want.detail.overhead);
+  EXPECT_EQ(got.detail.printed, want.detail.printed);
+  EXPECT_EQ(got.detail.scalars, want.detail.scalars);
+  ASSERT_EQ(got.detail.per_node.size(), want.detail.per_node.size());
+  for (std::size_t i = 0; i < got.detail.per_node.size(); ++i) {
+    EXPECT_EQ(got.detail.per_node[i].comp, want.detail.per_node[i].comp) << i;
+    EXPECT_EQ(got.detail.per_node[i].comm, want.detail.per_node[i].comm) << i;
+    EXPECT_EQ(got.detail.per_node[i].overhead, want.detail.per_node[i].overhead) << i;
+    EXPECT_EQ(got.detail.per_node[i].visits, want.detail.per_node[i].visits) << i;
+  }
+}
+
 // --- noise streams ------------------------------------------------------------
 //
 // Every measured point of a plan draws from the plan's run seeds, and the
 // session shares one noise stream per seed. Reading it must change no bit.
+
+/// The reference measurement's statistics: a fresh executor's own
+/// functional pass, then run r's timing walk under sim::run_seed(seed, r)
+/// with its own noise engine.
+sim::RunStats reference_stats(const compiler::CompiledProgram& prog,
+                              const front::Bindings& bindings,
+                              const compiler::DataLayout& layout,
+                              const machine::MachineModel& machine,
+                              const sim::SimOptions& options, int runs) {
+  sim::Executor fresh;
+  fresh.rebind(prog, layout, machine, options, bindings);
+  sim::ValueTape tape;
+  fresh.record(tape);
+  sim::RunStats st;
+  sim::SimResult detail;
+  fresh.retime_into(tape, sim::run_seed(options.seed, 0), detail);
+  st.samples.push_back(detail.total);
+  for (int r = 1; r < runs; ++r) {
+    st.samples.push_back(fresh.retime(tape, sim::run_seed(options.seed, r)));
+  }
+  const double n = static_cast<double>(st.samples.size());
+  for (const double s : st.samples) st.mean += s;
+  st.mean /= n;
+  st.min = *std::min_element(st.samples.begin(), st.samples.end());
+  st.max = *std::max_element(st.samples.begin(), st.samples.end());
+  double var = 0.0;
+  for (const double s : st.samples) var += (s - st.mean) * (s - st.mean);
+  st.stddev = std::sqrt(var / n);
+  return st;
+}
 
 TEST(NoiseStreams, SharedStreamsKeepReportsByteIdentical) {
   const auto& app = suite::app("nbody");
@@ -706,8 +780,8 @@ TEST(NoiseStreams, SharedStreamsKeepReportsByteIdentical) {
   EXPECT_EQ(session.run(plan, serial).csv(), csv);
   EXPECT_EQ(session.cached_noise_streams(), 3u);  // one per run seed
 
-  // every point measured again on a fresh arena, with no shared tape or
-  // streams: the simulator seeds its own engines
+  // every point measured again by a fresh executor, with no shared tape or
+  // streams: each walk seeds its own noise engine
   api::RunReport alone = first;
   const auto prog = session.compile(app.source);
   for (api::RunRecord& rec : alone.records) {
@@ -717,15 +791,13 @@ TEST(NoiseStreams, SharedStreamsKeepReportsByteIdentical) {
     compiler::LayoutOptions lo;
     lo.nprocs = rec.nprocs;
     const compiler::DataLayout layout = compiler::make_layout(*prog, problem->bindings, lo);
-    sim::Executor arena;
-    sim::MeasuredResult m;
-    sim::Simulator(session.machine(rec.machine))
-        .measure_into(*prog, problem->bindings, layout, plan.sim_opts(), plan.measure_runs(),
-                      arena, m);
-    rec.comparison.measured_mean = m.stats.mean;
-    rec.comparison.measured_min = m.stats.min;
-    rec.comparison.measured_max = m.stats.max;
-    rec.comparison.measured_stddev = m.stats.stddev;
+    const sim::RunStats st = reference_stats(*prog, problem->bindings, layout,
+                                             session.machine(rec.machine), plan.sim_opts(),
+                                             plan.measure_runs());
+    rec.comparison.measured_mean = st.mean;
+    rec.comparison.measured_min = st.min;
+    rec.comparison.measured_max = st.max;
+    rec.comparison.measured_stddev = st.stddev;
   }
   EXPECT_EQ(alone.csv(), csv);
 }

@@ -552,20 +552,25 @@ end program sizes
 
 TEST(BatchOracle, TracedPlanRunsLockstep) {
   const suite::BenchmarkApp& app = suite::app("pi");
-  core::PredictOptions traced;
-  traced.trace = true;
-  api::ExperimentPlan plan("batch oracle: traced");
-  plan.source(app.source)
+  api::ExperimentPlan untraced("batch oracle: traced");
+  untraced.source(app.source)
       .machines({"ipsc860", "paragon"})
       .nprocs({1, 2, 4, 8})
       .problems_from({16, 64}, app.bindings)
-      .predict_options(traced)
       .runs(0);
+  core::PredictOptions traced;
+  traced.trace = true;
+  api::ExperimentPlan plan = untraced;
+  plan.predict_options(traced);
   const Exports alone = run_once(plan, /*batch_size=*/1, /*workers=*/1);
   const Exports batched = run_once(plan, /*batch_size=*/64, /*workers=*/1);
   EXPECT_GT(batched.batch.batched_points, 0u);
   EXPECT_EQ(batched.ascii, alone.ascii);
   EXPECT_EQ(batched.csv, alone.csv);
+  // a sweep predicts untraced whatever the plan says: same bytes
+  const Exports plain = run_once(untraced, /*batch_size=*/64, /*workers=*/1);
+  EXPECT_EQ(batched.ascii, plain.ascii);
+  EXPECT_EQ(batched.csv, plain.csv);
 }
 
 TEST(BatchOracle, OnePointPlanRecordsOneLockstepWindow) {

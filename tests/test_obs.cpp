@@ -22,6 +22,7 @@
 #include "serve/plan_codec.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "suite/suite.hpp"
 
 namespace hpf90d {
 namespace {
@@ -351,6 +352,29 @@ TEST(RunReportJson, RoundTripsEveryField) {
   // and the batch telemetry survives (unlike the CSV export, which
   // deliberately excludes it)
   EXPECT_EQ(api::RunReport::from_csv(report.csv()).batch.ir_visits, 0u);
+}
+
+TEST(RunReportJson, RoundTripsAMeasuredRunsTapeCounters) {
+  // two problems over three processor counts: two functional passes, and
+  // four re-timings of their tapes
+  const auto& app = suite::app("pi");
+  api::ExperimentPlan plan("tape counters");
+  plan.source(app.source).nprocs({1, 2, 4}).problems_from({16, 64}, app.bindings).runs(2);
+  api::Session session;
+  const api::RunReport report = session.run(plan);
+  ASSERT_EQ(report.cache.value_tape_misses, 2u);
+  ASSERT_EQ(report.cache.value_tape_hits, 4u);
+  ASSERT_GT(report.cache.value_tape_bytes, 0u);
+
+  const std::string text = report.json();
+  const api::RunReport back = api::RunReport::from_json(text);
+  EXPECT_EQ(back.cache.value_tape_hits, report.cache.value_tape_hits);
+  EXPECT_EQ(back.cache.value_tape_misses, report.cache.value_tape_misses);
+  EXPECT_EQ(back.cache.value_tape_evictions, report.cache.value_tape_evictions);
+  EXPECT_EQ(back.cache.value_tape_bytes, report.cache.value_tape_bytes);
+  EXPECT_EQ(back.json(), text);
+  // the ascii footer reports the tape counters, so it survives too
+  EXPECT_EQ(back.ascii(), report.ascii());
 }
 
 TEST(RunReportJson, EmptyReportRoundTrips) {

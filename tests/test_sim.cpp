@@ -20,11 +20,11 @@
 
 #include "compiler/pipeline.hpp"
 #include "api/api.hpp"
+#include "api/engine_arena.hpp"
 #include "machine/ipsc860.hpp"
 #include "machine/paragon.hpp"
 #include "machine/whatif.hpp"
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "sim/values.hpp"
 #include "suite/suite.hpp"
 #include "support/codec.hpp"
@@ -57,34 +57,69 @@ namespace {
 
 compiler::CompiledProgram comp(std::string_view src) { return compiler::compile(src); }
 
-/// A fresh executor's functional pass and timing walk: the reference every
-/// reused arena and shared tape is held to.
+/// A fresh executor's functional pass: the tape every shared tape is held to.
+sim::ValueTape record_fresh(const compiler::CompiledProgram& prog,
+                            const compiler::DataLayout& layout,
+                            const machine::MachineModel& machine,
+                            const sim::SimOptions& options, const front::Bindings& bindings) {
+  sim::Executor fresh;
+  fresh.rebind(prog, layout, machine, options, bindings);
+  sim::ValueTape tape;
+  fresh.record(tape);
+  return tape;
+}
+
+/// A fresh executor's functional pass and timing walk under the options'
+/// seed, with its own noise engine: the reference every reused arena and
+/// shared tape is held to.
 sim::SimResult run_fresh(const compiler::CompiledProgram& prog,
                          const compiler::DataLayout& layout,
                          const machine::MachineModel& machine, const sim::SimOptions& options,
                          const front::Bindings& bindings) {
+  sim::Executor fresh;
+  fresh.rebind(prog, layout, machine, options, bindings);
+  sim::ValueTape tape;
+  fresh.record(tape);
   sim::SimResult out;
-  sim::Executor(prog, layout, machine, options, bindings).run_into(out);
+  fresh.retime_into(tape, options.seed, out);
   return out;
 }
 
-/// A measurement on a fresh arena with no shared tape or noise streams.
-sim::MeasuredResult measure(const sim::Simulator& simulator,
+/// The reference measurement: a fresh executor's own functional pass, run
+/// r's timing walk under sim::run_seed(options.seed, r) with its own noise
+/// engine, run 0's into the detail, and the statistics over the samples.
+sim::MeasuredResult measure(const machine::MachineModel& machine,
                             const compiler::CompiledProgram& prog,
                             const front::Bindings& bindings,
                             const compiler::DataLayout& layout,
                             const sim::SimOptions& options, int runs) {
-  sim::Executor arena;
+  sim::Executor fresh;
+  fresh.rebind(prog, layout, machine, options, bindings);
+  sim::ValueTape tape;
+  fresh.record(tape);
   sim::MeasuredResult out;
-  simulator.measure_into(prog, bindings, layout, options, runs, arena, out);
+  std::vector<double>& samples = out.stats.samples;
+  fresh.retime_into(tape, sim::run_seed(options.seed, 0), out.detail);
+  samples.push_back(out.detail.total);
+  for (int r = 1; r < runs; ++r) {
+    samples.push_back(fresh.retime(tape, sim::run_seed(options.seed, r)));
+  }
+  const double n = static_cast<double>(samples.size());
+  for (const double s : samples) out.stats.mean += s;
+  out.stats.mean /= n;
+  out.stats.min = *std::min_element(samples.begin(), samples.end());
+  out.stats.max = *std::max_element(samples.begin(), samples.end());
+  double var = 0.0;
+  for (const double s : samples) var += (s - out.stats.mean) * (s - out.stats.mean);
+  out.stats.stddev = std::sqrt(var / n);
   return out;
 }
-sim::MeasuredResult measure(const sim::Simulator& simulator,
+sim::MeasuredResult measure(const machine::MachineModel& machine,
                             const compiler::CompiledProgram& prog,
                             const front::Bindings& bindings,
                             const compiler::LayoutOptions& lo,
                             const sim::SimOptions& options, int runs) {
-  return measure(simulator, prog, bindings, compiler::make_layout(prog, bindings, lo), options,
+  return measure(machine, prog, bindings, compiler::make_layout(prog, bindings, lo), options,
                  runs);
 }
 
@@ -93,12 +128,19 @@ struct SimFixture {
 
   sim::MeasuredResult run(const compiler::CompiledProgram& prog, int nprocs,
                           const front::Bindings& bindings = {}, int runs = 2) {
-    sim::Simulator simulator(machine);
     compiler::LayoutOptions lo;
     lo.nprocs = nprocs;
-    return measure(simulator, prog, bindings, lo, {}, runs);
+    return measure(machine, prog, bindings, lo, {}, runs);
   }
 };
+
+/// A noise cursor reset to `seed`'s first draw.
+sim::NoiseModel noise_at(std::uint64_t seed, bool enabled,
+                         const sim::NoiseStream* stream = nullptr) {
+  sim::NoiseModel model;
+  model.reset(seed, enabled, stream);
+  return model;
+}
 
 // --- Storage -----------------------------------------------------------------
 
@@ -127,7 +169,8 @@ end program t
 )f90");
   const compiler::DataLayout layout =
       compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
-  sim::Storage storage(prog.symbols, layout);
+  sim::Storage storage;
+  storage.rebind(prog.symbols, layout);
   const compiler::ArrayView a = storage.view(prog.symbols.find("a"));
   ASSERT_NE(a.data, nullptr);
   EXPECT_EQ(a.extents[0], 4.0);
@@ -140,7 +183,8 @@ TEST(Storage, DefaultFillIsNearUnity) {
   auto prog = comp(kTiny);
   const compiler::DataLayout layout =
       compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
-  sim::Storage storage(prog.symbols, layout);
+  sim::Storage storage;
+  storage.rebind(prog.symbols, layout);
   const std::span<const double> v = storage.raw(prog.symbols.find("v"));
   ASSERT_EQ(v.size(), 8u);
   for (const double x : v) {
@@ -158,7 +202,8 @@ TEST(Storage, DefaultFillIsThePerElementFormula) {
     const auto prog = comp(src);
     const compiler::DataLayout layout =
         compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
-    sim::Storage storage(prog.symbols, layout);
+    sim::Storage storage;
+    storage.rebind(prog.symbols, layout);
     for (const char* name : {"a", "b"}) {
       const int symbol = prog.symbols.find(name);
       const std::span<const double> data = storage.raw(symbol);
@@ -178,7 +223,8 @@ TEST(Storage, CshiftSemanticsMatchFortran) {
   auto prog = comp(kTiny);
   const compiler::DataLayout layout =
       compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
-  sim::Storage storage(prog.symbols, layout);
+  sim::Storage storage;
+  storage.rebind(prog.symbols, layout);
   const int v = prog.symbols.find("v");
   const int w = prog.symbols.find("w");
   const std::span<double> vs = storage.raw(v);
@@ -202,7 +248,8 @@ end program t
 )f90");
   const compiler::DataLayout layout =
       compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
-  sim::Storage storage(prog.symbols, layout);
+  sim::Storage storage;
+  storage.rebind(prog.symbols, layout);
   const int a = prog.symbols.find("a");
   const int b = prog.symbols.find("b");
   const std::span<double> as = storage.raw(a);
@@ -221,7 +268,7 @@ end program t
 TEST(Network, ContentionSerializesSharedLinks) {
   const machine::MachineModel m = machine::make_ipsc860();
   const std::vector<int> shape{8};
-  sim::NoiseModel quiet(1, false);
+  sim::NoiseModel quiet = noise_at(1, false);
 
   sim::SimNetwork contended(8, shape, m.node().comm, sim::SimNetworkOptions{true});
   sim::SimNetwork free_net(8, shape, m.node().comm, sim::SimNetworkOptions{false});
@@ -238,7 +285,7 @@ TEST(Network, ContentionSerializesSharedLinks) {
 TEST(Network, SameNodeIsFree) {
   const machine::MachineModel m = machine::make_ipsc860();
   const std::vector<int> shape{4};
-  sim::NoiseModel quiet(1, false);
+  sim::NoiseModel quiet = noise_at(1, false);
   sim::SimNetwork net(4, shape, m.node().comm, {});
   EXPECT_DOUBLE_EQ(net.send(2, 2, 1000, 5.0, quiet), 5.0);
 }
@@ -246,7 +293,7 @@ TEST(Network, SameNodeIsFree) {
 TEST(Network, MoreHopsTakeLonger) {
   const machine::MachineModel m = machine::make_ipsc860();
   const std::vector<int> shape{8};
-  sim::NoiseModel quiet(1, false);
+  sim::NoiseModel quiet = noise_at(1, false);
   // grid-linear processor p sits on cube node gray(p): 1 is one hop from
   // 0, and 5 (node 7) is three
   sim::SimNetwork net(8, shape, m.node().comm, {});
@@ -259,11 +306,11 @@ TEST(Network, MoreHopsTakeLonger) {
 // --- noise ----------------------------------------------------------------------
 
 TEST(Noise, DeterministicPerSeed) {
-  sim::NoiseModel a(123, true), b(123, true), c(456, true);
+  sim::NoiseModel a = noise_at(123, true), b = noise_at(123, true), c = noise_at(456, true);
   const double fa = a.compute_factor();
   EXPECT_DOUBLE_EQ(fa, b.compute_factor());
   bool differs = false;
-  sim::NoiseModel a2(123, true);
+  sim::NoiseModel a2 = noise_at(123, true);
   for (int i = 0; i < 16; ++i) {
     differs = differs || std::abs(a2.compute_factor() - c.compute_factor()) > 1e-12;
   }
@@ -271,7 +318,7 @@ TEST(Noise, DeterministicPerSeed) {
 }
 
 TEST(Noise, DisabledIsExactlyUnity) {
-  sim::NoiseModel off(1, false);
+  sim::NoiseModel off = noise_at(1, false);
   for (int i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(off.compute_factor(), 1.0);
     EXPECT_DOUBLE_EQ(off.comm_factor(), 1.0);
@@ -338,8 +385,8 @@ TEST(NoiseStream, CursorsDrawTheLiveEnginesBits) {
     for (std::uint32_t order = 0; order < 8; ++order) {
       std::mt19937 pick(order);
       OracleNoise oracle(seed);
-      sim::NoiseModel streamed(seed, true, &stream);
-      sim::NoiseModel alone(seed, true);
+      sim::NoiseModel streamed = noise_at(seed, true, &stream);
+      sim::NoiseModel alone = noise_at(seed, true);
       std::size_t mismatches = 0;
       for (std::size_t i = 0; i < kDraws; ++i) {
         double want = 0, got = 0, got_alone = 0;
@@ -376,9 +423,9 @@ TEST(NoiseStream, CursorsDrawTheLiveEnginesBits) {
 TEST(NoiseStream, RejectsAnotherSeed) {
   const sim::NoiseStream stream(7);
   EXPECT_EQ(stream.seed(), 7u);
-  EXPECT_THROW(sim::NoiseModel(8, true, &stream), std::invalid_argument);
+  EXPECT_THROW((void)noise_at(8, true, &stream), std::invalid_argument);
   // noise off reads no stream, whatever its seed
-  sim::NoiseModel off(8, false, &stream);
+  sim::NoiseModel off = noise_at(8, false, &stream);
   EXPECT_EQ(off.compute_factor(), 1.0);
 }
 
@@ -451,10 +498,9 @@ TEST(Executor, NoiseCreatesVarianceAcrossRuns) {
   auto prog = comp(suite::app("lfk1").source);
   front::Bindings b;
   b.set_int("n", 512);
-  sim::Simulator simulator(f.machine);
   compiler::LayoutOptions lo;
   lo.nprocs = 4;
-  const auto r = measure(simulator, prog, b, lo, {}, 5);
+  const auto r = measure(f.machine, prog, b, lo, {}, 5);
   EXPECT_EQ(r.stats.samples.size(), 5u);
   EXPECT_GT(r.stats.stddev, 0.0);
   EXPECT_LT(r.stats.stddev / r.stats.mean, 0.05);  // small, paper-like
@@ -517,12 +563,11 @@ program t
   end do
 end program t
 )f90");
-  sim::Simulator simulator(f.machine);
   compiler::LayoutOptions lo;
   lo.nprocs = 1;
   sim::SimOptions so;
   so.max_while_trips = 100;
-  EXPECT_THROW((void)measure(simulator, prog, {}, lo, so, 1), support::CompileError);
+  EXPECT_THROW((void)measure(f.machine, prog, {}, lo, so, 1), support::CompileError);
 }
 
 TEST(Executor, ReusedArenaMatchesAFreshExecutorBitForBit) {
@@ -536,14 +581,16 @@ TEST(Executor, ReusedArenaMatchesAFreshExecutorBitForBit) {
 
   const sim::SimResult reference = run_fresh(prog, layout, f.machine, so, app.bindings(32));
 
-  // a reused arena with stale contents from another program must produce
-  // the identical result after rebind + run_into
+  // a reused arena with stale contents from a first measurement must
+  // produce the identical result after rebind + record + retime_into
   sim::Executor arena;
-  arena.rebind(prog, layout, f.machine, so, app.bindings(32));
+  sim::ValueTape tape;
   sim::SimResult out;
-  arena.run_into(out);
-  arena.rebind(prog, layout, f.machine, so, app.bindings(32));
-  arena.run_into(out);  // second fill reuses out's buffers
+  for (int fill = 0; fill < 2; ++fill) {  // the second fill reuses every buffer
+    arena.rebind(prog, layout, f.machine, so, app.bindings(32));
+    arena.record(tape);
+    arena.retime_into(tape, so.seed, out);
+  }
   EXPECT_EQ(out.total, reference.total);
   EXPECT_EQ(out.proc_clock, reference.proc_clock);
   EXPECT_EQ(out.comp, reference.comp);
@@ -564,24 +611,41 @@ TEST(Executor, MeasureIntoDiscardsStaleResultsBitForBit) {
   SimFixture f;
   const auto& app = suite::app("pi");
   auto prog = comp(app.source);
+  const front::Bindings bindings = app.bindings(256);
   compiler::LayoutOptions lo;
   lo.nprocs = 4;
-  const compiler::DataLayout layout(prog.directives, prog.symbols, app.bindings(256), lo);
-  sim::Simulator simulator(f.machine);
-  const sim::MeasuredResult reference =
-      measure(simulator, prog, app.bindings(256), layout, {}, 3);
+  const compiler::DataLayout layout(prog.directives, prog.symbols, bindings, lo);
+  const sim::MeasuredResult reference = measure(f.machine, prog, bindings, layout, {}, 3);
 
-  sim::Executor arena;
-  sim::MeasuredResult out;
-  out.stats.samples.assign(17, -1.0);  // stale contents must be discarded
-  simulator.measure_into(prog, app.bindings(256), layout, {}, 3, arena, out);
+  // the arena's result slot first holds another point's measurement (other
+  // bindings, seed and run count), which the second call must discard
+  api::EngineArena arena;
+  api::ValueTapeStore tapes;
+  api::NoiseStreamStore streams;
+  const front::Bindings stale_bindings = app.bindings(128);
+  const compiler::DataLayout stale_layout(prog.directives, prog.symbols, stale_bindings, lo);
+  sim::SimOptions stale_opts;
+  stale_opts.seed = 7;
+  const core::BatchLane stale{&stale_layout, &stale_bindings, nullptr};
+  const compiler::LayoutDigest stale_key =
+      compiler::value_tape_key(prog, stale_bindings, stale_opts.max_while_trips);
+  (void)arena.measure_batch_into(prog, f.machine, stale_opts, 5, {&stale, 1}, {&stale_key, 1},
+                                 &tapes, streams);
+  const core::BatchLane lane{&layout, &bindings, nullptr};
+  const compiler::LayoutDigest key =
+      compiler::value_tape_key(prog, bindings, sim::SimOptions{}.max_while_trips);
+  const sim::MeasuredResult& out =
+      arena.measure_batch_into(prog, f.machine, {}, 3, {&lane, 1}, {&key, 1}, &tapes,
+                               streams)[0];
   EXPECT_EQ(out.stats.mean, reference.stats.mean);
   EXPECT_EQ(out.stats.min, reference.stats.min);
   EXPECT_EQ(out.stats.max, reference.stats.max);
   EXPECT_EQ(out.stats.stddev, reference.stats.stddev);
   EXPECT_EQ(out.stats.samples, reference.stats.samples);
   EXPECT_EQ(out.detail.total, reference.detail.total);
+  EXPECT_EQ(out.detail.proc_clock, reference.detail.proc_clock);
   EXPECT_EQ(out.detail.printed, reference.detail.printed);
+  EXPECT_EQ(out.detail.scalars, reference.detail.scalars);
 }
 
 // An unmasked distributed loop counts each processor's iterations from
@@ -751,11 +815,11 @@ end program t
 
 // --- timing replay ---------------------------------------------------------------
 //
-// Simulator::measure_into runs the program once and re-times runs 1.. from
-// the timing tape. The oracle: every sample equals, bit for bit, the total of a
-// fresh Executor run under that run's seed, and the detail equals run 0.
+// A measurement runs the program once and re-times runs 1.. from its value
+// tape. The oracle: every sample equals, bit for bit, the total of a fresh
+// executor's run under that run's seed, and the detail equals run 0.
 
-/// The per-run seed Simulator::measure_into derives for run `r`.
+/// The per-run seed a measurement derives for run `r` (sim::run_seed).
 std::uint64_t run_seed(std::uint64_t seed, int r) {
   return seed + static_cast<std::uint64_t>(r) * 0x9e3779b97f4a7c15ULL;
 }
@@ -769,7 +833,7 @@ void expect_replay_matches_fresh_runs(const compiler::CompiledProgram& prog,
   constexpr int kRuns = 4;
   const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
   const sim::MeasuredResult measured =
-      measure(sim::Simulator(machine), prog, bindings, layout, so, kRuns);
+      measure(machine, prog, bindings, layout, so, kRuns);
   ASSERT_EQ(measured.stats.samples.size(), static_cast<std::size_t>(kRuns)) << label;
   for (int r = 0; r < kRuns; ++r) {
     sim::SimOptions run_opts = so;
@@ -951,12 +1015,11 @@ program t
 end program t
 )f90");
   const machine::MachineModel machine = machine::make_ipsc860();
-  sim::Simulator simulator(machine);
   compiler::LayoutOptions lo;
   lo.nprocs = 4;
   sim::SimOptions so;
   so.max_while_trips = 100;
-  EXPECT_THROW((void)measure(simulator, prog, {}, lo, so, 4), support::CompileError);
+  EXPECT_THROW((void)measure(machine, prog, {}, lo, so, 4), support::CompileError);
 }
 
 // --- cross-configuration re-timing ----------------------------------------------
@@ -999,8 +1062,7 @@ void expect_cross_config_oracle(const compiler::CompiledProgram& prog,
   compiler::LayoutOptions recorded_lo;
   recorded_lo.nprocs = 2;
   const compiler::DataLayout recorded_layout = compiler::make_layout(prog, bindings, recorded_lo);
-  sim::ValueTape tape;
-  sim::Executor(prog, recorded_layout, ipsc, {}, bindings).record(tape);
+  const sim::ValueTape tape = record_fresh(prog, recorded_layout, ipsc, {}, bindings);
 
   std::vector<compiler::LayoutOptions> layouts;
   for (int nprocs : suite::paper_system_sizes()) {
@@ -1026,21 +1088,16 @@ void expect_cross_config_oracle(const compiler::CompiledProgram& prog,
           const std::string label =
               name + " P=" + std::to_string(lo.nprocs) + (lo.grid_shape ? " 2x2" : "") +
               " " + machine_name + (noise ? " noise" : "") + (contention ? " contention" : "");
-          sim::Executor fresh(prog, layout, *machine, so, bindings);
-          sim::SimResult want;
-          fresh.run_into(want);
+          const sim::MeasuredResult want = measure(*machine, prog, bindings, layout, so, 2);
           arena.rebind(prog, layout, *machine, so, bindings);
           arena.retime_into(tape, so.seed, retimed);
-          expect_same_result(retimed, want, label);
+          expect_same_result(retimed, want.detail, label);
           // a second seed re-times from the counts the first walk derived
-          EXPECT_EQ(arena.retime(tape, run_seed(so.seed, 1)),
-                    fresh.replay(run_seed(so.seed, 1)))
-              << label;
+          EXPECT_EQ(arena.retime(tape, run_seed(so.seed, 1)), want.stats.samples[1]) << label;
         }
       }
       // the tape this layout records is the same tape
-      sim::ValueTape own;
-      sim::Executor(prog, layout, *machine, {}, bindings).record(own);
+      const sim::ValueTape own = record_fresh(prog, layout, *machine, {}, bindings);
       EXPECT_EQ(own.words, tape.words) << name << " P=" << lo.nprocs;
       EXPECT_EQ(own.printed, tape.printed) << name << " P=" << lo.nprocs;
       EXPECT_EQ(own.scalars, tape.scalars) << name << " P=" << lo.nprocs;
@@ -1112,11 +1169,11 @@ TEST(CrossConfigRetime, TapeRecordedUnderALargerTripLimitStillThrows) {
   const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
   sim::SimOptions generous;
   generous.max_while_trips = 1000;
-  sim::ValueTape tape;
-  sim::Executor(prog, layout, machine, generous, {}).record(tape);
+  const sim::ValueTape tape = record_fresh(prog, layout, machine, generous, {});
   sim::SimOptions tight;
   tight.max_while_trips = 3;  // the loop runs more trips than this
-  sim::Executor executor(prog, layout, machine, tight, {});
+  sim::Executor executor;
+  executor.rebind(prog, layout, machine, tight, {});
   try {
     (void)executor.retime(tape, tight.seed);
     ADD_FAILURE() << "re-timed past the trip limit";
@@ -1182,8 +1239,7 @@ TEST(ValueDigest, DistributionVariantsShareOneTape) {
     recorded_lo.nprocs = 4;
     const compiler::DataLayout recorded_layout =
         compiler::make_layout(progs[r], bindings, recorded_lo);
-    sim::ValueTape tape;
-    sim::Executor(progs[r], recorded_layout, ipsc, {}, bindings).record(tape);
+    const sim::ValueTape tape = record_fresh(progs[r], recorded_layout, ipsc, {}, bindings);
     for (std::size_t t = 0; t < progs.size(); ++t) {
       for (const int nprocs : {1, 2, 4, 8}) {
         compiler::LayoutOptions lo;
@@ -1271,15 +1327,18 @@ TEST(TimingReplay, ReplayIsRepeatableAfterOneRun) {
   const compiler::DataLayout layout = compiler::make_layout(prog, app.bindings(128), lo);
   const machine::MachineModel machine = machine::make_ipsc860();
   sim::SimOptions so;
-  sim::Executor executor(prog, layout, machine, so, app.bindings(128));
+  sim::Executor executor;
+  executor.rebind(prog, layout, machine, so, app.bindings(128));
+  sim::ValueTape tape;
+  executor.record(tape);
   sim::SimResult first;
-  executor.run_into(first);
+  executor.retime_into(tape, so.seed, first);
   const double total = first.total;
-  // replaying the run's own seed reproduces it; other seeds are order-free
-  EXPECT_EQ(executor.replay(so.seed), total);
-  const double other = executor.replay(run_seed(so.seed, 1));
-  EXPECT_EQ(executor.replay(so.seed), total);
-  EXPECT_EQ(executor.replay(run_seed(so.seed, 1)), other);
+  // re-timing the run's own seed reproduces it; other seeds are order-free
+  EXPECT_EQ(executor.retime(tape, so.seed), total);
+  const double other = executor.retime(tape, run_seed(so.seed, 1));
+  EXPECT_EQ(executor.retime(tape, so.seed), total);
+  EXPECT_EQ(executor.retime(tape, run_seed(so.seed, 1)), other);
 }
 
 TEST(Executor, ScalarsReportedForValidation) {
@@ -1318,10 +1377,7 @@ sim::ValueTape record_tape(const compiler::CompiledProgram& prog,
   const compiler::DataLayout layout =
       compiler::make_layout(prog, bindings, compiler::LayoutOptions{1, {}});
   const machine::MachineModel machine = machine::make_ipsc860();
-  sim::Executor executor(prog, layout, machine, sim::SimOptions{}, bindings);
-  sim::ValueTape tape;
-  executor.record(tape);
-  return tape;
+  return record_fresh(prog, layout, machine, {}, bindings);
 }
 
 constexpr const char* kReductions = R"f90(
@@ -2009,7 +2065,7 @@ end program t
 
 // --- timing walk pins and plan invalidation ----------------------------------------
 //
-// Simulator::measure_into's whole timing output — every sample, the detail's
+// A measurement's whole timing output — every sample, the detail's
 // total, processor clocks and per-node comp/comm/overhead/visits — pinned by
 // an FNV-1a digest of their bits per suite app at its two smallest Table 2
 // sizes over P = 1, 2, 4, 8 and 3 runs. The constants were taken before the
@@ -2039,12 +2095,11 @@ void append_measured(std::string& bytes, const sim::MeasuredResult& m) {
 std::uint64_t measured_digest(const compiler::CompiledProgram& prog,
                               const front::Bindings& bindings) {
   const machine::MachineModel machine = machine::make_ipsc860();
-  const sim::Simulator simulator(machine);
   std::string bytes;
   for (const int nprocs : {1, 2, 4, 8}) {
     compiler::LayoutOptions lo;
     lo.nprocs = nprocs;
-    append_measured(bytes, measure(simulator, prog, bindings, lo, {}, 3));
+    append_measured(bytes, measure(machine, prog, bindings, lo, {}, 3));
   }
   return support::fnv1a64(bytes);
 }
@@ -2189,8 +2244,7 @@ TEST(TimingWalk, PlanFollowsTheLayoutAcrossRebinds) {
   square.grid_shape = std::vector<int>{2, 2};
   const compiler::DataLayout a = compiler::make_layout(prog, bindings, line);
   const compiler::DataLayout b = compiler::make_layout(prog, bindings, square);
-  sim::ValueTape tape;
-  sim::Executor(prog, a, machine, {}, bindings).record(tape);
+  const sim::ValueTape tape = record_fresh(prog, a, machine, {}, bindings);
   sim::Executor arena;
   expect_arena_matches_fresh(arena, tape, prog, bindings, a, machine, "A");
   expect_arena_matches_fresh(arena, tape, prog, bindings, b, machine, "B");
@@ -2206,8 +2260,7 @@ TEST(TimingWalk, TwoMachinesShareOneLayout) {
   const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
   const machine::MachineModel ipsc = machine::make_ipsc860();
   const machine::MachineModel paragon = machine::make_paragon();
-  sim::ValueTape tape;
-  sim::Executor(prog, layout, ipsc, {}, bindings).record(tape);
+  const sim::ValueTape tape = record_fresh(prog, layout, ipsc, {}, bindings);
   sim::Executor arena;
   expect_arena_matches_fresh(arena, tape, prog, bindings, layout, ipsc, "ipsc860");
   expect_arena_matches_fresh(arena, tape, prog, bindings, layout, paragon, "paragon");
@@ -2227,7 +2280,7 @@ TEST(TimingWalk, DoWhoseForallSpaceChangesEveryTrip) {
       compiler::LayoutOptions lo;
       lo.nprocs = nprocs;
       const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
-      if (tape.words.empty()) sim::Executor(prog, layout, machine, {}, bindings).record(tape);
+      if (tape.words.empty()) tape = record_fresh(prog, layout, machine, {}, bindings);
       expect_arena_matches_fresh(arena, tape, prog, bindings, layout, machine,
                                  "lfk2 " + std::to_string(size) + " P=" +
                                      std::to_string(nprocs));
@@ -2244,16 +2297,15 @@ TEST(TimingWalk, MaskedForallWhoseMaskChangesEveryTrip) {
     compiler::LayoutOptions lo;
     lo.nprocs = nprocs;
     const compiler::DataLayout layout = compiler::make_layout(prog, {}, lo);
-    if (tape.words.empty()) sim::Executor(prog, layout, machine, {}, {}).record(tape);
+    if (tape.words.empty()) tape = record_fresh(prog, layout, machine, {}, {});
     expect_arena_matches_fresh(arena, tape, prog, {}, layout, machine,
                                "P=" + std::to_string(nprocs));
   }
 }
 
 TEST(TimingWalk, SharedNoiseStreamsKeepEveryBit) {
-  // a walk reading its seed's stream equals one seeding its own engine, with
-  // and without a shared tape; nbody's walks (about 19k words at n=256, P=8)
-  // run far past the memo
+  // a walk reading its seed's stream equals one seeding its own engine;
+  // nbody's walks (about 19k words at n=256, P=8) run far past the memo
   const machine::MachineModel machine = machine::make_ipsc860();
   for (const auto& [name, size] : {std::pair{"nbody", 256LL}, {"laplace_bb", 64LL}, {"pi", 256LL}}) {
     const auto& app = suite::app(name);
@@ -2264,23 +2316,26 @@ TEST(TimingWalk, SharedNoiseStreamsKeepEveryBit) {
     const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
     const sim::SimOptions so;
     constexpr int kRuns = 3;
-    std::vector<sim::NoiseStream> streams;
-    for (int r = 0; r < kRuns; ++r) streams.emplace_back(sim::run_seed(so.seed, r));
-    const std::vector<const sim::NoiseStream*> ptrs = {&streams[0], &streams[1], &streams[2]};
-    sim::ValueTape tape;
-    sim::Executor(prog, layout, machine, so, bindings).record(tape);
-    const sim::Simulator simulator(machine);
-    const sim::ValueTape* const shared_tapes[] = {nullptr, &tape};
-    for (const sim::ValueTape* shared : shared_tapes) {
-      sim::Executor a, b;
-      sim::MeasuredResult alone, streamed;
-      simulator.measure_into(prog, bindings, layout, so, kRuns, a, alone, shared);
-      simulator.measure_into(prog, bindings, layout, so, kRuns, b, streamed, shared, ptrs);
-      EXPECT_EQ(streamed.stats.samples, alone.stats.samples) << name;
-      EXPECT_EQ(streamed.detail.proc_clock, alone.detail.proc_clock) << name;
-      EXPECT_EQ(streamed.detail.comp, alone.detail.comp) << name;
-      EXPECT_EQ(streamed.detail.comm, alone.detail.comm) << name;
+    const sim::MeasuredResult alone = measure(machine, prog, bindings, layout, so, kRuns);
+    const sim::ValueTape tape = record_fresh(prog, layout, machine, so, bindings);
+    sim::Executor arena;
+    arena.rebind(prog, layout, machine, so, bindings);
+    sim::SimResult detail;
+    for (int r = 0; r < kRuns; ++r) {
+      const std::uint64_t seed = sim::run_seed(so.seed, r);
+      const sim::NoiseStream stream(seed);
+      double total = 0;
+      if (r == 0) {
+        arena.retime_into(tape, seed, detail, &stream);
+        total = detail.total;
+      } else {
+        total = arena.retime(tape, seed, &stream);
+      }
+      EXPECT_EQ(total, alone.stats.samples[static_cast<std::size_t>(r)]) << name << " run " << r;
     }
+    EXPECT_EQ(detail.proc_clock, alone.detail.proc_clock) << name;
+    EXPECT_EQ(detail.comp, alone.detail.comp) << name;
+    EXPECT_EQ(detail.comm, alone.detail.comm) << name;
   }
 }
 
@@ -2292,9 +2347,9 @@ TEST(TimingWalk, LaterSeedsAllocateNothing) {
   lo.nprocs = 8;
   const compiler::DataLayout layout = compiler::make_layout(prog, bindings, lo);
   const machine::MachineModel machine = machine::make_ipsc860();
-  sim::ValueTape tape;
-  sim::Executor(prog, layout, machine, {}, bindings).record(tape);
-  sim::Executor arena(prog, layout, machine, {}, bindings);
+  const sim::ValueTape tape = record_fresh(prog, layout, machine, {}, bindings);
+  sim::Executor arena;
+  arena.rebind(prog, layout, machine, {}, bindings);
   const double first = arena.retime(tape, run_seed(42, 0));
   g_news.store(0);
   g_count_news.store(true);

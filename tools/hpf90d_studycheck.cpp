@@ -262,7 +262,6 @@ KeyedRows run_predict_rows() {
           api::RunConfig config = config_for(app, size, np);
           config.machine = machine;
           config.predict.trace = true;
-          config.predict.detailed = true;
           const core::PredictionResult r = session.predict(prog, config);
           const std::string point = app.id + "," + std::to_string(size) + "," + machine +
                                     "," + std::to_string(np) + ",";

@@ -9,13 +9,21 @@
 # with --gc-sections, so a product binary keeps exactly the functions some
 # path from its main() reaches. (-fno-jump-tables: a switch's jump table
 # would otherwise sit in one shared .rodata that keeps every switch's
-# function alive.) It then prints every hpf90d:: function that is defined
-# in libhpf90d.a or in a test binary but kept by no product (tools,
-# examples, perfbench). bench/ is neither a product nor probed.
+# function alive. -fkeep-inline-functions: GCC emits an inline function
+# only where it is used, so a header-inline function nothing calls would
+# otherwise be defined nowhere and escape the probe.) It then prints every
+# hpf90d:: function that is defined in libhpf90d.a or in a test binary but
+# kept by no product (tools, examples, perfbench). bench/ is neither a
+# product nor probed.
 #
 # Names are compared with parameter lists dropped and template arguments
 # collapsed to <>, so overloads and instantiations count as one name;
 # anonymous-namespace helpers are skipped (they go with their callers).
+# Special members with the signatures the compiler declares implicitly
+# (default, copy and move constructors, copy and move assignments,
+# destructors) are skipped too: -fkeep-inline-functions emits a struct's
+# implicit ones although nothing calls them, and nm cannot tell those from
+# user-declared ones.
 #
 # Exit status: 0 when every printed name is in
 # tools/reachability_allowlist.txt and every allowlist entry names a
@@ -35,7 +43,7 @@ build=$(cd "$1" && pwd)
 allowlist="$root/tools/reachability_allowlist.txt"
 jobs=${JOBS:-$(nproc)}
 
-flags="-O0 -fno-inline -ffunction-sections -fdata-sections -fno-jump-tables"
+flags="-O0 -fno-inline -fkeep-inline-functions -ffunction-sections -fdata-sections -fno-jump-tables"
 link="-Wl,--gc-sections"
 configure() {  # <source-dir> <build-dir>
   cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Reachability \
@@ -109,11 +117,35 @@ def normalize(sym):
         i += 1
     return "".join(out).split("::{lambda")[0]  # a lambda is its function's
 
+def parameters(sym):
+    """The text of sym's outermost parameter list (the last one)."""
+    sym = QUALIFIERS.sub("", sym)
+    depth = 0
+    for i in range(len(sym) - 1, -1, -1):
+        depth += {")": 1, "(": -1}.get(sym[i], 0)
+        if depth == 0:
+            return sym[i + 1:-1]
+    return ""
+
+def implicit_signature(sym, name):
+    """Whether sym has the signature of an implicitly declared special member."""
+    cls, _, member = name.rpartition("::")
+    last = cls.rpartition("::")[2].replace("<>", "")
+    if member == "~" + last:
+        return True
+    if member not in (last, "operator="):
+        return False
+    params = parameters(sym)
+    own = re.fullmatch(r"(.*::)?" + re.escape(last) + r"(<.*>)? ?(const&|&&)", params)
+    return own is not None or (member == last and params in ("", "void"))
+
 def read(path):
     with open(path) as f:
         symbols = {line for line in f.read().splitlines() if "hpf90d::" in line}
-    names = map(normalize, symbols)
-    return {n for n in names if n.startswith("hpf90d::") and "{anonymous}" not in n}
+    names = ((normalize(s), s) for s in symbols)
+    return {n for n, s in names
+            if n.startswith("hpf90d::") and "{anonymous}" not in n
+            and not implicit_signature(s, n)}
 
 kept = read(sys.argv[1])
 unreached = sorted(read(sys.argv[2]) - kept)
